@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .octonion import f_constant
-from .report import CheckReport, InputError, fail, ok
+from .report import CheckReport, InputError, fail, is_int, ok
 
 Key = Tuple[int, int, int]
 
@@ -61,12 +61,15 @@ class StructureTensor:
         if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
             raise InputError("structure tensor JSON needs 'dim' and 'entries'")
         dim = data["dim"]
-        if not isinstance(dim, int) or dim <= 0:
+        if not is_int(dim) or dim <= 0:
             raise InputError("'dim' must be a positive integer")
+        if not isinstance(data["entries"], list):
+            raise InputError("'entries' must be a list of [i, j, k, num, den] rows")
         entries: Dict[Key, Fraction] = {}
         for row in data["entries"]:
-            if not (isinstance(row, (list, tuple)) and len(row) == 5):
-                raise InputError(f"bad tensor entry {row!r}")
+            if not (isinstance(row, (list, tuple)) and len(row) == 5
+                    and all(is_int(v) for v in row)):
+                raise InputError(f"bad tensor entry {row!r}: need five integers")
             i, j, k, num, den = row
             if den <= 0:
                 raise InputError(f"denominator must be positive in {row!r}")

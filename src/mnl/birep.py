@@ -16,7 +16,7 @@ from .loops import CayleyTable, is_moufang
 from .matrices import (commutator, eye, mat_eq, mat_lincomb, mat_mul,
                        mat_scale, mat_sub, mat_is_zero, zeros)
 from .octonion import UNIT_TABLE
-from .report import CheckReport, InputError, fail, ok
+from .report import CheckReport, InputError, fail, is_int, ok
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,27 @@ class GeneratorSet:
 
     @staticmethod
     def from_json_dict(data) -> "GeneratorSet":
-        try:
-            def dec(m):
-                return [[Fraction(num, den) for num, den in row] for row in m]
+        if not isinstance(data, dict) or not {"r", "dim", "S", "T"} <= set(data):
+            raise InputError("generator set JSON needs 'r', 'dim', 'S' and 'T'")
+        if not (is_int(data["r"]) and is_int(data["dim"])
+                and isinstance(data["S"], list) and isinstance(data["T"], list)):
+            raise InputError("'r' and 'dim' must be integers, 'S' and 'T' lists of matrices")
 
-            return GeneratorSet(data["r"], data["dim"],
-                                [dec(m) for m in data["S"]], [dec(m) for m in data["T"]])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad generator set JSON: {exc}") from exc
+        def dec(m):
+            if not (isinstance(m, list) and all(isinstance(row, list) for row in m)):
+                raise InputError("a generator matrix must be a list of rows")
+            out = []
+            for row in m:
+                for entry in row:
+                    if not (isinstance(entry, list) and len(entry) == 2
+                            and all(is_int(v) for v in entry) and entry[1] > 0):
+                        raise InputError(f"bad generator entry {entry!r}: need "
+                                         "[num, den] integers with den > 0")
+                out.append([Fraction(num, den) for num, den in row])
+            return out
+
+        return GeneratorSet(data["r"], data["dim"],
+                            [dec(m) for m in data["S"]], [dec(m) for m in data["T"]])
 
 
 def check_birep(b: LoopBirep) -> CheckReport:

@@ -2,7 +2,8 @@
 subcommand, with machine-readable reports.
 
 Exit codes: 0 all declared properties pass, 1 algebraic violation,
-2 usage/input error.  Reports carry "schema": 1 and are byte-deterministic
+2 usage/input error, 3 internal error (a crash, traceback on stderr; never a
+verdict).  Reports carry "schema": 1 and are byte-deterministic
 for identical inputs (MNL_SEED pins the randomized checks, default 0).
 """
 
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -23,6 +25,7 @@ SCHEMA = 1
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _resolve_loop(ref: str) -> loops.CayleyTable:
@@ -316,6 +319,11 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        # a crash must not read as exit 1, "violation"
+        traceback.print_exc()
+        print("error: internal error; no verdict was reached", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,6 +12,20 @@ Lie bracket homomorphism, and the density and charge algebras then close with
 the same structure constants c and d as the generator-level relations.  The
 untransposed map Q(M) = a† M a satisfies [Q(M), Q(N)] = a† [M,N] a, which is
 the oracle identity checked by `bilinear_lemma_check`.
+
+Factored representation.  Every density is a same-site bilinear, hence
+parity-even: the Jordan-Wigner strings of its ladder operators cancel, and
+s^0_j(x) equals I x .. x L x .. x I, with L the same bilinear on the
+2^n-dimensional space of one site.  `charge_densities` builds each s and t
+density as that site factor (a `fock.SiteOp`) and checks once per operator,
+exactly, that its Kronecker embedding equals the Jordan-Wigner density on the
+full space; it raises if one does not.  Everything after that stays factored
+and exact: embeddings at different sites commute, so a commutator is the
+per-site commutator of the factors (a cross-site commutator is zero without
+any arithmetic), and a sum of embeddings sum_x E_x(D_x) is zero exactly when
+every D_x is c_x * I with sum_x c_x = 0.  The scans below are written against
+the operator interface (+, -, scale, times_i, commutator, ==, is_zero,
+zero_like) and give the same reports on plain full-space `GQSparse` operators.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from typing import Dict, List, Tuple
 
 from .algebra import StructureTensor, yamaguti_constants
 from .birep import GeneratorSet
-from .fock import FieldSet, GQSparse, QuadraticCache
+from .fock import FieldSet, SiteOp
 from .report import CheckReport, InputError, fail, ok
 
 CONVENTION = ("s0_j(x) = -i a†(x) S_j^T a(x); t0_j(x) = -i a†(x) T_j^T a(x); "
@@ -33,50 +47,43 @@ CONVENTION = ("s0_j(x) = -i a†(x) S_j^T a(x); t0_j(x) = -i a†(x) T_j^T a(x);
 
 @dataclass
 class ChargeDensitySet:
-    """Site-local densities s^0_j(x), t^0_j(x) and extracted Yamagutians."""
+    """Site-local densities s^0_j(x), t^0_j(x) and extracted Yamagutians, as
+    `SiteOp`s (or any operators with the same interface, such as GQSparse)."""
 
     r: int
     sites: int
-    s: List[List[GQSparse]]              # s[j][x]
-    t: List[List[GQSparse]]
-    Y: Dict[Tuple[int, int], List[GQSparse]]  # keys j < k; Y[(j,k)][x]
+    s: List[List[SiteOp]]              # s[j][x]
+    t: List[List[SiteOp]]
+    Y: Dict[Tuple[int, int], List[SiteOp]]  # keys j < k; Y[(j,k)][x]
     tensor: StructureTensor
 
     def yam(self, j, k, x):
         if j == k:
-            return GQSparse.zero(self.s[0][0].dim)
+            return self.s[0][0].zero_like()
         if j < k:
             return self.Y[(j, k)][x]
         return self.Y[(k, j)][x].scale(-1)
 
 
-def _site_bilinear(f: FieldSet, x: int, mat) -> GQSparse:
-    """-i a†(x) mat^T a(x) = sum_{A,B} p^0_A(x) mat_BA u^B(x)."""
-    n = f.modes_per_site
-    acc = GQSparse.zero(f.fock.dim)
-    cache = _site_cache(f, x)
-    for A in range(n):
-        for B in range(n):
-            v = mat[B][A]
-            if v:
-                acc = acc + cache[(A, B)].scale(Fraction(v))
-    return acc.times_i().scale(-1)
+def _bilinear_density(fock, x, mat):
+    """-i a†(x) mat^T a(x) = sum_{A,B} p^0_A(x) mat_BA u^B(x) on `fock`."""
+    mat_t = [list(col) for col in zip(*mat)]
+    return fock.products.bilinear(mat_t, site=x).times_i().scale(-1)
 
 
-_CACHES: Dict[int, Dict] = {}
+def _site_density(f: FieldSet, x: int, mat, label) -> SiteOp:
+    """The density at site x as its factor on one site.  On more than one
+    site the factor's embedding is checked against the Jordan-Wigner density
+    of the full space; on one site the two are the same computation."""
+    factor = _bilinear_density(f.fock.site_space(), 0, mat)
+    op = SiteOp(f.sites, factor.dim, {x: factor})
+    if f.sites > 1 and op.full() != _bilinear_density(f.fock, x, mat):
+        raise RuntimeError(f"density {label} at site {x} is not the Kronecker "
+                           "embedding of its site factor")
+    return op
 
 
-def _site_cache(f: FieldSet, x: int):
-    key = id(f.fock)
-    caches = _CACHES.setdefault(key, {})
-    if x not in caches:
-        n = f.modes_per_site
-        caches[x] = {(A, B): f.fock.adag[x][A] @ f.fock.a[x][B]
-                     for A in range(n) for B in range(n)}
-    return caches[x]
-
-
-def _extract_yamagutian(d_s, d_t, c: StructureTensor, j, k, x) -> GQSparse:
+def _extract_yamagutian(d_s, d_t, c: StructureTensor, j, k, x):
     acc = d_s[j][x].commutator(d_t[k][x]).times_i()
     third = Fraction(1, 3)
     for p in range(c.dim):
@@ -93,8 +100,10 @@ def charge_densities(f: FieldSet, gen: GeneratorSet, c: StructureTensor) -> Char
         raise InputError("generator size must equal modes per site")
     if gen.r != c.dim:
         raise InputError("generator count must match tensor dim")
-    s = [[_site_bilinear(f, x, gen.S[j]) for x in range(f.sites)] for j in range(gen.r)]
-    t = [[_site_bilinear(f, x, gen.T[j]) for x in range(f.sites)] for j in range(gen.r)]
+    s = [[_site_density(f, x, gen.S[j], f"s{j}") for x in range(f.sites)]
+         for j in range(gen.r)]
+    t = [[_site_density(f, x, gen.T[j], f"t{j}") for x in range(f.sites)]
+         for j in range(gen.r)]
     Y = {}
     for j in range(gen.r):
         for k in range(j + 1, gen.r):
@@ -116,8 +125,8 @@ class ETCReport:
                 "equations": {k: v.to_dict() for k, v in self.equations.items()}}
 
 
-def _lincomb(dim, terms) -> GQSparse:
-    acc = GQSparse.zero(dim)
+def _lincomb(zero, terms):
+    acc = zero
     for q, m in terms:
         if q:
             acc = acc + m.scale(Fraction(q))
@@ -132,7 +141,7 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
     if c.dim != d.r:
         raise InputError("tensor dim must match density count")
     r, N = d.r, d.sites
-    dim = d.s[0][0].dim
+    zero = d.s[0][0].zero_like()
     dd = yamaguti_constants(c)
     third = Fraction(1, 3)
     rep = ETCReport(CONVENTION)
@@ -146,8 +155,8 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
     def rhs_sites(x, y, terms):
         # i * (terms at x) * delta_xy
         if x != y:
-            return GQSparse.zero(dim)
-        return _lincomb(dim, terms).times_i()
+            return zero
+        return _lincomb(zero, terms).times_i()
 
     def scan_eq1():
         for j in range(r):
@@ -176,11 +185,11 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
         # right side; both readings are tried and the verdict recorded
         def rhs(j, k, x, y):
             if x != y:
-                return GQSparse.zero(dim)
+                return zero
             terms = [(2, d.yam(j, k, x))]
             terms += [(-2 * third * c.c(p, j, k), d.s[p][x]) for p in range(r)]
             terms += [(-third * c.c(p, j, k), d.t[p][x]) for p in range(r)]
-            return _lincomb(dim, terms).times_i()
+            return _lincomb(zero, terms).times_i()
 
         ts_ok = all(d.t[j][x].commutator(d.s[k][y]) == rhs(j, k, x, y)
                     for j in range(r) for k in range(r)
@@ -215,7 +224,7 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
                                 v = c.c(p, a, b)
                                 if v:
                                     terms.append((v, d.yam(p, out, x)))
-                        if not _lincomb(dim, terms).is_zero():
+                        if not _lincomb(zero, terms).is_zero():
                             yield (j, k, l, x), None
 
     def scan_reduct(dens, name):
@@ -310,19 +319,19 @@ class ChargeSet:
     """Integrated charges sigma_j = -i sum_x s^0_j(x), tau_j, Upsilon_jk."""
 
     r: int
-    sigma: List[GQSparse]
-    tau: List[GQSparse]
-    upsilon: Dict[Tuple[int, int], GQSparse]  # keys j < k
+    sigma: List[SiteOp]
+    tau: List[SiteOp]
+    upsilon: Dict[Tuple[int, int], SiteOp]  # keys j < k
 
     def ups(self, j, k):
         if j == k:
-            return GQSparse.zero(self.sigma[0].dim)
+            return self.sigma[0].zero_like()
         if j < k:
             return self.upsilon[(j, k)]
         return self.upsilon[(k, j)].scale(-1)
 
 
-def _site_sum(mats) -> GQSparse:
+def _site_sum(mats):
     acc = mats[0]
     for m in mats[1:]:
         acc = acc + m
@@ -343,20 +352,20 @@ def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
     if c.dim != q.r:
         raise InputError("tensor dim must match charge count")
     r = q.r
-    dim = q.sigma[0].dim
+    zero = q.sigma[0].zero_like()
     dd = yamaguti_constants(c)
     third = Fraction(1, 3)
     for j in range(r):
         for k in range(r):
             base = [(third * c.c(p, j, k), q.sigma[p]) for p in range(r)]
             baset = [(third * c.c(p, j, k), q.tau[p]) for p in range(r)]
-            ss = _lincomb(dim, [(2, q.ups(j, k))] + base + [(2 * v, m) for v, m in baset])
+            ss = _lincomb(zero, [(2, q.ups(j, k))] + base + [(2 * v, m) for v, m in baset])
             if q.sigma[j].commutator(q.sigma[k]) != ss:
                 return fail("charge-algebra", witness=("ss", j, k))
-            st = _lincomb(dim, [(-1, q.ups(j, k))] + base + [(-v, m) for v, m in baset])
+            st = _lincomb(zero, [(-1, q.ups(j, k))] + base + [(-v, m) for v, m in baset])
             if q.sigma[j].commutator(q.tau[k]) != st:
                 return fail("charge-algebra", witness=("st", j, k))
-            tt = _lincomb(dim, [(2, q.ups(j, k))] + [(-2 * v, m) for v, m in base] + [(-v, m) for v, m in baset])
+            tt = _lincomb(zero, [(2, q.ups(j, k))] + [(-2 * v, m) for v, m in base] + [(-v, m) for v, m in baset])
             if q.tau[j].commutator(q.tau[k]) != tt:
                 return fail("charge-algebra", witness=("tt", j, k))
     for j in range(r):
@@ -368,15 +377,15 @@ def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
                         v = c.c(p, a, b)
                         if v:
                             terms.append((v, q.ups(p, out)))
-                if not _lincomb(dim, terms).is_zero():
+                if not _lincomb(zero, terms).is_zero():
                     return fail("charge-algebra", witness=("cyclic", j, k, l))
     for j in range(r):
         for k in range(j + 1, r):
             for n in range(r):
-                rhs_s = _lincomb(dim, [(dd.d(p, j, k, n), q.sigma[p]) for p in range(r)])
+                rhs_s = _lincomb(zero, [(dd.d(p, j, k, n), q.sigma[p]) for p in range(r)])
                 if q.ups(j, k).commutator(q.sigma[n]) != rhs_s:
                     return fail("charge-algebra", witness=("reductivity-sigma", j, k, n))
-                rhs_t = _lincomb(dim, [(dd.d(p, j, k, n), q.tau[p]) for p in range(r)])
+                rhs_t = _lincomb(zero, [(dd.d(p, j, k, n), q.tau[p]) for p in range(r)])
                 if q.ups(j, k).commutator(q.tau[n]) != rhs_t:
                     return fail("charge-algebra", witness=("reductivity-tau", j, k, n))
     for j in range(r):
@@ -391,7 +400,7 @@ def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
                         v = dd.d(p, j, k, n)
                         if v:
                             terms.append((v, q.ups(l, p)))
-                    if q.ups(j, k).commutator(q.ups(l, n)) != _lincomb(dim, terms):
+                    if q.ups(j, k).commutator(q.ups(l, n)) != _lincomb(zero, terms):
                         return fail("charge-algebra", witness=("yy", j, k, l, n))
     return ok("charge-algebra")
 
@@ -403,7 +412,7 @@ def bilinear_lemma_check(f: FieldSet, trials: int = 100, seed: int = 0) -> Check
 
     rng = random.Random(seed)
     modes = f.modes_per_site * f.sites
-    cache = QuadraticCache(f.fock)
+    cache = f.fock.products
     for trial in range(trials):
         M = [[rng.randint(-3, 3) for _ in range(modes)] for _ in range(modes)]
         N = [[rng.randint(-3, 3) for _ in range(modes)] for _ in range(modes)]

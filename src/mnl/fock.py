@@ -2,16 +2,20 @@
 sparse operator arithmetic over Gaussian rationals.
 
 Operators are stored as (re + i*im)/den with integer sparse parts, so every
-check in the lab is exact; a magnitude guard rules out int64 overflow (entries
-here stay tiny).
+check in the lab is exact.  Each operation bounds the magnitude of its result
+from its operands' largest entries and denominators before it computes, and
+raises OverflowError when the bound reaches 2^62, so no int64 product can wrap.
+
+A `SiteOp` holds a sum of site-local operators sum_x I x .. x F_x x .. x I as
+its factors F_x on the 2^n-dimensional space of one site; see `SiteOp`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,6 +23,13 @@ import scipy.sparse as sp
 from .report import CheckReport, InputError, fail, ok
 
 _MAX_ENTRY = 1 << 60
+_BOUND = 1 << 62    # no intermediate int64 value may reach this
+
+
+def _guard(*bounds):
+    """Refuse an operation whose exact result could leave the int64 range."""
+    if max(bounds) >= _BOUND:
+        raise OverflowError("exact sparse result could exceed the int64 range")
 
 
 def _csr(m):
@@ -28,9 +39,11 @@ def _csr(m):
 
 
 class GQSparse:
-    """Sparse square matrix (re + i*im) / den with int64 parts, den > 0."""
+    """Sparse square matrix (re + i*im) / den with int64 parts, den > 0.
 
-    __slots__ = ("dim", "den", "re", "im")
+    `mag` is the largest |entry| of re and im, kept for the overflow guard."""
+
+    __slots__ = ("dim", "den", "re", "im", "mag")
 
     def __init__(self, dim, re, im, den=1):
         if den == 0:
@@ -44,11 +57,11 @@ class GQSparse:
         self._normalize()
 
     def _normalize(self):
-        vals = [abs(self.den)]
+        mag = 0
         for part in (self.re, self.im):
             if part.nnz:
-                vals.append(int(np.abs(part.data).max()))
-        if max(vals) > _MAX_ENTRY:
+                mag = max(mag, int(np.abs(part.data).max()))
+        if max(mag, self.den) > _MAX_ENTRY:
             raise OverflowError("exact sparse entry exceeded the int64 guard")
         g = self.den
         for part in (self.re, self.im):
@@ -58,6 +71,8 @@ class GQSparse:
             self.den //= g
             self.re = _exact_div(self.re, g)
             self.im = _exact_div(self.im, g)
+            mag //= g
+        self.mag = mag
 
     # --- constructors ---
     @staticmethod
@@ -76,9 +91,13 @@ class GQSparse:
         dim = mat.shape[0]
         return GQSparse(dim, mat, sp.csr_matrix((dim, dim), dtype=np.int64))
 
+    def zero_like(self):
+        return GQSparse.zero(self.dim)
+
     # --- arithmetic ---
     def __add__(self, other):
         self._check(other)
+        _guard(self.mag * other.den + other.mag * self.den, self.den * other.den)
         return GQSparse(self.dim,
                         self.re * other.den + other.re * self.den,
                         self.im * other.den + other.im * self.den,
@@ -89,6 +108,13 @@ class GQSparse:
 
     def __matmul__(self, other):
         self._check(other)
+        # an entry of the product sums at most (stored entries in one row of
+        # self) terms; the total nnz bounds that count and is free to read
+        mags = self.mag * other.mag
+        if mags * self.nnz >= _BOUND:
+            rows = np.diff(self.re.indptr) + np.diff(self.im.indptr)
+            _guard(mags * int(rows.max()))
+        _guard(self.den * other.den)
         return GQSparse(self.dim,
                         self.re @ other.re - self.im @ other.im,
                         self.re @ other.im + self.im @ other.re,
@@ -97,6 +123,8 @@ class GQSparse:
     def scale(self, q):
         """Multiply by an exact rational scalar."""
         q = Fraction(q)
+        num = abs(q.numerator)
+        _guard(self.mag * num, num, self.den * q.denominator)
         return GQSparse(self.dim, self.re * q.numerator, self.im * q.numerator,
                         self.den * q.denominator)
 
@@ -115,6 +143,21 @@ class GQSparse:
     # --- predicates ---
     def is_zero(self):
         return self.re.nnz == 0 and self.im.nnz == 0
+
+    def scalar(self) -> Optional[Tuple[Fraction, Fraction]]:
+        """(Re c, Im c) when self == c * I exactly, else None."""
+        out = []
+        for part in (self.re, self.im):
+            if part.nnz == 0:
+                out.append(Fraction(0))
+                continue
+            # dim stored entries and a nonzero constant diagonal leave no room
+            # for an off-diagonal entry
+            diag = part.diagonal()
+            if part.nnz != self.dim or diag[0] == 0 or (diag != diag[0]).any():
+                return None
+            out.append(Fraction(int(diag[0]), self.den))
+        return out[0], out[1]
 
     def __eq__(self, other):
         if not isinstance(other, GQSparse):
@@ -139,14 +182,121 @@ def _exact_div(part, g):
     return out
 
 
+class SiteOp:
+    """A sum of site-local operators sum_x I x .. x F_x x .. x I on `sites`
+    sites, held as {x: F_x} with each factor F_x a GQSparse of dimension
+    `site_dim`; site 0 is the leftmost Kronecker factor, as in `build_fock`.
+
+    Embeddings at different sites commute, so a commutator is the per-site
+    commutator of the factors on the sites both operands share.  The sum is
+    zero exactly when every factor is c_x * I and the c_x sum to zero (the
+    traceless parts of different sites are independent), which `is_zero`
+    tests.  `full()` builds the operator on the whole space."""
+
+    __slots__ = ("sites", "site_dim", "factors")
+
+    def __init__(self, sites, site_dim, factors: Dict[int, GQSparse]):
+        self.sites = sites
+        self.site_dim = site_dim
+        self.factors = {x: f for x, f in factors.items() if not f.is_zero()}
+
+    @property
+    def dim(self):
+        return self.site_dim ** self.sites
+
+    def _new(self, factors):
+        return SiteOp(self.sites, self.site_dim, factors)
+
+    def _check(self, other):
+        if not (isinstance(other, SiteOp) and other.sites == self.sites
+                and other.site_dim == self.site_dim):
+            raise InputError("operator dimension mismatch")
+
+    def zero_like(self):
+        return self._new({})
+
+    # --- arithmetic ---
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.factors)
+        for x, f in other.factors.items():
+            out[x] = out[x] + f if x in out else f
+        return self._new(out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, q):
+        return self._new({x: f.scale(q) for x, f in self.factors.items()})
+
+    def times_i(self):
+        return self._new({x: f.times_i() for x, f in self.factors.items()})
+
+    def commutator(self, other):
+        self._check(other)
+        return self._new({x: f.commutator(other.factors[x])
+                          for x, f in self.factors.items() if x in other.factors})
+
+    # --- predicates ---
+    def is_zero(self):
+        re = im = Fraction(0)
+        for f in self.factors.values():
+            c = f.scalar()
+            if c is None:
+                return False
+            re, im = re + c[0], im + c[1]
+        return re == 0 and im == 0
+
+    def __eq__(self, other):
+        if not isinstance(other, SiteOp):
+            return NotImplemented
+        return (self - other).is_zero()
+
+    # --- the full-space operator ---
+    def full(self) -> GQSparse:
+        acc = GQSparse.zero(self.dim)
+        for x, f in sorted(self.factors.items()):
+            left = sp.identity(self.site_dim ** x, dtype=np.int64, format="csr")
+            right = sp.identity(self.site_dim ** (self.sites - x - 1),
+                                dtype=np.int64, format="csr")
+            re, im = (sp.kron(sp.kron(left, part), right, format="csr")
+                      for part in (f.re, f.im))
+            acc = acc + GQSparse(self.dim, re, im, f.den)
+        return acc
+
+    @property
+    def re(self):
+        return self.full().re
+
+    @property
+    def im(self):
+        return self.full().im
+
+    @property
+    def den(self):
+        return self.full().den
+
+    @property
+    def nnz(self):
+        return self.full().nnz
+
+
 @dataclass
 class FockOps:
-    """Jordan-Wigner ladder operators for N sites with n modes per site."""
+    """Jordan-Wigner ladder operators for N sites with n modes per site.
+
+    `products` caches the products adag_m a_mp; the one-site space whose
+    operators are the site factors is built on first use."""
 
     modes_per_site: int
     sites: int
     a: List[List[GQSparse]]      # a[x][A]
     adag: List[List[GQSparse]]
+    products: "QuadraticCache" = field(init=False, repr=False)
+    _site: Optional["FockOps"] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.products = QuadraticCache(self)
 
     @property
     def dim(self):
@@ -154,6 +304,15 @@ class FockOps:
 
     def mode(self, x, A):
         return x * self.modes_per_site + A
+
+    def site_space(self) -> "FockOps":
+        """The Fock space of one site: same-site bilinears here are the
+        factors of the site-local operators of this space."""
+        if self.sites == 1:
+            return self
+        if self._site is None:
+            self._site = build_fock(self.modes_per_site, 1)
+        return self._site
 
 
 _SIGMA = np.array([[0, 1], [0, 0]], dtype=np.int64)
@@ -245,25 +404,30 @@ def canonical_etc_check(f: FieldSet) -> CheckReport:
 
 
 class QuadraticCache:
-    """Cached products adag_m a_mp for building mode bilinears."""
+    """Cached products adag_m a_mp for building mode bilinears; each FockOps
+    owns one as `products`.  It holds the ladder lists, not the FockOps, so
+    that no reference cycle keeps a dropped Fock space's products alive."""
 
     def __init__(self, fock: FockOps):
-        self.fock = fock
+        self.dim = fock.dim
+        self.modes_per_site = fock.modes_per_site
+        self.a, self.adag = fock.a, fock.adag
         self._cache: Dict[Tuple[int, int], GQSparse] = {}
 
     def pair(self, m, mp):
         key = (m, mp)
         if key not in self._cache:
-            n = self.fock.modes_per_site
-            self._cache[key] = (self.fock.adag[m // n][m % n]
-                                @ self.fock.a[mp // n][mp % n])
+            n = self.modes_per_site
+            self._cache[key] = self.adag[m // n][m % n] @ self.a[mp // n][mp % n]
         return self._cache[key]
 
-    def bilinear(self, mat) -> GQSparse:
-        """a† M a for an integer/rational matrix M over all modes."""
-        acc = GQSparse.zero(self.fock.dim)
+    def bilinear(self, mat, site=None) -> GQSparse:
+        """a† M a for an integer/rational matrix M over all modes, or over the
+        modes of one site when `site` is given."""
+        off = 0 if site is None else site * self.modes_per_site
+        acc = GQSparse.zero(self.dim)
         for m, row in enumerate(mat):
             for mp, v in enumerate(row):
                 if v:
-                    acc = acc + self.pair(m, mp).scale(Fraction(v))
+                    acc = acc + self.pair(off + m, off + mp).scale(Fraction(v))
         return acc

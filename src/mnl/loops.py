@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .octonion import UNIT_TABLE
-from .report import CheckReport, InputError, fail, ok
+from .report import CheckReport, InputError, fail, is_int, ok
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,13 @@ class CayleyTable:
 
     def __post_init__(self):
         n = self.order
-        if n <= 0 or len(self.table) != n or any(len(row) != n for row in self.table):
+        if not is_int(n) or n <= 0:
+            raise InputError("order must be a positive integer")
+        if len(self.table) != n or any(len(row) != n for row in self.table):
             raise InputError("table shape does not match order")
         for row in self.table:
             for v in row:
-                if not (isinstance(v, int) and 0 <= v < n):
+                if not (is_int(v) and 0 <= v < n):
                     raise InputError(f"table entry {v!r} out of range")
         if self.names is not None and len(self.names) != n:
             raise InputError("names length does not match order")
@@ -62,6 +64,11 @@ class CayleyTable:
         if not isinstance(data, dict) or "order" not in data or "table" not in data:
             raise InputError("Cayley table JSON needs 'order' and 'table'")
         names = data.get("names")
+        if not (isinstance(data["table"], list)
+                and all(isinstance(row, list) for row in data["table"])):
+            raise InputError("'table' must be a list of rows")
+        if names is not None and not isinstance(names, list):
+            raise InputError("'names' must be a list")
         return CayleyTable(
             data["order"],
             tuple(tuple(row) for row in data["table"]),

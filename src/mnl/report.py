@@ -8,6 +8,11 @@ class InputError(ValueError):
     """Malformed or inconsistent input data (exit code 2 territory)."""
 
 
+def is_int(value):
+    """True for an integer that is not a bool (JSON true/false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CheckReport:
     passed: bool

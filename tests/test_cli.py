@@ -208,3 +208,67 @@ def test_text_format(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert cli.main(["no-such-command"]) == 2
+
+
+# --- malformed inputs and crashes ---------------------------------------
+
+def _tensor(entries):
+    return {"dim": 3, "entries": entries}
+
+
+def _generators(mutate):
+    from mnl.birep import quaternion_lr_generators
+    data = quaternion_lr_generators().to_json_dict()
+    mutate(data)
+    return data
+
+
+def _set_entry(value, slot):
+    def mutate(data):
+        data["S"][0][0][0][slot] = value
+    return mutate
+
+
+MALFORMED = {
+    "tensor-string-numerator": ("maltsev", _tensor([[1, 2, 3, "1", 1]])),
+    "tensor-string-denominator": ("maltsev", _tensor([[1, 2, 3, 1, "1"]])),
+    "tensor-float-numerator": ("maltsev", _tensor([[1, 2, 3, 1.5, 1]])),
+    "tensor-float-denominator": ("maltsev", _tensor([[1, 2, 3, 1, 2.0]])),
+    "tensor-bool-numerator": ("maltsev", _tensor([[1, 2, 3, True, 1]])),
+    "tensor-bool-denominator": ("maltsev", _tensor([[1, 2, 3, 1, True]])),
+    "tensor-entries-not-a-list": ("maltsev", _tensor(5)),
+    "tensor-entries-an-object": ("maltsev", _tensor({"1": [1, 2, 3, 1, 1]})),
+    "generators-string-numerator": ("etc", _generators(_set_entry("1", 0))),
+    "generators-string-denominator": ("etc", _generators(_set_entry("1", 1))),
+    "generators-float-numerator": ("etc", _generators(_set_entry(0.5, 0))),
+    "generators-float-denominator": ("etc", _generators(_set_entry(1.0, 1))),
+    "generators-bool-numerator": ("etc", _generators(_set_entry(True, 0))),
+    "generators-bool-denominator": ("etc", _generators(_set_entry(True, 1))),
+    "generators-S-not-a-list": ("etc", _generators(lambda d: d.update(S=5))),
+    "generators-float-dim": ("etc", _generators(lambda d: d.update(dim=4.0))),
+    "cayley-bool-entry": ("loop-check", {"order": 2, "table": [[0, 1], [1, False]]}),
+    "cayley-table-not-a-list": ("loop-check", {"order": 2, "table": 3}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(capsys, tmp_path, case):
+    command, data = MALFORMED[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = [command, str(path)]
+    if command == "etc":
+        argv += ["--tensor", "builtin:su2-doubled", "--trials", "1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_crash_exits_internal_error(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_maltsev", boom)
+    assert cli.main(["maltsev", "builtin:m7"]) == cli.EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err

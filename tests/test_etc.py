@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from mnl.algebra import StructureTensor
 from mnl.birep import GeneratorSet, check_glc
-from mnl.etc import (bilinear_lemma_check, charge_algebra_check,
+from mnl.etc import (ChargeDensitySet, bilinear_lemma_check, charge_algebra_check,
                      charge_densities, charges, etc_verify, locality_check)
 from mnl.fock import GQSparse, build_fields
 from mnl.matrices import eye
@@ -47,9 +49,9 @@ def test_quaternion_yamagutian_closed_form(quat_dens, su2_doubled):
             for p in range(3):
                 v = su2_doubled.c(p, j, k)
                 if v:
-                    acc = acc + quat_dens.s[p][x].scale(third * v)
-                    acc = acc + quat_dens.t[p][x].scale(-third * v)
-            assert y0 == acc
+                    acc = acc + quat_dens.s[p][x].full().scale(third * v)
+                    acc = acc + quat_dens.t[p][x].full().scale(-third * v)
+            assert y0.full() == acc
 
 
 def test_identity_generator_gives_commuting_density(quat_fields, su2_doubled):
@@ -103,8 +105,8 @@ def test_upsilon_closed_form_quaternion(quat_dens, su2_doubled):
         for p in range(3):
             v = su2_doubled.c(p, j, k)
             if v:
-                acc = acc + q.sigma[p].scale(third * v) + q.tau[p].scale(-third * v)
-        assert ups == acc
+                acc = acc + q.sigma[p].full().scale(third * v) + q.tau[p].full().scale(-third * v)
+        assert ups.full() == acc
 
 
 # --- multi-site locality -----------------------------------------------
@@ -141,6 +143,74 @@ def test_scaled_tensor_fails_both_layers(quat_fields, quat_gen, su2_doubled):
     assert not check_glc(quat_gen, wrong).passed
     dens = charge_densities(quat_fields, quat_gen, wrong)
     assert not etc_verify(dens).passed
+
+
+# --- factored densities against the full space --------------------------
+
+def full_space(d):
+    """The same densities as plain GQSparse operators on the whole Fock space."""
+    return ChargeDensitySet(d.r, d.sites,
+                            [[op.full() for op in row] for row in d.s],
+                            [[op.full() for op in row] for row in d.t],
+                            {key: [op.full() for op in ops] for key, ops in d.Y.items()},
+                            d.tensor)
+
+
+def reports(d, c):
+    return (etc_verify(d, c).to_dict(), locality_check(d).to_dict(),
+            charge_algebra_check(charges(d), c).to_dict())
+
+
+def quaternionic_line(oct_gen, m7):
+    """The generators and tensor of the first index triple closed under the
+    bracket of m7 (a quaternionic subalgebra)."""
+    line = next(tri for tri in itertools.combinations(range(7), 3)
+                if all(i in tri for (i, j, k) in m7.entries if j in tri and k in tri))
+    pos = {p: q for q, p in enumerate(line)}
+    c = StructureTensor(3, {(pos[i], pos[j], pos[k]): v for (i, j, k), v in m7.entries.items()
+                            if i in pos and j in pos and k in pos})
+    return GeneratorSet(3, 8, [oct_gen.S[p] for p in line], [oct_gen.T[p] for p in line]), c
+
+
+def swapped(gen):
+    S = list(gen.S)
+    S[0], S[1] = S[1], S[0]
+    return GeneratorSet(gen.r, gen.dim, S, list(gen.T))
+
+
+@pytest.mark.parametrize("case,sites", [("quaternion", 2), ("quaternion", 3),
+                                        ("quaternion-swapped", 2), ("octonion-line", 2)])
+def test_factored_reports_equal_full_space(case, sites, quat_gen, su2_doubled, oct_gen, m7):
+    if case == "octonion-line":
+        gen, c = quaternionic_line(oct_gen, m7)
+    else:
+        gen, c = quat_gen, su2_doubled
+        if case == "quaternion-swapped":
+            gen = swapped(gen)
+    dens = charge_densities(build_fields(gen.dim, sites), gen, c)
+    factored = reports(dens, c)
+    assert factored == reports(full_space(dens), c)
+    passed = all(rep["pass"] for rep in factored[0]["equations"].values())
+    assert passed == (case != "quaternion-swapped")
+
+
+def test_fock_spaces_share_no_products(quat_gen, su2_doubled, oct_gen, m7):
+    # alternate shapes in one process, dropping each field set before the
+    # next; every density must equal one built from that space's own fields
+    for _ in range(3):
+        for n, N, gen, c in ((4, 2, quat_gen, su2_doubled), (8, 1, oct_gen, m7)):
+            f = build_fields(n, N)
+            dens = charge_densities(f, gen, c)
+            for j in range(gen.r):
+                for x in range(N):
+                    expect = f.p0[x][0].zero_like()
+                    for A in range(n):
+                        for B in range(n):
+                            v = gen.S[j][B][A]
+                            if v:
+                                expect = expect + (f.p0[x][A] @ f.u[x][B]).scale(v)
+                    assert dens.s[j][x].full() == expect
+            del f, dens
 
 
 # --- the bilinear lemma ------------------------------------------------

@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from mnl.fock import (FieldSet, GQSparse, QuadraticCache, build_fields,
+from mnl.fock import (FieldSet, GQSparse, QuadraticCache, SiteOp, build_fields,
                       build_fock, canonical_etc_check, car_check)
 from mnl.report import InputError
 
@@ -68,6 +69,200 @@ def test_gq_dimension_mismatch():
 def test_gq_unhashable():
     with pytest.raises(TypeError):
         hash(GQSparse.identity(2))
+
+
+def test_gq_square_of_2_40_does_not_wrap():
+    # the int64 product 2^80 wraps to 0; the guard must refuse it first
+    big = GQSparse.from_int(sp.csr_matrix(([1 << 40], ([0], [0])), shape=(2, 2),
+                                          dtype=np.int64))
+    try:
+        sq = big @ big
+    except OverflowError:
+        return
+    assert sq.re.nnz == 1 and Fraction(int(sq.re[0, 0]), sq.den) == 1 << 80
+
+
+def test_gq_guard_limits():
+    m = GQSparse.from_int(sp.csr_matrix(([1 << 30], ([0], [0])), shape=(2, 2),
+                                        dtype=np.int64))
+    assert (m @ m).re[0, 0] == 1 << 60
+    with pytest.raises(OverflowError):
+        m.scale(1 << 40)
+    with pytest.raises(OverflowError):
+        # the coprime denominators 2^40 and 2^40 - 1 multiply past the bound
+        one = GQSparse.identity(2)
+        one.scale(Fraction(1, 1 << 40)) + one.scale(Fraction(1, (1 << 40) - 1))
+
+
+# --- GQSparse against a dense Fraction reference ------------------------
+
+NEAR = (1 << 31, 1 << 40, 1 << 62)
+entry = st.one_of(st.integers(-3, 3),
+                  st.builds(lambda base, off, sign: sign * (base + off),
+                            st.sampled_from(NEAR), st.integers(-2, 2),
+                            st.sampled_from((-1, 1))))
+dense_int = st.lists(st.lists(entry, min_size=3, max_size=3), min_size=3, max_size=3)
+
+
+@st.composite
+def gq_or_none(draw):
+    """A 3x3 GQSparse and its dense (re, im) Fraction reference, or None when
+    the entries are too large to construct."""
+    re, im = draw(dense_int), draw(dense_int)
+    den = draw(st.sampled_from((1, 2, 3, 7, (1 << 31) - 1)))
+    ref = [[(Fraction(re[i][j], den), Fraction(im[i][j], den)) for j in range(3)]
+           for i in range(3)]
+    try:
+        return gq(re, im, den), ref
+    except OverflowError:
+        assert max(abs(v) for m in (re, im) for row in m for v in row) > 1 << 60
+        return None
+
+
+def dense(op):
+    re, im = op.re.toarray(), op.im.toarray()
+    return [[(Fraction(int(re[i, j]), op.den), Fraction(int(im[i, j]), op.den))
+             for j in range(op.dim)] for i in range(op.dim)]
+
+
+def ref_add(a, b):
+    return [[(x[0] + y[0], x[1] + y[1]) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_scale(a, q):
+    return [[(x[0] * q[0] - x[1] * q[1], x[0] * q[1] + x[1] * q[0]) for x in row]
+            for row in a]
+
+
+def ref_matmul(a, b):
+    n = len(a)
+    return [[(sum(a[i][k][0] * b[k][j][0] - a[i][k][1] * b[k][j][1] for k in range(n)),
+              sum(a[i][k][0] * b[k][j][1] + a[i][k][1] * b[k][j][0] for k in range(n)))
+             for j in range(n)] for i in range(n)]
+
+
+def small(*refs):
+    """Every numerator and denominator below 2^15: no operation here may refuse."""
+    return all(abs(v.numerator) < 1 << 15 and v.denominator < 1 << 15
+               for r in refs for row in r for x in row for v in x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gq_or_none(), gq_or_none(), st.fractions(-50, 50, max_denominator=5))
+def test_gq_matches_fraction_reference(pa, pb, q):
+    if pa is None or pb is None:
+        return
+    (a, ra), (b, rb) = pa, pb
+    neg = ref_scale(rb, (Fraction(-1), Fraction(0)))
+    cases = [
+        (lambda: a + b, lambda: ref_add(ra, rb)),
+        (lambda: a - b, lambda: ref_add(ra, neg)),
+        (lambda: a @ b, lambda: ref_matmul(ra, rb)),
+        (lambda: a.commutator(b),
+         lambda: ref_add(ref_matmul(ra, rb), ref_scale(ref_matmul(rb, ra), (-1, 0)))),
+        (lambda: a.scale(q), lambda: ref_scale(ra, (q, Fraction(0)))),
+        (lambda: a.times_i(), lambda: ref_scale(ra, (Fraction(0), Fraction(1)))),
+        (lambda: a.dagger(),
+         lambda: [[(ra[j][i][0], -ra[j][i][1]) for j in range(3)] for i in range(3)]),
+    ]
+    for op, ref in cases:
+        try:
+            got = op()
+        except OverflowError:
+            # refusing is allowed only where some entry is out of the small range
+            assert not small(ra, rb), "guard refused an operation on small entries"
+            continue
+        assert dense(got) == ref()
+    try:
+        assert (a == b) == (ra == rb)
+    except OverflowError:
+        assert not small(ra, rb)
+
+
+# --- site-local operators ------------------------------------------------
+
+SITE_DIM = 4   # n = 2 modes per site
+
+
+@st.composite
+def factor(draw):
+    re = draw(st.lists(st.lists(st.integers(-3, 3), min_size=SITE_DIM, max_size=SITE_DIM),
+                       min_size=SITE_DIM, max_size=SITE_DIM))
+    im = draw(st.lists(st.lists(st.integers(-3, 3), min_size=SITE_DIM, max_size=SITE_DIM),
+                       min_size=SITE_DIM, max_size=SITE_DIM))
+    if draw(st.booleans()):
+        im = [[0] * SITE_DIM for _ in range(SITE_DIM)]
+    return gq(re, im, draw(st.integers(1, 3)))
+
+
+@st.composite
+def site_op_pair(draw):
+    """Two SiteOps on 2 or 3 sites; sometimes the second is the first plus an
+    identity shift sum_x c_x I whose coefficients may sum to zero."""
+    sites = draw(st.integers(2, 3))
+
+    def one():
+        present = draw(st.lists(st.integers(0, sites - 1), unique=True, max_size=sites))
+        return SiteOp(sites, SITE_DIM, {x: draw(factor()) for x in present})
+
+    a = one()
+    if not draw(st.booleans()):
+        return a, one()
+    coeffs = draw(st.lists(st.fractions(-4, 4, max_denominator=3),
+                           min_size=sites, max_size=sites))
+    if draw(st.booleans()):
+        coeffs[-1] = -sum(coeffs[:-1])
+    ident = GQSparse.identity(SITE_DIM)
+    shift = SiteOp(sites, SITE_DIM, {x: ident.scale(c) for x, c in enumerate(coeffs)})
+    return a, a + shift
+
+
+@settings(max_examples=80, deadline=None)
+@given(site_op_pair(), st.fractions(-10, 10, max_denominator=4))
+def test_site_op_matches_full_space(pair, q):
+    a, b = pair
+    fa, fb = a.full(), b.full()
+    assert a.dim == fa.dim == SITE_DIM ** a.sites
+    assert (a + b).full() == fa + fb
+    assert (a - b).full() == fa - fb
+    assert a.scale(q).full() == fa.scale(q)
+    assert a.times_i().full() == fa.times_i()
+    assert a.commutator(b).full() == fa.commutator(fb)
+    assert (a == b) == (fa == fb)
+    assert (a - b).is_zero() == (fa - fb).is_zero()
+    assert a.is_zero() == fa.is_zero()
+    assert a.zero_like().full().is_zero()
+
+
+def test_site_op_identity_shift_is_zero():
+    ident = GQSparse.identity(SITE_DIM)
+    for c in (Fraction(1), Fraction(-5, 3)):
+        for sites in (2, 3):
+            shift = SiteOp(sites, SITE_DIM, {0: ident.scale(c), sites - 1: ident.scale(-c)})
+            assert shift.is_zero() and shift.full().is_zero()
+            lone = SiteOp(sites, SITE_DIM, {0: ident.scale(c)})
+            assert not lone.is_zero() and not lone.full().is_zero()
+    # an imaginary shift on one site does not cancel a real one on another
+    odd = SiteOp(2, SITE_DIM, {0: ident, 1: ident.times_i().scale(-1)})
+    assert not odd.is_zero() and not odd.full().is_zero()
+
+
+def test_site_op_full_reads_as_gqsparse():
+    f = build_fock(2, 2)
+    local = build_fock(2, 1)
+    num = local.adag[0][1] @ local.a[0][1]
+    op = SiteOp(2, 4, {1: num})
+    expect = f.adag[1][1] @ f.a[1][1]
+    assert op.full() == expect
+    assert op.nnz == expect.nnz and op.den == expect.den
+    assert (op.re != expect.re).nnz == 0 and op.im.nnz == 0
+
+
+def test_site_op_dimension_mismatch():
+    with pytest.raises(InputError):
+        SiteOp(2, 4, {}) + SiteOp(3, 4, {})
+    with pytest.raises(InputError):
+        SiteOp(2, 4, {}).commutator(GQSparse.identity(16))
 
 
 # --- ladder operators --------------------------------------------------
@@ -139,6 +334,15 @@ def test_canonical_etc_fails_without_phase():
 
 
 # --- quadratic cache ---------------------------------------------------
+
+def test_products_owned_by_fock_space():
+    f = build_fock(2, 2)
+    assert f.products.pair(2, 3) is f.products.pair(2, 3)
+    assert f.products.pair(2, 3) == f.adag[1][0] @ f.a[1][1]
+    assert f.site_space().dim == 4 and f.site_space() is f.site_space()
+    assert build_fock(2, 1).site_space().sites == 1
+    assert f.products.bilinear([[0, 1], [0, 0]], site=1) == f.products.pair(2, 3)
+
 
 def test_bilinear_identity_is_total_number(quat_fields):
     cache = QuadraticCache(quat_fields.fock)
