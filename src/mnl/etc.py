@@ -13,19 +13,20 @@ the same structure constants c and d as the generator-level relations.  The
 untransposed map Q(M) = a† M a satisfies [Q(M), Q(N)] = a† [M,N] a, which is
 the oracle identity checked by `bilinear_lemma_check`.
 
-Factored representation.  Every density is a same-site bilinear, hence
-parity-even: the Jordan-Wigner strings of its ladder operators cancel, and
-s^0_j(x) equals I x .. x L x .. x I, with L the same bilinear on the
-2^n-dimensional space of one site.  `charge_densities` builds each s and t
-density as that site factor (a `fock.SiteOp`) and checks once per operator,
-exactly, that its Kronecker embedding equals the Jordan-Wigner density on the
-full space; it raises if one does not.  Everything after that stays factored
-and exact: embeddings at different sites commute, so a commutator is the
-per-site commutator of the factors (a cross-site commutator is zero without
-any arithmetic), and a sum of embeddings sum_x E_x(D_x) is zero exactly when
-every D_x is c_x * I with sum_x c_x = 0.  The scans below are written against
-the operator interface (+, -, scale, times_i, commutator, ==, is_zero,
-zero_like) and give the same reports on plain full-space `GQSparse` operators.
+Factored representation.  Every density is a same-site bilinear.
+`FockOps.site_space` checks once, exactly, that each ladder operator of site
+x is Pi x .. x Pi x F x I x .. x I with F the one-site operator and Pi the
+one-site parity (see `fock.site_factor`); since Pi^2 = I the strings of
+a†_A(x) a_B(x) cancel, and s^0_j(x) equals I x .. x L x .. x I, with L the
+same bilinear on the 2^n-dimensional space of one site.  `charge_densities`
+builds each s and t density as that site factor (a `fock.SiteOp`).
+Everything after that stays factored and exact: embeddings at different sites
+commute, so a commutator is the per-site commutator of the factors (a
+cross-site commutator is zero without any arithmetic), and a sum of
+embeddings sum_x E_x(D_x) is zero exactly when every D_x is c_x * I with
+sum_x c_x = 0.  The scans below are written against the operator interface
+(+, -, scale, times_i, commutator, ==, is_zero, zero_like) and give the same
+reports on plain full-space `GQSparse` operators.
 """
 
 from __future__ import annotations
@@ -65,22 +66,14 @@ class ChargeDensitySet:
         return self.Y[(k, j)][x].scale(-1)
 
 
-def _bilinear_density(fock, x, mat):
-    """-i a†(x) mat^T a(x) = sum_{A,B} p^0_A(x) mat_BA u^B(x) on `fock`."""
+def _site_density(f: FieldSet, x: int, mat) -> SiteOp:
+    """-i a†(x) mat^T a(x) = sum_{A,B} p^0_A(x) mat_BA u^B(x), held as its
+    factor on one site.  `site_space` has checked that the ladder operators
+    of site x embed the one-site ones, which makes the factor's embedding the
+    Jordan-Wigner density of the full space."""
     mat_t = [list(col) for col in zip(*mat)]
-    return fock.products.bilinear(mat_t, site=x).times_i().scale(-1)
-
-
-def _site_density(f: FieldSet, x: int, mat, label) -> SiteOp:
-    """The density at site x as its factor on one site.  On more than one
-    site the factor's embedding is checked against the Jordan-Wigner density
-    of the full space; on one site the two are the same computation."""
-    factor = _bilinear_density(f.fock.site_space(), 0, mat)
-    op = SiteOp(f.sites, factor.dim, {x: factor})
-    if f.sites > 1 and op.full() != _bilinear_density(f.fock, x, mat):
-        raise RuntimeError(f"density {label} at site {x} is not the Kronecker "
-                           "embedding of its site factor")
-    return op
+    factor = f.fock.site_space().products.bilinear(mat_t).times_i().scale(-1)
+    return SiteOp(f.sites, factor.dim, {x: factor})
 
 
 def _extract_yamagutian(d_s, d_t, c: StructureTensor, j, k, x):
@@ -100,10 +93,8 @@ def charge_densities(f: FieldSet, gen: GeneratorSet, c: StructureTensor) -> Char
         raise InputError("generator size must equal modes per site")
     if gen.r != c.dim:
         raise InputError("generator count must match tensor dim")
-    s = [[_site_density(f, x, gen.S[j], f"s{j}") for x in range(f.sites)]
-         for j in range(gen.r)]
-    t = [[_site_density(f, x, gen.T[j], f"t{j}") for x in range(f.sites)]
-         for j in range(gen.r)]
+    s = [[_site_density(f, x, gen.S[j]) for x in range(f.sites)] for j in range(gen.r)]
+    t = [[_site_density(f, x, gen.T[j]) for x in range(f.sites)] for j in range(gen.r)]
     Y = {}
     for j in range(gen.r):
         for k in range(j + 1, gen.r):

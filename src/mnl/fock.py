@@ -8,6 +8,16 @@ raises OverflowError when the bound reaches 2^62, so no int64 product can wrap.
 
 A `SiteOp` holds a sum of site-local operators sum_x I x .. x F_x x .. x I as
 its factors F_x on the 2^n-dimensional space of one site; see `SiteOp`.
+
+Ladder embeddings.  On N sites the Jordan-Wigner ladder operator of mode A at
+site x is exactly Pi x .. x Pi x F x I x .. x I, with x one-site parities
+Pi = Z^{n} (diagonal +-1, Pi^2 = I) on the left and F the same operator on
+one site; `site_factor` reads F off and checks the embedding exactly.  By the
+mixed-product rule, {Phi_x, Psi_x} = I x {phi, psi} x I at one site, and for
+x < y {Phi_x, Psi_y} = I x {phi, Pi} x Pi x .. x Pi x psi x I, zero exactly
+when {phi, Pi} = 0 or psi = 0.  `canonical_etc_check` and `car_check` decide
+their relations that way on the 2^n-dimensional factors, and on the full space
+when some operator is not such an embedding.
 """
 
 from __future__ import annotations
@@ -307,11 +317,26 @@ class FockOps:
 
     def site_space(self) -> "FockOps":
         """The Fock space of one site: same-site bilinears here are the
-        factors of the site-local operators of this space."""
+        factors of the site-local operators of this space.
+
+        On first use every a[x][A] and adag[x][A] is checked, exactly, to be
+        the ladder embedding of the one-site operator (see `site_factor`);
+        RuntimeError if one is not.  With Pi^2 = I that makes every same-site
+        bilinear adag[x] M a[x] equal I x .. x (adag M a on one site) x .. x I."""
         if self.sites == 1:
             return self
         if self._site is None:
-            self._site = build_fock(self.modes_per_site, 1)
+            site = build_fock(self.modes_per_site, 1)
+            n, N = self.modes_per_site, self.sites
+            for name, ops, local in (("a", self.a, site.a), ("adag", self.adag, site.adag)):
+                for x in range(N):
+                    for A in range(n):
+                        factor = site_factor(ops[x][A], n, N, x)
+                        if factor is None or factor != local[0][A]:
+                            raise RuntimeError(
+                                f"{name}[{x}][{A}] is not the Jordan-Wigner embedding "
+                                "of the one-site ladder operator")
+            self._site = site
         return self._site
 
 
@@ -339,23 +364,124 @@ def build_fock(n: int, N: int) -> FockOps:
     return FockOps(n, N, a, adag)
 
 
+def _parity(modes):
+    """Z x .. x Z on `modes` modes: the diagonal (-1)^(occupied modes)."""
+    states = np.arange(1 << modes)
+    odd = np.zeros_like(states)
+    for k in range(modes):
+        odd ^= (states >> k) & 1
+    return sp.diags(1 - 2 * odd, format="csr", dtype=np.int64)
+
+
+def site_factor(op: GQSparse, n: int, N: int, x: int) -> Optional[GQSparse]:
+    """The factor F on the 2^n-dimensional space of site x with
+    op == Pi x .. x Pi x F x I x .. x I exactly (x copies of the one-site
+    parity Pi = Z^{n} on the left), or None when op is not of that form.
+    Every Jordan-Wigner ladder operator of site x is such an embedding of the
+    one-site operator.
+
+    Pi and I are 1 in their first diagonal entry, so F is the block of op at
+    the first (empty) state of the other sites, which `pick` selects; op is
+    then compared with F's embedding.  Both are normalized, so the comparison
+    is of exact parts."""
+    if N == 1:
+        return op
+    d = 1 << n
+    right = d ** (N - x - 1)
+    states = np.arange(d)
+    pick = sp.csr_matrix((np.ones(d, dtype=np.int64), (states * right, states)),
+                         shape=(op.dim, d))
+    factor = GQSparse(d, pick.T @ op.re @ pick, pick.T @ op.im @ pick, op.den)
+    if factor.den != op.den:
+        return None
+    left = _parity(n * x)
+    ident = sp.identity(right, dtype=np.int64, format="csr")
+    for part, full in ((factor.re, op.re), (factor.im, op.im)):
+        if (sp.kron(sp.kron(left, part), ident, format="csr") != full).nnz:
+            return None
+    return factor
+
+
+# An anticommutation relation (name, X, Y, c) asks {X_A(x), Y_B(y)} =
+# c(I) d_xy d_AB for the operator families X and Y, with c = None for zero.
+_CANONICAL = (("p-u", "p0", "u", lambda one: one.times_i().scale(-1)),
+              ("u-u", "u", "u", None),
+              ("p-p", "p0", "p0", None))
+_CAR = (("a-adag", "a", "adag", lambda one: one),
+        ("a-a", "a", "a", None),
+        ("adag-adag", "adag", "adag", None))
+
+
+def _full_space_view(families, n, N):
+    """The operators as they are: every relation is decided on the full space."""
+    return families, None
+
+
+def _site_view(families, n, N):
+    """The site factors (`site_factor`) of the operators and the one-site
+    parity Pi, or None when some operator is not a ladder embedding."""
+    factors = {}
+    for name, ops in families.items():
+        factors[name] = [[site_factor(op, n, N, x) for op in row]
+                         for x, row in enumerate(ops)]
+        if any(f is None for row in factors[name] for f in row):
+            return None
+    return factors, GQSparse.from_int(_parity(n))
+
+
+def _ladder_view(families, n, N):
+    return _site_view(families, n, N) or _full_space_view(families, n, N)
+
+
+def _anticommutation_scan(prop, relations, n, N, view, witness):
+    """First (name, x, A, y, B), in that loop order, whose relation fails.
+
+    `view` is (operators, None) from `_full_space_view`, or (factors, Pi)
+    from `_site_view`, whose relations are decided as the module docstring
+    derives under "Ladder embeddings".  {X, Y} = {Y, X}, so a relation within
+    one family skips the pairs whose mirror came first."""
+    ops, parity = view
+    one = GQSparse.identity(ops[relations[0][1]][0][0].dim)
+    expect = {name: c(one) for name, _, _, c in relations if c is not None}
+    odd = {}
+
+    def parity_odd(X, x, A):
+        if (X, x, A) not in odd:
+            odd[X, x, A] = ops[X][x][A].anticommutator(parity).is_zero()
+        return odd[X, x, A]
+
+    def holds(name, X, x, A, Y, y, B):
+        if parity is None or x == y:
+            ac = ops[X][x][A].anticommutator(ops[Y][y][B])
+            c = expect.get(name) if (x, A) == (y, B) else None
+            return ac.is_zero() if c is None else ac == c
+        if x < y:
+            return ops[Y][y][B].is_zero() or parity_odd(X, x, A)
+        return ops[X][x][A].is_zero() or parity_odd(Y, y, B)
+
+    for x in range(N):
+        for A in range(n):
+            for y in range(N):
+                for B in range(n):
+                    for name, X, Y, _ in relations:
+                        if X == Y and (y, B) < (x, A):
+                            continue
+                        if not holds(name, X, x, A, Y, y, B):
+                            return fail(prop, witness=witness(name, x, A, y, B))
+    return ok(prop)
+
+
+def _car_scan(f: FockOps, view) -> CheckReport:
+    n, N = f.modes_per_site, f.sites
+    families = {"a": f.a, "adag": f.adag}
+    return _anticommutation_scan("car", _CAR, n, N, view(families, n, N),
+                                 lambda name, x, A, y, B: (name, x * n + A, y * n + B))
+
+
 def car_check(f: FockOps) -> CheckReport:
-    """Exhaustive canonical anticommutation relations on all mode pairs."""
-    modes = f.modes_per_site * f.sites
-    flat_a = [f.a[x][A] for x in range(f.sites) for A in range(f.modes_per_site)]
-    flat_ad = [f.adag[x][A] for x in range(f.sites) for A in range(f.modes_per_site)]
-    ident = GQSparse.identity(f.dim)
-    for m in range(modes):
-        for mp in range(modes):
-            mixed = flat_a[m].anticommutator(flat_ad[mp])
-            expect = ident if m == mp else GQSparse.zero(f.dim)
-            if mixed != expect:
-                return fail("car", witness=("a-adag", m, mp))
-            if not flat_a[m].anticommutator(flat_a[mp]).is_zero():
-                return fail("car", witness=("a-a", m, mp))
-            if not flat_ad[m].anticommutator(flat_ad[mp]).is_zero():
-                return fail("car", witness=("adag-adag", m, mp))
-    return ok("car")
+    """Exhaustive canonical anticommutation relations on all mode pairs;
+    the witness names the relation and the two flat mode indices."""
+    return _car_scan(f, _ladder_view)
 
 
 @dataclass
@@ -382,25 +508,21 @@ def build_fields(n: int, N: int) -> FieldSet:
     return FieldSet(fock, u, p0)
 
 
+def _canonical_scan(f: FieldSet, view) -> CheckReport:
+    n, N = f.modes_per_site, f.sites
+    families = {"p0": f.p0, "u": f.u}
+    return _anticommutation_scan("canonical-etc", _CANONICAL, n, N,
+                                 view(families, n, N), lambda *w: w)
+
+
 def canonical_etc_check(f: FieldSet) -> CheckReport:
     """The three postulated equal-time relations, in graded (anticommutator)
-    form: {p^0_A(x), u^B(y)} = -i d_AB d_xy, {u,u} = 0, {p^0,p^0} = 0."""
-    n, N = f.modes_per_site, f.sites
-    dim = f.fock.dim
-    minus_i = GQSparse.identity(dim).times_i().scale(-1)
-    zero = GQSparse.zero(dim)
-    for x in range(N):
-        for A in range(n):
-            for y in range(N):
-                for B in range(n):
-                    expect = minus_i if (x == y and A == B) else zero
-                    if f.p0[x][A].anticommutator(f.u[y][B]) != expect:
-                        return fail("canonical-etc", witness=("p-u", x, A, y, B))
-                    if not f.u[x][A].anticommutator(f.u[y][B]).is_zero():
-                        return fail("canonical-etc", witness=("u-u", x, A, y, B))
-                    if not f.p0[x][A].anticommutator(f.p0[y][B]).is_zero():
-                        return fail("canonical-etc", witness=("p-p", x, A, y, B))
-    return ok("canonical-etc")
+    form: {p^0_A(x), u^B(y)} = -i d_AB d_xy, {u,u} = 0, {p^0,p^0} = 0.
+
+    When every field is a ladder embedding (`site_factor`), each relation is
+    decided on the 2^n-dimensional site factors; otherwise on the full space.
+    Both give the same report, witness included."""
+    return _canonical_scan(f, _ladder_view)
 
 
 class QuadraticCache:

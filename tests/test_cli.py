@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mnl import cli
 from mnl.algebra import StructureTensor, catalog_algebra
+from mnl.birep import quaternion_lr_generators
+from mnl.loops import group_catalog
 
 
 def run(capsys, *argv):
@@ -272,3 +277,115 @@ def test_crash_exits_internal_error(capsys, monkeypatch):
     assert cli.main(["maltsev", "builtin:m7"]) == cli.EXIT_INTERNAL == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+# --- fuzzed malformed inputs ---------------------------------------------
+
+VALID = {"cayley": group_catalog()["z3"].to_json_dict(),
+         "tensor": catalog_algebra("su2").to_json_dict(),
+         "generators": quaternion_lr_generators().to_json_dict()}
+
+# every subcommand that reads each kind of JSON; {} is the mutated file and
+# {valid} a valid generator file
+COMMANDS = {
+    "cayley": [["loop-check", "{}"]],
+    "tensor": [["maltsev", "{}"], ["envelope", "{}"],
+               ["etc", "{valid}", "--tensor", "{}", "--trials", "1"]],
+    "generators": [["etc", "{}", "--tensor", "builtin:su2-doubled", "--trials", "1"],
+                   ["envelope", "builtin:su2", "--oracle", "{}"]],
+}
+
+# slots that hold an index into the table or tensor, and denominators
+INDEX_SLOTS = {"cayley": lambda p: len(p) == 3 and p[0] == "table",
+               "tensor": lambda p: len(p) == 3 and p[0] == "entries" and p[2] < 3,
+               "generators": lambda p: False}
+DEN_SLOTS = {"cayley": lambda p: False,
+             "tensor": lambda p: len(p) == 3 and p[0] == "entries" and p[2] == 4,
+             "generators": lambda p: len(p) == 5 and p[4] == 1}
+REQUIRED = {"cayley": ("order", "table"), "tensor": ("dim", "entries"),
+            "generators": ("r", "dim", "S", "T")}
+COUNTS = {"cayley": ("order",), "tensor": ("dim",), "generators": ("r", "dim")}
+
+NOT_AN_INT = st.sampled_from(["1", 1.5, 2.0, True, False, None, [], {}, [1]])
+NOT_A_LIST = st.sampled_from([5, "x", {"a": 1}, 1.5, True])
+
+
+def _nodes(doc, path=()):
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, sub in items:
+        yield from _nodes(sub, path + (key,))
+
+
+def _set(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@st.composite
+def malformed(draw):
+    """A kind of input and a document of that kind that every reader must
+    reject: one wrong type, shape, index, denominator, count or key."""
+    kind = draw(st.sampled_from(sorted(VALID)))
+    doc = VALID[kind]
+    nodes = list(_nodes(doc))
+    ints = [p for p, v in nodes if isinstance(v, int)]
+    # dropping or repeating a tensor row leaves a valid tensor
+    lists = [p for p, v in nodes if isinstance(v, list) and p != ("entries",)]
+    how = draw(st.sampled_from(("type", "container", "shape", "index", "den",
+                                "count", "key", "root")))
+    if how == "type":
+        return kind, _set(doc, draw(st.sampled_from(ints)), draw(NOT_AN_INT))
+    if how == "container":
+        return kind, _set(doc, draw(st.sampled_from([p for p in lists if p])),
+                          draw(NOT_A_LIST))
+    if how == "shape":
+        path = draw(st.sampled_from(lists))
+        seq = list(dict(nodes)[path])
+        at = draw(st.integers(0, len(seq) - 1))
+        seq[at:at + 1] = [] if draw(st.booleans()) else [seq[at], seq[at]]
+        return kind, _set(doc, path, seq)
+    # a kind without index or denominator slots gets a wrong root instead
+    slots = {"index": INDEX_SLOTS, "den": DEN_SLOTS}.get(how)
+    if slots is not None and any(slots[kind](p) for p in ints):
+        path = draw(st.sampled_from([p for p in ints if slots[kind](p)]))
+        if how == "index":
+            # table entries are 0-based, tensor indices 1-based
+            top = doc["order"] - 1 if kind == "cayley" else doc["dim"]
+            low = 0 if kind == "cayley" else 1
+            bad = draw(st.sampled_from((low - 1, top + 1, top + 5)))
+        else:
+            bad = draw(st.sampled_from((0, -1, -7)))
+        return kind, _set(doc, path, bad)
+    if how == "count":
+        key = draw(st.sampled_from(COUNTS[kind]))
+        return kind, _set(doc, (key,), doc[key] - 1)
+    if how == "key":
+        gone = draw(st.sampled_from(REQUIRED[kind]))
+        return kind, {k: v for k, v in doc.items() if k != gone}
+    return kind, draw(st.sampled_from([[doc], 3, "doc", None]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(malformed(), st.data())
+def test_fuzzed_malformed_json_exits_2(tmp_path_factory, case, data):
+    kind, doc = case
+    work = tmp_path_factory.getbasetemp()
+    bad, valid = work / "fuzz-bad.json", work / "fuzz-valid.json"
+    bad.write_text(json.dumps(doc))
+    valid.write_text(json.dumps(VALID["generators"]))
+    argv = data.draw(st.sampled_from(COMMANDS[kind]))
+    argv = [str(bad) if a == "{}" else str(valid) if a == "{valid}" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 2, (argv, doc, err.getvalue())
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -5,8 +5,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from mnl.fock import (FieldSet, GQSparse, QuadraticCache, SiteOp, build_fields,
-                      build_fock, canonical_etc_check, car_check)
+from mnl.etc import charge_densities
+from mnl.fock import (FieldSet, FockOps, GQSparse, QuadraticCache, SiteOp,
+                      _canonical_scan, _car_scan, _full_space_view, _site_view,
+                      build_fields, build_fock, canonical_etc_check, car_check,
+                      site_factor)
 from mnl.report import InputError
 
 
@@ -331,6 +334,130 @@ def test_canonical_etc_fails_without_phase():
     rep = canonical_etc_check(bad)
     assert not rep.passed
     assert rep.witness[0] == "p-u"
+
+
+# --- ladder embeddings and the factored anticommutator scans ------------
+
+_SIGMA = np.array([[0, 1], [0, 0]], dtype=np.int64)
+
+
+def bare_sigma(n, N, x, A):
+    """The annihilator of mode (x, A) without its Jordan-Wigner string."""
+    m = x * n + A
+    acc = sp.identity(2 ** m, dtype=np.int64, format="csr")
+    acc = sp.kron(acc, _SIGMA, format="csr")
+    acc = sp.kron(acc, sp.identity(2 ** (n * N - m - 1), dtype=np.int64), format="csr")
+    return GQSparse.from_int(acc)
+
+
+def test_site_factor_reads_ladder_embeddings():
+    n, N = 2, 3
+    f, local = build_fock(n, N), build_fock(n, 1)
+    for x in range(N):
+        for A in range(n):
+            assert site_factor(f.a[x][A], n, N, x) == local.a[0][A]
+            assert site_factor(f.adag[x][A].times_i(), n, N, x) == local.adag[0][A].times_i()
+    # the string of site 1 is Pi on site 0, not I: the bare operator is no embedding
+    assert site_factor(bare_sigma(n, N, 1, 0), n, N, 1) is None
+    # a same-site product drops its string, so it is an embedding with I, not Pi
+    assert site_factor(f.adag[1][0] @ f.a[1][1], n, N, 1) is None
+    assert site_factor(f.a[2][0] + f.a[1][0], n, N, 2) is None
+    assert site_factor(f.a[1][0].zero_like(), n, N, 1).is_zero()
+
+
+def even_mode_site_0():
+    """Annihilators for the two modes of site 0, on two sites, that satisfy
+    the CAR among themselves, but whose mode 0, sigma x X, is parity-even: as
+    fields, every same-site relation holds and the first cross-site one fails."""
+    rest = sp.identity(4, dtype=np.int64)
+    c0 = GQSparse.from_int(sp.kron(sp.kron(_SIGMA, [[0, 1], [1, 0]]), rest))
+    half = sp.kron(sp.kron(np.eye(2, dtype=np.int64), [[1, 1], [-1, -1]]), rest)
+    c1 = GQSparse(16, half, sp.csr_matrix((16, 16), dtype=np.int64), 2)
+    return [c0, c1]
+
+
+def canonical_cases():
+    """(field set, factored path, expected witness); dimension <= 2^8."""
+    cases = [pytest.param(build_fields(n, N), True, None, id=f"jw-{n}x{N}")
+             for n, N in ((1, 2), (2, 2), (4, 2), (2, 3))]
+    f = build_fields(2, 2)
+    cases.append(pytest.param(FieldSet(f.fock, f.u, f.fock.adag), True,
+                              ("p-u", 0, 0, 0, 0), id="phase-less"))
+    flipped = [list(row) for row in f.p0]
+    flipped[1] = [op.scale(-1) for op in flipped[1]]
+    cases.append(pytest.param(FieldSet(f.fock, f.u, flipped), True,
+                              ("p-u", 1, 0, 1, 0), id="sign-flip-site-1"))
+    mixed = [list(row) for row in f.p0]
+    mixed[0][1] = (f.fock.adag[0][1] + f.fock.adag[0][0]).times_i().scale(-1)
+    cases.append(pytest.param(FieldSet(f.fock, f.u, mixed), True,
+                              ("p-u", 0, 1, 0, 0), id="mixed-momentum"))
+    even = even_mode_site_0()
+    cases.append(pytest.param(
+        FieldSet(f.fock, [even, f.u[1]],
+                 [[c.dagger().times_i().scale(-1) for c in even], f.p0[1]]),
+        True, ("p-u", 0, 0, 1, 0), id="even-mode-site-0"))
+    bare = [list(row) for row in f.u]
+    bare[1][0] = bare_sigma(2, 2, 1, 0)
+    cases.append(pytest.param(FieldSet(f.fock, bare, f.p0), False,
+                              ("p-u", 0, 0, 1, 0), id="bare-sigma-site-1"))
+    return cases
+
+
+@pytest.mark.parametrize("fields,factored,witness", canonical_cases())
+def test_canonical_etc_factored_equals_full_space(fields, factored, witness):
+    n, N = fields.modes_per_site, fields.sites
+    families = {"p0": fields.p0, "u": fields.u}
+    assert (_site_view(families, n, N) is not None) == factored
+    rep = canonical_etc_check(fields)
+    assert rep.to_dict() == _canonical_scan(fields, _full_space_view).to_dict()
+    assert rep.passed == (witness is None) and rep.witness == witness
+
+
+def car_cases():
+    """(ladder operators, factored path, expected witness); dimension <= 2^8."""
+    cases = [pytest.param(build_fock(n, N), True, None, id=f"jw-{n}x{N}")
+             for n, N in ((1, 2), (2, 2), (4, 2), (2, 3))]
+    f = build_fock(2, 2)
+    a = [list(row) for row in f.a]
+    a[1][1] = a[1][1].scale(-1)       # adag[1][1] keeps its sign
+    cases.append(pytest.param(FockOps(2, 2, a, f.adag), True, ("a-adag", 3, 3),
+                              id="sign-flip-a"))
+    a = [list(row) for row in f.a]
+    a[0][1] = a[0][1] + a[0][0]
+    cases.append(pytest.param(FockOps(2, 2, a, f.adag), True, ("a-adag", 1, 0),
+                              id="mixed-a"))
+    even = even_mode_site_0()
+    cases.append(pytest.param(FockOps(2, 2, [even, f.a[1]],
+                                      [[c.dagger() for c in even], f.adag[1]]),
+                              True, ("a-adag", 0, 2), id="even-mode-site-0"))
+    a = [list(row) for row in f.a]
+    a[1][0] = bare_sigma(2, 2, 1, 0)
+    adag = [list(row) for row in f.adag]
+    adag[1][0] = a[1][0].dagger()
+    cases.append(pytest.param(FockOps(2, 2, a, adag), False, ("a-adag", 0, 2),
+                              id="bare-sigma-site-1"))
+    return cases
+
+
+@pytest.mark.parametrize("ops,factored,witness", car_cases())
+def test_car_factored_equals_full_space(ops, factored, witness):
+    n, N = ops.modes_per_site, ops.sites
+    families = {"a": ops.a, "adag": ops.adag}
+    assert (_site_view(families, n, N) is not None) == factored
+    rep = car_check(ops)
+    assert rep.to_dict() == _car_scan(ops, _full_space_view).to_dict()
+    assert rep.passed == (witness is None) and rep.witness == witness
+
+
+def test_site_space_rejects_a_non_embedded_ladder(quat_gen, su2_doubled):
+    f = build_fock(2, 2)
+    f.a[1][0] = bare_sigma(2, 2, 1, 0)
+    with pytest.raises(RuntimeError, match=r"a\[1\]\[0\]"):
+        f.site_space()
+    fields = build_fields(4, 2)
+    fields.fock.adag[1][2] = bare_sigma(4, 2, 1, 2).dagger()
+    with pytest.raises(RuntimeError, match=r"adag\[1\]\[2\]"):
+        charge_densities(fields, quat_gen, su2_doubled)
 
 
 # --- quadratic cache ---------------------------------------------------
