@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .octonion import f_constant
 from .report import CheckReport, InputError, fail, is_int, ok
@@ -23,10 +23,14 @@ Key = Tuple[int, int, int]
 @dataclass(frozen=True)
 class StructureTensor:
     """Structure constants c^i_jk of an anticommutative algebra, c[i][j][k]
-    antisymmetric in (j, k).  Only nonzero entries are stored."""
+    antisymmetric in (j, k).  Only nonzero entries are stored; the tensor is
+    not changed after construction, so it keeps its Yamaguti constants once
+    `yamaguti_constants` has computed them."""
 
     dim: int
     entries: Dict[Key, Fraction] = field(default_factory=dict)
+    _yamaguti: Optional["YamagutiTensor"] = field(default=None, init=False, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -172,7 +176,14 @@ class YamagutiTensor:
 
 
 def yamaguti_constants(c: StructureTensor) -> YamagutiTensor:
-    """Exact evaluation of the defining contraction for d^p_jkl."""
+    """Exact evaluation of the defining contraction for d^p_jkl, made once per
+    tensor and kept on it."""
+    if c._yamaguti is None:
+        object.__setattr__(c, "_yamaguti", _contract_yamaguti(c))
+    return c._yamaguti
+
+
+def _contract_yamaguti(c: StructureTensor) -> YamagutiTensor:
     r = c.dim
     sixth = Fraction(1, 6)
     out = {}

@@ -9,14 +9,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .algebra import StructureTensor, yamaguti_constants
 from .loops import CayleyTable, is_moufang
-from .matrices import (commutator, eye, mat_eq, mat_lincomb, mat_mul,
-                       mat_scale, mat_sub, mat_is_zero, zeros)
+from .matrices import commutator, eye, mat_eq, mat_lincomb, mat_mul, mat_is_zero, zeros
 from .octonion import UNIT_TABLE
-from .report import CheckReport, InputError, fail, is_int, ok
+from .report import CheckReport, InputError, fail, first_failure, is_int, ok
 
 
 @dataclass(frozen=True)
@@ -156,22 +155,99 @@ def quaternion_lr_generators() -> GeneratorSet:
     return _mult_generators(4)
 
 
+Label = Tuple  # ("S", j) | ("T", j) | ("Y", j, k), j and k in either order
+Vec = Dict[Label, Fraction]
+
+# [A_j, B_k] = y Y_jk + c^p_jk (s S_p + t T_p): (y, s, t) for each pair A, B
+_ST_TABLE = {("S", "S"): (2, Fraction(1, 3), Fraction(2, 3)),
+             ("T", "T"): (2, Fraction(-2, 3), Fraction(-1, 3)),
+             ("S", "T"): (-1, Fraction(1, 3), Fraction(-1, 3))}
+
+
+def vec_add(acc: Vec, label, coeff):
+    """acc[label] += coeff, keeping no zero coefficient."""
+    if not coeff:
+        return
+    new = acc.get(label, Fraction(0)) + coeff
+    if new:
+        acc[label] = new
+    else:
+        acc.pop(label, None)
+
+
+def glc_bracket(c: StructureTensor, d, a: Label, b: Label) -> Vec:
+    """[a, b] in the generalized Lie-Cartan table, as {label: coefficient}.
+
+    The right side keeps every Y_jk in the (j, k) order the table writes, j == k
+    included; each realization decides what Y_kj and Y_jj mean.  The Yamaguti
+    tensor d is read only when a or b is a Y."""
+    if (a[0], b[0]) == ("T", "S") or (a[0] != "Y" and b[0] == "Y"):
+        return {lbl: -v for lbl, v in glc_bracket(c, d, b, a).items()}
+    out: Vec = {}
+    if a[0] != "Y":
+        (ta, j), (tb, k) = a, b
+        y, cs, ct = _ST_TABLE[(ta, tb)]
+        out[("Y", j, k)] = Fraction(y)
+        for p in range(c.dim):
+            vec_add(out, ("S", p), cs * c.c(p, j, k))
+            vec_add(out, ("T", p), ct * c.c(p, j, k))
+    elif b[0] != "Y":  # [Y_jk, S_n] = d^p_jkn S_p, and the same for T
+        for p in range(c.dim):
+            vec_add(out, (b[0], p), d.d(p, a[1], a[2], b[1]))
+    else:  # [Y_jk, Y_ln] = d^p_jkl Y_pn + d^p_jkn Y_lp
+        (_, j, k), (_, l, n) = a, b
+        for p in range(c.dim):
+            vec_add(out, ("Y", p, n), d.d(p, j, k, l))
+            vec_add(out, ("Y", l, p), d.d(p, j, k, n))
+    return out
+
+
+def y_cyclic(c: StructureTensor, j, k, l) -> Vec:
+    """c^p_jk Y_pl + c^p_kl Y_pj + c^p_lj Y_pk, which vanishes in every realization."""
+    out: Vec = {}
+    for p in range(c.dim):
+        for (a, b, e) in ((j, k, l), (k, l, j), (l, j, k)):
+            vec_add(out, ("Y", p, e), c.c(p, a, b))
+    return out
+
+
+def extract_yamagutian(S, T, bracket, lincomb, c: StructureTensor, j, k):
+    """Y_jk solved from the [S_j, T_k] row of the table, for operators S[p],
+    T[p] whose realized bracket is bracket(A, B); lincomb sums (q, operator)
+    pairs."""
+    row = glc_bracket(c, None, ("S", j), ("T", k))
+    q = row.pop(("Y", j, k))
+    ops = {"S": S, "T": T}
+    return lincomb([(1 / q, bracket(S[j], T[k]))]
+                   + [(-v / q, ops[lbl[0]][lbl[1]]) for lbl, v in row.items()])
+
+
 def extract_yamagutians(gen: GeneratorSet, c: StructureTensor) -> Dict[tuple, list]:
-    """Y_jk solved from the [S_j, T_k] commutation relation:
-    Y_jk = -[S_j, T_k] + (1/3) c^p_jk (S_p - T_p)."""
+    """Y_jk for every ordered pair (j, k), each solved from its own [S_j, T_k]
+    relation: Y_jk = -[S_j, T_k] + (1/3) c^p_jk (S_p - T_p)."""
     if gen.r != c.dim:
         raise InputError("generator count must match tensor dim")
-    third = Fraction(1, 3)
-    Y = {}
-    for j in range(gen.r):
-        for k in range(gen.r):
-            m = mat_scale(-1, commutator(gen.S[j], gen.T[k]))
-            for p in range(gen.r):
-                v = c.c(p, j, k)
-                if v:
-                    m = mat_lincomb([(1, m), (third * v, gen.S[p]), (-third * v, gen.T[p])])
-            Y[(j, k)] = m
-    return Y
+    return {(j, k): extract_yamagutian(gen.S, gen.T, commutator, mat_lincomb, c, j, k)
+            for j in range(gen.r) for k in range(gen.r)}
+
+
+def matrix_holds(gen: GeneratorSet, c: StructureTensor, rhs):
+    """The test of one case on the generator matrices, with S_j, T_j the
+    generators and every ordered Y_jk its own extraction: a pair (a, b) holds
+    when [a, b] equals rhs(a, b), a relation when it sums to zero."""
+    Y = extract_yamagutians(gen, c)
+
+    def op(lbl):
+        return Y[lbl[1:]] if lbl[0] == "Y" else (gen.S if lbl[0] == "S" else gen.T)[lbl[1]]
+
+    def realize(vec):
+        return mat_lincomb([(v, op(lbl)) for lbl, v in vec.items()]) if vec else zeros(gen.dim)
+
+    def holds(a, b=None):
+        if b is None:
+            return mat_is_zero(realize(a))
+        return mat_eq(commutator(op(a), op(b)), realize(rhs(a, b)))
+    return holds
 
 
 @dataclass(frozen=True)
@@ -192,96 +268,24 @@ def check_glc(gen: GeneratorSet, c: StructureTensor) -> GLCReport:
     [S_j, T_k] relation."""
     if gen.r != c.dim:
         raise InputError("generator count must match tensor dim")
-    r = gen.r
-    third = Fraction(1, 3)
-    Y = extract_yamagutians(gen, c)
     d = yamaguti_constants(c)
-    families: Dict[str, CheckReport] = {}
-
-    def family(name, scan):
-        for witness in scan():
-            families[name] = fail(name, witness=witness)
-            return
-        families[name] = ok(name)
-
-    def scan_ss():
-        for j in range(r):
-            for k in range(r):
-                terms = [(1, mat_scale(2, Y[(j, k)]))]
-                for p in range(r):
-                    v = c.c(p, j, k)
-                    if v:
-                        terms.append((third * v, gen.S[p]))
-                        terms.append((2 * third * v, gen.T[p]))
-                if not mat_eq(commutator(gen.S[j], gen.S[k]), mat_lincomb(terms)):
-                    yield (j, k)
-
-    def scan_tt():
-        for j in range(r):
-            for k in range(r):
-                terms = [(1, mat_scale(2, Y[(j, k)]))]
-                for p in range(r):
-                    v = c.c(p, j, k)
-                    if v:
-                        terms.append((-2 * third * v, gen.S[p]))
-                        terms.append((-third * v, gen.T[p]))
-                if not mat_eq(commutator(gen.T[j], gen.T[k]), mat_lincomb(terms)):
-                    yield (j, k)
-
-    def scan_antisym():
-        for j in range(r):
-            for k in range(j, r):
-                if not mat_is_zero(mat_lincomb([(1, Y[(j, k)]), (1, Y[(k, j)])])):
-                    yield (j, k)
-
-    def scan_cyclic():
-        for j in range(r):
-            for k in range(j + 1, r):
-                for l in range(k + 1, r):
-                    terms = []
-                    for p in range(r):
-                        for (a, b, cc) in ((j, k, l), (k, l, j), (l, j, k)):
-                            v = c.c(p, a, b)
-                            if v:
-                                terms.append((v, Y[(p, cc)]))
-                    if terms and not mat_is_zero(mat_lincomb(terms)):
-                        yield (j, k, l)
-
-    def scan_reduct(gens, tag):
-        for j in range(r):
-            for k in range(r):
-                for n in range(r):
-                    terms = [(d.d(p, j, k, n), gens[p]) for p in range(r)
-                             if d.d(p, j, k, n)]
-                    rhs = mat_lincomb(terms) if terms else zeros(gen.dim)
-                    if not mat_eq(commutator(Y[(j, k)], gens[n]), rhs):
-                        yield (tag, j, k, n)
-
-    def scan_yy():
-        for j in range(r):
-            for k in range(j + 1, r):
-                for l in range(r):
-                    for n in range(l + 1, r):
-                        terms = []
-                        for p in range(r):
-                            v1 = d.d(p, j, k, l)
-                            if v1:
-                                terms.append((v1, Y[(p, n)]))
-                            v2 = d.d(p, j, k, n)
-                            if v2:
-                                terms.append((v2, Y[(l, p)]))
-                        rhs = mat_lincomb(terms) if terms else zeros(gen.dim)
-                        if not mat_eq(commutator(Y[(j, k)], Y[(l, n)]), rhs):
-                            yield (j, k, l, n)
-
-    family("ss", scan_ss)
-    family("tt", scan_tt)
-    family("y_antisymmetry", scan_antisym)
-    family("y_cyclic", scan_cyclic)
-    family("reductivity_s", lambda: scan_reduct(gen.S, "S"))
-    family("reductivity_t", lambda: scan_reduct(gen.T, "T"))
-    family("yy", scan_yy)
-    return GLCReport(families)
+    holds = matrix_holds(gen, c, lambda a, b: glc_bracket(c, d, a, b))
+    r = range(gen.r)
+    cases = {
+        "ss": (((j, k), ("S", j), ("S", k)) for j in r for k in r),
+        "tt": (((j, k), ("T", j), ("T", k)) for j in r for k in r),
+        "y_antisymmetry": (((j, k), {("Y", j, k): 1, ("Y", k, j): 1})
+                           for j in r for k in r if j <= k),
+        "y_cyclic": (((j, k, l), y_cyclic(c, j, k, l))
+                     for j in r for k in r for l in r if j < k < l),
+        "reductivity_s": ((("S", j, k, n), ("Y", j, k), ("S", n))
+                          for j in r for k in r for n in r),
+        "reductivity_t": ((("T", j, k, n), ("Y", j, k), ("T", n))
+                          for j in r for k in r for n in r),
+        "yy": (((j, k, l, n), ("Y", j, k), ("Y", l, n))
+               for j in r for k in r for l in r for n in r if j < k and l < n),
+    }
+    return GLCReport({name: first_failure(name, scan, holds) for name, scan in cases.items()})
 
 
 def load_generators(path) -> GeneratorSet:

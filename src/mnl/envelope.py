@@ -1,70 +1,51 @@
 """Abstract enveloping Lie algebra spanned by {S_j, T_j, Y_jk}: quotient by
 the cyclic Y-relations, bracket table, Jacobi certification, and an
 independent matrix-closure oracle for its dimension.
+
+The brackets and the cyclic relations are read from `birep.glc_bracket` and
+`birep.y_cyclic`; in the envelope Y_kj is -Y_jk and Y_jj is zero
+(`_canonical`), so only the labels Y_jk with j < k remain.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .algebra import StructureTensor, YamagutiTensor, is_maltsev, yamaguti_constants
-from .birep import GeneratorSet, extract_yamagutians
-from .matrices import commutator, mat_eq, mat_lincomb, mat_is_zero, zeros
-from .report import CheckReport, InputError, fail, ok
+from .birep import GeneratorSet, Label, Vec, glc_bracket, matrix_holds, vec_add, y_cyclic
+from .matrices import commutator
+from .report import CheckReport, InputError, fail, first_failure, ok
 
 __all__ = [
     "YamagutiTensor", "yamaguti_constants", "EnvelopeAlgebra",
     "build_envelope", "check_jacobi", "matrix_closure_dim", "realize_check",
 ]
 
-Label = Tuple  # ("S", j) | ("T", j) | ("Y", j, k) with j < k
-Vec = Dict[Label, Fraction]
-
 
 class EnvelopeInconsistencyError(RuntimeError):
     """The bracket table is incompatible with the Y-quotient; implementation bug."""
 
 
-def _canon_y(j, k):
-    """Y_jk for arbitrary j != k as (sign, canonical label); None when j == k."""
-    if j == k:
-        return None
-    if j < k:
-        return 1, ("Y", j, k)
-    return -1, ("Y", k, j)
-
-
-def _vec_add(acc: Vec, label, coeff):
-    if not coeff:
-        return
-    new = acc.get(label, Fraction(0)) + coeff
-    if new:
-        acc[label] = new
-    else:
-        acc.pop(label, None)
+def _canonical(vec: Vec) -> Vec:
+    """A vector of table labels in the envelope, where Y_kj = -Y_jk and Y_jj = 0."""
+    out: Vec = {}
+    for lbl, v in vec.items():
+        if lbl[0] != "Y" or lbl[1] < lbl[2]:
+            vec_add(out, lbl, v)
+        elif lbl[1] > lbl[2]:
+            vec_add(out, ("Y", lbl[2], lbl[1]), -v)
+    return out
 
 
 def _y_relations(c: StructureTensor) -> List[Vec]:
-    """The cyclic constraints c^p_jk Y_pl + c^p_kl Y_pj + c^p_lj Y_pk = 0,
-    one row per triple j < k < l (the form is totally antisymmetric)."""
-    r = c.dim
-    rows = []
-    for j in range(r):
-        for k in range(j + 1, r):
-            for l in range(k + 1, r):
-                row: Vec = {}
-                for p in range(r):
-                    for (a, b, out) in ((j, k, l), (k, l, j), (l, j, k)):
-                        v = c.c(p, a, b)
-                        if v:
-                            cy = _canon_y(p, out)
-                            if cy is not None:
-                                _vec_add(row, cy[1], cy[0] * v)
-                if row:
-                    rows.append(row)
-    return rows
+    """The cyclic constraints, one row per triple j < k < l (the form is
+    totally antisymmetric)."""
+    r = range(c.dim)
+    rows = (_canonical(y_cyclic(c, j, k, l)) for j in r for k in r for l in r if j < k < l)
+    return [row for row in rows if row]
 
 
 def _reduce_relations(rows: List[Vec], ypairs: List[Tuple[int, int]]):
@@ -79,7 +60,7 @@ def _reduce_relations(rows: List[Vec], ypairs: List[Tuple[int, int]]):
             coeff = row.get(piv)
             if coeff:
                 for lbl, v in pivots[piv].items():
-                    _vec_add(row, lbl, -coeff * v)
+                    vec_add(row, lbl, -coeff * v)
                 row.pop(piv, None)
         if not row:
             continue
@@ -92,7 +73,7 @@ def _reduce_relations(rows: List[Vec], ypairs: List[Tuple[int, int]]):
             if coeff:
                 expr.pop(piv)
                 for lbl, v in norm.items():
-                    _vec_add(expr, lbl, coeff * v)
+                    vec_add(expr, lbl, coeff * v)
         pivots[piv] = norm
     expand: Dict[Tuple[int, int], Vec] = {}
     for (j, k) in ypairs:
@@ -131,7 +112,7 @@ class EnvelopeAlgebra:
         for la, ca in u.items():
             for lb, cb in v.items():
                 for lbl, coeff in self.brackets[(la, lb)].items():
-                    _vec_add(out, lbl, ca * cb * coeff)
+                    vec_add(out, lbl, ca * cb * coeff)
         return out
 
     def to_json_dict(self):
@@ -159,70 +140,14 @@ class EnvelopeAlgebra:
         }
 
 
-def _formula_bracket(c: StructureTensor, d: YamagutiTensor, a: Label, b: Label) -> Vec:
-    """Theorem bracket of two span labels, over the full (unreduced) label set."""
-    r = c.dim
-    out: Vec = {}
-
-    def add_y(j, k, coeff):
-        cy = _canon_y(j, k)
-        if cy is not None:
-            _vec_add(out, cy[1], cy[0] * coeff)
-
-    ta, tb = a[0], b[0]
-    if ta in "ST" and tb in "ST":
-        j, k = a[1], b[1]
-        if ta == "S" and tb == "S":
-            add_y(j, k, Fraction(2))
-            cs, ct = Fraction(1, 3), Fraction(2, 3)
-        elif ta == "T" and tb == "T":
-            add_y(j, k, Fraction(2))
-            cs, ct = Fraction(-2, 3), Fraction(-1, 3)
-        elif ta == "S":
-            add_y(j, k, Fraction(-1))
-            cs, ct = Fraction(1, 3), Fraction(-1, 3)
-        else:  # [T_j, S_k] = -[S_k, T_j]
-            add_y(k, j, Fraction(1))
-            cs, ct = Fraction(1, 3), Fraction(-1, 3)
-            j, k = k, j
-            cs, ct = -cs, -ct
-        for p in range(r):
-            v = c.c(p, j, k)
-            if v:
-                _vec_add(out, ("S", p), cs * v)
-                _vec_add(out, ("T", p), ct * v)
-        return out
-    if ta == "Y" and tb in "ST":
-        j, k, n = a[1], a[2], b[1]
-        for p in range(r):
-            v = d.d(p, j, k, n)
-            if v:
-                _vec_add(out, (tb, p), v)
-        return out
-    if ta in "ST" and tb == "Y":
-        rev = _formula_bracket(c, d, b, a)
-        return {lbl: -v for lbl, v in rev.items()}
-    # [Y_jk, Y_ln] = d^p_jkl Y_pn + d^p_jkn Y_lp
-    j, k = a[1], a[2]
-    l, n = b[1], b[2]
-    for p in range(r):
-        v = d.d(p, j, k, l)
-        if v:
-            add_y(p, n, v)
-        v = d.d(p, j, k, n)
-        if v:
-            add_y(l, p, v)
-    return out
-
-
 def _expand_vec(vec: Vec, expand) -> Vec:
     out: Vec = {}
     for lbl, coeff in vec.items():
         if lbl[0] == "Y":
             for lbl2, v in expand[(lbl[1], lbl[2])].items():
-                _vec_add(out, lbl2, coeff * v)
+                vec_add(out, lbl2, coeff * v)
         else:
-            _vec_add(out, lbl, coeff)
+            vec_add(out, lbl, coeff)
     return out
 
 
@@ -243,7 +168,7 @@ def build_envelope(c: StructureTensor) -> EnvelopeAlgebra:
     brackets = {}
     for a in basis:
         for b in basis:
-            brackets[(a, b)] = _expand_vec(_formula_bracket(c, d, a, b), expand)
+            brackets[(a, b)] = _expand_vec(_canonical(glc_bracket(c, d, a, b)), expand)
     env = EnvelopeAlgebra(r, tuple(basis), expand, brackets, rank)
     _check_quotient_consistency(c, d, env)
     return env
@@ -259,7 +184,7 @@ def _check_quotient_consistency(c, d, env: EnvelopeAlgebra):
         va = _expand_vec({a: Fraction(1)}, env.expand)
         for b in full:
             vb = _expand_vec({b: Fraction(1)}, env.expand)
-            direct = _expand_vec(_formula_bracket(c, d, a, b), env.expand)
+            direct = _expand_vec(_canonical(glc_bracket(c, d, a, b)), env.expand)
             via_table = env.bracket_vec(va, vb)
             if direct != via_table:
                 raise EnvelopeInconsistencyError(
@@ -281,11 +206,11 @@ def check_jacobi(env: EnvelopeAlgebra) -> CheckReport:
                 ca = env.bracket(basis[ic], basis[ia])
                 total: Vec = {}
                 for lbl, v in env.bracket_vec(va, bc).items():
-                    _vec_add(total, lbl, v)
+                    vec_add(total, lbl, v)
                 for lbl, v in env.bracket_vec(vb, ca).items():
-                    _vec_add(total, lbl, v)
+                    vec_add(total, lbl, v)
                 for lbl, v in env.bracket_vec(vc, ab).items():
-                    _vec_add(total, lbl, v)
+                    vec_add(total, lbl, v)
                 if total:
                     return fail("jacobi", witness=(basis[ia], basis[ib], basis[ic]))
     return ok("jacobi")
@@ -350,29 +275,18 @@ def matrix_closure_dim(gen: GeneratorSet) -> int:
 
 def realize_check(env: EnvelopeAlgebra, gen: GeneratorSet, c: StructureTensor) -> CheckReport:
     """The map S_j, T_j, Y_jk -> generator and extracted Yamagutian matrices
-    must send every envelope bracket to the matrix commutator exactly."""
+    must send every envelope bracket to the matrix commutator exactly, and
+    every eliminated Yamagutian to its expansion."""
     if gen.r != c.dim or c.dim != env.r:
         raise InputError("generator count, tensor dim, and envelope rank must agree")
-    Y = extract_yamagutians(gen, c)
 
-    def mat_of(lbl):
-        if lbl[0] == "S":
-            return gen.S[lbl[1]]
-        if lbl[0] == "T":
-            return gen.T[lbl[1]]
-        return Y[(lbl[1], lbl[2])]
+    def eliminated(j, k, expr):
+        rel = {lbl: -v for lbl, v in expr.items()}
+        vec_add(rel, ("Y", j, k), 1)
+        return rel
 
-    def vec_to_mat(vec: Vec):
-        terms = [(coeff, mat_of(lbl)) for lbl, coeff in vec.items()]
-        return mat_lincomb(terms) if terms else zeros(gen.dim)
-
-    # eliminated Yamagutians must already satisfy the quotient relations
-    for (j, k), expr in env.expand.items():
-        if not mat_eq(Y[(j, k)], vec_to_mat(expr)):
-            return fail("realize", witness=("expand", j, k))
-    for a in env.basis:
-        for b in env.basis:
-            lhs = commutator(mat_of(a), mat_of(b))
-            if not mat_eq(lhs, vec_to_mat(env.brackets[(a, b)])):
-                return fail("realize", witness=(a, b))
-    return ok("realize")
+    holds = matrix_holds(gen, c, lambda a, b: env.brackets[(a, b)])
+    cases = itertools.chain(
+        ((("expand", j, k), eliminated(j, k, expr)) for (j, k), expr in env.expand.items()),
+        (((a, b), a, b) for a in env.basis for b in env.basis))
+    return first_failure("realize", cases, holds)

@@ -27,18 +27,27 @@ embeddings sum_x E_x(D_x) is zero exactly when every D_x is c_x * I with
 sum_x c_x = 0.  The scans below are written against the operator interface
 (+, -, scale, times_i, commutator, ==, is_zero, zero_like) and give the same
 reports on plain full-space `GQSparse` operators.
+
+Relations.  Every right side is a row of `birep.glc_bracket` or the cyclic
+relation `birep.y_cyclic`.  Densities realize the table at site labels
+(label, x) with the Kronecker delta, [A(x), B(y)] = i delta_xy (row at x), and
+charges realize it as it stands; both read Y_kj as -Y_jk and Y_jj as zero
+(`ChargeDensitySet.yam`, `ChargeSet.ups`).  The Yamagutian densities are
+solved from the [S_j, T_k] row by `birep.extract_yamagutian`, whose bracket
+for densities is -i[a, b].
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .algebra import StructureTensor, yamaguti_constants
-from .birep import GeneratorSet
+from .birep import GeneratorSet, extract_yamagutian, glc_bracket, y_cyclic
 from .fock import FieldSet, SiteOp
-from .report import CheckReport, InputError, fail, ok
+from .report import CheckReport, InputError, fail, first_failure, ok
 
 CONVENTION = ("s0_j(x) = -i a†(x) S_j^T a(x); t0_j(x) = -i a†(x) T_j^T a(x); "
               "Y0_jk(x) = i[s0_j(x), t0_k(x)] + (1/3) c^p_jk (s0_p(x) - t0_p(x)); "
@@ -76,14 +85,24 @@ def _site_density(f: FieldSet, x: int, mat) -> SiteOp:
     return SiteOp(f.sites, factor.dim, {x: factor})
 
 
-def _extract_yamagutian(d_s, d_t, c: StructureTensor, j, k, x):
-    acc = d_s[j][x].commutator(d_t[k][x]).times_i()
-    third = Fraction(1, 3)
-    for p in range(c.dim):
-        v = c.c(p, j, k)
-        if v:
-            acc = acc + d_s[p][x].scale(third * v) + d_t[p][x].scale(-third * v)
+def _lincomb(zero, terms):
+    acc = zero
+    for q, m in terms:
+        if q:
+            acc = acc + m.scale(Fraction(q))
     return acc
+
+
+def _density_bracket(a, b):
+    """The table bracket realized by densities: [a, b] = i (table), so -i[a, b]."""
+    return a.commutator(b).times_i().scale(-1)
+
+
+def _raw_yamagutian(s, t, c: StructureTensor, j, k, x):
+    """Y0_jk(x) solved from the [s_j(x), t_k(x)] relation."""
+    zero = s[0][x].zero_like()
+    return extract_yamagutian([row[x] for row in s], [row[x] for row in t], _density_bracket,
+                              lambda terms: _lincomb(zero, terms), c, j, k)
 
 
 def charge_densities(f: FieldSet, gen: GeneratorSet, c: StructureTensor) -> ChargeDensitySet:
@@ -95,10 +114,8 @@ def charge_densities(f: FieldSet, gen: GeneratorSet, c: StructureTensor) -> Char
         raise InputError("generator count must match tensor dim")
     s = [[_site_density(f, x, gen.S[j]) for x in range(f.sites)] for j in range(gen.r)]
     t = [[_site_density(f, x, gen.T[j]) for x in range(f.sites)] for j in range(gen.r)]
-    Y = {}
-    for j in range(gen.r):
-        for k in range(j + 1, gen.r):
-            Y[(j, k)] = [_extract_yamagutian(s, t, c, j, k, x) for x in range(f.sites)]
+    Y = {(j, k): [_raw_yamagutian(s, t, c, j, k, x) for x in range(f.sites)]
+         for j in range(gen.r) for k in range(j + 1, gen.r)}
     return ChargeDensitySet(gen.r, f.sites, s, t, Y, c)
 
 
@@ -116,173 +133,88 @@ class ETCReport:
                 "equations": {k: v.to_dict() for k, v in self.equations.items()}}
 
 
-def _lincomb(zero, terms):
-    acc = zero
-    for q, m in terms:
-        if q:
-            acc = acc + m.scale(Fraction(q))
-    return acc
-
-
 def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
     """Exact check of the density ETC set: the numbered equations, the
     minimal-violation forms of the associative ETC, and the [s,t] = [t,s]
-    symmetry, with the Kronecker delta in place of delta(x-y)."""
+    symmetry, with the Kronecker delta in place of delta(x-y).
+
+    Equations 1, 2 and 5-8 are rows of `birep.glc_bracket` or `birep.y_cyclic`
+    at site labels (label, x): [A(x), B(y)] = i delta_xy (table row at x)."""
     c = c if c is not None else d.tensor
     if c.dim != d.r:
         raise InputError("tensor dim must match density count")
-    r, N = d.r, d.sites
-    zero = d.s[0][0].zero_like()
+    r, N = range(d.r), range(d.sites)
     dd = yamaguti_constants(c)
-    third = Fraction(1, 3)
+    zero = d.s[0][0].zero_like()
     rep = ETCReport(CONVENTION)
 
-    def check(name, scan):
-        for witness, detail in scan():
-            rep.equations[name] = fail(name, witness=witness, detail=detail)
-            return
-        rep.equations[name] = ok(name)
+    def op(lbl, x):
+        if lbl[0] == "Y":
+            return d.yam(lbl[1], lbl[2], x)
+        return (d.s if lbl[0] == "S" else d.t)[lbl[1]][x]
 
-    def rhs_sites(x, y, terms):
-        # i * (terms at x) * delta_xy
-        if x != y:
-            return zero
-        return _lincomb(zero, terms).times_i()
+    def at(x, vec):
+        return _lincomb(zero, [(v, op(lbl, x)) for lbl, v in vec.items()])
 
-    def scan_eq1():
-        for j in range(r):
-            for k in range(r):
-                for x in range(N):
-                    for y in range(N):
-                        terms = [(2, d.yam(j, k, x))]
-                        terms += [(third * c.c(p, j, k), d.s[p][x]) for p in range(r)]
-                        terms += [(2 * third * c.c(p, j, k), d.t[p][x]) for p in range(r)]
-                        if d.s[j][x].commutator(d.s[k][y]) != rhs_sites(x, y, terms):
-                            yield (j, k, x, y), None
+    def delta(lhs, x, y, vec):
+        """lhs == i delta_xy (vec at x); for x != y without building a right side."""
+        return lhs.is_zero() if x != y else lhs == at(x, vec).times_i()
 
-    def scan_eq2():
-        for j in range(r):
-            for k in range(r):
-                for x in range(N):
-                    for y in range(N):
-                        terms = [(-1, d.yam(j, k, x))]
-                        terms += [(third * c.c(p, j, k), d.s[p][x]) for p in range(r)]
-                        terms += [(-third * c.c(p, j, k), d.t[p][x]) for p in range(r)]
-                        if d.s[j][x].commutator(d.t[k][y]) != rhs_sites(x, y, terms):
-                            yield (j, k, x, y), None
+    def holds(a, b=None):
+        if b is None:
+            vec, x = a
+            return at(x, vec).is_zero()
+        (la, x), (lb, y) = a, b
+        return delta(op(la, x).commutator(op(lb, y)), x, y, glc_bracket(c, dd, la, lb))
 
-    def check_eq3():
+    def assoc(kind, sign, j, k, x, y):
+        # [a_j(x), a_k(y)] = i delta_xy sign c^p_jk a_p(x) - 2 [s_j(x), t_k(y)]
+        lhs = op((kind, j), x).commutator(op((kind, k), y))
+        lhs = lhs + d.s[j][x].commutator(d.t[k][y]).scale(2)
+        return delta(lhs, x, y, {(kind, p): sign * c.c(p, j, k) for p in r})
+
+    def eq3():
         # the printed equation pairs [t_j, s_k] with the [T_j, T_k]-shaped
         # right side; both readings are tried and the verdict recorded
-        def rhs(j, k, x, y):
-            if x != y:
-                return zero
-            terms = [(2, d.yam(j, k, x))]
-            terms += [(-2 * third * c.c(p, j, k), d.s[p][x]) for p in range(r)]
-            terms += [(-third * c.c(p, j, k), d.t[p][x]) for p in range(r)]
-            return _lincomb(zero, terms).times_i()
-
-        ts_ok = all(d.t[j][x].commutator(d.s[k][y]) == rhs(j, k, x, y)
-                    for j in range(r) for k in range(r)
-                    for x in range(N) for y in range(N))
-        tt_ok = all(d.t[j][x].commutator(d.t[k][y]) == rhs(j, k, x, y)
-                    for j in range(r) for k in range(r)
-                    for x in range(N) for y in range(N))
+        ts_ok, tt_ok = (all(delta(d.t[j][x].commutator(op((kind, k), y)), x, y,
+                                  glc_bracket(c, dd, ("T", j), ("T", k)))
+                            for j in r for k in r for x in N for y in N)
+                        for kind in "ST")
         detail = (f"as printed [t,s]: {'pass' if ts_ok else 'fail'}; "
                   f"as [t,t]: {'pass' if tt_ok else 'fail'}")
         if ts_ok or tt_ok:
-            rep.equations["3"] = CheckReport(True, "3", None, detail)
-        else:
-            rep.equations["3"] = CheckReport(False, "3", ("both readings fail",), detail)
+            return CheckReport(True, "3", None, detail)
+        return CheckReport(False, "3", ("both readings fail",), detail)
 
-    def scan_eq4():
-        for j in range(r):
-            for k in range(r):
-                for x in range(N):
-                    jk = (_extract_yamagutian(d.s, d.t, c, j, k, x)
-                          + _extract_yamagutian(d.s, d.t, c, k, j, x))
-                    if not jk.is_zero():
-                        yield (j, k, x), None
+    def site_pairs(ka, kb, keys):
+        # [ka_key(x), kb_n(y)] over keys (j, .., n), then x, then y
+        return (((*key, x, y), ((ka, *key[:-1]), x), ((kb, key[-1]), y))
+                for key in keys for x in N for y in N)
 
-    def scan_eq5():
-        for j in range(r):
-            for k in range(j + 1, r):
-                for l in range(k + 1, r):
-                    for x in range(N):
-                        terms = []
-                        for p in range(r):
-                            for (a, b, out) in ((j, k, l), (k, l, j), (l, j, k)):
-                                v = c.c(p, a, b)
-                                if v:
-                                    terms.append((v, d.yam(p, out, x)))
-                        if not _lincomb(zero, terms).is_zero():
-                            yield (j, k, l, x), None
-
-    def scan_reduct(dens, name):
-        for j in range(r):
-            for k in range(j + 1, r):
-                for n in range(r):
-                    for x in range(N):
-                        for y in range(N):
-                            terms = [(dd.d(p, j, k, n), dens[p][x]) for p in range(r)]
-                            if d.yam(j, k, x).commutator(dens[n][y]) != rhs_sites(x, y, terms):
-                                yield (j, k, n, x, y), None
-
-    def scan_eq8():
-        for j in range(r):
-            for k in range(j + 1, r):
-                for l in range(r):
-                    for n in range(l + 1, r):
-                        for x in range(N):
-                            for y in range(N):
-                                terms = []
-                                for p in range(r):
-                                    v = dd.d(p, j, k, l)
-                                    if v:
-                                        terms.append((v, d.yam(p, n, x)))
-                                    v = dd.d(p, j, k, n)
-                                    if v:
-                                        terms.append((v, d.yam(l, p, x)))
-                                lhs = d.yam(j, k, x).commutator(d.yam(l, n, y))
-                                if lhs != rhs_sites(x, y, terms):
-                                    yield (j, k, l, n, x, y), None
-
-    def scan_assoc(which):
-        for j in range(r):
-            for k in range(r):
-                for x in range(N):
-                    for y in range(N):
-                        st = d.s[j][x].commutator(d.t[k][y]).scale(-2)
-                        if which == "s":
-                            lhs = d.s[j][x].commutator(d.s[k][y])
-                            terms = [(c.c(p, j, k), d.s[p][x]) for p in range(r)]
-                        else:
-                            lhs = d.t[j][x].commutator(d.t[k][y])
-                            terms = [(-c.c(p, j, k), d.t[p][x]) for p in range(r)]
-                        if lhs != rhs_sites(x, y, terms) + st:
-                            yield (j, k, x, y), None
-
-    def scan_symmetry():
-        for j in range(r):
-            for k in range(r):
-                for x in range(N):
-                    for y in range(N):
-                        lhs = d.s[j][x].commutator(d.t[k][y])
-                        rhs = d.t[j][y].commutator(d.s[k][x])
-                        if lhs != rhs:
-                            yield (j, k, x, y), None
-
-    check("1", scan_eq1)
-    check("2", scan_eq2)
-    check_eq3()
-    check("4", scan_eq4)
-    check("5", scan_eq5)
-    check("6", lambda: scan_reduct(d.s, "s"))
-    check("7", lambda: scan_reduct(d.t, "t"))
-    check("8", scan_eq8)
-    check("assoc-s", lambda: scan_assoc("s"))
-    check("assoc-t", lambda: scan_assoc("t"))
-    check("symmetry", scan_symmetry)
+    jk = [(j, k) for j in r for k in r]
+    upper = [(j, k) for (j, k) in jk if j < k]
+    jkxy = [(j, k, x, y) for (j, k) in jk for x in N for y in N]
+    checks = {
+        "1": (site_pairs("S", "S", jk), holds),
+        "2": (site_pairs("S", "T", jk), holds),
+        "3": None,
+        "4": ((((j, k, x), j, k, x) for (j, k) in jk for x in N),
+              lambda j, k, x: (_raw_yamagutian(d.s, d.t, c, j, k, x)
+                               + _raw_yamagutian(d.s, d.t, c, k, j, x)).is_zero()),
+        "5": ((((j, k, l, x), (y_cyclic(c, j, k, l), x))
+               for (j, k) in upper for l in r if k < l for x in N), holds),
+        "6": (site_pairs("Y", "S", [(j, k, n) for (j, k) in upper for n in r]), holds),
+        "7": (site_pairs("Y", "T", [(j, k, n) for (j, k) in upper for n in r]), holds),
+        "8": ((((j, k, l, n, x, y), (("Y", j, k), x), (("Y", l, n), y))
+               for (j, k) in upper for (l, n) in upper for x in N for y in N), holds),
+        "assoc-s": (((w, "S", 1, *w) for w in jkxy), assoc),
+        "assoc-t": (((w, "T", -1, *w) for w in jkxy), assoc),
+        "symmetry": (((w, *w) for w in jkxy),
+                     lambda j, k, x, y: (d.s[j][x].commutator(d.t[k][y])
+                                         == d.t[j][y].commutator(d.s[k][x]))),
+    }
+    for name, check in checks.items():
+        rep.equations[name] = eq3() if check is None else first_failure(name, *check)
     return rep
 
 
@@ -342,58 +274,32 @@ def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
     Mal'tsev algebra."""
     if c.dim != q.r:
         raise InputError("tensor dim must match charge count")
-    r = q.r
-    zero = q.sigma[0].zero_like()
+    r = range(q.r)
     dd = yamaguti_constants(c)
-    third = Fraction(1, 3)
-    for j in range(r):
-        for k in range(r):
-            base = [(third * c.c(p, j, k), q.sigma[p]) for p in range(r)]
-            baset = [(third * c.c(p, j, k), q.tau[p]) for p in range(r)]
-            ss = _lincomb(zero, [(2, q.ups(j, k))] + base + [(2 * v, m) for v, m in baset])
-            if q.sigma[j].commutator(q.sigma[k]) != ss:
-                return fail("charge-algebra", witness=("ss", j, k))
-            st = _lincomb(zero, [(-1, q.ups(j, k))] + base + [(-v, m) for v, m in baset])
-            if q.sigma[j].commutator(q.tau[k]) != st:
-                return fail("charge-algebra", witness=("st", j, k))
-            tt = _lincomb(zero, [(2, q.ups(j, k))] + [(-2 * v, m) for v, m in base] + [(-v, m) for v, m in baset])
-            if q.tau[j].commutator(q.tau[k]) != tt:
-                return fail("charge-algebra", witness=("tt", j, k))
-    for j in range(r):
-        for k in range(j + 1, r):
-            for l in range(k + 1, r):
-                terms = []
-                for p in range(r):
-                    for (a, b, out) in ((j, k, l), (k, l, j), (l, j, k)):
-                        v = c.c(p, a, b)
-                        if v:
-                            terms.append((v, q.ups(p, out)))
-                if not _lincomb(zero, terms).is_zero():
-                    return fail("charge-algebra", witness=("cyclic", j, k, l))
-    for j in range(r):
-        for k in range(j + 1, r):
-            for n in range(r):
-                rhs_s = _lincomb(zero, [(dd.d(p, j, k, n), q.sigma[p]) for p in range(r)])
-                if q.ups(j, k).commutator(q.sigma[n]) != rhs_s:
-                    return fail("charge-algebra", witness=("reductivity-sigma", j, k, n))
-                rhs_t = _lincomb(zero, [(dd.d(p, j, k, n), q.tau[p]) for p in range(r)])
-                if q.ups(j, k).commutator(q.tau[n]) != rhs_t:
-                    return fail("charge-algebra", witness=("reductivity-tau", j, k, n))
-    for j in range(r):
-        for k in range(j + 1, r):
-            for l in range(r):
-                for n in range(l + 1, r):
-                    terms = []
-                    for p in range(r):
-                        v = dd.d(p, j, k, l)
-                        if v:
-                            terms.append((v, q.ups(p, n)))
-                        v = dd.d(p, j, k, n)
-                        if v:
-                            terms.append((v, q.ups(l, p)))
-                    if q.ups(j, k).commutator(q.ups(l, n)) != _lincomb(zero, terms):
-                        return fail("charge-algebra", witness=("yy", j, k, l, n))
-    return ok("charge-algebra")
+    zero = q.sigma[0].zero_like()
+
+    def op(lbl):
+        if lbl[0] == "Y":
+            return q.ups(lbl[1], lbl[2])
+        return (q.sigma if lbl[0] == "S" else q.tau)[lbl[1]]
+
+    def realize(vec):
+        return _lincomb(zero, [(v, op(lbl)) for lbl, v in vec.items()])
+
+    def holds(a, b=None):
+        if b is None:
+            return realize(a).is_zero()
+        return op(a).commutator(op(b)) == realize(glc_bracket(c, dd, a, b))
+
+    upper = [(j, k) for j in r for k in r if j < k]
+    cases = itertools.chain(
+        (((name, j, k), (ka, j), (kb, k)) for j in r for k in r
+         for name, ka, kb in (("ss", "S", "S"), ("st", "S", "T"), ("tt", "T", "T"))),
+        ((("cyclic", j, k, l), y_cyclic(c, j, k, l)) for (j, k) in upper for l in r if k < l),
+        (((name, j, k, n), ("Y", j, k), (kind, n)) for (j, k) in upper for n in r
+         for name, kind in (("reductivity-sigma", "S"), ("reductivity-tau", "T"))),
+        ((("yy", j, k, l, n), ("Y", j, k), ("Y", l, n)) for (j, k) in upper for (l, n) in upper))
+    return first_failure("charge-algebra", cases, holds)
 
 
 def bilinear_lemma_check(f: FieldSet, trials: int = 100, seed: int = 0) -> CheckReport:

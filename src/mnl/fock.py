@@ -543,13 +543,11 @@ class QuadraticCache:
             self._cache[key] = self.adag[m // n][m % n] @ self.a[mp // n][mp % n]
         return self._cache[key]
 
-    def bilinear(self, mat, site=None) -> GQSparse:
-        """a† M a for an integer/rational matrix M over all modes, or over the
-        modes of one site when `site` is given."""
-        off = 0 if site is None else site * self.modes_per_site
+    def bilinear(self, mat) -> GQSparse:
+        """a† M a for an integer/rational matrix M over all modes."""
         acc = GQSparse.zero(self.dim)
         for m, row in enumerate(mat):
             for mp, v in enumerate(row):
                 if v:
-                    acc = acc + self.pair(off + m, off + mp).scale(Fraction(v))
+                    acc = acc + self.pair(m, mp).scale(Fraction(v))
         return acc

@@ -33,7 +33,9 @@ class CayleyTable:
             raise InputError("table shape does not match order")
         for row in self.table:
             for v in row:
-                if not (is_int(v) and 0 <= v < n):
+                if not is_int(v):
+                    raise InputError(f"table entry {v!r} must be an integer")
+                if not 0 <= v < n:
                     raise InputError(f"table entry {v!r} out of range")
         if self.names is not None and len(self.names) != n:
             raise InputError("names length does not match order")

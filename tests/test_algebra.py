@@ -256,3 +256,11 @@ def test_yamaguti_m7_denominators_divide_three(m7):
     assert d.entries
     for v in d.entries.values():
         assert 3 % v.denominator == 0
+
+
+def test_yamaguti_computed_once_per_tensor(m7):
+    assert yamaguti_constants(m7) is yamaguti_constants(m7)
+    fresh = StructureTensor(m7.dim, dict(m7.entries))
+    assert fresh == m7
+    d = yamaguti_constants(fresh)
+    assert d is not yamaguti_constants(m7) and d == yamaguti_constants(m7)

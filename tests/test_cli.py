@@ -252,7 +252,18 @@ MALFORMED = {
     "generators-S-not-a-list": ("etc", _generators(lambda d: d.update(S=5))),
     "generators-float-dim": ("etc", _generators(lambda d: d.update(dim=4.0))),
     "cayley-bool-entry": ("loop-check", {"order": 2, "table": [[0, 1], [1, False]]}),
+    "cayley-float-entry": ("loop-check", {"order": 2, "table": [[0, 1], [1, 1.5]]}),
+    "cayley-null-entry": ("loop-check", {"order": 2, "table": [[0, 1], [1, None]]}),
+    "cayley-entry-out-of-range": ("loop-check", {"order": 2, "table": [[0, 1], [1, 2]]}),
     "cayley-table-not-a-list": ("loop-check", {"order": 2, "table": 3}),
+}
+
+# the message must name the fault
+MESSAGES = {
+    "cayley-bool-entry": "table entry False must be an integer",
+    "cayley-float-entry": "table entry 1.5 must be an integer",
+    "cayley-null-entry": "table entry None must be an integer",
+    "cayley-entry-out-of-range": "table entry 2 out of range",
 }
 
 
@@ -267,6 +278,7 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert MESSAGES.get(case, "") in err
 
 
 def test_crash_exits_internal_error(capsys, monkeypatch):

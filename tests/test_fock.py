@@ -468,7 +468,6 @@ def test_products_owned_by_fock_space():
     assert f.products.pair(2, 3) == f.adag[1][0] @ f.a[1][1]
     assert f.site_space().dim == 4 and f.site_space() is f.site_space()
     assert build_fock(2, 1).site_space().sites == 1
-    assert f.products.bilinear([[0, 1], [0, 0]], site=1) == f.products.pair(2, 3)
 
 
 def test_bilinear_identity_is_total_number(quat_fields):
