@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -60,22 +61,19 @@ def _resolve_tensor(ref: str) -> algebra.StructureTensor:
     return algebra.load_tensor(ref)
 
 
+# builtin generator set -> (its factory, the tensor it realizes by default)
+_BUILTIN_GENERATORS = {
+    "builtin:octonion": (birep.octonion_lr_generators, "builtin:m7"),
+    "builtin:quaternion": (birep.quaternion_lr_generators, "builtin:su2-doubled"),
+}
+
+
 def _resolve_generators(ref: str) -> birep.GeneratorSet:
-    if ref == "builtin:octonion":
-        return birep.octonion_lr_generators()
-    if ref == "builtin:quaternion":
-        return birep.quaternion_lr_generators()
+    if ref in _BUILTIN_GENERATORS:
+        return _BUILTIN_GENERATORS[ref][0]()
     if ref.startswith("builtin:"):
         raise InputError(f"unknown builtin generator set {ref!r}")
     return birep.load_generators(ref)
-
-
-def _default_tensor_for(ref: str):
-    if ref == "builtin:octonion":
-        return algebra.catalog_algebra("m7")
-    if ref == "builtin:quaternion":
-        return algebra.catalog_algebra("su2").scaled(2)
-    return None
 
 
 def _emit(args, payload: dict, text_lines):
@@ -143,14 +141,15 @@ def cmd_maltsev(args):
 
 def cmd_envelope(args):
     c = _resolve_tensor(args.tensor)
-    pre = algebra.is_maltsev(c)
-    if not pre.passed:
+    try:
+        env = envelope.build_envelope(c)
+    except envelope.NotMaltsevError as exc:
+        pre = exc.report
         payload = {"schema": SCHEMA, "command": "envelope", "input": args.tensor,
                    "results": {"maltsev-precondition": pre.to_dict()}, "pass": False}
         _emit(args, payload, ["envelope: precondition failed",
                               _report_line("maltsev-precondition", pre)])
         return EXIT_VIOLATION
-    env = envelope.build_envelope(c)
     jac = envelope.check_jacobi(env)
     results = {"jacobi": jac.to_dict()}
     passed = jac.passed
@@ -190,13 +189,13 @@ def cmd_envelope(args):
 
 
 def cmd_etc(args):
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     gen = _resolve_generators(args.generators)
-    if args.tensor:
-        c = _resolve_tensor(args.tensor)
-    else:
-        c = _default_tensor_for(args.generators)
-        if c is None:
-            raise InputError("file-based generators need --tensor")
+    tensor = args.tensor or _BUILTIN_GENERATORS.get(args.generators, (None, None))[1]
+    if tensor is None:
+        raise InputError("file-based generators need --tensor")
+    c = _resolve_tensor(tensor)
     seed = int(os.environ.get("MNL_SEED", "0"))
     fields = fock.build_fields(gen.dim, args.sites)
     canonical = fock.canonical_etc_check(fields)
@@ -238,6 +237,8 @@ def cmd_etc(args):
 
 
 def cmd_tangent(args):
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InputError(f"--tol must be a finite number >= 0, got {args.tol}")
     chart = loops.unit_octonion_chart()
     numeric = loops.tangent_structure_constants(chart, args.step)
     exact = algebra.catalog_algebra("m7")

@@ -20,13 +20,21 @@ from .matrices import commutator
 from .report import CheckReport, InputError, fail, first_failure, ok
 
 __all__ = [
-    "YamagutiTensor", "yamaguti_constants", "EnvelopeAlgebra",
+    "YamagutiTensor", "yamaguti_constants", "EnvelopeAlgebra", "NotMaltsevError",
     "build_envelope", "check_jacobi", "matrix_closure_dim", "realize_check",
 ]
 
 
 class EnvelopeInconsistencyError(RuntimeError):
     """The bracket table is incompatible with the Y-quotient; implementation bug."""
+
+
+class NotMaltsevError(InputError):
+    """The tensor fails the Mal'tsev identity; `report` is the failing check."""
+
+    def __init__(self, report: CheckReport):
+        super().__init__(f"build_envelope needs a Mal'tsev tensor; witness {report.witness}")
+        self.report = report
 
 
 def _canonical(vec: Vec) -> Vec:
@@ -157,7 +165,7 @@ def build_envelope(c: StructureTensor) -> EnvelopeAlgebra:
     bracket table with the quotient is verified, not assumed."""
     rep = is_maltsev(c)
     if not rep.passed:
-        raise InputError(f"build_envelope needs a Mal'tsev tensor; witness {rep.witness}")
+        raise NotMaltsevError(rep)
     r = c.dim
     ypairs = [(j, k) for j in range(r) for k in range(j + 1, r)]
     expand, rank = _reduce_relations(_y_relations(c), ypairs)
@@ -244,9 +252,6 @@ class _ExactSpan:
                 self.rows.append((i, vec))
                 return True
         return False
-
-    def contains(self, vec):
-        return not any(self._reduce(vec))
 
     @property
     def dim(self):

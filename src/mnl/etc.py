@@ -32,9 +32,9 @@ Relations.  Every right side is a row of `birep.glc_bracket` or the cyclic
 relation `birep.y_cyclic`.  Densities realize the table at site labels
 (label, x) with the Kronecker delta, [A(x), B(y)] = i delta_xy (row at x), and
 charges realize it as it stands; both read Y_kj as -Y_jk and Y_jj as zero
-(`ChargeDensitySet.yam`, `ChargeSet.ups`).  The Yamagutian densities are
-solved from the [S_j, T_k] row by `birep.extract_yamagutian`, whose bracket
-for densities is -i[a, b].
+(`_antisymmetric`, behind `ChargeDensitySet.yam` and `ChargeSet.ups`).  The
+Yamagutian densities are solved from the [S_j, T_k] row by
+`birep.extract_yamagutian`, whose bracket for densities is -i[a, b].
 """
 
 from __future__ import annotations
@@ -47,12 +47,20 @@ from typing import Dict, List, Tuple
 from .algebra import StructureTensor, yamaguti_constants
 from .birep import GeneratorSet, extract_yamagutian, glc_bracket, y_cyclic
 from .fock import FieldSet, SiteOp
+from .matrices import transpose
 from .report import CheckReport, InputError, fail, first_failure, ok
 
 CONVENTION = ("s0_j(x) = -i a†(x) S_j^T a(x); t0_j(x) = -i a†(x) T_j^T a(x); "
               "Y0_jk(x) = i[s0_j(x), t0_k(x)] + (1/3) c^p_jk (s0_p(x) - t0_p(x)); "
               "charges are -i times plain site sums; delta(x-y) is the Kronecker "
               "delta at unit lattice spacing")
+
+
+def _antisymmetric(stored, zero, j, k):
+    """Y_jk from the entries stored for j < k: Y_kj = -Y_jk and Y_jj = 0."""
+    if j == k:
+        return zero()
+    return stored((j, k)) if j < k else stored((k, j)).scale(-1)
 
 
 @dataclass
@@ -68,11 +76,7 @@ class ChargeDensitySet:
     tensor: StructureTensor
 
     def yam(self, j, k, x):
-        if j == k:
-            return self.s[0][0].zero_like()
-        if j < k:
-            return self.Y[(j, k)][x]
-        return self.Y[(k, j)][x].scale(-1)
+        return _antisymmetric(lambda key: self.Y[key][x], self.s[0][0].zero_like, j, k)
 
 
 def _site_density(f: FieldSet, x: int, mat) -> SiteOp:
@@ -80,8 +84,7 @@ def _site_density(f: FieldSet, x: int, mat) -> SiteOp:
     factor on one site.  `site_space` has checked that the ladder operators
     of site x embed the one-site ones, which makes the factor's embedding the
     Jordan-Wigner density of the full space."""
-    mat_t = [list(col) for col in zip(*mat)]
-    factor = f.fock.site_space().products.bilinear(mat_t).times_i().scale(-1)
+    factor = f.fock.site_space().products.bilinear(transpose(mat)).times_i().scale(-1)
     return SiteOp(f.sites, factor.dim, {x: factor})
 
 
@@ -247,11 +250,7 @@ class ChargeSet:
     upsilon: Dict[Tuple[int, int], SiteOp]  # keys j < k
 
     def ups(self, j, k):
-        if j == k:
-            return self.sigma[0].zero_like()
-        if j < k:
-            return self.upsilon[(j, k)]
-        return self.upsilon[(k, j)].scale(-1)
+        return _antisymmetric(self.upsilon.__getitem__, self.sigma[0].zero_like, j, k)
 
 
 def _site_sum(mats):

@@ -1,8 +1,9 @@
-"""End-to-end acceptance suite: one test per pillar of the verification
-chain, each printing a single pass/fail summary line.
+"""End-to-end acceptance suite: the one run of the whole verification
+chain, one test per pillar, each printing a single pass/fail summary line.
 
-Run with `pytest -s tests/test_acceptance.py` to see the lines as they
-appear; the whole file stays well under the five-minute budget.
+Run with `pytest -s --durations=0 tests/test_acceptance.py` to see the lines
+as they appear and the time of each pillar; the whole file stays under a
+minute.  Per-layer times come from `mnlbench/run.py --trace 1`.
 """
 
 import numpy as np
@@ -105,31 +106,44 @@ def test_5_envelope(su2, m7, oct_gen):
               f"{closure}, jacobi + realize)", ok)
 
 
-def test_6_etc(oct_fields, oct_gen, m7, quat_fields, quat_gen, su2_doubled):
-    ok = canonical_etc_check(oct_fields).passed
-    dens = charge_densities(oct_fields, oct_gen, m7)
-    rep = etc_verify(dens)
-    ok = ok and rep.passed
+# The octonion densities at one and two sites, shared by tests 6 and 7.
+@pytest.fixture(scope="module")
+def oct_dens(oct_fields, oct_gen, m7):
+    return charge_densities(oct_fields, oct_gen, m7)
+
+
+@pytest.fixture(scope="module")
+def oct_fields2():
+    return build_fields(8, 2)
+
+
+@pytest.fixture(scope="module")
+def oct_dens2(oct_fields2, oct_gen, m7):
+    return charge_densities(oct_fields2, oct_gen, m7)
+
+
+def test_6_etc(oct_fields, oct_dens, oct_fields2, oct_dens2,
+               quat_fields, quat_gen, su2_doubled):
+    ok = True
+    for fields, dens in ((oct_fields, oct_dens), (oct_fields2, oct_dens2)):
+        ok = ok and canonical_etc_check(fields).passed
+        rep = etc_verify(dens)
+        ok = ok and rep.passed and len(rep.equations) == 11
     # two sites: every cross-site commutator vanishes
-    f2 = build_fields(8, 2)
-    dens2 = charge_densities(f2, oct_gen, m7)
-    ok = ok and locality_check(dens2).passed
+    ok = ok and locality_check(oct_dens2).passed
     # associative control: quaternion densities have [s, t] = 0
     qdens = charge_densities(quat_fields, quat_gen, su2_doubled)
     for j in range(3):
         for k in range(3):
             ok = ok and qdens.s[j][0].commutator(qdens.t[k][0]).is_zero()
     ok = ok and etc_verify(qdens).passed
-    _announce("6 density ETC (octonion N=1 exact, N=2 locality, "
-              "quaternion associative)", ok)
+    _announce("6 density ETC (octonion canonical + 11 equations at N=1 and "
+              "N=2, N=2 locality, quaternion associative)", ok)
 
 
-def test_7_charge_algebra_theorem(oct_fields, oct_gen, m7):
-    q1 = charges(charge_densities(oct_fields, oct_gen, m7))
-    ok = charge_algebra_check(q1, m7).passed
-    f2 = build_fields(8, 2)
-    q2 = charges(charge_densities(f2, oct_gen, m7))
-    ok = ok and charge_algebra_check(q2, m7).passed
+def test_7_charge_algebra_theorem(oct_dens, oct_dens2, m7):
+    ok = charge_algebra_check(charges(oct_dens), m7).passed
+    ok = ok and charge_algebra_check(charges(oct_dens2), m7).passed
     _announce("7 charge algebra theorem (N=1 and N=2)", ok)
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mnl import cli
+from mnl import algebra, cli, envelope
 from mnl.algebra import StructureTensor, catalog_algebra
 from mnl.birep import quaternion_lr_generators
 from mnl.loops import group_catalog
@@ -135,6 +135,21 @@ def test_envelope_non_maltsev_precondition(capsys, tmp_path):
     assert payload["results"]["maltsev-precondition"]["pass"] is False
 
 
+def test_envelope_checks_maltsev_once(capsys, monkeypatch):
+    calls = []
+    original = algebra.is_maltsev
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(algebra, "is_maltsev", counted)
+    monkeypatch.setattr(envelope, "is_maltsev", counted)
+    code, _ = run(capsys, "envelope", "builtin:m7")
+    assert code == 0
+    assert len(calls) == 1
+
+
 # --- etc ---------------------------------------------------------------
 
 def test_etc_quaternion(capsys):
@@ -213,6 +228,20 @@ def test_text_format(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert cli.main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["etc", "builtin:quaternion", "--trials", "0"],
+    ["etc", "builtin:quaternion", "--trials", "-5"],
+    ["tangent", "--tol", "-1"],
+    ["tangent", "--tol", "nan"],
+    ["tangent", "--tol", "inf"],
+])
+def test_out_of_range_numeric_option_exits_2(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 # --- malformed inputs and crashes ---------------------------------------
