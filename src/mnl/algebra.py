@@ -1,5 +1,5 @@
 """Exact anticommutative algebras: structure tensors, brackets, Lie and
-Mal'tsev identity checks.
+Mal'tsev identity checks, and the Cayley-Dickson unit tables they come from.
 
 All arithmetic is over `fractions.Fraction`; there is no floating point here.
 Tensors are stored sparsely, 0-based internally, with antisymmetry in the last
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .octonion import f_constant
 from .report import CheckReport, InputError, fail, is_int, ok
 
 Key = Tuple[int, int, int]
@@ -201,6 +200,48 @@ def _contract_yamaguti(c: StructureTensor) -> YamagutiTensor:
     return YamagutiTensor(r, out)
 
 
+# one sign per doubling of the reals
+QUATERNIONS = (-1, -1)
+OCTONIONS = (-1, -1, -1)
+
+
+def cayley_dickson(signs) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Signed unit table of the algebra doubled from the reals once per sign
+    gamma, (a, b)(c, d) = (ac + gamma d*b, da + b c*) with x* the conjugate:
+    table[a][b] = (index, sign) means e_a e_b = sign e_index.
+
+    Doubling a k-dimensional algebra gives the basis
+    (e_0, .., e_{k-1}, (0, e_0), .., (0, e_{k-1})), so e_0 is the unit and
+    e_a* = -e_a for every a > 0."""
+    table = [[(0, 1)]]
+    for gamma in signs:
+        k = len(table)
+        bar = [1] + [-1] * (k - 1)
+        new = [[None] * (2 * k) for _ in range(2 * k)]
+        for a in range(k):
+            for b in range(k):
+                p, s = table[a][b]
+                q, t = table[b][a]
+                new[a][b] = (p, s)                             # (e_a e_b, 0)
+                new[a][k + b] = (k + q, t)                     # (0, e_b e_a)
+                new[k + a][b] = (k + p, bar[b] * s)            # (0, e_a e_b*)
+                new[k + a][k + b] = (q, gamma * bar[b] * t)    # (gamma e_b* e_a, 0)
+        table = new
+    return tuple(tuple(row) for row in table)
+
+
+def commutator_tensor(table) -> StructureTensor:
+    """c^i_jk = the e_i coefficient of e_j e_k - e_k e_j, over the units
+    e_1..e_{n-1} of a signed unit table (tensor index i is e_{i+1})."""
+    def coeff(i, product):
+        return product[1] if product[0] == i else 0
+
+    r = range(1, len(table))
+    return StructureTensor(len(table) - 1, {
+        (i - 1, j - 1, k - 1): coeff(i, table[j][k]) - coeff(i, table[k][j])
+        for i in r for j in r for k in r})
+
+
 _ABELIAN_RE = re.compile(r"^abelian\((\d+)\)$")
 
 
@@ -231,15 +272,7 @@ def catalog_algebra(name: str) -> StructureTensor:
         put(0, 1, 2, 1)
         return StructureTensor(3, ent)
     if name == "m7":
-        # commutator algebra of imaginary octonions: c^i_jk = 2 f_ijk
-        ent = {}
-        for i in range(1, 8):
-            for j in range(1, 8):
-                for k in range(1, 8):
-                    f = f_constant(i, j, k)
-                    if f:
-                        ent[(i - 1, j - 1, k - 1)] = Fraction(2 * f)
-        return StructureTensor(7, ent)
+        return commutator_tensor(cayley_dickson(OCTONIONS))
     raise InputError(f"unknown catalog algebra {name!r}")
 
 

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .algebra import StructureTensor, yamaguti_constants
+from .algebra import (OCTONIONS, QUATERNIONS, StructureTensor, cayley_dickson,
+                      yamaguti_constants)
 from .loops import CayleyTable, is_moufang
 from .matrices import commutator, eye, mat_eq, mat_lincomb, mat_mul, mat_is_zero, zeros
-from .octonion import UNIT_TABLE
 from .report import CheckReport, InputError, fail, first_failure, is_int, ok
 
 
@@ -128,31 +128,31 @@ def regular_birep(t: CayleyTable) -> LoopBirep:
     return LoopBirep(t, S, T)
 
 
-def _mult_generators(k: int) -> GeneratorSet:
-    # S_j = left multiplication by e_j, T_j = right multiplication, on the
-    # span of (1, e1, .., e_{k-1}); column B holds the coords of e_j e_B
-    S, T = [], []
-    for j in range(1, k):
-        L = zeros(k)
-        R = zeros(k)
+def lr_generators(table) -> GeneratorSet:
+    """S_j = left and T_j = right multiplication by e_j, j = 1..k-1, on the
+    span of the k units of a signed unit table (see `algebra.cayley_dickson`);
+    column B holds the coordinates of e_j e_B (of e_B e_j for T_j)."""
+    k = len(table)
+
+    def mult(j, left):
+        M = zeros(k)
         for B in range(k):
-            idx, sign = UNIT_TABLE[j][B]
-            L[idx][B] = Fraction(sign)
-            idx, sign = UNIT_TABLE[B][j]
-            R[idx][B] = Fraction(sign)
-        S.append(L)
-        T.append(R)
-    return GeneratorSet(k - 1, k, S, T)
+            idx, sign = table[j][B] if left else table[B][j]
+            M[idx][B] = Fraction(sign)
+        return M
+
+    units = range(1, k)
+    return GeneratorSet(k - 1, k, [mult(j, True) for j in units], [mult(j, False) for j in units])
 
 
 def octonion_lr_generators() -> GeneratorSet:
     """L/R multiplication matrices of the imaginary octonion units (r=7, dim=8)."""
-    return _mult_generators(8)
+    return lr_generators(cayley_dickson(OCTONIONS))
 
 
 def quaternion_lr_generators() -> GeneratorSet:
     """L/R multiplication matrices of the quaternion units (r=3, dim=4)."""
-    return _mult_generators(4)
+    return lr_generators(cayley_dickson(QUATERNIONS))
 
 
 Label = Tuple  # ("S", j) | ("T", j) | ("Y", j, k), j and k in either order

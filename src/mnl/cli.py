@@ -29,20 +29,20 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
+# builtin loop name -> its factory: the octonion loop, the catalog groups and
+# the Chein double of each catalog group
+_BUILTIN_LOOPS = {"octonion-loop": loops.octonion_unit_loop, **loops.GROUPS,
+                  **{f"chein-{name}": (lambda build=build: loops.chein_double(build()))
+                     for name, build in loops.GROUPS.items()}}
+
+
 def _resolve_loop(ref: str) -> loops.CayleyTable:
     if ref.startswith("builtin:"):
         name = ref[len("builtin:"):]
-        if name == "octonion-loop":
-            return loops.octonion_unit_loop()
+        if name in _BUILTIN_LOOPS:
+            return _BUILTIN_LOOPS[name]()
         if name.startswith("chein-"):
-            base = name[len("chein-"):]
-            cat = loops.group_catalog()
-            if base not in cat:
-                raise InputError(f"unknown group {base!r} for Chein double")
-            return loops.chein_double(cat[base])
-        cat = loops.group_catalog()
-        if name in cat:
-            return cat[name]
+            raise InputError(f"unknown group {name[len('chein-'):]!r} for Chein double")
         raise InputError(f"unknown builtin loop {ref!r}")
     try:
         with open(ref) as fh:
@@ -196,7 +196,10 @@ def cmd_etc(args):
     if tensor is None:
         raise InputError("file-based generators need --tensor")
     c = _resolve_tensor(tensor)
-    seed = int(os.environ.get("MNL_SEED", "0"))
+    try:
+        seed = int(os.environ.get("MNL_SEED", "0"))
+    except ValueError:
+        raise InputError(f"MNL_SEED must be an integer, got {os.environ['MNL_SEED']!r}") from None
     fields = fock.build_fields(gen.dim, args.sites)
     canonical = fock.canonical_etc_check(fields)
     dens = etc.charge_densities(fields, gen, c)

@@ -9,11 +9,11 @@ the package where floating point is allowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .octonion import UNIT_TABLE
+from .algebra import OCTONIONS, QUATERNIONS, cayley_dickson
 from .report import CheckReport, InputError, fail, is_int, ok
 
 
@@ -160,30 +160,30 @@ def chein_double(g: CayleyTable) -> CayleyTable:
     return CayleyTable(2 * n, tuple(tuple(r) for r in table), names)
 
 
-def _signed_unit_loop(k: int, labels: Sequence[str]) -> CayleyTable:
-    # elements: a -> +e_a (a < k), k+a -> -e_a; multiplication from the
-    # fixed octonion table restricted to the first k basis units
+def signed_unit_loop(table) -> CayleyTable:
+    """The loop of the signed units +-e_a of a signed unit table (see
+    `algebra.cayley_dickson`): +e_a is element a and -e_a element k + a, for
+    k units, named "1", "e1", .., "-1", "-e1", .."""
+    k = len(table)
     n = 2 * k
-    table = [[0] * n for _ in range(n)]
-    for a in range(k):
-        for b in range(k):
-            idx, sign = UNIT_TABLE[a][b]
-            for sa in (0, 1):
-                for sb in (0, 1):
-                    s = sign * (-1) ** (sa + sb)
-                    table[sa * k + a][sb * k + b] = idx if s > 0 else k + idx
-    names = tuple(labels) + tuple("-" + l for l in labels)
-    return CayleyTable(n, tuple(tuple(r) for r in table), names)
+
+    def mul(g, h):
+        idx, sign = table[g % k][h % k]
+        return idx if sign * (-1) ** (g // k + h // k) > 0 else k + idx
+
+    labels = ["1"] + [f"e{a}" for a in range(1, k)]
+    rows = tuple(tuple(mul(g, h) for h in range(n)) for g in range(n))
+    return CayleyTable(n, rows, tuple(labels) + tuple("-" + l for l in labels))
 
 
 def octonion_unit_loop() -> CayleyTable:
     """The order-16 loop {+-1, +-e1..+-e7} of basis octonions."""
-    return _signed_unit_loop(8, ["1"] + [f"e{a}" for a in range(1, 8)])
+    return signed_unit_loop(cayley_dickson(OCTONIONS))
 
 
 def quaternion_group() -> CayleyTable:
-    """Q8 as the sub-loop {+-1, +-e1, +-e2, +-e3}."""
-    return _signed_unit_loop(4, ["1", "e1", "e2", "e3"])
+    """Q8 as the loop {+-1, +-e1, +-e2, +-e3} of basis quaternions."""
+    return signed_unit_loop(cayley_dickson(QUATERNIONS))
 
 
 def cyclic_group(n: int) -> CayleyTable:
@@ -234,15 +234,20 @@ def dihedral_group_d4() -> CayleyTable:
     return CayleyTable(8, tuple(tuple(r) for r in table))
 
 
+# catalog name -> the function that builds its table
+GROUPS: Dict[str, Callable[[], CayleyTable]] = {
+    **{f"z{n}": (lambda n=n: cyclic_group(n)) for n in range(1, 9)},
+    "klein4": lambda: direct_product(cyclic_group(2), cyclic_group(2)),
+    "z2xz4": lambda: direct_product(cyclic_group(2), cyclic_group(4)),
+    "z2xz2xz2": lambda: direct_product(cyclic_group(2), GROUPS["klein4"]()),
+    "s3": symmetric_group_s3,
+    "d4": dihedral_group_d4,
+    "q8": quaternion_group,
+}
+
+
 def group_catalog() -> Dict[str, CayleyTable]:
-    cat = {f"z{n}": cyclic_group(n) for n in range(1, 9)}
-    cat["klein4"] = direct_product(cyclic_group(2), cyclic_group(2))
-    cat["z2xz4"] = direct_product(cyclic_group(2), cyclic_group(4))
-    cat["z2xz2xz2"] = direct_product(cyclic_group(2), cat["klein4"])
-    cat["s3"] = symmetric_group_s3()
-    cat["d4"] = dihedral_group_d4()
-    cat["q8"] = quaternion_group()
-    return cat
+    return {name: build() for name, build in GROUPS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +263,16 @@ class ParamLoopChart:
     invert: Callable[[np.ndarray], np.ndarray]
 
 
-def _octonion_sign_tensor() -> np.ndarray:
-    T = np.zeros((8, 8, 8))
-    for a in range(8):
-        for b in range(8):
-            idx, sign = UNIT_TABLE[a][b]
+def _sign_tensor(table) -> np.ndarray:
+    """T[a, b, i] = sign where table[a][b] = (i, sign), zero elsewhere."""
+    T = np.zeros((len(table),) * 3)
+    for a, row in enumerate(table):
+        for b, (idx, sign) in enumerate(row):
             T[a, b, idx] = sign
     return T
 
 
-_OCT_T = _octonion_sign_tensor()
+_OCT_T = _sign_tensor(cayley_dickson(OCTONIONS))
 
 
 def unit_octonion_chart() -> ParamLoopChart:

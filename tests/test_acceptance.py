@@ -9,15 +9,16 @@ minute.  Per-layer times come from `mnlbench/run.py --trace 1`.
 import numpy as np
 import pytest
 
-from mnl.algebra import (StructureTensor, catalog_algebra, is_lie, is_maltsev)
-from mnl.birep import GeneratorSet, check_glc, extract_yamagutians
+from mnl.algebra import (StructureTensor, catalog_algebra, cayley_dickson,
+                         commutator_tensor, is_lie, is_maltsev)
+from mnl.birep import GeneratorSet, check_glc, extract_yamagutians, lr_generators
 from mnl.envelope import (build_envelope, check_jacobi, matrix_closure_dim,
                           realize_check)
 from mnl.etc import (bilinear_lemma_check, charge_algebra_check,
                      charge_densities, charges, etc_verify, locality_check)
 from mnl.fock import build_fields, canonical_etc_check
 from mnl.loops import (chein_double, group_catalog, is_associative, is_moufang,
-                       octonion_unit_loop, symmetric_group_s3,
+                       octonion_unit_loop, signed_unit_loop, symmetric_group_s3,
                        tangent_structure_constants, unit_octonion_chart)
 from mnl.matrices import commutator, mat_eq, mat_lincomb
 from fractions import Fraction
@@ -166,3 +167,65 @@ def test_8_meta_consistency(quat_fields, quat_gen, su2_doubled):
         agree += glc == dens
     _announce(f"8 meta-consistency (bilinear lemma 100 trials; "
               f"etc == glc on {agree}/{len(variants)} variants)", ok)
+
+
+# The Cayley-Dickson family beyond the two compact builtins.  Each algebra is
+# one sign tuple; its unit loop, commutator tensor and L/R generators come
+# from its table.
+
+def _cayley_dickson_chain(signs):
+    table = cayley_dickson(signs)
+    return signed_unit_loop(table), commutator_tensor(table), lr_generators(table)
+
+
+def _theorem_at_one_site(c, gen):
+    """GLC, the envelope with Jacobi and realization, and the canonical ETC,
+    all 11 density ETC equations and the charge algebra at N=1; returns
+    (all passed, envelope dim, closure dim)."""
+    env = build_envelope(c)
+    closure = matrix_closure_dim(gen)
+    ok = check_glc(gen, c).passed and check_jacobi(env).passed
+    ok = ok and realize_check(env, gen, c).passed
+    fields = build_fields(gen.dim, 1)
+    dens = charge_densities(fields, gen, c)
+    rep = etc_verify(dens)
+    ok = ok and canonical_etc_check(fields).passed
+    ok = ok and rep.passed and len(rep.equations) == 11
+    ok = ok and charge_algebra_check(charges(dens), c).passed
+    return ok, env.dim, closure
+
+
+def test_9_split_octonions():
+    """The theorem's non-compact case: signs (-1, -1, +1)."""
+    loop, c, gen = _cayley_dickson_chain((-1, -1, 1))
+    assoc, lie = is_associative(loop), is_lie(c)
+    ok = loop.order == 16 and is_moufang(loop).passed
+    ok = ok and not assoc.passed and assoc.witness == (1, 2, 4)
+    ok = ok and is_maltsev(c).passed and not lie.passed and lie.witness == (0, 1, 3)
+    passed, env_dim, closure = _theorem_at_one_site(c, gen)
+    ok = ok and passed and env_dim == closure == 28
+    _announce(f"9 split octonions (Moufang order 16, Mal'tsev not Lie, envelope "
+              f"{env_dim} = closure {closure}, ETC + charge algebra at N=1)", ok)
+
+
+def test_10_split_quaternions():
+    """Signs (-1, +1): associative, like the quaternions."""
+    loop, c, gen = _cayley_dickson_chain((-1, 1))
+    ok = is_moufang(loop).passed and is_associative(loop).passed
+    ok = ok and is_lie(c).passed and is_maltsev(c).passed
+    passed, env_dim, closure = _theorem_at_one_site(c, gen)
+    ok = ok and passed and (env_dim, closure) == (9, 6)
+    _announce(f"10 split quaternions (associative, Lie, envelope {env_dim}, "
+              f"closure {closure}, ETC + charge algebra at N=1)", ok)
+
+
+def test_11_sedenions():
+    """Signs (-1, -1, -1, -1), the negative control: +e_a is loop element a
+    and -e_a element 16 + a."""
+    loop, c, _ = _cayley_dickson_chain((-1, -1, -1, -1))
+    moufang, maltsev = is_moufang(loop), is_maltsev(c)
+    ok = loop.order == 32
+    ok = ok and not moufang.passed and moufang.witness == (1, 2, 12)
+    ok = ok and not maltsev.passed and maltsev.witness == (0, 9, 3)
+    _announce("11 sedenions (not Moufang at (e1, e2, e12), not Mal'tsev at "
+              "(0, 9, 3))", ok)

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fano import basis_octonion, oct_mul
 from mnl import algebra
 from mnl.algebra import (StructureTensor, basis_vector, bracket, catalog_algebra,
                          is_lie, is_maltsev, jacobiator, yamaguti_constants)
-from mnl.octonion import basis_octonion, oct_mul
 from mnl.report import InputError
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -18,7 +18,7 @@ def rational_vectors(dim):
 
 
 def oct_commutator_oracle(j, k):
-    """[e_j, e_k] via the octonion multiplication table; imaginary part only."""
+    """[e_j, e_k] via the Fano-triple octonion product; imaginary part only."""
     ej, ek = basis_octonion(j), basis_octonion(k)
     prod = oct_mul(ej, ek)
     rev = oct_mul(ek, ej)

@@ -236,8 +236,14 @@ def test_usage_error_exit_code(capsys):
     ["tangent", "--tol", "-1"],
     ["tangent", "--tol", "nan"],
     ["tangent", "--tol", "inf"],
+    ["MNL_SEED=abc", "etc", "builtin:quaternion", "--trials", "1"],
+    ["MNL_SEED=1.5", "etc", "builtin:quaternion", "--trials", "1"],
 ])
-def test_out_of_range_numeric_option_exits_2(capsys, argv):
+def test_out_of_range_numeric_option_exits_2(capsys, monkeypatch, argv):
+    # leading NAME=value items set environment variables, as in a shell
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
