@@ -82,8 +82,11 @@ def _emit(args, payload: dict, text_lines):
     else:
         out = "\n".join(text_lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise InputError(f"cannot write report to {args.out}: {exc}") from exc
     else:
         sys.stdout.write(out)
 

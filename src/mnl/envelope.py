@@ -5,6 +5,9 @@ independent matrix-closure oracle for its dimension.
 The brackets and the cyclic relations are read from `birep.glc_bracket` and
 `birep.y_cyclic`; in the envelope Y_kj is -Y_jk and Y_jj is zero
 (`_canonical`), so only the labels Y_jk with j < k remain.
+
+One exact reduced row echelon routine, `_echelon_add`, serves the Y-quotient
+(rows keyed by label ("Y", j, k)) and the closure oracle (keyed by entry (i, j)).
 """
 
 from __future__ import annotations
@@ -56,38 +59,41 @@ def _y_relations(c: StructureTensor) -> List[Vec]:
     return [row for row in rows if row]
 
 
+def _echelon_add(pivots: Dict, row: Dict) -> bool:
+    """Add the sparse row {key: Fraction} to `pivots`, a reduced row echelon
+    form held as {pivot: row}: each row is 1 at its pivot, its smallest key,
+    and no other row holds that key.  True when the span grew.  The form is
+    unique for its span and the key order, whatever order the rows came in."""
+    row = dict(row)
+    # a pivot row holds no other pivot, so each step clears one key of row
+    for piv in sorted(row.keys() & pivots.keys()):
+        coeff = row[piv]
+        for key, v in pivots[piv].items():
+            vec_add(row, key, -coeff * v)
+    if not row:
+        return False
+    piv = min(row)
+    norm = {key: v / row[piv] for key, v in row.items()}
+    for other in pivots.values():
+        coeff = other.get(piv)
+        if coeff:
+            for key, v in norm.items():
+                vec_add(other, key, -coeff * v)
+    pivots[piv] = norm
+    return True
+
+
 def _reduce_relations(rows: List[Vec], ypairs: List[Tuple[int, int]]):
-    """RREF with pivots chosen in lexicographic (j, k) order.  Returns the
-    expand map (every Y pair -> combination of independent pairs) and rank."""
-    order = {("Y", j, k): idx for idx, (j, k) in enumerate(ypairs)}
+    """RREF with labels ("Y", j, k) in `ypairs` order.  Returns the expand map
+    (every Y pair -> combination of independent pairs) and rank."""
     pivots: Dict[Label, Vec] = {}
     for row in rows:
-        row = dict(row)
-        # reduce by existing pivot rows
-        for piv in sorted(pivots, key=order.get):
-            coeff = row.get(piv)
-            if coeff:
-                for lbl, v in pivots[piv].items():
-                    vec_add(row, lbl, -coeff * v)
-                row.pop(piv, None)
-        if not row:
-            continue
-        piv = min(row, key=order.get)
-        pc = row.pop(piv)
-        norm = {lbl: v / pc for lbl, v in row.items()}
-        # back-substitute into older pivot rows
-        for other, expr in pivots.items():
-            coeff = expr.get(piv)
-            if coeff:
-                expr.pop(piv)
-                for lbl, v in norm.items():
-                    vec_add(expr, lbl, coeff * v)
-        pivots[piv] = norm
+        _echelon_add(pivots, row)
     expand: Dict[Tuple[int, int], Vec] = {}
     for (j, k) in ypairs:
         lbl = ("Y", j, k)
         if lbl in pivots:
-            expand[(j, k)] = {l: -v for l, v in pivots[lbl].items()}
+            expand[(j, k)] = {l: -v for l, v in pivots[lbl].items() if l != lbl}
         else:
             expand[(j, k)] = {lbl: Fraction(1)}
     return expand, len(pivots)
@@ -213,69 +219,34 @@ def check_jacobi(env: EnvelopeAlgebra) -> CheckReport:
                 bc = env.bracket(basis[ib], basis[ic])
                 ca = env.bracket(basis[ic], basis[ia])
                 total: Vec = {}
-                for lbl, v in env.bracket_vec(va, bc).items():
-                    vec_add(total, lbl, v)
-                for lbl, v in env.bracket_vec(vb, ca).items():
-                    vec_add(total, lbl, v)
-                for lbl, v in env.bracket_vec(vc, ab).items():
-                    vec_add(total, lbl, v)
+                for u, w in ((va, bc), (vb, ca), (vc, ab)):
+                    for lbl, v in env.bracket_vec(u, w).items():
+                        vec_add(total, lbl, v)
                 if total:
                     return fail("jacobi", witness=(basis[ia], basis[ib], basis[ic]))
     return ok("jacobi")
 
 
-def _flatten(m):
-    return [x for row in m for x in row]
-
-
-class _ExactSpan:
-    """Row-reduced span of flat vectors; add() reports whether the span grew."""
-
-    def __init__(self):
-        self.rows = []  # (pivot index, flat vector with pivot 1)
-
-    def _reduce(self, vec):
-        vec = list(vec)
-        for piv, row in self.rows:
-            coeff = vec[piv]
-            if coeff:
-                for i, v in enumerate(row):
-                    if v:
-                        vec[i] -= coeff * v
-        return vec
-
-    def add(self, vec):
-        vec = self._reduce(vec)
-        for i, v in enumerate(vec):
-            if v:
-                vec = [x / v for x in vec]
-                self.rows.append((i, vec))
-                return True
-        return False
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-
 def matrix_closure_dim(gen: GeneratorSet) -> int:
     """Dimension of the smallest matrix space containing all S_j, T_j and
-    closed under commutators (iterated bracketing with exact rank updates)."""
-    span = _ExactSpan()
-    mats = []
-    queue = []
-    for m in list(gen.S) + list(gen.T):
-        if span.add(_flatten(m)):
-            mats.append(m)
-            queue.append(m)
+    closed under commutators (iterated bracketing, rows {(i, j): entry})."""
+    pivots: Dict[Tuple[int, int], Vec] = {}
+
+    def grows(m):
+        return _echelon_add(pivots, {(i, j): v for i, row in enumerate(m)
+                                     for j, v in enumerate(row) if v})
+
+    mats = [m for m in list(gen.S) + list(gen.T) if grows(m)]
+    queue = list(mats)
     while queue:
         m = queue.pop()
         for other in list(mats):
-            for bracket in (commutator(m, other), commutator(other, m)):
-                if span.add(_flatten(bracket)):
-                    mats.append(bracket)
-                    queue.append(bracket)
-    return span.dim
+            # [other, m] = -[m, other] never grows the span after [m, other]
+            bracket = commutator(m, other)
+            if grows(bracket):
+                mats.append(bracket)
+                queue.append(bracket)
+    return len(pivots)
 
 
 def realize_check(env: EnvelopeAlgebra, gen: GeneratorSet, c: StructureTensor) -> CheckReport:

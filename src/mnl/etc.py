@@ -25,8 +25,8 @@ commute, so a commutator is the per-site commutator of the factors (a
 cross-site commutator is zero without any arithmetic), and a sum of
 embeddings sum_x E_x(D_x) is zero exactly when every D_x is c_x * I with
 sum_x c_x = 0.  The scans below are written against the operator interface
-(+, -, scale, times_i, commutator, ==, is_zero, zero_like) and give the same
-reports on plain full-space `GQSparse` operators.
+(plus, +, -, scale, times_i, commutator, ==, is_zero, zero_like) and give the
+same reports on plain full-space `GQSparse` operators.
 
 Relations.  Every right side is a row of `birep.glc_bracket` or the cyclic
 relation `birep.y_cyclic`.  Densities realize the table at site labels
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .algebra import StructureTensor, yamaguti_constants
@@ -88,14 +87,6 @@ def _site_density(f: FieldSet, x: int, mat) -> SiteOp:
     return SiteOp(f.sites, factor.dim, {x: factor})
 
 
-def _lincomb(zero, terms):
-    acc = zero
-    for q, m in terms:
-        if q:
-            acc = acc + m.scale(Fraction(q))
-    return acc
-
-
 def _density_bracket(a, b):
     """The table bracket realized by densities: [a, b] = i (table), so -i[a, b]."""
     return a.commutator(b).times_i().scale(-1)
@@ -103,9 +94,8 @@ def _density_bracket(a, b):
 
 def _raw_yamagutian(s, t, c: StructureTensor, j, k, x):
     """Y0_jk(x) solved from the [s_j(x), t_k(x)] relation."""
-    zero = s[0][x].zero_like()
     return extract_yamagutian([row[x] for row in s], [row[x] for row in t], _density_bracket,
-                              lambda terms: _lincomb(zero, terms), c, j, k)
+                              s[0][x].zero_like().plus, c, j, k)
 
 
 def charge_densities(f: FieldSet, gen: GeneratorSet, c: StructureTensor) -> ChargeDensitySet:
@@ -157,7 +147,7 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
         return (d.s if lbl[0] == "S" else d.t)[lbl[1]][x]
 
     def at(x, vec):
-        return _lincomb(zero, [(v, op(lbl, x)) for lbl, v in vec.items()])
+        return zero.plus([(v, op(lbl, x)) for lbl, v in vec.items()])
 
     def delta(lhs, x, y, vec):
         """lhs == i delta_xy (vec at x); for x != y without building a right side."""
@@ -172,8 +162,8 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
 
     def assoc(kind, sign, j, k, x, y):
         # [a_j(x), a_k(y)] = i delta_xy sign c^p_jk a_p(x) - 2 [s_j(x), t_k(y)]
-        lhs = op((kind, j), x).commutator(op((kind, k), y))
-        lhs = lhs + d.s[j][x].commutator(d.t[k][y]).scale(2)
+        lhs = op((kind, j), x).commutator(op((kind, k), y)).plus(
+            [(2, d.s[j][x].commutator(d.t[k][y]))])
         return delta(lhs, x, y, {(kind, p): sign * c.c(p, j, k) for p in r})
 
     def eq3():
@@ -253,17 +243,16 @@ class ChargeSet:
         return _antisymmetric(self.upsilon.__getitem__, self.sigma[0].zero_like, j, k)
 
 
-def _site_sum(mats):
-    acc = mats[0]
-    for m in mats[1:]:
-        acc = acc + m
-    return acc.times_i().scale(-1)
-
-
 def charges(d: ChargeDensitySet) -> ChargeSet:
-    sigma = [_site_sum(d.s[j]) for j in range(d.r)]
-    tau = [_site_sum(d.t[j]) for j in range(d.r)]
-    ups = {key: _site_sum(mats) for key, mats in d.Y.items()}
+    zero = d.s[0][0].zero_like()
+
+    def charge(mats):
+        # -i sum_x mats[x] = i sum_x (-mats[x])
+        return zero.plus([(-1, m) for m in mats]).times_i()
+
+    sigma = [charge(d.s[j]) for j in range(d.r)]
+    tau = [charge(d.t[j]) for j in range(d.r)]
+    ups = {key: charge(mats) for key, mats in d.Y.items()}
     return ChargeSet(d.r, sigma, tau, ups)
 
 
@@ -283,7 +272,7 @@ def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
         return (q.sigma if lbl[0] == "S" else q.tau)[lbl[1]]
 
     def realize(vec):
-        return _lincomb(zero, [(v, op(lbl)) for lbl, v in vec.items()])
+        return zero.plus([(v, op(lbl)) for lbl, v in vec.items()])
 
     def holds(a, b=None):
         if b is None:

@@ -2,9 +2,10 @@
 sparse operator arithmetic over Gaussian rationals.
 
 Operators are stored as (re + i*im)/den with integer sparse parts, so every
-check in the lab is exact.  Each operation bounds the magnitude of its result
-from its operands' largest entries and denominators before it computes, and
-raises OverflowError when the bound reaches 2^62, so no int64 product can wrap.
+check in the lab is exact.  Every sum and rational multiple is one call of
+`_sum`, over the least common multiple of the denominators; it and `@` bound
+their result before they compute and raise OverflowError when the bound
+reaches 2^62, so no int64 value can wrap.
 
 A `SiteOp` holds a sum of site-local operators sum_x I x .. x F_x x .. x I as
 its factors F_x on the 2^n-dimensional space of one site; see `SiteOp`.
@@ -46,6 +47,37 @@ def _csr(m):
     out = sp.csr_matrix(m, dtype=np.int64)
     out.eliminate_zeros()
     return out
+
+
+def _sum(dim, terms):
+    """The exact sum of q*A over the (q, A) pairs of `terms`, q rational and A
+    a GQSparse of dimension `dim`, over L = lcm of the q.den*A.den: term k
+    enters as m_k*A_k with m_k = q_k.num*L/(q_k.den*A_k.den).  Every partial
+    sum of integer parts is at most sum_k |m_k|*mag_k, which is at least each
+    |m_k| (a nonzero A_k has mag_k >= 1); bounding it and L below 2^62 once
+    bounds every value computed."""
+    terms = [(Fraction(q), A) for q, A in terms if q and A.nnz]
+    den = math.lcm(1, *(q.denominator * A.den for q, A in terms))
+    mults = [q.numerator * (den // (q.denominator * A.den)) for q, A in terms]
+    _guard(den, sum(abs(m) * A.mag for m, (_, A) in zip(mults, terms)))
+    re, im = (_assemble(dim, [(m, getattr(A, part)) for m, (_, A) in zip(mults, terms)])
+              for part in ("re", "im"))
+    return GQSparse(dim, re, im, den)
+
+
+def _assemble(dim, parts):
+    """sum m*P over the (m, P) pairs of int64 CSR matrices, in one COO
+    assembly whose conversion to CSR adds up the duplicate entries."""
+    parts = [(m, part) for m, part in parts if part.nnz]
+    if not parts:
+        return sp.csr_matrix((dim, dim), dtype=np.int64)
+    if len(parts) == 1:    # one part needs no assembly
+        return parts[0][1] * parts[0][0]
+    index = np.arange(dim)
+    rows = np.concatenate([np.repeat(index, np.diff(part.indptr)) for _, part in parts])
+    return sp.coo_matrix((np.concatenate([part.data * m for m, part in parts]),
+                          (rows, np.concatenate([part.indices for _, part in parts]))),
+                         shape=(dim, dim)).tocsr()
 
 
 class GQSparse:
@@ -105,26 +137,25 @@ class GQSparse:
         return GQSparse.zero(self.dim)
 
     # --- arithmetic ---
+    def plus(self, terms):
+        """self + sum q*A over the (q, A) pairs of `terms`, exactly (`_sum`)."""
+        return _sum(self.dim, [(1, self)] + [(q, self._check(A)) for q, A in terms])
+
     def __add__(self, other):
-        self._check(other)
-        _guard(self.mag * other.den + other.mag * self.den, self.den * other.den)
-        return GQSparse(self.dim,
-                        self.re * other.den + other.re * self.den,
-                        self.im * other.den + other.im * self.den,
-                        self.den * other.den)
+        return self.plus([(1, other)])
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self.plus([(-1, other)])
 
     def __matmul__(self, other):
         self._check(other)
         # an entry of the product sums at most (stored entries in one row of
         # self) terms; the total nnz bounds that count and is free to read
         mags = self.mag * other.mag
-        if mags * self.nnz >= _BOUND:
-            rows = np.diff(self.re.indptr) + np.diff(self.im.indptr)
-            _guard(mags * int(rows.max()))
-        _guard(self.den * other.den)
+        count = self.nnz
+        if mags * count >= _BOUND:
+            count = int((np.diff(self.re.indptr) + np.diff(self.im.indptr)).max())
+        _guard(mags * count, self.den * other.den)
         return GQSparse(self.dim,
                         self.re @ other.re - self.im @ other.im,
                         self.re @ other.im + self.im @ other.re,
@@ -132,11 +163,7 @@ class GQSparse:
 
     def scale(self, q):
         """Multiply by an exact rational scalar."""
-        q = Fraction(q)
-        num = abs(q.numerator)
-        _guard(self.mag * num, num, self.den * q.denominator)
-        return GQSparse(self.dim, self.re * q.numerator, self.im * q.numerator,
-                        self.den * q.denominator)
+        return _sum(self.dim, [(q, self)])
 
     def times_i(self):
         return GQSparse(self.dim, -self.im, self.re, self.den)
@@ -184,6 +211,7 @@ class GQSparse:
     def _check(self, other):
         if not isinstance(other, GQSparse) or other.dim != self.dim:
             raise InputError("operator dimension mismatch")
+        return other
 
 
 def _exact_div(part, g):
@@ -226,18 +254,23 @@ class SiteOp:
         return self._new({})
 
     # --- arithmetic ---
+    def plus(self, terms):
+        """self + sum q*A over the (q, A) pairs of `terms`: one `_sum` per site."""
+        by_site = {x: [(1, f)] for x, f in self.factors.items()}
+        for q, A in terms:
+            self._check(A)
+            for x, f in A.factors.items():
+                by_site.setdefault(x, []).append((q, f))
+        return self._new({x: _sum(self.site_dim, fs) for x, fs in by_site.items()})
+
     def __add__(self, other):
-        self._check(other)
-        out = dict(self.factors)
-        for x, f in other.factors.items():
-            out[x] = out[x] + f if x in out else f
-        return self._new(out)
+        return self.plus([(1, other)])
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self.plus([(-1, other)])
 
     def scale(self, q):
-        return self._new({x: f.scale(q) for x, f in self.factors.items()})
+        return self.zero_like().plus([(q, self)])
 
     def times_i(self):
         return self._new({x: f.times_i() for x, f in self.factors.items()})
@@ -264,15 +297,14 @@ class SiteOp:
 
     # --- the full-space operator ---
     def full(self) -> GQSparse:
-        acc = GQSparse.zero(self.dim)
-        for x, f in sorted(self.factors.items()):
+        def embed(x, f):
             left = sp.identity(self.site_dim ** x, dtype=np.int64, format="csr")
             right = sp.identity(self.site_dim ** (self.sites - x - 1),
                                 dtype=np.int64, format="csr")
             re, im = (sp.kron(sp.kron(left, part), right, format="csr")
                       for part in (f.re, f.im))
-            acc = acc + GQSparse(self.dim, re, im, f.den)
-        return acc
+            return GQSparse(self.dim, re, im, f.den)
+        return _sum(self.dim, [(1, embed(x, f)) for x, f in sorted(self.factors.items())])
 
     @property
     def re(self):
@@ -545,9 +577,5 @@ class QuadraticCache:
 
     def bilinear(self, mat) -> GQSparse:
         """a† M a for an integer/rational matrix M over all modes."""
-        acc = GQSparse.zero(self.dim)
-        for m, row in enumerate(mat):
-            for mp, v in enumerate(row):
-                if v:
-                    acc = acc + self.pair(m, mp).scale(Fraction(v))
-        return acc
+        return _sum(self.dim, [(v, self.pair(m, mp)) for m, row in enumerate(mat)
+                               for mp, v in enumerate(row) if v])

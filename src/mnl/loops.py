@@ -320,7 +320,7 @@ def chart_commutator(chart: ParamLoopChart, g, h, bracketing="left"):
 def tangent_structure_constants(chart: ParamLoopChart, step: float,
                                 bracketing="left", antisymmetrize=True) -> np.ndarray:
     """c^i_jk from the central mixed second difference of the commutator map
-    at the origin; returned as a float array of shape (r, r, r)."""
+    at the origin, as a float array of shape (r, r, r); InputError if one is not finite."""
     if not 0.0 < step < 0.1:
         raise InputError("step must lie in (0, 0.1)")
     r = chart.dim
@@ -335,7 +335,10 @@ def tangent_structure_constants(chart: ParamLoopChart, step: float,
                    - chart_commutator(chart, -ej, ek, bracketing)
                    - chart_commutator(chart, ej, -ek, bracketing)
                    + chart_commutator(chart, -ej, -ek, bracketing))
-            c[:, j, k] = val / (4.0 * step * step)
+            with np.errstate(all="ignore"):    # a non-finite quotient raises below
+                c[:, j, k] = val / (4.0 * step * step)
+    if not np.isfinite(c).all():
+        raise InputError(f"step {step} gives a non-finite difference quotient")
     if antisymmetrize:
         c = 0.5 * (c - np.swapaxes(c, 1, 2))
     return c

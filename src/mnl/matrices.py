@@ -68,7 +68,3 @@ def mat_lincomb(terms):
     for q, m in it:
         acc = mat_add(acc, mat_scale(q, m))
     return acc
-
-
-def apply_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]

@@ -8,7 +8,7 @@ from mnl.birep import (GeneratorSet, LoopBirep, check_associative_birep,
                        check_birep, check_glc, extract_yamagutians,
                        octonion_lr_generators, quaternion_lr_generators,
                        regular_birep)
-from mnl.matrices import apply_vec, commutator, eye, mat_eq, mat_is_zero, mat_lincomb
+from mnl.matrices import commutator, eye, mat_eq, mat_is_zero, mat_lincomb
 from mnl.report import InputError
 
 
@@ -93,6 +93,10 @@ def test_regular_birep_rejects_non_moufang():
 
 def unit_vec(n, a):
     return [Fraction(i == a) for i in range(n)]
+
+
+def apply_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def test_octonion_generators_actions(oct_gen):

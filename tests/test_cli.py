@@ -1,11 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mnl import algebra, cli, envelope
+from mnl import algebra, birep, cli, envelope
 from mnl.algebra import StructureTensor, catalog_algebra
 from mnl.birep import quaternion_lr_generators
 from mnl.loops import group_catalog
@@ -220,6 +221,51 @@ def test_out_file(capsys, tmp_path):
     assert json.loads(path.read_text())["pass"] is True
 
 
+def test_out_file_unwritable(capsys, tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    assert cli.main(["maltsev", "builtin:su2", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write report to {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+# Whole reports, pinned: (argv, exit code, sha256 of the --format json
+# report).  "swapped.json" is the octonion generator set with S_0 and S_1
+# swapped, written to the working directory so that its name in the report
+# does not depend on a temporary path.
+REPORT_DIGESTS = {
+    "loop-octonion": (["loop-check", "builtin:octonion-loop"], 0,
+        "f9ded0ef6b841e0b2d0aca372fee5a40ac0218162e6f5835bb708e9c6d411432"),
+    "loop-chein-s3": (["loop-check", "builtin:chein-s3"], 0,
+        "7b569fa2c1418c865327ab9fee8462d9ca6d3000b1a77a4b4ca3f35a48e2fec3"),
+    "maltsev-m7": (["maltsev", "builtin:m7"], 0,
+        "d79fe810cd0be2f8807e127afa2bcd4afa7e8368d99dbfc707119fe9fb7d69ba"),
+    "envelope-m7-octonion": (["envelope", "builtin:m7", "--oracle", "builtin:octonion"], 0,
+        "989042295069d1d7660b421a6be4bd03c35c56f763783f8b4c1c2e342990e04b"),
+    "etc-octonion-1": (["etc", "builtin:octonion", "--sites", "1", "--trials", "2"], 0,
+        "6cbae71b60c9b42f8dd3534503520b7345bd1d52ca1b5d7bc42602e24653610e"),
+    "etc-quaternion-2": (["etc", "builtin:quaternion", "--sites", "2", "--trials", "2"], 0,
+        "3ec600376b9f568be02f238bdc8d5b2425ef1489119aea681f6ec958866c3bed"),
+    "envelope-m7-swapped": (["envelope", "builtin:m7", "--oracle", "swapped.json"], 1,
+        "105291e8eba47dae468f8a4d3412303c2e6a890f16ad2c6522d21ba5bf0cc22d"),
+    "etc-swapped-1": (["etc", "swapped.json", "--tensor", "builtin:m7", "--trials", "2"], 1,
+        "988163b943e3daa5cf4cb45c69568c5ddaf9b6e16ffd345a5b8fb8902eb3ba90"),
+}
+
+
+@pytest.mark.parametrize("argv,code,digest", list(REPORT_DIGESTS.values()),
+                         ids=list(REPORT_DIGESTS))
+def test_report_digest(capsys, monkeypatch, tmp_path, argv, code, digest):
+    monkeypatch.delenv("MNL_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    gen = birep.octonion_lr_generators().to_json_dict()
+    gen["S"][0], gen["S"][1] = gen["S"][1], gen["S"][0]
+    (tmp_path / "swapped.json").write_text(json.dumps(gen))
+    got, out = run(capsys, *argv, "--format", "json")
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 def test_text_format(capsys):
     code, out = run(capsys, "maltsev", "builtin:su2")
     assert code == 0
@@ -238,7 +284,9 @@ def test_usage_error_exit_code(capsys):
     ["tangent", "--tol", "inf"],
     ["MNL_SEED=abc", "etc", "builtin:quaternion", "--trials", "1"],
     ["MNL_SEED=1.5", "etc", "builtin:quaternion", "--trials", "1"],
+    ["tangent", "--step", "1e-300"],
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_range_numeric_option_exits_2(capsys, monkeypatch, argv):
     # leading NAME=value items set environment variables, as in a shell
     while "=" in argv[0]:

@@ -5,8 +5,8 @@ import pytest
 
 from mnl.algebra import StructureTensor, catalog_algebra
 from mnl.birep import GeneratorSet
-from mnl.envelope import (build_envelope, check_jacobi, matrix_closure_dim,
-                          realize_check)
+from mnl.envelope import (_reduce_relations, build_envelope, check_jacobi,
+                          matrix_closure_dim, realize_check)
 from mnl.report import InputError
 
 
@@ -160,3 +160,15 @@ def test_eliminated_y_expansions_are_y_combinations(env_m7):
             assert lbl[0] == "Y" and (lbl[1], lbl[2]) in kept
         if (j, k) in kept:
             assert expr == {("Y", j, k): Fraction(1)}
+
+
+def test_reduce_relations_back_substitutes_with_sign():
+    # Y01 + Y02 = 0 and Y02 + Y12 = 0: eliminating the second pivot, Y02, from
+    # the first relation leaves Y01 = Y12, not Y01 = -Y12
+    def Y(j, k):
+        return ("Y", j, k)
+    rows = [{Y(0, 1): Fraction(1), Y(0, 2): Fraction(1)},
+            {Y(0, 2): Fraction(1), Y(1, 2): Fraction(1)}]
+    expand = {(0, 1): {Y(1, 2): 1}, (0, 2): {Y(1, 2): -1}, (1, 2): {Y(1, 2): 1}}
+    for order in (rows, rows[::-1]):
+        assert _reduce_relations(order, [(0, 1), (0, 2), (1, 2)]) == (expand, 2)

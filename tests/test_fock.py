@@ -91,9 +91,12 @@ def test_gq_guard_limits():
     assert (m @ m).re[0, 0] == 1 << 60
     with pytest.raises(OverflowError):
         m.scale(1 << 40)
+    one = GQSparse.identity(2)
+    # a sum works over the lcm of its denominators, 2^40 here, not their product
+    assert (one.scale(Fraction(1, 1 << 40)) + one.scale(Fraction(1, 1 << 40))
+            == one.scale(Fraction(1, 1 << 39)))
     with pytest.raises(OverflowError):
-        # the coprime denominators 2^40 and 2^40 - 1 multiply past the bound
-        one = GQSparse.identity(2)
+        # the coprime denominators 2^40 and 2^40 - 1 have an lcm past the bound
         one.scale(Fraction(1, 1 << 40)) + one.scale(Fraction(1, (1 << 40) - 1))
 
 
@@ -164,6 +167,10 @@ def test_gq_matches_fraction_reference(pa, pb, q):
         (lambda: a.commutator(b),
          lambda: ref_add(ref_matmul(ra, rb), ref_scale(ref_matmul(rb, ra), (-1, 0)))),
         (lambda: a.scale(q), lambda: ref_scale(ra, (q, Fraction(0)))),
+        (lambda: a.plus([(q, b), (Fraction(-3, 7), a), (Fraction(5, 2), b.times_i())]),
+         lambda: ref_add(ref_add(ref_add(ra, ref_scale(rb, (q, Fraction(0)))),
+                                 ref_scale(ra, (Fraction(-3, 7), Fraction(0)))),
+                         ref_scale(rb, (Fraction(0), Fraction(5, 2))))),
         (lambda: a.times_i(), lambda: ref_scale(ra, (Fraction(0), Fraction(1)))),
         (lambda: a.dagger(),
          lambda: [[(ra[j][i][0], -ra[j][i][1]) for j in range(3)] for i in range(3)]),
@@ -229,6 +236,8 @@ def test_site_op_matches_full_space(pair, q):
     assert (a + b).full() == fa + fb
     assert (a - b).full() == fa - fb
     assert a.scale(q).full() == fa.scale(q)
+    assert (a.plus([(q, b), (Fraction(-1, 2), a)]).full()
+            == fa.plus([(q, fb), (Fraction(-1, 2), fa)]))
     assert a.times_i().full() == fa.times_i()
     assert a.commutator(b).full() == fa.commutator(fb)
     assert (a == b) == (fa == fb)
