@@ -2,8 +2,8 @@
 algebras, generalized Lie-Cartan envelopes, and lattice Noether charge
 algebras."""
 
-from .algebra import (StructureTensor, YamagutiTensor, bracket, catalog_algebra,
-                      is_lie, is_maltsev, jacobiator, yamaguti_constants)
+from .algebra import (StructureTensor, YamagutiTensor, catalog_algebra, is_lie, is_maltsev,
+                      yamaguti_constants)
 from .birep import (GeneratorSet, LoopBirep, check_associative_birep,
                     check_birep, check_glc, octonion_lr_generators,
                     quaternion_lr_generators, regular_birep)

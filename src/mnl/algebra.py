@@ -1,9 +1,9 @@
-"""Exact anticommutative algebras: structure tensors, brackets, Lie and
-Mal'tsev identity checks, and the Cayley-Dickson unit tables they come from.
+"""Exact anticommutative algebras: structure tensors, Lie and Mal'tsev
+identity checks, and the Cayley-Dickson unit tables they come from.
 
-All arithmetic is over `fractions.Fraction`; there is no floating point here.
-Tensors are stored sparsely, 0-based internally, with antisymmetry in the last
-two indices enforced at construction.
+All arithmetic is exact, with no floating point: tensors are stored sparsely
+over `fractions.Fraction`, 0-based, antisymmetric in the last two indices, and
+the identities are integer contractions over their denominator (`matrices`).
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
+from .matrices import CHUNK, contract, lincomb, mat_mul, scaled
 from .report import CheckReport, InputError, fail, is_int, ok
 
 Key = Tuple[int, int, int]
@@ -85,73 +88,61 @@ class StructureTensor:
         return StructureTensor(dim, entries)
 
 
-def _check_vec(c: StructureTensor, x):
-    if len(x) != c.dim:
-        raise InputError(f"vector length {len(x)} does not match dim {c.dim}")
-
-
-def bracket(c: StructureTensor, x, y):
-    """[x, y]^i = c^i_jk x^j y^k."""
-    _check_vec(c, x)
-    _check_vec(c, y)
-    out = [Fraction(0)] * c.dim
-    for (i, j, k), v in c.entries.items():
-        if x[j] and y[k]:
-            out[i] += v * x[j] * y[k]
-    return out
-
-
-def jacobiator(c: StructureTensor, x, y, z):
-    """J(x,y,z) = [x,[y,z]] + [y,[z,x]] + [z,[x,y]]."""
-    a = bracket(c, x, bracket(c, y, z))
-    b = bracket(c, y, bracket(c, z, x))
-    d = bracket(c, z, bracket(c, x, y))
-    return [a[i] + b[i] + d[i] for i in range(c.dim)]
-
-
-def basis_vector(dim, a):
-    v = [Fraction(0)] * dim
-    v[a] = Fraction(1)
-    return v
-
-
 def is_lie(c: StructureTensor) -> CheckReport:
-    """Jacobi identity on all basis triples (sufficient by trilinearity)."""
-    r = c.dim
-    for a in range(r):
-        for b in range(r):
-            for d in range(r):
-                J = jacobiator(c, basis_vector(r, a), basis_vector(r, b), basis_vector(r, d))
-                if any(J):
-                    return fail("jacobi", witness=(a, b, d))
+    """Jacobi identity on all basis triples (sufficient by trilinearity); the
+    Jacobiator is alternating, so the first failing triple is increasing."""
+    return jacobi_check(scaled((c.dim,) * 3, c.entries.items())[0], range(c.dim))
+
+
+def jacobi_check(F, labels):
+    """The Jacobi identity for the integer structure constants F[i, a, b],
+    the e_i coefficient of [e_a, e_b]; the witness is the labels of the first
+    failing a < b < c in lexicographic order.  For every c at once and about
+    CHUNK cases (a, b, c) a chunk."""
+    n = F.shape[0]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    rows = max(1, CHUNK // n)
+    for start in range(0, len(pairs), rows):
+        a, b = np.array(pairs[start:start + rows]).T
+        c0 = b.min() + 1
+        # [a, [b, c]] + [b, [c, a]] + [c, [a, b]], as J[pair, c - c0, i]
+        J = lincomb([(1, contract("ikm,mkc->kci", F[:, a], F[:, b, c0:])),
+                     (1, contract("ikm,mck->kci", F[:, b], F[:, c0:, a])),
+                     (1, contract("icm,mk->kci", F[:, c0:], F[:, a, b]))])
+        bad = np.argwhere(J.any(axis=2) & (np.arange(c0, n)[None, :] > b[:, None]))
+        if bad.size:
+            k, c = bad[0]
+            return fail("jacobi", witness=(labels[a[k]], labels[b[k]], labels[c0 + c]))
     return ok("jacobi")
-
-
-def _maltsev_probe_set(r):
-    xs = [basis_vector(r, a) for a in range(r)]
-    for a in range(r):
-        for b in range(a + 1, r):
-            v = basis_vector(r, a)
-            v[b] = Fraction(1)
-            xs.append(v)
-    return xs
 
 
 def is_maltsev(c: StructureTensor) -> CheckReport:
     """[J(x,y,z), x] = J(x,y,[x,z]) on the finite probe set {e_a, e_a+e_b}
     for x and all basis y, z; sufficient in characteristic 0 since the
-    identity is quadratic in x and linear in y, z."""
+    identity is quadratic in x and linear in y, z.  Both sides are taken at
+    D^3 over D c, for about CHUNK pairs (x, y) with every z."""
     r = c.dim
-    for xi, x in enumerate(_maltsev_probe_set(r)):
-        for b in range(r):
-            y = basis_vector(r, b)
-            for d in range(r):
-                z = basis_vector(r, d)
-                lhs = bracket(c, jacobiator(c, x, y, z), x)
-                rhs = jacobiator(c, x, y, bracket(c, x, z))
-                if lhs != rhs:
-                    return fail("maltsev", witness=(xi, b, d),
-                                detail="witness is (probe index, y basis, z basis)")
+    C, _ = scaled((r,) * 3, c.entries.items())
+
+    def jac(A, V):
+        """J(x, e_b, v) = [x, [e_b, v]] - [e_b, [x, v]] + [v, [x, e_b]] for
+        [x, u] = A[p] u and the columns v = V[p, :, d], as J[p, i, b, d]."""
+        return lincomb([(1, contract("pik,pkbd->pibd", A, contract("ibk,pkd->pibd", C, V))),
+                        (-1, contract("ibk,pkd->pibd", C, mat_mul(A, V))),
+                        (1, contract("ijk,pjd,pkb->pibd", C, V, A))])
+
+    eye = np.eye(r, dtype=np.int64)
+    probes = np.array([*eye] + [eye[a] + eye[b] for a in range(r) for b in range(a + 1, r)])
+    rows = max(1, CHUNK // r)
+    for start in range(0, len(probes), rows):
+        A = contract("pj,ijk->pik", probes[start:start + rows], C)
+        # [J(x, y, z), x] = -A J(x, y, z) and J(x, y, [x, z]) = J(x, y, A z)
+        J = jac(A, np.broadcast_to(eye, A.shape))
+        bad = np.argwhere((contract("pik,pkbd->pibd", A, J) != -jac(A, A)).any(axis=1))
+        if bad.size:
+            p, b, d = (int(v) for v in bad[0])
+            return fail("maltsev", witness=(start + p, b, d),
+                        detail="witness is (probe index, y basis, z basis)")
     return ok("maltsev")
 
 
@@ -183,21 +174,14 @@ def yamaguti_constants(c: StructureTensor) -> YamagutiTensor:
 
 
 def _contract_yamaguti(c: StructureTensor) -> YamagutiTensor:
-    r = c.dim
-    sixth = Fraction(1, 6)
-    out = {}
-    for p in range(r):
-        for j in range(r):
-            for k in range(r):
-                for l in range(r):
-                    total = Fraction(0)
-                    for s in range(r):
-                        total += (c.c(p, j, s) * c.c(s, k, l)
-                                  - c.c(p, k, s) * c.c(s, j, l)
-                                  + c.c(p, s, l) * c.c(s, j, k))
-                    if total:
-                        out[(p, j, k, l)] = sixth * total
-    return YamagutiTensor(r, out)
+    """The defining contraction over D c, at 6 D^2 d."""
+    C, den = scaled((c.dim,) * 3, c.entries.items())
+    T = contract("pjs,skl->pjkl", C, C)                     # c^p_js c^s_kl
+    total = lincomb([(1, T), (-1, T.transpose(0, 2, 1, 3)),
+                     (1, contract("psl,sjk->pjkl", C, C))])
+    six = 6 * den * den
+    return YamagutiTensor(c.dim, {tuple(int(i) for i in key): Fraction(int(total[tuple(key)]), six)
+                                  for key in np.argwhere(total)})
 
 
 # one sign per doubling of the reals

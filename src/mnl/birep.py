@@ -1,7 +1,8 @@
 """Birepresentations of finite Moufang loops and generator sets satisfying
 the generalized Lie-Cartan commutation relations.
 
-Matrices are dense lists of Fractions; every check is exact.
+Matrices are dense lists of Fractions; every check is exact, an integer
+contraction over their common denominator (`matrices`).
 """
 
 from __future__ import annotations
@@ -11,11 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from .algebra import (OCTONIONS, QUATERNIONS, StructureTensor, cayley_dickson,
                       yamaguti_constants)
 from .loops import CayleyTable, is_moufang
-from .matrices import commutator, eye, mat_eq, mat_lincomb, mat_mul, mat_is_zero, zeros
-from .report import CheckReport, InputError, fail, first_failure, is_int, ok
+from .matrices import commutator, contract, first_failure_chunked, lincomb, mat_mul, scaled, stacked
+from .report import CheckReport, InputError, fail, is_int
 
 
 @dataclass(frozen=True)
@@ -73,42 +76,53 @@ class GeneratorSet:
                             [dec(m) for m in data["S"]], [dec(m) for m in data["T"]])
 
 
+def _loop_arrays(b: LoopBirep):
+    """(D S, D T, D, mul): S and T stacked over their denominator D, mul[g, h] = gh."""
+    n, size = b.loop.order, len(b.S[0])
+    if any(len(m) != size or any(len(row) != size for row in m)
+           for g in range(n) for m in (b.S[g], b.T[g])):
+        raise InputError("birep matrices must be square of equal size")
+    st, den = stacked([b.S[g] for g in range(n)] + [b.T[g] for g in range(n)], size)
+    return st[:n], st[n:], den, np.array(b.loop.table)
+
+
+def _loop_check(prop, n, identities):
+    """Walk the cases (name, g, h), g and h below n and then the names;
+    identities[name](g, h) gives the two sides at index arrays g, h."""
+    def fails(cases):
+        out = np.zeros(len(cases), dtype=bool)
+        for name, sides in identities.items():
+            rows = [i for i, case in enumerate(cases) if case[0] == name]
+            if rows:
+                lhs, rhs = sides(*np.array([cases[i][1:] for i in rows]).T)
+                out[rows] = (lhs != rhs).any(axis=(1, 2))
+        return out
+    return first_failure_chunked(prop, (((name, g, h), name, g, h) for g in range(n)
+                                        for h in range(n) for name in identities), fails)
+
+
 def check_birep(b: LoopBirep) -> CheckReport:
-    """S_e = T_e = 1, T_g S_g S_h = S_{gh} T_g, S_g T_g T_h = T_{hg} S_g."""
-    n = b.loop.order
-    size = len(b.S[0])
-    for g in range(n):
-        for m in (b.S[g], b.T[g]):
-            if len(m) != size or any(len(row) != size for row in m):
-                raise InputError("birep matrices must be square of equal size")
-    ident = eye(size)
-    if not mat_eq(b.S[0], ident):
-        return fail("birep", witness=("S_e", 0))
-    if not mat_eq(b.T[0], ident):
-        return fail("birep", witness=("T_e", 0))
-    for g in range(n):
-        TgSg = mat_mul(b.T[g], b.S[g])
-        SgTg = mat_mul(b.S[g], b.T[g])
-        for h in range(n):
-            if not mat_eq(mat_mul(TgSg, b.S[h]), mat_mul(b.S[b.loop.mul(g, h)], b.T[g])):
-                return fail("birep", witness=("TSS", g, h))
-            if not mat_eq(mat_mul(SgTg, b.T[h]), mat_mul(b.T[b.loop.mul(h, g)], b.S[g])):
-                return fail("birep", witness=("STT", g, h))
-    return ok("birep")
+    """S_e = T_e = 1, T_g S_g S_h = S_{gh} T_g, S_g T_g T_h = T_{hg} S_g, the
+    products compared at D^3."""
+    S, T, D, mul = _loop_arrays(b)
+    one = lincomb([(D, np.eye(S.shape[1], dtype=np.int64))])
+    for name, unit in (("S_e", S[0]), ("T_e", T[0])):
+        if (unit != one).any():
+            return fail("birep", witness=(name, 0))
+    return _loop_check("birep", b.loop.order, {
+        "TSS": lambda g, h: (mat_mul(mat_mul(T[g], S[g]), S[h]),
+                             lincomb([(D, mat_mul(S[mul[g, h]], T[g]))])),
+        "STT": lambda g, h: (mat_mul(mat_mul(S[g], T[g]), T[h]),
+                             lincomb([(D, mat_mul(T[mul[h, g]], S[g]))]))})
 
 
 def check_associative_birep(b: LoopBirep) -> CheckReport:
     """S_g S_h = S_{gh}, T_g T_h = T_{hg}, S_g T_h = T_h S_g."""
-    n = b.loop.order
-    for g in range(n):
-        for h in range(n):
-            if not mat_eq(mat_mul(b.S[g], b.S[h]), b.S[b.loop.mul(g, h)]):
-                return fail("associative-birep", witness=("SS", g, h))
-            if not mat_eq(mat_mul(b.T[g], b.T[h]), b.T[b.loop.mul(h, g)]):
-                return fail("associative-birep", witness=("TT", g, h))
-            if not mat_eq(mat_mul(b.S[g], b.T[h]), mat_mul(b.T[h], b.S[g])):
-                return fail("associative-birep", witness=("ST", g, h))
-    return ok("associative-birep")
+    S, T, D, mul = _loop_arrays(b)
+    return _loop_check("associative-birep", b.loop.order, {
+        "SS": lambda g, h: (mat_mul(S[g], S[h]), lincomb([(D, S[mul[g, h]])])),
+        "TT": lambda g, h: (mat_mul(T[g], T[h]), lincomb([(D, T[mul[h, g]])])),
+        "ST": lambda g, h: (mat_mul(S[g], T[h]), mat_mul(T[h], S[g]))})
 
 
 def regular_birep(t: CayleyTable) -> LoopBirep:
@@ -116,16 +130,11 @@ def regular_birep(t: CayleyTable) -> LoopBirep:
     if not is_moufang(t).passed:
         raise InputError("regular_birep needs a Moufang loop")
     n = t.order
-    S, T = {}, {}
-    for g in range(n):
-        sg = zeros(n)
-        tg = zeros(n)
-        for x in range(n):
-            sg[t.mul(g, x)][x] = Fraction(1)
-            tg[t.mul(x, g)][x] = Fraction(1)
-        S[g] = sg
-        T[g] = tg
-    return LoopBirep(t, S, T)
+
+    def permutation(image):    # column x holds e_{image(x)}
+        return [[Fraction(int(image(x) == y)) for x in range(n)] for y in range(n)]
+    return LoopBirep(t, {g: permutation(lambda x: t.mul(g, x)) for g in range(n)},
+                     {g: permutation(lambda x: t.mul(x, g)) for g in range(n)})
 
 
 def lr_generators(table) -> GeneratorSet:
@@ -135,7 +144,7 @@ def lr_generators(table) -> GeneratorSet:
     k = len(table)
 
     def mult(j, left):
-        M = zeros(k)
+        M = [[Fraction(0)] * k for _ in range(k)]
         for B in range(k):
             idx, sign = table[j][B] if left else table[B][j]
             M[idx][B] = Fraction(sign)
@@ -222,32 +231,58 @@ def extract_yamagutian(S, T, bracket, lincomb, c: StructureTensor, j, k):
                    + [(-v / q, ops[lbl[0]][lbl[1]]) for lbl, v in row.items()])
 
 
+def _realize(rows, index, ops):
+    """(K rows @ ops, K) for rows {label: rational} over ops[index[label]], K their denominator."""
+    coeffs, K = scaled((len(rows), len(index)), (((n, index[lbl]), v) for n, row in enumerate(rows)
+                                                 for lbl, v in row.items()))
+    return contract("nt,tij->nij", coeffs, ops), K
+
+
+def _labelled_operators(gen: GeneratorSet, c: StructureTensor):
+    """(E ops, E, index): S_j, T_j and each ordered Y_jk, its own extraction, at
+    one integer scale E.  `extract_yamagutian` on indices gives Y_jk =
+    a [S_j, T_k] + sum_p b_p X_p; with D X integer and L the a and b's
+    denominator, E = D^2 L."""
+    r = gen.r
+    index = {**{("S", j): j for j in range(r)}, **{("T", j): r + j for j in range(r)},
+             **{("Y", j, k): 2 * r + j * r + k for j in range(r) for k in range(r)}}
+    st, den = stacked(list(gen.S) + list(gen.T), gen.dim)
+    pairs = [(j, k) for j in range(r) for k in range(r)]
+    columns = [(j, r + k) for j, k in pairs] + list(range(2 * r))
+    j, k = np.array(pairs).T
+    recipes = [extract_yamagutian(range(r), range(r, 2 * r), lambda a, b: (a, b), list, c, *pair)
+               for pair in pairs]
+    Y, L = _realize([{op: v for v, op in recipe} for recipe in recipes],
+                    {col: t for t, col in enumerate(columns)},
+                    np.concatenate([commutator(st[j], st[r + k]), lincomb([(den, st)])]))
+    return np.concatenate([lincomb([(den * L, st)]), Y]), den * den * L, index
+
+
 def extract_yamagutians(gen: GeneratorSet, c: StructureTensor) -> Dict[tuple, list]:
     """Y_jk for every ordered pair (j, k), each solved from its own [S_j, T_k]
     relation: Y_jk = -[S_j, T_k] + (1/3) c^p_jk (S_p - T_p)."""
     if gen.r != c.dim:
         raise InputError("generator count must match tensor dim")
-    return {(j, k): extract_yamagutian(gen.S, gen.T, commutator, mat_lincomb, c, j, k)
-            for j in range(gen.r) for k in range(gen.r)}
+    ops, scale, index = _labelled_operators(gen, c)
+    return {lbl[1:]: [[Fraction(int(v), scale) for v in row] for row in ops[i]]
+            for lbl, i in index.items() if lbl[0] == "Y"}
 
 
-def matrix_holds(gen: GeneratorSet, c: StructureTensor, rhs):
-    """The test of one case on the generator matrices, with S_j, T_j the
-    generators and every ordered Y_jk its own extraction: a pair (a, b) holds
-    when [a, b] equals rhs(a, b), a relation when it sums to zero."""
-    Y = extract_yamagutians(gen, c)
+def matrix_fails(gen: GeneratorSet, c: StructureTensor, rhs):
+    """fails(cases) for `matrices.first_failure_chunked` on the generators and
+    extracted Y_jk: True for a pair (a, b) whose commutator is not rhs(a, b)
+    and for a relation, decided as the pair (X, X), that is not zero.  A pair
+    holds when K [E a, E b] = E (K rhs)(E ops), K the chunk's denominator."""
+    ops, scale, index = _labelled_operators(gen, c)
 
-    def op(lbl):
-        return Y[lbl[1:]] if lbl[0] == "Y" else (gen.S if lbl[0] == "S" else gen.T)[lbl[1]]
-
-    def realize(vec):
-        return mat_lincomb([(v, op(lbl)) for lbl, v in vec.items()]) if vec else zeros(gen.dim)
-
-    def holds(a, b=None):
-        if b is None:
-            return mat_is_zero(realize(a))
-        return mat_eq(commutator(op(a), op(b)), realize(rhs(a, b)))
-    return holds
+    def fails(cases):
+        a, b = np.array([(index[case[0]], index[case[1]]) if len(case) == 2 else (0, 0)
+                         for case in cases]).T
+        sides, K = _realize([rhs(*case) if len(case) == 2 else case[0] for case in cases],
+                            index, ops)
+        lhs = lincomb([(K, commutator(ops[a], ops[b]))])
+        return (lhs != lincomb([(scale, sides)])).any(axis=(1, 2))
+    return fails
 
 
 @dataclass(frozen=True)
@@ -269,7 +304,7 @@ def check_glc(gen: GeneratorSet, c: StructureTensor) -> GLCReport:
     if gen.r != c.dim:
         raise InputError("generator count must match tensor dim")
     d = yamaguti_constants(c)
-    holds = matrix_holds(gen, c, lambda a, b: glc_bracket(c, d, a, b))
+    fails = matrix_fails(gen, c, lambda a, b: glc_bracket(c, d, a, b))
     r = range(gen.r)
     cases = {
         "ss": (((j, k), ("S", j), ("S", k)) for j in r for k in r),
@@ -285,7 +320,8 @@ def check_glc(gen: GeneratorSet, c: StructureTensor) -> GLCReport:
         "yy": (((j, k, l, n), ("Y", j, k), ("Y", l, n))
                for j in r for k in r for l in r for n in r if j < k and l < n),
     }
-    return GLCReport({name: first_failure(name, scan, holds) for name, scan in cases.items()})
+    return GLCReport({name: first_failure_chunked(name, scan, fails)
+                      for name, scan in cases.items()})
 
 
 def load_generators(path) -> GeneratorSet:

@@ -8,6 +8,7 @@ The brackets and the cyclic relations are read from `birep.glc_bracket` and
 
 One exact reduced row echelon routine, `_echelon_add`, serves the Y-quotient
 (rows keyed by label ("Y", j, k)) and the closure oracle (keyed by entry (i, j)).
+The other checks are integer contractions over a denominator (`matrices`).
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .algebra import StructureTensor, YamagutiTensor, is_maltsev, yamaguti_constants
-from .birep import GeneratorSet, Label, Vec, glc_bracket, matrix_holds, vec_add, y_cyclic
-from .matrices import commutator
-from .report import CheckReport, InputError, fail, first_failure, ok
+import numpy as np
+
+from .algebra import (StructureTensor, YamagutiTensor, is_maltsev, jacobi_check,
+                      yamaguti_constants)
+from .birep import GeneratorSet, Label, Vec, glc_bracket, matrix_fails, vec_add, y_cyclic
+from .matrices import commutator, first_failure_chunked, scaled, stacked
+from .report import CheckReport, InputError
 
 __all__ = [
     "YamagutiTensor", "yamaguti_constants", "EnvelopeAlgebra", "NotMaltsevError",
@@ -206,43 +210,32 @@ def _check_quotient_consistency(c, d, env: EnvelopeAlgebra):
 
 
 def check_jacobi(env: EnvelopeAlgebra) -> CheckReport:
-    """Jacobi identity on all basis triples of the reduced bracket table."""
-    basis = env.basis
-    n = len(basis)
-    for ia in range(n):
-        va = {basis[ia]: Fraction(1)}
-        for ib in range(ia + 1, n):
-            vb = {basis[ib]: Fraction(1)}
-            ab = env.bracket(basis[ia], basis[ib])
-            for ic in range(ib + 1, n):
-                vc = {basis[ic]: Fraction(1)}
-                bc = env.bracket(basis[ib], basis[ic])
-                ca = env.bracket(basis[ic], basis[ia])
-                total: Vec = {}
-                for u, w in ((va, bc), (vb, ca), (vc, ab)):
-                    for lbl, v in env.bracket_vec(u, w).items():
-                        vec_add(total, lbl, v)
-                if total:
-                    return fail("jacobi", witness=(basis[ia], basis[ib], basis[ic]))
-    return ok("jacobi")
+    """Jacobi identity on all basis triples a < b < c of the reduced bracket
+    table (`algebra.jacobi_check` on its structure constants)."""
+    index = {lbl: i for i, lbl in enumerate(env.basis)}
+    F, _ = scaled((env.dim,) * 3, (((index[lbl], index[a], index[b]), v)
+                                   for (a, b), vec in env.brackets.items()
+                                   for lbl, v in vec.items()))
+    return jacobi_check(F, env.basis)
 
 
 def matrix_closure_dim(gen: GeneratorSet) -> int:
     """Dimension of the smallest matrix space containing all S_j, T_j and
-    closed under commutators (iterated bracketing, rows {(i, j): entry})."""
+    closed under commutators (iterated bracketing, rows {(i, j): entry}, over
+    the generators' denominator, which spans the same lines)."""
     pivots: Dict[Tuple[int, int], Vec] = {}
 
     def grows(m):
-        return _echelon_add(pivots, {(i, j): v for i, row in enumerate(m)
-                                     for j, v in enumerate(row) if v})
+        return _echelon_add(pivots, {(int(i), int(j)): Fraction(int(m[i, j]))
+                                     for i, j in zip(*np.nonzero(m))})
 
-    mats = [m for m in list(gen.S) + list(gen.T) if grows(m)]
+    st, _ = stacked(list(gen.S) + list(gen.T), gen.dim)
+    mats = [m for m in st if grows(m)]
     queue = list(mats)
     while queue:
         m = queue.pop()
-        for other in list(mats):
-            # [other, m] = -[m, other] never grows the span after [m, other]
-            bracket = commutator(m, other)
+        # [other, m] = -[m, other] never grows the span after [m, other]
+        for bracket in commutator(m, np.stack(mats)):
             if grows(bracket):
                 mats.append(bracket)
                 queue.append(bracket)
@@ -261,8 +254,8 @@ def realize_check(env: EnvelopeAlgebra, gen: GeneratorSet, c: StructureTensor) -
         vec_add(rel, ("Y", j, k), 1)
         return rel
 
-    holds = matrix_holds(gen, c, lambda a, b: env.brackets[(a, b)])
+    fails = matrix_fails(gen, c, lambda a, b: env.brackets[(a, b)])
     cases = itertools.chain(
         ((("expand", j, k), eliminated(j, k, expr)) for (j, k), expr in env.expand.items()),
         (((a, b), a, b) for a in env.basis for b in env.basis))
-    return first_failure("realize", cases, holds)
+    return first_failure_chunked("realize", cases, fails)

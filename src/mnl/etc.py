@@ -46,7 +46,6 @@ from typing import Dict, List, Tuple
 from .algebra import StructureTensor, yamaguti_constants
 from .birep import GeneratorSet, extract_yamagutian, glc_bracket, y_cyclic
 from .fock import FieldSet, SiteOp
-from .matrices import transpose
 from .report import CheckReport, InputError, fail, first_failure, ok
 
 CONVENTION = ("s0_j(x) = -i a†(x) S_j^T a(x); t0_j(x) = -i a†(x) T_j^T a(x); "
@@ -83,7 +82,7 @@ def _site_density(f: FieldSet, x: int, mat) -> SiteOp:
     factor on one site.  `site_space` has checked that the ladder operators
     of site x embed the one-site ones, which makes the factor's embedding the
     Jordan-Wigner density of the full space."""
-    factor = f.fock.site_space().products.bilinear(transpose(mat)).times_i().scale(-1)
+    factor = f.fock.site_space().products.bilinear(list(zip(*mat))).times_i().scale(-1)
     return SiteOp(f.sites, factor.dim, {x: factor})
 
 

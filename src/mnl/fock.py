@@ -31,17 +31,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from .matrices import fits_int64
 from .report import CheckReport, InputError, fail, ok
 
 _MAX_ENTRY = 1 << 60
-_BOUND = 1 << 62    # no intermediate int64 value may reach this
-
-
-def _guard(*bounds):
-    """Refuse an operation whose exact result could leave the int64 range."""
-    if max(bounds) >= _BOUND:
-        raise OverflowError("exact sparse result could exceed the int64 range")
-
 
 def _csr(m):
     out = sp.csr_matrix(m, dtype=np.int64)
@@ -59,7 +52,8 @@ def _sum(dim, terms):
     terms = [(Fraction(q), A) for q, A in terms if q and A.nnz]
     den = math.lcm(1, *(q.denominator * A.den for q, A in terms))
     mults = [q.numerator * (den // (q.denominator * A.den)) for q, A in terms]
-    _guard(den, sum(abs(m) * A.mag for m, (_, A) in zip(mults, terms)))
+    if not fits_int64(den, sum(abs(m) * A.mag for m, (_, A) in zip(mults, terms))):
+        raise OverflowError("exact sparse result could exceed the int64 range")
     re, im = (_assemble(dim, [(m, getattr(A, part)) for m, (_, A) in zip(mults, terms)])
               for part in ("re", "im"))
     return GQSparse(dim, re, im, den)
@@ -153,9 +147,10 @@ class GQSparse:
         # self) terms; the total nnz bounds that count and is free to read
         mags = self.mag * other.mag
         count = self.nnz
-        if mags * count >= _BOUND:
+        if not fits_int64(mags * count):
             count = int((np.diff(self.re.indptr) + np.diff(self.im.indptr)).max())
-        _guard(mags * count, self.den * other.den)
+        if not fits_int64(mags * count, self.den * other.den):
+            raise OverflowError("exact sparse result could exceed the int64 range")
         return GQSparse(self.dim,
                         self.re @ other.re - self.im @ other.im,
                         self.re @ other.im + self.im @ other.re,
@@ -336,6 +331,7 @@ class FockOps:
     adag: List[List[GQSparse]]
     products: "QuadraticCache" = field(init=False, repr=False)
     _site: Optional["FockOps"] = field(default=None, init=False, repr=False)
+    _factors: Dict[Tuple[int, int], tuple] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.products = QuadraticCache(self)
@@ -346,6 +342,15 @@ class FockOps:
 
     def mode(self, x, A):
         return x * self.modes_per_site + A
+
+    def factor(self, op, x):
+        """`site_factor` of op at site x, kept for this space's own ladder
+        operators; the memo holds each, so that its id stays its own."""
+        if not any(op is own for own in self.a[x] + self.adag[x]):
+            return site_factor(op, self.modes_per_site, self.sites, x)
+        if (id(op), x) not in self._factors:
+            self._factors[id(op), x] = (op, site_factor(op, self.modes_per_site, self.sites, x))
+        return self._factors[id(op), x][1]
 
     def site_space(self) -> "FockOps":
         """The Fock space of one site: same-site bilinears here are the
@@ -363,7 +368,7 @@ class FockOps:
             for name, ops, local in (("a", self.a, site.a), ("adag", self.adag, site.adag)):
                 for x in range(N):
                     for A in range(n):
-                        factor = site_factor(ops[x][A], n, N, x)
+                        factor = self.factor(ops[x][A], x)
                         if factor is None or factor != local[0][A]:
                             raise RuntimeError(
                                 f"{name}[{x}][{A}] is not the Jordan-Wigner embedding "
@@ -444,25 +449,28 @@ _CAR = (("a-adag", "a", "adag", lambda one: one),
         ("adag-adag", "adag", "adag", None))
 
 
-def _full_space_view(families, n, N):
+def _full_space_view(families, n, N, fock=None):
     """The operators as they are: every relation is decided on the full space."""
     return families, None
 
 
-def _site_view(families, n, N):
-    """The site factors (`site_factor`) of the operators and the one-site
-    parity Pi, or None when some operator is not a ladder embedding."""
+def _site_view(families, n, N, fock=None):
+    """The site factors (`site_factor`, or `fock.factor`) of the operators and
+    the one-site parity Pi, or None when some operator is not a ladder
+    embedding.  Equal factors of one mode share the object of site 0."""
+    extract = fock.factor if fock is not None else (lambda op, x: site_factor(op, n, N, x))
     factors = {}
     for name, ops in families.items():
-        factors[name] = [[site_factor(op, n, N, x) for op in row]
-                         for x, row in enumerate(ops)]
-        if any(f is None for row in factors[name] for f in row):
+        rows = [[extract(op, x) for op in row] for x, row in enumerate(ops)]
+        if any(f is None for row in rows for f in row):
             return None
+        factors[name] = [rows[0]] + [[rows[0][A] if f == rows[0][A] else f
+                                      for A, f in enumerate(row)] for row in rows[1:]]
     return factors, GQSparse.from_int(_parity(n))
 
 
-def _ladder_view(families, n, N):
-    return _site_view(families, n, N) or _full_space_view(families, n, N)
+def _ladder_view(families, n, N, fock=None):
+    return _site_view(families, n, N, fock) or _full_space_view(families, n, N)
 
 
 def _anticommutation_scan(prop, relations, n, N, view, witness):
@@ -471,11 +479,12 @@ def _anticommutation_scan(prop, relations, n, N, view, witness):
     `view` is (operators, None) from `_full_space_view`, or (factors, Pi)
     from `_site_view`, whose relations are decided as the module docstring
     derives under "Ladder embeddings".  {X, Y} = {Y, X}, so a relation within
-    one family skips the pairs whose mirror came first."""
+    one family skips the pairs whose mirror came first.  Each pair of objects
+    (held in `ops`, so their ids stay theirs) is decided once."""
     ops, parity = view
     one = GQSparse.identity(ops[relations[0][1]][0][0].dim)
     expect = {name: c(one) for name, _, _, c in relations if c is not None}
-    odd = {}
+    odd, decided = {}, {}
 
     def parity_odd(X, x, A):
         if (X, x, A) not in odd:
@@ -484,9 +493,13 @@ def _anticommutation_scan(prop, relations, n, N, view, witness):
 
     def holds(name, X, x, A, Y, y, B):
         if parity is None or x == y:
-            ac = ops[X][x][A].anticommutator(ops[Y][y][B])
+            P, Q = ops[X][x][A], ops[Y][y][B]
             c = expect.get(name) if (x, A) == (y, B) else None
-            return ac.is_zero() if c is None else ac == c
+            key = (id(P), id(Q), None if c is None else name)
+            if key not in decided:
+                ac = P.anticommutator(Q)
+                decided[key] = ac.is_zero() if c is None else ac == c
+            return decided[key]
         if x < y:
             return ops[Y][y][B].is_zero() or parity_odd(X, x, A)
         return ops[X][x][A].is_zero() or parity_odd(Y, y, B)
@@ -506,7 +519,7 @@ def _anticommutation_scan(prop, relations, n, N, view, witness):
 def _car_scan(f: FockOps, view) -> CheckReport:
     n, N = f.modes_per_site, f.sites
     families = {"a": f.a, "adag": f.adag}
-    return _anticommutation_scan("car", _CAR, n, N, view(families, n, N),
+    return _anticommutation_scan("car", _CAR, n, N, view(families, n, N, f),
                                  lambda name, x, A, y, B: (name, x * n + A, y * n + B))
 
 
@@ -544,7 +557,7 @@ def _canonical_scan(f: FieldSet, view) -> CheckReport:
     n, N = f.modes_per_site, f.sites
     families = {"p0": f.p0, "u": f.u}
     return _anticommutation_scan("canonical-etc", _CANONICAL, n, N,
-                                 view(families, n, N), lambda *w: w)
+                                 view(families, n, N, f.fock), lambda *w: w)
 
 
 def canonical_etc_check(f: FieldSet) -> CheckReport:

@@ -1,70 +1,95 @@
-"""Small dense exact-matrix helpers over Fraction (dimensions stay <= 16)."""
+"""Exact dense integer kernels.  A rational tensor or matrix stack is held as
+an integer array over its common denominator (`scaled`).  Every contraction
+and linear combination bounds its result before it computes (`fits_int64`,
+the bound the sparse Fock operators apply too, raising instead): below 2^62
+it runs in int64, otherwise over Python ints (object dtype), so no value can
+wrap and nothing is floating point.  Identities are decided CHUNK cases at a
+time, in their walk order, so a failing input stops early and the
+temporaries stay small."""
 
+from __future__ import annotations
+
+import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 
-def zeros(n, m=None):
-    m = n if m is None else m
-    return [[Fraction(0)] * m for _ in range(n)]
+from .report import fail, ok
 
-
-def eye(n):
-    out = zeros(n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
+BOUND = 1 << 62    # no intermediate int64 value may reach this
+CHUNK = 64         # cases decided per contraction
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def fits_int64(*bounds):
+    """True when each bound on an exact integer result (so on its partial
+    sums) is below 2^62."""
+    return max(bounds) < BOUND
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def magnitude(a):
+    return int(np.abs(a).max()) if a.size else 0
 
 
-def mat_scale(q, a):
-    q = Fraction(q)
-    return [[q * x for x in row] for row in a]
+def scaled(shape, entries):
+    """(D A, D) for the rational array A of `shape`, zero but at the
+    (index, value) pairs of `entries`, over their least common denominator D."""
+    entries = [(idx, Fraction(v)) for idx, v in entries]
+    den = math.lcm(1, *(v.denominator for _, v in entries))
+    ints = [(idx, v.numerator * (den // v.denominator)) for idx, v in entries]
+    out = np.zeros(shape, dtype=np.int64 if fits_int64(0, *(abs(v) for _, v in ints)) else object)
+    for idx, v in ints:
+        out[idx] = v
+    return out, den
+
+
+def stacked(mats, dim):
+    """`scaled` of a list of dim x dim rational matrices, as one array."""
+    return scaled((len(mats), dim, dim), (((t, i, j), v) for t, m in enumerate(mats)
+                                          for i, row in enumerate(m)
+                                          for j, v in enumerate(row) if v))
+
+
+def contract(spec, *operands):
+    """np.einsum(spec, *operands), spec with '->', for integer arrays: an entry
+    sums K products, K the summed index sizes' product, so K prod max(max|op|, 1)
+    bounds it and every pairwise step of a longer contraction."""
+    inputs, output = spec.split("->")
+    sizes = {}
+    for sub, op in zip(inputs.split(","), operands):
+        letters = sub.replace("...", "")
+        sizes.update(zip(letters, op.shape[op.ndim - len(letters):]))
+    bound = math.prod(n for letter, n in sizes.items() if letter not in output)
+    bound *= math.prod(max(magnitude(op), 1) for op in operands)
+    dtype = np.int64 if fits_int64(bound) else object
+    return np.einsum(spec, *(op.astype(dtype, copy=False) for op in operands),
+                     optimize=len(operands) > 2)
+
+
+def lincomb(terms):
+    """sum q*A over the (q, A) pairs, q integers and A broadcastable integer
+    arrays; sum |q| max(max|A|, 1) bounds it."""
+    terms = list(terms)
+    bound = sum(abs(q) * max(magnitude(a), 1) for q, a in terms)
+    dtype = np.int64 if fits_int64(bound) else object
+    return sum(q * a.astype(dtype, copy=False) for q, a in terms)
 
 
 def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = zeros(n, p)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(m):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(p):
-                    if bk[j]:
-                        oi[j] += aik * bk[j]
-    return out
+    """The product of (stacks of) integer matrices."""
+    return contract("...ik,...kj->...ij", a, b)
 
 
 def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    return lincomb([(1, mat_mul(a, b)), (-1, mat_mul(b, a))])
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_is_zero(a):
-    return all(not x for row in a for x in row)
-
-
-def mat_lincomb(terms):
-    """Sum of q * M over (q, M) pairs; terms must be nonempty."""
-    it = iter(terms)
-    q0, m0 = next(it)
-    acc = mat_scale(q0, m0)
-    for q, m in it:
-        acc = mat_add(acc, mat_scale(q, m))
-    return acc
+def first_failure_chunked(prop, cases, fails):
+    """`report.first_failure` deciding CHUNK cases at a time: fails(cases),
+    for a list of cases without their witnesses, is True where one fails."""
+    cases = iter(cases)
+    while chunk := list(itertools.islice(cases, CHUNK)):
+        bad = np.flatnonzero(fails([case for _, *case in chunk]))
+        if bad.size:
+            return fail(prop, witness=chunk[bad[0]][0])
+    return ok(prop)

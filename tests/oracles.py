@@ -1,0 +1,240 @@
+"""Reference implementations over `fractions.Fraction`: the per-entry loops
+that the integer kernels of `mnl` replace, each walking its cases in the
+order the kernel must keep.  They read the same right sides
+(`birep.glc_bracket`, `birep.y_cyclic`, the envelope's bracket table), and
+the property tests compare their reports, witnesses included, with the
+kernels'.  Matrices are dense lists of Fractions."""
+
+import itertools
+from fractions import Fraction
+
+from mnl.algebra import StructureTensor, YamagutiTensor
+from mnl.birep import (GeneratorSet, GLCReport, extract_yamagutian, glc_bracket, vec_add,
+                       y_cyclic)
+from mnl.envelope import EnvelopeAlgebra
+from mnl.report import CheckReport, InputError, fail, first_failure, ok
+
+
+# --- dense Fraction matrices -----------------------------------------------
+
+def zeros(n, m=None):
+    m = n if m is None else m
+    return [[Fraction(0)] * m for _ in range(n)]
+
+
+def eye(n):
+    out = zeros(n)
+    for i in range(n):
+        out[i][i] = Fraction(1)
+    return out
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(q, a):
+    q = Fraction(q)
+    return [[q * x for x in row] for row in a]
+
+
+def mat_mul(a, b):
+    n, m, p = len(a), len(b), len(b[0])
+    out = zeros(n, p)
+    for i in range(n):
+        for k in range(m):
+            if a[i][k]:
+                for j in range(p):
+                    out[i][j] += a[i][k] * b[k][j]
+    return out
+
+
+def commutator(a, b):
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def mat_eq(a, b):
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def mat_is_zero(a):
+    return all(not x for row in a for x in row)
+
+
+def mat_lincomb(terms):
+    """Sum of q * M over (q, M) pairs; terms must be nonempty."""
+    it = iter(terms)
+    q0, m0 = next(it)
+    acc = mat_scale(q0, m0)
+    for q, m in it:
+        acc = mat_add(acc, mat_scale(q, m))
+    return acc
+
+
+# --- algebra ----------------------------------------------------------------
+
+def _check_vec(c: StructureTensor, x):
+    if len(x) != c.dim:
+        raise InputError(f"vector length {len(x)} does not match dim {c.dim}")
+
+
+def bracket(c: StructureTensor, x, y):
+    """[x, y]^i = c^i_jk x^j y^k."""
+    _check_vec(c, x)
+    _check_vec(c, y)
+    out = [Fraction(0)] * c.dim
+    for (i, j, k), v in c.entries.items():
+        if x[j] and y[k]:
+            out[i] += v * x[j] * y[k]
+    return out
+
+
+def jacobiator(c: StructureTensor, x, y, z):
+    """J(x,y,z) = [x,[y,z]] + [y,[z,x]] + [z,[x,y]]."""
+    a = bracket(c, x, bracket(c, y, z))
+    b = bracket(c, y, bracket(c, z, x))
+    d = bracket(c, z, bracket(c, x, y))
+    return [a[i] + b[i] + d[i] for i in range(c.dim)]
+
+
+def basis_vector(dim, a):
+    v = [Fraction(0)] * dim
+    v[a] = Fraction(1)
+    return v
+
+
+def is_lie(c: StructureTensor) -> CheckReport:
+    r = c.dim
+    for a in range(r):
+        for b in range(r):
+            for d in range(r):
+                J = jacobiator(c, basis_vector(r, a), basis_vector(r, b), basis_vector(r, d))
+                if any(J):
+                    return fail("jacobi", witness=(a, b, d))
+    return ok("jacobi")
+
+
+def _maltsev_probe_set(r):
+    xs = [basis_vector(r, a) for a in range(r)]
+    for a in range(r):
+        for b in range(a + 1, r):
+            v = basis_vector(r, a)
+            v[b] = Fraction(1)
+            xs.append(v)
+    return xs
+
+
+def is_maltsev(c: StructureTensor) -> CheckReport:
+    r = c.dim
+    for xi, x in enumerate(_maltsev_probe_set(r)):
+        for b in range(r):
+            y = basis_vector(r, b)
+            for d in range(r):
+                z = basis_vector(r, d)
+                lhs = bracket(c, jacobiator(c, x, y, z), x)
+                rhs = jacobiator(c, x, y, bracket(c, x, z))
+                if lhs != rhs:
+                    return fail("maltsev", witness=(xi, b, d),
+                                detail="witness is (probe index, y basis, z basis)")
+    return ok("maltsev")
+
+
+def contract_yamaguti(c: StructureTensor) -> YamagutiTensor:
+    r = c.dim
+    out = {}
+    for p in range(r):
+        for j in range(r):
+            for k in range(r):
+                for l in range(r):
+                    total = Fraction(0)
+                    for s in range(r):
+                        total += (c.c(p, j, s) * c.c(s, k, l)
+                                  - c.c(p, k, s) * c.c(s, j, l)
+                                  + c.c(p, s, l) * c.c(s, j, k))
+                    if total:
+                        out[(p, j, k, l)] = total / 6
+    return YamagutiTensor(r, out)
+
+
+# --- generator matrices and the envelope ------------------------------------
+
+def extract_yamagutians(gen: GeneratorSet, c: StructureTensor):
+    return {(j, k): extract_yamagutian(gen.S, gen.T, commutator, mat_lincomb, c, j, k)
+            for j in range(gen.r) for k in range(gen.r)}
+
+
+def matrix_holds(gen: GeneratorSet, c: StructureTensor, rhs):
+    """The test of one case: a pair (a, b) holds when [a, b] equals
+    rhs(a, b), a relation when it sums to zero."""
+    Y = extract_yamagutians(gen, c)
+
+    def op(lbl):
+        return Y[lbl[1:]] if lbl[0] == "Y" else (gen.S if lbl[0] == "S" else gen.T)[lbl[1]]
+
+    def realize(vec):
+        return mat_lincomb([(v, op(lbl)) for lbl, v in vec.items()]) if vec else zeros(gen.dim)
+
+    def holds(a, b=None):
+        if b is None:
+            return mat_is_zero(realize(a))
+        return mat_eq(commutator(op(a), op(b)), realize(rhs(a, b)))
+    return holds
+
+
+def check_glc(gen: GeneratorSet, c: StructureTensor) -> GLCReport:
+    d = contract_yamaguti(c)
+    holds = matrix_holds(gen, c, lambda a, b: glc_bracket(c, d, a, b))
+    r = range(gen.r)
+    cases = {
+        "ss": (((j, k), ("S", j), ("S", k)) for j in r for k in r),
+        "tt": (((j, k), ("T", j), ("T", k)) for j in r for k in r),
+        "y_antisymmetry": (((j, k), {("Y", j, k): 1, ("Y", k, j): 1})
+                           for j in r for k in r if j <= k),
+        "y_cyclic": (((j, k, l), y_cyclic(c, j, k, l))
+                     for j in r for k in r for l in r if j < k < l),
+        "reductivity_s": ((("S", j, k, n), ("Y", j, k), ("S", n))
+                          for j in r for k in r for n in r),
+        "reductivity_t": ((("T", j, k, n), ("Y", j, k), ("T", n))
+                          for j in r for k in r for n in r),
+        "yy": (((j, k, l, n), ("Y", j, k), ("Y", l, n))
+               for j in r for k in r for l in r for n in r if j < k and l < n),
+    }
+    return GLCReport({name: first_failure(name, scan, holds) for name, scan in cases.items()})
+
+
+def realize_check(env: EnvelopeAlgebra, gen: GeneratorSet, c: StructureTensor) -> CheckReport:
+    def eliminated(j, k, expr):
+        rel = {lbl: -v for lbl, v in expr.items()}
+        vec_add(rel, ("Y", j, k), 1)
+        return rel
+
+    holds = matrix_holds(gen, c, lambda a, b: env.brackets[(a, b)])
+    cases = itertools.chain(
+        ((("expand", j, k), eliminated(j, k, expr)) for (j, k), expr in env.expand.items()),
+        (((a, b), a, b) for a in env.basis for b in env.basis))
+    return first_failure("realize", cases, holds)
+
+
+def check_jacobi(env: EnvelopeAlgebra) -> CheckReport:
+    basis = env.basis
+    n = len(basis)
+    for ia in range(n):
+        va = {basis[ia]: Fraction(1)}
+        for ib in range(ia + 1, n):
+            vb = {basis[ib]: Fraction(1)}
+            ab = env.bracket(basis[ia], basis[ib])
+            for ic in range(ib + 1, n):
+                vc = {basis[ic]: Fraction(1)}
+                bc = env.bracket(basis[ib], basis[ic])
+                ca = env.bracket(basis[ic], basis[ia])
+                total = {}
+                for u, w in ((va, bc), (vb, ca), (vc, ab)):
+                    for lbl, v in env.bracket_vec(u, w).items():
+                        vec_add(total, lbl, v)
+                if total:
+                    return fail("jacobi", witness=(basis[ia], basis[ib], basis[ic]))
+    return ok("jacobi")

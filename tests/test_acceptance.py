@@ -20,7 +20,7 @@ from mnl.fock import build_fields, canonical_etc_check
 from mnl.loops import (chein_double, group_catalog, is_associative, is_moufang,
                        octonion_unit_loop, signed_unit_loop, symmetric_group_s3,
                        tangent_structure_constants, unit_octonion_chart)
-from mnl.matrices import commutator, mat_eq, mat_lincomb
+from oracles import commutator, mat_eq, mat_lincomb
 from fractions import Fraction
 
 

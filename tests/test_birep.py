@@ -8,7 +8,7 @@ from mnl.birep import (GeneratorSet, LoopBirep, check_associative_birep,
                        check_birep, check_glc, extract_yamagutians,
                        octonion_lr_generators, quaternion_lr_generators,
                        regular_birep)
-from mnl.matrices import commutator, eye, mat_eq, mat_is_zero, mat_lincomb
+from oracles import commutator, eye, mat_eq, mat_is_zero, mat_lincomb
 from mnl.report import InputError
 
 

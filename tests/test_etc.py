@@ -8,7 +8,7 @@ from mnl.birep import GeneratorSet, check_glc
 from mnl.etc import (ChargeDensitySet, bilinear_lemma_check, charge_algebra_check,
                      charge_densities, charges, etc_verify, locality_check)
 from mnl.fock import GQSparse, build_fields
-from mnl.matrices import eye
+from oracles import eye
 from mnl.report import InputError
 
 
