@@ -4,14 +4,15 @@ benchmark's own inputs, without the rest of the chain.
 
     python3 scripts/bench_layers.py TAG [--runs 5] [--seed 0]
 
-Run from the repository root; it imports `src/mnl` and `mnlbench` of the
-checkout it sits in.  The inputs are m7 with the signed octonion generators
-and the r=10 block sum (m7 plus doubled su2, octonion plus quaternion
-generators), both built by `mnlbench.workloads.ExactAlgebra` for the seed.
+It imports `src/mnl` and `mnlbench` of the checkout it sits in.  The inputs
+are m7 with the signed octonion generators and the r=10 block sum (m7 plus
+doubled su2, octonion plus quaternion generators), both built by
+`mnlbench.workloads.ExactAlgebra` for the seed.
 Every run works on fresh copies of the tensor, generator set and envelope,
 so no value kept on an input from an earlier run hides the work; the copies
-are made outside the timed call.  Writes BENCH_<TAG>.json with the median,
-lowest and highest of the runs of each function, in seconds.
+are made outside the timed call.  Writes BENCH_<TAG>.json at the checkout's
+root with the median, lowest and highest of the runs of each function, in
+seconds.
 """
 
 from __future__ import annotations

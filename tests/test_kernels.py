@@ -138,9 +138,9 @@ def test_check_glc_matches_oracle(size, data):
 
 @pytest.mark.parametrize("size", SIZES)
 @SETTINGS
-@given(lam=st.data(), bump=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 3)))
-def test_realize_check_matches_oracle(size, lam, bump):
-    gen, c = scaled_quaternion(lam.draw(SIZES[size].filter(bool)), bump)
+@given(data=st.data(), bump=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_realize_check_matches_oracle(size, data, bump):
+    gen, c = scaled_quaternion(data.draw(SIZES[size].filter(bool)), bump)
     env = build_envelope(c)
     with int64_decisions() as seen:
         report = realize_check(env, gen, c)
