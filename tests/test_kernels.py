@@ -5,8 +5,8 @@ Entries come at three sizes: small rationals with denominators, integers
 near 2^20 and integers near 2^31.  Small entries stay on the int64 path; near
 2^31 every identity's bound passes 2^62, so the kernels must take the
 object-dtype fallback over Python ints, and the tests check that they did.
-Near 2^20 the quadratic Yamaguti and Jacobi contractions of a tensor stay in
-int64 while the cubic Mal'tsev and quartic Lie-Cartan residuals fall back."""
+Near 2^20 the quadratic Yamaguti and Jacobi contractions of a tensor must stay
+in int64, while the cubic Mal'tsev and quartic Lie-Cartan residuals fall back."""
 
 import contextlib
 from fractions import Fraction
@@ -89,14 +89,17 @@ def tensors(draw, size):
 @given(data=st.data())
 def test_lie_maltsev_and_yamaguti_match_oracles(size, data):
     c = data.draw(tensors(size))
-    with int64_decisions() as seen:
+    with int64_decisions() as quadratic:
         lie = is_lie(c)
-        maltsev = is_maltsev(c)
         yamaguti = algebra._contract_yamaguti(c)
+    with int64_decisions() as cubic:
+        maltsev = is_maltsev(c)
     assert lie.to_dict() == oracles.is_lie(c).to_dict()
     assert maltsev.to_dict() == oracles.is_maltsev(c).to_dict()
     assert yamaguti.entries == oracles.contract_yamaguti(c).entries
-    check_path(size, seen)
+    check_path(size, quadratic + cubic)
+    if size == "2^20":
+        assert False not in quadratic, "a quadratic contraction near 2^20 left int64"
 
 
 def scaled_quaternion(lam, bump):
