@@ -2,13 +2,13 @@
 """Layer microbench of the dense exact layer: the time of each check on the
 benchmark's own inputs, without the rest of the chain.
 
-    python3 scripts/bench_layers.py TAG [--runs 5] [--seed 0]
+    python3 scripts/bench_layers.py TAG
 
 It imports `src/mnl` and `mnlbench` of the checkout it sits in.  The inputs
 are m7 with the signed octonion generators and the r=10 block sum (m7 plus
 doubled su2, octonion plus quaternion generators), both built by
-`mnlbench.workloads.ExactAlgebra` for the seed.
-Every run works on fresh copies of the tensor, generator set and envelope,
+`mnlbench.workloads.ExactAlgebra` for seed 0.  Each function runs five
+times, every run on fresh copies of the tensor, generator set and envelope,
 so no value kept on an input from an earlier run hides the work; the copies
 are made outside the timed call.  Writes BENCH_<TAG>.json at the checkout's
 root with the median, lowest and highest of the runs of each function, in
@@ -32,6 +32,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 from mnl import algebra, birep, envelope  # noqa: E402
 
 from mnlbench import workloads  # noqa: E402
+
+RUNS = 5
+SEED = 0
 
 
 def fresh_tensor(c):
@@ -59,11 +62,11 @@ CASES = {
 }
 
 
-def measure(c, gen, runs):
+def measure(c, gen):
     out = {}
     for name, (inputs, call) in CASES.items():
         times = []
-        for _ in range(runs):
+        for _ in range(RUNS):
             args = inputs(c, gen)
             t0 = time.perf_counter()
             call(*args)
@@ -78,19 +81,15 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("tag")
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     with tempfile.TemporaryDirectory() as workdir:
-        work = workloads.ExactAlgebra(args.seed, workdir)
+        work = workloads.ExactAlgebra(SEED, workdir)
     inputs = {"m7": (work.m7, work.oct_gen), "r10": (work.r10, work.r10_gen)}
     results = {}
     for label, (c, gen) in inputs.items():
         print(f"{label}:", file=sys.stderr)
-        results[label] = measure(c, gen, args.runs)
-    doc = {"tag": args.tag, "runs": args.runs, "seed": args.seed,
+        results[label] = measure(c, gen)
+    doc = {"tag": args.tag, "runs": RUNS, "seed": SEED,
            "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                     "python": platform.python_version()},
            "results": results}

@@ -109,7 +109,7 @@ def jacobi_check(F, labels):
         J = lincomb([(1, contract("ikm,mkc->kci", F[:, a], F[:, b, c0:])),
                      (1, contract("ikm,mck->kci", F[:, b], F[:, c0:, a])),
                      (1, contract("icm,mk->kci", F[:, c0:], F[:, a, b]))])
-        bad = np.argwhere(J.any(axis=2) & (np.arange(c0, n)[None, :] > b[:, None]))
+        bad = np.argwhere((J != 0).any(axis=2) & (np.arange(c0, n)[None, :] > b[:, None]))
         if bad.size:
             k, c = bad[0]
             return fail("jacobi", witness=(labels[a[k]], labels[b[k]], labels[c0 + c]))

@@ -449,39 +449,31 @@ _CAR = (("a-adag", "a", "adag", lambda one: one),
         ("adag-adag", "adag", "adag", None))
 
 
-def _full_space_view(families, n, N, fock=None):
-    """The operators as they are: every relation is decided on the full space."""
-    return families, None
-
-
-def _site_view(families, n, N, fock=None):
-    """The site factors (`site_factor`, or `fock.factor`) of the operators and
-    the one-site parity Pi, or None when some operator is not a ladder
-    embedding.  Equal factors of one mode share the object of site 0."""
-    extract = fock.factor if fock is not None else (lambda op, x: site_factor(op, n, N, x))
+def _site_view(families, fock):
+    """The site factors (`fock.factor`) of the operators and the one-site
+    parity Pi, or None when some operator is not a ladder embedding.  Equal
+    factors of one mode share the object of site 0."""
     factors = {}
     for name, ops in families.items():
-        rows = [[extract(op, x) for op in row] for x, row in enumerate(ops)]
+        rows = [[fock.factor(op, x) for op in row] for x, row in enumerate(ops)]
         if any(f is None for row in rows for f in row):
             return None
         factors[name] = [rows[0]] + [[rows[0][A] if f == rows[0][A] else f
                                       for A, f in enumerate(row)] for row in rows[1:]]
-    return factors, GQSparse.from_int(_parity(n))
+    return factors, GQSparse.from_int(_parity(fock.modes_per_site))
 
 
-def _ladder_view(families, n, N, fock=None):
-    return _site_view(families, n, N, fock) or _full_space_view(families, n, N)
-
-
-def _anticommutation_scan(prop, relations, n, N, view, witness):
+def _anticommutation_scan(prop, relations, families, fock, factored, witness):
     """First (name, x, A, y, B), in that loop order, whose relation fails.
 
-    `view` is (operators, None) from `_full_space_view`, or (factors, Pi)
-    from `_site_view`, whose relations are decided as the module docstring
-    derives under "Ladder embeddings".  {X, Y} = {Y, X}, so a relation within
-    one family skips the pairs whose mirror came first.  Each pair of objects
-    (held in `ops`, so their ids stay theirs) is decided once."""
-    ops, parity = view
+    When `factored` and every operator is a ladder embedding, the relations
+    are decided on the site factors (`_site_view`) as the module docstring
+    derives under "Ladder embeddings"; otherwise on the full space.
+    {X, Y} = {Y, X}, so a relation within one family skips the pairs whose
+    mirror came first.  Each pair of objects (held in `ops`, so their ids
+    stay theirs) is decided once."""
+    n, N = fock.modes_per_site, fock.sites
+    ops, parity = (_site_view(families, fock) if factored else None) or (families, None)
     one = GQSparse.identity(ops[relations[0][1]][0][0].dim)
     expect = {name: c(one) for name, _, _, c in relations if c is not None}
     odd, decided = {}, {}
@@ -516,17 +508,16 @@ def _anticommutation_scan(prop, relations, n, N, view, witness):
     return ok(prop)
 
 
-def _car_scan(f: FockOps, view) -> CheckReport:
-    n, N = f.modes_per_site, f.sites
-    families = {"a": f.a, "adag": f.adag}
-    return _anticommutation_scan("car", _CAR, n, N, view(families, n, N, f),
+def _car_scan(f: FockOps, factored) -> CheckReport:
+    n = f.modes_per_site
+    return _anticommutation_scan("car", _CAR, {"a": f.a, "adag": f.adag}, f, factored,
                                  lambda name, x, A, y, B: (name, x * n + A, y * n + B))
 
 
 def car_check(f: FockOps) -> CheckReport:
     """Exhaustive canonical anticommutation relations on all mode pairs;
     the witness names the relation and the two flat mode indices."""
-    return _car_scan(f, _ladder_view)
+    return _car_scan(f, True)
 
 
 @dataclass
@@ -553,11 +544,9 @@ def build_fields(n: int, N: int) -> FieldSet:
     return FieldSet(fock, u, p0)
 
 
-def _canonical_scan(f: FieldSet, view) -> CheckReport:
-    n, N = f.modes_per_site, f.sites
-    families = {"p0": f.p0, "u": f.u}
-    return _anticommutation_scan("canonical-etc", _CANONICAL, n, N,
-                                 view(families, n, N, f.fock), lambda *w: w)
+def _canonical_scan(f: FieldSet, factored) -> CheckReport:
+    return _anticommutation_scan("canonical-etc", _CANONICAL, {"p0": f.p0, "u": f.u},
+                                 f.fock, factored, lambda *w: w)
 
 
 def canonical_etc_check(f: FieldSet) -> CheckReport:
@@ -567,7 +556,7 @@ def canonical_etc_check(f: FieldSet) -> CheckReport:
     When every field is a ladder embedding (`site_factor`), each relation is
     decided on the 2^n-dimensional site factors; otherwise on the full space.
     Both give the same report, witness included."""
-    return _canonical_scan(f, _ladder_view)
+    return _canonical_scan(f, True)
 
 
 class QuadraticCache:

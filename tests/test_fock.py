@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mnl.etc import charge_densities
 from mnl.fock import (FieldSet, FockOps, GQSparse, QuadraticCache, SiteOp,
-                      _canonical_scan, _car_scan, _full_space_view, _site_view,
+                      _canonical_scan, _car_scan, _site_view,
                       build_fields, build_fock, canonical_etc_check, car_check,
                       site_factor)
 from mnl.report import InputError
@@ -414,11 +414,10 @@ def canonical_cases():
 
 @pytest.mark.parametrize("fields,factored,witness", canonical_cases())
 def test_canonical_etc_factored_equals_full_space(fields, factored, witness):
-    n, N = fields.modes_per_site, fields.sites
     families = {"p0": fields.p0, "u": fields.u}
-    assert (_site_view(families, n, N) is not None) == factored
+    assert (_site_view(families, fields.fock) is not None) == factored
     rep = canonical_etc_check(fields)
-    assert rep.to_dict() == _canonical_scan(fields, _full_space_view).to_dict()
+    assert rep.to_dict() == _canonical_scan(fields, False).to_dict()
     assert rep.passed == (witness is None) and rep.witness == witness
 
 
@@ -450,11 +449,10 @@ def car_cases():
 
 @pytest.mark.parametrize("ops,factored,witness", car_cases())
 def test_car_factored_equals_full_space(ops, factored, witness):
-    n, N = ops.modes_per_site, ops.sites
     families = {"a": ops.a, "adag": ops.adag}
-    assert (_site_view(families, n, N) is not None) == factored
+    assert (_site_view(families, ops) is not None) == factored
     rep = car_check(ops)
-    assert rep.to_dict() == _car_scan(ops, _full_space_view).to_dict()
+    assert rep.to_dict() == _car_scan(ops, False).to_dict()
     assert rep.passed == (witness is None) and rep.witness == witness
 
 

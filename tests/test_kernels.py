@@ -173,6 +173,22 @@ def test_check_jacobi_matches_oracle(size, data):
     check_path(size, seen)
 
 
+def test_lie_fallback_sees_an_even_jacobiator():
+    """[e0, e1] = l e1, [e0, e2] = l e2 and [e1, e2] = m e0 have the
+    Jacobiator -2 l m e0: even and, near 2^31, past int64, so `is_lie`
+    decides it over Python ints and must still count it as nonzero."""
+    lam, mu = (1 << 31) + 1, (1 << 31) + 3
+    ent = {}
+    for (i, j, k), v in (((1, 0, 1), lam), ((2, 0, 2), lam), ((0, 1, 2), mu)):
+        ent[i, j, k], ent[i, k, j] = Fraction(v), Fraction(-v)
+    c = StructureTensor(3, ent)
+    with int64_decisions() as seen:
+        report = is_lie(c)
+    assert False in seen
+    assert report.to_dict() == oracles.is_lie(c).to_dict()
+    assert not report.passed and report.witness == (0, 1, 2)
+
+
 def test_guarded_contraction_is_exact_past_int64():
     """2^40 squared in a 2 x 2 product is 2^81, past int64: the exact value."""
     a = np.array([[1 << 40, 1 << 40], [0, 0]], dtype=np.int64)
