@@ -1,18 +1,25 @@
 #!/usr/bin/env python3
-"""Layer microbench of the dense exact layer: the time of each check on the
-benchmark's own inputs, without the rest of the chain.
+"""Layer microbench: the time of each check on the benchmark's own inputs,
+without the rest of the chain.
 
-    python3 scripts/bench_layers.py TAG
+    python3 scripts/bench_layers.py TAG                # the dense exact layer
+    python3 scripts/bench_layers.py TAG --group etc    # the density ETC and charges
 
-It imports `src/mnl` and `mnlbench` of the checkout it sits in.  The inputs
-are m7 with the signed octonion generators and the r=10 block sum (m7 plus
-doubled su2, octonion plus quaternion generators), both built by
-`mnlbench.workloads.ExactAlgebra` for seed 0.  Each function runs five
-times, every run on fresh copies of the tensor, generator set and envelope,
-so no value kept on an input from an earlier run hides the work; the copies
-are made outside the timed call.  Writes BENCH_<TAG>.json at the checkout's
-root with the median, lowest and highest of the runs of each function, in
-seconds.
+It imports `src/mnl` and `mnlbench` of the checkout it sits in.
+
+- `dense`: m7 with the signed octonion generators and the r=10 block sum
+  (m7 plus doubled su2, octonion plus quaternion generators), both built by
+  `mnlbench.workloads.ExactAlgebra` for seed 0.
+- `etc`: `etc_verify` and `charge_algebra_check` on the octonion
+  generators at one site (m7, dimension 2^8) and on the quaternionic line of
+  `mnlbench.workloads.OctonionN2` for seed 0 at two sites (r=3, two sites of
+  dimension 2^8).
+
+Each function runs five times, every run on fresh copies of its inputs
+(tensor, generator set, envelope, densities and charges), so no value kept
+on an input from an earlier run hides the work; the copies are made outside
+the timed call.  Writes BENCH_<TAG>.json at the checkout's root with the
+median, lowest and highest of the runs of each function, in seconds.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
-from mnl import algebra, birep, envelope  # noqa: E402
+from mnl import algebra, birep, envelope, etc, fock  # noqa: E402
 
 from mnlbench import workloads  # noqa: E402
 
@@ -48,7 +55,7 @@ def fresh_generators(gen):
 
 
 # name -> (inputs from (tensor, generators), each freshly made; the timed call)
-CASES = {
+DENSE = {
     "is_maltsev": (lambda c, g: (fresh_tensor(c),), algebra.is_maltsev),
     "yamaguti_constants": (lambda c, g: (fresh_tensor(c),), algebra.yamaguti_constants),
     "check_glc": (lambda c, g: (fresh_generators(g), fresh_tensor(c)), birep.check_glc),
@@ -62,9 +69,39 @@ CASES = {
 }
 
 
-def measure(c, gen):
+def fresh_densities(c, gen, sites):
+    return etc.charge_densities(fock.build_fields(gen.dim, sites), fresh_generators(gen),
+                                fresh_tensor(c))
+
+
+def etc_cases(sites):
+    return {
+        "etc_verify": (lambda c, g: (fresh_densities(c, g, sites), fresh_tensor(c)),
+                       etc.etc_verify),
+        "charge_algebra_check": (lambda c, g: (etc.charges(fresh_densities(c, g, sites)),
+                                               fresh_tensor(c)),
+                                 etc.charge_algebra_check),
+    }
+
+
+def dense_inputs(workdir):
+    work = workloads.ExactAlgebra(SEED, workdir)
+    return {"m7": (work.m7, work.oct_gen, DENSE), "r10": (work.r10, work.r10_gen, DENSE)}
+
+
+def etc_inputs(workdir):
+    line = workloads.OctonionN2(SEED, workdir)
+    return {"octonion-n1": (algebra.catalog_algebra("m7"), birep.octonion_lr_generators(),
+                            etc_cases(1)),
+            "octonion-line-n2": (line.tensor, line.gen, etc_cases(2))}
+
+
+GROUPS = {"dense": dense_inputs, "etc": etc_inputs}
+
+
+def measure(c, gen, cases):
     out = {}
-    for name, (inputs, call) in CASES.items():
+    for name, (inputs, call) in cases.items():
         times = []
         for _ in range(RUNS):
             args = inputs(c, gen)
@@ -81,15 +118,15 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("tag")
+    parser.add_argument("--group", choices=sorted(GROUPS), default="dense")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
-        work = workloads.ExactAlgebra(SEED, workdir)
-    inputs = {"m7": (work.m7, work.oct_gen), "r10": (work.r10, work.r10_gen)}
+        inputs = GROUPS[args.group](workdir)
     results = {}
-    for label, (c, gen) in inputs.items():
+    for label, (c, gen, cases) in inputs.items():
         print(f"{label}:", file=sys.stderr)
-        results[label] = measure(c, gen)
-    doc = {"tag": args.tag, "runs": RUNS, "seed": SEED,
+        results[label] = measure(c, gen, cases)
+    doc = {"tag": args.tag, "group": args.group, "runs": RUNS, "seed": SEED,
            "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                     "python": platform.python_version()},
            "results": results}

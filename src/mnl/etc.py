@@ -24,17 +24,26 @@ Everything after that stays factored and exact: embeddings at different sites
 commute, so a commutator is the per-site commutator of the factors (a
 cross-site commutator is zero without any arithmetic), and a sum of
 embeddings sum_x E_x(D_x) is zero exactly when every D_x is c_x * I with
-sum_x c_x = 0.  The scans below are written against the operator interface
-(plus, +, -, scale, times_i, commutator, ==, is_zero, zero_like) and give the
-same reports on plain full-space `GQSparse` operators.
+sum_x c_x = 0.
 
 Relations.  Every right side is a row of `birep.glc_bracket` or the cyclic
 relation `birep.y_cyclic`.  Densities realize the table at site labels
 (label, x) with the Kronecker delta, [A(x), B(y)] = i delta_xy (row at x), and
 charges realize it as it stands; both read Y_kj as -Y_jk and Y_jj as zero
-(`_antisymmetric`, behind `ChargeDensitySet.yam` and `ChargeSet.ups`).  The
-Yamagutian densities are solved from the [S_j, T_k] row by
+(`_signed`).  The Yamagutian densities are solved from the [S_j, T_k] row by
 `birep.extract_yamagutian`, whose bracket for densities is -i[a, b].
+
+One kernel.  `etc_verify`, `locality_check` and `charge_algebra_check` write
+each case, in the order they walk them, as one row of terms: its commutators
+and the operators, or i times them, of its right side.  `relations.RelationKernel`
+decides a chunk of rows at a time: per site, the chunk's distinct commutators
+as stacked sparse products at one common denominator, then one integer
+coefficient contraction of those commutator rows and the operator rows, and
+the c_x I rule above on every residual.  Every chunk is bounded below 2^62
+before it computes (`OverflowError` past it), and the first failing row in
+walk order is the witness.  Plain full-space `GQSparse` operators are one
+factor of a one-site space there, so the same checks give the same reports
+on them; the case-by-case walks are the test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -46,19 +55,13 @@ from typing import Dict, List, Tuple
 from .algebra import StructureTensor, yamaguti_constants
 from .birep import GeneratorSet, extract_yamagutian, glc_bracket, y_cyclic
 from .fock import FieldSet, SiteOp
-from .report import CheckReport, InputError, fail, first_failure, ok
+from .relations import RelationKernel
+from .report import CheckReport, InputError, fail, ok
 
 CONVENTION = ("s0_j(x) = -i a†(x) S_j^T a(x); t0_j(x) = -i a†(x) T_j^T a(x); "
               "Y0_jk(x) = i[s0_j(x), t0_k(x)] + (1/3) c^p_jk (s0_p(x) - t0_p(x)); "
               "charges are -i times plain site sums; delta(x-y) is the Kronecker "
               "delta at unit lattice spacing")
-
-
-def _antisymmetric(stored, zero, j, k):
-    """Y_jk from the entries stored for j < k: Y_kj = -Y_jk and Y_jj = 0."""
-    if j == k:
-        return zero()
-    return stored((j, k)) if j < k else stored((k, j)).scale(-1)
 
 
 @dataclass
@@ -72,9 +75,6 @@ class ChargeDensitySet:
     t: List[List[SiteOp]]
     Y: Dict[Tuple[int, int], List[SiteOp]]  # keys j < k; Y[(j,k)][x]
     tensor: StructureTensor
-
-    def yam(self, j, k, x):
-        return _antisymmetric(lambda key: self.Y[key][x], self.s[0][0].zero_like, j, k)
 
 
 def _site_density(f: FieldSet, x: int, mat) -> SiteOp:
@@ -125,108 +125,135 @@ class ETCReport:
                 "equations": {k: v.to_dict() for k, v in self.equations.items()}}
 
 
+def _signed(lbl):
+    """(sign, stored label) of a table label, reading Y_kj as -Y_jk; None for
+    Y_jj, which is zero."""
+    if lbl[0] != "Y" or lbl[1] < lbl[2]:
+        return 1, lbl
+    return (-1, ("Y", lbl[2], lbl[1])) if lbl[1] > lbl[2] else None
+
+
+def _stored(vec):
+    """(sign * coefficient, stored label) for the nonzero terms of a table vector."""
+    for lbl, v in vec.items():
+        signed = _signed(lbl)
+        if v and signed:
+            yield signed[0] * v, signed[1]
+
+
+def _density_kernel(d: ChargeDensitySet):
+    """The kernel over every stored density, and its index {(label, x): operator}."""
+    index, ops = {}, []
+    for lbl in ([("S", j) for j in range(d.r)] + [("T", j) for j in range(d.r)]
+                + [("Y", *key) for key in d.Y]):
+        for x in range(d.sites):
+            index[lbl, x] = len(ops)
+            ops.append(d.Y[lbl[1:]][x] if lbl[0] == "Y" else
+                       (d.s if lbl[0] == "S" else d.t)[lbl[1]][x])
+    return RelationKernel(ops), index
+
+
 def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
     """Exact check of the density ETC set: the numbered equations, the
     minimal-violation forms of the associative ETC, and the [s,t] = [t,s]
     symmetry, with the Kronecker delta in place of delta(x-y).
 
     Equations 1, 2 and 5-8 are rows of `birep.glc_bracket` or `birep.y_cyclic`
-    at site labels (label, x): [A(x), B(y)] = i delta_xy (table row at x)."""
+    at site labels (label, x): [A(x), B(y)] = i delta_xy (table row at x).
+    Every case is one row of kernel terms (`fock.RelationKernel`): its
+    commutators, and the operators or i times them of its right side; a pair
+    at x != y has no right side.  Equation 4, Y0_jk + Y0_kj = 0, is decided
+    as i times that sum, so that its commutators keep real coefficients."""
     c = c if c is not None else d.tensor
     if c.dim != d.r:
         raise InputError("tensor dim must match density count")
     r, N = range(d.r), range(d.sites)
     dd = yamaguti_constants(c)
-    zero = d.s[0][0].zero_like()
+    kernel, index = _density_kernel(d)
     rep = ETCReport(CONVENTION)
 
-    def op(lbl, x):
-        if lbl[0] == "Y":
-            return d.yam(lbl[1], lbl[2], x)
-        return (d.s if lbl[0] == "S" else d.t)[lbl[1]][x]
+    def comm(la, x, lb, y, q=1):
+        (sa, a), (sb, b) = _signed(la), _signed(lb)
+        return "c", q * sa * sb, index[a, x], index[b, y]
 
-    def at(x, vec):
-        return zero.plus([(v, op(lbl, x)) for lbl, v in vec.items()])
+    def at(x, vec, kind, q=1):
+        return [(kind, q * v, index[lbl, x]) for v, lbl in _stored(vec)]
 
-    def delta(lhs, x, y, vec):
-        """lhs == i delta_xy (vec at x); for x != y without building a right side."""
-        return lhs.is_zero() if x != y else lhs == at(x, vec).times_i()
+    def pair(la, x, lb, y, vec=None):
+        # [A(x), B(y)] - i delta_xy (vec at x), vec the table row of [A, B]
+        if x != y:
+            return (comm(la, x, lb, y),)
+        vec = glc_bracket(c, dd, la, lb) if vec is None else vec
+        return (comm(la, x, lb, y), *at(x, vec, "i", -1))
 
-    def holds(a, b=None):
-        if b is None:
-            vec, x = a
-            return at(x, vec).is_zero()
-        (la, x), (lb, y) = a, b
-        return delta(op(la, x).commutator(op(lb, y)), x, y, glc_bracket(c, dd, la, lb))
+    def yamagutian_sum(j, k, x):
+        # i (Y0_jk(x) + Y0_kj(x)): Y0_jk = (1/q)(-i[s_j, t_k]) + sum (-v/q) X_p
+        out = []
+        for a, b in ((j, k), (k, j)):
+            (q, (sa, tb)), *rest = extract_yamagutian(
+                [("S", p) for p in r], [("T", p) for p in r], lambda u, w: (u, w), list, c, a, b)
+            out += [comm(sa, x, tb, x, q)] + [("i", v, index[lbl, x]) for v, lbl in rest]
+        return out
 
     def assoc(kind, sign, j, k, x, y):
         # [a_j(x), a_k(y)] = i delta_xy sign c^p_jk a_p(x) - 2 [s_j(x), t_k(y)]
-        lhs = op((kind, j), x).commutator(op((kind, k), y)).plus(
-            [(2, d.s[j][x].commutator(d.t[k][y]))])
-        return delta(lhs, x, y, {(kind, p): sign * c.c(p, j, k) for p in r})
+        vec = {(kind, p): sign * c.c(p, j, k) for p in r}
+        return (comm((kind, j), x, (kind, k), y), comm(("S", j), x, ("T", k), y, 2),
+                *(at(x, vec, "i", -1) if x == y else ()))
+
+    def site_pairs(ka, kb, keys):
+        # [ka_key(x), kb_n(y)] over keys (j, .., n), then x, then y
+        return (((*key, x, y), *pair((ka, *key[:-1]), x, (kb, key[-1]), y))
+                for key in keys for x in N for y in N)
 
     def eq3():
         # the printed equation pairs [t_j, s_k] with the [T_j, T_k]-shaped
         # right side; both readings are tried and the verdict recorded
-        ts_ok, tt_ok = (all(delta(d.t[j][x].commutator(op((kind, k), y)), x, y,
-                                  glc_bracket(c, dd, ("T", j), ("T", k)))
-                            for j in r for k in r for x in N for y in N)
-                        for kind in "ST")
+        ts_ok, tt_ok = (kernel.first_failure("3", (
+            ((j, k, x, y), *pair(("T", j), x, (kind, k), y,
+                                 glc_bracket(c, dd, ("T", j), ("T", k))))
+            for j in r for k in r for x in N for y in N)).passed for kind in "ST")
         detail = (f"as printed [t,s]: {'pass' if ts_ok else 'fail'}; "
                   f"as [t,t]: {'pass' if tt_ok else 'fail'}")
         if ts_ok or tt_ok:
             return CheckReport(True, "3", None, detail)
         return CheckReport(False, "3", ("both readings fail",), detail)
 
-    def site_pairs(ka, kb, keys):
-        # [ka_key(x), kb_n(y)] over keys (j, .., n), then x, then y
-        return (((*key, x, y), ((ka, *key[:-1]), x), ((kb, key[-1]), y))
-                for key in keys for x in N for y in N)
-
     jk = [(j, k) for j in r for k in r]
     upper = [(j, k) for (j, k) in jk if j < k]
     jkxy = [(j, k, x, y) for (j, k) in jk for x in N for y in N]
     checks = {
-        "1": (site_pairs("S", "S", jk), holds),
-        "2": (site_pairs("S", "T", jk), holds),
+        "1": site_pairs("S", "S", jk),
+        "2": site_pairs("S", "T", jk),
         "3": None,
-        "4": ((((j, k, x), j, k, x) for (j, k) in jk for x in N),
-              lambda j, k, x: (_raw_yamagutian(d.s, d.t, c, j, k, x)
-                               + _raw_yamagutian(d.s, d.t, c, k, j, x)).is_zero()),
-        "5": ((((j, k, l, x), (y_cyclic(c, j, k, l), x))
-               for (j, k) in upper for l in r if k < l for x in N), holds),
-        "6": (site_pairs("Y", "S", [(j, k, n) for (j, k) in upper for n in r]), holds),
-        "7": (site_pairs("Y", "T", [(j, k, n) for (j, k) in upper for n in r]), holds),
-        "8": ((((j, k, l, n, x, y), (("Y", j, k), x), (("Y", l, n), y))
-               for (j, k) in upper for (l, n) in upper for x in N for y in N), holds),
-        "assoc-s": (((w, "S", 1, *w) for w in jkxy), assoc),
-        "assoc-t": (((w, "T", -1, *w) for w in jkxy), assoc),
-        "symmetry": (((w, *w) for w in jkxy),
-                     lambda j, k, x, y: (d.s[j][x].commutator(d.t[k][y])
-                                         == d.t[j][y].commutator(d.s[k][x]))),
+        "4": (((j, k, x), *yamagutian_sum(j, k, x)) for (j, k) in jk for x in N),
+        "5": (((j, k, l, x), *at(x, y_cyclic(c, j, k, l), "o"))
+              for (j, k) in upper for l in r if k < l for x in N),
+        "6": site_pairs("Y", "S", [(j, k, n) for (j, k) in upper for n in r]),
+        "7": site_pairs("Y", "T", [(j, k, n) for (j, k) in upper for n in r]),
+        "8": (((j, k, l, n, x, y), *pair(("Y", j, k), x, ("Y", l, n), y))
+              for (j, k) in upper for (l, n) in upper for x in N for y in N),
+        "assoc-s": ((w, *assoc("S", 1, *w)) for w in jkxy),
+        "assoc-t": ((w, *assoc("T", -1, *w)) for w in jkxy),
+        "symmetry": (((j, k, x, y), comm(("S", j), x, ("T", k), y),
+                      comm(("T", j), y, ("S", k), x, -1)) for (j, k, x, y) in jkxy),
     }
-    for name, check in checks.items():
-        rep.equations[name] = eq3() if check is None else first_failure(name, *check)
+    for name, cases in checks.items():
+        rep.equations[name] = eq3() if cases is None else kernel.first_failure(name, cases)
     return rep
 
 
 def locality_check(d: ChargeDensitySet) -> CheckReport:
     """Commutators of densities at distinct sites must vanish exactly, for
     every pair drawn from the s, t, and Yamagutian families."""
-    fams = [("s", [(j,) for j in range(d.r)], lambda key, x: d.s[key[0]][x]),
-            ("t", [(j,) for j in range(d.r)], lambda key, x: d.t[key[0]][x]),
-            ("Y", list(d.Y), lambda key, x: d.Y[key][x])]
-    for name_a, keys_a, get_a in fams:
-        for name_b, keys_b, get_b in fams:
-            for ka in keys_a:
-                for kb in keys_b:
-                    for x in range(d.sites):
-                        for y in range(d.sites):
-                            if x == y:
-                                continue
-                            if not get_a(ka, x).commutator(get_b(kb, y)).is_zero():
-                                return fail("locality", witness=(name_a, ka, x, name_b, kb, y))
-    return ok("locality")
+    kernel, index = _density_kernel(d)
+    fams = [("s", [(j,) for j in range(d.r)], "S"), ("t", [(j,) for j in range(d.r)], "T"),
+            ("Y", list(d.Y), "Y")]
+    return kernel.first_failure("locality", (
+        ((name_a, ka, x, name_b, kb, y), ("c", 1, index[(la, *ka), x], index[(lb, *kb), y]))
+        for name_a, keys_a, la in fams for name_b, keys_b, lb in fams
+        for ka in keys_a for kb in keys_b
+        for x in range(d.sites) for y in range(d.sites) if x != y))
 
 
 @dataclass
@@ -237,9 +264,6 @@ class ChargeSet:
     sigma: List[SiteOp]
     tau: List[SiteOp]
     upsilon: Dict[Tuple[int, int], SiteOp]  # keys j < k
-
-    def ups(self, j, k):
-        return _antisymmetric(self.upsilon.__getitem__, self.sigma[0].zero_like, j, k)
 
 
 def charges(d: ChargeDensitySet) -> ChargeSet:
@@ -258,35 +282,36 @@ def charges(d: ChargeDensitySet) -> ChargeSet:
 def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
     """The integrated charges must satisfy the full generalized Lie-Cartan
     bracket table: the charge algebra is a birepresentation of the tangent
-    Mal'tsev algebra."""
+    Mal'tsev algebra.  Each case is one row of kernel terms
+    (`fock.RelationKernel`), as in `etc_verify`."""
     if c.dim != q.r:
         raise InputError("tensor dim must match charge count")
     r = range(q.r)
     dd = yamaguti_constants(c)
-    zero = q.sigma[0].zero_like()
+    labels = ([("S", j) for j in r] + [("T", j) for j in r]
+              + [("Y", *key) for key in q.upsilon])
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    kernel = RelationKernel(q.sigma + q.tau + list(q.upsilon.values()))
 
-    def op(lbl):
-        if lbl[0] == "Y":
-            return q.ups(lbl[1], lbl[2])
-        return (q.sigma if lbl[0] == "S" else q.tau)[lbl[1]]
+    def realize(vec, sign=1):
+        return [("o", sign * v, index[lbl]) for v, lbl in _stored(vec)]
 
-    def realize(vec):
-        return zero.plus([(v, op(lbl)) for lbl, v in vec.items()])
-
-    def holds(a, b=None):
-        if b is None:
-            return realize(a).is_zero()
-        return op(a).commutator(op(b)) == realize(glc_bracket(c, dd, a, b))
+    def pair(a, b):
+        # [a, b] - (table row of [a, b])
+        (sa, ia), (sb, ib) = _signed(a), _signed(b)
+        return ("c", sa * sb, index[ia], index[ib]), *realize(glc_bracket(c, dd, a, b), -1)
 
     upper = [(j, k) for j in r for k in r if j < k]
     cases = itertools.chain(
-        (((name, j, k), (ka, j), (kb, k)) for j in r for k in r
+        (((name, j, k), *pair((ka, j), (kb, k))) for j in r for k in r
          for name, ka, kb in (("ss", "S", "S"), ("st", "S", "T"), ("tt", "T", "T"))),
-        ((("cyclic", j, k, l), y_cyclic(c, j, k, l)) for (j, k) in upper for l in r if k < l),
-        (((name, j, k, n), ("Y", j, k), (kind, n)) for (j, k) in upper for n in r
+        ((("cyclic", j, k, l), *realize(y_cyclic(c, j, k, l)))
+         for (j, k) in upper for l in r if k < l),
+        (((name, j, k, n), *pair(("Y", j, k), (kind, n))) for (j, k) in upper for n in r
          for name, kind in (("reductivity-sigma", "S"), ("reductivity-tau", "T"))),
-        ((("yy", j, k, l, n), ("Y", j, k), ("Y", l, n)) for (j, k) in upper for (l, n) in upper))
-    return first_failure("charge-algebra", cases, holds)
+        ((("yy", j, k, l, n), *pair(("Y", j, k), ("Y", l, n)))
+         for (j, k) in upper for (l, n) in upper))
+    return kernel.first_failure("charge-algebra", cases)
 
 
 def bilinear_lemma_check(f: FieldSet, trials: int = 100, seed: int = 0) -> CheckReport:

@@ -5,10 +5,17 @@ Operators are stored as (re + i*im)/den with integer sparse parts, so every
 check in the lab is exact.  Every sum and rational multiple is one call of
 `_sum`, over the least common multiple of the denominators; it and `@` bound
 their result before they compute and raise OverflowError when the bound
-reaches 2^62, so no int64 value can wrap.
+reaches 2^62, so no int64 value can wrap.  Parts are kept canonical (sorted
+indices, no duplicate or stored zero) and normalized (gcd of den and every
+entry 1), so `==` compares den and the parts' arrays; `@` skips the products
+of an empty re or im part, as a purely imaginary density's are.
 
 A `SiteOp` holds a sum of site-local operators sum_x I x .. x F_x x .. x I as
-its factors F_x on the 2^n-dimensional space of one site; see `SiteOp`.
+its factors F_x on the 2^n-dimensional space of one site; see `SiteOp`.  The
+density and charge relations are decided on those factors, many cases at a
+time, by `relations.RelationKernel`: per site, commutator rows from stacked
+products and one integer coefficient contraction, each residual then held to
+`SiteOp.is_zero`'s c_x I rule, under the same 2^62 bound.
 
 Ladder embeddings.  On N sites the Jordan-Wigner ladder operator of mode A at
 site x is exactly Pi x .. x Pi x F x I x .. x I, with x one-site parities
@@ -37,9 +44,30 @@ from .report import CheckReport, InputError, fail, ok
 _MAX_ENTRY = 1 << 60
 
 def _csr(m):
+    """m as canonical int64 CSR: indices sorted, no duplicate and no stored
+    zero.  The arrays of a sparse m are never changed."""
     out = sp.csr_matrix(m, dtype=np.int64)
-    out.eliminate_zeros()
+    if not (out.has_canonical_format and out.data.all()):
+        if sp.issparse(m):    # out may share its arrays with m
+            out = out.copy()
+        out.sum_duplicates()
+        out.eliminate_zeros()
     return out
+
+
+def _matmul(a, b):
+    """(re, im) of (a_re + i a_im) @ (b_re + i b_im) for pairs of int64 CSR
+    parts: re = a_re b_re - a_im b_im, im = a_re b_im + a_im b_re, without the
+    products that have an empty factor."""
+    shape = (a[0].shape[0], b[0].shape[1])
+
+    def part(p, q, sign, r, t):
+        out = p @ q if p.nnz and q.nnz else None
+        if r.nnz and t.nnz:
+            rt = r @ t
+            out = (rt if sign > 0 else -rt) if out is None else (out + rt if sign > 0 else out - rt)
+        return sp.csr_matrix(shape, dtype=np.int64) if out is None else out
+    return part(a[0], b[0], -1, a[1], b[1]), part(a[0], b[1], 1, a[1], b[0])
 
 
 def _sum(dim, terms):
@@ -151,10 +179,8 @@ class GQSparse:
             count = int((np.diff(self.re.indptr) + np.diff(self.im.indptr)).max())
         if not fits_int64(mags * count, self.den * other.den):
             raise OverflowError("exact sparse result could exceed the int64 range")
-        return GQSparse(self.dim,
-                        self.re @ other.re - self.im @ other.im,
-                        self.re @ other.im + self.im @ other.re,
-                        self.den * other.den)
+        re, im = _matmul((self.re, self.im), (other.re, other.im))
+        return GQSparse(self.dim, re, im, self.den * other.den)
 
     def scale(self, q):
         """Multiply by an exact rational scalar."""
@@ -192,9 +218,16 @@ class GQSparse:
         return out[0], out[1]
 
     def __eq__(self, other):
+        """Both operands are normalized with canonical parts, so equal
+        operators hold equal arrays."""
         if not isinstance(other, GQSparse):
             return NotImplemented
-        return (self - other).is_zero()
+        self._check(other)
+        return (self.den == other.den
+                and all(p.nnz == q.nnz and np.array_equal(p.indptr, q.indptr)
+                        and np.array_equal(p.indices, q.indices)
+                        and np.array_equal(p.data, q.data)
+                        for p, q in ((self.re, other.re), (self.im, other.im))))
 
     def __hash__(self):
         raise TypeError("GQSparse is unhashable")

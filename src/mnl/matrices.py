@@ -9,7 +9,6 @@ temporaries stay small."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -84,12 +83,21 @@ def commutator(a, b):
     return lincomb([(1, mat_mul(a, b)), (-1, mat_mul(b, a))])
 
 
-def first_failure_chunked(prop, cases, fails):
-    """`report.first_failure` deciding CHUNK cases at a time: fails(cases),
-    for a list of cases without their witnesses, is True where one fails."""
+def first_failure_chunked(prop, cases, fails, weight=None, budget=None):
+    """Walk (witness, *case) in order and fail with the witness of the first
+    case that fails, deciding up to CHUNK cases at a time: fails(cases), for
+    a list of cases without their witnesses, is True where one fails.  With
+    `weight`, a chunk also ends once its cases' weights reach `budget`."""
     cases = iter(cases)
-    while chunk := list(itertools.islice(cases, CHUNK)):
+    while True:
+        chunk, total = [], 0
+        for item in cases:
+            chunk.append(item)
+            total += weight(item[1:]) if weight else 0
+            if len(chunk) == CHUNK or (weight and total >= budget):
+                break
+        if not chunk:
+            return ok(prop)
         bad = np.flatnonzero(fails([case for _, *case in chunk]))
         if bad.size:
             return fail(prop, witness=chunk[bad[0]][0])
-    return ok(prop)

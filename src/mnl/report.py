@@ -40,11 +40,3 @@ def ok(prop, detail=None):
 def fail(prop, witness=None, detail=None):
     return CheckReport(False, prop, witness, detail)
 
-
-def first_failure(prop, cases, holds):
-    """Walk (witness, *case) in order: fail with the witness of the first case
-    for which holds(*case) is false, else pass."""
-    for witness, *case in cases:
-        if not holds(*case):
-            return fail(prop, witness=witness)
-    return ok(prop)

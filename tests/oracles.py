@@ -1,18 +1,30 @@
-"""Reference implementations over `fractions.Fraction`: the per-entry loops
-that the integer kernels of `mnl` replace, each walking its cases in the
-order the kernel must keep.  They read the same right sides
+"""Reference implementations: the per-case walks that the integer kernels of
+`mnl` replace, each walking its cases in the order the kernel must keep.
+The dense ones are loops over `fractions.Fraction` (matrices are dense lists
+of Fractions); the density and charge checks decide one case at a time with
+the `GQSparse`/`SiteOp` operator arithmetic.  They read the same right sides
 (`birep.glc_bracket`, `birep.y_cyclic`, the envelope's bracket table), and
 the property tests compare their reports, witnesses included, with the
-kernels'.  Matrices are dense lists of Fractions."""
+kernels'."""
 
 import itertools
 from fractions import Fraction
 
-from mnl.algebra import StructureTensor, YamagutiTensor
+from mnl.algebra import StructureTensor, YamagutiTensor, yamaguti_constants
 from mnl.birep import (GeneratorSet, GLCReport, extract_yamagutian, glc_bracket, vec_add,
                        y_cyclic)
 from mnl.envelope import EnvelopeAlgebra
-from mnl.report import CheckReport, InputError, fail, first_failure, ok
+from mnl.etc import CONVENTION, ETCReport, _raw_yamagutian, _signed
+from mnl.report import CheckReport, InputError, fail, ok
+
+
+def first_failure(prop, cases, holds):
+    """Walk (witness, *case) in order: fail with the witness of the first case
+    for which holds(*case) is false, else pass."""
+    for witness, *case in cases:
+        if not holds(*case):
+            return fail(prop, witness=witness)
+    return ok(prop)
 
 
 # --- dense Fraction matrices -----------------------------------------------
@@ -238,3 +250,141 @@ def check_jacobi(env: EnvelopeAlgebra) -> CheckReport:
                 if total:
                     return fail("jacobi", witness=(basis[ia], basis[ib], basis[ic]))
     return ok("jacobi")
+
+
+# --- densities and charges, one case at a time ------------------------------
+
+def _commutator(a, b):
+    """[a, b]; an operator commutes with itself without arithmetic, as in the
+    kernel, so that an out-of-range [a, a] raises in neither."""
+    return a.zero_like() if a is b else a.commutator(b)
+
+
+def _label_op(stored, zero, lbl):
+    """The operator of a table label: Y_kj = -Y_jk and Y_jj = 0."""
+    signed = _signed(lbl)
+    if signed is None:
+        return zero
+    sign, lbl = signed
+    return stored(lbl) if sign > 0 else stored(lbl).scale(-1)
+
+
+def etc_verify(d, c=None):
+    c = c if c is not None else d.tensor
+    if c.dim != d.r:
+        raise InputError("tensor dim must match density count")
+    r, N = range(d.r), range(d.sites)
+    dd = yamaguti_constants(c)
+    zero = d.s[0][0].zero_like()
+    rep = ETCReport(CONVENTION)
+
+    def op(lbl, x):
+        return _label_op(lambda l: (d.Y[l[1:]] if l[0] == "Y" else
+                                    (d.s if l[0] == "S" else d.t)[l[1]])[x], zero, lbl)
+
+    def at(x, vec):
+        return zero.plus([(v, op(lbl, x)) for lbl, v in vec.items()])
+
+    def delta(lhs, x, y, vec):
+        """lhs == i delta_xy (vec at x); for x != y without building a right side."""
+        return lhs.is_zero() if x != y else lhs == at(x, vec).times_i()
+
+    def holds(a, b=None):
+        if b is None:
+            vec, x = a
+            return at(x, vec).is_zero()
+        (la, x), (lb, y) = a, b
+        return delta(_commutator(op(la, x), op(lb, y)), x, y, glc_bracket(c, dd, la, lb))
+
+    def assoc(kind, sign, j, k, x, y):
+        lhs = _commutator(op((kind, j), x), op((kind, k), y)).plus(
+            [(2, d.s[j][x].commutator(d.t[k][y]))])
+        return delta(lhs, x, y, {(kind, p): sign * c.c(p, j, k) for p in r})
+
+    def eq3():
+        ts_ok, tt_ok = (all(delta(_commutator(d.t[j][x], op((kind, k), y)), x, y,
+                                  glc_bracket(c, dd, ("T", j), ("T", k)))
+                            for j in r for k in r for x in N for y in N)
+                        for kind in "ST")
+        detail = (f"as printed [t,s]: {'pass' if ts_ok else 'fail'}; "
+                  f"as [t,t]: {'pass' if tt_ok else 'fail'}")
+        if ts_ok or tt_ok:
+            return CheckReport(True, "3", None, detail)
+        return CheckReport(False, "3", ("both readings fail",), detail)
+
+    def site_pairs(ka, kb, keys):
+        return (((*key, x, y), ((ka, *key[:-1]), x), ((kb, key[-1]), y))
+                for key in keys for x in N for y in N)
+
+    jk = [(j, k) for j in r for k in r]
+    upper = [(j, k) for (j, k) in jk if j < k]
+    jkxy = [(j, k, x, y) for (j, k) in jk for x in N for y in N]
+    checks = {
+        "1": (site_pairs("S", "S", jk), holds),
+        "2": (site_pairs("S", "T", jk), holds),
+        "3": None,
+        "4": ((((j, k, x), j, k, x) for (j, k) in jk for x in N),
+              lambda j, k, x: (_raw_yamagutian(d.s, d.t, c, j, k, x)
+                               + _raw_yamagutian(d.s, d.t, c, k, j, x)).is_zero()),
+        "5": ((((j, k, l, x), (y_cyclic(c, j, k, l), x))
+               for (j, k) in upper for l in r if k < l for x in N), holds),
+        "6": (site_pairs("Y", "S", [(j, k, n) for (j, k) in upper for n in r]), holds),
+        "7": (site_pairs("Y", "T", [(j, k, n) for (j, k) in upper for n in r]), holds),
+        "8": ((((j, k, l, n, x, y), (("Y", j, k), x), (("Y", l, n), y))
+               for (j, k) in upper for (l, n) in upper for x in N for y in N), holds),
+        "assoc-s": (((w, "S", 1, *w) for w in jkxy), assoc),
+        "assoc-t": (((w, "T", -1, *w) for w in jkxy), assoc),
+        "symmetry": (((w, *w) for w in jkxy),
+                     lambda j, k, x, y: (d.s[j][x].commutator(d.t[k][y])
+                                         == d.t[j][y].commutator(d.s[k][x]))),
+    }
+    for name, check in checks.items():
+        rep.equations[name] = eq3() if check is None else first_failure(name, *check)
+    return rep
+
+
+def locality_check(d):
+    fams = [("s", [(j,) for j in range(d.r)], lambda key, x: d.s[key[0]][x]),
+            ("t", [(j,) for j in range(d.r)], lambda key, x: d.t[key[0]][x]),
+            ("Y", list(d.Y), lambda key, x: d.Y[key][x])]
+    for name_a, keys_a, get_a in fams:
+        for name_b, keys_b, get_b in fams:
+            for ka in keys_a:
+                for kb in keys_b:
+                    for x in range(d.sites):
+                        for y in range(d.sites):
+                            if x == y:
+                                continue
+                            if not get_a(ka, x).commutator(get_b(kb, y)).is_zero():
+                                return fail("locality", witness=(name_a, ka, x, name_b, kb, y))
+    return ok("locality")
+
+
+def charge_algebra_check(q, c):
+    if c.dim != q.r:
+        raise InputError("tensor dim must match charge count")
+    r = range(q.r)
+    dd = yamaguti_constants(c)
+    zero = q.sigma[0].zero_like()
+
+    def op(lbl):
+        return _label_op(lambda l: q.upsilon[l[1:]] if l[0] == "Y" else
+                         (q.sigma if l[0] == "S" else q.tau)[l[1]], zero, lbl)
+
+    def realize(vec):
+        return zero.plus([(v, op(lbl)) for lbl, v in vec.items()])
+
+    def holds(a, b=None):
+        if b is None:
+            return realize(a).is_zero()
+        return _commutator(op(a), op(b)) == realize(glc_bracket(c, dd, a, b))
+
+    upper = [(j, k) for j in r for k in r if j < k]
+    cases = itertools.chain(
+        (((name, j, k), (ka, j), (kb, k)) for j in r for k in r
+         for name, ka, kb in (("ss", "S", "S"), ("st", "S", "T"), ("tt", "T", "T"))),
+        ((("cyclic", j, k, l), y_cyclic(c, j, k, l)) for (j, k) in upper for l in r if k < l),
+        (((name, j, k, n), ("Y", j, k), (kind, n)) for (j, k) in upper for n in r
+         for name, kind in (("reductivity-sigma", "S"), ("reductivity-tau", "T"))),
+        ((("yy", j, k, l, n), ("Y", j, k), ("Y", l, n)) for (j, k) in upper for (l, n) in upper))
+    return first_failure("charge-algebra", cases, holds)

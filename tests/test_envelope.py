@@ -5,7 +5,9 @@ import pytest
 
 from mnl.algebra import StructureTensor, catalog_algebra
 from mnl.birep import GeneratorSet
-from mnl.envelope import (_reduce_relations, build_envelope, check_jacobi,
+from mnl.algebra import yamaguti_constants
+from mnl.envelope import (EnvelopeInconsistencyError, _check_quotient_consistency,
+                          _reduce_relations, build_envelope, check_jacobi,
                           matrix_closure_dim, realize_check)
 from mnl.report import InputError
 
@@ -172,3 +174,17 @@ def test_reduce_relations_back_substitutes_with_sign():
     expand = {(0, 1): {Y(1, 2): 1}, (0, 2): {Y(1, 2): -1}, (1, 2): {Y(1, 2): 1}}
     for order in (rows, rows[::-1]):
         assert _reduce_relations(order, [(0, 1), (0, 2), (1, 2)]) == (expand, 2)
+
+
+def test_quotient_consistency_catches_a_wrong_table_entry(env_m7, m7):
+    # the brackets of an eliminated Y are read through the table entries of
+    # the basis Y's in its expansion; a wrong entry there must be caught
+    _check_quotient_consistency(m7, yamaguti_constants(m7), env_m7)
+    y = next(lbl for expr in env_m7.expand.values() if len(expr) > 1 for lbl in expr)
+    bad = dict(env_m7.brackets)
+    row = dict(bad[(y, ("S", 0))])
+    row[("T", 0)] = row.get(("T", 0), Fraction(0)) + 1
+    bad[(y, ("S", 0))] = row
+    perturbed = type(env_m7)(env_m7.r, env_m7.basis, env_m7.expand, bad, env_m7.relation_rank)
+    with pytest.raises(EnvelopeInconsistencyError):
+        _check_quotient_consistency(m7, yamaguti_constants(m7), perturbed)

@@ -1,13 +1,17 @@
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mnl.algebra import StructureTensor
 from mnl.birep import GeneratorSet, check_glc
+from mnl import etc as etc_module
 from mnl.etc import (ChargeDensitySet, bilinear_lemma_check, charge_algebra_check,
                      charge_densities, charges, etc_verify, locality_check)
 from mnl.fock import GQSparse, build_fields
+import oracles
 from oracles import eye
 from mnl.report import InputError
 
@@ -192,6 +196,70 @@ def test_factored_reports_equal_full_space(case, sites, quat_gen, su2_doubled, o
     assert factored == reports(full_space(dens), c)
     passed = all(rep["pass"] for rep in factored[0]["equations"].values())
     assert passed == (case != "quaternion-swapped")
+
+
+# --- the kernel against the per-case walk --------------------------------
+
+@functools.lru_cache(maxsize=None)
+def fields(n, sites):
+    return build_fields(n, sites)
+
+
+def kernel_and_walk(gen, c, sites):
+    """(kernel reports, walk reports) of etc_verify, locality_check and
+    charge_algebra_check; None for a side that raised OverflowError."""
+    dens = charge_densities(fields(gen.dim, sites), gen, c)
+
+    def run(module):
+        try:
+            q = charges(dens)
+            return (module.etc_verify(dens, c).to_dict(), module.locality_check(dens).to_dict(),
+                    module.charge_algebra_check(q, c).to_dict())
+        except OverflowError:
+            return None
+    return run(etc_module), run(oracles)
+
+
+@st.composite
+def mutations(draw, value):
+    """The quaternion generators at 1-3 sites or the octonion line at 1-2
+    sites, with one entry of one S or T matrix set to a drawn value."""
+    case, sites = draw(st.sampled_from([("quaternion", 1), ("quaternion", 2), ("quaternion", 3),
+                                        ("octonion-line", 1), ("octonion-line", 2)]))
+    return case, sites, draw(st.sampled_from("ST")), draw(st.integers(0, 2)), \
+        draw(st.integers(0, 7)), draw(st.integers(0, 7)), draw(value)
+
+
+def mutated(case, quat_gen, su2_doubled, oct_gen, m7):
+    name, sites, family, j, row, col, value = case
+    gen, c = (quat_gen, su2_doubled) if name == "quaternion" else quaternionic_line(oct_gen, m7)
+    mats = {"S": [[list(r) for r in m] for m in gen.S], "T": [[list(r) for r in m] for m in gen.T]}
+    mats[family][j][row % gen.dim][col % gen.dim] = Fraction(value)
+    return GeneratorSet(gen.r, gen.dim, mats["S"], mats["T"]), c, sites
+
+
+KERNEL_SETTINGS = settings(max_examples=12, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow,
+                                                  HealthCheck.function_scoped_fixture])
+
+
+@KERNEL_SETTINGS
+@given(case=mutations(st.fractions(min_value=-3, max_value=3, max_denominator=3)))
+def test_kernel_reports_equal_the_walk(case, quat_gen, su2_doubled, oct_gen, m7):
+    kernel, walk = kernel_and_walk(*mutated(case, quat_gen, su2_doubled, oct_gen, m7))
+    assert walk is not None and kernel == walk
+
+
+@KERNEL_SETTINGS
+@given(case=mutations(st.builds(lambda sign, off: sign * ((1 << 30) + off),
+                           st.sampled_from([-1, 1]), st.integers(-8, 8))))
+def test_kernel_near_2_30_gives_the_walks_report_or_overflow(case, quat_gen, su2_doubled,
+                                                             oct_gen, m7):
+    try:
+        kernel, walk = kernel_and_walk(*mutated(case, quat_gen, su2_doubled, oct_gen, m7))
+    except OverflowError:    # the densities themselves are out of range
+        return
+    assert kernel is None or kernel == walk
 
 
 def test_fock_spaces_share_no_products(quat_gen, su2_doubled, oct_gen, m7):

@@ -64,6 +64,26 @@ def test_gq_commutator_antisymmetric():
     assert a.commutator(b) == gq([[1, 0], [0, -1]])
 
 
+def test_gq_eq_on_unsorted_and_duplicate_indices():
+    # [[1, 2], [0, 3]] with row 0 stored as (1: 2), (0: 1) and row 1 as
+    # (1: 1), (1: 2): unsorted indices and a duplicate entry
+    messy = sp.csr_matrix((np.array([2, 1, 1, 2]), np.array([1, 0, 1, 1]),
+                           np.array([0, 2, 4])), shape=(2, 2))
+    arrays = (messy.data.copy(), messy.indices.copy(), messy.indptr.copy())
+    op = GQSparse(2, messy, sp.csr_matrix((2, 2), dtype=np.int64))
+    assert op == gq([[1, 2], [0, 3]])
+    assert op != gq([[1, 2], [0, 2]])
+    assert op.scale(2) == gq([[2, 4], [0, 6]])
+    assert op.times_i() == gq([[0, 0], [0, 0]], im=[[1, 2], [0, 3]])
+    # an explicit zero is no entry
+    zeroed = sp.csr_matrix((np.array([1, 0]), np.array([0, 1]), np.array([0, 1, 2])),
+                           shape=(2, 2))
+    assert GQSparse.from_int(zeroed) == gq([[1, 0], [0, 0]])
+    # the caller's arrays are left as they were
+    assert all(np.array_equal(a, b) for a, b in
+               zip(arrays, (messy.data, messy.indices, messy.indptr)))
+
+
 def test_gq_dimension_mismatch():
     with pytest.raises(InputError):
         gq([[1]]) + gq([[1, 0], [0, 1]])
