@@ -160,7 +160,7 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
 
     Equations 1, 2 and 5-8 are rows of `birep.glc_bracket` or `birep.y_cyclic`
     at site labels (label, x): [A(x), B(y)] = i delta_xy (table row at x).
-    Every case is one row of kernel terms (`fock.RelationKernel`): its
+    Every case is one row of kernel terms (`relations.RelationKernel`): its
     commutators, and the operators or i times them of its right side; a pair
     at x != y has no right side.  Equation 4, Y0_jk + Y0_kj = 0, is decided
     as i times that sum, so that its commutators keep real coefficients."""
@@ -283,7 +283,7 @@ def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
     """The integrated charges must satisfy the full generalized Lie-Cartan
     bracket table: the charge algebra is a birepresentation of the tangent
     Mal'tsev algebra.  Each case is one row of kernel terms
-    (`fock.RelationKernel`), as in `etc_verify`."""
+    (`relations.RelationKernel`), as in `etc_verify`."""
     if c.dim != q.r:
         raise InputError("tensor dim must match charge count")
     r = range(q.r)

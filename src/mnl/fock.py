@@ -62,11 +62,10 @@ def _matmul(a, b):
     shape = (a[0].shape[0], b[0].shape[1])
 
     def part(p, q, sign, r, t):
-        out = p @ q if p.nnz and q.nnz else None
+        out = p @ q if p.nnz and q.nnz else sp.csr_matrix(shape, dtype=np.int64)
         if r.nnz and t.nnz:
-            rt = r @ t
-            out = (rt if sign > 0 else -rt) if out is None else (out + rt if sign > 0 else out - rt)
-        return sp.csr_matrix(shape, dtype=np.int64) if out is None else out
+            out = out + r @ t if sign > 0 else out - r @ t
+        return out
     return part(a[0], b[0], -1, a[1], b[1]), part(a[0], b[1], 1, a[1], b[0])
 
 

@@ -135,7 +135,7 @@ class RelationKernel:
                 self.parts.setdefault(x, {})[a] = (re, im, f.mag * m, count)
 
     def weight(self, case):
-        """The stacked entries a case adds to its chunk, at most."""
+        """A case's share of a chunk: d per term plus its operators' entries."""
         return sum(self.site_dim + sum(self.nnz[a] for a in term[2:]) for term in case)
 
     def first_failure(self, prop, cases):
