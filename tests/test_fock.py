@@ -10,6 +10,7 @@ from mnl.fock import (FieldSet, FockOps, GQSparse, QuadraticCache, SiteOp,
                       _canonical_scan, _car_scan, _site_view,
                       build_fields, build_fock, canonical_etc_check, car_check,
                       site_factor)
+from mnl.relations import RelationKernel
 from mnl.report import InputError
 
 
@@ -277,6 +278,52 @@ def test_site_op_identity_shift_is_zero():
     # an imaginary shift on one site does not cancel a real one on another
     odd = SiteOp(2, SITE_DIM, {0: ident, 1: ident.times_i().scale(-1)})
     assert not odd.is_zero() and not odd.full().is_zero()
+
+
+@st.composite
+def kernel_cases(draw):
+    """Four operators, SiteOps on 1-3 sites or plain GQSparse, whose factors
+    are random or multiples of I (one may be sum_x c_x I with the c_x summing
+    to zero), and cases of commutator, operator and i-operator terms."""
+    plain = draw(st.booleans())
+    sites = 1 if plain else draw(st.integers(1, 3))
+    ident = GQSparse.identity(SITE_DIM)
+
+    def one_factor():
+        if draw(st.booleans()):
+            return draw(factor())
+        return ident.scale(draw(st.fractions(-2, 2, max_denominator=3)))
+
+    def one():
+        if plain:
+            return one_factor()
+        present = draw(st.lists(st.integers(0, sites - 1), unique=True, max_size=sites))
+        return SiteOp(sites, SITE_DIM, {x: one_factor() for x in present})
+
+    ops = [one() for _ in range(4)]
+    if sites > 1 and draw(st.booleans()):
+        ops[-1] = SiteOp(sites, SITE_DIM, {0: ident, sites - 1: ident.scale(-1)})
+    index, q = st.integers(0, 3), st.fractions(-3, 3, max_denominator=3)
+    term = st.one_of(st.tuples(st.just("c"), q, index, index),
+                     st.tuples(st.sampled_from("oi"), q, index))
+    return ops, draw(st.lists(st.lists(term, min_size=1, max_size=4), min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases())
+def test_relation_kernel_decides_like_the_operators(drawn):
+    # the sum of each case built term by term with the operators' own
+    # arithmetic, and held to their is_zero (the c_x I rule for SiteOps)
+    ops, cases = drawn
+
+    def fails(case):
+        total = ops[0].zero_like()
+        for kind, q, *idx in case:
+            op = ops[idx[0]]
+            term = op.commutator(ops[idx[1]]) if kind == "c" else op.times_i() if kind == "i" else op
+            total = total.plus([(q, term)])
+        return not total.is_zero()
+    assert list(RelationKernel(ops).fails(cases)) == [fails(case) for case in cases]
 
 
 def test_site_op_full_reads_as_gqsparse():
