@@ -30,8 +30,11 @@ commutator block or operator.  An operator enters as its own block, its
 coefficient times D (so at D^2); i times it takes its im part into the real
 residual with the sign flipped and its re part into the imaginary one.  Then
 (C x I_d) V, with V the vertical stack, holds every case's residual at
-K D^2, re and im apart.  `_scalar_blocks` reads c_x off each block and
-checks that the block is c_x I; the c_x of all sites must sum to zero.
+K D^2, re and im apart.  The blocks stay d x d rather than flattened to
+rows of d^2 entries: scipy's product keeps an accumulator as wide as its
+result, which would be 2^32 entries for the full-space operators at 2^16.
+`_scalar_blocks` reads c_x off each block and checks that the block is
+c_x I; the c_x of all sites must sum to zero.
 
 Int64 bound.  Before anything is computed, every case is bounded: an entry
 of [A, B] is at most (count_A + count_B) mag_A mag_B, with mag the largest
