@@ -211,6 +211,14 @@ def glc_bracket(c: StructureTensor, d, a: Label, b: Label) -> Vec:
     return out
 
 
+def _signed(lbl):
+    """(sign, stored label) of a table label, reading Y_kj as -Y_jk; None for
+    Y_jj, which is zero."""
+    if lbl[0] != "Y" or lbl[1] < lbl[2]:
+        return 1, lbl
+    return (-1, ("Y", lbl[2], lbl[1])) if lbl[1] > lbl[2] else None
+
+
 def y_cyclic(c: StructureTensor, j, k, l) -> Vec:
     """c^p_jk Y_pl + c^p_kl Y_pj + c^p_lj Y_pk, which vanishes in every realization."""
     out: Vec = {}

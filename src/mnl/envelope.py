@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import (StructureTensor, YamagutiTensor, is_maltsev, jacobi_check,
                       yamaguti_constants)
-from .birep import GeneratorSet, Label, Vec, glc_bracket, matrix_fails, vec_add, y_cyclic
+from .birep import GeneratorSet, Label, Vec, _signed, glc_bracket, matrix_fails, vec_add, y_cyclic
 from .matrices import commutator, first_failure_chunked, scaled, stacked
 from .report import CheckReport, InputError
 
@@ -45,13 +45,13 @@ class NotMaltsevError(InputError):
 
 
 def _canonical(vec: Vec) -> Vec:
-    """A vector of table labels in the envelope, where Y_kj = -Y_jk and Y_jj = 0."""
+    """A vector of table labels in the envelope, where Y_kj = -Y_jk and Y_jj = 0
+    (`birep._signed`)."""
     out: Vec = {}
     for lbl, v in vec.items():
-        if lbl[0] != "Y" or lbl[1] < lbl[2]:
-            vec_add(out, lbl, v)
-        elif lbl[1] > lbl[2]:
-            vec_add(out, ("Y", lbl[2], lbl[1]), -v)
+        signed = _signed(lbl)
+        if signed:
+            vec_add(out, signed[1], signed[0] * v)
     return out
 
 

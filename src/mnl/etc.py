@@ -30,18 +30,18 @@ Relations.  Every right side is a row of `birep.glc_bracket` or the cyclic
 relation `birep.y_cyclic`.  Densities realize the table at site labels
 (label, x) with the Kronecker delta, [A(x), B(y)] = i delta_xy (row at x), and
 charges realize it as it stands; both read Y_kj as -Y_jk and Y_jj as zero
-(`_signed`).  The Yamagutian densities are solved from the [S_j, T_k] row by
+(`birep._signed`).  The Yamagutian densities are solved from the [S_j, T_k] row by
 `birep.extract_yamagutian`, whose bracket for densities is -i[a, b].
 
 One kernel.  `etc_verify`, `locality_check` and `charge_algebra_check` write
 each case, in the order they walk them, as one row of terms: its commutators
 and the operators, or i times them, of its right side.  `relations.RelationKernel`
-decides a chunk of rows at a time: per site, the chunk's distinct commutators
-as stacked sparse products at one common denominator, then one integer
-coefficient contraction of those commutator rows and the operator rows, and
-the c_x I rule above on every residual.  Every chunk is bounded below 2^62
-before it computes (`OverflowError` past it), and the first failing row in
-walk order is the witness.  Plain full-space `GQSparse` operators are one
+decides a chunk of rows at a time: per site, one exact sparse product L R,
+with R the site's operators stacked once at one common denominator and L the
+rows' coefficients placed against them, and the c_x I rule above on every
+residual.  Every chunk is bounded below 2^62 before it computes
+(`OverflowError` past it), and the first failing row in walk order is the
+witness.  Plain full-space `GQSparse` operators are one
 factor of a one-site space there, so the same checks give the same reports
 on them; the case-by-case walks are the test oracles (`tests/oracles.py`).
 """
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .algebra import StructureTensor, yamaguti_constants
-from .birep import GeneratorSet, extract_yamagutian, glc_bracket, y_cyclic
+from .birep import GeneratorSet, _signed, extract_yamagutian, glc_bracket, y_cyclic
 from .fock import FieldSet, SiteOp
 from .relations import RelationKernel
 from .report import CheckReport, InputError, fail, ok
@@ -123,14 +123,6 @@ class ETCReport:
     def to_dict(self):
         return {"convention": self.convention,
                 "equations": {k: v.to_dict() for k, v in self.equations.items()}}
-
-
-def _signed(lbl):
-    """(sign, stored label) of a table label, reading Y_kj as -Y_jk; None for
-    Y_jj, which is zero."""
-    if lbl[0] != "Y" or lbl[1] < lbl[2]:
-        return 1, lbl
-    return (-1, ("Y", lbl[2], lbl[1])) if lbl[1] > lbl[2] else None
 
 
 def _stored(vec):

@@ -13,9 +13,11 @@ of an empty re or im part, as a purely imaginary density's are.
 A `SiteOp` holds a sum of site-local operators sum_x I x .. x F_x x .. x I as
 its factors F_x on the 2^n-dimensional space of one site; see `SiteOp`.  The
 density and charge relations are decided on those factors, many cases at a
-time, by `relations.RelationKernel`: per site, commutator rows from stacked
-products and one integer coefficient contraction, each residual then held to
-`SiteOp.is_zero`'s c_x I rule, under the same 2^62 bound.
+time, by `relations.RelationKernel`: per site, one product L R of the cases'
+coefficients placed against the operators (L) by the operators stacked once
+(R), both built by `_place`, the one COO assembly, which serves `_sum` too;
+each residual is then held to `SiteOp.is_zero`'s c_x I rule, under the same
+2^62 bound.
 
 Ladder embeddings.  On N sites the Jordan-Wigner ladder operator of mode A at
 site x is exactly Pi x .. x Pi x F x I x .. x I, with x one-site parities
@@ -40,8 +42,6 @@ import scipy.sparse as sp
 
 from .matrices import fits_int64
 from .report import CheckReport, InputError, fail, ok
-
-_MAX_ENTRY = 1 << 60
 
 def _csr(m):
     """m as canonical int64 CSR: indices sorted, no duplicate and no stored
@@ -81,24 +81,26 @@ def _sum(dim, terms):
     mults = [q.numerator * (den // (q.denominator * A.den)) for q, A in terms]
     if not fits_int64(den, sum(abs(m) * A.mag for m, (_, A) in zip(mults, terms))):
         raise OverflowError("exact sparse result could exceed the int64 range")
-    re, im = (_assemble(dim, [(m, getattr(A, part)) for m, (_, A) in zip(mults, terms)])
+    re, im = (_place((dim, dim), dim, [(0, 0, m, getattr(A, part))
+                                       for m, (_, A) in zip(mults, terms)])
               for part in ("re", "im"))
     return GQSparse(dim, re, im, den)
 
 
-def _assemble(dim, parts):
-    """sum m*P over the (m, P) pairs of int64 CSR matrices, in one COO
-    assembly whose conversion to CSR adds up the duplicate entries."""
-    parts = [(m, part) for m, part in parts if part.nnz]
-    if not parts:
-        return sp.csr_matrix((dim, dim), dtype=np.int64)
-    if len(parts) == 1:    # one part needs no assembly
-        return parts[0][1] * parts[0][0]
-    index = np.arange(dim)
-    rows = np.concatenate([np.repeat(index, np.diff(part.indptr)) for _, part in parts])
-    return sp.coo_matrix((np.concatenate([part.data * m for m, part in parts]),
-                          (rows, np.concatenate([part.indices for _, part in parts]))),
-                         shape=(dim, dim)).tocsr()
+def _place(shape, d, blocks):
+    """The matrix of `shape` that sums m*P with P's (0, 0) entry at (k*d, j*d),
+    over the (k, j, m, P) of `blocks`, P int64 CSR: one COO assembly whose
+    conversion to CSR adds up the entries that meet."""
+    blocks = [block for block in blocks if block[3].nnz]
+    if not blocks:
+        return sp.csr_matrix(shape, dtype=np.int64)
+    if len(blocks) == 1 and blocks[0][3].shape == shape:    # one part needs no assembly
+        return blocks[0][3] * blocks[0][2]
+    rows = np.concatenate([np.repeat(np.arange(k * d, k * d + P.shape[0]), np.diff(P.indptr))
+                           for k, _, _, P in blocks])
+    cols = np.concatenate([np.add(P.indices, j * d, dtype=np.int64) for _, j, _, P in blocks])
+    return sp.coo_matrix((np.concatenate([P.data * m for _, _, m, P in blocks]), (rows, cols)),
+                         shape=shape).tocsr()
 
 
 class GQSparse:
@@ -120,11 +122,10 @@ class GQSparse:
         self._normalize()
 
     def _normalize(self):
-        mag = 0
-        for part in (self.re, self.im):
-            if part.nnz:
-                mag = max(mag, int(np.abs(part.data).max()))
-        if max(mag, self.den) > _MAX_ENTRY:
+        # np.abs leaves -2^63 negative, so the extremes are read apart
+        mag = max([0] + [max(int(part.data.max()), -int(part.data.min()))
+                         for part in (self.re, self.im) if part.nnz])
+        if not fits_int64(mag, self.den):
             raise OverflowError("exact sparse entry exceeded the int64 guard")
         g = self.den
         for part in (self.re, self.im):

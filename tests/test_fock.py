@@ -3,11 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mnl.etc import charge_densities
 from mnl.fock import (FieldSet, FockOps, GQSparse, QuadraticCache, SiteOp,
-                      _canonical_scan, _car_scan, _site_view,
+                      _canonical_scan, _car_scan, _place, _site_view,
                       build_fields, build_fock, canonical_etc_check, car_check,
                       site_factor)
 from mnl.relations import RelationKernel
@@ -119,6 +119,53 @@ def test_gq_guard_limits():
     with pytest.raises(OverflowError):
         # the coprime denominators 2^40 and 2^40 - 1 have an lcm past the bound
         one.scale(Fraction(1, 1 << 40)) + one.scale(Fraction(1, (1 << 40) - 1))
+    # |-2^63| is not an int64, so np.abs leaves it negative; it must not read
+    # as magnitude 0, which made its square and its double the zero operator
+    with pytest.raises(OverflowError):
+        GQSparse.from_int(sp.csr_matrix(([-(1 << 63)], ([0], [0])), shape=(2, 2),
+                                        dtype=np.int64))
+    # 2^61 is below the one 2^62 bound: it constructs, and its square refuses
+    big = GQSparse.from_int(sp.csr_matrix(([1 << 61], ([0], [0])), shape=(2, 2),
+                                          dtype=np.int64))
+    assert big.mag == 1 << 61
+    with pytest.raises(OverflowError):
+        big @ big
+
+
+# --- the one COO placement ----------------------------------------------
+
+def place_example(blocks, grid=(1, 1), d=2):
+    return grid, d, [(k, j, m, sp.csr_matrix(np.array(P, dtype=np.int64)))
+                     for k, j, m, P in blocks]
+
+
+@st.composite
+def placements(draw):
+    """A grid of d x d blocks and (k, j, m, P) parts placed on it; parts may
+    meet, be empty or sit anywhere on the grid."""
+    d = draw(st.integers(1, 3))
+    grid = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    entries = st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                       min_size=d, max_size=d)
+    blocks = draw(st.lists(st.tuples(st.integers(0, grid[0] - 1), st.integers(0, grid[1] - 1),
+                                     st.integers(-4, 4), entries), max_size=5))
+    return place_example(blocks, grid, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(placements())
+@example(place_example([(0, 0, 3, [[1, 0], [2, -1]])]))          # one part, no assembly
+@example(place_example([(0, 0, 2, [[0, 0], [0, 0]]), (0, 0, -1, [[5, 1], [0, 0]])]))
+@example(place_example([(1, 2, 1, [[1, 2], [3, 4]]), (1, 2, -2, [[1, 0], [0, 1]]),
+                        (0, 1, 5, [[0, 0], [0, 0]]), (2, 0, 1, [[0, 7], [0, 0]])], (3, 3)))
+def test_place_sums_the_blocks_like_dense(drawn):
+    (rows, cols), d, blocks = drawn
+    want = np.zeros((rows * d, cols * d), dtype=np.int64)
+    for k, j, m, P in blocks:
+        want[k * d:(k + 1) * d, j * d:(j + 1) * d] += m * P.toarray()
+    got = _place((rows * d, cols * d), d, blocks)
+    assert got.shape == want.shape and got.dtype == np.int64
+    assert np.array_equal(got.toarray(), want)
 
 
 # --- GQSparse against a dense Fraction reference ------------------------
