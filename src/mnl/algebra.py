@@ -4,6 +4,8 @@ identity checks, and the Cayley-Dickson unit tables they come from.
 All arithmetic is exact, with no floating point: tensors are stored sparsely
 over `fractions.Fraction`, 0-based, antisymmetric in the last two indices, and
 the identities are integer contractions over their denominator (`matrices`).
+A tensor keeps what is derived from it once: its Mal'tsev report, its
+Yamaguti constants, and both as integer arrays (`integer_constants`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .matrices import CHUNK, contract, lincomb, mat_mul, scaled
+from . import matrices
+from .matrices import CHUNK, contract, lincomb, magnitude, mat_mul, scaled
 from .report import CheckReport, InputError, fail, is_int, ok
 
 Key = Tuple[int, int, int]
@@ -26,13 +29,15 @@ Key = Tuple[int, int, int]
 class StructureTensor:
     """Structure constants c^i_jk of an anticommutative algebra, c[i][j][k]
     antisymmetric in (j, k).  Only nonzero entries are stored; the tensor is
-    not changed after construction, so it keeps its Yamaguti constants once
-    `yamaguti_constants` has computed them."""
+    not changed after construction, so it keeps what `is_maltsev`,
+    `yamaguti_constants` and `integer_constants` compute from it."""
 
     dim: int
     entries: Dict[Key, Fraction] = field(default_factory=dict)
+    _maltsev: Optional[CheckReport] = field(default=None, init=False, repr=False, compare=False)
     _yamaguti: Optional["YamagutiTensor"] = field(default=None, init=False, repr=False,
                                                   compare=False)
+    _integer: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -97,30 +102,50 @@ def is_lie(c: StructureTensor) -> CheckReport:
 def jacobi_check(F, labels):
     """The Jacobi identity for the integer structure constants F[i, a, b],
     the e_i coefficient of [e_a, e_b]; the witness is the labels of the first
-    failing a < b < c in lexicographic order.  For every c at once and about
-    CHUNK cases (a, b, c) a chunk."""
+    failing a < b < c in lexicographic order.
+
+    Over the nonzero constants: one sparse product T(a, b, c)_i =
+    sum_m F[i, a, m] F[m, b, c], the e_i coefficient of [e_a, [e_b, e_c]],
+    summed as outer products of the nonzeros of F[:, :, m] and F[m], and
+    placed three times, cyclically, as J = T(a, b, c) + T(b, c, a) +
+    T(c, a, b); of an entry's three places only an increasing one is kept,
+    and that is its sorted triple when (a, b, c) is a rotation of it.  An
+    entry of J sums at most 3n products, so 3 n max|F|^2 bounds it and its
+    partial sums: below 2^62 it runs in int64, past it over Python ints."""
     n = F.shape[0]
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    rows = max(1, CHUNK // n)
-    for start in range(0, len(pairs), rows):
-        a, b = np.array(pairs[start:start + rows]).T
-        c0 = b.min() + 1
-        # [a, [b, c]] + [b, [c, a]] + [c, [a, b]], as J[pair, c - c0, i]
-        J = lincomb([(1, contract("ikm,mkc->kci", F[:, a], F[:, b, c0:])),
-                     (1, contract("ikm,mck->kci", F[:, b], F[:, c0:, a])),
-                     (1, contract("icm,mk->kci", F[:, c0:], F[:, a, b]))])
-        bad = np.argwhere((J != 0).any(axis=2) & (np.arange(c0, n)[None, :] > b[:, None]))
-        if bad.size:
-            k, c = bad[0]
-            return fail("jacobi", witness=(labels[a[k]], labels[b[k]], labels[c0 + c]))
+    dtype = np.int64 if matrices.fits_int64(3 * n * max(magnitude(F), 1) ** 2) else object
+    keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=dtype)]
+    for m in range(n):
+        (i, a), (b, c) = np.nonzero(F[:, :, m]), np.nonzero(F[m])
+        v = np.multiply.outer(F[i, a, m].astype(dtype), F[m, b, c].astype(dtype)).ravel()
+        i, a, b, c = (np.repeat(i, len(b)), np.repeat(a, len(b)), np.tile(b, len(a)),
+                      np.tile(c, len(a)))
+        keep = ((a < b) & (b < c)) | ((b < c) & (c < a)) | ((c < a) & (a < b))
+        lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+        keys.append((((lo * n + a + b + c - lo - hi) * n + hi) * n + i)[keep])
+        values.append(v[keep])
+    key, at = np.unique(np.concatenate(keys), return_inverse=True)
+    J = np.zeros(len(key), dtype=dtype)
+    np.add.at(J, at, np.concatenate(values))
+    bad = key[J != 0] // n
+    if bad.size:
+        return fail("jacobi", witness=tuple(labels[int(bad[0]) // n ** p % n] for p in (2, 1, 0)))
     return ok("jacobi")
 
 
 def is_maltsev(c: StructureTensor) -> CheckReport:
     """[J(x,y,z), x] = J(x,y,[x,z]) on the finite probe set {e_a, e_a+e_b}
     for x and all basis y, z; sufficient in characteristic 0 since the
-    identity is quadratic in x and linear in y, z.  Both sides are taken at
-    D^3 over D c, for about CHUNK pairs (x, y) with every z."""
+    identity is quadratic in x and linear in y, z.  The report is made once
+    per tensor and kept on it."""
+    if c._maltsev is None:
+        object.__setattr__(c, "_maltsev", _maltsev_scan(c))
+    return c._maltsev
+
+
+def _maltsev_scan(c: StructureTensor) -> CheckReport:
+    """Both sides of the Mal'tsev identity at D^3 over D c, for about CHUNK
+    pairs (x, y) with every z."""
     r = c.dim
     C, _ = scaled((r,) * 3, c.entries.items())
 
@@ -173,13 +198,23 @@ def yamaguti_constants(c: StructureTensor) -> YamagutiTensor:
     return c._yamaguti
 
 
+def integer_constants(c: StructureTensor):
+    """(D c, D d, D): the structure constants c[i, j, k] and the Yamaguti
+    constants d[p, j, k, l] as integer arrays at one denominator, D = 6 den^2
+    with den that of c; made once per tensor and kept on it.  D d is the
+    defining contraction over den c."""
+    if c._integer is None:
+        C, den = scaled((c.dim,) * 3, c.entries.items())
+        T = contract("pjs,skl->pjkl", C, C)                     # c^p_js c^s_kl
+        total = lincomb([(1, T), (-1, T.transpose(0, 2, 1, 3)),
+                         (1, contract("psl,sjk->pjkl", C, C))])
+        object.__setattr__(c, "_integer", (lincomb([(6 * den, C)]), total, 6 * den * den))
+    return c._integer
+
+
 def _contract_yamaguti(c: StructureTensor) -> YamagutiTensor:
-    """The defining contraction over D c, at 6 D^2 d."""
-    C, den = scaled((c.dim,) * 3, c.entries.items())
-    T = contract("pjs,skl->pjkl", C, C)                     # c^p_js c^s_kl
-    total = lincomb([(1, T), (-1, T.transpose(0, 2, 1, 3)),
-                     (1, contract("psl,sjk->pjkl", C, C))])
-    six = 6 * den * den
+    """d from its integer array (`integer_constants`)."""
+    _, total, six = integer_constants(c)
     return YamagutiTensor(c.dim, {tuple(int(i) for i in key): Fraction(int(total[tuple(key)]), six)
                                   for key in np.argwhere(total)})
 

@@ -3,6 +3,13 @@ the generalized Lie-Cartan commutation relations.
 
 Matrices are dense lists of Fractions; every check is exact, an integer
 contraction over their common denominator (`matrices`).
+
+The generalized Lie-Cartan table is written once, in `bracket_rows`, with
+its cyclic relations in `cyclic_rows`: integer rows over the label index
+(`labels`: S_j, T_j, then every ordered Y_jk) at one denominator, gathered
+for a chunk of label pairs from the tensor's integer c and d
+(`algebra.integer_constants`).  `check_glc`, the envelope and the density
+and charge checks all read their right sides from these rows.
 """
 
 from __future__ import annotations
@@ -14,10 +21,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .algebra import (OCTONIONS, QUATERNIONS, StructureTensor, cayley_dickson,
-                      yamaguti_constants)
+from . import matrices
+from .algebra import OCTONIONS, QUATERNIONS, StructureTensor, cayley_dickson, integer_constants
 from .loops import CayleyTable, is_moufang
-from .matrices import commutator, contract, first_failure_chunked, lincomb, mat_mul, scaled, stacked
+from .matrices import (commutator, contract, first_failure_chunked, lincomb, magnitude, mat_mul,
+                       stacked)
 from .report import CheckReport, InputError, fail, is_int
 
 
@@ -167,10 +175,11 @@ def quaternion_lr_generators() -> GeneratorSet:
 Label = Tuple  # ("S", j) | ("T", j) | ("Y", j, k), j and k in either order
 Vec = Dict[Label, Fraction]
 
-# [A_j, B_k] = y Y_jk + c^p_jk (s S_p + t T_p): (y, s, t) for each pair A, B
-_ST_TABLE = {("S", "S"): (2, Fraction(1, 3), Fraction(2, 3)),
-             ("T", "T"): (2, Fraction(-2, 3), Fraction(-1, 3)),
-             ("S", "T"): (-1, Fraction(1, 3), Fraction(-1, 3))}
+
+def labels(r) -> List[Label]:
+    """The label index: S_j, then T_j, then every ordered Y_jk, j, k below r."""
+    return ([("S", j) for j in range(r)] + [("T", j) for j in range(r)]
+            + [("Y", j, k) for j in range(r) for k in range(r)])
 
 
 def vec_add(acc: Vec, label, coeff):
@@ -184,31 +193,82 @@ def vec_add(acc: Vec, label, coeff):
         acc.pop(label, None)
 
 
-def glc_bracket(c: StructureTensor, d, a: Label, b: Label) -> Vec:
-    """[a, b] in the generalized Lie-Cartan table, as {label: coefficient}.
+# [A_j, B_k] = y Y_jk + c^p_jk (s S_p + t T_p), in thirds: 3 (y, s, t) at
+# [kind of A, kind of B], S = 0 and T = 1; [T_j, S_k] is read as -[S_k, T_j]
+_ST_THIRDS = np.array([[(6, 1, 2), (-3, 1, -1)], [(0, 0, 0), (6, -2, -1)]])
 
-    The right side keeps every Y_jk in the (j, k) order the table writes, j == k
-    included; each realization decides what Y_kj and Y_jj mean.  The Yamaguti
-    tensor d is read only when a or b is a Y."""
-    if (a[0], b[0]) == ("T", "S") or (a[0] != "Y" and b[0] == "Y"):
-        return {lbl: -v for lbl, v in glc_bracket(c, d, b, a).items()}
-    out: Vec = {}
-    if a[0] != "Y":
-        (ta, j), (tb, k) = a, b
-        y, cs, ct = _ST_TABLE[(ta, tb)]
-        out[("Y", j, k)] = Fraction(y)
-        for p in range(c.dim):
-            vec_add(out, ("S", p), cs * c.c(p, j, k))
-            vec_add(out, ("T", p), ct * c.c(p, j, k))
-    elif b[0] != "Y":  # [Y_jk, S_n] = d^p_jkn S_p, and the same for T
-        for p in range(c.dim):
-            vec_add(out, (b[0], p), d.d(p, a[1], a[2], b[1]))
-    else:  # [Y_jk, Y_ln] = d^p_jkl Y_pn + d^p_jkn Y_lp
-        (_, j, k), (_, l, n) = a, b
-        for p in range(c.dim):
-            vec_add(out, ("Y", p, n), d.d(p, j, k, l))
-            vec_add(out, ("Y", l, p), d.d(p, j, k, n))
+
+def bracket_rows(c: StructureTensor, a, b):
+    """(R, 3D): the table rows [a_n, b_n] for label index arrays a and b,
+    R[n, w] / 3D the coefficient of label w, D that of the tensor's D c and
+    D d (`algebra.integer_constants`):
+
+        [S_j, S_k] = 2 Y_jk + c^p_jk ((1/3) S_p + (2/3) T_p)
+        [T_j, T_k] = 2 Y_jk - c^p_jk ((2/3) S_p + (1/3) T_p)
+        [S_j, T_k] = -Y_jk + (1/3) c^p_jk (S_p - T_p)
+        [Y_jk, S_n] = d^p_jkn S_p,  [Y_jk, T_n] = d^p_jkn T_p
+        [Y_jk, Y_ln] = d^p_jkl Y_pn + d^p_jkn Y_lp
+
+    and the rest by antisymmetry.  Every Y_jk keeps the (j, k) order written
+    here, j == k included; each realization decides what Y_kj and Y_jj mean
+    (`_signed`).  6 max(D, |D c|, |D d|) bounds an entry: int64 below 2^62,
+    else Python ints."""
+    C, Dd, D = integer_constants(c)
+    r = c.dim
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    ka, kb = np.minimum(a // r, 2), np.minimum(b // r, 2)
+    swap = ((ka == 1) & (kb == 0)) | ((ka < 2) & (kb == 2))
+    a, b, ka, kb = (np.where(swap, v, u) for u, v in ((a, b), (b, a), (ka, kb), (kb, ka)))
+    dtype = (np.int64 if matrices.fits_int64(6 * D, 6 * magnitude(C), 6 * magnitude(Dd))
+             else object)
+    sign = np.where(swap, -1, 1).astype(dtype)
+    C, Dd = C.astype(dtype, copy=False), Dd.astype(dtype, copy=False)
+    R = np.zeros((len(a), 2 * r + r * r), dtype=dtype)
+    p = np.arange(r)
+    st = np.flatnonzero(kb < 2)
+    yx = st[ka[st] == 2]            # [Y_jk, S_n or T_n]
+    st = st[ka[st] < 2]             # [S_j or T_j, S_k or T_k]
+    j, k = a[st] - r * ka[st], b[st] - r * kb[st]
+    y, s, t = (sign[st] * v for v in _ST_THIRDS[ka[st], kb[st]].T)
+    R[st, 2 * r + j * r + k] = y * D
+    R[st[:, None], p] = s[:, None] * C[:, j, k].T
+    R[st[:, None], r + p] = t[:, None] * C[:, j, k].T
+    j, k = divmod(a[yx] - 2 * r, r)
+    R[yx[:, None], r * kb[yx, None] + p] = 3 * sign[yx, None] * Dd[:, j, k, b[yx] - r * kb[yx]].T
+    yy = np.flatnonzero(kb == 2)    # [Y_jk, Y_ln]
+    (j, k), (l, n) = divmod(a[yy] - 2 * r, r), divmod(b[yy] - 2 * r, r)
+    R[yy[:, None], 2 * r + p * r + n[:, None]] += 3 * Dd[:, j, k, l].T
+    R[yy[:, None], 2 * r + l[:, None] * r + p] += 3 * Dd[:, j, k, n].T
+    return R, 3 * D
+
+
+def cyclic_rows(c: StructureTensor, j, k, l):
+    """(R, D): the rows c^p_jk Y_pl + c^p_kl Y_pj + c^p_lj Y_pk, which vanish
+    in every realization, for index arrays j, k and l (see `bracket_rows`)."""
+    C, _, D = integer_constants(c)
+    r = c.dim
+    dtype = np.int64 if matrices.fits_int64(3 * magnitude(C)) else object
+    R = np.zeros((len(j), 2 * r + r * r), dtype=dtype)
+    n, p = np.arange(len(j))[:, None], np.arange(r)
+    for u, v, e in ((j, k, l), (k, l, j), (l, j, k)):
+        np.add.at(R, (n, 2 * r + p * r + np.asarray(e)[:, None]), C[:, u, v].T.astype(dtype))
+    return R, D
+
+
+def row_vecs(R, den, lbls) -> List[Vec]:
+    """Integer rows R at den over the labels lbls as {label: coefficient}."""
+    out = [{} for _ in range(len(R))]
+    for n, w in zip(*np.nonzero(R)):
+        out[n][lbls[w]] = Fraction(int(R[n, w]), den)
     return out
+
+
+def bracket_vecs(c: StructureTensor, pairs) -> Dict[Tuple[Label, Label], Vec]:
+    """{(a, b): the table row [a, b]} for a list of label pairs, one gather."""
+    lbls = labels(c.dim)
+    index = {lbl: w for w, lbl in enumerate(lbls)}
+    a, b = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.int64).reshape(-1, 2).T
+    return dict(zip(pairs, row_vecs(*bracket_rows(c, a, b), lbls)))
 
 
 def _signed(lbl):
@@ -219,51 +279,29 @@ def _signed(lbl):
     return (-1, ("Y", lbl[2], lbl[1])) if lbl[1] > lbl[2] else None
 
 
-def y_cyclic(c: StructureTensor, j, k, l) -> Vec:
-    """c^p_jk Y_pl + c^p_kl Y_pj + c^p_lj Y_pk, which vanishes in every realization."""
-    out: Vec = {}
-    for p in range(c.dim):
-        for (a, b, e) in ((j, k, l), (k, l, j), (l, j, k)):
-            vec_add(out, ("Y", p, e), c.c(p, a, b))
-    return out
-
-
-def extract_yamagutian(S, T, bracket, lincomb, c: StructureTensor, j, k):
-    """Y_jk solved from the [S_j, T_k] row of the table, for operators S[p],
+def extract_yamagutian(S, T, bracket, lincomb, row: Vec, j, k):
+    """Y_jk solved from row, the table row of [S_j, T_k], for operators S[p],
     T[p] whose realized bracket is bracket(A, B); lincomb sums (q, operator)
     pairs."""
-    row = glc_bracket(c, None, ("S", j), ("T", k))
+    row = dict(row)
     q = row.pop(("Y", j, k))
     ops = {"S": S, "T": T}
     return lincomb([(1 / q, bracket(S[j], T[k]))]
                    + [(-v / q, ops[lbl[0]][lbl[1]]) for lbl, v in row.items()])
 
 
-def _realize(rows, index, ops):
-    """(K rows @ ops, K) for rows {label: rational} over ops[index[label]], K their denominator."""
-    coeffs, K = scaled((len(rows), len(index)), (((n, index[lbl]), v) for n, row in enumerate(rows)
-                                                 for lbl, v in row.items()))
-    return contract("nt,tij->nij", coeffs, ops), K
-
-
 def _labelled_operators(gen: GeneratorSet, c: StructureTensor):
-    """(E ops, E, index): S_j, T_j and each ordered Y_jk, its own extraction, at
-    one integer scale E.  `extract_yamagutian` on indices gives Y_jk =
-    a [S_j, T_k] + sum_p b_p X_p; with D X integer and L the a and b's
-    denominator, E = D^2 L."""
+    """(E ops, E): S_j, T_j and each ordered Y_jk over the label index, at one
+    integer scale E.  Y_jk is solved from its [S_j, T_k] row, which is
+    -Y_jk + (R_S S + R_T T) / D at the table's D (`bracket_rows`); with den X
+    integer, E = den^2 D and E Y_jk = den (R_S, R_T) (den X) - D [den S_j, den T_k]."""
     r = gen.r
-    index = {**{("S", j): j for j in range(r)}, **{("T", j): r + j for j in range(r)},
-             **{("Y", j, k): 2 * r + j * r + k for j in range(r) for k in range(r)}}
     st, den = stacked(list(gen.S) + list(gen.T), gen.dim)
-    pairs = [(j, k) for j in range(r) for k in range(r)]
-    columns = [(j, r + k) for j, k in pairs] + list(range(2 * r))
-    j, k = np.array(pairs).T
-    recipes = [extract_yamagutian(range(r), range(r, 2 * r), lambda a, b: (a, b), list, c, *pair)
-               for pair in pairs]
-    Y, L = _realize([{op: v for v, op in recipe} for recipe in recipes],
-                    {col: t for t, col in enumerate(columns)},
-                    np.concatenate([commutator(st[j], st[r + k]), lincomb([(den, st)])]))
-    return np.concatenate([lincomb([(den * L, st)]), Y]), den * den * L, index
+    j, k = np.divmod(np.arange(r * r), r)
+    R, D = bracket_rows(c, j, r + k)
+    Y = lincomb([(den, contract("nt,tij->nij", R[:, :2 * r], st)),
+                 (-D, commutator(st[j], st[r + k]))])
+    return np.concatenate([lincomb([(den * D, st)]), Y]), den * den * D
 
 
 def extract_yamagutians(gen: GeneratorSet, c: StructureTensor) -> Dict[tuple, list]:
@@ -271,25 +309,25 @@ def extract_yamagutians(gen: GeneratorSet, c: StructureTensor) -> Dict[tuple, li
     relation: Y_jk = -[S_j, T_k] + (1/3) c^p_jk (S_p - T_p)."""
     if gen.r != c.dim:
         raise InputError("generator count must match tensor dim")
-    ops, scale, index = _labelled_operators(gen, c)
-    return {lbl[1:]: [[Fraction(int(v), scale) for v in row] for row in ops[i]]
-            for lbl, i in index.items() if lbl[0] == "Y"}
+    ops, scale = _labelled_operators(gen, c)
+    return {lbl[1:]: [[Fraction(int(v), scale) for v in row] for row in ops[w]]
+            for w, lbl in enumerate(labels(gen.r)) if lbl[0] == "Y"}
 
 
-def matrix_fails(gen: GeneratorSet, c: StructureTensor, rhs):
-    """fails(cases) for `matrices.first_failure_chunked` on the generators and
-    extracted Y_jk: True for a pair (a, b) whose commutator is not rhs(a, b)
-    and for a relation, decided as the pair (X, X), that is not zero.  A pair
-    holds when K [E a, E b] = E (K rhs)(E ops), K the chunk's denominator."""
-    ops, scale, index = _labelled_operators(gen, c)
+def matrix_fails(gen: GeneratorSet, c: StructureTensor):
+    """fails(rows): the `first_failure_chunked` decision of a chunk of cases
+    on the generators and extracted Y_jk, X over the label index, for
+    rows(*case columns) = (a, b, R, K), R integer rows at K: case n fails
+    unless K [X_a, X_b] = R[n] X, at K E over E X (`_labelled_operators`).
+    A relation R[n] X = 0 is the pair (0, 0), whose commutator is zero."""
+    ops, scale = _labelled_operators(gen, c)
 
-    def fails(cases):
-        a, b = np.array([(index[case[0]], index[case[1]]) if len(case) == 2 else (0, 0)
-                         for case in cases]).T
-        sides, K = _realize([rhs(*case) if len(case) == 2 else case[0] for case in cases],
-                            index, ops)
-        lhs = lincomb([(K, commutator(ops[a], ops[b]))])
-        return (lhs != lincomb([(scale, sides)])).any(axis=(1, 2))
+    def fails(rows):
+        def decide(cases):
+            a, b, R, K = rows(*np.array(cases).T)
+            lhs = lincomb([(K, commutator(ops[a], ops[b]))])
+            return (lhs != lincomb([(scale, contract("nt,tij->nij", R, ops))])).any(axis=(1, 2))
+        return decide
     return fails
 
 
@@ -308,28 +346,36 @@ class GLCReport:
 def check_glc(gen: GeneratorSet, c: StructureTensor) -> GLCReport:
     """Exact verification of the generalized Lie-Cartan relations for a
     generator set against a structure tensor, with Y_jk extracted from the
-    [S_j, T_k] relation."""
+    [S_j, T_k] relation.  A pair's right side is its `bracket_rows` row."""
     if gen.r != c.dim:
         raise InputError("generator count must match tensor dim")
-    d = yamaguti_constants(c)
-    fails = matrix_fails(gen, c, lambda a, b: glc_bracket(c, d, a, b))
-    r = range(gen.r)
+    fails = matrix_fails(gen, c)
+    n = gen.r
+    r, width = range(n), np.arange(2 * n + n * n)
+
+    def Y(j, k):
+        return 2 * n + j * n + k
+
+    def units(j, k):    # the rows Y_jk + Y_kj
+        return (width == Y(j, k)[:, None]).astype(np.int64) + (width == Y(k, j)[:, None])
+
+    pairs = fails(lambda a, b: (a, b, *bracket_rows(c, a, b)))
     cases = {
-        "ss": (((j, k), ("S", j), ("S", k)) for j in r for k in r),
-        "tt": (((j, k), ("T", j), ("T", k)) for j in r for k in r),
-        "y_antisymmetry": (((j, k), {("Y", j, k): 1, ("Y", k, j): 1})
-                           for j in r for k in r if j <= k),
-        "y_cyclic": (((j, k, l), y_cyclic(c, j, k, l))
-                     for j in r for k in r for l in r if j < k < l),
-        "reductivity_s": ((("S", j, k, n), ("Y", j, k), ("S", n))
-                          for j in r for k in r for n in r),
-        "reductivity_t": ((("T", j, k, n), ("Y", j, k), ("T", n))
-                          for j in r for k in r for n in r),
-        "yy": (((j, k, l, n), ("Y", j, k), ("Y", l, n))
-               for j in r for k in r for l in r for n in r if j < k and l < n),
+        "ss": (pairs, (((j, k), j, k) for j in r for k in r)),
+        "tt": (pairs, (((j, k), n + j, n + k) for j in r for k in r)),
+        "y_antisymmetry": (fails(lambda j, k: (0, 0, units(j, k), 1)),
+                           (((j, k), j, k) for j in r for k in r if j <= k)),
+        "y_cyclic": (fails(lambda j, k, l: (0, 0, *cyclic_rows(c, j, k, l))),
+                     (((j, k, l), j, k, l) for j in r for k in r for l in r if j < k < l)),
+        "reductivity_s": (pairs, ((("S", j, k, m), Y(j, k), m)
+                                  for j in r for k in r for m in r)),
+        "reductivity_t": (pairs, ((("T", j, k, m), Y(j, k), n + m)
+                                  for j in r for k in r for m in r)),
+        "yy": (pairs, (((j, k, l, m), Y(j, k), Y(l, m))
+                       for j in r for k in r for l in r for m in r if j < k and l < m)),
     }
-    return GLCReport({name: first_failure_chunked(name, scan, fails)
-                      for name, scan in cases.items()})
+    return GLCReport({name: first_failure_chunked(name, scan, decide)
+                      for name, (decide, scan) in cases.items()})
 
 
 def load_generators(path) -> GeneratorSet:

@@ -2,9 +2,12 @@
 the cyclic Y-relations, bracket table, Jacobi certification, and an
 independent matrix-closure oracle for its dimension.
 
-The brackets and the cyclic relations are read from `birep.glc_bracket` and
-`birep.y_cyclic`; in the envelope Y_kj is -Y_jk and Y_jj is zero
-(`_canonical`), so only the labels Y_jk with j < k remain.
+Everything is read from the tensor's integer rows over the label index
+(`birep.bracket_rows`, `birep.cyclic_rows`).  In the envelope Y_kj is -Y_jk
+and Y_jj is zero (`birep._signed`), so only the Y_jk with j < k remain, and
+the Y-quotient writes each in the basis.  One integer matrix takes the label
+index to the basis (`_reduction`): the bracket table is the basis pairs'
+rows times it, and the quotient is checked with it against the table.
 
 One exact reduced row echelon routine, `_echelon_add`, serves the Y-quotient
 (rows keyed by label ("Y", j, k)) and the closure oracle (keyed by entry (i, j)).
@@ -22,8 +25,9 @@ import numpy as np
 
 from .algebra import (StructureTensor, YamagutiTensor, is_maltsev, jacobi_check,
                       yamaguti_constants)
-from .birep import GeneratorSet, Label, Vec, _signed, glc_bracket, matrix_fails, vec_add, y_cyclic
-from .matrices import commutator, first_failure_chunked, scaled, stacked
+from .birep import (GeneratorSet, Label, Vec, _signed, bracket_rows, cyclic_rows, labels,
+                    matrix_fails, row_vecs, vec_add)
+from .matrices import commutator, contract, first_failure_chunked, lincomb, scaled, stacked
 from .report import CheckReport, InputError
 
 __all__ = [
@@ -44,23 +48,15 @@ class NotMaltsevError(InputError):
         self.report = report
 
 
-def _canonical(vec: Vec) -> Vec:
-    """A vector of table labels in the envelope, where Y_kj = -Y_jk and Y_jj = 0
-    (`birep._signed`)."""
-    out: Vec = {}
-    for lbl, v in vec.items():
-        signed = _signed(lbl)
-        if signed:
-            vec_add(out, signed[1], signed[0] * v)
-    return out
-
-
-def _y_relations(c: StructureTensor) -> List[Vec]:
-    """The cyclic constraints, one row per triple j < k < l (the form is
-    totally antisymmetric)."""
-    r = range(c.dim)
-    rows = (_canonical(y_cyclic(c, j, k, l)) for j in r for k in r for l in r if j < k < l)
-    return [row for row in rows if row]
+def _y_relations(c: StructureTensor, ypairs) -> List[Vec]:
+    """The cyclic constraints over the Y_jk, (j, k) in ypairs, one row per
+    triple j < k < l (the form is totally antisymmetric)."""
+    r = c.dim
+    canon = labels(r)[:2 * r] + [("Y", j, k) for j, k in ypairs]
+    fold, _ = _reduction(r, canon, {p: {("Y", *p): 1} for p in ypairs})
+    R, _ = cyclic_rows(c, *np.array([(j, k, l) for j, k in ypairs for l in range(k + 1, r)],
+                                    dtype=np.int64).reshape(-1, 3).T)
+    return [row for row in row_vecs(contract("nw,wv->nv", R, fold), 1, canon) if row]
 
 
 def _echelon_add(pivots: Dict, row: Dict) -> bool:
@@ -125,14 +121,6 @@ class EnvelopeAlgebra:
     def bracket(self, a: Label, b: Label) -> Vec:
         return dict(self.brackets[(a, b)])
 
-    def bracket_vec(self, u: Vec, v: Vec) -> Vec:
-        out: Vec = {}
-        for la, ca in u.items():
-            for lb, cb in v.items():
-                for lbl, coeff in self.brackets[(la, lb)].items():
-                    vec_add(out, lbl, ca * cb * coeff)
-        return out
-
     def to_json_dict(self):
         def lbl_str(lbl):
             if lbl[0] == "Y":
@@ -158,65 +146,92 @@ class EnvelopeAlgebra:
         }
 
 
-def _expand_vec(vec: Vec, expand) -> Vec:
-    out: Vec = {}
-    for lbl, coeff in vec.items():
-        if lbl[0] == "Y":
-            for lbl2, v in expand[(lbl[1], lbl[2])].items():
-                vec_add(out, lbl2, coeff * v)
-        else:
-            vec_add(out, lbl, coeff)
-    return out
+def _reduction(r, basis, expand):
+    """(M, E): row w of M / E is label w of the label index in the basis,
+    each Y through Y_kj = -Y_jk, Y_jj = 0 and its expansion."""
+    index = {lbl: t for t, lbl in enumerate(basis)}
+    entries = []
+    for w, lbl in enumerate(labels(r)):
+        signed = _signed(lbl)
+        if signed:
+            sign, lbl = signed
+            for key, v in (expand[lbl[1:]] if lbl[0] == "Y" else {lbl: 1}).items():
+                entries.append(((w, index[key]), sign * v))
+    return scaled((2 * r + r * r, len(basis)), entries)
+
+
+def _label_indices(r, lbls):
+    index = {lbl: w for w, lbl in enumerate(labels(r))}
+    return np.array([index[lbl] for lbl in lbls], dtype=np.int64)
 
 
 def build_envelope(c: StructureTensor) -> EnvelopeAlgebra:
     """Quotient the free span of {S_j, T_j, Y_jk} by the cyclic Y-relations
-    and write all theorem brackets in the reduced basis.  Consistency of the
-    bracket table with the quotient is verified, not assumed."""
+    and write all theorem brackets in the reduced basis, a basis row at a
+    time.  Consistency of the bracket table with the quotient is verified,
+    not assumed.  The Mal'tsev precondition is the tensor's kept report."""
     rep = is_maltsev(c)
     if not rep.passed:
         raise NotMaltsevError(rep)
     r = c.dim
     ypairs = [(j, k) for j in range(r) for k in range(j + 1, r)]
-    expand, rank = _reduce_relations(_y_relations(c), ypairs)
+    expand, rank = _reduce_relations(_y_relations(c, ypairs), ypairs)
     basis: List[Label] = [("S", j) for j in range(r)] + [("T", j) for j in range(r)]
     basis += [("Y", j, k) for (j, k) in ypairs
               if expand[(j, k)] == {("Y", j, k): Fraction(1)}]
-    d = yamaguti_constants(c)
+    M, E = _reduction(r, basis, expand)
+    cols = _label_indices(r, basis)
     brackets = {}
-    for a in basis:
-        for b in basis:
-            brackets[(a, b)] = _expand_vec(_canonical(glc_bracket(c, d, a, b)), expand)
+    for a, w in zip(basis, cols):
+        R, D = bracket_rows(c, np.full(len(basis), w), cols)
+        B = contract("nw,wt->nt", R, M)
+        for b, row in zip(basis, B):
+            brackets[(a, b)] = {basis[t]: Fraction(int(row[t]), D * E) for t in np.flatnonzero(row)}
     env = EnvelopeAlgebra(r, tuple(basis), expand, brackets, rank)
-    _check_quotient_consistency(c, d, env)
+    _check_quotient_consistency(c, None, env)
     return env
+
+
+def _structure(env: EnvelopeAlgebra):
+    """(K F, K): F[t, u, v] the basis[t] coefficient of [basis[u], basis[v]]
+    in the bracket table, over its denominator K."""
+    index = {lbl: i for i, lbl in enumerate(env.basis)}
+    return scaled((env.dim,) * 3, (((index[lbl], index[a], index[b]), v)
+                                   for (a, b), vec in env.brackets.items()
+                                   for lbl, v in vec.items()))
 
 
 def _check_quotient_consistency(c, d, env: EnvelopeAlgebra):
     """Brackets of eliminated Y's must agree with the bilinear extension of
     the reduced table; a mismatch is an implementation bug, so abort.  A pair
-    of basis labels needs no check: its table entry is that bracket."""
+    of basis labels needs no check: its table entry is that bracket.  For the
+    other pairs (a, b), c's rows times `_reduction` must equal
+    sum_uv x_a[u] x_b[v] env.brackets[u, v], x the expansions: exact integer
+    contractions at one denominator, for all b of one a at a time.  The
+    Yamaguti constants d are not read: c's rows hold them."""
     eliminated: List[Label] = [("Y", j, k) for (j, k), expr in env.expand.items()
                                if expr != {("Y", j, k): Fraction(1)}]
     full = list(env.basis) + eliminated
-    for a, b in itertools.chain(itertools.product(eliminated, full),
-                                itertools.product(env.basis, eliminated)):
-        direct = _expand_vec(_canonical(glc_bracket(c, d, a, b)), env.expand)
-        via_table = env.bracket_vec(_expand_vec({a: Fraction(1)}, env.expand),
-                                    _expand_vec({b: Fraction(1)}, env.expand))
-        if direct != via_table:
-            raise EnvelopeInconsistencyError(
-                f"bracket of {a} and {b} inconsistent with the Y-quotient")
+    cols = _label_indices(env.r, full)
+    M, E = _reduction(env.r, env.basis, env.expand)
+    F, K = _structure(env)
+    elim = np.arange(env.dim, len(full))
+    for a in itertools.chain(elim, range(env.dim)):
+        b = np.arange(len(full)) if a >= env.dim else elim
+        R, D = bracket_rows(c, np.full(len(b), cols[a]), cols[b])
+        # [x_a, x_b] through the table
+        via = contract("tv,bv->bt", contract("u,tuv->tv", M[cols[a]], F), M[cols[b]])
+        bad = np.flatnonzero((lincomb([(E * K, contract("nw,wt->nt", R, M))])
+                              != lincomb([(D, via)])).any(axis=1))
+        if bad.size:
+            raise EnvelopeInconsistencyError(f"bracket of {full[a]} and {full[b[bad[0]]]} "
+                                             "inconsistent with the Y-quotient")
 
 
 def check_jacobi(env: EnvelopeAlgebra) -> CheckReport:
     """Jacobi identity on all basis triples a < b < c of the reduced bracket
     table (`algebra.jacobi_check` on its structure constants)."""
-    index = {lbl: i for i, lbl in enumerate(env.basis)}
-    F, _ = scaled((env.dim,) * 3, (((index[lbl], index[a], index[b]), v)
-                                   for (a, b), vec in env.brackets.items()
-                                   for lbl, v in vec.items()))
-    return jacobi_check(F, env.basis)
+    return jacobi_check(_structure(env)[0], env.basis)
 
 
 def matrix_closure_dim(gen: GeneratorSet) -> int:
@@ -249,13 +264,25 @@ def realize_check(env: EnvelopeAlgebra, gen: GeneratorSet, c: StructureTensor) -
     if gen.r != c.dim or c.dim != env.r:
         raise InputError("generator count, tensor dim, and envelope rank must agree")
 
-    def eliminated(j, k, expr):
-        rel = {lbl: -v for lbl, v in expr.items()}
-        vec_add(rel, ("Y", j, k), 1)
-        return rel
+    fails = matrix_fails(gen, c)
+    F, K = _structure(env)
+    M, E = _reduction(env.r, env.basis, env.expand)
+    cols = _label_indices(env.r, env.basis)
+    ys = _label_indices(env.r, [("Y", *key) for key in env.expand])
+    # E Y_jk - (its expansion at E) over the label index, as Python ints
+    X = np.zeros((len(ys), 2 * env.r + env.r * env.r), dtype=object)
+    X[:, cols] = -M[ys]
+    X[np.arange(len(ys)), ys] += E
 
-    fails = matrix_fails(gen, c, lambda a, b: env.brackets[(a, b)])
-    cases = itertools.chain(
-        ((("expand", j, k), eliminated(j, k, expr)) for (j, k), expr in env.expand.items()),
-        (((a, b), a, b) for a in env.basis for b in env.basis))
-    return first_failure_chunked("realize", cases, fails)
+    def pairs(u, v):
+        R = np.zeros((len(u), X.shape[1]), dtype=F.dtype)
+        R[:, cols] = F[:, u, v].T
+        return cols[u], cols[v], R, K
+
+    rep = first_failure_chunked("realize", ((("expand", *key), n)
+                                            for n, key in enumerate(env.expand)),
+                                fails(lambda n: (0, 0, X[n], E)))
+    if not rep.passed:
+        return rep
+    return first_failure_chunked("realize", (((a, b), u, v) for u, a in enumerate(env.basis)
+                                             for v, b in enumerate(env.basis)), fails(pairs))

@@ -26,11 +26,11 @@ cross-site commutator is zero without any arithmetic), and a sum of
 embeddings sum_x E_x(D_x) is zero exactly when every D_x is c_x * I with
 sum_x c_x = 0.
 
-Relations.  Every right side is a row of `birep.glc_bracket` or the cyclic
-relation `birep.y_cyclic`.  Densities realize the table at site labels
-(label, x) with the Kronecker delta, [A(x), B(y)] = i delta_xy (row at x), and
-charges realize it as it stands; both read Y_kj as -Y_jk and Y_jj as zero
-(`birep._signed`).  The Yamagutian densities are solved from the [S_j, T_k] row by
+Relations.  Every right side is a table row, gathered once per check
+(`_table`).  Densities realize the table at site labels (label, x) with the
+Kronecker delta, [A(x), B(y)] = i delta_xy (row at x), and charges realize it
+as it stands; both read Y_kj as -Y_jk and Y_jj as zero (`birep._signed`).  The
+Yamagutian densities are solved from the [S_j, T_k] row by
 `birep.extract_yamagutian`, whose bracket for densities is -i[a, b].
 
 One kernel.  `etc_verify`, `locality_check` and `charge_algebra_check` write
@@ -52,8 +52,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .algebra import StructureTensor, yamaguti_constants
-from .birep import GeneratorSet, _signed, extract_yamagutian, glc_bracket, y_cyclic
+import numpy as np
+
+from .algebra import StructureTensor
+from .birep import (GeneratorSet, _signed, bracket_vecs, cyclic_rows, extract_yamagutian, labels,
+                    row_vecs)
 from .fock import FieldSet, SiteOp
 from .relations import RelationKernel
 from .report import CheckReport, InputError, fail, ok
@@ -91,10 +94,11 @@ def _density_bracket(a, b):
     return a.commutator(b).times_i().scale(-1)
 
 
-def _raw_yamagutian(s, t, c: StructureTensor, j, k, x):
-    """Y0_jk(x) solved from the [s_j(x), t_k(x)] relation."""
-    return extract_yamagutian([row[x] for row in s], [row[x] for row in t], _density_bracket,
-                              s[0][x].zero_like().plus, c, j, k)
+def _raw_yamagutian(s, t, row, j, k, x):
+    """Y0_jk(x) solved from the [s_j(x), t_k(x)] relation, row the table row
+    of [S_j, T_k]."""
+    return extract_yamagutian([ops[x] for ops in s], [ops[x] for ops in t], _density_bracket,
+                              s[0][x].zero_like().plus, row, j, k)
 
 
 def charge_densities(f: FieldSet, gen: GeneratorSet, c: StructureTensor) -> ChargeDensitySet:
@@ -106,8 +110,10 @@ def charge_densities(f: FieldSet, gen: GeneratorSet, c: StructureTensor) -> Char
         raise InputError("generator count must match tensor dim")
     s = [[_site_density(f, x, gen.S[j]) for x in range(f.sites)] for j in range(gen.r)]
     t = [[_site_density(f, x, gen.T[j]) for x in range(f.sites)] for j in range(gen.r)]
-    Y = {(j, k): [_raw_yamagutian(s, t, c, j, k, x) for x in range(f.sites)]
-         for j in range(gen.r) for k in range(j + 1, gen.r)}
+    pairs = [(j, k) for j in range(gen.r) for k in range(j + 1, gen.r)]
+    rows = bracket_vecs(c, [(("S", j), ("T", k)) for j, k in pairs])
+    Y = {(j, k): [_raw_yamagutian(s, t, rows[("S", j), ("T", k)], j, k, x)
+                  for x in range(f.sites)] for j, k in pairs}
     return ChargeDensitySet(gen.r, f.sites, s, t, Y, c)
 
 
@@ -133,6 +139,19 @@ def _stored(vec):
             yield signed[0] * v, signed[1]
 
 
+def _table(c: StructureTensor):
+    """({(a, b): table row} for S-S, S-T, T-T and Y_jk with S_n, T_n, Y_ln,
+    j < k and l < n; {(j, k, l): cyclic relation} for j < k < l): the rows
+    the density and charge relations read (`birep.bracket_rows`)."""
+    r = range(c.dim)
+    upper = [("Y", j, k) for j in r for k in r if j < k]
+    pairs = ([((A, j), (B, k)) for A, B in ("SS", "ST", "TT") for j in r for k in r]
+             + [(y, b) for y in upper for b in [(X, n) for X in "ST" for n in r] + upper])
+    triples = [(j, k, l) for j in r for k in r for l in r if j < k < l]
+    cyclic = cyclic_rows(c, *np.array(triples, dtype=np.int64).reshape(-1, 3).T)
+    return bracket_vecs(c, pairs), dict(zip(triples, row_vecs(*cyclic, labels(c.dim))))
+
+
 def _density_kernel(d: ChargeDensitySet):
     """The kernel over every stored density, and its index {(label, x): operator}."""
     index, ops = {}, []
@@ -150,7 +169,7 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
     minimal-violation forms of the associative ETC, and the [s,t] = [t,s]
     symmetry, with the Kronecker delta in place of delta(x-y).
 
-    Equations 1, 2 and 5-8 are rows of `birep.glc_bracket` or `birep.y_cyclic`
+    Equations 1, 2 and 5-8 are table rows or cyclic relations (`_table`)
     at site labels (label, x): [A(x), B(y)] = i delta_xy (table row at x).
     Every case is one row of kernel terms (`relations.RelationKernel`): its
     commutators, and the operators or i times them of its right side; a pair
@@ -160,7 +179,7 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
     if c.dim != d.r:
         raise InputError("tensor dim must match density count")
     r, N = range(d.r), range(d.sites)
-    dd = yamaguti_constants(c)
+    rows, cyclic = _table(c)
     kernel, index = _density_kernel(d)
     rep = ETCReport(CONVENTION)
 
@@ -175,7 +194,7 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
         # [A(x), B(y)] - i delta_xy (vec at x), vec the table row of [A, B]
         if x != y:
             return (comm(la, x, lb, y),)
-        vec = glc_bracket(c, dd, la, lb) if vec is None else vec
+        vec = rows[la, lb] if vec is None else vec
         return (comm(la, x, lb, y), *at(x, vec, "i", -1))
 
     def yamagutian_sum(j, k, x):
@@ -183,7 +202,8 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
         out = []
         for a, b in ((j, k), (k, j)):
             (q, (sa, tb)), *rest = extract_yamagutian(
-                [("S", p) for p in r], [("T", p) for p in r], lambda u, w: (u, w), list, c, a, b)
+                [("S", p) for p in r], [("T", p) for p in r], lambda u, w: (u, w), list,
+                rows[("S", a), ("T", b)], a, b)
             out += [comm(sa, x, tb, x, q)] + [("i", v, index[lbl, x]) for v, lbl in rest]
         return out
 
@@ -202,8 +222,7 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
         # the printed equation pairs [t_j, s_k] with the [T_j, T_k]-shaped
         # right side; both readings are tried and the verdict recorded
         ts_ok, tt_ok = (kernel.first_failure("3", (
-            ((j, k, x, y), *pair(("T", j), x, (kind, k), y,
-                                 glc_bracket(c, dd, ("T", j), ("T", k))))
+            ((j, k, x, y), *pair(("T", j), x, (kind, k), y, rows[("T", j), ("T", k)]))
             for j in r for k in r for x in N for y in N)).passed for kind in "ST")
         detail = (f"as printed [t,s]: {'pass' if ts_ok else 'fail'}; "
                   f"as [t,t]: {'pass' if tt_ok else 'fail'}")
@@ -219,7 +238,7 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
         "2": site_pairs("S", "T", jk),
         "3": None,
         "4": (((j, k, x), *yamagutian_sum(j, k, x)) for (j, k) in jk for x in N),
-        "5": (((j, k, l, x), *at(x, y_cyclic(c, j, k, l), "o"))
+        "5": (((j, k, l, x), *at(x, cyclic[j, k, l], "o"))
               for (j, k) in upper for l in r if k < l for x in N),
         "6": site_pairs("Y", "S", [(j, k, n) for (j, k) in upper for n in r]),
         "7": site_pairs("Y", "T", [(j, k, n) for (j, k) in upper for n in r]),
@@ -279,7 +298,7 @@ def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
     if c.dim != q.r:
         raise InputError("tensor dim must match charge count")
     r = range(q.r)
-    dd = yamaguti_constants(c)
+    rows, cyclic = _table(c)
     labels = ([("S", j) for j in r] + [("T", j) for j in r]
               + [("Y", *key) for key in q.upsilon])
     index = {lbl: i for i, lbl in enumerate(labels)}
@@ -291,13 +310,13 @@ def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
     def pair(a, b):
         # [a, b] - (table row of [a, b])
         (sa, ia), (sb, ib) = _signed(a), _signed(b)
-        return ("c", sa * sb, index[ia], index[ib]), *realize(glc_bracket(c, dd, a, b), -1)
+        return ("c", sa * sb, index[ia], index[ib]), *realize(rows[a, b], -1)
 
     upper = [(j, k) for j in r for k in r if j < k]
     cases = itertools.chain(
         (((name, j, k), *pair((ka, j), (kb, k))) for j in r for k in r
          for name, ka, kb in (("ss", "S", "S"), ("st", "S", "T"), ("tt", "T", "T"))),
-        ((("cyclic", j, k, l), *realize(y_cyclic(c, j, k, l)))
+        ((("cyclic", j, k, l), *realize(cyclic[j, k, l]))
          for (j, k) in upper for l in r if k < l),
         (((name, j, k, n), *pair(("Y", j, k), (kind, n))) for (j, k) in upper for n in r
          for name, kind in (("reductivity-sigma", "S"), ("reductivity-tau", "T"))),

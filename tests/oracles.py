@@ -2,17 +2,17 @@
 `mnl` replace, each walking its cases in the order the kernel must keep.
 The dense ones are loops over `fractions.Fraction` (matrices are dense lists
 of Fractions); the density and charge checks decide one case at a time with
-the `GQSparse`/`SiteOp` operator arithmetic.  They read the same right sides
-(`birep.glc_bracket`, `birep.y_cyclic`, the envelope's bracket table), and
-the property tests compare their reports, witnesses included, with the
-kernels'."""
+the `GQSparse`/`SiteOp` operator arithmetic.  Their right sides are the
+generalized Lie-Cartan table written here once more, term by term over
+Fractions (`glc_bracket`, `y_cyclic`), and the envelope's bracket table; the
+property tests compare their reports, witnesses included, with the
+kernels', and `glc_bracket` with the program's integer rows."""
 
 import itertools
 from fractions import Fraction
 
 from mnl.algebra import StructureTensor, YamagutiTensor, yamaguti_constants
-from mnl.birep import (GeneratorSet, GLCReport, extract_yamagutian, glc_bracket, vec_add,
-                       y_cyclic)
+from mnl.birep import GeneratorSet, GLCReport, Label, Vec, extract_yamagutian, vec_add
 from mnl.envelope import EnvelopeAlgebra
 from mnl.etc import CONVENTION, ETCReport, _raw_yamagutian, _signed
 from mnl.report import CheckReport, InputError, fail, ok
@@ -172,10 +172,58 @@ def contract_yamaguti(c: StructureTensor) -> YamagutiTensor:
     return YamagutiTensor(r, out)
 
 
+# --- the generalized Lie-Cartan table -----------------------------------------
+
+# [A_j, B_k] = y Y_jk + c^p_jk (s S_p + t T_p): (y, s, t) for each pair A, B
+_ST_TABLE = {("S", "S"): (2, Fraction(1, 3), Fraction(2, 3)),
+             ("T", "T"): (2, Fraction(-2, 3), Fraction(-1, 3)),
+             ("S", "T"): (-1, Fraction(1, 3), Fraction(-1, 3))}
+
+
+def glc_bracket(c: StructureTensor, d, a: Label, b: Label) -> Vec:
+    """[a, b] in the generalized Lie-Cartan table, as {label: coefficient},
+    every Y_jk in the (j, k) order the table writes, j == k included.  The
+    Yamaguti tensor d is read only when a or b is a Y."""
+    if (a[0], b[0]) == ("T", "S") or (a[0] != "Y" and b[0] == "Y"):
+        return {lbl: -v for lbl, v in glc_bracket(c, d, b, a).items()}
+    out: Vec = {}
+    if a[0] != "Y":
+        (ta, j), (tb, k) = a, b
+        y, cs, ct = _ST_TABLE[(ta, tb)]
+        out[("Y", j, k)] = Fraction(y)
+        for p in range(c.dim):
+            vec_add(out, ("S", p), cs * c.c(p, j, k))
+            vec_add(out, ("T", p), ct * c.c(p, j, k))
+    elif b[0] != "Y":  # [Y_jk, S_n] = d^p_jkn S_p, and the same for T
+        for p in range(c.dim):
+            vec_add(out, (b[0], p), d.d(p, a[1], a[2], b[1]))
+    else:  # [Y_jk, Y_ln] = d^p_jkl Y_pn + d^p_jkn Y_lp
+        (_, j, k), (_, l, n) = a, b
+        for p in range(c.dim):
+            vec_add(out, ("Y", p, n), d.d(p, j, k, l))
+            vec_add(out, ("Y", l, p), d.d(p, j, k, n))
+    return out
+
+
+def y_cyclic(c: StructureTensor, j, k, l) -> Vec:
+    """c^p_jk Y_pl + c^p_kl Y_pj + c^p_lj Y_pk, which vanishes in every realization."""
+    out: Vec = {}
+    for p in range(c.dim):
+        for (a, b, e) in ((j, k, l), (k, l, j), (l, j, k)):
+            vec_add(out, ("Y", p, e), c.c(p, a, b))
+    return out
+
+
+def st_row(c: StructureTensor, j, k) -> Vec:
+    """The table row of [S_j, T_k], from which Y_jk is solved."""
+    return glc_bracket(c, None, ("S", j), ("T", k))
+
+
 # --- generator matrices and the envelope ------------------------------------
 
 def extract_yamagutians(gen: GeneratorSet, c: StructureTensor):
-    return {(j, k): extract_yamagutian(gen.S, gen.T, commutator, mat_lincomb, c, j, k)
+    return {(j, k): extract_yamagutian(gen.S, gen.T, commutator, mat_lincomb, st_row(c, j, k),
+                                       j, k)
             for j in range(gen.r) for k in range(gen.r)}
 
 
@@ -231,6 +279,16 @@ def realize_check(env: EnvelopeAlgebra, gen: GeneratorSet, c: StructureTensor) -
     return first_failure("realize", cases, holds)
 
 
+def bracket_vec(env: EnvelopeAlgebra, u: Vec, v: Vec) -> Vec:
+    """[u, v] for vectors over the envelope's basis, through its bracket table."""
+    out: Vec = {}
+    for la, ca in u.items():
+        for lb, cb in v.items():
+            for lbl, coeff in env.brackets[(la, lb)].items():
+                vec_add(out, lbl, ca * cb * coeff)
+    return out
+
+
 def check_jacobi(env: EnvelopeAlgebra) -> CheckReport:
     basis = env.basis
     n = len(basis)
@@ -245,7 +303,7 @@ def check_jacobi(env: EnvelopeAlgebra) -> CheckReport:
                 ca = env.bracket(basis[ic], basis[ia])
                 total = {}
                 for u, w in ((va, bc), (vb, ca), (vc, ab)):
-                    for lbl, v in env.bracket_vec(u, w).items():
+                    for lbl, v in bracket_vec(env, u, w).items():
                         vec_add(total, lbl, v)
                 if total:
                     return fail("jacobi", witness=(basis[ia], basis[ib], basis[ic]))
@@ -324,8 +382,8 @@ def etc_verify(d, c=None):
         "2": (site_pairs("S", "T", jk), holds),
         "3": None,
         "4": ((((j, k, x), j, k, x) for (j, k) in jk for x in N),
-              lambda j, k, x: (_raw_yamagutian(d.s, d.t, c, j, k, x)
-                               + _raw_yamagutian(d.s, d.t, c, k, j, x)).is_zero()),
+              lambda j, k, x: (_raw_yamagutian(d.s, d.t, st_row(c, j, k), j, k, x)
+                               + _raw_yamagutian(d.s, d.t, st_row(c, k, j), k, j, x)).is_zero()),
         "5": ((((j, k, l, x), (y_cyclic(c, j, k, l), x))
                for (j, k) in upper for l in r if k < l for x in N), holds),
         "6": (site_pairs("Y", "S", [(j, k, n) for (j, k) in upper for n in r]), holds),

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from mnl.algebra import StructureTensor, catalog_algebra
+from mnl import algebra
+from mnl.algebra import StructureTensor, catalog_algebra, is_maltsev
 from mnl.birep import GeneratorSet
 from mnl.algebra import yamaguti_constants
 from mnl.envelope import (EnvelopeInconsistencyError, _check_quotient_consistency,
@@ -138,6 +139,17 @@ def test_build_rejects_non_maltsev():
     del ent[(2, 1, 0)]
     with pytest.raises(InputError):
         build_envelope(StructureTensor(7, ent))
+
+
+def test_maltsev_precondition_runs_once_per_tensor(monkeypatch):
+    # build_envelope reads the report its caller's is_maltsev kept on the tensor
+    scans = []
+    scan = algebra._maltsev_scan
+    monkeypatch.setattr(algebra, "_maltsev_scan", lambda c: scans.append(c) or scan(c))
+    c = StructureTensor(7, dict(catalog_algebra("m7").entries))
+    rep = is_maltsev(c)
+    build_envelope(c)
+    assert is_maltsev(c) is rep and scans == [c]
 
 
 def test_dim_never_exceeds_bound():

@@ -331,7 +331,10 @@ def test_site_op_identity_shift_is_zero():
 def kernel_cases(draw):
     """Four operators, SiteOps on 1-3 sites or plain GQSparse, whose factors
     are random or multiples of I (one may be sum_x c_x I with the c_x summing
-    to zero), and cases of commutator, operator and i-operator terms."""
+    to zero), then i times one of them; random cases of commutator, operator
+    and i-operator terms over the four, and cases built to cancel, so that a
+    wrong sign in any one kind of term shows: a term plus its negation,
+    q [a, b] + q [b, a], and q i o against -q times the operator i o."""
     plain = draw(st.booleans())
     sites = 1 if plain else draw(st.integers(1, 3))
     ident = GQSparse.identity(SITE_DIM)
@@ -353,7 +356,11 @@ def kernel_cases(draw):
     index, q = st.integers(0, 3), st.fractions(-3, 3, max_denominator=3)
     term = st.one_of(st.tuples(st.just("c"), q, index, index),
                      st.tuples(st.sampled_from("oi"), q, index))
-    return ops, draw(st.lists(st.lists(term, min_size=1, max_size=4), min_size=1, max_size=6))
+    cases = draw(st.lists(st.lists(term, min_size=1, max_size=4), min_size=1, max_size=6))
+    a, b, v = draw(index), draw(index), draw(q)
+    ops.append(ops[a].times_i())
+    return ops, cases + [[("o", v, a), ("o", -v, a)], [("i", v, a), ("i", -v, a)],
+                         [("c", v, a, b), ("c", v, b, a)], [("i", v, a), ("o", -v, 4)]]
 
 
 @settings(max_examples=60, deadline=None)
