@@ -4,6 +4,7 @@ without the rest of the chain.
 
     python3 scripts/bench_layers.py TAG                # the dense exact layer
     python3 scripts/bench_layers.py TAG --group etc    # the density ETC and charges
+    python3 scripts/bench_layers.py TAG --group fock   # fields, densities, lemma
 
 It imports `src/mnl` and `mnlbench` of the checkout it sits in.
 
@@ -14,6 +15,10 @@ It imports `src/mnl` and `mnlbench` of the checkout it sits in.
   generators at one site (m7, dimension 2^8) and on the quaternionic line of
   `mnlbench.workloads.OctonionN2` for seed 0 at two sites (r=3, two sites of
   dimension 2^8).
+- `fock`: the octonion fields at two sites (8 modes each, dimension 2^16),
+  `build_fields` with `canonical_etc_check` and, on fresh fields,
+  `charge_densities` of the octonion generators; and `bilinear_lemma_check`
+  at 15 trials on the fields of one site of 8 modes and of two sites of 4.
 
 Each function runs five times, every run on fresh copies of its inputs
 (tensor, generator set, envelope, densities and charges), so no value kept
@@ -96,7 +101,29 @@ def etc_inputs(workdir):
             "octonion-line-n2": (line.tensor, line.gen, etc_cases(2))}
 
 
-GROUPS = {"dense": dense_inputs, "etc": etc_inputs}
+LEMMA_TRIALS = 15
+
+
+def lemma_cases(n, sites):
+    return {"bilinear_lemma_check": (
+        lambda c, g: (fock.build_fields(n, sites),),
+        lambda f: etc.bilinear_lemma_check(f, trials=LEMMA_TRIALS, seed=SEED))}
+
+
+def fock_inputs(workdir):
+    m7, oct_gen = algebra.catalog_algebra("m7"), birep.octonion_lr_generators()
+    fields = {
+        "build_fields+canonical_etc_check": (
+            lambda c, g: (), lambda: fock.canonical_etc_check(fock.build_fields(8, 2))),
+        "charge_densities": (lambda c, g: (fock.build_fields(8, 2), fresh_generators(g),
+                                           fresh_tensor(c)), etc.charge_densities),
+    }
+    return {"octonion-n2": (m7, oct_gen, fields),
+            "lemma-8x1": (m7, oct_gen, lemma_cases(8, 1)),
+            "lemma-4x2": (m7, oct_gen, lemma_cases(4, 2))}
+
+
+GROUPS = {"dense": dense_inputs, "etc": etc_inputs, "fock": fock_inputs}
 
 
 def measure(c, gen, cases):

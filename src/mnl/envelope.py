@@ -16,6 +16,7 @@ The other checks are integer contractions over a denominator (`matrices`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,6 +122,20 @@ class EnvelopeAlgebra:
     def bracket(self, a: Label, b: Label) -> Vec:
         return dict(self.brackets[(a, b)])
 
+    @functools.cached_property
+    def reduction(self):
+        """`_reduction` of the label index to this basis: (M, E)."""
+        return _reduction(self.r, self.basis, self.expand)
+
+    @functools.cached_property
+    def structure(self):
+        """(K F, K): F[t, u, v] the basis[t] coefficient of [basis[u], basis[v]]
+        in the bracket table, over its denominator K."""
+        index = {lbl: i for i, lbl in enumerate(self.basis)}
+        return scaled((self.dim,) * 3, (((index[lbl], index[a], index[b]), v)
+                                        for (a, b), vec in self.brackets.items()
+                                        for lbl, v in vec.items()))
+
     def to_json_dict(self):
         def lbl_str(lbl):
             if lbl[0] == "Y":
@@ -179,26 +194,17 @@ def build_envelope(c: StructureTensor) -> EnvelopeAlgebra:
     basis: List[Label] = [("S", j) for j in range(r)] + [("T", j) for j in range(r)]
     basis += [("Y", j, k) for (j, k) in ypairs
               if expand[(j, k)] == {("Y", j, k): Fraction(1)}]
-    M, E = _reduction(r, basis, expand)
+    env = EnvelopeAlgebra(r, tuple(basis), expand, {}, rank)
+    M, E = env.reduction
     cols = _label_indices(r, basis)
-    brackets = {}
     for a, w in zip(basis, cols):
         R, D = bracket_rows(c, np.full(len(basis), w), cols)
         B = contract("nw,wt->nt", R, M)
         for b, row in zip(basis, B):
-            brackets[(a, b)] = {basis[t]: Fraction(int(row[t]), D * E) for t in np.flatnonzero(row)}
-    env = EnvelopeAlgebra(r, tuple(basis), expand, brackets, rank)
+            env.brackets[(a, b)] = {basis[t]: Fraction(int(row[t]), D * E)
+                                    for t in np.flatnonzero(row)}
     _check_quotient_consistency(c, None, env)
     return env
-
-
-def _structure(env: EnvelopeAlgebra):
-    """(K F, K): F[t, u, v] the basis[t] coefficient of [basis[u], basis[v]]
-    in the bracket table, over its denominator K."""
-    index = {lbl: i for i, lbl in enumerate(env.basis)}
-    return scaled((env.dim,) * 3, (((index[lbl], index[a], index[b]), v)
-                                   for (a, b), vec in env.brackets.items()
-                                   for lbl, v in vec.items()))
 
 
 def _check_quotient_consistency(c, d, env: EnvelopeAlgebra):
@@ -213,8 +219,8 @@ def _check_quotient_consistency(c, d, env: EnvelopeAlgebra):
                                if expr != {("Y", j, k): Fraction(1)}]
     full = list(env.basis) + eliminated
     cols = _label_indices(env.r, full)
-    M, E = _reduction(env.r, env.basis, env.expand)
-    F, K = _structure(env)
+    M, E = env.reduction
+    F, K = env.structure
     elim = np.arange(env.dim, len(full))
     for a in itertools.chain(elim, range(env.dim)):
         b = np.arange(len(full)) if a >= env.dim else elim
@@ -231,7 +237,7 @@ def _check_quotient_consistency(c, d, env: EnvelopeAlgebra):
 def check_jacobi(env: EnvelopeAlgebra) -> CheckReport:
     """Jacobi identity on all basis triples a < b < c of the reduced bracket
     table (`algebra.jacobi_check` on its structure constants)."""
-    return jacobi_check(_structure(env)[0], env.basis)
+    return jacobi_check(env.structure[0], env.basis)
 
 
 def matrix_closure_dim(gen: GeneratorSet) -> int:
@@ -265,8 +271,8 @@ def realize_check(env: EnvelopeAlgebra, gen: GeneratorSet, c: StructureTensor) -
         raise InputError("generator count, tensor dim, and envelope rank must agree")
 
     fails = matrix_fails(gen, c)
-    F, K = _structure(env)
-    M, E = _reduction(env.r, env.basis, env.expand)
+    F, K = env.structure
+    M, E = env.reduction
     cols = _label_indices(env.r, env.basis)
     ys = _label_indices(env.r, [("Y", *key) for key in env.expand])
     # E Y_jk - (its expansion at E) over the label index, as Python ints

@@ -13,11 +13,11 @@ the same structure constants c and d as the generator-level relations.  The
 untransposed map Q(M) = a† M a satisfies [Q(M), Q(N)] = a† [M,N] a, which is
 the oracle identity checked by `bilinear_lemma_check`.
 
-Factored representation.  Every density is a same-site bilinear.
-`FockOps.site_space` checks once, exactly, that each ladder operator of site
-x is Pi x .. x Pi x F x I x .. x I with F the one-site operator and Pi the
-one-site parity (see `fock.site_factor`); since Pi^2 = I the strings of
-a†_A(x) a_B(x) cancel, and s^0_j(x) equals I x .. x L x .. x I, with L the
+Factored representation.  Every density is a same-site bilinear.  The
+Fock layer holds one site's ladder operators (`fock.FockOps`): on N sites
+the ladder operator of site x is Pi x .. x Pi x F x I x .. x I, with F the
+one-site operator and Pi the one-site parity, and since Pi^2 = I the strings
+of a†_A(x) a_B(x) cancel, so s^0_j(x) equals I x .. x L x .. x I, with L the
 same bilinear on the 2^n-dimensional space of one site.  `charge_densities`
 builds each s and t density as that site factor (a `fock.SiteOp`).
 Everything after that stays factored and exact: embeddings at different sites
@@ -57,7 +57,7 @@ import numpy as np
 from .algebra import StructureTensor
 from .birep import (GeneratorSet, _signed, bracket_vecs, cyclic_rows, extract_yamagutian, labels,
                     row_vecs)
-from .fock import FieldSet, SiteOp
+from .fock import FieldSet, QuadraticCache, SiteOp, _ladder, _states
 from .relations import RelationKernel
 from .report import CheckReport, InputError, fail, ok
 
@@ -80,13 +80,11 @@ class ChargeDensitySet:
     tensor: StructureTensor
 
 
-def _site_density(f: FieldSet, x: int, mat) -> SiteOp:
-    """-i a†(x) mat^T a(x) = sum_{A,B} p^0_A(x) mat_BA u^B(x), held as its
-    factor on one site.  `site_space` has checked that the ladder operators
-    of site x embed the one-site ones, which makes the factor's embedding the
-    Jordan-Wigner density of the full space."""
-    factor = f.fock.site_space().products.bilinear(list(zip(*mat))).times_i().scale(-1)
-    return SiteOp(f.sites, factor.dim, {x: factor})
+def _site_densities(f: FieldSet, mat) -> List[SiteOp]:
+    """-i a†(x) mat^T a(x) = sum_{A,B} p^0_A(x) mat_BA u^B(x) at each site x:
+    one bilinear of the one-site ladder operators, every site's factor."""
+    factor = f.fock.products.bilinear(list(zip(*mat))).times_i().scale(-1)
+    return [SiteOp(f.sites, factor.dim, {x: factor}) for x in range(f.sites)]
 
 
 def _density_bracket(a, b):
@@ -108,8 +106,8 @@ def charge_densities(f: FieldSet, gen: GeneratorSet, c: StructureTensor) -> Char
         raise InputError("generator size must equal modes per site")
     if gen.r != c.dim:
         raise InputError("generator count must match tensor dim")
-    s = [[_site_density(f, x, gen.S[j]) for x in range(f.sites)] for j in range(gen.r)]
-    t = [[_site_density(f, x, gen.T[j]) for x in range(f.sites)] for j in range(gen.r)]
+    s = [_site_densities(f, mat) for mat in gen.S]
+    t = [_site_densities(f, mat) for mat in gen.T]
     pairs = [(j, k) for j in range(gen.r) for k in range(j + 1, gen.r)]
     rows = bracket_vecs(c, [(("S", j), ("T", k)) for j, k in pairs])
     Y = {(j, k): [_raw_yamagutian(s, t, rows[("S", j), ("T", k)], j, k, x)
@@ -325,14 +323,15 @@ def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
     return kernel.first_failure("charge-algebra", cases)
 
 
-def bilinear_lemma_check(f: FieldSet, trials: int = 100, seed: int = 0) -> CheckReport:
-    """[a† M a, a† N a] = a† [M,N] a for seeded random integer matrices; this
-    single identity carries the generator relations to the density algebra."""
+def _lemma(a, trials: int, seed: int) -> CheckReport:
+    """[a† M a, a† N a] = a† [M,N] a for the lowering operators `a`, M and N
+    seeded random integer matrices over all of their modes; the witness is
+    the first failing trial."""
     import random
 
     rng = random.Random(seed)
-    modes = f.modes_per_site * f.sites
-    cache = f.fock.products
+    modes = len(a)
+    cache = QuadraticCache(a, [op.dagger() for op in a])
     for trial in range(trials):
         M = [[rng.randint(-3, 3) for _ in range(modes)] for _ in range(modes)]
         N = [[rng.randint(-3, 3) for _ in range(modes)] for _ in range(modes)]
@@ -342,3 +341,16 @@ def bilinear_lemma_check(f: FieldSet, trials: int = 100, seed: int = 0) -> Check
         if lhs != cache.bilinear(MN):
             return fail("bilinear-lemma", witness=(trial,))
     return ok("bilinear-lemma")
+
+
+def bilinear_lemma_check(f: FieldSet, trials: int = 100, seed: int = 0) -> CheckReport:
+    """[a† M a, a† N a] = a† [M,N] a for seeded random integer matrices over
+    all n*N modes; this single identity carries the generator relations to
+    the density algebra.  It is decided on the 1 + m + m(m-1)/2 states of at
+    most 2 particles of the m = n*N modes, on the ladder operators that
+    `car_check` and `canonical_etc_check` hold to the CAR.  Given the CAR, the
+    residual conserves particle number and has normal-ordered degree at most
+    4, so its unique normal form is read exactly on 0, 1 and 2 particles.
+    One particle is not enough: hard-core bosons pass there and fail on two."""
+    modes = f.modes_per_site * f.sites
+    return _lemma(_ladder(modes, _states(modes, 2)), trials, seed)

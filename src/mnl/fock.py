@@ -19,19 +19,22 @@ coefficients placed against the operators (L) by the operators stacked once
 each residual is then held to `SiteOp.is_zero`'s c_x I rule, under the same
 2^62 bound.
 
-Ladder embeddings.  On N sites the Jordan-Wigner ladder operator of mode A at
-site x is exactly Pi x .. x Pi x F x I x .. x I, with x one-site parities
-Pi = Z^{n} (diagonal +-1, Pi^2 = I) on the left and F the same operator on
-one site; `site_factor` reads F off and checks the embedding exactly.  By the
-mixed-product rule, {Phi_x, Psi_x} = I x {phi, psi} x I at one site, and for
-x < y {Phi_x, Psi_y} = I x {phi, Pi} x Pi x .. x Pi x psi x I, zero exactly
-when {phi, Pi} = 0 or psi = 0.  `canonical_etc_check` and `car_check` decide
-their relations that way on the 2^n-dimensional factors, and on the full space
-when some operator is not such an embedding.
+Ladder embeddings.  A `FockOps` holds the Jordan-Wigner ladder operators of
+one site and the site count N; `_ladder` builds them, and the full
+2^(nN)-dimensional space is never built.  On N sites the ladder operator of
+mode A at site x is Pi x .. x Pi x F x I x .. x I, with x one-site parities
+Pi = Z^{n} (diagonal +-1, Pi^2 = I) on the left and F the one-site operator.
+By the mixed-product rule, {Phi_x, Psi_x} = I x {phi, psi} x I at one site,
+and for x < y {Phi_x, Psi_y} = I x {phi, Pi} x Pi x .. x Pi x psi x I, zero
+exactly when {phi, Pi} = 0 or psi = 0.  `canonical_etc_check` and
+`car_check` decide their relations that way on the 2^n-dimensional factors;
+same-site bilinears drop the strings (Pi^2 = I), so densities are one-site
+`SiteOp` factors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -346,28 +349,22 @@ class SiteOp:
     def den(self):
         return self.full().den
 
-    @property
-    def nnz(self):
-        return self.full().nnz
-
 
 @dataclass
 class FockOps:
-    """Jordan-Wigner ladder operators for N sites with n modes per site.
-
-    `products` caches the products adag_m a_mp; the one-site space whose
-    operators are the site factors is built on first use."""
+    """The Jordan-Wigner ladder operators a[A], adag[A] of one site of n modes,
+    for `sites` sites (see "Ladder embeddings"); `dim` is the dimension of
+    the whole space, which is never built.  `products` caches the one-site
+    products adag[A] a[B]."""
 
     modes_per_site: int
     sites: int
-    a: List[List[GQSparse]]      # a[x][A]
-    adag: List[List[GQSparse]]
+    a: List[GQSparse]
+    adag: List[GQSparse]
     products: "QuadraticCache" = field(init=False, repr=False)
-    _site: Optional["FockOps"] = field(default=None, init=False, repr=False)
-    _factors: Dict[Tuple[int, int], tuple] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.products = QuadraticCache(self)
+        self.products = QuadraticCache(self.a, self.adag)
 
     @property
     def dim(self):
@@ -376,100 +373,55 @@ class FockOps:
     def mode(self, x, A):
         return x * self.modes_per_site + A
 
-    def factor(self, op, x):
-        """`site_factor` of op at site x, kept for this space's own ladder
-        operators; the memo holds each, so that its id stays its own."""
-        if not any(op is own for own in self.a[x] + self.adag[x]):
-            return site_factor(op, self.modes_per_site, self.sites, x)
-        if (id(op), x) not in self._factors:
-            self._factors[id(op), x] = (op, site_factor(op, self.modes_per_site, self.sites, x))
-        return self._factors[id(op), x][1]
 
-    def site_space(self) -> "FockOps":
-        """The Fock space of one site: same-site bilinears here are the
-        factors of the site-local operators of this space.
-
-        On first use every a[x][A] and adag[x][A] is checked, exactly, to be
-        the ladder embedding of the one-site operator (see `site_factor`);
-        RuntimeError if one is not.  With Pi^2 = I that makes every same-site
-        bilinear adag[x] M a[x] equal I x .. x (adag M a on one site) x .. x I."""
-        if self.sites == 1:
-            return self
-        if self._site is None:
-            site = build_fock(self.modes_per_site, 1)
-            n, N = self.modes_per_site, self.sites
-            for name, ops, local in (("a", self.a, site.a), ("adag", self.adag, site.adag)):
-                for x in range(N):
-                    for A in range(n):
-                        factor = self.factor(ops[x][A], x)
-                        if factor is None or factor != local[0][A]:
-                            raise RuntimeError(
-                                f"{name}[{x}][{A}] is not the Jordan-Wigner embedding "
-                                "of the one-site ladder operator")
-            self._site = site
-        return self._site
-
-
-_SIGMA = np.array([[0, 1], [0, 0]], dtype=np.int64)
-_Z = np.array([[1, 0], [0, -1]], dtype=np.int64)
-_I2 = np.eye(2, dtype=np.int64)
-
-
-def build_fock(n: int, N: int) -> FockOps:
-    """Exact CAR operators on the 2^(n*N) Fock space (cap n*N <= 16)."""
-    if n <= 0 or N <= 0:
-        raise InputError("need positive mode and site counts")
-    modes = n * N
-    if modes > 16:
-        raise InputError(f"mode count {modes} exceeds the cap of 16")
-    ladder = []
-    for m in range(modes):
-        factors = [_Z] * m + [_SIGMA] + [_I2] * (modes - m - 1)
-        acc = sp.csr_matrix(factors[0])
-        for f in factors[1:]:
-            acc = sp.kron(acc, f, format="csr")
-        ladder.append(GQSparse.from_int(acc))
-    a = [[ladder[x * n + A] for A in range(n)] for x in range(N)]
-    adag = [[op.dagger() for op in row] for row in a]
-    return FockOps(n, N, a, adag)
+def _odd(states):
+    """1 where a basis bitmask has an odd number of occupied modes, else 0."""
+    return np.bitwise_count(states).astype(np.int64) & 1
 
 
 def _parity(modes):
     """Z x .. x Z on `modes` modes: the diagonal (-1)^(occupied modes)."""
-    states = np.arange(1 << modes)
-    odd = np.zeros_like(states)
-    for k in range(modes):
-        odd ^= (states >> k) & 1
-    return sp.diags(1 - 2 * odd, format="csr", dtype=np.int64)
+    return sp.diags(1 - 2 * _odd(np.arange(1 << modes)), format="csr", dtype=np.int64)
 
 
-def site_factor(op: GQSparse, n: int, N: int, x: int) -> Optional[GQSparse]:
-    """The factor F on the 2^n-dimensional space of site x with
-    op == Pi x .. x Pi x F x I x .. x I exactly (x copies of the one-site
-    parity Pi = Z^{n} on the left), or None when op is not of that form.
-    Every Jordan-Wigner ladder operator of site x is such an embedding of the
-    one-site operator.
+def _states(modes, particles):
+    """The sorted basis bitmasks of `modes` modes with at most `particles`
+    of them occupied (bits set)."""
+    return np.sort([sum(1 << b for b in bits) for k in range(particles + 1)
+                    for bits in itertools.combinations(range(modes), k)])
 
-    Pi and I are 1 in their first diagonal entry, so F is the block of op at
-    the first (empty) state of the other sites, which `pick` selects; op is
-    then compared with F's embedding.  Both are normalized, so the comparison
-    is of exact parts."""
-    if N == 1:
-        return op
-    d = 1 << n
-    right = d ** (N - x - 1)
-    states = np.arange(d)
-    pick = sp.csr_matrix((np.ones(d, dtype=np.int64), (states * right, states)),
-                         shape=(op.dim, d))
-    factor = GQSparse(d, pick.T @ op.re @ pick, pick.T @ op.im @ pick, op.den)
-    if factor.den != op.den:
-        return None
-    left = _parity(n * x)
-    ident = sp.identity(right, dtype=np.int64, format="csr")
-    for part, full in ((factor.re, op.re), (factor.im, op.im)):
-        if (sp.kron(sp.kron(left, part), ident, format="csr") != full).nnz:
-            return None
-    return factor
+
+def _ladder(modes, states) -> List[GQSparse]:
+    """The Jordan-Wigner lowering operators a_0 .. a_{modes-1},
+    Z x .. x Z x sigma x I x .. x I, restricted to the span of `states`:
+    sorted basis bitmasks, mode 0 the most significant bit, closed under
+    lowering.  a_m takes a state with mode m occupied to the one without,
+    with the sign (-1)^(occupied modes before m).  ValueError when an image
+    falls outside `states`."""
+    states = np.asarray(states, dtype=np.int64)
+    d = len(states)
+    ops = []
+    for m in range(modes):
+        shift = modes - 1 - m
+        cols = np.flatnonzero((states >> shift) & 1)
+        images = states[cols] ^ (1 << shift)
+        rows = np.searchsorted(states, images)
+        if not np.array_equal(states[np.minimum(rows, d - 1)], images):
+            raise ValueError("the states are not closed under lowering")
+        sign = 1 - 2 * _odd(states[cols] >> (shift + 1))
+        ops.append(GQSparse.from_int(sp.csr_matrix((sign, (rows, cols)), shape=(d, d))))
+    return ops
+
+
+def build_fock(n: int, N: int) -> FockOps:
+    """Exact CAR operators for N sites of n modes (caps n <= 16, n*N <= 32)."""
+    if n <= 0 or N <= 0:
+        raise InputError("need positive mode and site counts")
+    if n > 16 or n * N > 32:
+        raise InputError(f"{n} modes on each of {N} sites exceed the caps of 16 modes "
+                         "per site and 32 in all")
+    a = _ladder(n, range(1 << n))
+    return FockOps(n, N, a, [op.dagger() for op in a])
 
 
 # An anticommutation relation (name, X, Y, c) asks {X_A(x), Y_B(y)} =
@@ -482,52 +434,34 @@ _CAR = (("a-adag", "a", "adag", lambda one: one),
         ("adag-adag", "adag", "adag", None))
 
 
-def _site_view(families, fock):
-    """The site factors (`fock.factor`) of the operators and the one-site
-    parity Pi, or None when some operator is not a ladder embedding.  Equal
-    factors of one mode share the object of site 0."""
-    factors = {}
-    for name, ops in families.items():
-        rows = [[fock.factor(op, x) for op in row] for x, row in enumerate(ops)]
-        if any(f is None for row in rows for f in row):
-            return None
-        factors[name] = [rows[0]] + [[rows[0][A] if f == rows[0][A] else f
-                                      for A, f in enumerate(row)] for row in rows[1:]]
-    return factors, GQSparse.from_int(_parity(fock.modes_per_site))
-
-
-def _anticommutation_scan(prop, relations, families, fock, factored, witness):
-    """First (name, x, A, y, B), in that loop order, whose relation fails.
-
-    When `factored` and every operator is a ladder embedding, the relations
-    are decided on the site factors (`_site_view`) as the module docstring
-    derives under "Ladder embeddings"; otherwise on the full space.
+def _anticommutation_scan(prop, relations, families, fock, witness):
+    """First (name, x, A, y, B), in that loop order, whose relation fails;
+    families[X][x][A] are one-site operators, and the relations are decided
+    on them as the module docstring derives under "Ladder embeddings".
     {X, Y} = {Y, X}, so a relation within one family skips the pairs whose
-    mirror came first.  Each pair of objects (held in `ops`, so their ids
-    stay theirs) is decided once."""
+    mirror came first.  Each pair of objects (held in `families`, so their
+    ids stay theirs) is decided once, and whether each object is odd under
+    the parity Pi once."""
     n, N = fock.modes_per_site, fock.sites
-    ops, parity = (_site_view(families, fock) if factored else None) or (families, None)
-    one = GQSparse.identity(ops[relations[0][1]][0][0].dim)
+    parity = GQSparse.from_int(_parity(n))
+    one = GQSparse.identity(parity.dim)
     expect = {name: c(one) for name, _, _, c in relations if c is not None}
-    odd, decided = {}, {}
-
-    def parity_odd(X, x, A):
-        if (X, x, A) not in odd:
-            odd[X, x, A] = ops[X][x][A].anticommutator(parity).is_zero()
-        return odd[X, x, A]
+    distinct = {id(op): op for ops in families.values() for row in ops for op in row}
+    odd = {key: op.anticommutator(parity).is_zero() for key, op in distinct.items()}
+    decided = {}
 
     def holds(name, X, x, A, Y, y, B):
-        if parity is None or x == y:
-            P, Q = ops[X][x][A], ops[Y][y][B]
-            c = expect.get(name) if (x, A) == (y, B) else None
-            key = (id(P), id(Q), None if c is None else name)
-            if key not in decided:
-                ac = P.anticommutator(Q)
-                decided[key] = ac.is_zero() if c is None else ac == c
-            return decided[key]
+        P, Q = families[X][x][A], families[Y][y][B]
         if x < y:
-            return ops[Y][y][B].is_zero() or parity_odd(X, x, A)
-        return ops[X][x][A].is_zero() or parity_odd(Y, y, B)
+            return Q.is_zero() or odd[id(P)]
+        if x > y:
+            return P.is_zero() or odd[id(Q)]
+        c = expect.get(name) if A == B else None
+        key = (id(P), id(Q), None if c is None else name)
+        if key not in decided:
+            ac = P.anticommutator(Q)
+            decided[key] = ac.is_zero() if c is None else ac == c
+        return decided[key]
 
     for x in range(N):
         for A in range(n):
@@ -541,21 +475,17 @@ def _anticommutation_scan(prop, relations, families, fock, factored, witness):
     return ok(prop)
 
 
-def _car_scan(f: FockOps, factored) -> CheckReport:
-    n = f.modes_per_site
-    return _anticommutation_scan("car", _CAR, {"a": f.a, "adag": f.adag}, f, factored,
-                                 lambda name, x, A, y, B: (name, x * n + A, y * n + B))
-
-
 def car_check(f: FockOps) -> CheckReport:
     """Exhaustive canonical anticommutation relations on all mode pairs;
     the witness names the relation and the two flat mode indices."""
-    return _car_scan(f, True)
+    return _anticommutation_scan("car", _CAR, {"a": [f.a] * f.sites, "adag": [f.adag] * f.sites},
+                                 f, lambda name, x, A, y, B: (name, f.mode(x, A), f.mode(y, B)))
 
 
 @dataclass
 class FieldSet:
-    """Canonical lattice fields u^A(x) = a_A(x) and momenta p^0_A(x) = -i a†_A(x)."""
+    """Canonical lattice fields u^A(x) = a_A(x) and momenta p^0_A(x) = -i a†_A(x),
+    held as their one-site operators u[x][A] and p0[x][A]."""
 
     fock: FockOps
     u: List[List[GQSparse]]
@@ -571,44 +501,35 @@ class FieldSet:
 
 
 def build_fields(n: int, N: int) -> FieldSet:
+    """The fields of N sites; every site's row holds the same operators."""
     fock = build_fock(n, N)
-    u = [[fock.a[x][A] for A in range(n)] for x in range(N)]
-    p0 = [[fock.adag[x][A].times_i().scale(-1) for A in range(n)] for x in range(N)]
-    return FieldSet(fock, u, p0)
-
-
-def _canonical_scan(f: FieldSet, factored) -> CheckReport:
-    return _anticommutation_scan("canonical-etc", _CANONICAL, {"p0": f.p0, "u": f.u},
-                                 f.fock, factored, lambda *w: w)
+    p0 = [op.times_i().scale(-1) for op in fock.adag]
+    return FieldSet(fock, [list(fock.a) for _ in range(N)], [list(p0) for _ in range(N)])
 
 
 def canonical_etc_check(f: FieldSet) -> CheckReport:
     """The three postulated equal-time relations, in graded (anticommutator)
-    form: {p^0_A(x), u^B(y)} = -i d_AB d_xy, {u,u} = 0, {p^0,p^0} = 0.
-
-    When every field is a ladder embedding (`site_factor`), each relation is
-    decided on the 2^n-dimensional site factors; otherwise on the full space.
-    Both give the same report, witness included."""
-    return _canonical_scan(f, True)
+    form: {p^0_A(x), u^B(y)} = -i d_AB d_xy, {u,u} = 0, {p^0,p^0} = 0,
+    decided on the one-site operators (see "Ladder embeddings")."""
+    return _anticommutation_scan("canonical-etc", _CANONICAL, {"p0": f.p0, "u": f.u},
+                                 f.fock, lambda *w: w)
 
 
 class QuadraticCache:
-    """Cached products adag_m a_mp for building mode bilinears; each FockOps
-    owns one as `products`.  It holds the ladder lists, not the FockOps, so
-    that no reference cycle keeps a dropped Fock space's products alive."""
+    """Cached products adag[m] a[mp] of ladder operators, for building mode
+    bilinears; each FockOps owns one over its one-site operators as
+    `products`.  It holds the ladder lists, not the FockOps, so that no
+    reference cycle keeps a dropped Fock space's products alive."""
 
-    def __init__(self, fock: FockOps):
-        self.dim = fock.dim
-        self.modes_per_site = fock.modes_per_site
-        self.a, self.adag = fock.a, fock.adag
+    def __init__(self, a: List[GQSparse], adag: List[GQSparse]):
+        self.dim = a[0].dim
+        self.a, self.adag = a, adag
         self._cache: Dict[Tuple[int, int], GQSparse] = {}
 
     def pair(self, m, mp):
-        key = (m, mp)
-        if key not in self._cache:
-            n = self.modes_per_site
-            self._cache[key] = self.adag[m // n][m % n] @ self.a[mp // n][mp % n]
-        return self._cache[key]
+        if (m, mp) not in self._cache:
+            self._cache[m, mp] = self.adag[m] @ self.a[mp]
+        return self._cache[m, mp]
 
     def bilinear(self, mat) -> GQSparse:
         """a† M a for an integer/rational matrix M over all modes."""

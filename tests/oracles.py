@@ -6,15 +6,22 @@ the `GQSparse`/`SiteOp` operator arithmetic.  Their right sides are the
 generalized Lie-Cartan table written here once more, term by term over
 Fractions (`glc_bracket`, `y_cyclic`), and the envelope's bracket table; the
 property tests compare their reports, witnesses included, with the
-kernels', and `glc_bracket` with the program's integer rows."""
+kernels', and `glc_bracket` with the program's integer rows.  The Fock
+layer's oracles build its operators on the full 2^(nN)-dimensional space
+through Kronecker products: the ladder operators, their embeddings and the
+anticommutation and lemma checks there."""
 
 import itertools
 from fractions import Fraction
 
+import numpy as np
+import scipy.sparse as sp
+
 from mnl.algebra import StructureTensor, YamagutiTensor, yamaguti_constants
 from mnl.birep import GeneratorSet, GLCReport, Label, Vec, extract_yamagutian, vec_add
 from mnl.envelope import EnvelopeAlgebra
-from mnl.etc import CONVENTION, ETCReport, _raw_yamagutian, _signed
+from mnl.etc import CONVENTION, ETCReport, _lemma, _raw_yamagutian, _signed
+from mnl.fock import _CANONICAL, _CAR, GQSparse, _parity
 from mnl.report import CheckReport, InputError, fail, ok
 
 
@@ -446,3 +453,93 @@ def charge_algebra_check(q, c):
          for name, kind in (("reductivity-sigma", "S"), ("reductivity-tau", "T"))),
         ((("yy", j, k, l, n), ("Y", j, k), ("Y", l, n)) for (j, k) in upper for (l, n) in upper))
     return first_failure("charge-algebra", cases, holds)
+
+
+# --- the full Fock space ------------------------------------------------------
+
+_SIGMA = np.array([[0, 1], [0, 0]], dtype=np.int64)
+_Z = np.array([[1, 0], [0, -1]], dtype=np.int64)
+_I2 = np.eye(2, dtype=np.int64)
+
+
+def full_ladder(n, N):
+    """The Jordan-Wigner lowering operators of N sites of n modes on the full
+    space, as [x][A]: Z x .. x Z x sigma x I x .. x I over the n*N modes."""
+    modes = n * N
+    ladder = []
+    for m in range(modes):
+        acc = sp.identity(1, dtype=np.int64, format="csr")
+        for f in [_Z] * m + [_SIGMA] + [_I2] * (modes - m - 1):
+            acc = sp.kron(acc, f, format="csr")
+        ladder.append(GQSparse.from_int(acc))
+    return [ladder[x * n:(x + 1) * n] for x in range(N)]
+
+
+def embed(op, n, N, x):
+    """Pi x .. x Pi x op x I x .. x I: x one-site parities Pi = Z^{n} on the
+    left of the one-site operator op, which sits at site x of N."""
+    left = _parity(n * x)
+    ident = sp.identity(2 ** (n * (N - x - 1)), dtype=np.int64, format="csr")
+    re, im = (sp.kron(sp.kron(left, part), ident, format="csr") for part in (op.re, op.im))
+    return GQSparse(2 ** (n * N), re, im, op.den)
+
+
+def site_factor(op, n, N, x):
+    """The factor F on the 2^n-dimensional space of site x with
+    op == embed(F, n, N, x) exactly, or None when op is not of that form.
+    Pi and I are 1 in their first diagonal entry, so F is the block of op at
+    the first (empty) state of the other sites; op is then compared with F's
+    embedding."""
+    d = 1 << n
+    right = d ** (N - x - 1)
+    states = np.arange(d)
+    pick = sp.csr_matrix((np.ones(d, dtype=np.int64), (states * right, states)),
+                         shape=(op.dim, d))
+    factor = GQSparse(d, pick.T @ op.re @ pick, pick.T @ op.im @ pick, op.den)
+    return factor if embed(factor, n, N, x) == op else None
+
+
+def anticommutation_scan(prop, relations, families, witness):
+    """The program's scan on full-space operators families[X][x][A]: the
+    first (name, x, A, y, B) in its loop order whose relation fails."""
+    some = families[relations[0][1]]
+    N, n = len(some), len(some[0])
+    one = GQSparse.identity(some[0][0].dim)
+    for x in range(N):
+        for A in range(n):
+            for y in range(N):
+                for B in range(n):
+                    for name, X, Y, c in relations:
+                        if X == Y and (y, B) < (x, A):
+                            continue
+                        ac = families[X][x][A].anticommutator(families[Y][y][B])
+                        if not (ac == c(one) if c and (x, A) == (y, B) else ac.is_zero()):
+                            return fail(prop, witness=witness(name, x, A, y, B))
+    return ok(prop)
+
+
+def _embedded(families, n):
+    N = len(next(iter(families.values())))
+    return {name: [[embed(op, n, N, x) for op in row] for x, row in enumerate(ops)]
+            for name, ops in families.items()}
+
+
+def car_scan(f):
+    """`car_check` on the full space, every one-site operator embedded."""
+    n = f.modes_per_site
+    families = _embedded({"a": [f.a] * f.sites, "adag": [f.adag] * f.sites}, n)
+    return anticommutation_scan("car", _CAR, families,
+                                lambda name, x, A, y, B: (name, x * n + A, y * n + B))
+
+
+def canonical_scan(f):
+    """`canonical_etc_check` on the full space, every one-site field embedded."""
+    return anticommutation_scan("canonical-etc", _CANONICAL,
+                                _embedded({"p0": f.p0, "u": f.u}, f.modes_per_site),
+                                lambda *w: w)
+
+
+def bilinear_lemma_full(f, trials, seed):
+    """The bilinear lemma, same draws, on the full-space ladder operators."""
+    return _lemma([op for row in full_ladder(f.modes_per_site, f.sites) for op in row],
+                  trials, seed)

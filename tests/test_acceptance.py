@@ -148,8 +148,10 @@ def test_7_charge_algebra_theorem(oct_dens, oct_dens2, m7):
     _announce("7 charge algebra theorem (N=1 and N=2)", ok)
 
 
-def test_8_meta_consistency(quat_fields, quat_gen, su2_doubled):
+def test_8_meta_consistency(quat_fields, quat_gen, su2_doubled, oct_fields2):
     ok = bilinear_lemma_check(quat_fields, trials=100, seed=0).passed
+    # octonion fields at two sites: 16 modes, decided on <= 2 particles
+    ok = ok and bilinear_lemma_check(oct_fields2, trials=100, seed=0).passed
     # matrix-level and density-level verdicts must agree on every variant
     variants = [quat_gen]
     S = list(quat_gen.S)
@@ -165,7 +167,7 @@ def test_8_meta_consistency(quat_fields, quat_gen, su2_doubled):
         dens = etc_verify(charge_densities(quat_fields, gen, su2_doubled)).passed
         ok = ok and (glc == dens)
         agree += glc == dens
-    _announce(f"8 meta-consistency (bilinear lemma 100 trials; "
+    _announce(f"8 meta-consistency (bilinear lemma 100 trials at N=1 and octonion N=2; "
               f"etc == glc on {agree}/{len(variants)} variants)", ok)
 
 

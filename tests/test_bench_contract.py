@@ -28,3 +28,19 @@ def test_traced_functions_and_methods_exist():
         assert callable(getattr(sys.modules[modname], attr, None)), stem
     for stem, (cls, attr) in tracing.METHODS.items():
         assert attr in vars(getattr(fock, cls)), stem
+
+
+def test_workload_calls_resolve():
+    # `mnlbench/workloads.py` calls these by name, and wraps `build_fock`
+    from mnl import etc
+    ops = fock.build_fock(2, 3)
+    assert isinstance(ops, fock.FockOps) and ops.dim == 2 ** 6
+    for name in ("build_fields", "build_fock", "canonical_etc_check"):
+        assert callable(getattr(fock, name)), name
+    assert callable(fock.GQSparse.from_int)
+    for name in ("charge_densities", "etc_verify", "locality_check", "charges",
+                 "charge_algebra_check"):
+        assert callable(getattr(etc, name)), name
+    # the octonion-n2 check reads densities as full-space operators
+    for attr in ("full", "re", "im", "den"):
+        assert attr in vars(fock.SiteOp), attr

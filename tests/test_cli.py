@@ -170,7 +170,17 @@ def test_etc_quaternion_two_sites(capsys):
 
 
 def test_etc_sites_cap(capsys):
-    assert cli.main(["etc", "builtin:octonion", "--sites", "3"]) == 2
+    # 40 modes: past the cap of 32
+    assert cli.main(["etc", "builtin:octonion", "--sites", "5"]) == 2
+    assert "32 in all" in capsys.readouterr().err
+
+
+def test_etc_past_sixteen_modes(capsys):
+    # 20 modes: the full space (2^20) is never built
+    code, payload = run_json(capsys, "etc", "builtin:quaternion", "--sites", "5",
+                             "--trials", "1")
+    assert code == 0
+    assert all(entry["pass"] for entry in payload["results"].values())
 
 
 def test_etc_file_generators_need_tensor(capsys, tmp_path):

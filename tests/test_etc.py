@@ -10,7 +10,7 @@ from mnl.birep import GeneratorSet, check_glc
 from mnl import etc as etc_module
 from mnl.etc import (ChargeDensitySet, bilinear_lemma_check, charge_algebra_check,
                      charge_densities, charges, etc_verify, locality_check)
-from mnl.fock import GQSparse, build_fields
+from mnl.fock import GQSparse, SiteOp, build_fields
 import oracles
 from oracles import eye
 from mnl.report import InputError
@@ -277,7 +277,7 @@ def test_fock_spaces_share_no_products(quat_gen, su2_doubled, oct_gen, m7):
                             v = gen.S[j][B][A]
                             if v:
                                 expect = expect + (f.p0[x][A] @ f.u[x][B]).scale(v)
-                    assert dens.s[j][x].full() == expect
+                    assert dens.s[j][x] == SiteOp(N, 2 ** n, {x: expect})
             del f, dens
 
 
@@ -289,6 +289,15 @@ def test_bilinear_lemma(quat_fields):
 
 def test_bilinear_lemma_two_sites():
     assert bilinear_lemma_check(build_fields(2, 2), trials=10, seed=1).passed
+
+
+@pytest.mark.parametrize("n,N", [(4, 2), (8, 1)])
+def test_bilinear_lemma_equals_the_full_space(n, N):
+    # same draws; the sector's report equals the full space's
+    f = build_fields(n, N)
+    rep = bilinear_lemma_check(f, trials=10, seed=3)
+    assert rep.passed
+    assert rep.to_dict() == oracles.bilinear_lemma_full(f, 10, 3).to_dict()
 
 
 # --- input validation --------------------------------------------------

@@ -5,11 +5,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from mnl.etc import charge_densities
-from mnl.fock import (FieldSet, FockOps, GQSparse, QuadraticCache, SiteOp,
-                      _canonical_scan, _car_scan, _place, _site_view,
-                      build_fields, build_fock, canonical_etc_check, car_check,
-                      site_factor)
+import oracles
+from mnl.etc import _lemma
+from mnl.fock import (FieldSet, FockOps, GQSparse, QuadraticCache, SiteOp, _ladder, _place,
+                      _states, build_fields, build_fock, canonical_etc_check, car_check)
 from mnl.relations import RelationKernel
 from mnl.report import InputError
 
@@ -381,13 +380,13 @@ def test_relation_kernel_decides_like_the_operators(drawn):
 
 
 def test_site_op_full_reads_as_gqsparse():
-    f = build_fock(2, 2)
+    full = oracles.full_ladder(2, 2)
     local = build_fock(2, 1)
-    num = local.adag[0][1] @ local.a[0][1]
+    num = local.adag[1] @ local.a[1]
     op = SiteOp(2, 4, {1: num})
-    expect = f.adag[1][1] @ f.a[1][1]
+    expect = full[1][1].dagger() @ full[1][1]
     assert op.full() == expect
-    assert op.nnz == expect.nnz and op.den == expect.den
+    assert op.den == expect.den
     assert (op.re != expect.re).nnz == 0 and op.im.nnz == 0
 
 
@@ -402,18 +401,37 @@ def test_site_op_dimension_mismatch():
 
 def test_single_mode_matrices():
     f = build_fock(1, 1)
-    assert f.a[0][0].re.toarray().tolist() == [[0, 1], [0, 0]]
-    assert f.adag[0][0].re.toarray().tolist() == [[0, 0], [1, 0]]
+    assert f.a[0].re.toarray().tolist() == [[0, 1], [0, 0]]
+    assert f.adag[0].re.toarray().tolist() == [[0, 0], [1, 0]]
     # number operator
-    num = f.adag[0][0] @ f.a[0][0]
+    num = f.adag[0] @ f.a[0]
     assert num.re.toarray().tolist() == [[0, 0], [0, 1]]
 
 
 def test_nilpotency():
     f = build_fock(2, 1)
     for A in range(2):
-        assert (f.a[0][A] @ f.a[0][A]).is_zero()
-        assert (f.adag[0][A] @ f.adag[0][A]).is_zero()
+        assert (f.a[A] @ f.a[A]).is_zero()
+        assert (f.adag[A] @ f.adag[A]).is_zero()
+
+
+@pytest.mark.parametrize("n,N", [(1, 1), (2, 1), (3, 1), (2, 2), (4, 2), (8, 1), (5, 2)])
+def test_ladder_equals_the_kron_ladder(n, N):
+    full = [op for row in oracles.full_ladder(n, N) for op in row]
+    assert _ladder(n * N, range(1 << (n * N))) == full
+    # on the states of at most two particles: the same operators, restricted
+    states = _states(n * N, 2)
+    assert len(states) == 1 + n * N + n * N * (n * N - 1) // 2
+    pick = sp.csr_matrix((np.ones(len(states), dtype=np.int64),
+                          (states, np.arange(len(states)))), shape=(2 ** (n * N), len(states)))
+    restricted = [GQSparse(len(states), pick.T @ op.re @ pick, pick.T @ op.im @ pick, op.den)
+                  for op in full]
+    assert _ladder(n * N, states) == restricted
+
+
+def test_ladder_needs_states_closed_under_lowering():
+    with pytest.raises(ValueError):
+        _ladder(3, [0, 3])
 
 
 def test_car_small_spaces():
@@ -427,18 +445,19 @@ def test_car_fails_without_jw_strings():
     bad = sp.kron(sp.identity(2, dtype=np.int64),
                   sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=np.int64)),
                   format="csr")
-    f.a[0][1] = GQSparse.from_int(bad)
-    f.adag[0][1] = f.a[0][1].dagger()
+    f.a[1] = GQSparse.from_int(bad)
+    f.adag[1] = f.a[1].dagger()
     rep = car_check(f)
     assert not rep.passed
     assert rep.witness == ("a-adag", 0, 1)
 
 
 def test_mode_cap():
-    with pytest.raises(InputError):
-        build_fock(8, 3)
-    with pytest.raises(InputError):
-        build_fock(0, 1)
+    assert build_fock(8, 4).dim == 2 ** 32
+    assert build_fock(16, 2).a[0].dim == 2 ** 16
+    for n, N in ((8, 5), (17, 1), (0, 1), (1, 0)):
+        with pytest.raises(InputError):
+            build_fock(n, N)
 
 
 def test_mode_indexing():
@@ -460,157 +479,143 @@ def test_canonical_etc_two_sites():
 def test_canonical_etc_fails_without_phase():
     f = build_fields(1, 1)
     # momentum must carry the -i; a bare adag breaks the relations
-    bad = FieldSet(f.fock, f.u, [[f.fock.adag[0][0]]])
+    bad = FieldSet(f.fock, f.u, [[f.fock.adag[0]]])
     rep = canonical_etc_check(bad)
     assert not rep.passed
     assert rep.witness[0] == "p-u"
 
 
-# --- ladder embeddings and the factored anticommutator scans ------------
-
-_SIGMA = np.array([[0, 1], [0, 0]], dtype=np.int64)
-
+# --- the one-site scans against the full space --------------------------
 
 def bare_sigma(n, N, x, A):
     """The annihilator of mode (x, A) without its Jordan-Wigner string."""
     m = x * n + A
     acc = sp.identity(2 ** m, dtype=np.int64, format="csr")
-    acc = sp.kron(acc, _SIGMA, format="csr")
+    acc = sp.kron(acc, oracles._SIGMA, format="csr")
     acc = sp.kron(acc, sp.identity(2 ** (n * N - m - 1), dtype=np.int64), format="csr")
     return GQSparse.from_int(acc)
 
 
 def test_site_factor_reads_ladder_embeddings():
     n, N = 2, 3
-    f, local = build_fock(n, N), build_fock(n, 1)
+    full, local = oracles.full_ladder(n, N), build_fock(n, 1)
     for x in range(N):
         for A in range(n):
-            assert site_factor(f.a[x][A], n, N, x) == local.a[0][A]
-            assert site_factor(f.adag[x][A].times_i(), n, N, x) == local.adag[0][A].times_i()
+            assert oracles.site_factor(full[x][A], n, N, x) == local.a[A]
+            assert (oracles.site_factor(full[x][A].dagger().times_i(), n, N, x)
+                    == local.adag[A].times_i())
     # the string of site 1 is Pi on site 0, not I: the bare operator is no embedding
-    assert site_factor(bare_sigma(n, N, 1, 0), n, N, 1) is None
+    assert oracles.site_factor(bare_sigma(n, N, 1, 0), n, N, 1) is None
     # a same-site product drops its string, so it is an embedding with I, not Pi
-    assert site_factor(f.adag[1][0] @ f.a[1][1], n, N, 1) is None
-    assert site_factor(f.a[2][0] + f.a[1][0], n, N, 2) is None
-    assert site_factor(f.a[1][0].zero_like(), n, N, 1).is_zero()
+    assert oracles.site_factor(full[1][0].dagger() @ full[1][1], n, N, 1) is None
+    assert oracles.site_factor(full[2][0] + full[1][0], n, N, 2) is None
+    assert oracles.site_factor(full[1][0].zero_like(), n, N, 1).is_zero()
 
 
-def even_mode_site_0():
-    """Annihilators for the two modes of site 0, on two sites, that satisfy
-    the CAR among themselves, but whose mode 0, sigma x X, is parity-even: as
-    fields, every same-site relation holds and the first cross-site one fails."""
-    rest = sp.identity(4, dtype=np.int64)
-    c0 = GQSparse.from_int(sp.kron(sp.kron(_SIGMA, [[0, 1], [1, 0]]), rest))
-    half = sp.kron(sp.kron(np.eye(2, dtype=np.int64), [[1, 1], [-1, -1]]), rest)
-    c1 = GQSparse(16, half, sp.csr_matrix((16, 16), dtype=np.int64), 2)
+def even_mode():
+    """One-site annihilators for two modes that satisfy the CAR among
+    themselves, but whose mode 0, sigma x X, is parity-even: as fields of
+    site 0, every same-site relation holds and the first cross-site one fails."""
+    c0 = GQSparse.from_int(sp.kron(oracles._SIGMA, [[0, 1], [1, 0]]))
+    half = sp.kron(np.eye(2, dtype=np.int64), [[1, 1], [-1, -1]])
+    c1 = GQSparse(4, half, sp.csr_matrix((4, 4), dtype=np.int64), 2)
     return [c0, c1]
 
 
 def canonical_cases():
-    """(field set, factored path, expected witness); dimension <= 2^8."""
-    cases = [pytest.param(build_fields(n, N), True, None, id=f"jw-{n}x{N}")
+    """(field set, expected witness); full-space dimension <= 2^8."""
+    cases = [pytest.param(build_fields(n, N), None, id=f"jw-{n}x{N}")
              for n, N in ((1, 2), (2, 2), (4, 2), (2, 3))]
     f = build_fields(2, 2)
-    cases.append(pytest.param(FieldSet(f.fock, f.u, f.fock.adag), True,
+    cases.append(pytest.param(FieldSet(f.fock, f.u, [f.fock.adag] * 2),
                               ("p-u", 0, 0, 0, 0), id="phase-less"))
     flipped = [list(row) for row in f.p0]
     flipped[1] = [op.scale(-1) for op in flipped[1]]
-    cases.append(pytest.param(FieldSet(f.fock, f.u, flipped), True,
+    cases.append(pytest.param(FieldSet(f.fock, f.u, flipped),
                               ("p-u", 1, 0, 1, 0), id="sign-flip-site-1"))
     mixed = [list(row) for row in f.p0]
-    mixed[0][1] = (f.fock.adag[0][1] + f.fock.adag[0][0]).times_i().scale(-1)
-    cases.append(pytest.param(FieldSet(f.fock, f.u, mixed), True,
+    mixed[0][1] = (f.fock.adag[1] + f.fock.adag[0]).times_i().scale(-1)
+    cases.append(pytest.param(FieldSet(f.fock, f.u, mixed),
                               ("p-u", 0, 1, 0, 0), id="mixed-momentum"))
-    even = even_mode_site_0()
+    even = even_mode()
     cases.append(pytest.param(
         FieldSet(f.fock, [even, f.u[1]],
                  [[c.dagger().times_i().scale(-1) for c in even], f.p0[1]]),
-        True, ("p-u", 0, 0, 1, 0), id="even-mode-site-0"))
-    bare = [list(row) for row in f.u]
-    bare[1][0] = bare_sigma(2, 2, 1, 0)
-    cases.append(pytest.param(FieldSet(f.fock, bare, f.p0), False,
-                              ("p-u", 0, 0, 1, 0), id="bare-sigma-site-1"))
+        ("p-u", 0, 0, 1, 0), id="even-mode-site-0"))
     return cases
 
 
-@pytest.mark.parametrize("fields,factored,witness", canonical_cases())
-def test_canonical_etc_factored_equals_full_space(fields, factored, witness):
-    families = {"p0": fields.p0, "u": fields.u}
-    assert (_site_view(families, fields.fock) is not None) == factored
+@pytest.mark.parametrize("fields,witness", canonical_cases())
+def test_canonical_etc_factored_equals_full_space(fields, witness):
     rep = canonical_etc_check(fields)
-    assert rep.to_dict() == _canonical_scan(fields, False).to_dict()
+    assert rep.to_dict() == oracles.canonical_scan(fields).to_dict()
     assert rep.passed == (witness is None) and rep.witness == witness
 
 
 def car_cases():
-    """(ladder operators, factored path, expected witness); dimension <= 2^8."""
-    cases = [pytest.param(build_fock(n, N), True, None, id=f"jw-{n}x{N}")
+    """(ladder operators, expected witness); full-space dimension <= 2^8.  A
+    FockOps holds one site, so a change to it is a change at every site."""
+    cases = [pytest.param(build_fock(n, N), None, id=f"jw-{n}x{N}")
              for n, N in ((1, 2), (2, 2), (4, 2), (2, 3))]
     f = build_fock(2, 2)
-    a = [list(row) for row in f.a]
-    a[1][1] = a[1][1].scale(-1)       # adag[1][1] keeps its sign
-    cases.append(pytest.param(FockOps(2, 2, a, f.adag), True, ("a-adag", 3, 3),
-                              id="sign-flip-a"))
-    a = [list(row) for row in f.a]
-    a[0][1] = a[0][1] + a[0][0]
-    cases.append(pytest.param(FockOps(2, 2, a, f.adag), True, ("a-adag", 1, 0),
-                              id="mixed-a"))
-    even = even_mode_site_0()
-    cases.append(pytest.param(FockOps(2, 2, [even, f.a[1]],
-                                      [[c.dagger() for c in even], f.adag[1]]),
-                              True, ("a-adag", 0, 2), id="even-mode-site-0"))
-    a = [list(row) for row in f.a]
-    a[1][0] = bare_sigma(2, 2, 1, 0)
-    adag = [list(row) for row in f.adag]
-    adag[1][0] = a[1][0].dagger()
-    cases.append(pytest.param(FockOps(2, 2, a, adag), False, ("a-adag", 0, 2),
-                              id="bare-sigma-site-1"))
+    a = list(f.a)
+    a[1] = a[1].scale(-1)       # adag[1] keeps its sign
+    cases.append(pytest.param(FockOps(2, 2, a, f.adag), ("a-adag", 1, 1), id="sign-flip-a"))
+    a = list(f.a)
+    a[1] = a[1] + a[0]
+    cases.append(pytest.param(FockOps(2, 2, a, f.adag), ("a-adag", 1, 0), id="mixed-a"))
+    even = even_mode()
+    cases.append(pytest.param(FockOps(2, 2, even, [c.dagger() for c in even]),
+                              ("a-adag", 0, 2), id="even-mode-site-0"))
     return cases
 
 
-@pytest.mark.parametrize("ops,factored,witness", car_cases())
-def test_car_factored_equals_full_space(ops, factored, witness):
-    families = {"a": ops.a, "adag": ops.adag}
-    assert (_site_view(families, ops) is not None) == factored
+@pytest.mark.parametrize("ops,witness", car_cases())
+def test_car_factored_equals_full_space(ops, witness):
     rep = car_check(ops)
-    assert rep.to_dict() == _car_scan(ops, False).to_dict()
+    assert rep.to_dict() == oracles.car_scan(ops).to_dict()
     assert rep.passed == (witness is None) and rep.witness == witness
-
-
-def test_site_space_rejects_a_non_embedded_ladder(quat_gen, su2_doubled):
-    f = build_fock(2, 2)
-    f.a[1][0] = bare_sigma(2, 2, 1, 0)
-    with pytest.raises(RuntimeError, match=r"a\[1\]\[0\]"):
-        f.site_space()
-    fields = build_fields(4, 2)
-    fields.fock.adag[1][2] = bare_sigma(4, 2, 1, 2).dagger()
-    with pytest.raises(RuntimeError, match=r"adag\[1\]\[2\]"):
-        charge_densities(fields, quat_gen, su2_doubled)
 
 
 # --- quadratic cache ---------------------------------------------------
 
 def test_products_owned_by_fock_space():
     f = build_fock(2, 2)
-    assert f.products.pair(2, 3) is f.products.pair(2, 3)
-    assert f.products.pair(2, 3) == f.adag[1][0] @ f.a[1][1]
-    assert f.site_space().dim == 4 and f.site_space() is f.site_space()
-    assert build_fock(2, 1).site_space().sites == 1
+    assert f.products.dim == 4
+    assert f.products.pair(0, 1) is f.products.pair(0, 1)
+    assert f.products.pair(0, 1) == f.adag[0] @ f.a[1]
 
 
 def test_bilinear_identity_is_total_number(quat_fields):
-    cache = QuadraticCache(quat_fields.fock)
+    cache = QuadraticCache(quat_fields.fock.a, quat_fields.fock.adag)
     ident = [[Fraction(i == j) for j in range(4)] for i in range(4)]
     total = cache.bilinear(ident)
-    expect = GQSparse.zero(quat_fields.fock.dim)
+    expect = GQSparse.zero(cache.dim)
     for A in range(4):
-        expect = expect + quat_fields.fock.adag[0][A] @ quat_fields.fock.a[0][A]
+        expect = expect + quat_fields.fock.adag[A] @ quat_fields.fock.a[A]
     assert total == expect
 
 
 def test_bilinear_linear(quat_fields):
-    cache = QuadraticCache(quat_fields.fock)
+    cache = QuadraticCache(quat_fields.fock.a, quat_fields.fock.adag)
     m1 = [[Fraction((i + j) % 3 - 1) for j in range(4)] for i in range(4)]
     m2 = [[Fraction(i - j) for j in range(4)] for i in range(4)]
     s = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
     assert cache.bilinear(s) == cache.bilinear(m1) + cache.bilinear(m2)
+
+
+# --- the bilinear lemma's sector -----------------------------------------
+
+def hard_core_bosons(ladder):
+    """The same pattern of entries with no Jordan-Wigner sign."""
+    return [GQSparse.from_int(abs(op.re)) for op in ladder]
+
+
+@pytest.mark.parametrize("particles,passed", [(None, False), (2, False), (1, True)])
+def test_hard_core_bosons_need_two_particles(particles, passed):
+    # the lemma fails for hard-core bosons on the full space, and on the
+    # states of at most two particles; at most one particle cannot see it
+    modes = 6
+    states = range(1 << modes) if particles is None else _states(modes, particles)
+    rep = _lemma(hard_core_bosons(_ladder(modes, states)), 20, 0)
+    assert rep.passed == passed and rep.witness == (None if passed else (0,))
