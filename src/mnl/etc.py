@@ -345,12 +345,12 @@ def _lemma(a, trials: int, seed: int) -> CheckReport:
 
 def bilinear_lemma_check(f: FieldSet, trials: int = 100, seed: int = 0) -> CheckReport:
     """[a† M a, a† N a] = a† [M,N] a for seeded random integer matrices over
-    all n*N modes; this single identity carries the generator relations to
-    the density algebra.  It is decided on the 1 + m + m(m-1)/2 states of at
-    most 2 particles of the m = n*N modes, on the ladder operators that
-    `car_check` and `canonical_etc_check` hold to the CAR.  Given the CAR, the
-    residual conserves particle number and has normal-ordered degree at most
-    4, so its unique normal form is read exactly on 0, 1 and 2 particles.
-    One particle is not enough: hard-core bosons pass there and fail on two."""
+    all m = n*N modes; this one identity carries the generator relations to
+    the density algebra.  Only f's shape is read: the lemma is decided on
+    `_ladder`'s own m-mode operators on the 1 + m + m(m-1)/2 states of at most
+    2 particles, which the tests show equal the embedded one-site ladder that
+    `car_check` holds to the CAR.  Given the CAR, the residual conserves
+    particle number and has normal-ordered degree <= 4, so its normal form is
+    read exactly on 0-2 particles (hard-core bosons pass on 1, fail on 2)."""
     modes = f.modes_per_site * f.sites
     return _lemma(_ladder(modes, _states(modes, 2)), trials, seed)

@@ -10,7 +10,7 @@ from mnl.birep import GeneratorSet, check_glc
 from mnl import etc as etc_module
 from mnl.etc import (ChargeDensitySet, bilinear_lemma_check, charge_algebra_check,
                      charge_densities, charges, etc_verify, locality_check)
-from mnl.fock import GQSparse, SiteOp, build_fields
+from mnl.fock import GQSparse, build_fields
 import oracles
 from oracles import eye
 from mnl.report import InputError
@@ -264,20 +264,23 @@ def test_kernel_near_2_30_gives_the_walks_report_or_overflow(case, quat_gen, su2
 
 def test_fock_spaces_share_no_products(quat_gen, su2_doubled, oct_gen, m7):
     # alternate shapes in one process, dropping each field set before the
-    # next; every density must equal one built from that space's own fields
+    # next; every density must equal the Jordan-Wigner density of that
+    # shape built on the full space, with u = a and p0 = -i a†
     for _ in range(3):
         for n, N, gen, c in ((4, 2, quat_gen, su2_doubled), (8, 1, oct_gen, m7)):
             f = build_fields(n, N)
             dens = charge_densities(f, gen, c)
+            ladder = oracles.full_ladder(n, N)
             for j in range(gen.r):
                 for x in range(N):
-                    expect = f.p0[x][0].zero_like()
+                    expect = GQSparse.zero(2 ** (n * N))
                     for A in range(n):
                         for B in range(n):
                             v = gen.S[j][B][A]
                             if v:
-                                expect = expect + (f.p0[x][A] @ f.u[x][B]).scale(v)
-                    assert dens.s[j][x] == SiteOp(N, 2 ** n, {x: expect})
+                                p0 = ladder[x][A].dagger().times_i().scale(-1)
+                                expect = expect + (p0 @ ladder[x][B]).scale(v)
+                    assert dens.s[j][x].full() == expect
             del f, dens
 
 
