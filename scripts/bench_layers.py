@@ -16,8 +16,9 @@ It imports `src/mnl` and `mnlbench` of the checkout it sits in.
   `mnlbench.workloads.OctonionN2` for seed 0 at two sites (r=3, two sites of
   dimension 2^8).
 - `fock`: the octonion fields at two sites (8 modes each, dimension 2^16),
-  `build_fields` with `canonical_etc_check` and, on fresh fields,
-  `charge_densities` of the octonion generators; and `bilinear_lemma_check`
+  `build_fields` with `canonical_etc_check`, `car_check` on a fresh
+  `build_fock(8, 2)` and, on fresh fields, `charge_densities` of the
+  octonion generators; and `bilinear_lemma_check`
   at 15 trials on the fields of one site of 8 modes and of two sites of 4.
 
 Each function runs five times, every run on fresh copies of its inputs
@@ -115,6 +116,7 @@ def fock_inputs(workdir):
     fields = {
         "build_fields+canonical_etc_check": (
             lambda c, g: (), lambda: fock.canonical_etc_check(fock.build_fields(8, 2))),
+        "car_check": (lambda c, g: (fock.build_fock(8, 2),), fock.car_check),
         "charge_densities": (lambda c, g: (fock.build_fields(8, 2), fresh_generators(g),
                                            fresh_tensor(c)), etc.charge_densities),
     }

@@ -106,28 +106,37 @@ def jacobi_check(F, labels):
 
     Over the nonzero constants: one sparse product T(a, b, c)_i =
     sum_m F[i, a, m] F[m, b, c], the e_i coefficient of [e_a, [e_b, e_c]],
-    summed as outer products of the nonzeros of F[:, :, m] and F[m], and
+    summed as products of the nonzeros of F[:, :, m] and F[m], and
     placed three times, cyclically, as J = T(a, b, c) + T(b, c, a) +
     T(c, a, b); of an entry's three places only an increasing one is kept,
-    and that is its sorted triple when (a, b, c) is a rotation of it.  An
-    entry of J sums at most 3n products, so 3 n max|F|^2 bounds it and its
-    partial sums: below 2^62 it runs in int64, past it over Python ints."""
+    and that is its sorted triple when (a, b, c) is a rotation of it.  Each
+    m's products are summed into the running nonzero entries of J, so no
+    more than one m's products are held at once.  An entry of J sums at most
+    3n products, so 3 n max|F|^2 bounds it and its partial sums: below 2^62
+    it runs in int64, past it over Python ints."""
     n = F.shape[0]
     dtype = np.int64 if matrices.fits_int64(3 * n * max(magnitude(F), 1) ** 2) else object
-    keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=dtype)]
+    key, J = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype)
     for m in range(n):
         (i, a), (b, c) = np.nonzero(F[:, :, m]), np.nonzero(F[m])
-        v = np.multiply.outer(F[i, a, m].astype(dtype), F[m, b, c].astype(dtype)).ravel()
-        i, a, b, c = (np.repeat(i, len(b)), np.repeat(a, len(b)), np.tile(b, len(a)),
-                      np.tile(c, len(a)))
-        keep = ((a < b) & (b < c)) | ((b < c) & (c < a)) | ((c < a) & (a < b))
+        # (a, b, c) is a rotation of an increasing triple exactly when two of
+        # its three cyclic steps a < b, b < c, c < a ascend
+        up = np.add(a[:, None] < b, b < c, dtype=np.int8) + (c < a[:, None])
+        r, s = np.nonzero(up == 2)
+        i, a, b, c = i[r], a[r], b[s], c[s]
+        v = F[i, a, m].astype(dtype) * F[m, b, c].astype(dtype)
         lo, hi = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-        keys.append((((lo * n + a + b + c - lo - hi) * n + hi) * n + i)[keep])
-        values.append(v[keep])
-    key, at = np.unique(np.concatenate(keys), return_inverse=True)
-    J = np.zeros(len(key), dtype=dtype)
-    np.add.at(J, at, np.concatenate(values))
-    bad = key[J != 0] // n
+        new = ((lo * n + a + b + c - lo - hi) * n + hi) * n + i
+        run = np.argsort(new)
+        # two sorted runs: the stable sort (a merge sort) merges them in one pass
+        key, J = np.concatenate([key, new[run]]), np.concatenate([J, v[run]])
+        order = np.argsort(key, kind="stable")
+        key, J = key[order], J[order]
+        # the first key of each run; keys are >= 0, so the first opens one
+        start = np.flatnonzero(np.concatenate([key[:1] >= 0, key[1:] != key[:-1]]))
+        key, J = key[start], np.add.reduceat(J, start)
+        key, J = key[J != 0], J[J != 0]
+    bad = key // n
     if bad.size:
         return fail("jacobi", witness=tuple(labels[int(bad[0]) // n ** p % n] for p in (2, 1, 0)))
     return ok("jacobi")

@@ -27,9 +27,11 @@ Pi = Z^{n} (diagonal +-1, Pi^2 = I) on the left and F the one-site operator.
 By the mixed-product rule, {Phi_x, Psi_x} = I x {phi, psi} x I at one site,
 and for x < y {Phi_x, Psi_y} = I x {phi, Pi} x Pi x .. x Pi x psi x I, zero
 exactly when {phi, Pi} = 0 or psi = 0.  `canonical_etc_check` and
-`car_check` decide their relations that way on the 2^n-dimensional factors;
-same-site bilinears drop the strings (Pi^2 = I), so densities are one-site
-`SiteOp` factors.
+`car_check` decide their relations that way on the 2^n-dimensional factors,
+as case rows of one `relations.RelationKernel`: a row {phi, psi} - c I per
+distinct same-site relation and a parity row {phi, Pi} per distinct
+operator.  Same-site bilinears drop the strings (Pi^2 = I), so densities are
+one-site `SiteOp` factors.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .matrices import fits_int64
-from .report import CheckReport, InputError, fail, ok
+from .report import CheckReport, InputError
 
 def _csr(m):
     """m as canonical int64 CSR: indices sorted, no duplicate and no stored
@@ -197,9 +199,6 @@ class GQSparse:
 
     def commutator(self, other):
         return self @ other - other @ self
-
-    def anticommutator(self, other):
-        return self @ other + other @ self
 
     # --- predicates ---
     def is_zero(self):
@@ -424,13 +423,10 @@ def build_fock(n: int, N: int) -> FockOps:
     return FockOps(n, N, a, [op.dagger() for op in a])
 
 
-# An anticommutation relation (name, X, Y, c) asks {X_A(x), Y_B(y)} =
-# c(I) d_xy d_AB for the operator families X and Y, with c = None for zero.
-_CANONICAL = (("p-u", "p0", "u", lambda one: one.times_i().scale(-1)),
-              ("u-u", "u", "u", None),
-              ("p-p", "p0", "p0", None))
-_CAR = (("a-adag", "a", "adag", lambda one: one),
-        ("a-a", "a", "a", None),
+# An anticommutation relation (name, X, Y, c) asks {X_A(x), Y_B(y)} = c I d_xy d_AB
+# for the operator families X and Y, with c = (Re c, Im c), or None for zero.
+_CANONICAL = (("p-u", "p0", "u", (0, -1)), ("u-u", "u", "u", None), ("p-p", "p0", "p0", None))
+_CAR = (("a-adag", "a", "adag", (1, 0)), ("a-a", "a", "a", None),
         ("adag-adag", "adag", "adag", None))
 
 
@@ -439,40 +435,42 @@ def _anticommutation_scan(prop, relations, families, fock, witness):
     families[X][x][A] are one-site operators, and the relations are decided
     on them as the module docstring derives under "Ladder embeddings".
     {X, Y} = {Y, X}, so a relation within one family skips the pairs whose
-    mirror came first.  Each pair of objects (held in `families`, so their
-    ids stay theirs) is decided once, and whether each object is odd under
-    the parity Pi once."""
+    mirror came first.  Each step is one case row of a `RelationKernel` over
+    the distinct operators (held in `families`, so their ids stay theirs),
+    the parity Pi and I: {P, Q} - c I at one site, {P, Pi} across sites.  A
+    row goes to the kernel once, where the walk first meets it (a later step
+    with the same row has its verdict); the kernel decides a chunk at a time."""
+    from .relations import RelationKernel    # relations imports this module
     n, N = fock.modes_per_site, fock.sites
-    parity = GQSparse.from_int(_parity(n))
-    one = GQSparse.identity(parity.dim)
-    expect = {name: c(one) for name, _, _, c in relations if c is not None}
     distinct = {id(op): op for ops in families.values() for row in ops for op in row}
-    odd = {key: op.anticommutator(parity).is_zero() for key, op in distinct.items()}
-    decided = {}
+    kernel = RelationKernel([*distinct.values(), GQSparse.from_int(_parity(n)),
+                             GQSparse.identity(1 << n)])
+    index = {key: k for k, key in enumerate(distinct)}
+    parity, one = len(index), len(index) + 1
+    seen = set()
 
-    def holds(name, X, x, A, Y, y, B):
-        P, Q = families[X][x][A], families[Y][y][B]
-        if x < y:
-            return Q.is_zero() or odd[id(P)]
-        if x > y:
-            return P.is_zero() or odd[id(Q)]
-        c = expect.get(name) if A == B else None
-        key = (id(P), id(Q), None if c is None else name)
-        if key not in decided:
-            ac = P.anticommutator(Q)
-            decided[key] = ac.is_zero() if c is None else ac == c
-        return decided[key]
+    def rows():
+        for x, A, y, B, (name, X, Y, c) in itertools.product(range(N), range(n), range(N),
+                                                              range(n), relations):
+            if X == Y and (y, B) < (x, A):
+                continue
+            P, Q = families[X][x][A], families[Y][y][B]
+            if x != y:
+                # holds when the later site's operator is zero or the earlier one's odd
+                P, Q = (P, Q) if x < y else (Q, P)
+                if Q.is_zero():
+                    continue
+                key, case = id(P), [("a", 1, index[id(P)], parity)]
+            else:
+                c = c if A == B else None
+                key = (id(P), id(Q), c)
+                case = [("a", 1, index[id(P)], index[id(Q)])]
+                case += [("o", -c[0], one), ("i", -c[1], one)] if c else []
+            if key not in seen:
+                seen.add(key)
+                yield (witness(name, x, A, y, B), *case)
 
-    for x in range(N):
-        for A in range(n):
-            for y in range(N):
-                for B in range(n):
-                    for name, X, Y, _ in relations:
-                        if X == Y and (y, B) < (x, A):
-                            continue
-                        if not holds(name, X, x, A, Y, y, B):
-                            return fail(prop, witness=witness(name, x, A, y, B))
-    return ok(prop)
+    return kernel.first_failure(prop, rows())
 
 
 def car_check(f: FockOps) -> CheckReport:

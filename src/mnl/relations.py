@@ -1,10 +1,12 @@
 """Linear relations among commutators of labelled operators, decided a chunk
 of cases at a time as one exact sparse product per site.
 
-The density ETC, locality and charge-algebra checks of `etc` each walk their
-cases through one `RelationKernel`.  A case is a list of terms:
+The density ETC, locality and charge-algebra checks of `etc`, and the
+anticommutation scan of `fock.car_check` and `fock.canonical_etc_check`, each
+walk their cases through one `RelationKernel`.  A case is a list of terms:
 
     ("c", q, a, b)   q [ops[a], ops[b]]
+    ("a", q, a, b)   q {ops[a], ops[b]}, on one site only
     ("o", q, a)      q ops[a]
     ("i", q, a)      q i ops[a]
 
@@ -24,14 +26,15 @@ their denominators, and one COO placement (`fock._place`) builds L, with a
 row of d x d blocks per case and a column per block of R.  A term q [a, b]
 of case k puts K q a at block (k, b) and -K q b at block (k, a), so that it
 adds K q (ab - ba) to the case's rows of L R; [a, a] is skipped without
-arithmetic.  A term q o puts K q D o at block (k, I), and q i o puts K q D
-times i o = -m + i r there, for o = r + i m.  One product L R
-(`fock._matmul`) then holds every case's residual at K D^2, re and im
-apart.  The blocks stay d x d rather than flattened to rows of d^2 entries:
-scipy's product keeps an accumulator as wide as its result, which would be
-2^32 entries for the full-space operators at 2^16.  `_scalar_blocks` reads
-c_x off each block and checks that the block is c_x I; the c_x of all sites
-must sum to zero.
+arithmetic.  A term q {a, b} puts +K q b there instead, adding K q (ab + ba),
+and is not skipped when a == b.  A term q o puts K q D o at block (k, I),
+and q i o puts K q D times i o = -m + i r there, for o = r + i m.  One
+product L R (`fock._matmul`) then holds every case's residual at K D^2, re
+and im apart.  The blocks stay d x d rather than flattened to rows of d^2
+entries: scipy's product keeps an accumulator as wide as its result, which
+would be 2^32 entries for the full-space operators at 2^16.
+`_scalar_blocks` reads c_x off each block and checks that the block is c_x
+I; the c_x of all sites must sum to zero.
 
 Int64 bound.  Before anything is computed, every case is bounded: an entry
 of K q [a, b] is at most |K q| (count_a + count_b) mag_a mag_b, with mag the
@@ -43,7 +46,7 @@ and mag are at least 1 for a nonzero factor), of the product and of the c_x.
 The cases before the first one whose bound reaches 2^62
 (`matrices.fits_int64`) are decided; OverflowError is raised when none of
 them fails.  There is no slower path (scipy has no object dtype), so no value
-can wrap.
+can wrap.  A term q {a, b} has the bound of q [a, b].
 
 Chunk size.  `first_failure` takes up to `matrices.CHUNK` cases a chunk, in
 walk order, and ends a chunk early once the cases' weights (d per term plus
@@ -98,7 +101,7 @@ class RelationKernel:
         layouts = {_site_factors(op)[:2] for op in ops}
         if len(layouts) != 1:
             raise InputError("operator dimension mismatch")
-        (self.site_dim, _), = layouts
+        (self.site_dim, self.site_count), = layouts
         d = self.site_dim
         factors = [_site_factors(op)[2] for op in ops]
         self.den = math.lcm(1, *(f.den for fs in factors for f in fs.values()))
@@ -138,6 +141,8 @@ class RelationKernel:
         n, d = len(cases), self.site_dim
         terms = [(k, kind, q, ops) for k, case in enumerate(cases) for kind, q, *ops in case
                  if q and not (kind == "c" and ops[0] == ops[1])]
+        if self.site_count > 1 and any(kind == "a" for _, kind, _, _ in terms):
+            raise InputError("an anticommutator of site sums is not site-local")
         K = math.lcm(1, *(q.denominator for _, _, q, _ in terms))
         bound = [0] * n
         plans = []
@@ -147,12 +152,14 @@ class RelationKernel:
                 if not all(a in at for a in ops):
                     continue
                 v = q.numerator * (K // q.denominator)
-                if kind == "c":
-                    # K q [a, b]: K q a against b's rows of R, -K q b against a's
+                if kind in ("c", "a"):
+                    # K q [a, b]: K q a against b's rows of R, -K q b against
+                    # a's; K q {a, b} the same with +K q b
                     (ja, ra, ia, ma, ca), (jb, rb, ib, mb, cb) = at[ops[0]], at[ops[1]]
+                    w = -v if kind == "c" else v
                     bound[k] += abs(v) * (ca + cb) * ma * mb
-                    re += [(k, jb, v, ra), (k, ja, -v, rb)]
-                    im += [(k, jb, v, ia), (k, ja, -v, ib)]
+                    re += [(k, jb, v, ra), (k, ja, w, rb)]
+                    im += [(k, jb, v, ia), (k, ja, w, ib)]
                     continue
                 # K q D o against the identity, so at D^2; i (r + i m) = -m + i r
                 _, r, i, m, _ = at[ops[0]]

@@ -118,11 +118,21 @@ def test_envelope_su2_doubled_with_oracle(capsys):
     code, payload = run_json(capsys, "envelope", "builtin:su2-doubled",
                              "--oracle", "builtin:quaternion")
     # the generator map is a homomorphism (realize passes) but not faithful:
-    # the 9-dim envelope collapses onto a 6-dim matrix algebra
-    assert code == 1
+    # the 9-dim envelope collapses onto a 6-dim matrix algebra, which is no
+    # algebraic violation
+    assert code == 0 and payload["pass"] is True
     assert payload["oracle"]["matrix_closure_dim"] == 6
     assert payload["oracle"]["dims_match"] is False
     assert payload["oracle"]["realize"]["pass"] is True
+
+
+def test_envelope_not_faithful_text(capsys):
+    code, out = run(capsys, "envelope", "builtin:su2-doubled", "--oracle", "builtin:quaternion")
+    assert code == 0
+    assert "closure dim 6 (realization not faithful)" in out
+    assert "MISMATCH" not in out
+    code, out = run(capsys, "envelope", "builtin:m7", "--oracle", "builtin:octonion")
+    assert code == 0 and "closure dim 28 (match)" in out
 
 
 def test_envelope_non_maltsev_precondition(capsys, tmp_path):

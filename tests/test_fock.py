@@ -9,7 +9,8 @@ import oracles
 from mnl.etc import _lemma
 from mnl.fock import (FieldSet, FockOps, GQSparse, QuadraticCache, SiteOp, _ladder, _place,
                       _states, build_fields, build_fock, canonical_etc_check, car_check)
-from mnl.relations import RelationKernel
+from mnl.matrices import CHUNK
+from mnl.relations import BUDGET, RelationKernel
 from mnl.report import InputError
 
 
@@ -575,6 +576,124 @@ def test_car_factored_equals_full_space(ops, witness):
     rep = car_check(ops)
     assert rep.to_dict() == oracles.car_scan(ops).to_dict()
     assert rep.passed == (witness is None) and rep.witness == witness
+
+
+# --- the kernel scans against the one-anticommutator-at-a-time oracle -----
+
+def mutant_fields(f, kind, x, A, y, B):
+    """f's fields with one change at site x, mode A: u scaled by 2, the
+    momenta of (x, A) and (y, B) swapped, u zero, u replaced by the
+    parity-even a^dag a, or p0 = +i a^dag (the p-u expectation's sign flipped)."""
+    u, p0 = [list(row) for row in f.u], [list(row) for row in f.p0]
+    if kind == "scale-2":
+        u[x][A] = u[x][A].scale(2)
+    elif kind == "swap":
+        p0[x][A], p0[y][B] = p0[y][B], p0[x][A]
+    elif kind == "zero":
+        u[x][A] = u[x][A].zero_like()
+    elif kind == "even":
+        u[x][A] = u[x][A].dagger() @ u[x][A]
+    else:
+        p0[x][A] = p0[x][A].scale(-1)
+    return FieldSet(f.fock, u, p0)
+
+
+def mutant_fock(f, kind, A, B):
+    """f with one change to mode A at every site: the analogues of
+    `mutant_fields` on a and adag."""
+    a, adag = list(f.a), list(f.adag)
+    if kind == "scale-2":
+        a[A] = a[A].scale(2)
+    elif kind == "swap":
+        adag[A], adag[B] = adag[B], adag[A]
+    elif kind == "zero":
+        a[A] = a[A].zero_like()
+    elif kind == "even":
+        a[A] = a[A].dagger() @ a[A]
+    else:
+        adag[A] = adag[A].scale(-1)
+    return FockOps(f.modes_per_site, f.sites, a, adag)
+
+
+MUTATIONS = ("scale-2", "swap", "zero", "even", "flip-sign")
+
+
+def assert_scans_match_oracle(fields):
+    for rep, want in ((canonical_etc_check(fields), oracles.canonical_site_scan(fields)),
+                      (car_check(fields.fock), oracles.car_site_scan(fields.fock))):
+        assert rep.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("n,N", [(1, 2), (2, 3), (4, 2), (8, 1)])
+def test_scans_equal_the_one_site_oracle(n, N):
+    fields = build_fields(n, N)
+    assert_scans_match_oracle(fields)
+    assert canonical_etc_check(fields).passed and car_check(fields.fock).passed
+
+
+def even_at_site_0():
+    """`even_mode` as the fields of site 0 of two: only a cross-site relation fails."""
+    f, even = build_fields(2, 2), even_mode()
+    return FieldSet(f.fock, [even, f.u[1]],
+                    [[c.dagger().times_i().scale(-1) for c in even], f.p0[1]])
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+def test_mutated_scans_equal_the_one_site_oracle(kind):
+    f = build_fields(2, 3)
+    for x, A, y, B in ((0, 0, 2, 1), (1, 1, 0, 0), (2, 0, 2, 1)):
+        fields = mutant_fields(f, kind, x, A, y, B)
+        assert_scans_match_oracle(fields)
+        assert not canonical_etc_check(fields).passed
+        ops = mutant_fock(f.fock, kind, A, B)
+        assert car_check(ops).to_dict() == oracles.car_site_scan(ops).to_dict()
+        assert not car_check(ops).passed
+    even = even_at_site_0()
+    assert canonical_etc_check(even).to_dict() == oracles.canonical_site_scan(even).to_dict()
+    assert canonical_etc_check(even).witness == ("p-u", 0, 0, 1, 0)
+
+
+def test_cross_site_rule_reads_the_earlier_site():
+    # u = [[1, 1], [-1, -1]] keeps the CAR with the standard momentum but is
+    # not parity-odd; with site 1's field zero every pair with x < y holds,
+    # so the first failure is {p0(1), u(0)}, met at x > y
+    f = build_fields(1, 2)
+    u = GQSparse.from_int(np.array([[1, 1], [-1, -1]]))
+    fields = FieldSet(f.fock, [[u], [u.zero_like()]], f.p0)
+    rep = canonical_etc_check(fields)
+    assert rep.witness == ("p-u", 1, 0, 0, 0)
+    assert rep.to_dict() == oracles.canonical_site_scan(fields).to_dict()
+    assert rep.to_dict() == oracles.canonical_scan(fields).to_dict()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 2), (2, 2), (2, 3), (4, 2)]), st.sampled_from(MUTATIONS),
+       st.integers(0, 15), st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
+def test_random_mutants_equal_the_one_site_oracle(shape, kind, x, A, y, B):
+    (n, N), f = shape, build_fields(*shape)
+    x, y, A, B = x % N, y % N, A % n, B % n
+    assert_scans_match_oracle(mutant_fields(f, kind, x, A, y, B))
+    ops = mutant_fock(f.fock, kind, A, B)
+    assert car_check(ops).to_dict() == oracles.car_site_scan(ops).to_dict()
+
+
+def test_scan_rows_are_decided_a_chunk_at_a_time(monkeypatch):
+    # at 16 modes one case row outweighs the budget: every chunk is one row,
+    # so L never holds more than one row of blocks; at 8 modes on two sites
+    # the rows fill several chunks, each within the budget
+    chunks = []
+    fails = RelationKernel.fails
+
+    def spy(kernel, cases):
+        chunks.append([kernel.weight(case) for case in cases])
+        return fails(kernel, cases)
+    monkeypatch.setattr(RelationKernel, "fails", spy)
+    assert car_check(build_fock(16, 1)).passed
+    assert chunks and all(len(chunk) == 1 for chunk in chunks)
+    chunks.clear()
+    assert canonical_etc_check(build_fields(8, 2)).passed
+    assert len(chunks) > 1
+    assert all(len(c) <= CHUNK and sum(c[:-1]) < BUDGET for c in chunks)
 
 
 # --- quadratic cache ---------------------------------------------------

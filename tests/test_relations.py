@@ -1,7 +1,7 @@
 """Golden reports for the generalized Lie-Cartan relations in every
 realization: generator matrices (`check_glc`), the envelope map
 (`realize_check`), lattice densities (`etc_verify`) and integrated charges
-(`charge_algebra_check`).
+(`charge_algebra_check`); and the relation kernel's anticommutator terms.
 
 The generator sets below break the relations, so every family reports the
 first case that fails; each witness pins the order in which the cases are
@@ -9,13 +9,18 @@ walked as well as the verdict."""
 
 import hashlib
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mnl.birep import GeneratorSet, check_glc
 from mnl.envelope import build_envelope, realize_check
 from mnl.etc import charge_algebra_check, charge_densities, charges, etc_verify
-from mnl.fock import build_fields
+from mnl.fock import GQSparse, SiteOp, build_fields, build_fock
+from mnl.relations import RelationKernel
+from mnl.report import InputError
 
 BOTH_FAIL = "as printed [t,s]: fail; as [t,t]: fail"
 
@@ -123,3 +128,45 @@ def test_charge_algebra_swapped_octonion(swapped_oct_dens, m7):
 def test_charge_algebra_bumped_quaternion(bumped_quat_dens, su2_doubled):
     rep = charge_algebra_check(charges(bumped_quat_dens), su2_doubled)
     assert not rep.passed and rep.witness == ("st", 0, 0)
+
+
+# --- anticommutator terms of the relation kernel ------------------------
+
+def test_kernel_anticommutator_is_pq_plus_qp():
+    f = build_fock(2, 1)
+    P = f.a[0].plus([(Fraction(1, 2), f.adag[0]), (Fraction(1, 2), f.adag[1].times_i())])
+    Q = f.adag[0].scale(Fraction(-2, 3)).plus([(1, f.a[1])])
+    ops = [P, Q, P @ Q + Q @ P, P @ P + P @ P, Q @ P]
+    cases = [
+        [("a", 1, 0, 1), ("o", -1, 2)],                     # {P, Q} = PQ + QP
+        [("a", Fraction(3, 2), 1, 0), ("o", Fraction(-3, 2), 2)],
+        [("a", 1, 0, 0), ("o", -1, 3)],                     # a == b is not skipped
+        [("a", 1, 0, 1), ("c", -1, 0, 1), ("o", -2, 4)],    # {P, Q} - [P, Q] = 2 QP
+        [("a", 1, 0, 0)],
+        [("a", 1, 0, 1), ("o", 1, 2)],
+        [("a", 1, 0, 1)],
+    ]
+    assert list(RelationKernel(ops).fails(cases)) == [False] * 4 + [True] * 3
+    # the ladder's CAR: {a_0, a_0^dag} = I, {a_0, a_1^dag} = 0, {a_0, a_0} = 0
+    ladder = RelationKernel([f.a[0], f.adag[0], f.adag[1], GQSparse.identity(4)])
+    assert list(ladder.fails([[("a", 1, 0, 1), ("o", -1, 3)], [("a", 1, 0, 2)],
+                              [("a", 1, 0, 0)], [("a", 1, 0, 1)]])) == [False, False, False, True]
+
+
+def test_kernel_anticommutator_bound():
+    def diag(v):
+        return GQSparse.from_int(sp.csr_matrix(([v], ([0], [0])), shape=(2, 2), dtype=np.int64))
+    # {P, P} = 2 P^2: 2^61 at 2^30 is below the bound; 2^63 at 2^31 would wrap
+    assert list(RelationKernel([diag(1 << 30)]).fails([[("a", 1, 0, 0)]])) == [True]
+    with pytest.raises(OverflowError):
+        RelationKernel([diag(1 << 31)]).fails([[("a", 1, 0, 0)]])
+    with pytest.raises(OverflowError):
+        RelationKernel([diag(1 << 30), diag(1 << 31)]).fails([[("a", 1, 0, 1)]])
+
+
+def test_kernel_anticommutator_needs_one_site():
+    f = build_fock(1, 1)
+    ops = [SiteOp(2, 2, {0: f.a[0], 1: f.a[0]}), SiteOp(2, 2, {1: f.adag[0]})]
+    with pytest.raises(InputError):
+        RelationKernel(ops).fails([[("a", 1, 0, 1)]])
+    assert list(RelationKernel(ops).fails([[("c", 1, 0, 1)]])) == [True]
