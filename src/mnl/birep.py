@@ -24,8 +24,8 @@ import numpy as np
 from . import matrices
 from .algebra import OCTONIONS, QUATERNIONS, StructureTensor, cayley_dickson, integer_constants
 from .loops import CayleyTable, is_moufang
-from .matrices import (commutator, contract, first_failure_chunked, lincomb, magnitude, mat_mul,
-                       stacked)
+from .matrices import (commutator, first_failure_chunked, lincomb, magnitude, mat_mul,
+                       rows_times, stacked)
 from .report import CheckReport, InputError, fail, is_int
 
 
@@ -182,17 +182,6 @@ def labels(r) -> List[Label]:
             + [("Y", j, k) for j in range(r) for k in range(r)])
 
 
-def vec_add(acc: Vec, label, coeff):
-    """acc[label] += coeff, keeping no zero coefficient."""
-    if not coeff:
-        return
-    new = acc.get(label, Fraction(0)) + coeff
-    if new:
-        acc[label] = new
-    else:
-        acc.pop(label, None)
-
-
 # [A_j, B_k] = y Y_jk + c^p_jk (s S_p + t T_p), in thirds: 3 (y, s, t) at
 # [kind of A, kind of B], S = 0 and T = 1; [T_j, S_k] is read as -[S_k, T_j]
 _ST_THIRDS = np.array([[(6, 1, 2), (-3, 1, -1)], [(0, 0, 0), (6, -2, -1)]])
@@ -299,7 +288,7 @@ def _labelled_operators(gen: GeneratorSet, c: StructureTensor):
     st, den = stacked(list(gen.S) + list(gen.T), gen.dim)
     j, k = np.divmod(np.arange(r * r), r)
     R, D = bracket_rows(c, j, r + k)
-    Y = lincomb([(den, contract("nt,tij->nij", R[:, :2 * r], st)),
+    Y = lincomb([(den, rows_times(R[:, :2 * r], st)),
                  (-D, commutator(st[j], st[r + k]))])
     return np.concatenate([lincomb([(den * D, st)]), Y]), den * den * D
 
@@ -326,7 +315,7 @@ def matrix_fails(gen: GeneratorSet, c: StructureTensor):
         def decide(cases):
             a, b, R, K = rows(*np.array(cases).T)
             lhs = lincomb([(K, commutator(ops[a], ops[b]))])
-            return (lhs != lincomb([(scale, contract("nt,tij->nij", R, ops))])).any(axis=(1, 2))
+            return (lhs != lincomb([(scale, rows_times(R, ops))])).any(axis=(1, 2))
         return decide
     return fails
 

@@ -8,16 +8,16 @@ and Y_jj is zero (`birep._signed`), so only the Y_jk with j < k remain, and
 the Y-quotient writes each in the basis.  One integer matrix takes the label
 index to the basis (`_reduction`): the bracket table is the basis pairs'
 rows times it, and the quotient is checked with it against the table.
+Every product with label rows runs over their nonzeros (`matrices.rows_times`).
 
-One exact reduced row echelon routine, `_echelon_add`, serves the Y-quotient
-(rows keyed by label ("Y", j, k)) and the closure oracle (keyed by entry (i, j)).
+One exact integer echelon, `matrices.Echelon`, serves the Y-quotient (columns
+the Y_jk, j < k) and the closure oracle (columns the matrix entries (i, j)).
 The other checks are integer contractions over a denominator (`matrices`).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -27,14 +27,18 @@ import numpy as np
 from .algebra import (StructureTensor, YamagutiTensor, is_maltsev, jacobi_check,
                       yamaguti_constants)
 from .birep import (GeneratorSet, Label, Vec, _signed, bracket_rows, cyclic_rows, labels,
-                    matrix_fails, row_vecs, vec_add)
-from .matrices import commutator, contract, first_failure_chunked, lincomb, scaled, stacked
+                    matrix_fails)
+from .matrices import (Echelon, commutator, first_failure_chunked, lincomb, rows_times, scaled,
+                       stacked)
 from .report import CheckReport, InputError
 
 __all__ = [
     "YamagutiTensor", "yamaguti_constants", "EnvelopeAlgebra", "NotMaltsevError",
     "build_envelope", "check_jacobi", "matrix_closure_dim", "realize_check",
 ]
+
+
+PAIRS = 128    # label pairs checked per product in `_check_quotient_consistency`
 
 
 class EnvelopeInconsistencyError(RuntimeError):
@@ -49,55 +53,28 @@ class NotMaltsevError(InputError):
         self.report = report
 
 
-def _y_relations(c: StructureTensor, ypairs) -> List[Vec]:
-    """The cyclic constraints over the Y_jk, (j, k) in ypairs, one row per
-    triple j < k < l (the form is totally antisymmetric)."""
+def _y_relations(c: StructureTensor, ypairs):
+    """The cyclic constraints as integer rows over the Y_jk, (j, k) in ypairs,
+    one row per triple j < k < l (the form is totally antisymmetric)."""
     r = c.dim
     canon = labels(r)[:2 * r] + [("Y", j, k) for j, k in ypairs]
     fold, _ = _reduction(r, canon, {p: {("Y", *p): 1} for p in ypairs})
     R, _ = cyclic_rows(c, *np.array([(j, k, l) for j, k in ypairs for l in range(k + 1, r)],
                                     dtype=np.int64).reshape(-1, 3).T)
-    return [row for row in row_vecs(contract("nw,wv->nv", R, fold), 1, canon) if row]
+    return rows_times(R, fold)[:, 2 * r:]
 
 
-def _echelon_add(pivots: Dict, row: Dict) -> bool:
-    """Add the sparse row {key: Fraction} to `pivots`, a reduced row echelon
-    form held as {pivot: row}: each row is 1 at its pivot, its smallest key,
-    and no other row holds that key.  True when the span grew.  The form is
-    unique for its span and the key order, whatever order the rows came in."""
-    row = dict(row)
-    # a pivot row holds no other pivot, so each step clears one key of row
-    for piv in sorted(row.keys() & pivots.keys()):
-        coeff = row[piv]
-        for key, v in pivots[piv].items():
-            vec_add(row, key, -coeff * v)
-    if not row:
-        return False
-    piv = min(row)
-    norm = {key: v / row[piv] for key, v in row.items()}
-    for other in pivots.values():
-        coeff = other.get(piv)
-        if coeff:
-            for key, v in norm.items():
-                vec_add(other, key, -coeff * v)
-    pivots[piv] = norm
-    return True
-
-
-def _reduce_relations(rows: List[Vec], ypairs: List[Tuple[int, int]]):
-    """RREF with labels ("Y", j, k) in `ypairs` order.  Returns the expand map
-    (every Y pair -> combination of independent pairs) and rank."""
-    pivots: Dict[Label, Vec] = {}
-    for row in rows:
-        _echelon_add(pivots, row)
-    expand: Dict[Tuple[int, int], Vec] = {}
-    for (j, k) in ypairs:
-        lbl = ("Y", j, k)
-        if lbl in pivots:
-            expand[(j, k)] = {l: -v for l, v in pivots[lbl].items() if l != lbl}
-        else:
-            expand[(j, k)] = {lbl: Fraction(1)}
-    return expand, len(pivots)
+def _reduce_relations(R, ypairs: List[Tuple[int, int]]):
+    """RREF of the integer rows R over the Y_jk, (j, k) in `ypairs` order.
+    Returns the expand map (every Y pair -> combination of independent
+    pairs) and rank."""
+    span = Echelon(len(ypairs))
+    span.add(R)
+    expand: Dict[Tuple[int, int], Vec] = {p: {("Y", *p): Fraction(1)} for p in ypairs}
+    for row, piv in zip(span.rows, span.pivots):
+        expand[ypairs[piv]] = {("Y", *ypairs[t]): Fraction(-int(row[t]), int(row[piv]))
+                               for t in np.flatnonzero(row) if t != piv}
+    return expand, len(span.pivots)
 
 
 @dataclass(frozen=True)
@@ -199,7 +176,7 @@ def build_envelope(c: StructureTensor) -> EnvelopeAlgebra:
     cols = _label_indices(r, basis)
     for a, w in zip(basis, cols):
         R, D = bracket_rows(c, np.full(len(basis), w), cols)
-        B = contract("nw,wt->nt", R, M)
+        B = rows_times(R, M)
         for b, row in zip(basis, B):
             env.brackets[(a, b)] = {basis[t]: Fraction(int(row[t]), D * E)
                                     for t in np.flatnonzero(row)}
@@ -213,25 +190,32 @@ def _check_quotient_consistency(c, d, env: EnvelopeAlgebra):
     of basis labels needs no check: its table entry is that bracket.  For the
     other pairs (a, b), c's rows times `_reduction` must equal
     sum_uv x_a[u] x_b[v] env.brackets[u, v], x the expansions: exact integer
-    contractions at one denominator, for all b of one a at a time.  The
-    Yamaguti constants d are not read: c's rows hold them."""
+    products over the nonzeros at one denominator, for all b of as many a as
+    fit in PAIRS pairs.  The Yamaguti constants d are not read: c's rows
+    hold them."""
     eliminated: List[Label] = [("Y", j, k) for (j, k), expr in env.expand.items()
                                if expr != {("Y", j, k): Fraction(1)}]
+    if not eliminated:
+        return
     full = list(env.basis) + eliminated
     cols = _label_indices(env.r, full)
     M, E = env.reduction
     F, K = env.structure
-    elim = np.arange(env.dim, len(full))
-    for a in itertools.chain(elim, range(env.dim)):
-        b = np.arange(len(full)) if a >= env.dim else elim
-        R, D = bracket_rows(c, np.full(len(b), cols[a]), cols[b])
-        # [x_a, x_b] through the table
-        via = contract("tv,bv->bt", contract("u,tuv->tv", M[cols[a]], F), M[cols[b]])
-        bad = np.flatnonzero((lincomb([(E * K, contract("nw,wt->nt", R, M))])
-                              != lincomb([(D, via)])).any(axis=1))
-        if bad.size:
-            raise EnvelopeInconsistencyError(f"bracket of {full[a]} and {full[b[bad[0]]]} "
-                                             "inconsistent with the Y-quotient")
+    x, elim = M[cols], np.arange(env.dim, len(full))
+    for first, b in ((elim, np.arange(len(full))), (np.arange(env.dim), elim)):
+        step = max(1, PAIRS // len(b))
+        for a in (first[i:i + step] for i in range(0, len(first), step)):
+            pa, pb = np.repeat(a, len(b)), np.tile(b, len(a))
+            R, D = bracket_rows(c, cols[pa], cols[pb])
+            # [x_a, x_b] through the table, xF[a, t, v] = sum_u x_a[u] F[t, u, v]
+            xF = rows_times(x[a], F.transpose(1, 0, 2))
+            via = rows_times(x[b], xF.transpose(2, 0, 1)).transpose(1, 0, 2).reshape(len(pa), -1)
+            bad = np.flatnonzero((lincomb([(E * K, rows_times(R, M))])
+                                  != lincomb([(D, via)])).any(axis=1))
+            if bad.size:
+                raise EnvelopeInconsistencyError(f"bracket of {full[pa[bad[0]]]} and "
+                                                 f"{full[pb[bad[0]]]} inconsistent with the "
+                                                 "Y-quotient")
 
 
 def check_jacobi(env: EnvelopeAlgebra) -> CheckReport:
@@ -242,25 +226,23 @@ def check_jacobi(env: EnvelopeAlgebra) -> CheckReport:
 
 def matrix_closure_dim(gen: GeneratorSet) -> int:
     """Dimension of the smallest matrix space containing all S_j, T_j and
-    closed under commutators (iterated bracketing, rows {(i, j): entry}, over
-    the generators' denominator, which spans the same lines)."""
-    pivots: Dict[Tuple[int, int], Vec] = {}
+    closed under commutators (iterated bracketing, each matrix a row of its
+    entries, over the generators' denominator, which spans the same lines)."""
+    span = Echelon(gen.dim * gen.dim)
 
-    def grows(m):
-        return _echelon_add(pivots, {(int(i), int(j)): Fraction(int(m[i, j]))
-                                     for i, j in zip(*np.nonzero(m))})
+    def grown(ms):
+        return list(ms[span.add(ms.reshape(len(ms), -1))])
 
     st, _ = stacked(list(gen.S) + list(gen.T), gen.dim)
-    mats = [m for m in st if grows(m)]
+    mats = grown(st)
     queue = list(mats)
     while queue:
         m = queue.pop()
         # [other, m] = -[m, other] never grows the span after [m, other]
-        for bracket in commutator(m, np.stack(mats)):
-            if grows(bracket):
-                mats.append(bracket)
-                queue.append(bracket)
-    return len(pivots)
+        new = grown(commutator(m, np.stack(mats)))
+        mats += new
+        queue += new
+    return len(span.pivots)
 
 
 def realize_check(env: EnvelopeAlgebra, gen: GeneratorSet, c: StructureTensor) -> CheckReport:

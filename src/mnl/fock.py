@@ -94,18 +94,22 @@ def _sum(dim, terms):
 
 def _place(shape, d, blocks):
     """The matrix of `shape` that sums m*P with P's (0, 0) entry at (k*d, j*d),
-    over the (k, j, m, P) of `blocks`, P int64 CSR: one COO assembly whose
-    conversion to CSR adds up the entries that meet."""
+    over the (k, j, m, P) of `blocks`, P int64 CSR with d rows: one COO
+    assembly whose conversion to CSR adds up the entries that meet.  Each
+    block's row counts are read off one diff of the joined indptr arrays."""
     blocks = [block for block in blocks if block[3].nnz]
     if not blocks:
         return sp.csr_matrix(shape, dtype=np.int64)
     if len(blocks) == 1 and blocks[0][3].shape == shape:    # one part needs no assembly
         return blocks[0][3] * blocks[0][2]
-    rows = np.concatenate([np.repeat(np.arange(k * d, k * d + P.shape[0]), np.diff(P.indptr))
-                           for k, _, _, P in blocks])
-    cols = np.concatenate([np.add(P.indices, j * d, dtype=np.int64) for _, j, _, P in blocks])
-    return sp.coo_matrix((np.concatenate([P.data * m for _, _, m, P in blocks]), (rows, cols)),
-                         shape=shape).tocsr()
+    k, j, m, P = zip(*blocks)
+    nnz = [p.nnz for p in P]
+    # the diff across a block boundary lands in the dropped last column
+    counts = np.diff(np.concatenate([p.indptr for p in P]), append=0).reshape(len(P), d + 1)
+    rows = np.repeat((np.array(k)[:, None] * d + np.arange(d)).ravel(), counts[:, :d].ravel())
+    cols = np.concatenate([p.indices for p in P]) + np.repeat(np.array(j) * d, nnz)
+    data = np.concatenate([p.data for p in P]) * np.repeat(np.array(m, dtype=np.int64), nnz)
+    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
 
 
 class GQSparse:

@@ -3,9 +3,11 @@ an integer array over its common denominator (`scaled`).  Every contraction
 and linear combination bounds its result before it computes (`fits_int64`,
 the bound the sparse Fock operators apply too, raising instead): below 2^62
 it runs in int64, otherwise over Python ints (object dtype), so no value can
-wrap and nothing is floating point.  Identities are decided CHUNK cases at a
-time, in their walk order, so a failing input stops early and the
-temporaries stay small."""
+wrap and nothing is floating point.  A product with rows of label
+coefficients, which are mostly zero, runs over their nonzeros (`rows_times`),
+and one fraction-free echelon (`Echelon`) reduces integer rows exactly.
+Identities are decided CHUNK cases at a time, in their walk order, so a
+failing input stops early and the temporaries stay small."""
 
 from __future__ import annotations
 
@@ -65,6 +67,24 @@ def contract(spec, *operands):
                      optimize=len(operands) > 2)
 
 
+def rows_times(R, X):
+    """sum_t R[n, t] X[t] for an integer matrix R and array X, over R's
+    nonzeros only: (the most nonzeros in a row of R) max|R| max|X| bounds
+    it, max|X| taken over the X[t] that a nonzero of R reads."""
+    n, t = np.nonzero(R)
+    counts = np.bincount(n, minlength=len(R))
+    coeff = R[n, t]
+    met = magnitude(X[np.flatnonzero(R.any(axis=0))])
+    bound = int(counts.max(initial=0)) * max(magnitude(coeff), 1) * max(met, 1)
+    dtype = np.int64 if fits_int64(bound) else object
+    products = X[t].astype(dtype, copy=False)    # a new array: X[t] copies
+    products *= coeff.astype(dtype, copy=False).reshape((-1,) + (1,) * (X.ndim - 1))
+    out = np.zeros((len(R),) + X.shape[1:], dtype=dtype)
+    used = np.flatnonzero(counts)
+    out[used] = np.add.reduceat(products, (np.cumsum(counts) - counts)[used], axis=0)
+    return out
+
+
 def lincomb(terms):
     """sum q*A over the (q, A) pairs, q integers and A broadcastable integer
     arrays; sum |q| max(max|A|, 1) bounds it."""
@@ -81,6 +101,48 @@ def mat_mul(a, b):
 
 def commutator(a, b):
     return lincomb([(1, mat_mul(a, b)), (-1, mat_mul(b, a))])
+
+
+def _clear(X, B, pivots):
+    """X's rows with the pivot columns of B's rows cleared, each over the gcd
+    of its entries: L X - sum_i X[:, p_i] (L / h_i) B_i, h_i = B_i[p_i] and
+    L = lcm h, so max(max|X|, 1) L bounds the coefficients."""
+    h = [int(B[i, p]) for i, p in enumerate(pivots)]
+    L = math.lcm(1, *h)
+    dtype = np.int64 if fits_int64(max(magnitude(X), 1) * L) else object
+    coeff = X[:, pivots].astype(dtype) * np.array([L // v for v in h], dtype=dtype)
+    X = lincomb([(L, X), (-1, rows_times(coeff, B))])
+    g = np.gcd.reduce(X, axis=1)
+    return X // np.where(g == 0, 1, g)[:, None]
+
+
+class Echelon:
+    """The integer reduced row echelon form of the rows added so far: each
+    row primitive, and every other row zero at its pivot, its first nonzero
+    column.  Row i over its pivot entry is row i of the unique Fraction RREF
+    of the span, whatever order the rows came in."""
+
+    def __init__(self, width):
+        self.rows = np.zeros((0, width), dtype=np.int64)
+        self.pivots = []
+
+    def add(self, block):
+        """Reduce the integer rows of `block` against the form in one product,
+        then admit them in order; True for each row that grew the span."""
+        X = _clear(np.asarray(block), self.rows, self.pivots)
+        grew = np.zeros(len(X), dtype=bool)
+        for k in np.flatnonzero(X.any(axis=1)):
+            nonzero = np.flatnonzero(X[k])    # an admitted row may have cleared it
+            if nonzero.size:
+                p = int(nonzero[0])
+                v = X[k:k + 1]
+                # clear p from the form's rows and from the later candidates
+                rest = _clear(np.concatenate([self.rows, X[k + 1:]]), v, [p])
+                self.rows = np.concatenate([rest[:len(self.rows)], v])
+                self.pivots.append(p)
+                X = np.concatenate([X[:k + 1], rest[len(self.rows) - 1:]])
+                grew[k] = True
+        return grew
 
 
 def first_failure_chunked(prop, cases, fails, weight=None, budget=None):

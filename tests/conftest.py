@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from mnl import algebra, birep, fock, loops
@@ -41,3 +44,13 @@ def quat_fields():
 @pytest.fixture(scope="session")
 def oct_fields():
     return fock.build_fields(8, 1)
+
+
+@pytest.fixture(scope="session")
+def bench_r10(tmp_path_factory):
+    """The benchmark's r=10 block sum: m7 plus doubled su2, basis signs of seed 0."""
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from mnlbench import workloads
+    return workloads.ExactAlgebra(0, str(tmp_path_factory.mktemp("r10"))).r10

@@ -19,11 +19,22 @@ import numpy as np
 import scipy.sparse as sp
 
 from mnl.algebra import StructureTensor, YamagutiTensor, yamaguti_constants
-from mnl.birep import GeneratorSet, GLCReport, Label, Vec, extract_yamagutian, vec_add
+from mnl.birep import GeneratorSet, GLCReport, Label, Vec, extract_yamagutian
 from mnl.envelope import EnvelopeAlgebra
 from mnl.etc import CONVENTION, ETCReport, _lemma, _raw_yamagutian, _signed
 from mnl.fock import _CANONICAL, _CAR, GQSparse, _parity
 from mnl.report import CheckReport, InputError, fail, ok
+
+
+def vec_add(acc: Vec, label, coeff):
+    """acc[label] += coeff, keeping no zero coefficient."""
+    if not coeff:
+        return
+    new = acc.get(label, Fraction(0)) + coeff
+    if new:
+        acc[label] = new
+    else:
+        acc.pop(label, None)
 
 
 def first_failure(prop, cases, holds):
@@ -316,6 +327,70 @@ def check_jacobi(env: EnvelopeAlgebra) -> CheckReport:
                 if total:
                     return fail("jacobi", witness=(basis[ia], basis[ib], basis[ic]))
     return ok("jacobi")
+
+
+def echelon_add(pivots, row) -> bool:
+    """Add the sparse row {key: Fraction} to `pivots`, a reduced row echelon
+    form held as {pivot: row}: each row is 1 at its pivot, its smallest key,
+    and no other row holds that key.  True when the span grew.  The form is
+    unique for its span and the key order, whatever order the rows came in."""
+    row = dict(row)
+    # a pivot row holds no other pivot, so each step clears one key of row
+    for piv in sorted(row.keys() & pivots.keys()):
+        coeff = row[piv]
+        for key, v in pivots[piv].items():
+            vec_add(row, key, -coeff * v)
+    if not row:
+        return False
+    piv = min(row)
+    norm = {key: v / row[piv] for key, v in row.items()}
+    for other in pivots.values():
+        coeff = other.get(piv)
+        if coeff:
+            for key, v in norm.items():
+                vec_add(other, key, -coeff * v)
+    pivots[piv] = norm
+    return True
+
+
+def y_quotient(c: StructureTensor):
+    """The Y-quotient's expand map and rank: every y_cyclic row j < k < l,
+    each Y_kj read as -Y_jk and Y_jj as zero, through `echelon_add`."""
+    r = c.dim
+    pivots = {}
+    for j, k, l in itertools.combinations(range(r), 3):
+        row = {}
+        for (_, a, b), v in y_cyclic(c, j, k, l).items():
+            if a != b:
+                vec_add(row, ("Y", min(a, b), max(a, b)), v if a < b else -v)
+        echelon_add(pivots, row)
+    expand = {}
+    for j, k in itertools.combinations(range(r), 2):
+        lbl = ("Y", j, k)
+        expand[(j, k)] = ({l: -v for l, v in pivots[lbl].items() if l != lbl}
+                          if lbl in pivots else {lbl: Fraction(1)})
+    return expand, len(pivots)
+
+
+def matrix_closure_dim(gen: GeneratorSet) -> int:
+    """The dimension of the commutator closure of the S_j and T_j, every
+    matrix a row {(i, j): entry} through `echelon_add`."""
+    pivots = {}
+
+    def grows(m):
+        return echelon_add(pivots, {(i, j): Fraction(v) for i, row in enumerate(m)
+                                    for j, v in enumerate(row) if v})
+
+    mats = [m for m in list(gen.S) + list(gen.T) if grows(m)]
+    queue = list(mats)
+    while queue:
+        m = queue.pop()
+        for other in list(mats):
+            bracket = commutator(m, other)
+            if grows(bracket):
+                mats.append(bracket)
+                queue.append(bracket)
+    return len(pivots)
 
 
 # --- densities and charges, one case at a time ------------------------------

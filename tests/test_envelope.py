@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mnl import algebra
@@ -181,8 +182,7 @@ def test_reduce_relations_back_substitutes_with_sign():
     # the first relation leaves Y01 = Y12, not Y01 = -Y12
     def Y(j, k):
         return ("Y", j, k)
-    rows = [{Y(0, 1): Fraction(1), Y(0, 2): Fraction(1)},
-            {Y(0, 2): Fraction(1), Y(1, 2): Fraction(1)}]
+    rows = np.array([[1, 1, 0], [0, 1, 1]])
     expand = {(0, 1): {Y(1, 2): 1}, (0, 2): {Y(1, 2): -1}, (1, 2): {Y(1, 2): 1}}
     for order in (rows, rows[::-1]):
         assert _reduce_relations(order, [(0, 1), (0, 2), (1, 2)]) == (expand, 2)

@@ -6,7 +6,13 @@ near 2^20 and integers near 2^31.  Small entries stay on the int64 path; near
 2^31 every identity's bound passes 2^62, so the kernels must take the
 object-dtype fallback over Python ints, and the tests check that they did.
 Near 2^20 the quadratic Yamaguti and Jacobi contractions of a tensor must stay
-in int64, while the cubic Mal'tsev and quartic Lie-Cartan residuals fall back."""
+in int64, while the cubic Mal'tsev and quartic Lie-Cartan residuals fall back.
+
+The sparse label-row product (`matrices.rows_times`) is held to the dense
+contraction, and the integer echelon (`matrices.Echelon`) to the `Fraction`
+one (`oracles.echelon_add`): the same rows admitted and the same reduced
+form, with entries past the int64 guard too, and through them the closure
+oracle's dimension and the Y-quotient."""
 
 import contextlib
 from fractions import Fraction
@@ -19,7 +25,8 @@ import oracles
 from mnl import algebra, matrices
 from mnl.algebra import StructureTensor, catalog_algebra, is_lie, is_maltsev
 from mnl.birep import GeneratorSet, check_glc, quaternion_lr_generators
-from mnl.envelope import EnvelopeAlgebra, build_envelope, check_jacobi, realize_check
+from mnl.envelope import (EnvelopeAlgebra, build_envelope, check_jacobi, matrix_closure_dim,
+                          realize_check)
 
 
 @contextlib.contextmanager
@@ -194,3 +201,98 @@ def test_guarded_contraction_is_exact_past_int64():
     a = np.array([[1 << 40, 1 << 40], [0, 0]], dtype=np.int64)
     out = matrices.mat_mul(a, a.T)
     assert out.dtype == object and out[0, 0] == 1 << 81
+
+
+def sparse_ints(magnitude):
+    """Mostly zero integers, the others small or near 2^magnitude."""
+    return st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                     near(magnitude) if magnitude else st.integers(-3, 3))
+
+
+@SETTINGS
+@given(data=st.data(), magnitude=st.sampled_from([0, 31]))
+def test_rows_times_matches_contract(data, magnitude):
+    """Near 2^31, |R| |X| alone passes 2^62: the product must take the
+    Python-int fallback and still be exact."""
+    n, t = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 6))
+    entries = sparse_ints(magnitude)
+    R = np.array(data.draw(st.lists(st.lists(entries, min_size=t, max_size=t),
+                                    min_size=n, max_size=n)), dtype=object).reshape(n, t)
+    X = np.array(data.draw(st.lists(entries, min_size=t * 6, max_size=t * 6)),
+                 dtype=object).reshape(t, 2, 3)
+    R, X = (a.astype(np.int64) for a in (R, X))
+    with int64_decisions() as seen:
+        out = matrices.rows_times(R, X)
+    expected = matrices.contract("nt,tij->nij", R.astype(object), X.astype(object))
+    assert out.shape == (n, 2, 3) and (out == expected).all()
+    # the bound reads X's rows that meet a nonzero of R
+    met = X[R.any(axis=0)].astype(object)
+    bound = max([0] + [int(np.count_nonzero(row)) for row in R]) * max(
+        int(np.abs(R.astype(object)).max(initial=0)), 1) * max(int(np.abs(met).max(initial=0)), 1)
+    assert (out.dtype == object) == (bound >= 1 << 62) == (False in seen)
+
+
+def test_rows_times_of_zero_and_empty_rows():
+    X = np.arange(12, dtype=np.int64).reshape(3, 4)
+    for R in (np.zeros((2, 3), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)):
+        out = matrices.rows_times(R, X)
+        assert out.shape == (len(R), 4) and not out.any()
+
+
+def echelon_blocks(draw, width, entries):
+    """Blocks of integer rows, some of them combinations of earlier rows."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            p, q = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rows.append([p * x + q * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=width, max_size=width)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    return [rows[i:j] for i, j in zip([0] + cuts, cuts + [len(rows)])]
+
+
+@SETTINGS
+@given(data=st.data(), magnitude=st.sampled_from([0, 40, 62]))
+def test_echelon_matches_fraction_oracle(data, magnitude):
+    """Entries near 2^40 and 2^62: the reduction's products pass the int64
+    guard, and the rows must still reduce exactly over Python ints."""
+    width = data.draw(st.integers(1, 6))
+    blocks = echelon_blocks(data.draw, width, sparse_ints(magnitude))
+    span, pivots, seen = matrices.Echelon(width), {}, []
+    for block in blocks:
+        X = np.array(block, dtype=object).reshape(len(block), width)
+        if all(abs(v) < 1 << 62 for v in X.flat):
+            X = X.astype(np.int64)
+        with int64_decisions() as decided:
+            grew = span.add(X)
+        seen += decided
+        expected = [oracles.echelon_add(pivots, {t: Fraction(v) for t, v in enumerate(row) if v})
+                    for row in block]
+        assert list(grew) == expected
+    assert len(span.pivots) == len(pivots)
+    assert {p: {t: Fraction(int(row[t]), int(row[p])) for t in np.flatnonzero(row)}
+            for row, p in zip(span.rows, span.pivots)} == pivots
+    if any(abs(v) >= 1 << 62 for block in blocks for row in block for v in row):
+        assert False in seen, "entries past 2^62 did not take the object fallback"
+
+
+@SETTINGS
+@given(data=st.data())
+def test_matrix_closure_dim_matches_oracle(data):
+    r, dim = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    mats = st.lists(st.lists(SIZES["small"], min_size=dim, max_size=dim),
+                    min_size=dim, max_size=dim)
+    S, T = (data.draw(st.lists(mats, min_size=r, max_size=r)) for _ in "ST")
+    gen = GeneratorSet(r, dim, S, T)
+    assert matrix_closure_dim(gen) == oracles.matrix_closure_dim(gen)
+
+
+@pytest.mark.parametrize("name", ["m7", "r10", "su2"])
+def test_y_quotient_matches_oracle(name, bench_r10):
+    c = bench_r10 if name == "r10" else catalog_algebra(name)
+    env = build_envelope(c)
+    expand, rank = oracles.y_quotient(c)
+    assert list(env.expand) == list(expand) and env.expand == expand
+    assert env.relation_rank == rank

@@ -11,9 +11,7 @@ oracle's witness on one-entry mutants of the m7 and r=10 envelope tables."""
 
 import itertools
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,16 +33,6 @@ def assert_table_matches_oracle(c):
     triples = list(itertools.product(range(c.dim), repeat=3))
     assert row_vecs(*cyclic_rows(c, *np.array(triples).T), lbls) == [
         oracles.y_cyclic(c, *t) for t in triples]
-
-
-@pytest.fixture(scope="module")
-def bench_r10(tmp_path_factory):
-    """The benchmark's r=10 block sum: m7 plus doubled su2, basis signs of seed 0."""
-    root = str(Path(__file__).resolve().parents[1])
-    if root not in sys.path:
-        sys.path.insert(0, root)
-    from mnlbench import workloads
-    return workloads.ExactAlgebra(0, str(tmp_path_factory.mktemp("r10"))).r10
 
 
 @pytest.mark.parametrize("name", ["m7", "su2-doubled", "sl2", "r10"])
