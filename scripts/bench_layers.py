@@ -18,14 +18,17 @@ It imports `src/mnl` and `mnlbench` of the checkout it sits in.
 - `fock`: the octonion fields at two sites (8 modes each, dimension 2^16),
   `build_fields` with `canonical_etc_check`, `car_check` on a fresh
   `build_fock(8, 2)` and, on fresh fields, `charge_densities` of the
-  octonion generators; and `bilinear_lemma_check`
-  at 15 trials on the fields of one site of 8 modes and of two sites of 4.
+  octonion generators; `bilinear_lemma_check` at 15 trials on the fields of
+  one site of 8 modes and of two sites of 4; and `car_check` on a fresh
+  `build_fock(16, 1)` (one site of dimension 2^16).
 
 Each function runs five times, every run on fresh copies of its inputs
 (tensor, generator set, envelope, densities and charges), so no value kept
 on an input from an earlier run hides the work; the copies are made outside
-the timed call.  Writes BENCH_<TAG>.json at the checkout's root with the
-median, lowest and highest of the runs of each function, in seconds.
+the timed call.  One more run, untimed, records the peak of the memory
+that `tracemalloc` sees allocated during the call.  Writes BENCH_<TAG>.json
+at the checkout's root with the median, lowest and highest of the runs of
+each function, in seconds, and that peak in MB.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
@@ -122,7 +126,9 @@ def fock_inputs(workdir):
     }
     return {"octonion-n2": (m7, oct_gen, fields),
             "lemma-8x1": (m7, oct_gen, lemma_cases(8, 1)),
-            "lemma-4x2": (m7, oct_gen, lemma_cases(4, 2))}
+            "lemma-4x2": (m7, oct_gen, lemma_cases(4, 2)),
+            "car-16x1": (m7, oct_gen, {"car_check": (lambda c, g: (fock.build_fock(16, 1),),
+                                                     fock.car_check)})}
 
 
 GROUPS = {"dense": dense_inputs, "etc": etc_inputs, "fock": fock_inputs}
@@ -137,9 +143,15 @@ def measure(c, gen, cases):
             t0 = time.perf_counter()
             call(*args)
             times.append(time.perf_counter() - t0)
+        args = inputs(c, gen)
+        tracemalloc.start()
+        call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         out[name] = {"median_s": statistics.median(times), "min_s": min(times),
-                     "max_s": max(times)}
-        print(f"  {name:20s} {out[name]['median_s'] * 1e3:9.2f} ms", file=sys.stderr)
+                     "max_s": max(times), "tracemalloc_peak_mb": peak / 2**20}
+        print(f"  {name:20s} {out[name]['median_s'] * 1e3:9.2f} ms "
+              f"{out[name]['tracemalloc_peak_mb']:8.2f} MB", file=sys.stderr)
     return out
 
 

@@ -13,11 +13,11 @@ of an empty re or im part, as a purely imaginary density's are.
 A `SiteOp` holds a sum of site-local operators sum_x I x .. x F_x x .. x I as
 its factors F_x on the 2^n-dimensional space of one site; see `SiteOp`.  The
 density and charge relations are decided on those factors, many cases at a
-time, by `relations.RelationKernel`: per site, one product L R of the cases'
-coefficients placed against the operators (L) by the operators stacked once
-(R), both built by `_place`, the one COO assembly, which serves `_sum` too;
-each residual is then held to `SiteOp.is_zero`'s c_x I rule, under the same
-2^62 bound.
+time, by `relations.RelationKernel`: per site, one real product L R of the
+operators' re and im parts stacked once (R) by the cases' coefficients
+placed against them in each case's re or im rows by phase (L, built by
+`_place`, the one COO assembly, which serves `_sum` too); each residual is
+then held to `SiteOp.is_zero`'s c_x I rule, under the same 2^62 bound.
 
 Ladder embeddings.  A `FockOps` holds the Jordan-Wigner ladder operators of
 one site and the site count N; `_ladder` builds them, and the full
@@ -58,20 +58,6 @@ def _csr(m):
         out.sum_duplicates()
         out.eliminate_zeros()
     return out
-
-
-def _matmul(a, b):
-    """(re, im) of (a_re + i a_im) @ (b_re + i b_im) for pairs of int64 CSR
-    parts: re = a_re b_re - a_im b_im, im = a_re b_im + a_im b_re, without the
-    products that have an empty factor."""
-    shape = (a[0].shape[0], b[0].shape[1])
-
-    def part(p, q, sign, r, t):
-        out = p @ q if p.nnz and q.nnz else sp.csr_matrix(shape, dtype=np.int64)
-        if r.nnz and t.nnz:
-            out = out + r @ t if sign > 0 else out - r @ t
-        return out
-    return part(a[0], b[0], -1, a[1], b[1]), part(a[0], b[1], 1, a[1], b[0])
 
 
 def _sum(dim, terms):
@@ -188,8 +174,15 @@ class GQSparse:
             count = int((np.diff(self.re.indptr) + np.diff(self.im.indptr)).max())
         if not fits_int64(mags * count, self.den * other.den):
             raise OverflowError("exact sparse result could exceed the int64 range")
-        re, im = _matmul((self.re, self.im), (other.re, other.im))
-        return GQSparse(self.dim, re, im, self.den * other.den)
+        # (a + i b)(c + i d) = ac - bd + i (ad + bc), without the products
+        # that have an empty factor
+        def part(p, q, sign, r, t):
+            out = p @ q if p.nnz and q.nnz else sp.csr_matrix(p.shape, dtype=np.int64)
+            if r.nnz and t.nnz:
+                out = out + r @ t if sign > 0 else out - r @ t
+            return out
+        return GQSparse(self.dim, part(self.re, other.re, -1, self.im, other.im),
+                        part(self.re, other.im, 1, self.im, other.re), self.den * other.den)
 
     def scale(self, q):
         """Multiply by an exact rational scalar."""

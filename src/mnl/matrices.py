@@ -95,8 +95,10 @@ def lincomb(terms):
 
 
 def mat_mul(a, b):
-    """The product of (stacks of) integer matrices."""
-    return contract("...ik,...kj->...ij", a, b)
+    """The product of (stacks of) integer matrices by np.matmul, under `contract`'s bound."""
+    bound = a.shape[-1] * max(magnitude(a), 1) * max(magnitude(b), 1)
+    dtype = np.int64 if fits_int64(bound) else object
+    return np.matmul(a.astype(dtype, copy=False), b.astype(dtype, copy=False))
 
 
 def commutator(a, b):

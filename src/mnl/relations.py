@@ -15,26 +15,27 @@ holds when its sum is zero by `SiteOp.is_zero`'s rule: at every site the
 residual is c_x I, and the c_x sum to zero.  A plain `GQSparse` counts as the
 one factor of a one-site space, so there the residual must be zero.
 
-Per-site operators.  Each site stacks the integer parts of the nonzero
-factors its operators have there, at one common denominator D (the lcm of
-all the factors' denominators), once: R = [F_0; ..; F_{P-1}; I], re and im
-apart, a d x d block per operator and I_d last.  An operator without a
-factor at a site adds nothing there.
+Per-site operators.  Each site stacks, once, the nonempty integer parts of
+the nonzero factors its operators have there, at one common denominator D
+(the lcm of all the factors' denominators): R = [I; P_0; ..], I_d first and
+a d x d block per part.  A factor r + i m gives r with phase 0 and m with
+phase 1, so that it is the sum of i^phase times its parts.
 
 One product per site.  A chunk's coefficients are taken over the lcm K of
-their denominators, and one COO placement (`fock._place`) builds L, with a
-row of d x d blocks per case and a column per block of R.  A term q [a, b]
-of case k puts K q a at block (k, b) and -K q b at block (k, a), so that it
-adds K q (ab - ba) to the case's rows of L R; [a, a] is skipped without
+their denominators, and one COO placement (`fock._place`) builds L: a row of
+d x d blocks for each case's re or im residual that some block reaches, and
+a column per block of R.  A term q [a, b] puts K q a against b's blocks and
+-K q b against a's, adding K q (ab - ba); [a, a] is skipped without
 arithmetic.  A term q {a, b} puts +K q b there instead, adding K q (ab + ba),
-and is not skipped when a == b.  A term q o puts K q D o at block (k, I),
-and q i o puts K q D times i o = -m + i r there, for o = r + i m.  One
-product L R (`fock._matmul`) then holds every case's residual at K D^2, re
-and im apart.  The blocks stay d x d rather than flattened to rows of d^2
-entries: scipy's product keeps an accumulator as wide as its result, which
-would be 2^32 entries for the full-space operators at 2^16.
-`_scalar_blocks` reads c_x off each block and checks that the block is c_x
-I; the c_x of all sites must sum to zero.
+and is not skipped when a == b.  A term q o puts K q D o against I, and
+q i o the same with one more phase.  Phase rule: a part of phase f against a
+block of phase g lands in the re row when f + g is even and the im row when
+it is odd, negated when f + g is 2 or 3 (i^2 = -1).  One real product L R
+then holds every case's residual at K D^2, re and im apart.  The blocks stay
+d x d rather than flattened to rows of d^2 entries: scipy's product keeps an
+accumulator as wide as its result, which would be 2^32 entries for the
+full-space operators at 2^16.  `_scalar_blocks` reads c_x off each block and
+checks that the block is c_x I; the c_x of all sites must sum to zero.
 
 Int64 bound.  Before anything is computed, every case is bounded: an entry
 of K q [a, b] is at most |K q| (count_a + count_b) mag_a mag_b, with mag the
@@ -49,19 +50,20 @@ them fails.  There is no slower path (scipy has no object dtype), so no value
 can wrap.  A term q {a, b} has the bound of q [a, b].
 
 Chunk size.  `first_failure` takes up to `matrices.CHUNK` cases a chunk, in
-walk order, and ends a chunk early once the cases' weights (d per term plus
-the entries of the term's operators) reach `BUDGET`, which keeps L and the
+walk order, and ends a chunk early once the weights of what the cases
+compute (`RelationKernel.weight`) reach `BUDGET`, which keeps L and the
 product small at every dimension.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import SiteOp, _matmul, _place
+from .fock import SiteOp, _place
 from .matrices import first_failure_chunked, fits_int64
 from .report import InputError
 
@@ -74,6 +76,12 @@ def _site_factors(op):
     if isinstance(op, SiteOp):
         return op.site_dim, op.sites, op.factors
     return op.dim, 1, {0: op}
+
+
+def _computed(case):
+    """A case's terms that take arithmetic: q != 0, and [a, a] = 0 skipped."""
+    return [(kind, q, ops) for kind, q, *ops in case
+            if q and not (kind == "c" and ops[0] == ops[1])]
 
 
 def _scalar_blocks(M, d, n):
@@ -102,33 +110,32 @@ class RelationKernel:
         if len(layouts) != 1:
             raise InputError("operator dimension mismatch")
         (self.site_dim, self.site_count), = layouts
-        d = self.site_dim
         factors = [_site_factors(op)[2] for op in ops]
         self.den = math.lcm(1, *(f.den for fs in factors for f in fs.values()))
-        self.nnz = [sum(f.nnz for f in fs.values()) for fs in factors]
-        parts = {}    # site -> {operator: (block, re, im, mag, count)} at den
+        self.nnz = [{x: f.nnz for x, f in fs.items() if f.nnz} for fs in factors]
+        d, ident = self.site_dim, sp.identity(self.site_dim, dtype=np.int64, format="csr")
+        sites = {}    # site -> ({operator: ([(block, phase, part)], mag, count)}, [I, parts])
         for a, fs in enumerate(factors):
             for x, f in fs.items():
                 m = self.den // f.den
                 if not fits_int64(f.mag * m):
                     raise OverflowError("exact sparse result could exceed the int64 range")
                 if f.nnz:
-                    at = parts.setdefault(x, {})
-                    count = int((np.diff(f.re.indptr) + np.diff(f.im.indptr)).max())
-                    re, im = (f.re, f.im) if m == 1 else (f.re * m, f.im * m)
-                    at[a] = (len(at), re, im, f.mag * m, count)
-        ident = sp.identity(d, dtype=np.int64, format="csr")
-        self.sites = []    # (the site's operators, its R as (re, im))
-        for at in parts.values():
-            shape = ((len(at) + 1) * d, d)
-            self.sites.append((at, (
-                _place(shape, d, [(j, 0, 1, re) for j, re, _, _, _ in at.values()]
-                       + [(len(at), 0, 1, ident)]),
-                _place(shape, d, [(j, 0, 1, im) for j, _, im, _, _ in at.values()]))))
+                    at, stack = sites.setdefault(x, ({}, [ident]))
+                    parts = [(phase, p if m == 1 else p * m)
+                             for phase, p in enumerate((f.re, f.im)) if p.nnz]
+                    at[a] = ([(len(stack) + j, phase, p) for j, (phase, p) in enumerate(parts)],
+                             f.mag * m, int((np.diff(f.re.indptr) + np.diff(f.im.indptr)).max()))
+                    stack += [p for _, p in parts]
+        self.sites = [(at, _place((len(stack) * d, d), d,
+                                  [(j, 0, 1, p) for j, p in enumerate(stack)]))
+                      for at, stack in sites.values()]    # (the site's operators, its R)
 
     def weight(self, case):
-        """A case's share of a chunk: d per term plus its operators' entries."""
-        return sum(self.site_dim + sum(self.nnz[a] for a in term[2:]) for term in case)
+        """Per computed term, d plus its operators' entries at each site they all share."""
+        return sum(self.site_dim + sum(self.nnz[a][x] for a in ops)
+                   for _, _, ops in _computed(case)
+                   for x in self.nnz[ops[0]] if all(x in self.nnz[a] for a in ops))
 
     def first_failure(self, prop, cases):
         """`first_failure_chunked` over (witness, *terms) in walk order."""
@@ -139,48 +146,46 @@ class RelationKernel:
         reaches 2^62 ends the chunk: the cases before it are decided, and
         OverflowError is raised when none of them fails."""
         n, d = len(cases), self.site_dim
-        terms = [(k, kind, q, ops) for k, case in enumerate(cases) for kind, q, *ops in case
-                 if q and not (kind == "c" and ops[0] == ops[1])]
+        terms = [(k, *term) for k, case in enumerate(cases) for term in _computed(case)]
         if self.site_count > 1 and any(kind == "a" for _, kind, _, _ in terms):
             raise InputError("an anticommutator of site sums is not site-local")
         K = math.lcm(1, *(q.denominator for _, _, q, _ in terms))
-        bound = [0] * n
-        plans = []
+        bound, plans = [0] * n, []
         for at, R in self.sites:
-            P, re, im = len(at), [], []
+            blocks = []    # (case, phase, block of R, coefficient, part)
             for k, kind, q, ops in terms:
                 if not all(a in at for a in ops):
                     continue
                 v = q.numerator * (K // q.denominator)
                 if kind in ("c", "a"):
-                    # K q [a, b]: K q a against b's rows of R, -K q b against
-                    # a's; K q {a, b} the same with +K q b
-                    (ja, ra, ia, ma, ca), (jb, rb, ib, mb, cb) = at[ops[0]], at[ops[1]]
+                    # K q [a, b]: K q a against b's blocks of R, -K q b against
+                    # a's, each pair of parts at the sum of their phases;
+                    # K q {a, b} the same with +K q b
+                    (pa, ma, ca), (pb, mb, cb) = at[ops[0]], at[ops[1]]
                     w = -v if kind == "c" else v
                     bound[k] += abs(v) * (ca + cb) * ma * mb
-                    re += [(k, jb, v, ra), (k, ja, w, rb)]
-                    im += [(k, jb, v, ia), (k, ja, w, ib)]
-                    continue
-                # K q D o against the identity, so at D^2; i (r + i m) = -m + i r
-                _, r, i, m, _ = at[ops[0]]
-                v *= self.den
-                bound[k] += abs(v) * m
-                re.append((k, P, -v, i) if kind == "i" else (k, P, v, r))
-                im.append((k, P, v, r) if kind == "i" else (k, P, v, i))
-            if re:
-                plans.append((R, re, im))
+                    for (ja, fa, ra), (jb, fb, rb) in itertools.product(pa, pb):
+                        blocks += [(k, fa + fb, jb, v, ra), (k, fa + fb, ja, w, rb)]
+                else:
+                    # K q D o against the identity, so at D^2
+                    parts, m, _ = at[ops[0]]
+                    bound[k] += abs(v) * self.den * m
+                    blocks += [(k, f + (kind == "i"), 0, v * self.den, p) for _, f, p in parts]
+            if blocks:
+                plans.append((R, blocks))
         limit = next((k for k, b in enumerate(bound) if not fits_int64(b)), n)
         if limit < n:
             head = self.fails(cases[:limit]) if limit else np.zeros(0, dtype=bool)
             if not head.any():
                 raise OverflowError("exact sparse result could exceed the int64 range")
             return np.concatenate([head, np.zeros(n - limit, dtype=bool)])
-        c = np.zeros((2, n), dtype=np.int64)
-        ok = np.ones(n, dtype=bool)
-        for R, re, im in plans:
-            L = [_place((n * d, R[0].shape[0]), d, blocks) for blocks in (re, im)]
-            for part, res in enumerate(_matmul(L, R)):
-                cx, okx = _scalar_blocks(res, d, n)
-                c[part] += cx
-                ok &= okx
-        return ~ok | (c != 0).any(axis=0)
+        # case k's re residual at 2k, its im residual at 2k + 1
+        c, ok = np.zeros(2 * n, dtype=np.int64), np.ones(2 * n, dtype=bool)
+        for R, blocks in plans:
+            # L's rows of blocks: the residuals that some block reaches
+            used, row = np.unique([2 * k + f % 2 for k, f, *_ in blocks], return_inverse=True)
+            L = [(i, j, -v if f & 2 else v, p) for i, (_, f, j, v, p) in zip(row, blocks)]
+            cx, okx = _scalar_blocks(_place((len(used) * d, R.shape[0]), d, L) @ R, d, len(used))
+            c[used] += cx
+            ok[used] &= okx
+        return ~ok.reshape(n, 2).all(axis=1) | c.reshape(n, 2).any(axis=1)

@@ -268,8 +268,9 @@ def factor(draw):
                        min_size=SITE_DIM, max_size=SITE_DIM))
     im = draw(st.lists(st.lists(st.integers(-3, 3), min_size=SITE_DIM, max_size=SITE_DIM),
                        min_size=SITE_DIM, max_size=SITE_DIM))
-    if draw(st.booleans()):
-        im = [[0] * SITE_DIM for _ in range(SITE_DIM)]
+    zero = [[0] * SITE_DIM for _ in range(SITE_DIM)]
+    shape = draw(st.sampled_from(("real", "imaginary", "mixed")))
+    re, im = {"real": (re, zero), "imaginary": (zero, im), "mixed": (re, im)}[shape]
     return gq(re, im, draw(st.integers(1, 3)))
 
 
@@ -327,14 +328,41 @@ def test_site_op_identity_shift_is_zero():
     assert not odd.is_zero() and not odd.full().is_zero()
 
 
+def mixed_factor(draw):
+    """A factor with nonzero re and im parts over a denominator of 2 or 3
+    that does not cancel: each part has an entry of +-1."""
+    den = draw(st.integers(2, 3))
+    parts = [draw(st.lists(st.lists(st.integers(-3, 3), min_size=SITE_DIM, max_size=SITE_DIM),
+                           min_size=SITE_DIM, max_size=SITE_DIM)) for _ in range(2)]
+    for part in parts:
+        i, j = draw(st.integers(0, SITE_DIM - 1)), draw(st.integers(0, SITE_DIM - 1))
+        part[i][j] = draw(st.sampled_from((-1, 1)))
+    return gq(*parts, den)
+
+
+def anticommutator(P, Q):
+    """{P, Q} by the operators' own products; SiteOps on one site."""
+    if isinstance(P, SiteOp):
+        both = 0 in P.factors and 0 in Q.factors
+        return SiteOp(1, P.site_dim,
+                      {0: anticommutator(P.factors[0], Q.factors[0])} if both else {})
+    return P @ Q + Q @ P
+
+
 @st.composite
 def kernel_cases(draw):
-    """Four operators, SiteOps on 1-3 sites or plain GQSparse, whose factors
-    are random or multiples of I (one may be sum_x c_x I with the c_x summing
-    to zero), then i times one of them; random cases of commutator, operator
-    and i-operator terms over the four, and cases built to cancel, so that a
-    wrong sign in any one kind of term shows: a term plus its negation,
-    q [a, b] + q [b, a], and q i o against -q times the operator i o."""
+    """Operators, SiteOps on 1-3 sites or plain GQSparse: four whose factors
+    are real, imaginary or mixed (re and im), or multiples of I (one may be sum_x c_x I
+    with the c_x summing to zero), then i times one of them, two with mixed
+    factors at every site (5, 6), their commutator (7), i times 5 (8) and,
+    on one site, their anticommutator (9), each built by the operators' own
+    arithmetic.  Random cases of every term kind the layout allows, and
+    cases built to cancel, so that a wrong sign in any one kind of term
+    shows: a term plus its negation, q [a, b] + q [b, a], q {a, b} - q {b, a},
+    and q i o against -q times the operator i o.  The kernel's terms over
+    the mixed operators against the operators built apart meet every pair of
+    phases, re re, re im, im re and im im, so that a wrong sign for any one
+    of them shows too."""
     plain = draw(st.booleans())
     sites = 1 if plain else draw(st.integers(1, 3))
     ident = GQSparse.identity(SITE_DIM)
@@ -344,23 +372,35 @@ def kernel_cases(draw):
             return draw(factor())
         return ident.scale(draw(st.fractions(-2, 2, max_denominator=3)))
 
-    def one():
+    def one(make, present=None):
         if plain:
-            return one_factor()
-        present = draw(st.lists(st.integers(0, sites - 1), unique=True, max_size=sites))
-        return SiteOp(sites, SITE_DIM, {x: one_factor() for x in present})
+            return make()
+        if present is None:
+            present = draw(st.lists(st.integers(0, sites - 1), unique=True, max_size=sites))
+        return SiteOp(sites, SITE_DIM, {x: make() for x in present})
 
-    ops = [one() for _ in range(4)]
+    ops = [one(one_factor) for _ in range(4)]
     if sites > 1 and draw(st.booleans()):
         ops[-1] = SiteOp(sites, SITE_DIM, {0: ident, sites - 1: ident.scale(-1)})
     index, q = st.integers(0, 3), st.fractions(-3, 3, max_denominator=3)
-    term = st.one_of(st.tuples(st.just("c"), q, index, index),
+    kinds = st.sampled_from("ca" if sites == 1 else "c")
+    term = st.one_of(st.tuples(kinds, q, index, index),
                      st.tuples(st.sampled_from("oi"), q, index))
     cases = draw(st.lists(st.lists(term, min_size=1, max_size=4), min_size=1, max_size=6))
     a, b, v = draw(index), draw(index), draw(q)
     ops.append(ops[a].times_i())
-    return ops, cases + [[("o", v, a), ("o", -v, a)], [("i", v, a), ("i", -v, a)],
-                         [("c", v, a, b), ("c", v, b, a)], [("i", v, a), ("o", -v, 4)]]
+    x, y = (one(lambda: mixed_factor(draw), range(sites)) for _ in range(2))
+    ops += [x, y, x.commutator(y), x.times_i()]
+    cases += [[("o", v, a), ("o", -v, a)], [("i", v, a), ("i", -v, a)],
+              [("c", v, a, b), ("c", v, b, a)], [("i", v, a), ("o", -v, 4)],
+              [("c", v, 5, 6), ("o", -v, 7)], [("c", v, 6, 5), ("o", v, 7)],
+              [("i", v, 5), ("o", -v, 8)]]
+    if sites == 1:
+        ops.append(anticommutator(x, y))
+        cases += [[("a", v, a, b), ("a", -v, b, a)], [("a", v, 5, 6), ("a", -v, 6, 5)],
+                  [("a", v, 5, 6), ("o", -v, 9)], [("a", v, 6, 5), ("c", v, 5, 6), ("o", -v, 9),
+                                                   ("o", -v, 7)]]
+    return ops, cases
 
 
 @settings(max_examples=60, deadline=None)
@@ -374,7 +414,9 @@ def test_relation_kernel_decides_like_the_operators(drawn):
         total = ops[0].zero_like()
         for kind, q, *idx in case:
             op = ops[idx[0]]
-            term = op.commutator(ops[idx[1]]) if kind == "c" else op.times_i() if kind == "i" else op
+            term = (op.commutator(ops[idx[1]]) if kind == "c"
+                    else anticommutator(op, ops[idx[1]]) if kind == "a"
+                    else op.times_i() if kind == "i" else op)
             total = total.plus([(q, term)])
         return not total.is_zero()
     assert list(RelationKernel(ops).fails(cases)) == [fails(case) for case in cases]
@@ -680,7 +722,9 @@ def test_random_mutants_equal_the_one_site_oracle(shape, kind, x, A, y, B):
 def test_scan_rows_are_decided_a_chunk_at_a_time(monkeypatch):
     # at 16 modes one case row outweighs the budget: every chunk is one row,
     # so L never holds more than one row of blocks; at 8 modes on two sites
-    # the rows fill several chunks, each within the budget
+    # the rows fill several chunks, each within the budget; rows that
+    # compute nothing (a commutator of operators on different sites) weigh
+    # 0, so they fill a chunk up to CHUNK
     chunks = []
     fails = RelationKernel.fails
 
@@ -689,11 +733,24 @@ def test_scan_rows_are_decided_a_chunk_at_a_time(monkeypatch):
         return fails(kernel, cases)
     monkeypatch.setattr(RelationKernel, "fails", spy)
     assert car_check(build_fock(16, 1)).passed
-    assert chunks and all(len(chunk) == 1 for chunk in chunks)
+    assert chunks and all(len(chunk) == 1 and chunk[0] >= BUDGET for chunk in chunks)
     chunks.clear()
     assert canonical_etc_check(build_fields(8, 2)).passed
     assert len(chunks) > 1
     assert all(len(c) <= CHUNK and sum(c[:-1]) < BUDGET for c in chunks)
+    chunks.clear()
+    f = build_fock(2, 1)
+    kernel = RelationKernel([SiteOp(2, 4, {0: f.a[0]}), SiteOp(2, 4, {1: f.adag[1]}),
+                             SiteOp(2, 4, {0: f.a[1], 1: f.a[1]})])
+    rows = [(k, ("c", 1, 0, 1)) for k in range(CHUNK + 6)]
+    assert kernel.first_failure("cross", rows).passed
+    assert chunks == [[0] * CHUNK, [0] * 6]
+    # a live term weighs d plus its factors' entries at each shared site
+    assert kernel.weight([("c", 1, 0, 2), ("c", 1, 1, 1), ("o", 0, 2)]) == 4 + 2 + 2
+    assert kernel.weight([("o", 1, 2)]) == 2 * (4 + 2)
+    chunks.clear()
+    assert not kernel.first_failure("live", rows[:3] + [(3, ("c", 1, 0, 2))]).passed
+    assert chunks == [[0, 0, 0, 8]]
 
 
 # --- quadratic cache ---------------------------------------------------

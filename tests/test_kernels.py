@@ -9,12 +9,14 @@ Near 2^20 the quadratic Yamaguti and Jacobi contractions of a tensor must stay
 in int64, while the cubic Mal'tsev and quartic Lie-Cartan residuals fall back.
 
 The sparse label-row product (`matrices.rows_times`) is held to the dense
-contraction, and the integer echelon (`matrices.Echelon`) to the `Fraction`
+contraction, the matrix product (`matrices.mat_mul`) to `np.einsum` over
+Python ints, and the integer echelon (`matrices.Echelon`) to the `Fraction`
 one (`oracles.echelon_add`): the same rows admitted and the same reduced
 form, with entries past the int64 guard too, and through them the closure
 oracle's dimension and the Y-quotient."""
 
 import contextlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -207,6 +209,30 @@ def sparse_ints(magnitude):
     """Mostly zero integers, the others small or near 2^magnitude."""
     return st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
                      near(magnitude) if magnitude else st.integers(-3, 3))
+
+
+@SETTINGS
+@given(data=st.data(), magnitude=st.sampled_from([0, 31, 40]))
+def test_mat_mul_matches_einsum(data, magnitude):
+    """A stack of products, one factor shared or stacked: near 2^31 the
+    bound passes 2^62, and near 2^40 the products themselves pass int64
+    (the factors held as Python ints), so mat_mul must take the object
+    path there and stay exact."""
+    s, m, k, p = (data.draw(st.integers(1, 4)) for _ in range(4))
+    entries = sparse_ints(magnitude)
+
+    def array(*shape):
+        flat = data.draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.array(flat, dtype=object).reshape(shape)
+    a, b = array(s, m, k), array(*data.draw(st.sampled_from([(s, k, p), (k, p)])))
+    if magnitude < 40:
+        a, b = a.astype(np.int64), b.astype(np.int64)
+    with int64_decisions() as seen:
+        out = matrices.mat_mul(a, b)
+    expected = np.einsum("...ik,...kj->...ij", a.astype(object), b.astype(object))
+    assert out.shape == expected.shape and (out == expected).all()
+    bound = k * max(int(np.abs(a).max()), 1) * max(int(np.abs(b).max()), 1)
+    assert (out.dtype == object) == (bound >= 1 << 62) == (False in seen)
 
 
 @SETTINGS
