@@ -19,8 +19,9 @@ It imports `src/mnl` and `mnlbench` of the checkout it sits in.
   `build_fields` with `canonical_etc_check`, `car_check` on a fresh
   `build_fock(8, 2)` and, on fresh fields, `charge_densities` of the
   octonion generators; `bilinear_lemma_check` at 15 trials on the fields of
-  one site of 8 modes and of two sites of 4; and `car_check` on a fresh
-  `build_fock(16, 1)` (one site of dimension 2^16).
+  one site of 8 modes and of two sites of 4, and at 10 trials on four sites
+  of 8 (32 modes); and `car_check` on a fresh `build_fock(16, 1)` (one site
+  of dimension 2^16).
 
 Each function runs five times, every run on fresh copies of its inputs
 (tensor, generator set, envelope, densities and charges), so no value kept
@@ -109,10 +110,10 @@ def etc_inputs(workdir):
 LEMMA_TRIALS = 15
 
 
-def lemma_cases(n, sites):
+def lemma_cases(n, sites, trials=LEMMA_TRIALS):
     return {"bilinear_lemma_check": (
         lambda c, g: (fock.build_fields(n, sites),),
-        lambda f: etc.bilinear_lemma_check(f, trials=LEMMA_TRIALS, seed=SEED))}
+        lambda f: etc.bilinear_lemma_check(f, trials=trials, seed=SEED))}
 
 
 def fock_inputs(workdir):
@@ -127,6 +128,7 @@ def fock_inputs(workdir):
     return {"octonion-n2": (m7, oct_gen, fields),
             "lemma-8x1": (m7, oct_gen, lemma_cases(8, 1)),
             "lemma-4x2": (m7, oct_gen, lemma_cases(4, 2)),
+            "lemma-8x4": (m7, oct_gen, lemma_cases(8, 4, trials=10)),
             "car-16x1": (m7, oct_gen, {"car_check": (lambda c, g: (fock.build_fock(16, 1),),
                                                      fock.car_check)})}
 

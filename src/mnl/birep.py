@@ -268,17 +268,6 @@ def _signed(lbl):
     return (-1, ("Y", lbl[2], lbl[1])) if lbl[1] > lbl[2] else None
 
 
-def extract_yamagutian(S, T, bracket, lincomb, row: Vec, j, k):
-    """Y_jk solved from row, the table row of [S_j, T_k], for operators S[p],
-    T[p] whose realized bracket is bracket(A, B); lincomb sums (q, operator)
-    pairs."""
-    row = dict(row)
-    q = row.pop(("Y", j, k))
-    ops = {"S": S, "T": T}
-    return lincomb([(1 / q, bracket(S[j], T[k]))]
-                   + [(-v / q, ops[lbl[0]][lbl[1]]) for lbl, v in row.items()])
-
-
 def _labelled_operators(gen: GeneratorSet, c: StructureTensor):
     """(E ops, E): S_j, T_j and each ordered Y_jk over the label index, at one
     integer scale E.  Y_jk is solved from its [S_j, T_k] row, which is

@@ -18,6 +18,7 @@ The other checks are integer contractions over a denominator (`matrices`).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -159,9 +160,9 @@ def _label_indices(r, lbls):
 
 def build_envelope(c: StructureTensor) -> EnvelopeAlgebra:
     """Quotient the free span of {S_j, T_j, Y_jk} by the cyclic Y-relations
-    and write all theorem brackets in the reduced basis, a basis row at a
-    time.  Consistency of the bracket table with the quotient is verified,
-    not assumed.  The Mal'tsev precondition is the tensor's kept report."""
+    and write all theorem brackets in the reduced basis, every basis pair's row
+    in one `bracket_rows` and `rows_times`.  Consistency of the table with the
+    quotient is verified, not assumed; the tensor keeps the Mal'tsev report."""
     rep = is_maltsev(c)
     if not rep.passed:
         raise NotMaltsevError(rep)
@@ -174,12 +175,11 @@ def build_envelope(c: StructureTensor) -> EnvelopeAlgebra:
     env = EnvelopeAlgebra(r, tuple(basis), expand, {}, rank)
     M, E = env.reduction
     cols = _label_indices(r, basis)
-    for a, w in zip(basis, cols):
-        R, D = bracket_rows(c, np.full(len(basis), w), cols)
-        B = rows_times(R, M)
-        for b, row in zip(basis, B):
-            env.brackets[(a, b)] = {basis[t]: Fraction(int(row[t]), D * E)
-                                    for t in np.flatnonzero(row)}
+    R, D = bracket_rows(c, np.repeat(cols, len(cols)), np.tile(cols, len(cols)))
+    B = rows_times(R, M)
+    for (a, b), row in zip(itertools.product(basis, basis), B):
+        env.brackets[(a, b)] = {basis[t]: Fraction(int(row[t]), D * E)
+                                for t in np.flatnonzero(row)}
     _check_quotient_consistency(c, None, env)
     return env
 

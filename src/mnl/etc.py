@@ -13,25 +13,21 @@ the same structure constants c and d as the generator-level relations.  The
 untransposed map Q(M) = a† M a satisfies [Q(M), Q(N)] = a† [M,N] a, which is
 the oracle identity checked by `bilinear_lemma_check`.
 
-Factored representation.  Every density is a same-site bilinear.  The
-Fock layer holds one site's ladder operators (`fock.FockOps`): on N sites
-the ladder operator of site x is Pi x .. x Pi x F x I x .. x I, with F the
-one-site operator and Pi the one-site parity, and since Pi^2 = I the strings
-of a†_A(x) a_B(x) cancel, so s^0_j(x) equals I x .. x L x .. x I, with L the
-same bilinear on the 2^n-dimensional space of one site.  `charge_densities`
-builds each s and t density as that site factor (a `fock.SiteOp`).
-Everything after that stays factored and exact: embeddings at different sites
-commute, so a commutator is the per-site commutator of the factors (a
-cross-site commutator is zero without any arithmetic), and a sum of
-embeddings sum_x E_x(D_x) is zero exactly when every D_x is c_x * I with
-sum_x c_x = 0.
+Factored representation.  Every density is a same-site bilinear, so the
+Jordan-Wigner strings of a†_A(x) a_B(x) cancel (Pi^2 = I, see `fock`) and
+s^0_j(x) is I x .. x L x .. x I, with L the same bilinear on the
+2^n-dimensional space of one site: `charge_densities` builds each density as
+that site factor (a `fock.SiteOp`).  Everything after that stays factored
+and exact: a commutator is the per-site commutator of the factors (zero
+across sites without arithmetic), and a sum of embeddings sum_x E_x(D_x) is
+zero exactly when every D_x is c_x * I with sum_x c_x = 0.
 
 Relations.  Every right side is a table row, gathered once per check
 (`_table`).  Densities realize the table at site labels (label, x) with the
 Kronecker delta, [A(x), B(y)] = i delta_xy (row at x), and charges realize it
 as it stands; both read Y_kj as -Y_jk and Y_jj as zero (`birep._signed`).  The
-Yamagutian densities are solved from the [S_j, T_k] row by
-`birep.extract_yamagutian`, whose bracket for densities is -i[a, b].
+Yamagutian densities are solved from the [S_j, T_k] rows, every one as a
+case of one `RelationKernel.residuals` call on the site factors.
 
 One kernel.  `etc_verify`, `locality_check` and `charge_algebra_check` write
 each case, in the order they walk them, as one row of terms: its commutators
@@ -41,23 +37,27 @@ with R the site's operators stacked once at one common denominator and L the
 rows' coefficients placed against them, and the c_x I rule above on every
 residual.  Every chunk is bounded below 2^62 before it computes
 (`OverflowError` past it), and the first failing row in walk order is the
-witness.  Plain full-space `GQSparse` operators are one
-factor of a one-site space there, so the same checks give the same reports
-on them; the case-by-case walks are the test oracles (`tests/oracles.py`).
+witness.  Plain full-space `GQSparse` operators are one factor of a one-site
+space there, so the same checks give the same reports on them.  The lemma
+decides its trials a chunk at a time, on block diagonals of their bilinears
+(`fock.QuadraticCache.blocks`).  The case-by-case walks, the per-trial lemma
+and the per-pair Yamagutian solve are the test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .algebra import StructureTensor
-from .birep import (GeneratorSet, _signed, bracket_vecs, cyclic_rows, extract_yamagutian, labels,
-                    row_vecs)
-from .fock import FieldSet, QuadraticCache, SiteOp, _ladder, _states
+from .birep import GeneratorSet, _signed, bracket_vecs, cyclic_rows, labels, row_vecs
+from .fock import FieldSet, GQSparse, QuadraticCache, SiteOp, _ladder, _states
+from .matrices import commutator, first_failure_chunked, fits_int64
 from .relations import RelationKernel
 from .report import CheckReport, InputError, fail, ok
 
@@ -65,6 +65,8 @@ CONVENTION = ("s0_j(x) = -i a†(x) S_j^T a(x); t0_j(x) = -i a†(x) T_j^T a(x);
               "Y0_jk(x) = i[s0_j(x), t0_k(x)] + (1/3) c^p_jk (s0_p(x) - t0_p(x)); "
               "charges are -i times plain site sums; delta(x-y) is the Kronecker "
               "delta at unit lattice spacing")
+
+LEMMA_BUDGET = 1 << 18    # weight of one chunk of lemma trials, d^2 each
 
 
 @dataclass
@@ -80,39 +82,41 @@ class ChargeDensitySet:
     tensor: StructureTensor
 
 
-def _site_densities(f: FieldSet, mat) -> List[SiteOp]:
-    """-i a†(x) mat^T a(x) = sum_{A,B} p^0_A(x) mat_BA u^B(x) at each site x:
-    one bilinear of the one-site ladder operators, every site's factor."""
-    factor = f.fock.products.bilinear(list(zip(*mat))).times_i().scale(-1)
-    return [SiteOp(f.sites, factor.dim, {x: factor}) for x in range(f.sites)]
-
-
-def _density_bracket(a, b):
-    """The table bracket realized by densities: [a, b] = i (table), so -i[a, b]."""
-    return a.commutator(b).times_i().scale(-1)
-
-
-def _raw_yamagutian(s, t, row, j, k, x):
-    """Y0_jk(x) solved from the [s_j(x), t_k(x)] relation, row the table row
-    of [S_j, T_k]."""
-    return extract_yamagutian([ops[x] for ops in s], [ops[x] for ops in t], _density_bracket,
-                              s[0][x].zero_like().plus, row, j, k)
+def _yamagutian_case(rows, j, k, at):
+    """The terms of i Y0_jk = (1/q)[s_j, t_k] + sum (-v/q) i X_p, from the [S_j, T_k]
+    row -q Y_jk + sum v X_p of `rows`; at(label) is the label's kernel index."""
+    row = dict(rows[("S", j), ("T", k)])
+    q = row.pop(("Y", j, k))
+    return [("c", 1 / q, at(("S", j)), at(("T", k)))] + [("i", -v / q, at(lbl))
+                                                         for lbl, v in row.items()]
 
 
 def charge_densities(f: FieldSet, gen: GeneratorSet, c: StructureTensor) -> ChargeDensitySet:
-    """Build s^0_j(x), t^0_j(x) from the generator matrices and extract the
-    Yamagutian densities from the [s, t] relation."""
+    """Build s^0_j(x) = -i a†(x) S_j^T a(x) and t^0_j(x), one bilinear of the
+    one-site ladder operators each, and every Yamagutian density as -i times
+    its case's residual in one `RelationKernel.residuals` call."""
     if gen.dim != f.modes_per_site:
         raise InputError("generator size must equal modes per site")
     if gen.r != c.dim:
         raise InputError("generator count must match tensor dim")
-    s = [_site_densities(f, mat) for mat in gen.S]
-    t = [_site_densities(f, mat) for mat in gen.T]
-    pairs = [(j, k) for j in range(gen.r) for k in range(j + 1, gen.r)]
+    r = range(gen.r)
+    ops = [f.fock.products.bilinear(list(zip(*mat))).times_i().scale(-1)
+           for mat in [*gen.S, *gen.T]]
+    pairs = [(j, k) for j in r for k in r if j < k]
     rows = bracket_vecs(c, [(("S", j), ("T", k)) for j, k in pairs])
-    Y = {(j, k): [_raw_yamagutian(s, t, rows[("S", j), ("T", k)], j, k, x)
-                  for x in range(f.sites)] for j, k in pairs}
-    return ChargeDensitySet(gen.r, f.sites, s, t, Y, c)
+    cases = [_yamagutian_case(rows, j, k, lambda lbl: (lbl[0] == "T") * gen.r + lbl[1])
+             for j, k in pairs]
+    d, n = ops[0].dim, len(pairs)
+    limit, scale, sites = RelationKernel(ops).residuals(cases)
+    if limit < n:
+        raise OverflowError("exact sparse result could exceed the int64 range")
+    parts = {u: P[i * d:(i + 1) * d] for used, P in sites for i, u in enumerate(used)}
+    zero = sp.csr_matrix((d, d), dtype=np.int64)
+    ops += [GQSparse(d, parts.get(2 * k + 1, zero), -parts.get(2 * k, zero), scale)
+            for k in range(n)]
+    ops = [[SiteOp(f.sites, d, {x: op}) for x in range(f.sites)] for op in ops]
+    return ChargeDensitySet(gen.r, f.sites, ops[:gen.r], ops[gen.r:2 * gen.r],
+                            dict(zip(pairs, ops[2 * gen.r:])), c)
 
 
 @dataclass
@@ -152,14 +156,11 @@ def _table(c: StructureTensor):
 
 def _density_kernel(d: ChargeDensitySet):
     """The kernel over every stored density, and its index {(label, x): operator}."""
-    index, ops = {}, []
-    for lbl in ([("S", j) for j in range(d.r)] + [("T", j) for j in range(d.r)]
-                + [("Y", *key) for key in d.Y]):
-        for x in range(d.sites):
-            index[lbl, x] = len(ops)
-            ops.append(d.Y[lbl[1:]][x] if lbl[0] == "Y" else
-                       (d.s if lbl[0] == "S" else d.t)[lbl[1]][x])
-    return RelationKernel(ops), index
+    rows = ([(("S", j), row) for j, row in enumerate(d.s)]
+            + [(("T", j), row) for j, row in enumerate(d.t)]
+            + [(("Y", *key), row) for key, row in d.Y.items()])
+    ops = {(lbl, x): row[x] for lbl, row in rows for x in range(d.sites)}
+    return RelationKernel(list(ops.values())), {key: i for i, key in enumerate(ops)}
 
 
 def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
@@ -168,10 +169,8 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
     symmetry, with the Kronecker delta in place of delta(x-y).
 
     Equations 1, 2 and 5-8 are table rows or cyclic relations (`_table`)
-    at site labels (label, x): [A(x), B(y)] = i delta_xy (table row at x).
-    Every case is one row of kernel terms (`relations.RelationKernel`): its
-    commutators, and the operators or i times them of its right side; a pair
-    at x != y has no right side.  Equation 4, Y0_jk + Y0_kj = 0, is decided
+    at site labels (label, x), one kernel row per case; a pair at x != y has
+    no right side.  Equation 4, Y0_jk + Y0_kj = 0, is decided
     as i times that sum, so that its commutators keep real coefficients."""
     c = c if c is not None else d.tensor
     if c.dim != d.r:
@@ -196,14 +195,9 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
         return (comm(la, x, lb, y), *at(x, vec, "i", -1))
 
     def yamagutian_sum(j, k, x):
-        # i (Y0_jk(x) + Y0_kj(x)): Y0_jk = (1/q)(-i[s_j, t_k]) + sum (-v/q) X_p
-        out = []
-        for a, b in ((j, k), (k, j)):
-            (q, (sa, tb)), *rest = extract_yamagutian(
-                [("S", p) for p in r], [("T", p) for p in r], lambda u, w: (u, w), list,
-                rows[("S", a), ("T", b)], a, b)
-            out += [comm(sa, x, tb, x, q)] + [("i", v, index[lbl, x]) for v, lbl in rest]
-        return out
+        # i (Y0_jk(x) + Y0_kj(x))
+        return [term for a, b in ((j, k), (k, j))
+                for term in _yamagutian_case(rows, a, b, lambda lbl: index[lbl, x])]
 
     def assoc(kind, sign, j, k, x, y):
         # [a_j(x), a_k(y)] = i delta_xy sign c^p_jk a_p(x) - 2 [s_j(x), t_k(y)]
@@ -282,10 +276,8 @@ def charges(d: ChargeDensitySet) -> ChargeSet:
         # -i sum_x mats[x] = i sum_x (-mats[x])
         return zero.plus([(-1, m) for m in mats]).times_i()
 
-    sigma = [charge(d.s[j]) for j in range(d.r)]
-    tau = [charge(d.t[j]) for j in range(d.r)]
-    ups = {key: charge(mats) for key, mats in d.Y.items()}
-    return ChargeSet(d.r, sigma, tau, ups)
+    return ChargeSet(d.r, [charge(ops) for ops in d.s], [charge(ops) for ops in d.t],
+                     {key: charge(ops) for key, ops in d.Y.items()})
 
 
 def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
@@ -324,33 +316,46 @@ def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
 
 
 def _lemma(a, trials: int, seed: int) -> CheckReport:
-    """[a† M a, a† N a] = a† [M,N] a for the lowering operators `a`, M and N
-    seeded random integer matrices over all of their modes; the witness is
-    the first failing trial."""
-    import random
-
+    """[a† M a, a† N a] = a† [M,N] a for the integer lowering operators `a`,
+    M and N seeded random integer matrices over all of their modes; the
+    witness is the first failing trial.  A chunk's [M^, N^] - Z^ is one pair
+    of products, bounded per trial by 2 d b_M b_N + b_Z (`QuadraticCache.bounds`):
+    the trials before the first one whose bound reaches 2^62 are decided,
+    and OverflowError is raised when none of them fails."""
     rng = random.Random(seed)
-    modes = len(a)
     cache = QuadraticCache(a, [op.dagger() for op in a])
-    for trial in range(trials):
-        M = [[rng.randint(-3, 3) for _ in range(modes)] for _ in range(modes)]
-        N = [[rng.randint(-3, 3) for _ in range(modes)] for _ in range(modes)]
-        MN = [[sum(M[i][k] * N[k][j] - N[i][k] * M[k][j] for k in range(modes))
-               for j in range(modes)] for i in range(modes)]
-        lhs = cache.bilinear(M).commutator(cache.bilinear(N))
-        if lhs != cache.bilinear(MN):
-            return fail("bilinear-lemma", witness=(trial,))
-    return ok("bilinear-lemma")
+    d, m = cache.dim, len(a)
+
+    def draws():
+        for trial in range(trials):
+            yield (trial,), *([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+                              for _ in "MN")
+
+    def fails(cases):
+        M, N = (np.array(mats, dtype=np.int64) for mats in zip(*cases))
+        Z = commutator(M, N)
+        (bM, bN, bZ), bad = (cache.bounds(X) for X in (M, N, Z)), np.zeros(len(cases), dtype=bool)
+        limit = next((t for t in range(len(cases))
+                      if not fits_int64(2 * d * bM[t] * bN[t] + bZ[t])), len(cases))
+        if limit:
+            Mh, Nh, Zh = (cache.blocks(X[:limit]) for X in (M, N, Z))
+            bad[(Mh @ Nh - Nh @ Mh - Zh).nonzero()[0] // d] = True
+        if limit < len(cases) and not bad.any():
+            raise OverflowError("exact sparse result could exceed the int64 range")
+        return bad
+
+    return first_failure_chunked("bilinear-lemma", draws(), fails, lambda case: d * d,
+                                 LEMMA_BUDGET)
 
 
 def bilinear_lemma_check(f: FieldSet, trials: int = 100, seed: int = 0) -> CheckReport:
     """[a† M a, a† N a] = a† [M,N] a for seeded random integer matrices over
-    all m = n*N modes; this one identity carries the generator relations to
-    the density algebra.  Only f's shape is read: the lemma is decided on
-    `_ladder`'s own m-mode operators on the 1 + m + m(m-1)/2 states of at most
-    2 particles, which the tests show equal the embedded one-site ladder that
-    `car_check` holds to the CAR.  Given the CAR, the residual conserves
-    particle number and has normal-ordered degree <= 4, so its normal form is
-    read exactly on 0-2 particles (hard-core bosons pass on 1, fail on 2)."""
+    all m = n*N modes, the identity that carries the generator relations to
+    the density algebra.  Only f's shape is read: it is decided on `_ladder`'s
+    m-mode operators on the 1 + m + m(m-1)/2 states of at most 2 particles,
+    equal to the embedded one-site ladder that `car_check` holds to the CAR.
+    Given the CAR, the residual conserves particle number and has
+    normal-ordered degree <= 4, so its normal form is read exactly on 0-2
+    particles (hard-core bosons pass on 1, fail on 2)."""
     modes = f.modes_per_site * f.sites
     return _lemma(_ladder(modes, _states(modes, 2)), trials, seed)

@@ -27,25 +27,25 @@ Pi = Z^{n} (diagonal +-1, Pi^2 = I) on the left and F the one-site operator.
 By the mixed-product rule, {Phi_x, Psi_x} = I x {phi, psi} x I at one site,
 and for x < y {Phi_x, Psi_y} = I x {phi, Pi} x Pi x .. x Pi x psi x I, zero
 exactly when {phi, Pi} = 0 or psi = 0.  `canonical_etc_check` and
-`car_check` decide their relations that way on the 2^n-dimensional factors,
-as case rows of one `relations.RelationKernel`: a row {phi, psi} - c I per
-distinct same-site relation and a parity row {phi, Pi} per distinct
-operator.  Same-site bilinears drop the strings (Pi^2 = I), so densities are
-one-site `SiteOp` factors.
+`car_check` decide their relations that way on the 2^n-dimensional factors
+(`_anticommutation_scan`).  Same-site bilinears drop the strings
+(Pi^2 = I), so densities are one-site `SiteOp` factors, each one product of
+`QuadraticCache`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .matrices import fits_int64
+from .matrices import fits_int64, stacked
 from .report import CheckReport, InputError
 
 def _csr(m):
@@ -265,9 +265,7 @@ class SiteOp:
         self.site_dim = site_dim
         self.factors = {x: f for x, f in factors.items() if not f.is_zero()}
 
-    @property
-    def dim(self):
-        return self.site_dim ** self.sites
+    dim = property(lambda self: self.site_dim ** self.sites)
 
     def _new(self, factors):
         return SiteOp(self.sites, self.site_dim, factors)
@@ -333,38 +331,28 @@ class SiteOp:
             return GQSparse(self.dim, re, im, f.den)
         return _sum(self.dim, [(1, embed(x, f)) for x, f in sorted(self.factors.items())])
 
-    @property
-    def re(self):
-        return self.full().re
-
-    @property
-    def im(self):
-        return self.full().im
-
-    @property
-    def den(self):
-        return self.full().den
+    re = property(lambda self: self.full().re)
+    im = property(lambda self: self.full().im)
+    den = property(lambda self: self.full().den)
 
 
 @dataclass
 class FockOps:
     """The Jordan-Wigner ladder operators a[A], adag[A] of one site of n modes,
     for `sites` sites (see "Ladder embeddings"); `dim` is the dimension of
-    the whole space, which is never built.  `products` caches the one-site
-    products adag[A] a[B]."""
+    the whole space, which is never built.  `products` builds the one-site
+    bilinears a† M a."""
 
     modes_per_site: int
     sites: int
     a: List[GQSparse]
     adag: List[GQSparse]
-    products: "QuadraticCache" = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.products = QuadraticCache(self.a, self.adag)
+    @functools.cached_property
+    def products(self):
+        return QuadraticCache(self.a, self.adag)
 
-    @property
-    def dim(self):
-        return 2 ** (self.modes_per_site * self.sites)
+    dim = property(lambda self: 2 ** (self.modes_per_site * self.sites))
 
     def mode(self, x, A):
         return x * self.modes_per_site + A
@@ -486,13 +474,8 @@ class FieldSet:
     u: List[List[GQSparse]]
     p0: List[List[GQSparse]]
 
-    @property
-    def modes_per_site(self):
-        return self.fock.modes_per_site
-
-    @property
-    def sites(self):
-        return self.fock.sites
+    modes_per_site = property(lambda self: self.fock.modes_per_site)
+    sites = property(lambda self: self.fock.sites)
 
 
 def build_fields(n: int, N: int) -> FieldSet:
@@ -511,22 +494,46 @@ def canonical_etc_check(f: FieldSet) -> CheckReport:
 
 
 class QuadraticCache:
-    """Cached products adag[m] a[mp] of ladder operators, for building mode
-    bilinears; each FockOps owns one over its one-site operators as
-    `products`.  It holds the ladder lists, not the FockOps, so that no
-    reference cycle keeps a dropped Fock space's products alive."""
+    """The mode bilinears a† M a of integer ladder operators a[A], adag[A],
+    each one sparse product: the row [adag_0 .. adag_{m-1}], stacked once,
+    times the rotated lowering operators b_A = sum_B M_AB a_B stacked in a
+    column by one `_place`; a stack of matrices gives the block diagonal of
+    their bilinears from one product with kron(I, row).  Each FockOps owns
+    one over its one-site operators as `products`; it holds the ladder
+    lists, not the FockOps, so that no reference cycle keeps a space alive."""
 
     def __init__(self, a: List[GQSparse], adag: List[GQSparse]):
         self.dim = a[0].dim
         self.a, self.adag = a, adag
-        self._cache: Dict[Tuple[int, int], GQSparse] = {}
 
-    def pair(self, m, mp):
-        if (m, mp) not in self._cache:
-            self._cache[m, mp] = self.adag[m] @ self.a[mp]
-        return self._cache[m, mp]
+    @functools.cached_property
+    def row(self):
+        """([adag_0 .. adag_{m-1}], d x m d; the most entries in one of its
+        rows times max|adag|, at least 1)."""
+        if any(op.den != 1 or op.im.nnz for op in [*self.a, *self.adag]):
+            raise InputError("bilinears need integer ladder operators")
+        H = _place((self.dim, len(self.adag) * self.dim), self.dim,
+                   [(0, A, 1, op.re) for A, op in enumerate(self.adag)])
+        return H, max(1, int(np.diff(H.indptr).max()) * max(op.mag for op in self.adag))
+
+    def bounds(self, mats):
+        """For each integer M of the stack `mats`, (the row's bound) max_A
+        sum_B |M_AB| max|a_B|: it bounds a† M a, its partial sums and the b_A."""
+        mags = np.array([op.mag for op in self.a], dtype=object)
+        return self.row[1] * (np.abs(mats).astype(object) @ mags).max(axis=1, initial=0)
+
+    def blocks(self, mats):
+        """The int64 CSR block diagonal of the a† M a over the integer stack
+        `mats`, whose `bounds` must be below 2^62."""
+        (d, m), (T, *_), H = (self.dim, len(self.a)), mats.shape, self.row[0]
+        V = _place((T * m * d, T * d), d, [(k * m + i, k, int(mats[k, i, j]), self.a[j].re)
+                                           for k, i, j in zip(*np.nonzero(mats))])
+        return (H if T == 1 else sp.kron(sp.identity(T, dtype=np.int64), H, format="csr")) @ V
 
     def bilinear(self, mat) -> GQSparse:
         """a† M a for an integer/rational matrix M over all modes."""
-        return _sum(self.dim, [(v, self.pair(m, mp)) for m, row in enumerate(mat)
-                               for mp, v in enumerate(row) if v])
+        mats, den = stacked([mat], len(self.a))
+        if not fits_int64(den, *self.bounds(mats)):
+            raise OverflowError("exact sparse result could exceed the int64 range")
+        P = self.blocks(mats)
+        return GQSparse(self.dim, P, sp.csr_matrix(P.shape, dtype=np.int64), den)

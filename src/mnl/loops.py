@@ -296,18 +296,6 @@ def unit_octonion_chart() -> ParamLoopChart:
     return ParamLoopChart(7, multiply, invert)
 
 
-def translation_line_chart() -> ParamLoopChart:
-    """One-parameter abelian group (R, +): zero tangent tensor."""
-
-    def multiply(v, w):
-        return np.asarray(v, dtype=float) + np.asarray(w, dtype=float)
-
-    def invert(v):
-        return -np.asarray(v, dtype=float)
-
-    return ParamLoopChart(1, multiply, invert)
-
-
 def chart_commutator(chart: ParamLoopChart, g, h, bracketing="left"):
     m, inv = chart.multiply, chart.invert
     if bracketing == "left":

@@ -17,8 +17,8 @@ one factor of a one-site space, so there the residual must be zero.
 
 Per-site operators.  Each site stacks, once, the nonempty integer parts of
 the nonzero factors its operators have there, at one common denominator D
-(the lcm of all the factors' denominators): R = [I; P_0; ..], I_d first and
-a d x d block per part.  A factor r + i m gives r with phase 0 and m with
+(the lcm of all the factors' denominators): R = [P_0; P_1; ..], a d x d
+block per part.  A factor r + i m gives r with phase 0 and m with
 phase 1, so that it is the sum of i^phase times its parts.
 
 One product per site.  A chunk's coefficients are taken over the lcm K of
@@ -27,14 +27,16 @@ d x d blocks for each case's re or im residual that some block reaches, and
 a column per block of R.  A term q [a, b] puts K q a against b's blocks and
 -K q b against a's, adding K q (ab - ba); [a, a] is skipped without
 arithmetic.  A term q {a, b} puts +K q b there instead, adding K q (ab + ba),
-and is not skipped when a == b.  A term q o puts K q D o against I, and
-q i o the same with one more phase.  Phase rule: a part of phase f against a
-block of phase g lands in the re row when f + g is even and the im row when
-it is odd, negated when f + g is 2 or 3 (i^2 = -1).  One real product L R
-then holds every case's residual at K D^2, re and im apart.  The blocks stay
-d x d rather than flattened to rows of d^2 entries: scipy's product keeps an
-accumulator as wide as its result, which would be 2^32 entries for the
-full-space operators at 2^16.  `_scalar_blocks` reads c_x off each block and
+and is not skipped when a == b.  A term q o puts K q D I_d against each of
+o's own blocks (d entries of L each, not o's nonzeros), and q i o the same
+with one more phase.  Phase rule: a part of phase f against a block of
+phase g lands in the re row when f + g is even and the im row when it is
+odd, negated when f + g is 2 or 3 (i^2 = -1).  One real product L R then
+holds every case's residual at K D^2, re and im apart
+(`RelationKernel.residuals`).  The blocks stay d x d rather than flattened
+to rows of d^2 entries: scipy's product keeps an accumulator as wide as its
+result, which would be 2^32 entries for the full-space operators at 2^16.
+`fails` reads each residual: `_scalar_blocks` reads c_x off each block and
 checks that the block is c_x I; the c_x of all sites must sum to zero.
 
 Int64 bound.  Before anything is computed, every case is bounded: an entry
@@ -42,8 +44,8 @@ of K q [a, b] is at most |K q| (count_a + count_b) mag_a mag_b, with mag the
 largest entry at D and count the most entries in a row of re and im
 together, and one of K q D o at most |K q| D mag_o.  A case's bound, the sum
 of its terms' bounds over the sites, also bounds every partial sum of L's
-assembly (an entry of L is a sum of |K q| mag_a and |K q| D mag_o, and count
-and mag are at least 1 for a nonzero factor), of the product and of the c_x.
+assembly (an entry of L is a sum of |K q| mag_a and |K q| D, and count and mag
+are at least 1 for a nonzero factor), of the product and of the c_x.
 The cases before the first one whose bound reaches 2^62
 (`matrices.fits_int64`) are decided; OverflowError is raised when none of
 them fails.  There is no slower path (scipy has no object dtype), so no value
@@ -113,15 +115,15 @@ class RelationKernel:
         factors = [_site_factors(op)[2] for op in ops]
         self.den = math.lcm(1, *(f.den for fs in factors for f in fs.values()))
         self.nnz = [{x: f.nnz for x, f in fs.items() if f.nnz} for fs in factors]
-        d, ident = self.site_dim, sp.identity(self.site_dim, dtype=np.int64, format="csr")
-        sites = {}    # site -> ({operator: ([(block, phase, part)], mag, count)}, [I, parts])
+        d, self.ident = self.site_dim, sp.identity(self.site_dim, dtype=np.int64, format="csr")
+        sites = {}    # site -> ({operator: ([(block, phase, part)], mag, count)}, [parts])
         for a, fs in enumerate(factors):
             for x, f in fs.items():
                 m = self.den // f.den
                 if not fits_int64(f.mag * m):
                     raise OverflowError("exact sparse result could exceed the int64 range")
                 if f.nnz:
-                    at, stack = sites.setdefault(x, ({}, [ident]))
+                    at, stack = sites.setdefault(x, ({}, []))
                     parts = [(phase, p if m == 1 else p * m)
                              for phase, p in enumerate((f.re, f.im)) if p.nnz]
                     at[a] = ([(len(stack) + j, phase, p) for j, (phase, p) in enumerate(parts)],
@@ -141,10 +143,10 @@ class RelationKernel:
         """`first_failure_chunked` over (witness, *terms) in walk order."""
         return first_failure_chunked(prop, cases, self.fails, self.weight, BUDGET)
 
-    def fails(self, cases):
-        """True for each case whose sum is not zero.  A case whose bound
-        reaches 2^62 ends the chunk: the cases before it are decided, and
-        OverflowError is raised when none of them fails."""
+    def residuals(self, cases):
+        """(limit, K D^2, [(used, L R) per site]) for the `limit` cases before
+        the first one whose bound reaches 2^62: row block i of L R is the
+        site's part of residual used[i] at K D^2, case k's re 2k, its im 2k + 1."""
         n, d = len(cases), self.site_dim
         terms = [(k, *term) for k, case in enumerate(cases) for term in _computed(case)]
         if self.site_count > 1 and any(kind == "a" for _, kind, _, _ in terms):
@@ -167,25 +169,34 @@ class RelationKernel:
                     for (ja, fa, ra), (jb, fb, rb) in itertools.product(pa, pb):
                         blocks += [(k, fa + fb, jb, v, ra), (k, fa + fb, ja, w, rb)]
                 else:
-                    # K q D o against the identity, so at D^2
+                    # K q D I against each of o's blocks, so at D^2
                     parts, m, _ = at[ops[0]]
                     bound[k] += abs(v) * self.den * m
-                    blocks += [(k, f + (kind == "i"), 0, v * self.den, p) for _, f, p in parts]
-            if blocks:
-                plans.append((R, blocks))
+                    blocks += [(k, f + (kind == "i"), j, v * self.den, self.ident)
+                               for j, f, _ in parts]
+            plans.append((R, blocks))
         limit = next((k for k, b in enumerate(bound) if not fits_int64(b)), n)
-        if limit < n:
-            head = self.fails(cases[:limit]) if limit else np.zeros(0, dtype=bool)
-            if not head.any():
-                raise OverflowError("exact sparse result could exceed the int64 range")
-            return np.concatenate([head, np.zeros(n - limit, dtype=bool)])
-        # case k's re residual at 2k, its im residual at 2k + 1
-        c, ok = np.zeros(2 * n, dtype=np.int64), np.ones(2 * n, dtype=bool)
+        out = []
         for R, blocks in plans:
-            # L's rows of blocks: the residuals that some block reaches
-            used, row = np.unique([2 * k + f % 2 for k, f, *_ in blocks], return_inverse=True)
-            L = [(i, j, -v if f & 2 else v, p) for i, (_, f, j, v, p) in zip(row, blocks)]
-            cx, okx = _scalar_blocks(_place((len(used) * d, R.shape[0]), d, L) @ R, d, len(used))
+            blocks = [block for block in blocks if block[0] < limit]
+            if blocks:
+                # L's rows of blocks: the residuals that some block reaches
+                used, row = np.unique([2 * k + f % 2 for k, f, *_ in blocks], return_inverse=True)
+                L = [(i, j, -v if f & 2 else v, p) for i, (_, f, j, v, p) in zip(row, blocks)]
+                out.append((used, _place((len(used) * d, R.shape[0]), d, L) @ R))
+        return limit, K * self.den ** 2, out
+
+    def fails(self, cases):
+        """True for each case whose `residuals` break the c_x I rule.  The cases
+        before the first one whose bound reaches 2^62 are decided, and
+        OverflowError is raised when none of them fails."""
+        limit, _, sites = self.residuals(cases)
+        c, ok = np.zeros(2 * limit, dtype=np.int64), np.ones(2 * limit, dtype=bool)
+        for used, P in sites:
+            cx, okx = _scalar_blocks(P, self.site_dim, len(used))
             c[used] += cx
             ok[used] &= okx
-        return ~ok.reshape(n, 2).all(axis=1) | c.reshape(n, 2).any(axis=1)
+        bad = ~ok.reshape(limit, 2).all(axis=1) | c.reshape(limit, 2).any(axis=1)
+        if limit < len(cases) and not bad.any():
+            raise OverflowError("exact sparse result could exceed the int64 range")
+        return np.concatenate([bad, np.zeros(len(cases) - limit, dtype=bool)])

@@ -10,7 +10,9 @@ kernels', and `glc_bracket` with the program's integer rows.  The Fock
 layer's oracles build its operators on the full 2^(nN)-dimensional space
 through Kronecker products: the ladder operators, their embeddings and the
 anticommutation and lemma checks there; the one-site anticommutation scan
-decides its relations one anticommutator at a time."""
+decides its relations one anticommutator at a time, the lemma walk
+(`lemma_walk`) one trial at a time from pair products, and `raw_yamagutian`
+one Yamagutian density at a time."""
 
 import itertools
 from fractions import Fraction
@@ -19,9 +21,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from mnl.algebra import StructureTensor, YamagutiTensor, yamaguti_constants
-from mnl.birep import GeneratorSet, GLCReport, Label, Vec, extract_yamagutian
+from mnl.birep import GeneratorSet, GLCReport, Label, Vec
 from mnl.envelope import EnvelopeAlgebra
-from mnl.etc import CONVENTION, ETCReport, _lemma, _raw_yamagutian, _signed
+from mnl.etc import CONVENTION, ETCReport, _signed
 from mnl.fock import _CANONICAL, _CAR, GQSparse, _parity
 from mnl.report import CheckReport, InputError, fail, ok
 
@@ -240,6 +242,17 @@ def st_row(c: StructureTensor, j, k) -> Vec:
 
 # --- generator matrices and the envelope ------------------------------------
 
+def extract_yamagutian(S, T, bracket, lincomb, row: Vec, j, k):
+    """Y_jk solved from row, the table row of [S_j, T_k], for operators S[p],
+    T[p] whose realized bracket is bracket(A, B); lincomb sums (q, operator)
+    pairs."""
+    row = dict(row)
+    q = row.pop(("Y", j, k))
+    ops = {"S": S, "T": T}
+    return lincomb([(1 / q, bracket(S[j], T[k]))]
+                   + [(-v / q, ops[lbl[0]][lbl[1]]) for lbl, v in row.items()])
+
+
 def extract_yamagutians(gen: GeneratorSet, c: StructureTensor):
     return {(j, k): extract_yamagutian(gen.S, gen.T, commutator, mat_lincomb, st_row(c, j, k),
                                        j, k)
@@ -395,6 +408,18 @@ def matrix_closure_dim(gen: GeneratorSet) -> int:
 
 # --- densities and charges, one case at a time ------------------------------
 
+def _density_bracket(a, b):
+    """The table bracket realized by densities: [a, b] = i (table), so -i[a, b]."""
+    return a.commutator(b).times_i().scale(-1)
+
+
+def raw_yamagutian(s, t, row, j, k, x):
+    """Y0_jk(x) solved from the [s_j(x), t_k(x)] relation with the operators'
+    own arithmetic, row the table row of [S_j, T_k]."""
+    return extract_yamagutian([ops[x] for ops in s], [ops[x] for ops in t], _density_bracket,
+                              s[0][x].zero_like().plus, row, j, k)
+
+
 def _commutator(a, b):
     """[a, b]; an operator commutes with itself without arithmetic, as in the
     kernel, so that an out-of-range [a, a] raises in neither."""
@@ -465,8 +490,8 @@ def etc_verify(d, c=None):
         "2": (site_pairs("S", "T", jk), holds),
         "3": None,
         "4": ((((j, k, x), j, k, x) for (j, k) in jk for x in N),
-              lambda j, k, x: (_raw_yamagutian(d.s, d.t, st_row(c, j, k), j, k, x)
-                               + _raw_yamagutian(d.s, d.t, st_row(c, k, j), k, j, x)).is_zero()),
+              lambda j, k, x: (raw_yamagutian(d.s, d.t, st_row(c, j, k), j, k, x)
+                               + raw_yamagutian(d.s, d.t, st_row(c, k, j), k, j, x)).is_zero()),
         "5": ((((j, k, l, x), (y_cyclic(c, j, k, l), x))
                for (j, k) in upper for l in r if k < l for x in N), holds),
         "6": (site_pairs("Y", "S", [(j, k, n) for (j, k) in upper for n in r]), holds),
@@ -672,7 +697,37 @@ def canonical_scan(f):
                                 lambda *w: w)
 
 
+def lemma_walk(a, trials, seed):
+    """The bilinear lemma one trial at a time, same draws: each bilinear a sum
+    of the pair products adag[m] a[mp] by the operators' own arithmetic."""
+    import random
+
+    rng = random.Random(seed)
+    modes = len(a)
+    adag = [op.dagger() for op in a]
+    pairs = {}
+
+    def bilinear(mat):
+        terms = []
+        for m, row in enumerate(mat):
+            for mp, v in enumerate(row):
+                if v:
+                    if (m, mp) not in pairs:
+                        pairs[m, mp] = adag[m] @ a[mp]
+                    terms.append((v, pairs[m, mp]))
+        return a[0].zero_like().plus(terms)
+
+    for trial in range(trials):
+        M = [[rng.randint(-3, 3) for _ in range(modes)] for _ in range(modes)]
+        N = [[rng.randint(-3, 3) for _ in range(modes)] for _ in range(modes)]
+        MN = [[sum(M[i][k] * N[k][j] - N[i][k] * M[k][j] for k in range(modes))
+               for j in range(modes)] for i in range(modes)]
+        if bilinear(M).commutator(bilinear(N)) != bilinear(MN):
+            return fail("bilinear-lemma", witness=(trial,))
+    return ok("bilinear-lemma")
+
+
 def bilinear_lemma_full(f, trials, seed):
     """The bilinear lemma, same draws, on the full-space ladder operators."""
-    return _lemma([op for row in full_ladder(f.modes_per_site, f.sites) for op in row],
+    return lemma_walk([op for row in full_ladder(f.modes_per_site, f.sites) for op in row],
                   trials, seed)

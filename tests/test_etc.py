@@ -284,6 +284,26 @@ def test_fock_spaces_share_no_products(quat_gen, su2_doubled, oct_gen, m7):
             del f, dens
 
 
+def same_factors(a, b):
+    return set(a.factors) == set(b.factors) and all(a.factors[x] == b.factors[x]
+                                                    for x in a.factors)
+
+
+@pytest.mark.parametrize("sites", [1, 2])
+def test_yamagutians_equal_the_per_pair_oracle(sites, quat_gen, su2_doubled, oct_gen, m7):
+    # one kernel call against the per-pair solve by the operators' own
+    # arithmetic, also for generators whose Yamagutians break the table
+    cases = [(quat_gen, su2_doubled), (swapped(quat_gen), su2_doubled),
+             quaternionic_line(oct_gen, m7)] + ([(oct_gen, m7)] if sites == 1 else [])
+    for gen, c in cases:
+        dens = charge_densities(build_fields(gen.dim, sites), gen, c)
+        assert list(dens.Y) == [(j, k) for j in range(gen.r) for k in range(j + 1, gen.r)]
+        for (j, k), ops in dens.Y.items():
+            for x in range(sites):
+                expect = oracles.raw_yamagutian(dens.s, dens.t, oracles.st_row(c, j, k), j, k, x)
+                assert same_factors(ops[x], expect)
+
+
 # --- the bilinear lemma ------------------------------------------------
 
 def test_bilinear_lemma(quat_fields):

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from mnl import etc
 from mnl.etc import _lemma
 from mnl.fock import (FieldSet, FockOps, GQSparse, QuadraticCache, SiteOp, _ladder, _place,
                       _states, build_fields, build_fock, canonical_etc_check, car_check)
@@ -756,10 +757,37 @@ def test_scan_rows_are_decided_a_chunk_at_a_time(monkeypatch):
 # --- quadratic cache ---------------------------------------------------
 
 def test_products_owned_by_fock_space():
+    # the cache reads the space's own ladder lists and stacks their a† once;
+    # a one-entry matrix gives that pair's product
     f = build_fock(2, 2)
     assert f.products.dim == 4
-    assert f.products.pair(0, 1) is f.products.pair(0, 1)
-    assert f.products.pair(0, 1) == f.adag[0] @ f.a[1]
+    assert f.products.a is f.a and f.products.adag is f.adag
+    assert f.products.row is f.products.row
+    for m in range(2):
+        for mp in range(2):
+            one = [[int((i, j) == (m, mp)) for j in range(2)] for i in range(2)]
+            assert f.products.bilinear(one) == f.adag[m] @ f.a[mp]
+
+
+def test_bilinear_needs_integer_ladders():
+    f = build_fock(2, 1)
+    with pytest.raises(InputError):
+        QuadraticCache([op.scale(Fraction(1, 2)) for op in f.a], f.adag).bilinear([[1, 0], [0, 1]])
+    with pytest.raises(InputError):
+        QuadraticCache(f.a, [op.times_i() for op in f.adag]).bilinear([[1, 0], [0, 1]])
+
+
+def big_ladder(modes):
+    """The Jordan-Wigner ladder with every entry times 2^40."""
+    return [GQSparse.from_int(op.re * (1 << 40)) for op in _ladder(modes, range(1 << modes))]
+
+
+def test_bilinear_of_2_40_entries_raises():
+    a = big_ladder(2)
+    with pytest.raises(OverflowError):
+        QuadraticCache(a, [op.dagger() for op in a]).bilinear([[1, 0], [0, 1]])
+    with pytest.raises(OverflowError):
+        _lemma(a, 3, 0)
 
 
 def test_bilinear_identity_is_total_number(quat_fields):
@@ -795,3 +823,48 @@ def test_hard_core_bosons_need_two_particles(particles, passed):
     states = range(1 << modes) if particles is None else _states(modes, particles)
     rep = _lemma(hard_core_bosons(_ladder(modes, states)), 20, 0)
     assert rep.passed == passed and rep.witness == (None if passed else (0,))
+
+
+def spans_chunks(monkeypatch, a, trials, seed, per_chunk):
+    """_lemma with chunks of `per_chunk` trials, and the chunk sizes it used."""
+    d = a[0].dim
+    monkeypatch.setattr(etc, "LEMMA_BUDGET", per_chunk * d * d)
+    sizes = []
+    first_failure_chunked = etc.first_failure_chunked
+
+    def spy(prop, cases, fails, weight, budget):
+        def counted(chunk):
+            sizes.append(len(chunk))
+            return fails(chunk)
+        return first_failure_chunked(prop, cases, counted, weight, budget)
+    monkeypatch.setattr(etc, "first_failure_chunked", spy)
+    return _lemma(a, trials, seed), sizes
+
+
+@pytest.mark.parametrize("kind", ["fermions", "hard-core bosons"])
+@pytest.mark.parametrize("particles", [None, 2])
+def test_lemma_equals_the_per_trial_oracle(monkeypatch, kind, particles):
+    modes = 5
+    states = range(1 << modes) if particles is None else _states(modes, particles)
+    a = _ladder(modes, states)
+    a = hard_core_bosons(a) if kind == "hard-core bosons" else a
+    rep, sizes = spans_chunks(monkeypatch, a, 7, 2, 3)
+    assert rep.to_dict() == oracles.lemma_walk(a, 7, 2).to_dict()
+    assert rep.passed == (kind == "fermions")
+    assert sizes == ([3, 3, 1] if rep.passed else [3])
+
+
+def test_lemma_witness_after_passing_chunks(monkeypatch):
+    # one mode of a single fermion and one zero mode: a† M a = M_00 n, so
+    # the lemma fails exactly when [M, N]_00 != 0, at trial 3 for seed 76
+    a = [GQSparse.from_int(sp.csr_matrix(np.array([[0, 1], [0, 0]]))), GQSparse.zero(2)]
+    rep, sizes = spans_chunks(monkeypatch, a, 12, 76, 2)
+    assert rep.witness == (3,) == oracles.lemma_walk(a, 12, 76).witness
+    assert sizes == [2, 2]
+
+
+def test_lemma_on_fock_ladders_equals_the_oracle():
+    f = build_fock(3, 2)
+    a = [*f.a, *f.a]    # one site's operators twice: not the CAR of 6 modes
+    assert _lemma(f.a, 9, 1).to_dict() == oracles.lemma_walk(f.a, 9, 1).to_dict()
+    assert _lemma(a, 9, 1).to_dict() == oracles.lemma_walk(a, 9, 1).to_dict()
