@@ -20,8 +20,10 @@ It imports `src/mnl` and `mnlbench` of the checkout it sits in.
   `build_fock(8, 2)` and, on fresh fields, `charge_densities` of the
   octonion generators; `bilinear_lemma_check` at 15 trials on the fields of
   one site of 8 modes and of two sites of 4, and at 10 trials on four sites
-  of 8 (32 modes); and `car_check` on a fresh `build_fock(16, 1)` (one site
-  of dimension 2^16).
+  of 8 (32 modes); `car_check` on a fresh `build_fock(16, 1)` (one site
+  of dimension 2^16); and `charge_densities` on the fields of that site for
+  the quaternion generators on four diagonal blocks (r=3, 16 modes) and su2
+  scaled by 2.
 
 Each function runs five times, every run on fresh copies of its inputs
 (tensor, generator set, envelope, densities and charges), so no value kept
@@ -116,6 +118,18 @@ def lemma_cases(n, sites, trials=LEMMA_TRIALS):
         lambda f: etc.bilinear_lemma_check(f, trials=trials, seed=SEED))}
 
 
+def quaternion_blocks(blocks):
+    """The quaternion L/R generators repeated on `blocks` diagonal blocks."""
+    gen = birep.quaternion_lr_generators()
+    n = gen.dim
+
+    def diag(m):
+        return [[m[i % n][j % n] if i // n == j // n else 0 for j in range(n * blocks)]
+                for i in range(n * blocks)]
+    return birep.GeneratorSet(gen.r, n * blocks, [diag(m) for m in gen.S],
+                              [diag(m) for m in gen.T])
+
+
 def fock_inputs(workdir):
     m7, oct_gen = algebra.catalog_algebra("m7"), birep.octonion_lr_generators()
     fields = {
@@ -130,7 +144,10 @@ def fock_inputs(workdir):
             "lemma-4x2": (m7, oct_gen, lemma_cases(4, 2)),
             "lemma-8x4": (m7, oct_gen, lemma_cases(8, 4, trials=10)),
             "car-16x1": (m7, oct_gen, {"car_check": (lambda c, g: (fock.build_fock(16, 1),),
-                                                     fock.car_check)})}
+                                                     fock.car_check)}),
+            "densities-16x1": (algebra.catalog_algebra("su2").scaled(2), quaternion_blocks(4), {
+                "charge_densities": (lambda c, g: (fock.build_fields(16, 1), fresh_generators(g),
+                                                   fresh_tensor(c)), etc.charge_densities)})}
 
 
 GROUPS = {"dense": dense_inputs, "etc": etc_inputs, "fock": fock_inputs}

@@ -2,9 +2,10 @@
 subcommand, with machine-readable reports.
 
 Exit codes: 0 all declared properties pass, 1 algebraic violation,
-2 usage/input error, 3 internal error (a crash, traceback on stderr; never a
-verdict).  Reports carry "schema": 1 and are byte-deterministic
-for identical inputs (MNL_SEED pins the randomized checks, default 0).
+2 usage/input error (an input out of the exact int64 range included),
+3 internal error (a crash, traceback on stderr; never a verdict).  Reports
+carry "schema": 1 and are byte-deterministic for identical inputs (MNL_SEED
+pins the randomized checks, default 0).
 """
 
 from __future__ import annotations
@@ -323,7 +324,7 @@ def main(argv=None):
         return exc.code
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OverflowError) as exc:    # OverflowError: past the int64 bound
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:

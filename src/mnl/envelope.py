@@ -175,24 +175,23 @@ def build_envelope(c: StructureTensor) -> EnvelopeAlgebra:
     env = EnvelopeAlgebra(r, tuple(basis), expand, {}, rank)
     M, E = env.reduction
     cols = _label_indices(r, basis)
-    R, D = bracket_rows(c, np.repeat(cols, len(cols)), np.tile(cols, len(cols)))
-    B = rows_times(R, M)
+    B, D = bracket_rows(c, np.repeat(cols, len(cols)), np.tile(cols, len(cols)))
+    B = rows_times(B, M)    # rebinding B frees the label rows once their product exists
     for (a, b), row in zip(itertools.product(basis, basis), B):
         env.brackets[(a, b)] = {basis[t]: Fraction(int(row[t]), D * E)
                                 for t in np.flatnonzero(row)}
-    _check_quotient_consistency(c, None, env)
+    _check_quotient_consistency(c, env)
     return env
 
 
-def _check_quotient_consistency(c, d, env: EnvelopeAlgebra):
+def _check_quotient_consistency(c, env: EnvelopeAlgebra):
     """Brackets of eliminated Y's must agree with the bilinear extension of
     the reduced table; a mismatch is an implementation bug, so abort.  A pair
     of basis labels needs no check: its table entry is that bracket.  For the
     other pairs (a, b), c's rows times `_reduction` must equal
     sum_uv x_a[u] x_b[v] env.brackets[u, v], x the expansions: exact integer
     products over the nonzeros at one denominator, for all b of as many a as
-    fit in PAIRS pairs.  The Yamaguti constants d are not read: c's rows
-    hold them."""
+    fit in PAIRS pairs."""
     eliminated: List[Label] = [("Y", j, k) for (j, k), expr in env.expand.items()
                                if expr != {("Y", j, k): Fraction(1)}]
     if not eliminated:

@@ -25,9 +25,11 @@ zero exactly when every D_x is c_x * I with sum_x c_x = 0.
 Relations.  Every right side is a table row, gathered once per check
 (`_table`).  Densities realize the table at site labels (label, x) with the
 Kronecker delta, [A(x), B(y)] = i delta_xy (row at x), and charges realize it
-as it stands; both read Y_kj as -Y_jk and Y_jj as zero (`birep._signed`).  The
-Yamagutian densities are solved from the [S_j, T_k] rows, every one as a
-case of one `RelationKernel.residuals` call on the site factors.
+as it stands; both read Y_kj as -Y_jk and Y_jj as zero (`birep._signed`).
+Every density is rho(M) = -i a† M^T a of its matrix, Y_jk as the generator
+checks extract it.  Given the CAR, [rho(M), rho(N)] = i rho([M, N]), so
+rho(Y_jk) is the convention's i[s_j, t_k] + (1/3) c^p_jk (s_p - t_p), which
+equation 2 checks.
 
 One kernel.  `etc_verify`, `locality_check` and `charge_algebra_check` write
 each case, in the order they walk them, as one row of terms: its commutators
@@ -39,14 +41,16 @@ residual.  Every chunk is bounded below 2^62 before it computes
 (`OverflowError` past it), and the first failing row in walk order is the
 witness.  Plain full-space `GQSparse` operators are one factor of a one-site
 space there, so the same checks give the same reports on them.  The lemma
-decides its trials a chunk at a time, on block diagonals of their bilinears
-(`fock.QuadraticCache.blocks`).  The case-by-case walks, the per-trial lemma
-and the per-pair Yamagutian solve are the test oracles (`tests/oracles.py`).
+decides its trials, and `charge_densities` builds its densities, on block
+diagonals of bilinears (`fock.QuadraticCache.blocks`).  The case-by-case
+walks, the per-trial lemma and the per-pair Yamagutian solve are the test
+oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
@@ -55,7 +59,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .algebra import StructureTensor
-from .birep import GeneratorSet, _signed, bracket_vecs, cyclic_rows, labels, row_vecs
+from .birep import (GeneratorSet, _labelled_operators, _signed, bracket_vecs, cyclic_rows,
+                    labels, row_vecs)
 from .fock import FieldSet, GQSparse, QuadraticCache, SiteOp, _ladder, _states
 from .matrices import commutator, first_failure_chunked, fits_int64
 from .relations import RelationKernel
@@ -66,7 +71,7 @@ CONVENTION = ("s0_j(x) = -i a†(x) S_j^T a(x); t0_j(x) = -i a†(x) T_j^T a(x);
               "charges are -i times plain site sums; delta(x-y) is the Kronecker "
               "delta at unit lattice spacing")
 
-LEMMA_BUDGET = 1 << 18    # weight of one chunk of lemma trials, d^2 each
+LEMMA_BUDGET = 1 << 18    # weight of one product of lemma trials or densities, d^2 each
 
 
 @dataclass
@@ -92,31 +97,30 @@ def _yamagutian_case(rows, j, k, at):
 
 
 def charge_densities(f: FieldSet, gen: GeneratorSet, c: StructureTensor) -> ChargeDensitySet:
-    """Build s^0_j(x) = -i a†(x) S_j^T a(x) and t^0_j(x), one bilinear of the
-    one-site ladder operators each, and every Yamagutian density as -i times
-    its case's residual in one `RelationKernel.residuals` call."""
+    """The densities rho(M) = -i a†(x) M^T a(x) of M = S_j, T_j and of the
+    Y_jk, j < k, of `birep._labelled_operators`: each M bounded at its own
+    least denominator, LEMMA_BUDGET / d^2 of them in one `QuadraticCache.blocks`
+    product, and each factor shared by every site."""
     if gen.dim != f.modes_per_site:
         raise InputError("generator size must equal modes per site")
     if gen.r != c.dim:
         raise InputError("generator count must match tensor dim")
-    r = range(gen.r)
-    ops = [f.fock.products.bilinear(list(zip(*mat))).times_i().scale(-1)
-           for mat in [*gen.S, *gen.T]]
-    pairs = [(j, k) for j in r for k in r if j < k]
-    rows = bracket_vecs(c, [(("S", j), ("T", k)) for j, k in pairs])
-    cases = [_yamagutian_case(rows, j, k, lambda lbl: (lbl[0] == "T") * gen.r + lbl[1])
-             for j, k in pairs]
-    d, n = ops[0].dim, len(pairs)
-    limit, scale, sites = RelationKernel(ops).residuals(cases)
-    if limit < n:
+    r, cache = gen.r, f.fock.products
+    pairs = [(j, k) for j in range(r) for k in range(j + 1, r)]
+    ops, scale = _labelled_operators(gen, c)
+    mats = ops[[*range(2 * r), *(2 * r + j * r + k for j, k in pairs)]].transpose(0, 2, 1)
+    g = np.array([math.gcd(scale, *m.ravel().tolist()) for m in mats], dtype=object)
+    mats, dens = mats // g[:, None, None], scale // g
+    if not fits_int64(*dens, *cache.bounds(mats)):
         raise OverflowError("exact sparse result could exceed the int64 range")
-    parts = {u: P[i * d:(i + 1) * d] for used, P in sites for i, u in enumerate(used)}
-    zero = sp.csr_matrix((d, d), dtype=np.int64)
-    ops += [GQSparse(d, parts.get(2 * k + 1, zero), -parts.get(2 * k, zero), scale)
-            for k in range(n)]
+    d, mats, ops = cache.dim, mats.astype(np.int64), []
+    step, zero = max(1, LEMMA_BUDGET // (d * d)), sp.csr_matrix((d, d), dtype=np.int64)
+    for i in range(0, len(mats), step):
+        P = cache.blocks(mats[i:i + step])
+        ops += [GQSparse(d, zero, -P[k * d:(k + 1) * d, k * d:(k + 1) * d], den)
+                for k, den in enumerate(dens[i:i + step])]
     ops = [[SiteOp(f.sites, d, {x: op}) for x in range(f.sites)] for op in ops]
-    return ChargeDensitySet(gen.r, f.sites, ops[:gen.r], ops[gen.r:2 * gen.r],
-                            dict(zip(pairs, ops[2 * gen.r:])), c)
+    return ChargeDensitySet(r, f.sites, ops[:r], ops[r:2 * r], dict(zip(pairs, ops[2 * r:])), c)
 
 
 @dataclass

@@ -29,8 +29,8 @@ and for x < y {Phi_x, Psi_y} = I x {phi, Pi} x Pi x .. x Pi x psi x I, zero
 exactly when {phi, Pi} = 0 or psi = 0.  `canonical_etc_check` and
 `car_check` decide their relations that way on the 2^n-dimensional factors
 (`_anticommutation_scan`).  Same-site bilinears drop the strings
-(Pi^2 = I), so densities are one-site `SiteOp` factors, each one product of
-`QuadraticCache`.
+(Pi^2 = I), so densities are one-site `SiteOp` factors, blocks of the
+stacked products of `QuadraticCache.blocks`.
 """
 
 from __future__ import annotations

@@ -69,19 +69,23 @@ def contract(spec, *operands):
 
 def rows_times(R, X):
     """sum_t R[n, t] X[t] for an integer matrix R and array X, over R's
-    nonzeros only: (the most nonzeros in a row of R) max|R| max|X| bounds
-    it, max|X| taken over the X[t] that a nonzero of R reads."""
+    nonzeros only, CHUNK rows of R at a time: (the most nonzeros in a row of
+    R) max|R| max|X| bounds it, max|X| taken over the X[t] that a nonzero of
+    R reads."""
     n, t = np.nonzero(R)
-    counts = np.bincount(n, minlength=len(R))
-    coeff = R[n, t]
+    counts, coeff = np.bincount(n, minlength=len(R)), R[n, t]
     met = magnitude(X[np.flatnonzero(R.any(axis=0))])
     bound = int(counts.max(initial=0)) * max(magnitude(coeff), 1) * max(met, 1)
     dtype = np.int64 if fits_int64(bound) else object
-    products = X[t].astype(dtype, copy=False)    # a new array: X[t] copies
-    products *= coeff.astype(dtype, copy=False).reshape((-1,) + (1,) * (X.ndim - 1))
-    out = np.zeros((len(R),) + X.shape[1:], dtype=dtype)
-    used = np.flatnonzero(counts)
-    out[used] = np.add.reduceat(products, (np.cumsum(counts) - counts)[used], axis=0)
+    coeff = coeff.astype(dtype, copy=False).reshape((-1,) + (1,) * (X.ndim - 1))
+    out, start = np.zeros((len(R),) + X.shape[1:], dtype=dtype), np.cumsum(counts) - counts
+    for lo in range(0, len(R), CHUNK):
+        used = lo + np.flatnonzero(counts[lo:lo + CHUNK])
+        if used.size:
+            nz = slice(start[used[0]], start[used[-1]] + counts[used[-1]])
+            products = X[t[nz]].astype(dtype, copy=False)    # a new array: X[t] copies
+            products *= coeff[nz]
+            out[used] = np.add.reduceat(products, start[used] - nz.start, axis=0)
     return out
 
 

@@ -32,11 +32,11 @@ o's own blocks (d entries of L each, not o's nonzeros), and q i o the same
 with one more phase.  Phase rule: a part of phase f against a block of
 phase g lands in the re row when f + g is even and the im row when it is
 odd, negated when f + g is 2 or 3 (i^2 = -1).  One real product L R then
-holds every case's residual at K D^2, re and im apart
-(`RelationKernel.residuals`).  The blocks stay d x d rather than flattened
-to rows of d^2 entries: scipy's product keeps an accumulator as wide as its
-result, which would be 2^32 entries for the full-space operators at 2^16.
-`fails` reads each residual: `_scalar_blocks` reads c_x off each block and
+holds every case's residual at K D^2, re and im apart.  The blocks stay
+d x d rather than flattened to rows of d^2 entries: scipy's product keeps an
+accumulator as wide as its result, which would be 2^32 entries for the
+full-space operators at 2^16.  `fails` reads each site's residuals as soon
+as their product is formed: `_scalar_blocks` reads c_x off each block and
 checks that the block is c_x I; the c_x of all sites must sum to zero.
 
 Int64 bound.  Before anything is computed, every case is bounded: an entry
@@ -143,10 +143,10 @@ class RelationKernel:
         """`first_failure_chunked` over (witness, *terms) in walk order."""
         return first_failure_chunked(prop, cases, self.fails, self.weight, BUDGET)
 
-    def residuals(self, cases):
-        """(limit, K D^2, [(used, L R) per site]) for the `limit` cases before
-        the first one whose bound reaches 2^62: row block i of L R is the
-        site's part of residual used[i] at K D^2, case k's re 2k, its im 2k + 1."""
+    def fails(self, cases):
+        """True for each case whose residual breaks the c_x I rule.  The cases
+        before the first one whose bound reaches 2^62 are decided, and
+        OverflowError is raised when none of them fails."""
         n, d = len(cases), self.site_dim
         terms = [(k, *term) for k, case in enumerate(cases) for term in _computed(case)]
         if self.site_count > 1 and any(kind == "a" for _, kind, _, _ in terms):
@@ -176,27 +176,18 @@ class RelationKernel:
                                for j, f, _ in parts]
             plans.append((R, blocks))
         limit = next((k for k, b in enumerate(bound) if not fits_int64(b)), n)
-        out = []
+        c, ok = np.zeros(2 * limit, dtype=np.int64), np.ones(2 * limit, dtype=bool)
         for R, blocks in plans:
             blocks = [block for block in blocks if block[0] < limit]
             if blocks:
-                # L's rows of blocks: the residuals that some block reaches
+                # L's rows of blocks: the re (2k) and im (2k + 1) residuals some block reaches
                 used, row = np.unique([2 * k + f % 2 for k, f, *_ in blocks], return_inverse=True)
                 L = [(i, j, -v if f & 2 else v, p) for i, (_, f, j, v, p) in zip(row, blocks)]
-                out.append((used, _place((len(used) * d, R.shape[0]), d, L) @ R))
-        return limit, K * self.den ** 2, out
-
-    def fails(self, cases):
-        """True for each case whose `residuals` break the c_x I rule.  The cases
-        before the first one whose bound reaches 2^62 are decided, and
-        OverflowError is raised when none of them fails."""
-        limit, _, sites = self.residuals(cases)
-        c, ok = np.zeros(2 * limit, dtype=np.int64), np.ones(2 * limit, dtype=bool)
-        for used, P in sites:
-            cx, okx = _scalar_blocks(P, self.site_dim, len(used))
-            c[used] += cx
-            ok[used] &= okx
+                P = _place((len(used) * d, R.shape[0]), d, L) @ R
+                cx, okx = _scalar_blocks(P, d, len(used))
+                c[used] += cx
+                ok[used] &= okx
         bad = ~ok.reshape(limit, 2).all(axis=1) | c.reshape(limit, 2).any(axis=1)
-        if limit < len(cases) and not bad.any():
+        if limit < n and not bad.any():
             raise OverflowError("exact sparse result could exceed the int64 range")
-        return np.concatenate([bad, np.zeros(len(cases) - limit, dtype=bool)])
+        return np.concatenate([bad, np.zeros(n - limit, dtype=bool)])

@@ -384,6 +384,21 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     assert MESSAGES.get(case, "") in err
 
 
+def test_out_of_range_input_exits_2(capsys, tmp_path):
+    # the sparse layer's int64 bound is a designed limit, as the mode caps
+    # are; the dense layers fall back to Python ints and decide the input
+    gen = quaternion_lr_generators()
+    big = birep.GeneratorSet(gen.r, gen.dim, *([[[v * 2 ** 32 for v in row] for row in m]
+                                                for m in ms] for ms in (gen.S, gen.T)))
+    gen_path, tensor_path = tmp_path / "gen.json", tmp_path / "tensor.json"
+    gen_path.write_text(json.dumps(big.to_json_dict()))
+    tensor_path.write_text(json.dumps(catalog_algebra("su2").scaled(2 ** 33).to_json_dict()))
+    assert cli.main(["etc", str(gen_path), "--tensor", str(tensor_path), "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err and "int64" in err
+    assert cli.main(["envelope", str(tensor_path), "--oracle", str(gen_path)]) == 0
+
+
 def test_crash_exits_internal_error(capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("boom")

@@ -7,7 +7,6 @@ import pytest
 from mnl import algebra
 from mnl.algebra import StructureTensor, catalog_algebra, is_maltsev
 from mnl.birep import GeneratorSet
-from mnl.algebra import yamaguti_constants
 from mnl.envelope import (EnvelopeInconsistencyError, _check_quotient_consistency,
                           _reduce_relations, build_envelope, check_jacobi,
                           matrix_closure_dim, realize_check)
@@ -191,7 +190,7 @@ def test_reduce_relations_back_substitutes_with_sign():
 def test_quotient_consistency_catches_a_wrong_table_entry(env_m7, m7):
     # the brackets of an eliminated Y are read through the table entries of
     # the basis Y's in its expansion; a wrong entry there must be caught
-    _check_quotient_consistency(m7, yamaguti_constants(m7), env_m7)
+    _check_quotient_consistency(m7, env_m7)
     y = next(lbl for expr in env_m7.expand.values() if len(expr) > 1 for lbl in expr)
     bad = dict(env_m7.brackets)
     row = dict(bad[(y, ("S", 0))])
@@ -199,4 +198,4 @@ def test_quotient_consistency_catches_a_wrong_table_entry(env_m7, m7):
     bad[(y, ("S", 0))] = row
     perturbed = type(env_m7)(env_m7.r, env_m7.basis, env_m7.expand, bad, env_m7.relation_rank)
     with pytest.raises(EnvelopeInconsistencyError):
-        _check_quotient_consistency(m7, yamaguti_constants(m7), perturbed)
+        _check_quotient_consistency(m7, perturbed)
