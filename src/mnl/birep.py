@@ -284,11 +284,11 @@ def _labelled_operators(gen: GeneratorSet, c: StructureTensor):
 
 def extract_yamagutians(gen: GeneratorSet, c: StructureTensor) -> Dict[tuple, list]:
     """Y_jk for every ordered pair (j, k), each solved from its own [S_j, T_k]
-    relation: Y_jk = -[S_j, T_k] + (1/3) c^p_jk (S_p - T_p)."""
+    relation: Y_jk = -[S_j, T_k] + (1/3) c^p_jk (S_p - T_p); zero entries are 0."""
     if gen.r != c.dim:
         raise InputError("generator count must match tensor dim")
     ops, scale = _labelled_operators(gen, c)
-    return {lbl[1:]: [[Fraction(int(v), scale) for v in row] for row in ops[w]]
+    return {lbl[1:]: [[Fraction(int(v), scale) if v else 0 for v in row] for row in ops[w]]
             for w, lbl in enumerate(labels(gen.r)) if lbl[0] == "Y"}
 
 

@@ -20,7 +20,7 @@ import traceback
 import numpy as np
 
 from . import algebra, birep, envelope, etc, fock, loops
-from .report import InputError
+from .report import BoundError, InputError
 
 SCHEMA = 1
 
@@ -324,7 +324,7 @@ def main(argv=None):
         return exc.code
     try:
         return args.func(args)
-    except (InputError, OverflowError) as exc:    # OverflowError: past the int64 bound
+    except (InputError, BoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:

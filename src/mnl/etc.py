@@ -38,40 +38,37 @@ decides a chunk of rows at a time: per site, one exact sparse product L R,
 with R the site's operators stacked once at one common denominator and L the
 rows' coefficients placed against them, and the c_x I rule above on every
 residual.  Every chunk is bounded below 2^62 before it computes
-(`OverflowError` past it), and the first failing row in walk order is the
+(`BoundError` past it), and the first failing row in walk order is the
 witness.  Plain full-space `GQSparse` operators are one factor of a one-site
 space there, so the same checks give the same reports on them.  The lemma
-decides its trials, and `charge_densities` builds its densities, on block
-diagonals of bilinears (`fock.QuadraticCache.blocks`).  The case-by-case
-walks, the per-trial lemma and the per-pair Yamagutian solve are the test
-oracles (`tests/oracles.py`).
+decides its trials a chunk at a time, on block diagonals of their bilinears
+(`fock.QuadraticCache.blocks`).  The case-by-case walks, the per-trial lemma
+and the per-pair Yamagutian solve are the test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import StructureTensor
-from .birep import (GeneratorSet, _labelled_operators, _signed, bracket_vecs, cyclic_rows,
+from .birep import (GeneratorSet, _signed, bracket_vecs, cyclic_rows, extract_yamagutians,
                     labels, row_vecs)
 from .fock import FieldSet, GQSparse, QuadraticCache, SiteOp, _ladder, _states
 from .matrices import commutator, first_failure_chunked, fits_int64
 from .relations import RelationKernel
-from .report import CheckReport, InputError, fail, ok
+from .report import BoundError, CheckReport, InputError, fail, ok
 
 CONVENTION = ("s0_j(x) = -i a†(x) S_j^T a(x); t0_j(x) = -i a†(x) T_j^T a(x); "
               "Y0_jk(x) = i[s0_j(x), t0_k(x)] + (1/3) c^p_jk (s0_p(x) - t0_p(x)); "
               "charges are -i times plain site sums; delta(x-y) is the Kronecker "
               "delta at unit lattice spacing")
 
-LEMMA_BUDGET = 1 << 18    # weight of one product of lemma trials or densities, d^2 each
+LEMMA_BUDGET = 1 << 18    # weight of one chunk of lemma trials, d^2 each
 
 
 @dataclass
@@ -98,29 +95,20 @@ def _yamagutian_case(rows, j, k, at):
 
 def charge_densities(f: FieldSet, gen: GeneratorSet, c: StructureTensor) -> ChargeDensitySet:
     """The densities rho(M) = -i a†(x) M^T a(x) of M = S_j, T_j and of the
-    Y_jk, j < k, of `birep._labelled_operators`: each M bounded at its own
-    least denominator, LEMMA_BUDGET / d^2 of them in one `QuadraticCache.blocks`
-    product, and each factor shared by every site."""
+    Y_jk, j < k, of `birep.extract_yamagutians`: one `QuadraticCache.bilinear`
+    each, bounded at M's own least denominator and shared by every site."""
     if gen.dim != f.modes_per_site:
         raise InputError("generator size must equal modes per site")
-    if gen.r != c.dim:
-        raise InputError("generator count must match tensor dim")
-    r, cache = gen.r, f.fock.products
-    pairs = [(j, k) for j in range(r) for k in range(j + 1, r)]
-    ops, scale = _labelled_operators(gen, c)
-    mats = ops[[*range(2 * r), *(2 * r + j * r + k for j, k in pairs)]].transpose(0, 2, 1)
-    g = np.array([math.gcd(scale, *m.ravel().tolist()) for m in mats], dtype=object)
-    mats, dens = mats // g[:, None, None], scale // g
-    if not fits_int64(*dens, *cache.bounds(mats)):
-        raise OverflowError("exact sparse result could exceed the int64 range")
-    d, mats, ops = cache.dim, mats.astype(np.int64), []
-    step, zero = max(1, LEMMA_BUDGET // (d * d)), sp.csr_matrix((d, d), dtype=np.int64)
-    for i in range(0, len(mats), step):
-        P = cache.blocks(mats[i:i + step])
-        ops += [GQSparse(d, zero, -P[k * d:(k + 1) * d, k * d:(k + 1) * d], den)
-                for k, den in enumerate(dens[i:i + step])]
-    ops = [[SiteOp(f.sites, d, {x: op}) for x in range(f.sites)] for op in ops]
-    return ChargeDensitySet(r, f.sites, ops[:r], ops[r:2 * r], dict(zip(pairs, ops[2 * r:])), c)
+    cache, Y = f.fock.products, extract_yamagutians(gen, c)    # checks gen.r == c.dim
+
+    def rho(mat):
+        P = cache.bilinear(list(zip(*mat)))    # a† M^T a
+        op = GQSparse(cache.dim, P.im, -P.re, P.den)    # -i P
+        return [SiteOp(f.sites, cache.dim, {x: op}) for x in range(f.sites)]
+
+    r = range(gen.r)
+    return ChargeDensitySet(gen.r, f.sites, [rho(m) for m in gen.S], [rho(m) for m in gen.T],
+                            {(j, k): rho(Y[j, k]) for j in r for k in r if j < k}, c)
 
 
 @dataclass
@@ -325,7 +313,7 @@ def _lemma(a, trials: int, seed: int) -> CheckReport:
     witness is the first failing trial.  A chunk's [M^, N^] - Z^ is one pair
     of products, bounded per trial by 2 d b_M b_N + b_Z (`QuadraticCache.bounds`):
     the trials before the first one whose bound reaches 2^62 are decided,
-    and OverflowError is raised when none of them fails."""
+    and BoundError is raised when none of them fails."""
     rng = random.Random(seed)
     cache = QuadraticCache(a, [op.dagger() for op in a])
     d, m = cache.dim, len(a)
@@ -345,7 +333,7 @@ def _lemma(a, trials: int, seed: int) -> CheckReport:
             Mh, Nh, Zh = (cache.blocks(X[:limit]) for X in (M, N, Z))
             bad[(Mh @ Nh - Nh @ Mh - Zh).nonzero()[0] // d] = True
         if limit < len(cases) and not bad.any():
-            raise OverflowError("exact sparse result could exceed the int64 range")
+            raise BoundError()
         return bad
 
     return first_failure_chunked("bilinear-lemma", draws(), fails, lambda case: d * d,

@@ -4,11 +4,12 @@ sparse operator arithmetic over Gaussian rationals.
 Operators are stored as (re + i*im)/den with integer sparse parts, so every
 check in the lab is exact.  Every sum and rational multiple is one call of
 `_sum`, over the least common multiple of the denominators; it and `@` bound
-their result before they compute and raise OverflowError when the bound
-reaches 2^62, so no int64 value can wrap.  Parts are kept canonical (sorted
-indices, no duplicate or stored zero) and normalized (gcd of den and every
-entry 1), so `==` compares den and the parts' arrays; `@` skips the products
-of an empty re or im part, as a purely imaginary density's are.
+their result before they compute and raise `BoundError`, an OverflowError,
+when the bound reaches 2^62, so no int64 value can wrap.  Parts are kept
+canonical (sorted indices, no duplicate or stored zero) and normalized (gcd
+of den and every entry 1), so `==` compares den and the parts' arrays; `@`
+skips the products of an empty re or im part, as a purely imaginary
+density's are.
 
 A `SiteOp` holds a sum of site-local operators sum_x I x .. x F_x x .. x I as
 its factors F_x on the 2^n-dimensional space of one site; see `SiteOp`.  The
@@ -29,8 +30,8 @@ and for x < y {Phi_x, Psi_y} = I x {phi, Pi} x Pi x .. x Pi x psi x I, zero
 exactly when {phi, Pi} = 0 or psi = 0.  `canonical_etc_check` and
 `car_check` decide their relations that way on the 2^n-dimensional factors
 (`_anticommutation_scan`).  Same-site bilinears drop the strings
-(Pi^2 = I), so densities are one-site `SiteOp` factors, blocks of the
-stacked products of `QuadraticCache.blocks`.
+(Pi^2 = I), so densities are one-site `SiteOp` factors, each one product of
+`QuadraticCache`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .matrices import fits_int64, stacked
-from .report import CheckReport, InputError
+from .report import BoundError, CheckReport, InputError
 
 def _csr(m):
     """m as canonical int64 CSR: indices sorted, no duplicate and no stored
@@ -71,7 +72,7 @@ def _sum(dim, terms):
     den = math.lcm(1, *(q.denominator * A.den for q, A in terms))
     mults = [q.numerator * (den // (q.denominator * A.den)) for q, A in terms]
     if not fits_int64(den, sum(abs(m) * A.mag for m, (_, A) in zip(mults, terms))):
-        raise OverflowError("exact sparse result could exceed the int64 range")
+        raise BoundError()
     re, im = (_place((dim, dim), dim, [(0, 0, m, getattr(A, part))
                                        for m, (_, A) in zip(mults, terms)])
               for part in ("re", "im"))
@@ -173,7 +174,7 @@ class GQSparse:
         if not fits_int64(mags * count):
             count = int((np.diff(self.re.indptr) + np.diff(self.im.indptr)).max())
         if not fits_int64(mags * count, self.den * other.den):
-            raise OverflowError("exact sparse result could exceed the int64 range")
+            raise BoundError()
         # (a + i b)(c + i d) = ac - bd + i (ad + bc), without the products
         # that have an empty factor
         def part(p, q, sign, r, t):
@@ -534,6 +535,6 @@ class QuadraticCache:
         """a† M a for an integer/rational matrix M over all modes."""
         mats, den = stacked([mat], len(self.a))
         if not fits_int64(den, *self.bounds(mats)):
-            raise OverflowError("exact sparse result could exceed the int64 range")
+            raise BoundError()
         P = self.blocks(mats)
         return GQSparse(self.dim, P, sp.csr_matrix(P.shape, dtype=np.int64), den)

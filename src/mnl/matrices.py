@@ -73,12 +73,14 @@ def rows_times(R, X):
     R) max|R| max|X| bounds it, max|X| taken over the X[t] that a nonzero of
     R reads."""
     n, t = np.nonzero(R)
-    counts, coeff = np.bincount(n, minlength=len(R)), R[n, t]
+    counts = np.bincount(n, minlength=len(R))
+    coeff = R[n, t]
     met = magnitude(X[np.flatnonzero(R.any(axis=0))])
     bound = int(counts.max(initial=0)) * max(magnitude(coeff), 1) * max(met, 1)
     dtype = np.int64 if fits_int64(bound) else object
     coeff = coeff.astype(dtype, copy=False).reshape((-1,) + (1,) * (X.ndim - 1))
-    out, start = np.zeros((len(R),) + X.shape[1:], dtype=dtype), np.cumsum(counts) - counts
+    out = np.zeros((len(R),) + X.shape[1:], dtype=dtype)
+    start = np.cumsum(counts) - counts
     for lo in range(0, len(R), CHUNK):
         used = lo + np.flatnonzero(counts[lo:lo + CHUNK])
         if used.size:

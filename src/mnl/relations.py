@@ -47,7 +47,7 @@ of its terms' bounds over the sites, also bounds every partial sum of L's
 assembly (an entry of L is a sum of |K q| mag_a and |K q| D, and count and mag
 are at least 1 for a nonzero factor), of the product and of the c_x.
 The cases before the first one whose bound reaches 2^62
-(`matrices.fits_int64`) are decided; OverflowError is raised when none of
+(`matrices.fits_int64`) are decided; BoundError is raised when none of
 them fails.  There is no slower path (scipy has no object dtype), so no value
 can wrap.  A term q {a, b} has the bound of q [a, b].
 
@@ -67,7 +67,7 @@ import scipy.sparse as sp
 
 from .fock import SiteOp, _place
 from .matrices import first_failure_chunked, fits_int64
-from .report import InputError
+from .report import BoundError, InputError
 
 BUDGET = 1 << 15   # weight of one chunk of cases
 
@@ -121,7 +121,7 @@ class RelationKernel:
             for x, f in fs.items():
                 m = self.den // f.den
                 if not fits_int64(f.mag * m):
-                    raise OverflowError("exact sparse result could exceed the int64 range")
+                    raise BoundError()
                 if f.nnz:
                     at, stack = sites.setdefault(x, ({}, []))
                     parts = [(phase, p if m == 1 else p * m)
@@ -146,7 +146,7 @@ class RelationKernel:
     def fails(self, cases):
         """True for each case whose residual breaks the c_x I rule.  The cases
         before the first one whose bound reaches 2^62 are decided, and
-        OverflowError is raised when none of them fails."""
+        BoundError is raised when none of them fails."""
         n, d = len(cases), self.site_dim
         terms = [(k, *term) for k, case in enumerate(cases) for term in _computed(case)]
         if self.site_count > 1 and any(kind == "a" for _, kind, _, _ in terms):
@@ -189,5 +189,5 @@ class RelationKernel:
                 ok[used] &= okx
         bad = ~ok.reshape(limit, 2).all(axis=1) | c.reshape(limit, 2).any(axis=1)
         if limit < n and not bad.any():
-            raise OverflowError("exact sparse result could exceed the int64 range")
+            raise BoundError()
         return np.concatenate([bad, np.zeros(n - limit, dtype=bool)])

@@ -8,6 +8,14 @@ class InputError(ValueError):
     """Malformed or inconsistent input data (exit code 2 territory)."""
 
 
+class BoundError(OverflowError):
+    """An exact sparse result could reach the int64 range, found by its bound
+    before it is computed: a designed limit, like the mode caps (exit code 2)."""
+
+    def __init__(self):
+        super().__init__("exact sparse result could exceed the int64 range")
+
+
 def is_int(value):
     """True for an integer that is not a bool (JSON true/false load as bools)."""
     return isinstance(value, int) and not isinstance(value, bool)

@@ -400,13 +400,16 @@ def test_out_of_range_input_exits_2(capsys, tmp_path):
 
 
 def test_crash_exits_internal_error(capsys, monkeypatch):
-    def boom(args):
-        raise RuntimeError("boom")
+    # an OverflowError that no bound checked before computing is a crash too
+    for exc in (RuntimeError("boom"),
+                OverflowError("exact sparse entry exceeded the int64 guard")):
+        def boom(args):
+            raise exc
 
-    monkeypatch.setattr(cli, "cmd_maltsev", boom)
-    assert cli.main(["maltsev", "builtin:m7"]) == cli.EXIT_INTERNAL == 3
-    err = capsys.readouterr().err
-    assert "Traceback" in err and "RuntimeError: boom" in err
+        monkeypatch.setattr(cli, "cmd_maltsev", boom)
+        assert cli.main(["maltsev", "builtin:m7"]) == cli.EXIT_INTERNAL == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and f"{type(exc).__name__}: {exc}" in err
 
 
 # --- fuzzed malformed inputs ---------------------------------------------

@@ -304,23 +304,6 @@ def test_yamagutians_equal_the_per_pair_oracle(sites, quat_gen, su2_doubled, oct
                 assert same_factors(ops[x], expect)
 
 
-@pytest.mark.parametrize("case,sites", [("quaternion", 2), ("octonion-line", 1)])
-def test_densities_are_the_same_one_matrix_a_product(monkeypatch, case, sites, quat_gen,
-                                                     su2_doubled, oct_gen, m7):
-    # the stack is sliced by the lemma's budget; one matrix a product must
-    # give every factor of the default slicing
-    gen, c = (quat_gen, su2_doubled) if case == "quaternion" else quaternionic_line(oct_gen, m7)
-    f = build_fields(gen.dim, sites)
-    default = charge_densities(f, gen, c)
-    monkeypatch.setattr(etc_module, "LEMMA_BUDGET", 4 ** gen.dim)
-    single = charge_densities(f, gen, c)
-    for ours, theirs in ((default.s, single.s), (default.t, single.t),
-                         (list(default.Y.values()), list(single.Y.values()))):
-        assert len(ours) == len(theirs)
-        for a, b in zip(ours, theirs):
-            assert all(same_factors(a[x], b[x]) for x in range(sites))
-
-
 @pytest.mark.parametrize("scale", [Fraction(2) ** 28, Fraction(1, 2 ** 19)])
 @pytest.mark.parametrize("case", ["quaternion", "octonion"])
 def test_densities_of_scaled_generators(case, scale, quat_gen, su2_doubled, oct_gen, m7):
