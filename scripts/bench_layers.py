@@ -12,9 +12,10 @@ It imports `src/mnl` and `mnlbench` of the checkout it sits in.
   (m7 plus doubled su2, octonion plus quaternion generators), both built by
   `mnlbench.workloads.ExactAlgebra` for seed 0.
 - `etc`: `etc_verify` and `charge_algebra_check` on the octonion
-  generators at one site (m7, dimension 2^8) and on the quaternionic line of
+  generators at one site (m7, dimension 2^8), on the quaternionic line of
   `mnlbench.workloads.OctonionN2` for seed 0 at two sites (r=3, two sites of
-  dimension 2^8).
+  dimension 2^8), on the octonion generators at two sites and on the
+  quaternion generators (doubled su2) at three sites of dimension 2^4.
 - `fock`: the octonion fields at two sites (8 modes each, dimension 2^16),
   `build_fields` with `canonical_etc_check`, `car_check` on a fresh
   `build_fock(8, 2)` and, on fresh fields, `charge_densities` of the
@@ -104,9 +105,12 @@ def dense_inputs(workdir):
 
 def etc_inputs(workdir):
     line = workloads.OctonionN2(SEED, workdir)
-    return {"octonion-n1": (algebra.catalog_algebra("m7"), birep.octonion_lr_generators(),
-                            etc_cases(1)),
-            "octonion-line-n2": (line.tensor, line.gen, etc_cases(2))}
+    m7, oct_gen = algebra.catalog_algebra("m7"), birep.octonion_lr_generators()
+    return {"octonion-n1": (m7, oct_gen, etc_cases(1)),
+            "octonion-line-n2": (line.tensor, line.gen, etc_cases(2)),
+            "octonion-n2": (m7, oct_gen, etc_cases(2)),
+            "quaternion-n3": (algebra.catalog_algebra("su2").scaled(2),
+                              birep.quaternion_lr_generators(), etc_cases(3))}
 
 
 LEMMA_TRIALS = 15

@@ -34,10 +34,10 @@ equation 2 checks.
 One kernel.  `etc_verify`, `locality_check` and `charge_algebra_check` write
 each case, in the order they walk them, as one row of terms: its commutators
 and the operators, or i times them, of its right side.  `relations.RelationKernel`
-decides a chunk of rows at a time: per site, one exact sparse product L R,
-with R the site's operators stacked once at one common denominator and L the
-rows' coefficients placed against them, and the c_x I rule above on every
-residual.  Every chunk is bounded below 2^62 before it computes
+decides a chunk of rows at a time: one exact sparse product L R, with R the
+distinct site factors stacked once at one common denominator and L the
+coefficients of each one-site residual not yet decided, and the c_x I rule
+above on every residual.  Every chunk is bounded below 2^62 before it computes
 (`BoundError` past it), and the first failing row in walk order is the
 witness.  Plain full-space `GQSparse` operators are one factor of a one-site
 space there, so the same checks give the same reports on them.  The lemma

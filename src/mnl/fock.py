@@ -14,11 +14,11 @@ density's are.
 A `SiteOp` holds a sum of site-local operators sum_x I x .. x F_x x .. x I as
 its factors F_x on the 2^n-dimensional space of one site; see `SiteOp`.  The
 density and charge relations are decided on those factors, many cases at a
-time, by `relations.RelationKernel`: per site, one real product L R of the
-operators' re and im parts stacked once (R) by the cases' coefficients
-placed against them in each case's re or im rows by phase (L, built by
-`_place`, the one COO assembly, which serves `_sum` too); each residual is
-then held to `SiteOp.is_zero`'s c_x I rule, under the same 2^62 bound.
+time, by `relations.RelationKernel`: per chunk, one real product L R of the
+distinct factors' re and im parts, stacked once for all sites (R), by the
+coefficients of each one-site residual not yet decided placed against them
+by phase (L, built by `_place`, the one COO assembly, which serves `_sum`
+too); each is held to `SiteOp.is_zero`'s c_x I rule, under the 2^62 bound.
 
 Ladder embeddings.  A `FockOps` holds the Jordan-Wigner ladder operators of
 one site and the site count N; `_ladder` builds them, and the full
@@ -281,13 +281,17 @@ class SiteOp:
 
     # --- arithmetic ---
     def plus(self, terms):
-        """self + sum q*A over the (q, A) pairs of `terms`: one `_sum` per site."""
+        """self + sum q*A over the (q, A) pairs of `terms`: one `_sum` per
+        distinct list of site terms, shared by the sites that have it."""
         by_site = {x: [(1, f)] for x, f in self.factors.items()}
         for q, A in terms:
             self._check(A)
             for x, f in A.factors.items():
                 by_site.setdefault(x, []).append((q, f))
-        return self._new({x: _sum(self.site_dim, fs) for x, fs in by_site.items()})
+        key = {x: tuple((q, id(f)) for q, f in fs) for x, fs in by_site.items()}
+        sums = {key[x]: fs for x, fs in by_site.items()}
+        sums = {k: _sum(self.site_dim, fs) for k, fs in sums.items()}
+        return self._new({x: sums[key[x]] for x in by_site})
 
     def __add__(self, other):
         return self.plus([(1, other)])
@@ -299,7 +303,9 @@ class SiteOp:
         return self.zero_like().plus([(q, self)])
 
     def times_i(self):
-        return self._new({x: f.times_i() for x, f in self.factors.items()})
+        done = {id(f): f for f in self.factors.values()}
+        done = {k: f.times_i() for k, f in done.items()}    # one per distinct factor
+        return self._new({x: done[id(f)] for x, f in self.factors.items()})
 
     def commutator(self, other):
         self._check(other)
@@ -423,9 +429,9 @@ def _anticommutation_scan(prop, relations, families, fock, witness):
     {X, Y} = {Y, X}, so a relation within one family skips the pairs whose
     mirror came first.  Each step is one case row of a `RelationKernel` over
     the distinct operators (held in `families`, so their ids stay theirs),
-    the parity Pi and I: {P, Q} - c I at one site, {P, Pi} across sites.  A
-    row goes to the kernel once, where the walk first meets it (a later step
-    with the same row has its verdict); the kernel decides a chunk at a time."""
+    the parity Pi and I: {P, Q} - c I at one site, {P, Pi} across sites.  The
+    kernel decides a chunk at a time, and a row that repeats an earlier one
+    reads that row's verdict from the kernel's memo."""
     from .relations import RelationKernel    # relations imports this module
     n, N = fock.modes_per_site, fock.sites
     distinct = {id(op): op for ops in families.values() for row in ops for op in row}
@@ -433,7 +439,6 @@ def _anticommutation_scan(prop, relations, families, fock, witness):
                              GQSparse.identity(1 << n)])
     index = {key: k for k, key in enumerate(distinct)}
     parity, one = len(index), len(index) + 1
-    seen = set()
 
     def rows():
         for x, A, y, B, (name, X, Y, c) in itertools.product(range(N), range(n), range(N),
@@ -446,15 +451,11 @@ def _anticommutation_scan(prop, relations, families, fock, witness):
                 P, Q = (P, Q) if x < y else (Q, P)
                 if Q.is_zero():
                     continue
-                key, case = id(P), [("a", 1, index[id(P)], parity)]
+                case = [("a", 1, index[id(P)], parity)]
             else:
-                c = c if A == B else None
-                key = (id(P), id(Q), c)
                 case = [("a", 1, index[id(P)], index[id(Q)])]
-                case += [("o", -c[0], one), ("i", -c[1], one)] if c else []
-            if key not in seen:
-                seen.add(key)
-                yield (witness(name, x, A, y, B), *case)
+                case += [("o", -c[0], one), ("i", -c[1], one)] if c and A == B else []
+            yield (witness(name, x, A, y, B), *case)
 
     return kernel.first_failure(prop, rows())
 
@@ -497,8 +498,8 @@ def canonical_etc_check(f: FieldSet) -> CheckReport:
 class QuadraticCache:
     """The mode bilinears a† M a of integer ladder operators a[A], adag[A],
     each one sparse product: the row [adag_0 .. adag_{m-1}], stacked once,
-    times the rotated lowering operators b_A = sum_B M_AB a_B stacked in a
-    column by one `_place`; a stack of matrices gives the block diagonal of
+    times the rotated lowering operators b_A = sum_B M_AB a_B, gathered in a
+    column from `column`; a stack of matrices gives the block diagonal of
     their bilinears from one product with kron(I, row).  Each FockOps owns
     one over its one-site operators as `products`; it holds the ladder
     lists, not the FockOps, so that no reference cycle keeps a space alive."""
@@ -523,12 +524,24 @@ class QuadraticCache:
         mags = np.array([op.mag for op in self.a], dtype=object)
         return self.row[1] * (np.abs(mats).astype(object) @ mags).max(axis=1, initial=0)
 
+    @functools.cached_property
+    def column(self):
+        """(the first entry of each a_B, and one past the last; [a_0; ..;
+        a_{m-1}], m d x d, as COO)."""
+        A = sp.vstack([op.re for op in self.a], format="csr")
+        return A.indptr[::self.dim], A.tocoo()
+
     def blocks(self, mats):
         """The int64 CSR block diagonal of the a† M a over the integer stack
-        `mats`, whose `bounds` must be below 2^62."""
+        `mats`, whose `bounds` must be below 2^62: each M_AB a_B is a_B's run
+        of `column`'s entries, gathered to block (k m + A, k) of one COO V."""
         (d, m), (T, *_), H = (self.dim, len(self.a)), mats.shape, self.row[0]
-        V = _place((T * m * d, T * d), d, [(k * m + i, k, int(mats[k, i, j]), self.a[j].re)
-                                           for k, i, j in zip(*np.nonzero(mats))])
+        (first, A), (k, i, j) = self.column, np.nonzero(mats)
+        n = first[j + 1] - first[j]
+        at = np.repeat(first[j] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        V = sp.coo_matrix((np.repeat(mats[k, i, j].astype(np.int64), n) * A.data[at],
+                           (np.repeat((k * m + i - j) * d, n) + A.row[at],
+                            np.repeat(k * d, n) + A.col[at])), shape=(T * m * d, T * d)).tocsr()
         return (H if T == 1 else sp.kron(sp.identity(T, dtype=np.int64), H, format="csr")) @ V
 
     def bilinear(self, mat) -> GQSparse:

@@ -156,18 +156,18 @@ class Echelon:
 def first_failure_chunked(prop, cases, fails, weight=None, budget=None):
     """Walk (witness, *case) in order and fail with the witness of the first
     case that fails, deciding up to CHUNK cases at a time: fails(cases), for
-    a list of cases without their witnesses, is True where one fails.  With
-    `weight`, a chunk also ends once its cases' weights reach `budget`."""
+    the chunk's cases, is True where one fails.  With `weight`, which sees the
+    same case objects, a chunk also ends once their weights reach `budget`."""
     cases = iter(cases)
     while True:
         chunk, total = [], 0
-        for item in cases:
-            chunk.append(item)
-            total += weight(item[1:]) if weight else 0
+        for witness, *case in cases:
+            chunk.append((witness, case))
+            total += weight(case) if weight else 0
             if len(chunk) == CHUNK or (weight and total >= budget):
                 break
         if not chunk:
             return ok(prop)
-        bad = np.flatnonzero(fails([case for _, *case in chunk]))
+        bad = np.flatnonzero(fails([case for _, case in chunk]))
         if bad.size:
             return fail(prop, witness=chunk[bad[0]][0])

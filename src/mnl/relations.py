@@ -1,5 +1,5 @@
 """Linear relations among commutators of labelled operators, decided a chunk
-of cases at a time as one exact sparse product per site.
+of cases at a time, each distinct one-site residual once per kernel.
 
 The density ETC, locality and charge-algebra checks of `etc`, and the
 anticommutation scan of `fock.car_check` and `fock.canonical_etc_check`, each
@@ -15,52 +15,52 @@ holds when its sum is zero by `SiteOp.is_zero`'s rule: at every site the
 residual is c_x I, and the c_x sum to zero.  A plain `GQSparse` counts as the
 one factor of a one-site space, so there the residual must be zero.
 
-Per-site operators.  Each site stacks, once, the nonempty integer parts of
-the nonzero factors its operators have there, at one common denominator D
-(the lcm of all the factors' denominators): R = [P_0; P_1; ..], a d x d
-block per part.  A factor r + i m gives r with phase 0 and m with
-phase 1, so that it is the sum of i^phase times its parts.
+Keys.  The operators' nonzero factors are interned by identity.  At each
+site a case reaches, its residual has a key: the sorted tuple of its terms
+there as (kind, interned factors, q), a commutator oriented to u <= v with q
+negated, and the whole key negated, with sign -1 beside it, when its first q
+is negative.  `memo` keeps (c_re, c_im, ok) of each key decided, c_x as an
+exact Fraction.  A memo hit is exact: the residual is linear in the q and a
+function of the key's kinds and factors alone, objects the kernel holds.  A
+case holds when all its keys are ok and its signed c_x sum to zero.
 
-One product per site.  A chunk's coefficients are taken over the lcm K of
-their denominators, and one COO placement (`fock._place`) builds L: a row of
-d x d blocks for each case's re or im residual that some block reaches, and
-a column per block of R.  A term q [a, b] puts K q a against b's blocks and
--K q b against a's, adding K q (ab - ba); [a, a] is skipped without
-arithmetic.  A term q {a, b} puts +K q b there instead, adding K q (ab + ba),
-and is not skipped when a == b.  A term q o puts K q D I_d against each of
-o's own blocks (d entries of L each, not o's nonzeros), and q i o the same
-with one more phase.  Phase rule: a part of phase f against a block of
-phase g lands in the re row when f + g is even and the im row when it is
-odd, negated when f + g is 2 or 3 (i^2 = -1).  One real product L R then
-holds every case's residual at K D^2, re and im apart.  The blocks stay
-d x d rather than flattened to rows of d^2 entries: scipy's product keeps an
-accumulator as wide as its result, which would be 2^32 entries for the
-full-space operators at 2^16.  `fails` reads each site's residuals as soon
-as their product is formed: `_scalar_blocks` reads c_x off each block and
-checks that the block is c_x I; the c_x of all sites must sum to zero.
+One product per chunk.  R stacks the nonempty integer parts of each distinct
+factor once, for all sites, at one common denominator D (the lcm of the
+factors' denominators): R = [P_0; P_1; ..], a d x d block per part; a factor
+r + i m gives r with phase 0 and m with phase 1.  Over the lcm K of the
+chunk's coefficients, one COO placement (`fock._place`) builds L, a row of
+d x d blocks for the re or im residual of each key not yet decided.  A term
+q [u, v] puts K q u against v's blocks and -K q v against u's ([a, a] is
+skipped); q {u, v} puts +K q v there instead (not skipped when a == b); q o
+puts K q D I_d against each of o's blocks, and q i o the same with one more
+phase.  A part of phase f against a block of phase g lands in the re row
+when f + g is even and the im row when it is odd, negated when f + g is 2 or
+3.  One real product L R holds every new residual at K D^2, and
+`_scalar_blocks` reads c_x off each block and checks that it is c_x I.  The
+blocks stay d x d: scipy's product keeps an accumulator as wide as its
+result, 2^32 entries for rows of d^2 at the full-space dimension 2^16.
+`first_failure` takes up to `matrices.CHUNK` cases a chunk, in walk order,
+and ends a chunk early once the weights of the keys its cases newly compute
+(`RelationKernel.weight`) reach `BUDGET`.
 
-Int64 bound.  Before anything is computed, every case is bounded: an entry
-of K q [a, b] is at most |K q| (count_a + count_b) mag_a mag_b, with mag the
-largest entry at D and count the most entries in a row of re and im
-together, and one of K q D o at most |K q| D mag_o.  A case's bound, the sum
-of its terms' bounds over the sites, also bounds every partial sum of L's
-assembly (an entry of L is a sum of |K q| mag_a and |K q| D, and count and mag
-are at least 1 for a nonzero factor), of the product and of the c_x.
-The cases before the first one whose bound reaches 2^62
-(`matrices.fits_int64`) are decided; BoundError is raised when none of
-them fails.  There is no slower path (scipy has no object dtype), so no value
-can wrap.  A term q {a, b} has the bound of q [a, b].
-
-Chunk size.  `first_failure` takes up to `matrices.CHUNK` cases a chunk, in
-walk order, and ends a chunk early once the weights of what the cases
-compute (`RelationKernel.weight`) reach `BUDGET`, which keeps L and the
-product small at every dimension.
+Int64 bound.  Before anything is computed, every case is bounded, memo hits
+included: an entry of K q [a, b] is at most |K q| (count_a + count_b) mag_a
+mag_b, with mag the largest entry at D and count the most entries in a row
+of re and im together, and one of K q D o at most |K q| D mag_o.  A case's
+bound, the sum of its terms' bounds over the sites, also bounds every
+partial sum of L's assembly (an entry of L is a sum of |K q| mag_a and
+|K q| D, and count and mag are at least 1 for a nonzero factor), of the
+product and of the c_x.  The cases before the first one whose bound reaches
+2^62 (`matrices.fits_int64`) are decided; BoundError is raised when none of
+them fails.  There is no slower path (scipy has no object dtype), so no
+value can wrap.  A term q {a, b} has the bound of q [a, b].
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,20 +70,6 @@ from .matrices import first_failure_chunked, fits_int64
 from .report import BoundError, InputError
 
 BUDGET = 1 << 15   # weight of one chunk of cases
-
-
-def _site_factors(op):
-    """(site dimension, sites, {site: factor}) of a SiteOp; a GQSparse is the
-    one factor of a one-site space."""
-    if isinstance(op, SiteOp):
-        return op.site_dim, op.sites, op.factors
-    return op.dim, 1, {0: op}
-
-
-def _computed(case):
-    """A case's terms that take arithmetic: q != 0, and [a, a] = 0 skipped."""
-    return [(kind, q, ops) for kind, q, *ops in case
-            if q and not (kind == "c" and ops[0] == ops[1])]
 
 
 def _scalar_blocks(M, d, n):
@@ -108,86 +94,126 @@ class RelationKernel:
     operators of one dimension; see the module docstring."""
 
     def __init__(self, ops):
-        layouts = {_site_factors(op)[:2] for op in ops}
+        layouts = {(op.site_dim, op.sites) if isinstance(op, SiteOp) else (op.dim, 1)
+                   for op in ops}
         if len(layouts) != 1:
             raise InputError("operator dimension mismatch")
         (self.site_dim, self.site_count), = layouts
-        factors = [_site_factors(op)[2] for op in ops]
+        factors = [op.factors if isinstance(op, SiteOp) else {0: op} for op in ops]
         self.den = math.lcm(1, *(f.den for fs in factors for f in fs.values()))
-        self.nnz = [{x: f.nnz for x, f in fs.items() if f.nnz} for fs in factors]
         d, self.ident = self.site_dim, sp.identity(self.site_dim, dtype=np.int64, format="csr")
-        sites = {}    # site -> ({operator: ([(block, phase, part)], mag, count)}, [parts])
-        for a, fs in enumerate(factors):
-            for x, f in fs.items():
+        interned, stack, self.factors = {}, [], []    # id -> number; R's parts; per number
+
+        def intern(f):
+            # ([(block of R, phase, part)], mag at D, count, nnz)
+            if id(f) not in interned:
                 m = self.den // f.den
                 if not fits_int64(f.mag * m):
                     raise BoundError()
-                if f.nnz:
-                    at, stack = sites.setdefault(x, ({}, []))
-                    parts = [(phase, p if m == 1 else p * m)
-                             for phase, p in enumerate((f.re, f.im)) if p.nnz]
-                    at[a] = ([(len(stack) + j, phase, p) for j, (phase, p) in enumerate(parts)],
-                             f.mag * m, int((np.diff(f.re.indptr) + np.diff(f.im.indptr)).max()))
-                    stack += [p for _, p in parts]
-        self.sites = [(at, _place((len(stack) * d, d), d,
-                                  [(j, 0, 1, p) for j, p in enumerate(stack)]))
-                      for at, stack in sites.values()]    # (the site's operators, its R)
+                parts = [(phase, p if m == 1 else p * m)
+                         for phase, p in enumerate((f.re, f.im)) if p.nnz]
+                interned[id(f)] = len(self.factors)
+                self.factors.append(([(len(stack) + j, *part) for j, part in enumerate(parts)],
+                                     f.mag * m, int((np.diff(f.re.indptr)
+                                                     + np.diff(f.im.indptr)).max()), f.nnz))
+                stack.extend(p for _, p in parts)
+            return interned[id(f)]
+        self.at = [{x: intern(f) for x, f in fs.items() if f.nnz} for fs in factors]
+        self.R = _place((len(stack) * d, d), d, [(j, 0, 1, p) for j, p in enumerate(stack)])
+        self.memo = {}    # key -> (c_re, c_im, ok)
+        self._chunk, self._met = {}, set()    # cases weighed, and keys met, since `fails`
+
+    def _plan(self, case):
+        """(the lcm of the case's denominators, [(sign, key)] over the sites
+        it reaches), a key's terms as (kind, factors, numerator, denominator);
+        terms with q = 0, and [a, a], take no arithmetic."""
+        den, at = 1, {}
+        for kind, q, *ops in case:
+            if not q or (kind == "c" and ops[0] == ops[1]):
+                continue
+            p, r = q.numerator, q.denominator
+            den = math.lcm(den, r)
+            if kind == "a" and self.site_count > 1:
+                raise InputError("an anticommutator of site sums is not site-local")
+            other = self.at[ops[-1]]    # the operator itself for "o" and "i"
+            for x, u in self.at[ops[0]].items():
+                if (v := other.get(x)) is not None:
+                    fs = (u,) if len(ops) == 1 else (u, v) if u <= v else (v, u)
+                    at.setdefault(x, []).append((kind, fs, -p if kind == "c" and u > v else p, r))
+        keys = [sorted(terms) for terms in at.values()]
+        return den, [(-1, tuple((kind, fs, -p, r) for kind, fs, p, r in key)) if key[0][2] < 0
+                     else (1, tuple(key)) for key in keys]
 
     def weight(self, case):
-        """Per computed term, d plus its operators' entries at each site they all share."""
-        return sum(self.site_dim + sum(self.nnz[a][x] for a in ops)
-                   for _, _, ops in _computed(case)
-                   for x in self.nnz[ops[0]] if all(x in self.nnz[a] for a in ops))
+        """Per term of each key the case newly computes, d plus its factors'
+        entries (a key decided, or met earlier in the chunk, weighs 0)."""
+        seen = self._chunk.get(id(case))
+        if not seen or seen[0] is not case:
+            plan = self._plan(case)
+            new = {key for _, key in plan[1] if key not in self.memo and key not in self._met}
+            self._met |= new
+            seen = self._chunk[id(case)] = case, plan, sum(
+                self.site_dim + sum(self.factors[u][3] for u in fs)
+                for key in new for _, fs, *_ in key)
+        return seen[2]
 
     def first_failure(self, prop, cases):
         """`first_failure_chunked` over (witness, *terms) in walk order."""
+        self._chunk, self._met = {}, set()
         return first_failure_chunked(prop, cases, self.fails, self.weight, BUDGET)
 
     def fails(self, cases):
         """True for each case whose residual breaks the c_x I rule.  The cases
         before the first one whose bound reaches 2^62 are decided, and
         BoundError is raised when none of them fails."""
-        n, d = len(cases), self.site_dim
-        terms = [(k, *term) for k, case in enumerate(cases) for term in _computed(case)]
-        if self.site_count > 1 and any(kind == "a" for _, kind, _, _ in terms):
-            raise InputError("an anticommutator of site sums is not site-local")
-        K = math.lcm(1, *(q.denominator for _, _, q, _ in terms))
-        bound, plans = [0] * n, []
-        for at, R in self.sites:
-            blocks = []    # (case, phase, block of R, coefficient, part)
-            for k, kind, q, ops in terms:
-                if not all(a in at for a in ops):
-                    continue
-                v = q.numerator * (K // q.denominator)
+        n, d, D = len(cases), self.site_dim, self.den
+        chunk, self._chunk, self._met = self._chunk, {}, set()
+        plans = [seen[1] if (seen := chunk.get(id(case))) and seen[0] is case
+                 else self._plan(case) for case in cases]
+        K = math.lcm(1, *(den for den, _ in plans))
+
+        def bound(kind, fs, p, r):
+            (_, ma, ca, _), (_, mb, cb, _) = self.factors[fs[0]], self.factors[fs[-1]]
+            return abs(p) * (K // r) * ((ca + cb) * ma * mb if kind in ("c", "a") else D * ma)
+        limit = next((k for k, (_, keys) in enumerate(plans)
+                      if not fits_int64(sum(bound(*term) for _, key in keys for term in key))), n)
+        # the keys this chunk decides, in the order the cases meet them
+        new = list(dict.fromkeys(key for _, keys in plans[:limit] for _, key in keys
+                                 if key not in self.memo))
+        blocks = []    # (key, phase, block of R, coefficient, part)
+        for i, key in enumerate(new):
+            for kind, fs, p, r in key:
+                v = p * (K // r)
                 if kind in ("c", "a"):
-                    # K q [a, b]: K q a against b's blocks of R, -K q b against
-                    # a's, each pair of parts at the sum of their phases;
-                    # K q {a, b} the same with +K q b
-                    (pa, ma, ca), (pb, mb, cb) = at[ops[0]], at[ops[1]]
+                    # K q [u, v]: K q u against v's blocks of R, -K q v against
+                    # u's, each pair of parts at the sum of their phases;
+                    # K q {u, v} the same with +K q v
                     w = -v if kind == "c" else v
-                    bound[k] += abs(v) * (ca + cb) * ma * mb
-                    for (ja, fa, ra), (jb, fb, rb) in itertools.product(pa, pb):
-                        blocks += [(k, fa + fb, jb, v, ra), (k, fa + fb, ja, w, rb)]
+                    for (ja, fa, ra), (jb, fb, rb) in itertools.product(
+                            self.factors[fs[0]][0], self.factors[fs[1]][0]):
+                        blocks += [(i, fa + fb, jb, v, ra), (i, fa + fb, ja, w, rb)]
                 else:
                     # K q D I against each of o's blocks, so at D^2
-                    parts, m, _ = at[ops[0]]
-                    bound[k] += abs(v) * self.den * m
-                    blocks += [(k, f + (kind == "i"), j, v * self.den, self.ident)
-                               for j, f, _ in parts]
-            plans.append((R, blocks))
-        limit = next((k for k, b in enumerate(bound) if not fits_int64(b)), n)
-        c, ok = np.zeros(2 * limit, dtype=np.int64), np.ones(2 * limit, dtype=bool)
-        for R, blocks in plans:
-            blocks = [block for block in blocks if block[0] < limit]
-            if blocks:
-                # L's rows of blocks: the re (2k) and im (2k + 1) residuals some block reaches
-                used, row = np.unique([2 * k + f % 2 for k, f, *_ in blocks], return_inverse=True)
-                L = [(i, j, -v if f & 2 else v, p) for i, (_, f, j, v, p) in zip(row, blocks)]
-                P = _place((len(used) * d, R.shape[0]), d, L) @ R
-                cx, okx = _scalar_blocks(P, d, len(used))
-                c[used] += cx
-                ok[used] &= okx
-        bad = ~ok.reshape(limit, 2).all(axis=1) | c.reshape(limit, 2).any(axis=1)
+                    blocks += [(i, f + (kind == "i"), j, v * D, self.ident)
+                               for j, f, _ in self.factors[fs[0]][0]]
+        if new:
+            c, ok = np.zeros(2 * len(new), dtype=np.int64), np.ones(2 * len(new), dtype=bool)
+            # L's rows of blocks: the re (2i) and im (2i + 1) residuals some block reaches
+            used, row = np.unique([2 * i + f % 2 for i, f, *_ in blocks], return_inverse=True)
+            L = [(r, j, -v if f & 2 else v, p) for r, (_, f, j, v, p) in zip(row, blocks)]
+            c[used], ok[used] = _scalar_blocks(_place((len(used) * d, self.R.shape[0]), d, L)
+                                               @ self.R, d, len(used))
+            for i, key in enumerate(new):
+                re, im = (Fraction(int(v), K * D * D) if v else 0 for v in c[2 * i:2 * i + 2])
+                self.memo[key] = re, im, bool(ok[2 * i] and ok[2 * i + 1])
+        bad = np.zeros(n, dtype=bool)
+        for k, (_, keys) in enumerate(plans[:limit]):
+            re = im = 0
+            holds = True
+            for sign, key in keys:
+                c_re, c_im, ok = self.memo[key]
+                re, im, holds = re + sign * c_re, im + sign * c_im, holds and ok
+            bad[k] = not holds or re != 0 or im != 0
         if limit < n and not bad.any():
             raise BoundError()
-        return np.concatenate([bad, np.zeros(n - limit, dtype=bool)])
+        return bad

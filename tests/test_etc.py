@@ -10,7 +10,8 @@ from mnl.birep import GeneratorSet, check_glc
 from mnl import etc as etc_module
 from mnl.etc import (ChargeDensitySet, bilinear_lemma_check, charge_algebra_check,
                      charge_densities, charges, etc_verify, locality_check)
-from mnl.fock import GQSparse, build_fields
+from mnl.fock import GQSparse, SiteOp, build_fields
+from mnl.relations import RelationKernel
 import oracles
 from oracles import eye
 from mnl.report import InputError
@@ -208,8 +209,11 @@ def fields(n, sites):
 def kernel_and_walk(gen, c, sites):
     """(kernel reports, walk reports) of etc_verify, locality_check and
     charge_algebra_check; None for a side that raised OverflowError."""
-    dens = charge_densities(fields(gen.dim, sites), gen, c)
+    return reports_and_walk(charge_densities(fields(gen.dim, sites), gen, c), c)
 
+
+def reports_and_walk(dens, c):
+    """`kernel_and_walk` on given densities."""
     def run(module):
         try:
             q = charges(dens)
@@ -260,6 +264,62 @@ def test_kernel_near_2_30_gives_the_walks_report_or_overflow(case, quat_gen, su2
     except OverflowError:    # the densities themselves are out of range
         return
     assert kernel is None or kernel == walk
+
+
+def one_site_changed(dens, family, j, x, change, q):
+    """dens with the factor of one density at site x changed: scaled by q,
+    times i, or plus q times the factor of t_0 there; every other site keeps
+    the factor it shares."""
+    s, t = [list(row) for row in dens.s], [list(row) for row in dens.t]
+    Y = {key: list(row) for key, row in dens.Y.items()}
+    row = {"s": s, "t": t, "Y": list(Y.values())}[family][j]
+    f = row[x].factors[x]
+    f = (f.scale(q) if change == "scale" else f.times_i() if change == "times-i"
+         else f.plus([(q, dens.t[0][x].factors[x])]))
+    row[x] = SiteOp(dens.sites, f.dim, {x: f})
+    return ChargeDensitySet(dens.r, dens.sites, s, t, Y, dens.tensor)
+
+
+@KERNEL_SETTINGS
+@given(sites=st.sampled_from([2, 3]), family=st.sampled_from("stY"), j=st.integers(0, 2),
+       x=st.integers(0, 2), change=st.sampled_from(["none", "scale", "times-i", "plus"]),
+       q=st.fractions(-2, 2, max_denominator=3).filter(bool))
+def test_kernel_equals_the_walk_when_one_site_changes(sites, family, j, x, change, q,
+                                                      quat_gen, su2_doubled):
+    # at 2 and 3 sites the densities share one factor object across sites,
+    # unless one site's factor is changed; the memo must not carry a verdict
+    # from one site to another whose factor differs
+    dens = charge_densities(fields(quat_gen.dim, sites), quat_gen, su2_doubled)
+    if change != "none":
+        dens = one_site_changed(dens, family, j, x % sites, change, q)
+    kernel, walk = reports_and_walk(dens, su2_doubled)
+    assert walk is not None and kernel == walk
+
+
+def test_etc_verify_decides_the_same_rows_at_every_site_count(monkeypatch, quat_gen,
+                                                              su2_doubled):
+    # every site holds the same factors, so the one-site residuals computed
+    # at one site, in order, are all that two and three sites compute
+    computed, fails = [], RelationKernel.fails
+
+    def spy(kernel, cases):
+        known = len(kernel.memo)
+        out = fails(kernel, cases)
+        computed[-1] += list(kernel.memo)[known:]
+        return out
+    monkeypatch.setattr(RelationKernel, "fails", spy)
+    for sites in (1, 2, 3):
+        computed.append([])
+        dens = charge_densities(build_fields(quat_gen.dim, sites), quat_gen, su2_doubled)
+        assert etc_verify(dens, su2_doubled).passed
+    assert computed[0] and computed[0] == computed[1] == computed[2]
+
+
+@pytest.mark.parametrize("sites", [2, 3])
+def test_charges_hold_one_factor_across_sites(sites, quat_gen, su2_doubled):
+    q = charges(charge_densities(build_fields(quat_gen.dim, sites), quat_gen, su2_doubled))
+    for op in [*q.sigma, *q.tau, *q.upsilon.values()]:
+        assert len(op.factors) == sites and len({id(f) for f in op.factors.values()}) == 1
 
 
 def test_fock_spaces_share_no_products(quat_gen, su2_doubled, oct_gen, m7):

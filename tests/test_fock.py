@@ -404,23 +404,79 @@ def kernel_cases(draw):
     return ops, cases
 
 
+def case_fails(ops, case):
+    """The sum of a kernel case built term by term with the operators' own
+    arithmetic, held to their is_zero (the c_x I rule for SiteOps)."""
+    total = ops[0].zero_like()
+    for kind, q, *idx in case:
+        op = ops[idx[0]]
+        term = (op.commutator(ops[idx[1]]) if kind == "c"
+                else anticommutator(op, ops[idx[1]]) if kind == "a"
+                else op.times_i() if kind == "i" else op)
+        total = total.plus([(q, term)])
+    return not total.is_zero()
+
+
 @settings(max_examples=60, deadline=None)
 @given(kernel_cases())
 def test_relation_kernel_decides_like_the_operators(drawn):
-    # the sum of each case built term by term with the operators' own
-    # arithmetic, and held to their is_zero (the c_x I rule for SiteOps)
     ops, cases = drawn
+    assert list(RelationKernel(ops).fails(cases)) == [case_fails(ops, case) for case in cases]
 
-    def fails(case):
-        total = ops[0].zero_like()
-        for kind, q, *idx in case:
-            op = ops[idx[0]]
-            term = (op.commutator(ops[idx[1]]) if kind == "c"
-                    else anticommutator(op, ops[idx[1]]) if kind == "a"
-                    else op.times_i() if kind == "i" else op)
-            total = total.plus([(q, term)])
-        return not total.is_zero()
-    assert list(RelationKernel(ops).fails(cases)) == [fails(case) for case in cases]
+
+@st.composite
+def shared_site_rows(draw):
+    """SiteOps on 2 or 3 sites that hold one factor object at every site:
+    three drawn factors (0-2), op 0 with one site's factor changed (3), a
+    multiple of I at every site (4), [op 0, op 1] (5) and i op 0 (6); and
+    that multiple of I on the first site (7) and on the last (8).  Rows
+    drawn over them, each with its mirror (q [a, b] as -q [b, a]) and its
+    negation, rows built to cancel, all shuffled, and the cut points of the
+    chunks they are decided in."""
+    sites = draw(st.integers(2, 3))
+    q = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    base = [draw(factor().filter(lambda f: f.nnz)) for _ in range(2)] + [mixed_factor(draw)]
+    ops = [SiteOp(sites, SITE_DIM, {x: f for x in range(sites)}) for f in base]
+    changed = dict(ops[0].factors)
+    x = draw(st.integers(0, sites - 1))
+    changed[x] = changed[x].plus([(draw(q), base[draw(st.integers(1, 2))])])
+    ident = GQSparse.identity(SITE_DIM).scale(draw(q))
+    ops += [SiteOp(sites, SITE_DIM, changed),
+            SiteOp(sites, SITE_DIM, dict.fromkeys(range(sites), ident)),
+            ops[0].commutator(ops[1]), ops[0].times_i(),
+            SiteOp(sites, SITE_DIM, {0: ident}), SiteOp(sites, SITE_DIM, {sites - 1: ident})]
+    index = st.integers(0, len(ops) - 1)
+    term = st.one_of(st.tuples(st.just("c"), q, index, index),
+                     st.tuples(st.sampled_from("oi"), q, index))
+    rows = []
+    for row in draw(st.lists(st.lists(term, min_size=1, max_size=3), min_size=1, max_size=5)):
+        mirror = [("c", -t[1], t[3], t[2]) if t[0] == "c" else t for t in row]
+        rows += [row, mirror, [(t[0], -t[1], *t[2:]) for t in row]]
+    v = draw(q)
+    rows += [[("c", v, 0, 1), ("o", -v, 5)], [("c", v, 1, 0), ("o", v, 5)],
+             [("c", -v, 1, 0), ("o", -v, 5)], [("c", v, 3, 1), ("o", -v, 5)],
+             [("c", v, 0, 2), ("c", v, 2, 0)], [("c", v, 0, 2), ("c", -v, 2, 0)],
+             [("i", v, 0), ("o", -v, 6)], [("i", -v, 3), ("o", v, 6)], [("o", v, 4)],
+             [("o", v, 7), ("o", -v, 8)], [("i", -v, 7), ("i", v, 8)], [("o", v, 7), ("o", v, 8)]]
+    rows = draw(st.permutations(rows))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    return ops, rows, cuts
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_site_rows())
+def test_memo_decides_shared_sites_like_the_operators(drawn):
+    # chunk by chunk on one kernel, so that later chunks read earlier keys
+    # from the memo, and through first_failure: verdicts and the witness
+    # equal the case-by-case oracle's
+    ops, rows, cuts = drawn
+    kernel, want = RelationKernel(ops), [case_fails(ops, row) for row in rows]
+    got = [bool(bad) for lo, hi in zip([0] + cuts, cuts + [len(rows)])
+           for bad in kernel.fails(rows[lo:hi])]
+    assert got == want
+    walk = [((k,), *row) for k, row in enumerate(rows)]
+    want = oracles.first_failure("rows", walk, lambda *row: not case_fails(ops, row))
+    assert RelationKernel(ops).first_failure("rows", walk).to_dict() == want.to_dict()
 
 
 def test_site_op_full_reads_as_gqsparse():
@@ -746,12 +802,14 @@ def test_scan_rows_are_decided_a_chunk_at_a_time(monkeypatch):
     rows = [(k, ("c", 1, 0, 1)) for k in range(CHUNK + 6)]
     assert kernel.first_failure("cross", rows).passed
     assert chunks == [[0] * CHUNK, [0] * 6]
-    # a live term weighs d plus its factors' entries at each shared site
+    # a live term weighs d plus its factors' entries at each shared site; a
+    # key repeated at another site, or already decided, weighs 0
     assert kernel.weight([("c", 1, 0, 2), ("c", 1, 1, 1), ("o", 0, 2)]) == 4 + 2 + 2
-    assert kernel.weight([("o", 1, 2)]) == 2 * (4 + 2)
+    assert kernel.weight([("o", 1, 2)]) == 4 + 2
     chunks.clear()
     assert not kernel.first_failure("live", rows[:3] + [(3, ("c", 1, 0, 2))]).passed
     assert chunks == [[0, 0, 0, 8]]
+    assert kernel.weight([("c", -1, 2, 0)]) == 0
 
 
 # --- quadratic cache ---------------------------------------------------
