@@ -10,7 +10,6 @@ Yamaguti constants, and both as integer arrays (`integer_constants`).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import matrices
 from .matrices import CHUNK, contract, lincomb, magnitude, mat_mul, scaled
-from .report import CheckReport, InputError, fail, is_int, ok
+from .report import CheckReport, InputError, fail, is_int, ok, read_json
 
 Key = Tuple[int, int, int]
 
@@ -305,9 +304,4 @@ def catalog_algebra(name: str) -> StructureTensor:
 
 
 def load_tensor(path) -> StructureTensor:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read structure tensor from {path}: {exc}") from exc
-    return StructureTensor.from_json_dict(data)
+    return StructureTensor.from_json_dict(read_json(path, "structure tensor"))

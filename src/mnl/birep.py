@@ -14,7 +14,6 @@ and charge checks all read their right sides from these rows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -26,7 +25,7 @@ from .algebra import OCTONIONS, QUATERNIONS, StructureTensor, cayley_dickson, in
 from .loops import CayleyTable, is_moufang
 from .matrices import (commutator, first_failure_chunked, lincomb, magnitude, mat_mul,
                        rows_times, stacked)
-from .report import CheckReport, InputError, fail, is_int
+from .report import CheckReport, InputError, fail, is_int, read_json
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,8 @@ class GeneratorSet:
     T: List[list]
 
     def __post_init__(self):
+        if self.r < 1 or self.dim < 1:
+            raise InputError("a generator set needs positive r and dim")
         if len(self.S) != self.r or len(self.T) != self.r:
             raise InputError("generator lists must both have length r")
         for m in list(self.S) + list(self.T):
@@ -357,9 +358,4 @@ def check_glc(gen: GeneratorSet, c: StructureTensor) -> GLCReport:
 
 
 def load_generators(path) -> GeneratorSet:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read generator set from {path}: {exc}") from exc
-    return GeneratorSet.from_json_dict(data)
+    return GeneratorSet.from_json_dict(read_json(path, "generator set"))

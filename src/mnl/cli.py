@@ -20,7 +20,7 @@ import traceback
 import numpy as np
 
 from . import algebra, birep, envelope, etc, fock, loops
-from .report import BoundError, InputError
+from .report import BoundError, InputError, read_json
 
 SCHEMA = 1
 
@@ -45,12 +45,7 @@ def _resolve_loop(ref: str) -> loops.CayleyTable:
         if name.startswith("chein-"):
             raise InputError(f"unknown group {name[len('chein-'):]!r} for Chein double")
         raise InputError(f"unknown builtin loop {ref!r}")
-    try:
-        with open(ref) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read Cayley table from {ref}: {exc}") from exc
-    return loops.CayleyTable.from_json_dict(data)
+    return loops.CayleyTable.from_json_dict(read_json(ref, "Cayley table"))
 
 
 def _resolve_tensor(ref: str) -> algebra.StructureTensor:

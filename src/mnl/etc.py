@@ -17,10 +17,12 @@ Factored representation.  Every density is a same-site bilinear, so the
 Jordan-Wigner strings of a†_A(x) a_B(x) cancel (Pi^2 = I, see `fock`) and
 s^0_j(x) is I x .. x L x .. x I, with L the same bilinear on the
 2^n-dimensional space of one site: `charge_densities` builds each density as
-that site factor (a `fock.SiteOp`).  Everything after that stays factored
-and exact: a commutator is the per-site commutator of the factors (zero
-across sites without arithmetic), and a sum of embeddings sum_x E_x(D_x) is
-zero exactly when every D_x is c_x * I with sum_x c_x = 0.
+that site factor (a `fock.SiteOp`), one product of a `fock.QuadraticCache`
+over the site's lowering operators alone (its row of a† is their stack's
+transpose; the Fock space keeps no product cache).  Everything after that
+stays factored and exact: a commutator is the per-site commutator of the
+factors (zero across sites without arithmetic), and a sum of embeddings
+sum_x E_x(D_x) is zero exactly when every D_x is c_x * I with sum_x c_x = 0.
 
 Relations.  Every right side is a table row, gathered once per check
 (`_table`).  Densities realize the table at site labels (label, x) with the
@@ -99,7 +101,7 @@ def charge_densities(f: FieldSet, gen: GeneratorSet, c: StructureTensor) -> Char
     each, bounded at M's own least denominator and shared by every site."""
     if gen.dim != f.modes_per_site:
         raise InputError("generator size must equal modes per site")
-    cache, Y = f.fock.products, extract_yamagutians(gen, c)    # checks gen.r == c.dim
+    cache, Y = QuadraticCache(f.fock.a), extract_yamagutians(gen, c)    # checks gen.r == c.dim
 
     def rho(mat):
         P = cache.bilinear(list(zip(*mat)))    # a† M^T a
@@ -315,7 +317,7 @@ def _lemma(a, trials: int, seed: int) -> CheckReport:
     the trials before the first one whose bound reaches 2^62 are decided,
     and BoundError is raised when none of them fails."""
     rng = random.Random(seed)
-    cache = QuadraticCache(a, [op.dagger() for op in a])
+    cache = QuadraticCache(a)
     d, m = cache.dim, len(a)
 
     def draws():

@@ -31,12 +31,12 @@ exactly when {phi, Pi} = 0 or psi = 0.  `canonical_etc_check` and
 `car_check` decide their relations that way on the 2^n-dimensional factors
 (`_anticommutation_scan`).  Same-site bilinears drop the strings
 (Pi^2 = I), so densities are one-site `SiteOp` factors, each one product of
-`QuadraticCache`.
+a `QuadraticCache` built from the lowering operators alone: the row of a†
+is the transpose of their stack, and the space keeps no product cache.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -346,18 +346,13 @@ class SiteOp:
 @dataclass
 class FockOps:
     """The Jordan-Wigner ladder operators a[A], adag[A] of one site of n modes,
-    for `sites` sites (see "Ladder embeddings"); `dim` is the dimension of
-    the whole space, which is never built.  `products` builds the one-site
-    bilinears a† M a."""
+    for `sites` sites (see "Ladder embeddings"), and nothing derived from
+    them; `dim` is the dimension of the whole space, which is never built."""
 
     modes_per_site: int
     sites: int
     a: List[GQSparse]
     adag: List[GQSparse]
-
-    @functools.cached_property
-    def products(self):
-        return QuadraticCache(self.a, self.adag)
 
     dim = property(lambda self: 2 ** (self.modes_per_site * self.sites))
 
@@ -496,47 +491,35 @@ def canonical_etc_check(f: FieldSet) -> CheckReport:
 
 
 class QuadraticCache:
-    """The mode bilinears a† M a of integer ladder operators a[A], adag[A],
-    each one sparse product: the row [adag_0 .. adag_{m-1}], stacked once,
-    times the rotated lowering operators b_A = sum_B M_AB a_B, gathered in a
-    column from `column`; a stack of matrices gives the block diagonal of
-    their bilinears from one product with kron(I, row).  Each FockOps owns
-    one over its one-site operators as `products`; it holds the ladder
-    lists, not the FockOps, so that no reference cycle keeps a space alive."""
+    """The mode bilinears a† M a of integer ladder operators a[A], each one
+    sparse product of their stack [a_0; ..; a_{m-1}], built once: its transpose
+    is the row [a†_0 .. a†_{m-1}] (a† = a^T, `GQSparse.dagger` of an integer a),
+    times the rotated b_A = sum_B M_AB a_B gathered from its entries in a column;
+    a stack of matrices gives the block diagonal of their bilinears from one
+    product with kron(I, row).  Built where it is needed; a `FockOps` keeps none."""
 
-    def __init__(self, a: List[GQSparse], adag: List[GQSparse]):
-        self.dim = a[0].dim
-        self.a, self.adag = a, adag
-
-    @functools.cached_property
-    def row(self):
-        """([adag_0 .. adag_{m-1}], d x m d; the most entries in one of its
-        rows times max|adag|, at least 1)."""
-        if any(op.den != 1 or op.im.nnz for op in [*self.a, *self.adag]):
+    def __init__(self, a: List[GQSparse]):
+        if any(op.den != 1 or op.im.nnz for op in a):
             raise InputError("bilinears need integer ladder operators")
-        H = _place((self.dim, len(self.adag) * self.dim), self.dim,
-                   [(0, A, 1, op.re) for A, op in enumerate(self.adag)])
-        return H, max(1, int(np.diff(H.indptr).max()) * max(op.mag for op in self.adag))
+        self.dim, self.mags = a[0].dim, np.array([op.mag for op in a], dtype=object)
+        stack = sp.vstack([op.re for op in a], format="csr")
+        # the first entry of each a_B, and one past the last; the stack as COO
+        self.first, self.column = stack.indptr[::self.dim], stack.tocoo()
+        self.row = stack.T.tocsr()
+        # the most entries in one of the row's rows times max|a|, at least 1
+        self.row_bound = max(1, int(np.diff(self.row.indptr).max()) * max(self.mags))
 
     def bounds(self, mats):
-        """For each integer M of the stack `mats`, (the row's bound) max_A
-        sum_B |M_AB| max|a_B|: it bounds a† M a, its partial sums and the b_A."""
-        mags = np.array([op.mag for op in self.a], dtype=object)
-        return self.row[1] * (np.abs(mats).astype(object) @ mags).max(axis=1, initial=0)
-
-    @functools.cached_property
-    def column(self):
-        """(the first entry of each a_B, and one past the last; [a_0; ..;
-        a_{m-1}], m d x d, as COO)."""
-        A = sp.vstack([op.re for op in self.a], format="csr")
-        return A.indptr[::self.dim], A.tocoo()
+        """For each integer M of the stack `mats`, `row_bound` max_A sum_B
+        |M_AB| max|a_B|: it bounds a† M a, its partial sums and the b_A."""
+        return self.row_bound * (np.abs(mats).astype(object) @ self.mags).max(axis=1, initial=0)
 
     def blocks(self, mats):
         """The int64 CSR block diagonal of the a† M a over the integer stack
         `mats`, whose `bounds` must be below 2^62: each M_AB a_B is a_B's run
         of `column`'s entries, gathered to block (k m + A, k) of one COO V."""
-        (d, m), (T, *_), H = (self.dim, len(self.a)), mats.shape, self.row[0]
-        (first, A), (k, i, j) = self.column, np.nonzero(mats)
+        (d, m), (T, *_), H = (self.dim, len(self.mags)), mats.shape, self.row
+        (first, A), (k, i, j) = (self.first, self.column), np.nonzero(mats)
         n = first[j + 1] - first[j]
         at = np.repeat(first[j] - np.cumsum(n) + n, n) + np.arange(n.sum())
         V = sp.coo_matrix((np.repeat(mats[k, i, j].astype(np.int64), n) * A.data[at],
@@ -546,7 +529,7 @@ class QuadraticCache:
 
     def bilinear(self, mat) -> GQSparse:
         """a† M a for an integer/rational matrix M over all modes."""
-        mats, den = stacked([mat], len(self.a))
+        mats, den = stacked([mat], len(self.mags))
         if not fits_int64(den, *self.bounds(mats)):
             raise BoundError()
         P = self.blocks(mats)

@@ -1,5 +1,6 @@
-"""Shared report and error types."""
+"""Shared report and error types, and the one reader of JSON input files."""
 
+import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -14,6 +15,16 @@ class BoundError(OverflowError):
 
     def __init__(self):
         super().__init__("exact sparse result could exceed the int64 range")
+
+
+def read_json(path, what):
+    """The JSON document in the file at `path`; InputError naming `what` when
+    it cannot be opened, decoded as text or parsed."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:    # ValueError: UnicodeDecodeError, JSONDecodeError
+        raise InputError(f"cannot read {what} from {path}: {exc}") from exc
 
 
 def is_int(value):

@@ -354,6 +354,7 @@ MALFORMED = {
     "generators-bool-denominator": ("etc", _generators(_set_entry(True, 1))),
     "generators-S-not-a-list": ("etc", _generators(lambda d: d.update(S=5))),
     "generators-float-dim": ("etc", _generators(lambda d: d.update(dim=4.0))),
+    "generators-empty": ("envelope", {"r": 0, "dim": 3, "S": [], "T": []}),
     "cayley-bool-entry": ("loop-check", {"order": 2, "table": [[0, 1], [1, False]]}),
     "cayley-float-entry": ("loop-check", {"order": 2, "table": [[0, 1], [1, 1.5]]}),
     "cayley-null-entry": ("loop-check", {"order": 2, "table": [[0, 1], [1, None]]}),
@@ -378,10 +379,25 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     argv = [command, str(path)]
     if command == "etc":
         argv += ["--tensor", "builtin:su2-doubled", "--trials", "1"]
+    if command == "envelope":
+        argv = [command, "builtin:su2", "--oracle", str(path)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert MESSAGES.get(case, "") in err
+
+
+def test_undecodable_file_exits_2(capsys, tmp_path):
+    # a file that is not UTF-8 text is an input error for every reader
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    for argv in (["maltsev", str(path)], ["loop-check", str(path)],
+                 ["etc", str(path), "--tensor", "builtin:su2-doubled", "--trials", "1"],
+                 ["envelope", "builtin:su2", "--oracle", str(path)]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_out_of_range_input_exits_2(capsys, tmp_path):

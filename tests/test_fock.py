@@ -814,25 +814,24 @@ def test_scan_rows_are_decided_a_chunk_at_a_time(monkeypatch):
 
 # --- quadratic cache ---------------------------------------------------
 
-def test_products_owned_by_fock_space():
-    # the cache reads the space's own ladder lists and stacks their a† once;
-    # a one-entry matrix gives that pair's product
+def test_row_is_the_transposed_ladder_stack():
+    # the row of a† is read off the stack of the lowering operators; a
+    # one-entry matrix gives that pair's product
     f = build_fock(2, 2)
-    assert f.products.dim == 4
-    assert f.products.a is f.a and f.products.adag is f.adag
-    assert f.products.row is f.products.row
+    cache = QuadraticCache(f.a)
+    assert cache.dim == 4
+    expect = sp.hstack([op.dagger().re for op in f.a], format="csr")
+    assert np.array_equal(cache.row.toarray(), expect.toarray())
     for m in range(2):
         for mp in range(2):
             one = [[int((i, j) == (m, mp)) for j in range(2)] for i in range(2)]
-            assert f.products.bilinear(one) == f.adag[m] @ f.a[mp]
+            assert cache.bilinear(one) == f.adag[m] @ f.a[mp]
 
 
 def test_bilinear_needs_integer_ladders():
     f = build_fock(2, 1)
     with pytest.raises(InputError):
-        QuadraticCache([op.scale(Fraction(1, 2)) for op in f.a], f.adag).bilinear([[1, 0], [0, 1]])
-    with pytest.raises(InputError):
-        QuadraticCache(f.a, [op.times_i() for op in f.adag]).bilinear([[1, 0], [0, 1]])
+        QuadraticCache([op.scale(Fraction(1, 2)) for op in f.a]).bilinear([[1, 0], [0, 1]])
 
 
 def big_ladder(modes):
@@ -843,13 +842,13 @@ def big_ladder(modes):
 def test_bilinear_of_2_40_entries_raises():
     a = big_ladder(2)
     with pytest.raises(OverflowError):
-        QuadraticCache(a, [op.dagger() for op in a]).bilinear([[1, 0], [0, 1]])
+        QuadraticCache(a).bilinear([[1, 0], [0, 1]])
     with pytest.raises(OverflowError):
         _lemma(a, 3, 0)
 
 
 def test_bilinear_identity_is_total_number(quat_fields):
-    cache = QuadraticCache(quat_fields.fock.a, quat_fields.fock.adag)
+    cache = QuadraticCache(quat_fields.fock.a)
     ident = [[Fraction(i == j) for j in range(4)] for i in range(4)]
     total = cache.bilinear(ident)
     expect = GQSparse.zero(cache.dim)
@@ -859,7 +858,7 @@ def test_bilinear_identity_is_total_number(quat_fields):
 
 
 def test_bilinear_linear(quat_fields):
-    cache = QuadraticCache(quat_fields.fock.a, quat_fields.fock.adag)
+    cache = QuadraticCache(quat_fields.fock.a)
     m1 = [[Fraction((i + j) % 3 - 1) for j in range(4)] for i in range(4)]
     m2 = [[Fraction(i - j) for j in range(4)] for i in range(4)]
     s = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
