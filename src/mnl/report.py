@@ -18,12 +18,11 @@ class BoundError(OverflowError):
 
 
 def read_json(path, what):
-    """The JSON document in the file at `path`; InputError naming `what` when
-    it cannot be opened, decoded as text or parsed."""
+    """The JSON document in the file at `path`, or InputError naming `what`."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:    # ValueError: UnicodeDecodeError, JSONDecodeError
+    except (OSError, ValueError) as exc:    # not text, not JSON, or an int past the digit limit
         raise InputError(f"cannot read {what} from {path}: {exc}") from exc
 
 

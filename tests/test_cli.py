@@ -387,10 +387,13 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     assert MESSAGES.get(case, "") in err
 
 
-def test_undecodable_file_exits_2(capsys, tmp_path):
-    # a file that is not UTF-8 text is an input error for every reader
-    path = tmp_path / "utf16.json"
-    path.write_bytes(b"\xff\xfe{\x00}\x00")
+@pytest.mark.parametrize("content", [b"\xff\xfe{\x00}\x00", b"[" + b"9" * 5000 + b"]"],
+                         ids=["utf-16", "int-past-digit-limit"])
+def test_unreadable_file_exits_2(capsys, tmp_path, content):
+    # a file that is not UTF-8 text, or whose integer Python will not parse,
+    # is an input error for every reader
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
     for argv in (["maltsev", str(path)], ["loop-check", str(path)],
                  ["etc", str(path), "--tensor", "builtin:su2-doubled", "--trials", "1"],
                  ["envelope", "builtin:su2", "--oracle", str(path)]):

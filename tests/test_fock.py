@@ -832,6 +832,8 @@ def test_bilinear_needs_integer_ladders():
     f = build_fock(2, 1)
     with pytest.raises(InputError):
         QuadraticCache([op.scale(Fraction(1, 2)) for op in f.a]).bilinear([[1, 0], [0, 1]])
+    with pytest.raises(InputError):
+        QuadraticCache([op.times_i() for op in f.a]).bilinear([[1, 0], [0, 1]])
 
 
 def big_ladder(modes):
