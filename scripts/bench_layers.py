@@ -15,7 +15,11 @@ It imports `src/mnl` and `mnlbench` of the checkout it sits in.
   generators at one site (m7, dimension 2^8), on the quaternionic line of
   `mnlbench.workloads.OctonionN2` for seed 0 at two sites (r=3, two sites of
   dimension 2^8), on the octonion generators at two sites and on the
-  quaternion generators (doubled su2) at three sites of dimension 2^4.
+  quaternion generators (doubled su2) at three sites of dimension 2^4; the
+  theorem (`charges` and `charge_algebra_check`) on densities that
+  `etc_verify` has already checked; and the order of `mnl etc` on one
+  density set: `charge_densities`, `etc_verify`, `locality_check` at more
+  than one site, `charges` and the theorem.
 - `fock`: the octonion fields at two sites (8 modes each, dimension 2^16),
   `build_fields` with `canonical_etc_check`, `car_check` on a fresh
   `build_fock(8, 2)` and, on fresh fields, `charge_densities` of the
@@ -88,6 +92,23 @@ def fresh_densities(c, gen, sites):
                                 fresh_tensor(c))
 
 
+def verified(c, gen, sites):
+    """Fresh densities after `etc_verify`, and their tensor."""
+    d, c = fresh_densities(c, gen, sites), fresh_tensor(c)
+    etc.etc_verify(d, c)
+    return d, c
+
+
+def etc_order(f, gen, c):
+    """The checks of `mnl etc` after the canonical ETC, in its order, on one
+    density set."""
+    d = etc.charge_densities(f, gen, c)
+    etc.etc_verify(d, c)
+    if f.sites > 1:
+        etc.locality_check(d)
+    etc.charge_algebra_check(etc.charges(d), c)
+
+
 def etc_cases(sites):
     return {
         "etc_verify": (lambda c, g: (fresh_densities(c, g, sites), fresh_tensor(c)),
@@ -95,6 +116,11 @@ def etc_cases(sites):
         "charge_algebra_check": (lambda c, g: (etc.charges(fresh_densities(c, g, sites)),
                                                fresh_tensor(c)),
                                  etc.charge_algebra_check),
+        "theorem_after_etc_verify": (
+            lambda c, g: verified(c, g, sites),
+            lambda d, c: etc.charge_algebra_check(etc.charges(d), c)),
+        "mnl_etc_order": (lambda c, g: (fock.build_fields(g.dim, sites), fresh_generators(g),
+                                        fresh_tensor(c)), etc_order),
     }
 
 

@@ -17,14 +17,15 @@ Factored representation.  Every density is a same-site bilinear, so the
 Jordan-Wigner strings of a†_A(x) a_B(x) cancel (Pi^2 = I, see `fock`) and
 s^0_j(x) is I x .. x L x .. x I, with L the same bilinear on the
 2^n-dimensional space of one site: `charge_densities` builds each density as
-that site factor (a `fock.SiteOp`), one product of a `fock.QuadraticCache`
-over the site's lowering operators alone (its row of a† is their stack's
-transpose; the Fock space keeps no product cache).  Everything after that
+that site factor (a `fock.SiteOp`), sliced from block-diagonal products of a
+`fock.QuadraticCache` over the site's lowering operators alone (its row of
+a† is their stack's transpose; the Fock space keeps no product cache).
+Everything after that
 stays factored and exact: a commutator is the per-site commutator of the
 factors (zero across sites without arithmetic), and a sum of embeddings
 sum_x E_x(D_x) is zero exactly when every D_x is c_x * I with sum_x c_x = 0.
 
-Relations.  Every right side is a table row, gathered once per check
+Relations.  Every right side is a table row, gathered once per ledger
 (`_table`).  Densities realize the table at site labels (label, x) with the
 Kronecker delta, [A(x), B(y)] = i delta_xy (row at x), and charges realize it
 as it stands; both read Y_kj as -Y_jk and Y_jj as zero (`birep._signed`).
@@ -33,19 +34,25 @@ checks extract it.  Given the CAR, [rho(M), rho(N)] = i rho([M, N]), so
 rho(Y_jk) is the convention's i[s_j, t_k] + (1/3) c^p_jk (s_p - t_p), which
 equation 2 checks.
 
-One kernel.  `etc_verify`, `locality_check` and `charge_algebra_check` write
-each case, in the order they walk them, as one row of terms: its commutators
-and the operators, or i times them, of its right side.  `relations.RelationKernel`
-decides a chunk of rows at a time: one exact sparse product L R, with R the
-distinct site factors stacked once at one common denominator and L the
-coefficients of each one-site residual not yet decided, and the c_x I rule
-above on every residual.  Every chunk is bounded below 2^62 before it computes
-(`BoundError` past it), and the first failing row in walk order is the
-witness.  Plain full-space `GQSparse` operators are one factor of a one-site
-space there, so the same checks give the same reports on them.  The lemma
-decides its trials a chunk at a time, on block diagonals of their bilinears
-(`fock.QuadraticCache.blocks`).  The case-by-case walks, the per-trial lemma
-and the per-pair Yamagutian solve are the test oracles (`tests/oracles.py`).
+One kernel, one ledger.  `etc_verify`, `locality_check` and
+`charge_algebra_check` write each case, in the order they walk them, as one
+row of terms: its commutators and the operators, or i times them, of its
+right side.  `relations.RelationKernel` decides a chunk of rows at a time:
+one exact sparse product L R, with R the distinct site factors stacked once
+at one common denominator and L the coefficients of each one-site residual
+not yet decided, and the c_x I rule above on every residual.  The kernels of
+one density set share its `relations.Ledger`, which `charges` hands on to
+the charges: it names each factor up to a unit phase, keeps every residual
+decided, and holds the table.  The charges are -i sum_x of the densities, so
+at each site every residual of the theorem is one of the density ETC times
+-1 or +-i, and after `etc_verify` the theorem computes none.  Every chunk is
+bounded below 2^62 before it computes (`BoundError` past it), and the first
+failing row in walk order is the witness.  Plain full-space `GQSparse`
+operators are one factor of a one-site space there, so the same checks give
+the same reports on them.  The lemma decides its trials a chunk at a time,
+on block diagonals of their bilinears (`fock.QuadraticCache.blocks`).  The
+case-by-case walks, the per-trial lemma and the per-pair Yamagutian solve
+are the test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from .birep import (GeneratorSet, _signed, bracket_vecs, cyclic_rows, extract_ya
                     labels, row_vecs)
 from .fock import FieldSet, GQSparse, QuadraticCache, SiteOp, _ladder, _states
 from .matrices import commutator, first_failure_chunked, fits_int64
-from .relations import RelationKernel
+from .relations import Ledger, RelationKernel
 from .report import BoundError, CheckReport, InputError, fail, ok
 
 CONVENTION = ("s0_j(x) = -i a†(x) S_j^T a(x); t0_j(x) = -i a†(x) T_j^T a(x); "
@@ -84,33 +91,33 @@ class ChargeDensitySet:
     t: List[List[SiteOp]]
     Y: Dict[Tuple[int, int], List[SiteOp]]  # keys j < k; Y[(j,k)][x]
     tensor: StructureTensor
+    ledger: Ledger = field(default_factory=Ledger, repr=False, compare=False)
 
 
 def _yamagutian_case(rows, j, k, at):
-    """The terms of i Y0_jk = (1/q)[s_j, t_k] + sum (-v/q) i X_p, from the [S_j, T_k]
-    row -q Y_jk + sum v X_p of `rows`; at(label) is the label's kernel index."""
-    row = dict(rows[("S", j), ("T", k)])
-    q = row.pop(("Y", j, k))
-    return [("c", 1 / q, at(("S", j)), at(("T", k)))] + [("i", -v / q, at(lbl))
-                                                         for lbl, v in row.items()]
+    """The terms of i Y0_jk = -[s_j, t_k] + sum v i X_p, from the [S_j, T_k]
+    row -Y_jk + sum v X_p of `rows` (`birep.bracket_rows`); at(label) is the
+    label's kernel index."""
+    return [("c", -1, at(("S", j)), at(("T", k)))] + [("i", v, at(lbl))
+                                                      for v, lbl in rows[("S", j), ("T", k)]
+                                                      if lbl[0] != "Y"]
 
 
 def charge_densities(f: FieldSet, gen: GeneratorSet, c: StructureTensor) -> ChargeDensitySet:
     """The densities rho(M) = -i a†(x) M^T a(x) of M = S_j, T_j and of the
-    Y_jk, j < k, of `birep.extract_yamagutians`: one `QuadraticCache.bilinear`
-    each, bounded at M's own least denominator and shared by every site."""
+    Y_jk, j < k, of `birep.extract_yamagutians`: one `QuadraticCache.bilinears`
+    call, each bounded at M's own least denominator and shared by every site."""
     if gen.dim != f.modes_per_site:
         raise InputError("generator size must equal modes per site")
     cache, Y = QuadraticCache(f.fock.a), extract_yamagutians(gen, c)    # checks gen.r == c.dim
-
-    def rho(mat):
-        P = cache.bilinear(list(zip(*mat)))    # a† M^T a
-        op = GQSparse(cache.dim, P.im, -P.re, P.den)    # -i P
-        return [SiteOp(f.sites, cache.dim, {x: op}) for x in range(f.sites)]
-
     r = range(gen.r)
-    return ChargeDensitySet(gen.r, f.sites, [rho(m) for m in gen.S], [rho(m) for m in gen.T],
-                            {(j, k): rho(Y[j, k]) for j in r for k in r if j < k}, c)
+    upper = [(j, k) for j in r for k in r if j < k]
+    rho = []
+    for P in cache.bilinears([list(zip(*m)) for m in [*gen.S, *gen.T, *map(Y.get, upper)]]):
+        op = GQSparse(cache.dim, P.im, -P.re, P.den)    # -i a† M^T a
+        rho.append([SiteOp(f.sites, cache.dim, {x: op}) for x in range(f.sites)])
+    return ChargeDensitySet(gen.r, f.sites, rho[:gen.r], rho[gen.r:2 * gen.r],
+                            dict(zip(upper, rho[2 * gen.r:])), c)
 
 
 @dataclass
@@ -127,25 +134,27 @@ class ETCReport:
                 "equations": {k: v.to_dict() for k, v in self.equations.items()}}
 
 
-def _stored(vec):
-    """(sign * coefficient, stored label) for the nonzero terms of a table vector."""
-    for lbl, v in vec.items():
-        signed = _signed(lbl)
-        if v and signed:
-            yield signed[0] * v, signed[1]
-
-
-def _table(c: StructureTensor):
+def _table(c: StructureTensor, ledger: Ledger):
     """({(a, b): table row} for S-S, S-T, T-T and Y_jk with S_n, T_n, Y_ln,
     j < k and l < n; {(j, k, l): cyclic relation} for j < k < l): the rows
-    the density and charge relations read (`birep.bracket_rows`)."""
-    r = range(c.dim)
-    upper = [("Y", j, k) for j in r for k in r if j < k]
-    pairs = ([((A, j), (B, k)) for A, B in ("SS", "ST", "TT") for j in r for k in r]
-             + [(y, b) for y in upper for b in [(X, n) for X in "ST" for n in r] + upper])
-    triples = [(j, k, l) for j in r for k in r for l in r if j < k < l]
-    cyclic = cyclic_rows(c, *np.array(triples, dtype=np.int64).reshape(-1, 3).T)
-    return bracket_vecs(c, pairs), dict(zip(triples, row_vecs(*cyclic, labels(c.dim))))
+    the density and charge relations read (`birep.bracket_rows`), each as
+    its (sign * coefficient, stored label) pairs (`_signed`), gathered once
+    per ledger and tensor."""
+    if ledger.table is None or ledger.table[0] is not c:
+        r = range(c.dim)
+        upper = [("Y", j, k) for j in r for k in r if j < k]
+        pairs = ([((A, j), (B, k)) for A, B in ("SS", "ST", "TT") for j in r for k in r]
+                 + [(y, b) for y in upper for b in [(X, n) for X in "ST" for n in r] + upper])
+        triples = [(j, k, l) for j in r for k in r for l in r if j < k < l]
+        cyclic = cyclic_rows(c, *np.array(triples, dtype=np.int64).reshape(-1, 3).T)
+
+        def stored(vec):
+            return [(signed[0] * v, signed[1]) for lbl, v in vec.items()
+                    if v and (signed := _signed(lbl))]
+        ledger.table = c, ({key: stored(vec) for key, vec in bracket_vecs(c, pairs).items()},
+                           {key: stored(vec) for key, vec in
+                            zip(triples, row_vecs(*cyclic, labels(c.dim)))})
+    return ledger.table[1]
 
 
 def _density_kernel(d: ChargeDensitySet):
@@ -154,7 +163,7 @@ def _density_kernel(d: ChargeDensitySet):
             + [(("T", j), row) for j, row in enumerate(d.t)]
             + [(("Y", *key), row) for key, row in d.Y.items()])
     ops = {(lbl, x): row[x] for lbl, row in rows for x in range(d.sites)}
-    return RelationKernel(list(ops.values())), {key: i for i, key in enumerate(ops)}
+    return RelationKernel(list(ops.values()), d.ledger), {key: i for i, key in enumerate(ops)}
 
 
 def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
@@ -170,7 +179,7 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
     if c.dim != d.r:
         raise InputError("tensor dim must match density count")
     r, N = range(d.r), range(d.sites)
-    rows, cyclic = _table(c)
+    rows, cyclic = _table(c, d.ledger)
     kernel, index = _density_kernel(d)
     rep = ETCReport(CONVENTION)
 
@@ -178,8 +187,8 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
         (sa, a), (sb, b) = _signed(la), _signed(lb)
         return "c", q * sa * sb, index[a, x], index[b, y]
 
-    def at(x, vec, kind, q=1):
-        return [(kind, q * v, index[lbl, x]) for v, lbl in _stored(vec)]
+    def at(x, vec, kind, sign=1):
+        return [(kind, v if sign > 0 else -v, index[lbl, x]) for v, lbl in vec]
 
     def pair(la, x, lb, y, vec=None):
         # [A(x), B(y)] - i delta_xy (vec at x), vec the table row of [A, B]
@@ -195,7 +204,7 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
 
     def assoc(kind, sign, j, k, x, y):
         # [a_j(x), a_k(y)] = i delta_xy sign c^p_jk a_p(x) - 2 [s_j(x), t_k(y)]
-        vec = {(kind, p): sign * c.c(p, j, k) for p in r}
+        vec = [(sign * v, (kind, p)) for p in r if (v := c.c(p, j, k))]
         return (comm((kind, j), x, (kind, k), y), comm(("S", j), x, ("T", k), y, 2),
                 *(at(x, vec, "i", -1) if x == y else ()))
 
@@ -261,9 +270,11 @@ class ChargeSet:
     sigma: List[SiteOp]
     tau: List[SiteOp]
     upsilon: Dict[Tuple[int, int], SiteOp]  # keys j < k
+    ledger: Ledger = field(default_factory=Ledger, repr=False, compare=False)
 
 
 def charges(d: ChargeDensitySet) -> ChargeSet:
+    """The charges of d, sharing its ledger."""
     zero = d.s[0][0].zero_like()
 
     def charge(mats):
@@ -271,7 +282,7 @@ def charges(d: ChargeDensitySet) -> ChargeSet:
         return zero.plus([(-1, m) for m in mats]).times_i()
 
     return ChargeSet(d.r, [charge(ops) for ops in d.s], [charge(ops) for ops in d.t],
-                     {key: charge(ops) for key, ops in d.Y.items()})
+                     {key: charge(ops) for key, ops in d.Y.items()}, d.ledger)
 
 
 def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
@@ -282,14 +293,14 @@ def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
     if c.dim != q.r:
         raise InputError("tensor dim must match charge count")
     r = range(q.r)
-    rows, cyclic = _table(c)
+    rows, cyclic = _table(c, q.ledger)
     labels = ([("S", j) for j in r] + [("T", j) for j in r]
               + [("Y", *key) for key in q.upsilon])
     index = {lbl: i for i, lbl in enumerate(labels)}
-    kernel = RelationKernel(q.sigma + q.tau + list(q.upsilon.values()))
+    kernel = RelationKernel(q.sigma + q.tau + list(q.upsilon.values()), q.ledger)
 
     def realize(vec, sign=1):
-        return [("o", sign * v, index[lbl]) for v, lbl in _stored(vec)]
+        return [("o", v if sign > 0 else -v, index[lbl]) for v, lbl in vec]
 
     def pair(a, b):
         # [a, b] - (table row of [a, b])

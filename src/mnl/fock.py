@@ -14,11 +14,14 @@ density's are.
 A `SiteOp` holds a sum of site-local operators sum_x I x .. x F_x x .. x I as
 its factors F_x on the 2^n-dimensional space of one site; see `SiteOp`.  The
 density and charge relations are decided on those factors, many cases at a
-time, by `relations.RelationKernel`: per chunk, one real product L R of the
-distinct factors' re and im parts, stacked once for all sites (R), by the
-coefficients of each one-site residual not yet decided placed against them
-by phase (L, built by `_place`, the one COO assembly, which serves `_sum`
-too); each is held to `SiteOp.is_zero`'s c_x I rule, under the 2^62 bound.
+time, by `relations.RelationKernel`.  Its `relations.Ledger` interns the
+factors by value up to a unit phase, so the charge -i sum_x F_x shares each
+density's factor at i^3, and keeps every one-site residual decided.  Per
+chunk, one real product L R of the distinct factors' re and im parts,
+stacked once for all sites (R), by the coefficients of each one-site
+residual not yet decided placed against them by phase (L, built by
+`_place`, the one COO assembly, which serves `_sum` too); each is held to
+`SiteOp.is_zero`'s c_x I rule, under the 2^62 bound.
 
 Ladder embeddings.  A `FockOps` holds the Jordan-Wigner ladder operators of
 one site and the site count N; `_ladder` builds them, and the full
@@ -30,9 +33,10 @@ and for x < y {Phi_x, Psi_y} = I x {phi, Pi} x Pi x .. x Pi x psi x I, zero
 exactly when {phi, Pi} = 0 or psi = 0.  `canonical_etc_check` and
 `car_check` decide their relations that way on the 2^n-dimensional factors
 (`_anticommutation_scan`).  Same-site bilinears drop the strings
-(Pi^2 = I), so densities are one-site `SiteOp` factors, each one product of
-a `QuadraticCache` built from the lowering operators alone: the row of a†
-is the transpose of their stack, and the space keeps no product cache.
+(Pi^2 = I), so densities are one-site `SiteOp` factors, sliced from block
+diagonal products of a `QuadraticCache` built from the lowering operators
+alone: the row of a† is the transpose of their stack, and the space keeps no
+product cache.
 """
 
 from __future__ import annotations
@@ -490,6 +494,9 @@ def canonical_etc_check(f: FieldSet) -> CheckReport:
                                  f.fock, lambda *w: w)
 
 
+BILINEAR_ROWS = 1 << 14    # rows of b's in one `QuadraticCache.bilinears` product
+
+
 class QuadraticCache:
     """The mode bilinears a† M a of integer ladder operators a[A], each one
     sparse product of their stack [a_0; ..; a_{m-1}], built once: its transpose
@@ -527,10 +534,26 @@ class QuadraticCache:
                             np.repeat(k * d, n) + A.col[at])), shape=(T * m * d, T * d)).tocsr()
         return (H if T == 1 else sp.kron(sp.identity(T, dtype=np.int64), H, format="csr")) @ V
 
+    def bilinears(self, mats) -> List[GQSparse]:
+        """a† M a for each integer/rational matrix M of `mats` over all modes,
+        each bounded at its own least denominator: `blocks` products of up to
+        `BILINEAR_ROWS` rows of b's, each bilinear sliced from the CSR arrays
+        of its block diagonal."""
+        d, m = self.dim, len(self.mags)
+        scaled = [stacked([mat], m) for mat in mats]
+        if not all(fits_int64(den, *self.bounds(ints)) for ints, den in scaled):
+            raise BoundError()
+        ints = np.array([x.astype(np.int64) for x, _ in scaled], dtype=np.int64).reshape(-1, m, m)
+        out, step = [], max(1, BILINEAR_ROWS // (m * d))
+        for lo in range(0, len(ints), step):
+            P = self.blocks(ints[lo:lo + step])
+            for k, (_, den) in enumerate(scaled[lo:lo + step]):
+                a, b = P.indptr[k * d], P.indptr[(k + 1) * d]
+                block = sp.csr_matrix((P.data[a:b], P.indices[a:b] - k * d,
+                                       P.indptr[k * d:(k + 1) * d + 1] - a), shape=(d, d))
+                out.append(GQSparse(d, block, sp.csr_matrix((d, d), dtype=np.int64), den))
+        return out
+
     def bilinear(self, mat) -> GQSparse:
         """a† M a for an integer/rational matrix M over all modes."""
-        mats, den = stacked([mat], len(self.mags))
-        if not fits_int64(den, *self.bounds(mats)):
-            raise BoundError()
-        P = self.blocks(mats)
-        return GQSparse(self.dim, P, sp.csr_matrix(P.shape, dtype=np.int64), den)
+        return self.bilinears([mat])[0]

@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mnl.algebra import StructureTensor
 from mnl.birep import GeneratorSet, check_glc
-from mnl import etc as etc_module
-from mnl.etc import (ChargeDensitySet, bilinear_lemma_check, charge_algebra_check,
+from mnl import etc as etc_module, relations
+from mnl.etc import (ChargeDensitySet, ChargeSet, bilinear_lemma_check, charge_algebra_check,
                      charge_densities, charges, etc_verify, locality_check)
 from mnl.fock import GQSparse, SiteOp, build_fields
 from mnl.relations import RelationKernel
@@ -320,6 +320,40 @@ def test_charges_hold_one_factor_across_sites(sites, quat_gen, su2_doubled):
     q = charges(charge_densities(build_fields(quat_gen.dim, sites), quat_gen, su2_doubled))
     for op in [*q.sigma, *q.tau, *q.upsilon.values()]:
         assert len(op.factors) == sites and len({id(f) for f in op.factors.values()}) == 1
+
+
+@pytest.mark.parametrize("case,sites", [("octonion", 1), ("quaternion", 2), ("quaternion", 3)])
+def test_theorem_after_etc_verify_computes_no_new_key(monkeypatch, case, sites, quat_gen,
+                                                      su2_doubled, oct_gen, m7):
+    # sigma_j = -i sum_x s_j(x): at each site every residual of the theorem
+    # is one that etc_verify decided, times a unit phase, so the theorem on
+    # the same ledger places nothing; its report equals a cold ledger's
+    gen, c = (oct_gen, m7) if case == "octonion" else (quat_gen, su2_doubled)
+    dens = charge_densities(build_fields(gen.dim, sites), gen, c)
+    assert etc_verify(dens, c).passed
+    if sites > 1:
+        assert locality_check(dens).passed
+    placed, place = [], relations._place
+    monkeypatch.setattr(relations, "_place", lambda *args: placed.append(1) or place(*args))
+    known = len(dens.ledger.memo)
+    rep = charge_algebra_check(charges(dens), c)
+    assert rep.passed and not placed and len(dens.ledger.memo) == known
+    monkeypatch.setattr(relations, "_place", place)
+    cold = charges(charge_densities(build_fields(gen.dim, sites), gen, c))
+    assert rep.to_dict() == charge_algebra_check(cold, c).to_dict()
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_hand_built_charge_set_gives_the_same_report(swap, quat_gen, su2_doubled):
+    # a ChargeSet built without a ledger gets a fresh one
+    gen = swapped(quat_gen) if swap else quat_gen
+    dens = charge_densities(build_fields(gen.dim, 2), gen, su2_doubled)
+    etc_verify(dens)
+    q = charges(dens)
+    bare = ChargeSet(q.r, q.sigma, q.tau, q.upsilon)
+    assert bare.ledger is not dens.ledger
+    rep = charge_algebra_check(bare, su2_doubled)
+    assert rep.passed != swap and rep.to_dict() == charge_algebra_check(q, su2_doubled).to_dict()
 
 
 def test_fock_spaces_share_no_products(quat_gen, su2_doubled, oct_gen, m7):

@@ -1,7 +1,8 @@
 """Golden reports for the generalized Lie-Cartan relations in every
 realization: generator matrices (`check_glc`), the envelope map
 (`realize_check`), lattice densities (`etc_verify`) and integrated charges
-(`charge_algebra_check`); and the relation kernel's anticommutator terms.
+(`charge_algebra_check`); the relation kernel's anticommutator terms; and
+its ledger, which names factors up to a unit phase.
 
 The generator sets below break the relations, so every family reports the
 first case that fails; each witness pins the order in which the cases are
@@ -14,12 +15,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracles
 from mnl.birep import GeneratorSet, check_glc
 from mnl.envelope import build_envelope, realize_check
-from mnl.etc import charge_algebra_check, charge_densities, charges, etc_verify
+from mnl.etc import (ChargeDensitySet, charge_algebra_check, charge_densities, charges,
+                     etc_verify, locality_check)
 from mnl.fock import GQSparse, SiteOp, build_fields, build_fock
-from mnl.relations import RelationKernel
+from mnl.relations import Ledger, RelationKernel
 from mnl.report import InputError
 
 BOTH_FAIL = "as printed [t,s]: fail; as [t,t]: fail"
@@ -170,3 +174,95 @@ def test_kernel_anticommutator_needs_one_site():
     with pytest.raises(InputError):
         RelationKernel(ops).fails([[("a", 1, 0, 1)]])
     assert list(RelationKernel(ops).fails([[("c", 1, 0, 1)]])) == [True]
+
+
+# --- the ledger: factors up to a unit phase ------------------------------
+
+def times_i(op, k):
+    for _ in range(k):
+        op = op.times_i()
+    return op
+
+
+def test_ledger_interns_each_factor_up_to_a_unit_phase():
+    # i^k a and i^j a are one class at phase k - j from the first one met;
+    # a and a^dag, or a and a^dag with their entries negated, are not
+    f = build_fock(2, 1)
+    ledger = Ledger()
+    assert [ledger.intern(times_i(f.a[0], k)) for k in (1, 0, 3, 2)] == \
+        [(0, 0), (0, 3), (0, 2), (0, 1)]
+    assert ledger.intern(f.adag[0]) == (1, 0)
+    assert ledger.intern(f.adag[0].scale(Fraction(-1, 2))) == (2, 0)
+    assert ledger.intern(f.adag[0].scale(Fraction(1, 2)).times_i()) == (2, 3)
+    assert len(ledger.factors) == 3
+
+
+def test_kernel_anticommutators_at_every_phase():
+    # {i^k a_0, i^j a_0^dag} = i^(k+j) I, and {i^k a_0, i^j a_0} = 0
+    f = build_fock(2, 1)
+    ops = [times_i(op, k) for op in (f.a[0], f.adag[0], GQSparse.identity(4)) for k in range(4)]
+    cases, want = [], []
+    for k in range(4):
+        for j in range(4):
+            cases += [[("a", 1, k, 4 + j), ("o", -1, 8 + (k + j) % 4)],
+                      [("a", 1, k, 4 + j), ("o", 1, 8 + (k + j) % 4)], [("a", 1, k, j)]]
+            want += [False, True, False]
+    kernel = RelationKernel(ops)
+    assert list(kernel.fails(cases)) == want
+    assert len(kernel.ledger.factors) == 3
+
+
+@st.composite
+def turned_densities(draw):
+    """The quaternion generators at 1 or 2 sites, or with S_0 and S_1
+    swapped: every density at every site times a drawn power of i, and at
+    times one density times i^k in place of another."""
+    sites, swap = draw(st.sampled_from([1, 2])), draw(st.booleans())
+    powers = st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=sites, max_size=sites)
+    labels = [("s", j) for j in range(3)] + [("t", j) for j in range(3)] + \
+        [("Y", j) for j in range(3)]
+    turns = {label: draw(powers) for label in labels}
+    copy = draw(st.none() | st.tuples(st.sampled_from(labels), st.sampled_from(labels),
+                                      st.integers(0, 3)))
+    return sites, swap, turns, copy
+
+
+TURN_SETTINGS = settings(max_examples=15, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow,
+                                                HealthCheck.function_scoped_fixture])
+
+
+@TURN_SETTINGS
+@given(drawn=turned_densities())
+def test_kernel_on_densities_times_powers_of_i_equals_the_walk(drawn, quat_gen, su2_doubled):
+    # the kernel's reports, in the order of `mnl etc` on one ledger, equal
+    # the oracles' case-by-case walk on the same operators
+    sites, swap, turns, copy = drawn
+    gen = swapped_s01(quat_gen) if swap else quat_gen
+    dens = charge_densities(build_fields(gen.dim, sites), gen, su2_doubled)
+    rows = {"s": [list(row) for row in dens.s], "t": [list(row) for row in dens.t],
+            "Y": [list(row) for row in dens.Y.values()]}
+    if copy:
+        (fa, ja), (fb, jb), k = copy
+        rows[fa][ja] = [times_i(op, k) for op in rows[fb][jb]]
+    for (family, j), powers in turns.items():
+        rows[family][j] = [SiteOp(sites, op.site_dim, {x: times_i(f, powers[x])
+                                                       for x, f in op.factors.items()})
+                           for op in rows[family][j]]
+    turned = ChargeDensitySet(3, sites, rows["s"], rows["t"], dict(zip(dens.Y, rows["Y"])),
+                              su2_doubled)
+    got = [etc_verify(turned).to_dict(), locality_check(turned).to_dict(),
+           charge_algebra_check(charges(turned), su2_doubled).to_dict()]
+    assert got == [oracles.etc_verify(turned).to_dict(), oracles.locality_check(turned).to_dict(),
+                   oracles.charge_algebra_check(charges(turned), su2_doubled).to_dict()]
+
+
+def test_swapped_octonion_theorem_after_etc_verify(swapped_oct, m7):
+    # one density set, checked in the order of `mnl etc`: the theorem reads
+    # the ledger that etc_verify filled and keeps its pinned witness
+    dens = charge_densities(build_fields(8, 1), swapped_oct, m7)
+    assert not etc_verify(dens, m7).passed
+    rep = charge_algebra_check(charges(dens), m7)
+    assert not rep.passed and rep.witness == ("st", 0, 0)
+    cold = charge_densities(build_fields(8, 1), swapped_oct, m7)
+    assert rep.to_dict() == charge_algebra_check(charges(cold), m7).to_dict()
