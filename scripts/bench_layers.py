@@ -19,7 +19,9 @@ It imports `src/mnl` and `mnlbench` of the checkout it sits in.
   theorem (`charges` and `charge_algebra_check`) on densities that
   `etc_verify` has already checked; and the order of `mnl etc` on one
   density set: `charge_densities`, `etc_verify`, `locality_check` at more
-  than one site, `charges` and the theorem.
+  than one site, `charges` and the theorem.  And `etc_verify` alone on the
+  octonion generators doubled on two diagonal blocks (r=7, 16 modes, one
+  site of dimension 2^16).
 - `fock`: the octonion fields at two sites (8 modes each, dimension 2^16),
   `build_fields` with `canonical_etc_check`, `car_check` on a fresh
   `build_fock(8, 2)` and, on fresh fields, `charge_densities` of the
@@ -33,10 +35,12 @@ It imports `src/mnl` and `mnlbench` of the checkout it sits in.
 Each function runs five times, every run on fresh copies of its inputs
 (tensor, generator set, envelope, densities and charges), so no value kept
 on an input from an earlier run hides the work; the copies are made outside
-the timed call.  One more run, untimed, records the peak of the memory
-that `tracemalloc` sees allocated during the call.  Writes BENCH_<TAG>.json
-at the checkout's root with the median, lowest and highest of the runs of
-each function, in seconds, and that peak in MB.
+the timed call, which is timed by the process's CPU time
+(`time.process_time`), steadier than the wall clock on a shared host.  One
+more run, untimed, records the peak of the memory that `tracemalloc` sees
+allocated during the call.  Writes BENCH_<TAG>.json at the checkout's root
+with the lowest, median and highest of the runs of each function, in
+seconds, and that peak in MB; the lowest is the figure to compare.
 """
 
 from __future__ import annotations
@@ -129,6 +133,17 @@ def dense_inputs(workdir):
     return {"m7": (work.m7, work.oct_gen, DENSE), "r10": (work.r10, work.r10_gen, DENSE)}
 
 
+def diagonal_blocks(gen, blocks):
+    """gen's L/R generators repeated on `blocks` diagonal blocks."""
+    n = gen.dim
+
+    def diag(m):
+        return [[m[i % n][j % n] if i // n == j // n else 0 for j in range(n * blocks)]
+                for i in range(n * blocks)]
+    return birep.GeneratorSet(gen.r, n * blocks, [diag(m) for m in gen.S],
+                              [diag(m) for m in gen.T])
+
+
 def etc_inputs(workdir):
     line = workloads.OctonionN2(SEED, workdir)
     m7, oct_gen = algebra.catalog_algebra("m7"), birep.octonion_lr_generators()
@@ -136,7 +151,9 @@ def etc_inputs(workdir):
             "octonion-line-n2": (line.tensor, line.gen, etc_cases(2)),
             "octonion-n2": (m7, oct_gen, etc_cases(2)),
             "quaternion-n3": (algebra.catalog_algebra("su2").scaled(2),
-                              birep.quaternion_lr_generators(), etc_cases(3))}
+                              birep.quaternion_lr_generators(), etc_cases(3)),
+            "octonion-doubled-16x1": (m7, diagonal_blocks(oct_gen, 2),
+                                      {"etc_verify": etc_cases(1)["etc_verify"]})}
 
 
 LEMMA_TRIALS = 15
@@ -146,18 +163,6 @@ def lemma_cases(n, sites, trials=LEMMA_TRIALS):
     return {"bilinear_lemma_check": (
         lambda c, g: (fock.build_fields(n, sites),),
         lambda f: etc.bilinear_lemma_check(f, trials=trials, seed=SEED))}
-
-
-def quaternion_blocks(blocks):
-    """The quaternion L/R generators repeated on `blocks` diagonal blocks."""
-    gen = birep.quaternion_lr_generators()
-    n = gen.dim
-
-    def diag(m):
-        return [[m[i % n][j % n] if i // n == j // n else 0 for j in range(n * blocks)]
-                for i in range(n * blocks)]
-    return birep.GeneratorSet(gen.r, n * blocks, [diag(m) for m in gen.S],
-                              [diag(m) for m in gen.T])
 
 
 def fock_inputs(workdir):
@@ -175,7 +180,8 @@ def fock_inputs(workdir):
             "lemma-8x4": (m7, oct_gen, lemma_cases(8, 4, trials=10)),
             "car-16x1": (m7, oct_gen, {"car_check": (lambda c, g: (fock.build_fock(16, 1),),
                                                      fock.car_check)}),
-            "densities-16x1": (algebra.catalog_algebra("su2").scaled(2), quaternion_blocks(4), {
+            "densities-16x1": (algebra.catalog_algebra("su2").scaled(2),
+                               diagonal_blocks(birep.quaternion_lr_generators(), 4), {
                 "charge_densities": (lambda c, g: (fock.build_fields(16, 1), fresh_generators(g),
                                                    fresh_tensor(c)), etc.charge_densities)})}
 
@@ -189,17 +195,17 @@ def measure(c, gen, cases):
         times = []
         for _ in range(RUNS):
             args = inputs(c, gen)
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             call(*args)
-            times.append(time.perf_counter() - t0)
+            times.append(time.process_time() - t0)
         args = inputs(c, gen)
         tracemalloc.start()
         call(*args)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        out[name] = {"median_s": statistics.median(times), "min_s": min(times),
+        out[name] = {"min_s": min(times), "median_s": statistics.median(times),
                      "max_s": max(times), "tracemalloc_peak_mb": peak / 2**20}
-        print(f"  {name:20s} {out[name]['median_s'] * 1e3:9.2f} ms "
+        print(f"  {name:20s} {out[name]['min_s'] * 1e3:9.2f} ms "
               f"{out[name]['tracemalloc_peak_mb']:8.2f} MB", file=sys.stderr)
     return out
 
@@ -217,6 +223,7 @@ def main():
         print(f"{label}:", file=sys.stderr)
         results[label] = measure(c, gen, cases)
     doc = {"tag": args.tag, "group": args.group, "runs": RUNS, "seed": SEED,
+           "clock": "process_time",
            "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                     "python": platform.python_version()},
            "results": results}

@@ -534,11 +534,12 @@ class QuadraticCache:
                             np.repeat(k * d, n) + A.col[at])), shape=(T * m * d, T * d)).tocsr()
         return (H if T == 1 else sp.kron(sp.identity(T, dtype=np.int64), H, format="csr")) @ V
 
-    def bilinears(self, mats) -> List[GQSparse]:
-        """a† M a for each integer/rational matrix M of `mats` over all modes,
-        each bounded at its own least denominator: `blocks` products of up to
-        `BILINEAR_ROWS` rows of b's, each bilinear sliced from the CSR arrays
-        of its block diagonal."""
+    def bilinears(self, mats):
+        """(P, den) with a† M a = P / den for each integer/rational matrix M
+        of `mats` over all modes, P int64 CSR in canonical form, each bounded
+        at M's own least denominator: `blocks` products of up to
+        `BILINEAR_ROWS` rows of b's, canonicalized once, each P sliced from
+        the CSR arrays of its block diagonal."""
         d, m = self.dim, len(self.mags)
         scaled = [stacked([mat], m) for mat in mats]
         if not all(fits_int64(den, *self.bounds(ints)) for ints, den in scaled):
@@ -546,14 +547,15 @@ class QuadraticCache:
         ints = np.array([x.astype(np.int64) for x, _ in scaled], dtype=np.int64).reshape(-1, m, m)
         out, step = [], max(1, BILINEAR_ROWS // (m * d))
         for lo in range(0, len(ints), step):
-            P = self.blocks(ints[lo:lo + step])
+            P = _csr(self.blocks(ints[lo:lo + step]))
             for k, (_, den) in enumerate(scaled[lo:lo + step]):
                 a, b = P.indptr[k * d], P.indptr[(k + 1) * d]
-                block = sp.csr_matrix((P.data[a:b], P.indices[a:b] - k * d,
-                                       P.indptr[k * d:(k + 1) * d + 1] - a), shape=(d, d))
-                out.append(GQSparse(d, block, sp.csr_matrix((d, d), dtype=np.int64), den))
+                out.append((sp.csr_matrix((P.data[a:b], P.indices[a:b] - k * d,
+                                           P.indptr[k * d:(k + 1) * d + 1] - a), shape=(d, d)),
+                            den))
         return out
 
     def bilinear(self, mat) -> GQSparse:
         """a† M a for an integer/rational matrix M over all modes."""
-        return self.bilinears([mat])[0]
+        (P, den), = self.bilinears([mat])
+        return GQSparse(self.dim, P, sp.csr_matrix(P.shape, dtype=np.int64), den)

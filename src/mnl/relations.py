@@ -26,6 +26,30 @@ found by a CRC of their canonical parts' column indices and entries and then
 compared with the interned arrays, so a class is exact and no copy of a
 factor is kept.
 
+Sector.  A ledger may hold a sector, the sorted basis states of one site's
+n modes that every residual is decided on; `etc.charge_densities` gives its
+set the 1 + n + n(n-1)/2 states of at most two particles (`fock._states(n,
+2)`), and every other ledger holds the whole space.  That is exact for
+densities.  Each one is a fermion bilinear -i a† M^T a, at most times a unit
+phase, so it conserves particle number, and so do the sums and products of
+them: a residual is block diagonal over the number sectors, and restricted
+to a union of them it is the same sum of the restricted factors.  Given the
+CAR, a residual of the density ETC, locality and charge-algebra cases is a
+number-conserving polynomial of normal-ordered degree <= 4 in the ladder
+operators, c + sum x_AB a†_A a_B + sum x_ABCD a†_A a†_B a_C a_D.  Its
+vacuum entry is c, its entries between one-particle states give the x_AB
+and those between two-particle states then give the x_ABCD, so it is c I
+exactly when it is c I on the states of at most two particles; c_x is read
+at the vacuum, the first state of the sector.  The ledger slices the re and
+im parts of each class to the sector once, when it interns the class, with
+one mask over their CSR arrays, and raises InputError when a stored entry
+joins two states of different particle counts, for which no sector is
+exact; the kernel raises it when its site is not of the sector's 2^n
+states.  R, L, the identity block, `_scalar_blocks` and the weights see the
+d x d slices (d = 37 at 8 modes, 137 at 16); interning, the digests, keys,
+counts, mag and the 2^62 bound read the whole factors, which bound their
+slices.
+
 Keys.  At each site a case reaches, its residual has a key: the sorted
 tuple of its terms there as (kind, interned factors, |p|, r, phase) for
 q = p / r, where phase t means i^t and sums the sign of p, the phases of the
@@ -39,24 +63,24 @@ a function of the key's kinds and factors alone, which the ledger holds.  A
 case holds when all its keys are ok and its rotated c_x sum to zero.
 
 One product per chunk.  A kernel stacks R when a chunk first has a key to
-compute: the nonempty integer parts of each class of its factors, once for
-all sites, at one common denominator D (the lcm of the factors'
-denominators): R = [P_0; P_1; ..], a d x d block per part; a factor r + i m
-gives r with phase 0 and m with phase 1.  Over the lcm K of the chunk's
-coefficients, one COO placement (`fock._place`) builds L, a row of d x d
-blocks for the re or im residual of each key not yet decided.  A term
-|p|/r [u, v] at phase t puts K |p|/r u against v's blocks and -K |p|/r v
-against u's; |p|/r {u, v} puts +K |p|/r v there instead (not skipped when
-a == b); |p|/r o puts K |p|/r D I_d against each of o's blocks.  A part of
-phase f against a block of phase g lands in the re row when f + g + t is
-even and the im row when it is odd, negated when (f + g + t) mod 4 is 2 or
-3.  One real product L R holds every new residual at K D^2, and
-`_scalar_blocks` reads c_x off each block and checks that it is c_x I.  The
-blocks stay d x d: scipy's product keeps an accumulator as wide as its
-result, 2^32 entries for rows of d^2 at the full-space dimension 2^16.
-`first_failure` takes up to `matrices.CHUNK` cases a chunk, in walk order,
-and ends a chunk early once the weights of the keys its cases newly compute
-(`RelationKernel.weight`) reach `BUDGET`.
+compute: the nonempty integer parts of each class of its factors on the
+ledger's sector, once for all sites, at one common denominator D (the lcm
+of the factors' denominators): R = [P_0; P_1; ..], a d x d block per part;
+a factor r + i m gives r with phase 0 and m with phase 1.  Over the lcm K
+of the chunk's coefficients, one COO placement (`fock._place`) builds L, a
+row of d x d blocks for the re or im residual of each key not yet decided.
+A term |p|/r [u, v] at phase t puts K |p|/r u against v's blocks and
+-K |p|/r v against u's; |p|/r {u, v} puts +K |p|/r v there instead (not
+skipped when a == b); |p|/r o puts K |p|/r D I_d against each of o's
+blocks.  A part of phase f against a block of phase g lands in the re row
+when f + g + t is even and the im row when it is odd, negated when
+(f + g + t) mod 4 is 2 or 3.  One real product L R holds every new
+residual at K D^2, and `_scalar_blocks` reads c_x off each block and checks
+that it is c_x I.  The blocks stay d x d: scipy's product keeps an
+accumulator as wide as its result, 2^32 entries for rows of d^2 at the
+full-space dimension 2^16.  `first_failure` takes up to `matrices.CHUNK`
+cases a chunk, in walk order, and ends a chunk early once the weights of
+the keys its cases newly compute (`RelationKernel.weight`) reach `BUDGET`.
 
 Int64 bound.  Before anything is computed, every case is bounded, memo hits
 included: an entry of K q [a, b] is at most |K q| (count_a + count_b) mag_a
@@ -137,13 +161,36 @@ def _parts(f, k):
 class Ledger:
     """What the kernels over one set of operators share (see the module
     docstring): `factors`, the first factor met of each class, with `counts`,
-    the most entries in a row of its re and im together, and `entries`, its
-    nnz; the `memo` of the keys decided; and `table`, a slot for the caller's
-    (tensor, bracket table), gathered once."""
+    the most entries in a row of its re and im together, `parts`, its re and
+    im on the `sector`, and `entries`, their nnz; the `memo` of the keys
+    decided; and `table`, a slot for the caller's (tensor, bracket table),
+    gathered once.  `sector`, the sorted basis states of one site's n modes
+    that the residuals are decided on, is None for the whole space."""
 
-    def __init__(self):
+    def __init__(self, sector=None):
         self.factors, self.counts, self.entries, self.memo, self.table = [], [], [], {}, None
-        self._phases, self._digests = [], {}    # per class; digest -> classes
+        self.parts, self._phases, self._digests = [], [], {}    # per class; digest -> classes
+        self.sector = sector = None if sector is None else np.asarray(sector, dtype=np.int64)
+        if sector is not None:
+            # per state of the 2^n, its particle count and its position in the sector
+            self.site_dim = 1 << int(sector[-1]).bit_length()
+            self._count = np.bitwise_count(np.arange(self.site_dim))
+            self._at = np.full(self.site_dim, -1)
+            self._at[sector] = np.arange(len(sector))
+
+    def _restrict(self, part):
+        """part's rows and columns at the sector, with one mask over its CSR
+        arrays; InputError when an entry joins states of different particle
+        counts, where no sector is exact."""
+        rows = np.repeat(np.arange(self.site_dim), np.diff(part.indptr))
+        if (self._count[rows] != self._count[part.indices]).any():
+            raise InputError("a sector needs operators that conserve particle number")
+        rows, cols = self._at[rows], self._at[part.indices]
+        keep = (rows >= 0) & (cols >= 0)
+        d = len(self.sector)
+        indptr = np.zeros(d + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[keep], minlength=d), out=indptr[1:])
+        return sp.csr_matrix((part.data[keep], cols[keep], indptr), shape=(d, d))
 
     def intern(self, f):
         """(class, j) with f = i^j times the class's first factor."""
@@ -162,7 +209,9 @@ class Ledger:
         classes.append(len(self.factors))
         self.factors.append(f)
         self.counts.append(int((np.diff(f.re.indptr) + np.diff(f.im.indptr)).max()))
-        self.entries.append(f.nnz)
+        parts = (f.re, f.im) if self.sector is None else tuple(map(self._restrict, (f.re, f.im)))
+        self.parts.append(parts)
+        self.entries.append(parts[0].nnz + parts[1].nnz)
         self._phases.append(k)
         return len(self.factors) - 1, 0
 
@@ -179,6 +228,10 @@ class RelationKernel:
             raise InputError("operator dimension mismatch")
         (self.site_dim, self.site_count), = layouts
         self.ledger = ledger = Ledger() if ledger is None else ledger
+        if ledger.sector is not None and self.site_dim != ledger.site_dim:
+            raise InputError("the ledger's sector is not of one site's modes")
+        # the side of a block of R and L: the sector's size, or the site's dimension
+        self.d = self.site_dim if ledger.sector is None else len(ledger.sector)
         factors = [op.factors if isinstance(op, SiteOp) else {0: op} for op in ops]
         interned = {}    # id -> (class, phase), for the factors `factors` holds
 
@@ -202,13 +255,12 @@ class RelationKernel:
         """R, and per class [(block of R, phase, part)], its parts at D."""
         stack, self.parts = [], {}
         for u in self.classes:
-            F = self.ledger.factors[u]
-            m = self.den // F.den
+            m = self.den // self.ledger.factors[u].den
             parts = [(phase, p if m == 1 else p * m)
-                     for phase, p in enumerate((F.re, F.im)) if p.nnz]
+                     for phase, p in enumerate(self.ledger.parts[u]) if p.nnz]
             self.parts[u] = [(len(stack) + j, *part) for j, part in enumerate(parts)]
             stack.extend(p for _, p in parts)
-        d = self.site_dim
+        d = self.d
         self.R = _place((len(stack) * d, d), d, [(j, 0, 1, p) for j, p in enumerate(stack)])
         self.ident = sp.identity(d, dtype=np.int64, format="csr")
 
@@ -261,7 +313,7 @@ class RelationKernel:
             self._met |= new
             entries = self.ledger.entries
             seen = self._chunk[id(case)] = case, plan, sum(
-                self.site_dim + sum(entries[u] for u in fs) for key in new for _, fs, *_ in key)
+                self.d + sum(entries[u] for u in fs) for key in new for _, fs, *_ in key)
         return seen[2]
 
     def first_failure(self, prop, cases):
@@ -313,7 +365,7 @@ class RelationKernel:
         the lcm K of the chunk's coefficients."""
         if self.R is None:
             self._stack()
-        d, D = self.site_dim, self.den
+        d, D = self.d, self.den
         blocks = []    # (key, phase, block of R, coefficient, part)
         for i, key in enumerate(keys):
             for kind, fs, p, r, t in key:

@@ -563,6 +563,17 @@ _Z = np.array([[1, 0], [0, -1]], dtype=np.int64)
 _I2 = np.eye(2, dtype=np.int64)
 
 
+def quaternionic_line(oct_gen, m7):
+    """The generators and tensor of the first index triple closed under the
+    bracket of m7 (a quaternionic subalgebra)."""
+    line = next(tri for tri in itertools.combinations(range(7), 3)
+                if all(i in tri for (i, j, k) in m7.entries if j in tri and k in tri))
+    pos = {p: q for q, p in enumerate(line)}
+    c = StructureTensor(3, {(pos[i], pos[j], pos[k]): v for (i, j, k), v in m7.entries.items()
+                            if i in pos and j in pos and k in pos})
+    return GeneratorSet(3, 8, [oct_gen.S[p] for p in line], [oct_gen.T[p] for p in line]), c
+
+
 def full_ladder(n, N):
     """The Jordan-Wigner lowering operators of N sites of n modes on the full
     space, as [x][A]: Z x .. x Z x sigma x I x .. x I over the n*N modes."""

@@ -1,11 +1,9 @@
 import functools
-import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mnl.algebra import StructureTensor
 from mnl.birep import GeneratorSet, check_glc
 from mnl import etc as etc_module, relations
 from mnl.etc import (ChargeDensitySet, ChargeSet, bilinear_lemma_check, charge_algebra_check,
@@ -13,7 +11,7 @@ from mnl.etc import (ChargeDensitySet, ChargeSet, bilinear_lemma_check, charge_a
 from mnl.fock import GQSparse, SiteOp, build_fields
 from mnl.relations import RelationKernel
 import oracles
-from oracles import eye
+from oracles import eye, quaternionic_line
 from mnl.report import InputError
 
 
@@ -164,17 +162,6 @@ def full_space(d):
 def reports(d, c):
     return (etc_verify(d, c).to_dict(), locality_check(d).to_dict(),
             charge_algebra_check(charges(d), c).to_dict())
-
-
-def quaternionic_line(oct_gen, m7):
-    """The generators and tensor of the first index triple closed under the
-    bracket of m7 (a quaternionic subalgebra)."""
-    line = next(tri for tri in itertools.combinations(range(7), 3)
-                if all(i in tri for (i, j, k) in m7.entries if j in tri and k in tri))
-    pos = {p: q for q, p in enumerate(line)}
-    c = StructureTensor(3, {(pos[i], pos[j], pos[k]): v for (i, j, k), v in m7.entries.items()
-                            if i in pos and j in pos and k in pos})
-    return GeneratorSet(3, 8, [oct_gen.S[p] for p in line], [oct_gen.T[p] for p in line]), c
 
 
 def swapped(gen):
@@ -413,6 +400,44 @@ def test_densities_of_scaled_generators(case, scale, quat_gen, su2_doubled, oct_
                             (scale ** 2, list(base.Y.values()), list(dens.Y.values()))):
         for a, b in zip(ours, theirs):
             assert b[0].factors[0] == a[0].factors[0].scale(q)
+
+
+# --- 16 modes per site, on the sector of at most two particles ----------
+
+def diagonal_blocks(gen, blocks):
+    """gen's matrices repeated on `blocks` diagonal blocks."""
+    n = gen.dim
+
+    def diag(m):
+        return [[m[i % n][j % n] if i // n == j // n else 0 for j in range(n * blocks)]
+                for i in range(n * blocks)]
+    return GeneratorSet(gen.r, n * blocks, [diag(m) for m in gen.S], [diag(m) for m in gen.T])
+
+
+@pytest.fixture(scope="module")
+def fields16():
+    return build_fields(16, 1)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_doubled_octonions_at_16_modes(swap, fields16, oct_gen, m7):
+    # r = 7 on two blocks of 8 modes: the residuals are decided on the 137
+    # states of at most two particles of the 2^16; the swapped set keeps the
+    # one-block set's witnesses
+    gen = diagonal_blocks(swapped(oct_gen) if swap else oct_gen, 2)
+    dens = charge_densities(fields16, gen, m7)
+    assert len(dens.ledger.sector) == 137 and dens.s[0][0].site_dim == 1 << 16
+    rep, theorem = etc_verify(dens, m7), charge_algebra_check(charges(dens), m7)
+    if not swap:
+        assert rep.passed and theorem.passed
+        assert rep.equations["3"].detail == "as printed [t,s]: fail; as [t,t]: pass"
+        return
+    assert {name: eq.witness for name, eq in rep.equations.items()} == {
+        "1": (0, 1, 0, 0), "2": (0, 0, 0, 0), "3": ("both readings fail",),
+        "4": (0, 0, 0), "5": (0, 1, 3, 0), "6": (0, 1, 0, 0, 0), "7": (0, 1, 0, 0, 0),
+        "8": (0, 1, 0, 2, 0, 0), "assoc-s": (0, 0, 0, 0), "assoc-t": (0, 0, 0, 0),
+        "symmetry": (0, 0, 0, 0)}
+    assert not theorem.passed and theorem.witness == ("st", 0, 0)
 
 
 # --- the bilinear lemma ------------------------------------------------

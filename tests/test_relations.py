@@ -22,7 +22,7 @@ from mnl.birep import GeneratorSet, check_glc
 from mnl.envelope import build_envelope, realize_check
 from mnl.etc import (ChargeDensitySet, charge_algebra_check, charge_densities, charges,
                      etc_verify, locality_check)
-from mnl.fock import GQSparse, SiteOp, build_fields, build_fock
+from mnl.fock import GQSparse, SiteOp, _states, build_fields, build_fock
 from mnl.relations import Ledger, RelationKernel
 from mnl.report import InputError
 
@@ -212,19 +212,63 @@ def test_kernel_anticommutators_at_every_phase():
     assert len(kernel.ledger.factors) == 3
 
 
+def turns(draw, sites):
+    """Drawn powers of i, per density label and site, and at times one
+    density drawn to stand, times i^k, in place of another."""
+    powers = st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=sites, max_size=sites)
+    labels = [("s", j) for j in range(3)] + [("t", j) for j in range(3)] + \
+        [("Y", j) for j in range(3)]
+    return {label: draw(powers) for label in labels}, \
+        draw(st.none() | st.tuples(st.sampled_from(labels), st.sampled_from(labels),
+                                   st.integers(0, 3)))
+
+
 @st.composite
 def turned_densities(draw):
     """The quaternion generators at 1 or 2 sites, or with S_0 and S_1
     swapped: every density at every site times a drawn power of i, and at
     times one density times i^k in place of another."""
-    sites, swap = draw(st.sampled_from([1, 2])), draw(st.booleans())
-    powers = st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=sites, max_size=sites)
-    labels = [("s", j) for j in range(3)] + [("t", j) for j in range(3)] + \
-        [("Y", j) for j in range(3)]
-    turns = {label: draw(powers) for label in labels}
-    copy = draw(st.none() | st.tuples(st.sampled_from(labels), st.sampled_from(labels),
-                                      st.integers(0, 3)))
-    return sites, swap, turns, copy
+    sites = draw(st.sampled_from([1, 2]))
+    return ("quaternion", sites, draw(st.booleans()), *turns(draw, sites))
+
+
+@st.composite
+def sector_densities(draw):
+    """`turned_densities` of the quaternion generators or of the octonion
+    line, at 1-3 sites."""
+    case, sites = draw(st.sampled_from(["quaternion", "octonion-line"])), draw(st.integers(1, 3))
+    return (case, sites, draw(st.booleans()), *turns(draw, sites))
+
+
+def turned(drawn, quat_gen, su2_doubled, oct_gen, m7, sector=False):
+    """The densities of a drawn case, turned, as a hand-built set on a fresh
+    ledger: of the sector `charge_densities` gives them, or of the whole
+    space."""
+    case, sites, swap, powers, copy = drawn
+    gen, c = (quat_gen, su2_doubled) if case == "quaternion" else \
+        oracles.quaternionic_line(oct_gen, m7)
+    gen = swapped_s01(gen) if swap else gen
+    dens = charge_densities(build_fields(gen.dim, sites), gen, c)
+    rows = {"s": [list(row) for row in dens.s], "t": [list(row) for row in dens.t],
+            "Y": [list(row) for row in dens.Y.values()]}
+    if copy:
+        (fa, ja), (fb, jb), k = copy
+        rows[fa][ja] = [times_i(op, k) for op in rows[fb][jb]]
+    for (family, j), power in powers.items():
+        rows[family][j] = [SiteOp(sites, op.site_dim, {x: times_i(f, power[x])
+                                                       for x, f in op.factors.items()})
+                           for op in rows[family][j]]
+    return ChargeDensitySet(3, sites, rows["s"], rows["t"], dict(zip(dens.Y, rows["Y"])), c,
+                            Ledger(dens.ledger.sector if sector else None)), c
+
+
+def reports_and_walk(dens, c):
+    """The reports of the kernel, in the order of `mnl etc` on one ledger,
+    and of the oracles' case-by-case walk on the same operators."""
+    return ([etc_verify(dens).to_dict(), locality_check(dens).to_dict(),
+             charge_algebra_check(charges(dens), c).to_dict()],
+            [oracles.etc_verify(dens).to_dict(), oracles.locality_check(dens).to_dict(),
+             oracles.charge_algebra_check(charges(dens), c).to_dict()])
 
 
 TURN_SETTINGS = settings(max_examples=15, deadline=None,
@@ -234,27 +278,54 @@ TURN_SETTINGS = settings(max_examples=15, deadline=None,
 
 @TURN_SETTINGS
 @given(drawn=turned_densities())
-def test_kernel_on_densities_times_powers_of_i_equals_the_walk(drawn, quat_gen, su2_doubled):
-    # the kernel's reports, in the order of `mnl etc` on one ledger, equal
-    # the oracles' case-by-case walk on the same operators
-    sites, swap, turns, copy = drawn
-    gen = swapped_s01(quat_gen) if swap else quat_gen
-    dens = charge_densities(build_fields(gen.dim, sites), gen, su2_doubled)
-    rows = {"s": [list(row) for row in dens.s], "t": [list(row) for row in dens.t],
-            "Y": [list(row) for row in dens.Y.values()]}
-    if copy:
-        (fa, ja), (fb, jb), k = copy
-        rows[fa][ja] = [times_i(op, k) for op in rows[fb][jb]]
-    for (family, j), powers in turns.items():
-        rows[family][j] = [SiteOp(sites, op.site_dim, {x: times_i(f, powers[x])
-                                                       for x, f in op.factors.items()})
-                           for op in rows[family][j]]
-    turned = ChargeDensitySet(3, sites, rows["s"], rows["t"], dict(zip(dens.Y, rows["Y"])),
-                              su2_doubled)
-    got = [etc_verify(turned).to_dict(), locality_check(turned).to_dict(),
-           charge_algebra_check(charges(turned), su2_doubled).to_dict()]
-    assert got == [oracles.etc_verify(turned).to_dict(), oracles.locality_check(turned).to_dict(),
-                   oracles.charge_algebra_check(charges(turned), su2_doubled).to_dict()]
+def test_kernel_on_densities_times_powers_of_i_equals_the_walk(drawn, quat_gen, su2_doubled,
+                                                               oct_gen, m7):
+    kernel, walk = reports_and_walk(*turned(drawn, quat_gen, su2_doubled, oct_gen, m7))
+    assert kernel == walk
+
+
+@TURN_SETTINGS
+@given(drawn=sector_densities())
+def test_sector_verdicts_equal_the_full_space_walk(drawn, quat_gen, su2_doubled, oct_gen, m7):
+    # every density is a bilinear times a unit phase, so deciding its
+    # residuals on the states of at most two particles of a site gives the
+    # walk's reports on the whole space of the site
+    dens, c = turned(drawn, quat_gen, su2_doubled, oct_gen, m7, sector=True)
+    kernel, walk = reports_and_walk(dens, c)
+    assert kernel == walk and dens.ledger.sector is not None
+
+
+# --- the sector's guards ---------------------------------------------------
+
+def test_sector_takes_only_number_conserving_factors():
+    # 3 modes: the sector leaves out the one state of three particles
+    f = build_fock(3, 1)
+    hop, number = f.adag[0] @ f.a[1], f.adag[0] @ f.a[0]
+    ledger = Ledger(_states(3, 2))
+    assert ledger.intern(number) == (0, 0) and ledger.parts[0][0].shape == (7, 7)
+    # 4 entries on the whole space, at 100, 101, 110 and 111; 3 on the sector
+    assert number.nnz == 4 and ledger.entries == [3] and ledger.counts == [1]
+    assert ledger.intern(hop) == (1, 0)
+    for op in (f.a[0], f.adag[1], hop + f.a[0] @ f.a[1]):
+        with pytest.raises(InputError):
+            ledger.intern(op)
+    with pytest.raises(InputError):
+        RelationKernel([hop, f.a[0]], Ledger(_states(3, 2)))
+    # a full-space ledger takes any factor
+    assert list(RelationKernel([f.a[0], f.adag[0], GQSparse.identity(8)]).fails(
+        [[("a", 1, 0, 1), ("o", -1, 2)]])) == [False]
+
+
+def test_sector_is_of_one_sites_modes():
+    f = build_fock(3, 1)
+    hop = f.adag[0] @ f.a[1]
+    for modes in (2, 4):
+        with pytest.raises(InputError):
+            RelationKernel([hop], Ledger(_states(modes, 2)))
+        with pytest.raises(InputError):
+            RelationKernel([SiteOp(2, 8, {0: hop, 1: hop})], Ledger(_states(modes, 2)))
+    kernel = RelationKernel([SiteOp(2, 8, {0: hop, 1: hop})], Ledger(_states(3, 2)))
+    assert kernel.classes == [0] and kernel.d == 7
 
 
 def test_swapped_octonion_theorem_after_etc_verify(swapped_oct, m7):
