@@ -5,6 +5,7 @@ without the rest of the chain.
     python3 scripts/bench_layers.py TAG                # the dense exact layer
     python3 scripts/bench_layers.py TAG --group etc    # the density ETC and charges
     python3 scripts/bench_layers.py TAG --group fock   # fields, densities, lemma
+    python3 scripts/bench_layers.py TAG --group loops  # loop scans, tangent sweep
 
 It imports `src/mnl` and `mnlbench` of the checkout it sits in.
 
@@ -31,10 +32,19 @@ It imports `src/mnl` and `mnlbench` of the checkout it sits in.
   of dimension 2^16); and `charge_densities` on the fields of that site for
   the quaternion generators on four diagonal blocks (r=3, 16 modes) and su2
   scaled by 2.
+- `loops`: the loop checks of one `exact-algebra` round in its order (the
+  octonion loop's `is_moufang` and `is_associative`; for each catalog group
+  `is_associative`, `chein_double` and both scans of the double), and those
+  two scans of the octonion loop alone; `chein_double`, `is_moufang` and
+  `is_associative` on the order-128 Chein double of z64; and the round's
+  tangent sweep, `tangent_structure_constants` of the unit-octonion chart at
+  the three steps of `mnlbench.workloads.ExactAlgebra` for seed 0, and at its
+  smallest step alone.
 
 Each function runs five times, every run on fresh copies of its inputs
 (tensor, generator set, envelope, densities and charges), so no value kept
-on an input from an earlier run hides the work; the copies are made outside
+on an input from an earlier run hides the work (Cayley tables and charts
+keep no such value, and are built once); the copies are made outside
 the timed call, which is timed by the process's CPU time
 (`time.process_time`), steadier than the wall clock on a shared host.  One
 more run, untimed, records the peak of the memory that `tracemalloc` sees
@@ -58,7 +68,7 @@ import tracemalloc
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
-from mnl import algebra, birep, envelope, etc, fock  # noqa: E402
+from mnl import algebra, birep, envelope, etc, fock, loops  # noqa: E402
 
 from mnlbench import workloads  # noqa: E402
 
@@ -186,7 +196,41 @@ def fock_inputs(workdir):
                                                    fresh_tensor(c)), etc.charge_densities)})}
 
 
-GROUPS = {"dense": dense_inputs, "etc": etc_inputs, "fock": fock_inputs}
+def loop_stage(oct_loop, catalog):
+    """The loop checks of one `exact-algebra` round, in its order."""
+    loops.is_moufang(oct_loop)
+    loops.is_associative(oct_loop)
+    for group in catalog.values():
+        loops.is_associative(group)
+        double = loops.chein_double(group)
+        loops.is_moufang(double)
+        loops.is_associative(double)
+
+
+def loop_inputs(workdir):
+    work = workloads.ExactAlgebra(SEED, workdir)
+    z64 = loops.cyclic_group(64)
+    double = loops.chein_double(z64)
+    chart = loops.unit_octonion_chart()
+    return {
+        "exact-algebra": (None, None, {
+            "loop_stage": (lambda c, g: (work.oct_loop, work.catalog), loop_stage),
+            "is_moufang": (lambda c, g: (work.oct_loop,), loops.is_moufang),
+            "is_associative": (lambda c, g: (work.oct_loop,), loops.is_associative)}),
+        "chein-z64": (None, None, {
+            "chein_double": (lambda c, g: (z64,), loops.chein_double),
+            "is_moufang": (lambda c, g: (double,), loops.is_moufang),
+            "is_associative": (lambda c, g: (double,), loops.is_associative)}),
+        "tangent": (None, None, {
+            "three_step_sweep": (
+                lambda c, g: (chart, work.steps),
+                lambda chart, steps: [loops.tangent_structure_constants(chart, h) for h in steps]),
+            "tangent_structure_constants": (lambda c, g: (chart, work.steps[-1]),
+                                            loops.tangent_structure_constants)}),
+    }
+
+
+GROUPS = {"dense": dense_inputs, "etc": etc_inputs, "fock": fock_inputs, "loops": loop_inputs}
 
 
 def measure(c, gen, cases):

@@ -92,7 +92,7 @@ def _loop_arrays(b: LoopBirep):
            for g in range(n) for m in (b.S[g], b.T[g])):
         raise InputError("birep matrices must be square of equal size")
     st, den = stacked([b.S[g] for g in range(n)] + [b.T[g] for g in range(n)], size)
-    return st[:n], st[n:], den, np.array(b.loop.table)
+    return st[:n], st[n:], den, b.loop.array
 
 
 def _loop_check(prop, n, identities):

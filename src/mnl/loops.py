@@ -4,11 +4,20 @@ of tangent structure constants from an analytic chart of the unit octonions.
 Everything here except `tangent_structure_constants` (and the charts it
 consumes) is exact integer table arithmetic; the charts are the one place in
 the package where floating point is allowed.
+
+Each table scan is integer-array indexing into `CayleyTable.array`. The
+triple scans (`is_moufang`, `is_associative`) decide a slab of their outer
+index at a time, SLAB // n^2 values of it and at least one (so about 2^16
+triples, n^2 when n^2 > SLAB), and return the first failing triple in the
+order of the triple loop, as Python ints. A chart's `multiply` and `invert`
+act on the last axis of stacks of points (see `ParamLoopChart`), so the
+4r^2 commutators of one step of the tangent sweep are one batched chain of
+chart calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -24,6 +33,7 @@ class CayleyTable:
     order: int
     table: Tuple[Tuple[int, ...], ...]
     names: Optional[Tuple[str, ...]] = None
+    array: np.ndarray = field(init=False, repr=False, compare=False)   # the table, (n, n) ints
 
     def __post_init__(self):
         n = self.order
@@ -39,6 +49,8 @@ class CayleyTable:
                     raise InputError(f"table entry {v!r} out of range")
         if self.names is not None and len(self.names) != n:
             raise InputError("names length does not match order")
+        object.__setattr__(self, "array", np.array(self.table, dtype=np.intp))
+        self.array.flags.writeable = False
 
     def mul(self, g, h):
         return self.table[g][h]
@@ -46,14 +58,14 @@ class CayleyTable:
     def index(self, name):
         if self.names is None:
             raise InputError("table has no element names")
+        if name not in self.names:
+            raise InputError(f"table has no element named {name!r}")
         return self.names.index(name)
 
     def right_inverse(self, g):
-        """The unique x with g*x = 0, if any."""
-        for x in range(self.order):
-            if self.table[g][x] == 0:
-                return x
-        return None
+        """The first x with g*x = 0, if any."""
+        hits = np.flatnonzero(self.array[g] == 0)
+        return int(hits[0]) if hits.size else None
 
     def to_json_dict(self):
         d = {"order": self.order, "table": [list(r) for r in self.table]}
@@ -78,53 +90,56 @@ class CayleyTable:
         )
 
 
+SLAB = 1 << 16     # triples a triple scan decides at once, about
+
+
+def _first_triple(n, fails):
+    """The first (x, y, z) in lexicographic order, as Python ints, at which
+    fails(xs) (an (len(xs), n, n) bool array for the outer indices xs) holds,
+    a slab of outer indices at a time; None if there is none."""
+    width = max(1, SLAB // (n * n))
+    for lo in range(0, n, width):
+        bad = fails(np.arange(lo, min(lo + width, n))[:, None, None])
+        if bad.any():
+            x, y, z = np.unravel_index(int(bad.argmax()), bad.shape)
+            return lo + int(x), int(y), int(z)
+    return None
+
+
 def is_quasigroup(t: CayleyTable) -> CheckReport:
     """Latin-square scan; witness names the offending row or column."""
-    n = t.order
-    full = set(range(n))
-    for g in range(n):
-        if set(t.table[g]) != full:
-            return fail("quasigroup", witness=("row", g))
-    for h in range(n):
-        if {t.table[g][h] for g in range(n)} != full:
-            return fail("quasigroup", witness=("column", h))
+    full = np.arange(t.order)
+    for kind, lines in (("row", t.array), ("column", t.array.T)):
+        bad = np.flatnonzero((np.sort(lines, axis=1) != full).any(axis=1))
+        if bad.size:
+            return fail("quasigroup", witness=(kind, int(bad[0])))
     return ok("quasigroup")
 
 
 def has_unit(t: CayleyTable) -> CheckReport:
-    for g in range(t.order):
-        if t.table[0][g] != g or t.table[g][0] != g:
-            return fail("unit", witness=(g,))
-    return ok("unit")
+    full = np.arange(t.order)
+    bad = np.flatnonzero((t.array[0] != full) | (t.array[:, 0] != full))
+    return fail("unit", witness=(int(bad[0]),)) if bad.size else ok("unit")
 
 
 def is_moufang(t: CayleyTable) -> CheckReport:
-    """(ag)(ha) = (a(gh))a for all triples, plus two-sided inverses."""
+    """(ag)(ha) = (a(gh))a for all triples (a, g, h), plus two-sided inverses."""
     if not is_quasigroup(t).passed or not has_unit(t).passed:
         raise InputError("is_moufang requires a quasigroup with unit 0")
-    n = t.order
-    for g in range(n):
-        gi = t.right_inverse(g)
-        if gi is None or t.table[gi][g] != 0:
-            return fail("moufang", witness=(g,), detail="no two-sided inverse")
-    for a in range(n):
-        for g in range(n):
-            ag = t.table[a][g]
-            for h in range(n):
-                if t.table[ag][t.table[h][a]] != t.table[t.table[a][t.table[g][h]]][a]:
-                    return fail("moufang", witness=(a, g, h))
-    return ok("moufang")
+    T, n = t.array, t.order
+    g, h = np.arange(n)[:, None], np.arange(n)
+    bad = np.flatnonzero(T[(T == 0).argmax(axis=1), h] != 0)    # (h's right inverse) h != 0
+    if bad.size:
+        return fail("moufang", witness=(int(bad[0]),), detail="no two-sided inverse")
+    witness = _first_triple(n, lambda a: T[T[a, g], T[h, a]] != T[T[a, T], a])
+    return fail("moufang", witness=witness) if witness else ok("moufang")
 
 
 def is_associative(t: CayleyTable) -> CheckReport:
-    n = t.order
-    for g in range(n):
-        for h in range(n):
-            gh = t.table[g][h]
-            for a in range(n):
-                if t.table[gh][a] != t.table[g][t.table[h][a]]:
-                    return fail("associative", witness=(g, h, a))
-    return ok("associative")
+    T, n = t.array, t.order
+    h, a = np.arange(n)[:, None], np.arange(n)
+    witness = _first_triple(n, lambda g: T[T[g, h], a] != T[g, T])
+    return fail("associative", witness=witness) if witness else ok("associative")
 
 
 def loop_commutator(t: CayleyTable, g, h):
@@ -145,19 +160,13 @@ def chein_double(g: CayleyTable) -> CayleyTable:
     g*h = gh, g*(hu) = (hg)u, (gu)*h = (gh^-1)u, (gu)*(hu) = h^-1 g."""
     if not is_group(g):
         raise InputError("chein_double needs a group table")
-    n = g.order
-    inv = [g.right_inverse(x) for x in range(n)]
-    table = [[0] * (2 * n) for _ in range(2 * n)]
-    for a in range(n):
-        for b in range(n):
-            table[a][b] = g.table[a][b]
-            table[a][n + b] = n + g.table[b][a]
-            table[n + a][b] = n + g.table[a][inv[b]]
-            table[n + a][n + b] = g.table[inv[b]][a]
+    T, n = g.array, g.order
+    inv = (T == 0).argmax(axis=1)
+    table = np.block([[T, T.T + n], [T[:, inv] + n, T[inv].T]])
     names = None
     if g.names is not None:
         names = tuple(g.names) + tuple(f"{nm}u" for nm in g.names)
-    return CayleyTable(2 * n, tuple(tuple(r) for r in table), names)
+    return CayleyTable(2 * n, tuple(map(tuple, table.tolist())), names)
 
 
 def signed_unit_loop(table) -> CayleyTable:
@@ -256,23 +265,30 @@ def group_catalog() -> Dict[str, CayleyTable]:
 
 @dataclass(frozen=True)
 class ParamLoopChart:
-    """Analytic loop in one coordinate chart around the unit (origin 0)."""
+    """Analytic loop in one coordinate chart around the unit (origin 0).
+
+    `multiply` and `invert` act on the last axis: given stacks of points of
+    shape (..., dim) (one point is a stack of none), they return the stack of
+    results, each point's result the same floats as if it were computed
+    alone."""
 
     dim: int
     multiply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     invert: Callable[[np.ndarray], np.ndarray]
 
 
-def _sign_tensor(table) -> np.ndarray:
-    """T[a, b, i] = sign where table[a][b] = (i, sign), zero elsewhere."""
-    T = np.zeros((len(table),) * 3)
+def _by_product(table):
+    """(cols, signs): cols[a, i] = b and signs[a, i] = sign where
+    table[a][b] = (i, sign), for a signed unit table whose rows are
+    permutations of the units."""
+    cols, signs = np.zeros((len(table),) * 2, dtype=np.intp), np.zeros((len(table),) * 2)
     for a, row in enumerate(table):
         for b, (idx, sign) in enumerate(row):
-            T[a, b, idx] = sign
-    return T
+            cols[a, idx], signs[a, idx] = b, sign
+    return cols, signs
 
 
-_OCT_T = _sign_tensor(cayley_dickson(OCTONIONS))
+_OCT_COLS, _OCT_SIGNS = _by_product(cayley_dickson(OCTONIONS))
 
 
 def unit_octonion_chart() -> ParamLoopChart:
@@ -280,15 +296,18 @@ def unit_octonion_chart() -> ParamLoopChart:
     products projected back to the imaginary part."""
 
     def embed(v):
-        v = np.asarray(v, dtype=float)
-        s = float(v @ v)
-        if s >= 1.0:
+        v = np.ascontiguousarray(v, dtype=float)    # BLAS picks its dot kernel by the stride
+        s = np.vecdot(v, v)
+        if (s >= 1.0).any():
             raise InputError("chart argument outside |v| < 1")
-        return np.concatenate(([np.sqrt(1.0 - s)], v))
+        return np.concatenate((np.sqrt(1.0 - s)[..., None], v), axis=-1)
 
     def multiply(v, w):
-        q = np.einsum("a,b,abi->i", embed(v), embed(w), _OCT_T)
-        return q[1:]
+        x, y = embed(v), embed(w)
+        q = 0.0    # sum over (a, b) of x_a y_b e_a e_b, term by term in lexicographic order
+        for a in range(8):
+            q = q + x[..., a, None] * (_OCT_SIGNS[a] * y[..., _OCT_COLS[a]])
+        return q[..., 1:]
 
     def invert(v):
         return -np.asarray(v, dtype=float)
@@ -308,23 +327,17 @@ def chart_commutator(chart: ParamLoopChart, g, h, bracketing="left"):
 def tangent_structure_constants(chart: ParamLoopChart, step: float,
                                 bracketing="left", antisymmetrize=True) -> np.ndarray:
     """c^i_jk from the central mixed second difference of the commutator map
-    at the origin, as a float array of shape (r, r, r); InputError if one is not finite."""
+    at the origin, as a float array of shape (r, r, r); InputError if one is not finite.
+    The 4r^2 commutators [+-step e_j, +-step e_k] are one stack of chart calls."""
     if not 0.0 < step < 0.1:
         raise InputError("step must lie in (0, 0.1)")
-    r = chart.dim
-    c = np.zeros((r, r, r))
-    for j in range(r):
-        ej = np.zeros(r)
-        ej[j] = step
-        for k in range(r):
-            ek = np.zeros(r)
-            ek[k] = step
-            val = (chart_commutator(chart, ej, ek, bracketing)
-                   - chart_commutator(chart, -ej, ek, bracketing)
-                   - chart_commutator(chart, ej, -ek, bracketing)
-                   + chart_commutator(chart, -ej, -ek, bracketing))
-            with np.errstate(all="ignore"):    # a non-finite quotient raises below
-                c[:, j, k] = val / (4.0 * step * step)
+    e = step * np.eye(chart.dim)
+    # g[s, j, k] = +-step e_j and h[s, j, k] = +-step e_k, signs (+,+), (-,+), (+,-), (-,-)
+    g, h = np.broadcast_arrays(np.stack([e, -e, e, -e])[:, :, None],
+                               np.stack([e, e, -e, -e])[:, None])
+    pp, mp, pm, mm = chart_commutator(chart, g, h, bracketing)
+    with np.errstate(all="ignore"):    # a non-finite quotient raises below
+        c = np.moveaxis(pp - mp - pm + mm, -1, 0) / (4.0 * step * step)
     if not np.isfinite(c).all():
         raise InputError(f"step {step} gives a non-finite difference quotient")
     if antisymmetrize:

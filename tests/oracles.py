@@ -12,7 +12,11 @@ through Kronecker products: the ladder operators, their embeddings and the
 anticommutation and lemma checks there; the one-site anticommutation scan
 decides its relations one anticommutator at a time, the lemma walk
 (`lemma_walk`) one trial at a time from pair products, and `raw_yamagutian`
-one Yamagutian density at a time."""
+one Yamagutian density at a time.  The loop scans are the triple loops over
+a Cayley table's rows, and the Chein double is built entry by entry; the
+tangent sweep evaluates one commutator at a time on single points, and
+`octonion_product` is the unit-octonion chart's product of one pair of
+points as one contraction with the signed product tensor."""
 
 import itertools
 from fractions import Fraction
@@ -20,11 +24,13 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from mnl.algebra import StructureTensor, YamagutiTensor, yamaguti_constants
+from mnl.algebra import (OCTONIONS, StructureTensor, YamagutiTensor, cayley_dickson,
+                         yamaguti_constants)
 from mnl.birep import GeneratorSet, GLCReport, Label, Vec
 from mnl.envelope import EnvelopeAlgebra
 from mnl.etc import CONVENTION, ETCReport, _signed
 from mnl.fock import _CANONICAL, _CAR, GQSparse, _parity
+from mnl.loops import CayleyTable, chart_commutator
 from mnl.report import CheckReport, InputError, fail, ok
 
 
@@ -742,3 +748,118 @@ def bilinear_lemma_full(f, trials, seed):
     """The bilinear lemma, same draws, on the full-space ladder operators."""
     return lemma_walk([op for row in full_ladder(f.modes_per_site, f.sites) for op in row],
                   trials, seed)
+
+
+# --- finite loops and the tangent sweep -----------------------------------------
+
+def is_quasigroup(t: CayleyTable) -> CheckReport:
+    n = t.order
+    full = set(range(n))
+    for g in range(n):
+        if set(t.table[g]) != full:
+            return fail("quasigroup", witness=("row", g))
+    for h in range(n):
+        if {t.table[g][h] for g in range(n)} != full:
+            return fail("quasigroup", witness=("column", h))
+    return ok("quasigroup")
+
+
+def has_unit(t: CayleyTable) -> CheckReport:
+    for g in range(t.order):
+        if t.table[0][g] != g or t.table[g][0] != g:
+            return fail("unit", witness=(g,))
+    return ok("unit")
+
+
+def right_inverse(t: CayleyTable, g):
+    for x in range(t.order):
+        if t.table[g][x] == 0:
+            return x
+    return None
+
+
+def is_moufang(t: CayleyTable) -> CheckReport:
+    if not is_quasigroup(t).passed or not has_unit(t).passed:
+        raise InputError("is_moufang requires a quasigroup with unit 0")
+    n = t.order
+    for g in range(n):
+        gi = right_inverse(t, g)
+        if gi is None or t.table[gi][g] != 0:
+            return fail("moufang", witness=(g,), detail="no two-sided inverse")
+    for a in range(n):
+        for g in range(n):
+            ag = t.table[a][g]
+            for h in range(n):
+                if t.table[ag][t.table[h][a]] != t.table[t.table[a][t.table[g][h]]][a]:
+                    return fail("moufang", witness=(a, g, h))
+    return ok("moufang")
+
+
+def is_associative(t: CayleyTable) -> CheckReport:
+    n = t.order
+    for g in range(n):
+        for h in range(n):
+            gh = t.table[g][h]
+            for a in range(n):
+                if t.table[gh][a] != t.table[g][t.table[h][a]]:
+                    return fail("associative", witness=(g, h, a))
+    return ok("associative")
+
+
+def chein_double_table(g: CayleyTable):
+    """The rows of M(G, 2): g*h = gh, g*(hu) = (hg)u, (gu)*h = (gh^-1)u,
+    (gu)*(hu) = h^-1 g."""
+    n = g.order
+    inv = [right_inverse(g, x) for x in range(n)]
+    table = [[0] * (2 * n) for _ in range(2 * n)]
+    for a in range(n):
+        for b in range(n):
+            table[a][b] = g.table[a][b]
+            table[a][n + b] = n + g.table[b][a]
+            table[n + a][b] = n + g.table[a][inv[b]]
+            table[n + a][n + b] = g.table[inv[b]][a]
+    return tuple(tuple(r) for r in table)
+
+
+def sign_tensor(table):
+    """T[a, b, i] = sign where table[a][b] = (i, sign), zero elsewhere."""
+    T = np.zeros((len(table),) * 3)
+    for a, row in enumerate(table):
+        for b, (idx, sign) in enumerate(row):
+            T[a, b, idx] = sign
+    return T
+
+
+_OCT_T = sign_tensor(cayley_dickson(OCTONIONS))
+
+
+def octonion_product(v, w):
+    """The unit-octonion chart's product of two points of R^7 (|v|, |w| < 1)."""
+    def embed(v):
+        v = np.asarray(v, dtype=float)
+        s = float(v @ v)
+        if s >= 1.0:
+            raise InputError("chart argument outside |v| < 1")
+        return np.concatenate(([np.sqrt(1.0 - s)], v))
+    return np.einsum("a,b,abi->i", embed(v), embed(w), _OCT_T)[1:]
+
+
+def tangent_structure_constants(chart, step, bracketing="left", antisymmetrize=True):
+    """The central mixed second difference, one pair (j, k) and one
+    commutator at a time, on single points."""
+    r = chart.dim
+    c = np.zeros((r, r, r))
+    for j in range(r):
+        ej = np.zeros(r)
+        ej[j] = step
+        for k in range(r):
+            ek = np.zeros(r)
+            ek[k] = step
+            val = (chart_commutator(chart, ej, ek, bracketing)
+                   - chart_commutator(chart, -ej, ek, bracketing)
+                   - chart_commutator(chart, ej, -ek, bracketing)
+                   + chart_commutator(chart, -ej, -ek, bracketing))
+            c[:, j, k] = val / (4.0 * step * step)
+    if antisymmetrize:
+        c = 0.5 * (c - np.swapaxes(c, 1, 2))
+    return c
