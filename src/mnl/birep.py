@@ -245,22 +245,6 @@ def cyclic_rows(c: StructureTensor, j, k, l):
     return R, D
 
 
-def row_vecs(R, den, lbls) -> List[Vec]:
-    """Integer rows R at den over the labels lbls as {label: coefficient}."""
-    out = [{} for _ in range(len(R))]
-    for n, w in zip(*np.nonzero(R)):
-        out[n][lbls[w]] = Fraction(int(R[n, w]), den)
-    return out
-
-
-def bracket_vecs(c: StructureTensor, pairs) -> Dict[Tuple[Label, Label], Vec]:
-    """{(a, b): the table row [a, b]} for a list of label pairs, one gather."""
-    lbls = labels(c.dim)
-    index = {lbl: w for w, lbl in enumerate(lbls)}
-    a, b = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.int64).reshape(-1, 2).T
-    return dict(zip(pairs, row_vecs(*bracket_rows(c, a, b), lbls)))
-
-
 def _signed(lbl):
     """(sign, stored label) of a table label, reading Y_kj as -Y_jk; None for
     Y_jj, which is zero."""
@@ -274,6 +258,8 @@ def _labelled_operators(gen: GeneratorSet, c: StructureTensor):
     integer scale E.  Y_jk is solved from its [S_j, T_k] row, which is
     -Y_jk + (R_S S + R_T T) / D at the table's D (`bracket_rows`); with den X
     integer, E = den^2 D and E Y_jk = den (R_S, R_T) (den X) - D [den S_j, den T_k]."""
+    if gen.r != c.dim:
+        raise InputError("generator count must match tensor dim")
     r = gen.r
     st, den = stacked(list(gen.S) + list(gen.T), gen.dim)
     j, k = np.divmod(np.arange(r * r), r)
@@ -286,8 +272,6 @@ def _labelled_operators(gen: GeneratorSet, c: StructureTensor):
 def extract_yamagutians(gen: GeneratorSet, c: StructureTensor) -> Dict[tuple, list]:
     """Y_jk for every ordered pair (j, k), each solved from its own [S_j, T_k]
     relation: Y_jk = -[S_j, T_k] + (1/3) c^p_jk (S_p - T_p); zero entries are 0."""
-    if gen.r != c.dim:
-        raise InputError("generator count must match tensor dim")
     ops, scale = _labelled_operators(gen, c)
     return {lbl[1:]: [[Fraction(int(v), scale) if v else 0 for v in row] for row in ops[w]]
             for w, lbl in enumerate(labels(gen.r)) if lbl[0] == "Y"}
@@ -326,8 +310,6 @@ def check_glc(gen: GeneratorSet, c: StructureTensor) -> GLCReport:
     """Exact verification of the generalized Lie-Cartan relations for a
     generator set against a structure tensor, with Y_jk extracted from the
     [S_j, T_k] relation.  A pair's right side is its `bracket_rows` row."""
-    if gen.r != c.dim:
-        raise InputError("generator count must match tensor dim")
     fails = matrix_fails(gen, c)
     n = gen.r
     r, width = range(n), np.arange(2 * n + n * n)

@@ -25,14 +25,16 @@ stays factored and exact: a commutator is the per-site commutator of the
 factors (zero across sites without arithmetic), and a sum of embeddings
 sum_x E_x(D_x) is zero exactly when every D_x is c_x * I with sum_x c_x = 0.
 
-Relations.  Every right side is a table row, gathered once per ledger
-(`_table`).  Densities realize the table at site labels (label, x) with the
-Kronecker delta, [A(x), B(y)] = i delta_xy (row at x), and charges realize it
-as it stands; both read Y_kj as -Y_jk and Y_jj as zero (`birep._signed`).
-Every density is rho(M) = -i a† M^T a of its matrix, Y_jk as the generator
-checks extract it.  Given the CAR, [rho(M), rho(N)] = i rho([M, N]), so
-rho(Y_jk) is the convention's i[s_j, t_k] + (1/3) c^p_jk (s_p - t_p), which
-equation 2 checks.
+Relations.  Every right side is a table row, which each check reads off
+`birep.bracket_rows` and `birep.cyclic_rows` in one pass over their
+nonzeros (`_table`).  Densities realize the table at site labels (label, x)
+with the Kronecker delta, [A(x), B(y)] = i delta_xy (row at x), and charges
+realize it as it stands; both read Y_kj as -Y_jk and Y_jj as zero
+(`birep._signed`).  Every density is rho(M) = -i a† M^T a of its matrix,
+read off the integer stack into which the generator checks solve Y_jk
+(`birep._labelled_operators`).  Given the CAR, [rho(M), rho(N)] = i
+rho([M, N]), so rho(Y_jk) is the convention's i[s_j, t_k] + (1/3) c^p_jk
+(s_p - t_p), which equation 2 checks.
 
 One kernel, one ledger.  `etc_verify`, `locality_check` and
 `charge_algebra_check` write each case, in the order they walk them, as one
@@ -42,10 +44,11 @@ one exact sparse product L R, with R the distinct site factors stacked once
 at one common denominator and L the coefficients of each one-site residual
 not yet decided, and the c_x I rule above on every residual.  The kernels of
 one density set share its `relations.Ledger`, which `charges` hands on to
-the charges: it names each factor up to a unit phase, keeps every residual
-decided, and holds the table.  The charges are -i sum_x of the densities, so
-at each site every residual of the theorem is one of the density ETC times
--1 or +-i, and after `etc_verify` the theorem computes none.  Every chunk is
+the charges: it names each factor up to a unit phase and keeps every
+residual decided.  The charges are -i sum_x of the densities, each factor
+-i F of a density's factor F, so at each site every residual of the theorem
+is one of the density ETC times -1 or +-i, and after `etc_verify` the
+theorem computes none.  Every chunk is
 bounded below 2^62 before it computes (`BoundError` past it), and the first
 failing row in walk order is the witness.  Plain full-space `GQSparse`
 operators are one factor of a one-site space there, so the same checks give
@@ -72,18 +75,19 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .algebra import StructureTensor
-from .birep import (GeneratorSet, _signed, bracket_vecs, cyclic_rows, extract_yamagutians,
-                    labels, row_vecs)
-from .fock import FieldSet, GQSparse, QuadraticCache, SiteOp, _ladder, _states
+from .birep import (GeneratorSet, _labelled_operators, _signed, bracket_rows, cyclic_rows,
+                    labels)
+from .fock import FieldSet, GQSparse, QuadraticCache, SiteOp, _ladder, _minus_i, _states
 from .matrices import commutator, first_failure_chunked, fits_int64
 from .relations import Ledger, RelationKernel
-from .report import BoundError, CheckReport, InputError, fail, ok
+from .report import BoundError, CheckReport, InputError
 
 CONVENTION = ("s0_j(x) = -i a†(x) S_j^T a(x); t0_j(x) = -i a†(x) T_j^T a(x); "
               "Y0_jk(x) = i[s0_j(x), t0_k(x)] + (1/3) c^p_jk (s0_p(x) - t0_p(x)); "
@@ -107,28 +111,20 @@ class ChargeDensitySet:
     ledger: Ledger = field(default_factory=Ledger, repr=False, compare=False)
 
 
-def _yamagutian_case(rows, j, k, at):
-    """The terms of i Y0_jk = -[s_j, t_k] + sum v i X_p, from the [S_j, T_k]
-    row -Y_jk + sum v X_p of `rows` (`birep.bracket_rows`); at(label) is the
-    label's kernel index."""
-    return [("c", -1, at(("S", j)), at(("T", k)))] + [("i", v, at(lbl))
-                                                      for v, lbl in rows[("S", j), ("T", k)]
-                                                      if lbl[0] != "Y"]
-
-
 def charge_densities(f: FieldSet, gen: GeneratorSet, c: StructureTensor) -> ChargeDensitySet:
-    """The densities rho(M) = -i a†(x) M^T a(x) of M = S_j, T_j and of the
-    Y_jk, j < k, of `birep.extract_yamagutians`: one `QuadraticCache.bilinears`
-    call, each bounded at M's own least denominator, one `GQSparse` from its
-    part and shared by every site; the set's ledger decides on the states of
-    at most two particles of a site."""
+    """The densities rho(M) = -i a†(x) M^T a(x) of M = S_j, T_j and Y_jk,
+    j < k, read transposed off `birep._labelled_operators`' integer stack:
+    one `QuadraticCache.bilinears` call, each bounded at M's own least
+    denominator, one `GQSparse` from its part and shared by every site; the
+    set's ledger decides on the states of at most two particles of a site."""
     if gen.dim != f.modes_per_site:
         raise InputError("generator size must equal modes per site")
-    cache, Y = QuadraticCache(f.fock.a), extract_yamagutians(gen, c)    # checks gen.r == c.dim
+    cache, (ops, scale) = QuadraticCache(f.fock.a), _labelled_operators(gen, c)
     r = range(gen.r)
     upper = [(j, k) for j in r for k in r if j < k]
+    mats = ops[[*range(2 * gen.r), *(2 * gen.r + j * gen.r + k for j, k in upper)]]
     zero, rho = sp.csr_matrix((cache.dim, cache.dim), dtype=np.int64), []
-    for P, den in cache.bilinears([list(zip(*m)) for m in [*gen.S, *gen.T, *map(Y.get, upper)]]):
+    for P, den in cache.bilinears(mats.transpose(0, 2, 1), scale):
         op = GQSparse(cache.dim, zero, -P, den)    # -i a† M^T a, one GQSparse each
         rho.append([SiteOp(f.sites, cache.dim, {x: op}) for x in range(f.sites)])
     return ChargeDensitySet(gen.r, f.sites, rho[:gen.r], rho[gen.r:2 * gen.r],
@@ -150,27 +146,30 @@ class ETCReport:
                 "equations": {k: v.to_dict() for k, v in self.equations.items()}}
 
 
-def _table(c: StructureTensor, ledger: Ledger):
+def _table(c: StructureTensor):
     """({(a, b): table row} for S-S, S-T, T-T and Y_jk with S_n, T_n, Y_ln,
     j < k and l < n; {(j, k, l): cyclic relation} for j < k < l): the rows
-    the density and charge relations read (`birep.bracket_rows`), each as
-    its (sign * coefficient, stored label) pairs (`_signed`), gathered once
-    per ledger and tensor."""
-    if ledger.table is None or ledger.table[0] is not c:
-        r = range(c.dim)
-        upper = [("Y", j, k) for j in r for k in r if j < k]
-        pairs = ([((A, j), (B, k)) for A, B in ("SS", "ST", "TT") for j in r for k in r]
-                 + [(y, b) for y in upper for b in [(X, n) for X in "ST" for n in r] + upper])
-        triples = [(j, k, l) for j in r for k in r for l in r if j < k < l]
-        cyclic = cyclic_rows(c, *np.array(triples, dtype=np.int64).reshape(-1, 3).T)
+    the density and charge relations read (`birep.bracket_rows`,
+    `birep.cyclic_rows`), each as its (sign * coefficient, stored label)
+    pairs in label order (`_signed`), from one pass over their nonzeros."""
+    r, lbls = range(c.dim), labels(c.dim)
+    index = {lbl: w for w, lbl in enumerate(lbls)}
+    signed = [_signed(lbl) for lbl in lbls]
+    upper = [("Y", j, k) for j in r for k in r if j < k]
+    pairs = ([((A, j), (B, k)) for A, B in ("SS", "ST", "TT") for j in r for k in r]
+             + [(y, b) for y in upper for b in [(X, n) for X in "ST" for n in r] + upper])
+    triples = [(j, k, l) for j in r for k in r for l in r if j < k < l]
 
-        def stored(vec):
-            return [(signed[0] * v, signed[1]) for lbl, v in vec.items()
-                    if v and (signed := _signed(lbl))]
-        ledger.table = c, ({key: stored(vec) for key, vec in bracket_vecs(c, pairs).items()},
-                           {key: stored(vec) for key, vec in
-                            zip(triples, row_vecs(*cyclic, labels(c.dim)))})
-    return ledger.table[1]
+    def stored(keys, R, den):
+        out = {key: [] for key in keys}
+        rows, cols = np.nonzero(R)
+        for n, w, v in zip(rows.tolist(), cols.tolist(), R[rows, cols].tolist()):
+            if signed[w]:
+                out[keys[n]].append((Fraction(signed[w][0] * v, den), signed[w][1]))
+        return out
+    a, b = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.int64).T
+    return (stored(pairs, *bracket_rows(c, a, b)),
+            stored(triples, *cyclic_rows(c, *np.array(triples, dtype=np.int64).reshape(-1, 3).T)))
 
 
 def _density_kernel(d: ChargeDensitySet):
@@ -195,7 +194,7 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
     if c.dim != d.r:
         raise InputError("tensor dim must match density count")
     r, N = range(d.r), range(d.sites)
-    rows, cyclic = _table(c, d.ledger)
+    rows, cyclic = _table(c)
     kernel, index = _density_kernel(d)
     rep = ETCReport(CONVENTION)
 
@@ -214,9 +213,12 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
         return (comm(la, x, lb, y), *at(x, vec, "i", -1))
 
     def yamagutian_sum(j, k, x):
-        # i (Y0_jk(x) + Y0_kj(x))
+        # i (Y0_jk(x) + Y0_kj(x)), each i Y0_ab = -[s_a, t_b] + sum v i X_p
+        # from the [S_a, T_b] row -Y_ab + sum v X_p
         return [term for a, b in ((j, k), (k, j))
-                for term in _yamagutian_case(rows, a, b, lambda lbl: index[lbl, x])]
+                for term in [("c", -1, index[("S", a), x], index[("T", b), x]),
+                             *(("i", v, index[lbl, x]) for v, lbl in rows[("S", a), ("T", b)]
+                               if lbl[0] != "Y")]]
 
     def assoc(kind, sign, j, k, x, y):
         # [a_j(x), a_k(y)] = i delta_xy sign c^p_jk a_p(x) - 2 [s_j(x), t_k(y)]
@@ -290,12 +292,22 @@ class ChargeSet:
 
 
 def charges(d: ChargeDensitySet) -> ChargeSet:
-    """The charges of d, sharing its ledger."""
-    zero = d.s[0][0].zero_like()
+    """The charges of d, -i sum_x of its densities, sharing its ledger: -i F
+    (`fock._minus_i`) once for each distinct factor F of the sums, shared by
+    the sites that hold it.  A site that one density reaches holds its F."""
+    turned = {}    # id(F) -> (F, -i F); F is kept, so its id stays its own
 
-    def charge(mats):
-        # -i sum_x mats[x] = i sum_x (-mats[x])
-        return zero.plus([(-1, m) for m in mats]).times_i()
+    def minus_i(F):
+        if id(F) not in turned:
+            turned[id(F)] = F, _minus_i(F)
+        return turned[id(F)][1]
+
+    def charge(row):
+        total = row[0].zero_like().plus([(1, op) for op in row])
+        if isinstance(total, GQSparse):
+            return minus_i(total)
+        return SiteOp(total.sites, total.site_dim,
+                      {x: minus_i(F) for x, F in total.factors.items()})
 
     return ChargeSet(d.r, [charge(ops) for ops in d.s], [charge(ops) for ops in d.t],
                      {key: charge(ops) for key, ops in d.Y.items()}, d.ledger)
@@ -309,7 +321,7 @@ def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
     if c.dim != q.r:
         raise InputError("tensor dim must match charge count")
     r = range(q.r)
-    rows, cyclic = _table(c, q.ledger)
+    rows, cyclic = _table(c)
     labels = ([("S", j) for j in r] + [("T", j) for j in r]
               + [("Y", *key) for key in q.upsilon])
     index = {lbl: i for i, lbl in enumerate(labels)}

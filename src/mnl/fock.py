@@ -246,6 +246,11 @@ class GQSparse:
         return other
 
 
+def _minus_i(op):
+    """-i op, one GQSparse: (re + i im) / den times -i is (im - i re) / den."""
+    return GQSparse(op.dim, op.im, -op.re, op.den)
+
+
 def _exact_div(part, g):
     out = part.copy()
     out.data = out.data // g
@@ -286,16 +291,14 @@ class SiteOp:
     # --- arithmetic ---
     def plus(self, terms):
         """self + sum q*A over the (q, A) pairs of `terms`: one `_sum` per
-        distinct list of site terms, shared by the sites that have it."""
+        site, but a site whose one term is 1 * F keeps F."""
         by_site = {x: [(1, f)] for x, f in self.factors.items()}
         for q, A in terms:
             self._check(A)
             for x, f in A.factors.items():
                 by_site.setdefault(x, []).append((q, f))
-        key = {x: tuple((q, id(f)) for q, f in fs) for x, fs in by_site.items()}
-        sums = {key[x]: fs for x, fs in by_site.items()}
-        sums = {k: _sum(self.site_dim, fs) for k, fs in sums.items()}
-        return self._new({x: sums[key[x]] for x in by_site})
+        return self._new({x: fs[0][1] if len(fs) == 1 and fs[0][0] == 1
+                          else _sum(self.site_dim, fs) for x, fs in by_site.items()})
 
     def __add__(self, other):
         return self.plus([(1, other)])
@@ -307,9 +310,7 @@ class SiteOp:
         return self.zero_like().plus([(q, self)])
 
     def times_i(self):
-        done = {id(f): f for f in self.factors.values()}
-        done = {k: f.times_i() for k, f in done.items()}    # one per distinct factor
-        return self._new({x: done[id(f)] for x, f in self.factors.items()})
+        return self._new({x: f.times_i() for x, f in self.factors.items()})
 
     def commutator(self, other):
         self._check(other)
@@ -482,7 +483,7 @@ class FieldSet:
 def build_fields(n: int, N: int) -> FieldSet:
     """The fields of N sites; every site's row holds the same operators."""
     fock = build_fock(n, N)
-    p0 = [op.times_i().scale(-1) for op in fock.adag]
+    p0 = [_minus_i(op) for op in fock.adag]
     return FieldSet(fock, [list(fock.a) for _ in range(N)], [list(p0) for _ in range(N)])
 
 
@@ -534,21 +535,23 @@ class QuadraticCache:
                             np.repeat(k * d, n) + A.col[at])), shape=(T * m * d, T * d)).tocsr()
         return (H if T == 1 else sp.kron(sp.identity(T, dtype=np.int64), H, format="csr")) @ V
 
-    def bilinears(self, mats):
-        """(P, den) with a† M a = P / den for each integer/rational matrix M
-        of `mats` over all modes, P int64 CSR in canonical form, each bounded
-        at M's own least denominator: `blocks` products of up to
-        `BILINEAR_ROWS` rows of b's, canonicalized once, each P sliced from
-        the CSR arrays of its block diagonal."""
+    def bilinears(self, mats, den):
+        """(P, den_M) with a† M a = P / den_M for each M of the integer stack
+        `mats` over all modes at `den`, P int64 CSR in canonical form, each
+        bounded at M's own least denominator den_M (`den` over the gcd of it
+        and M's entries): `blocks` products of up to `BILINEAR_ROWS` rows of
+        b's, canonicalized once, each P sliced from the CSR arrays of its
+        block diagonal."""
         d, m = self.dim, len(self.mags)
-        scaled = [stacked([mat], m) for mat in mats]
-        if not all(fits_int64(den, *self.bounds(ints)) for ints, den in scaled):
+        g = np.gcd(np.gcd.reduce(mats.reshape(len(mats), -1), axis=1).astype(object), den)
+        ints, dens = mats // g[:, None, None], den // g
+        if not fits_int64(*dens, *self.bounds(ints)):
             raise BoundError()
-        ints = np.array([x.astype(np.int64) for x, _ in scaled], dtype=np.int64).reshape(-1, m, m)
+        ints = ints.astype(np.int64)
         out, step = [], max(1, BILINEAR_ROWS // (m * d))
         for lo in range(0, len(ints), step):
             P = _csr(self.blocks(ints[lo:lo + step]))
-            for k, (_, den) in enumerate(scaled[lo:lo + step]):
+            for k, den in enumerate(dens[lo:lo + step]):
                 a, b = P.indptr[k * d], P.indptr[(k + 1) * d]
                 out.append((sp.csr_matrix((P.data[a:b], P.indices[a:b] - k * d,
                                            P.indptr[k * d:(k + 1) * d + 1] - a), shape=(d, d)),
@@ -557,5 +560,5 @@ class QuadraticCache:
 
     def bilinear(self, mat) -> GQSparse:
         """a† M a for an integer/rational matrix M over all modes."""
-        (P, den), = self.bilinears([mat])
+        (P, den), = self.bilinears(*stacked([mat], len(self.mags)))
         return GQSparse(self.dim, P, sp.csr_matrix(P.shape, dtype=np.int64), den)

@@ -41,12 +41,12 @@ class CayleyTable:
             raise InputError("order must be a positive integer")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise InputError("table shape does not match order")
-        for row in self.table:
-            for v in row:
-                if not is_int(v):
-                    raise InputError(f"table entry {v!r} must be an integer")
-                if not 0 <= v < n:
-                    raise InputError(f"table entry {v!r} out of range")
+        entries = [v for row in self.table for v in row]
+        if set(map(type, entries)) != {int} or min(entries) < 0 or max(entries) >= n:
+            for v in entries:    # name the first bad entry
+                if not (is_int(v) and 0 <= v < n):
+                    raise InputError(f"table entry {v!r} "
+                                     + ("out of range" if is_int(v) else "must be an integer"))
         if self.names is not None and len(self.names) != n:
             raise InputError("names length does not match order")
         object.__setattr__(self, "array", np.array(self.table, dtype=np.intp))

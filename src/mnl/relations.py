@@ -24,7 +24,7 @@ re and im together) has re > 0 and im >= 0; the first factor met of each
 class stands for it, and every other is i^j times that one.  Factors are
 found by a CRC of their canonical parts' column indices and entries and then
 compared with the interned arrays, so a class is exact and no copy of a
-factor is kept.
+factor is kept.  A ledger holds no right sides: each check gathers its own.
 
 Sector.  A ledger may hold a sector, the sorted basis states of one site's
 n modes that every residual is decided on; `etc.charge_densities` gives its
@@ -162,13 +162,13 @@ class Ledger:
     """What the kernels over one set of operators share (see the module
     docstring): `factors`, the first factor met of each class, with `counts`,
     the most entries in a row of its re and im together, `parts`, its re and
-    im on the `sector`, and `entries`, their nnz; the `memo` of the keys
-    decided; and `table`, a slot for the caller's (tensor, bracket table),
-    gathered once.  `sector`, the sorted basis states of one site's n modes
+    im on the `sector`, and `entries`, their nnz; and the `memo` of the keys
+    decided.  It holds operators and verdicts only; each check gathers its
+    own right sides.  `sector`, the sorted basis states of one site's n modes
     that the residuals are decided on, is None for the whole space."""
 
     def __init__(self, sector=None):
-        self.factors, self.counts, self.entries, self.memo, self.table = [], [], [], {}, None
+        self.factors, self.counts, self.entries, self.memo = [], [], [], {}
         self.parts, self._phases, self._digests = [], [], {}    # per class; digest -> classes
         self.sector = sector = None if sector is None else np.asarray(sector, dtype=np.int64)
         if sector is not None:

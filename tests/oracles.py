@@ -12,7 +12,11 @@ through Kronecker products: the ladder operators, their embeddings and the
 anticommutation and lemma checks there; the one-site anticommutation scan
 decides its relations one anticommutator at a time, the lemma walk
 (`lemma_walk`) one trial at a time from pair products, and `raw_yamagutian`
-one Yamagutian density at a time.  The loop scans are the triple loops over
+one Yamagutian density at a time.  The density checks' inputs have their
+former `Fraction` routes here: the table rows as {label: Fraction} dicts
+(`row_vecs`, `density_table`), the densities from Fraction matrices, each
+scaled on its own (`charge_densities`), and the charges as one sum per row
+times -i (`charges_by_sum`).  The loop scans are the triple loops over
 a Cayley table's rows, and the Chein double is built entry by entry; the
 tangent sweep evaluates one commutator at a time on single points, and
 `octonion_product` is the unit-octonion chart's product of one pair of
@@ -26,11 +30,14 @@ import scipy.sparse as sp
 
 from mnl.algebra import (OCTONIONS, StructureTensor, YamagutiTensor, cayley_dickson,
                          yamaguti_constants)
-from mnl.birep import GeneratorSet, GLCReport, Label, Vec
+from mnl.birep import (GeneratorSet, GLCReport, Label, Vec, bracket_rows, cyclic_rows, labels,
+                       _signed)
 from mnl.envelope import EnvelopeAlgebra
-from mnl.etc import CONVENTION, ETCReport, _signed
-from mnl.fock import _CANONICAL, _CAR, GQSparse, _parity
+from mnl.etc import CONVENTION, ChargeDensitySet, ETCReport
+from mnl.fock import _CANONICAL, _CAR, GQSparse, QuadraticCache, SiteOp, _parity, _states
 from mnl.loops import CayleyTable, chart_commutator
+from mnl.matrices import stacked
+from mnl.relations import Ledger
 from mnl.report import CheckReport, InputError, fail, ok
 
 
@@ -246,6 +253,34 @@ def st_row(c: StructureTensor, j, k) -> Vec:
     return glc_bracket(c, None, ("S", j), ("T", k))
 
 
+def row_vecs(R, den, lbls):
+    """Integer rows R at den over the labels lbls as {label: coefficient}."""
+    out = [{} for _ in range(len(R))]
+    for n, w in zip(*np.nonzero(R)):
+        out[n][lbls[w]] = Fraction(int(R[n, w]), den)
+    return out
+
+
+def density_table(c: StructureTensor):
+    """`etc._table` through Fraction rows: the program's integer rows
+    (`bracket_rows`, `cyclic_rows`) as {label: coefficient} (`row_vecs`),
+    each then signed (`_signed`)."""
+    r, lbls = range(c.dim), labels(c.dim)
+    index = {lbl: w for w, lbl in enumerate(lbls)}
+    upper = [("Y", j, k) for j in r for k in r if j < k]
+    pairs = ([((A, j), (B, k)) for A, B in ("SS", "ST", "TT") for j in r for k in r]
+             + [(y, b) for y in upper for b in [(X, n) for X in "ST" for n in r] + upper])
+    triples = [(j, k, l) for j in r for k in r for l in r if j < k < l]
+    a, b = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.int64).T
+    cyclic = cyclic_rows(c, *np.array(triples, dtype=np.int64).reshape(-1, 3).T)
+
+    def stored(vec):
+        return [(signed[0] * v, signed[1]) for lbl, v in vec.items()
+                if v and (signed := _signed(lbl))]
+    return ({key: stored(vec) for key, vec in zip(pairs, row_vecs(*bracket_rows(c, a, b), lbls))},
+            {key: stored(vec) for key, vec in zip(triples, row_vecs(*cyclic, lbls))})
+
+
 # --- generator matrices and the envelope ------------------------------------
 
 def extract_yamagutian(S, T, bracket, lincomb, row: Vec, j, k):
@@ -413,6 +448,35 @@ def matrix_closure_dim(gen: GeneratorSet) -> int:
 
 
 # --- densities and charges, one case at a time ------------------------------
+
+def charge_densities(f, gen: GeneratorSet, c: StructureTensor) -> ChargeDensitySet:
+    """`etc.charge_densities` through Fraction matrices: every Y_jk solved
+    over Fractions (`extract_yamagutians`), and each transposed S_j, T_j and
+    Y_jk, j < k, scaled to its least denominator (`matrices.stacked`) for
+    its own bilinear."""
+    if gen.dim != f.modes_per_site:
+        raise InputError("generator size must equal modes per site")
+    if gen.r != c.dim:
+        raise InputError("generator count must match tensor dim")
+    cache, Y, r = QuadraticCache(f.fock.a), extract_yamagutians(gen, c), range(gen.r)
+    upper = [(j, k) for j in r for k in r if j < k]
+    zero, rho = sp.csr_matrix((cache.dim, cache.dim), dtype=np.int64), []
+    for m in [*gen.S, *gen.T, *map(Y.get, upper)]:
+        (P, den), = cache.bilinears(*stacked([list(zip(*m))], gen.dim))
+        op = GQSparse(cache.dim, zero, -P, den)
+        rho.append([SiteOp(f.sites, cache.dim, {x: op}) for x in range(f.sites)])
+    return ChargeDensitySet(gen.r, f.sites, rho[:gen.r], rho[gen.r:2 * gen.r],
+                            dict(zip(upper, rho[2 * gen.r:])), c,
+                            Ledger(_states(f.modes_per_site, 2)))
+
+
+def charges_by_sum(d):
+    """The charges -i sum_x of d's densities as one sum and then i times it."""
+    def charge(row):
+        return row[0].zero_like().plus([(-1, op) for op in row]).times_i()
+    return ([charge(row) for row in d.s], [charge(row) for row in d.t],
+            {key: charge(row) for key, row in d.Y.items()})
+
 
 def _density_bracket(a, b):
     """The table bracket realized by densities: [a, b] = i (table), so -i[a, b]."""

@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from mnl.fock import GQSparse, SiteOp, build_fields
 from mnl.relations import RelationKernel
 import oracles
 from oracles import eye, quaternionic_line
-from mnl.report import InputError
+from mnl.algebra import catalog_algebra
+from mnl.report import BoundError, InputError
+from test_kernels import check_path, int64_decisions, near
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +403,98 @@ def test_densities_of_scaled_generators(case, scale, quat_gen, su2_doubled, oct_
                             (scale ** 2, list(base.Y.values()), list(dens.Y.values()))):
         for a, b in zip(ours, theirs):
             assert b[0].factors[0] == a[0].factors[0].scale(q)
+
+
+# --- birep's integer forms against their Fraction routes -----------------
+
+FORM_SETTINGS = settings(max_examples=20, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow,
+                                                HealthCheck.function_scoped_fixture])
+
+
+@pytest.mark.parametrize("size", ["small", "2^31"])
+@FORM_SETTINGS
+@given(name=st.sampled_from(["m7", "su2", "sl2"]), den=st.integers(1, 7), data=st.data())
+def test_table_equals_the_fraction_table(size, name, den, data):
+    # the same pairs in the same order, also where the rows hold Python ints
+    num = data.draw((st.integers(-5, 5) if size == "small" else near(31))
+                    .filter(lambda v: math.gcd(v, den) == 1))
+    c = catalog_algebra(name).scaled(Fraction(num, den))
+    with int64_decisions() as seen:
+        ours = etc_module._table(c)
+    check_path(size, seen)
+    theirs = oracles.density_table(c)
+    assert [list(rows.items()) for rows in ours] == [list(rows.items()) for rows in theirs]
+
+
+def scaled_generators(gen, q):
+    return GeneratorSet(gen.r, gen.dim, *([[[v * q for v in row] for row in m] for m in ms]
+                                          for ms in (gen.S, gen.T)))
+
+
+def density_ops(d):
+    return [op for row in [*d.s, *d.t, *d.Y.values()] for op in row]
+
+
+@FORM_SETTINGS
+@given(case=st.sampled_from(["quaternion", "quaternion-swapped", "octonion-line", "octonion"]),
+       sites=st.integers(1, 2), q=st.fractions(-1000, 1000, max_denominator=1000).filter(bool),
+       scale_tensor=st.booleans())
+def test_densities_equal_the_fraction_path(case, sites, q, scale_tensor, quat_gen, su2_doubled,
+                                           oct_gen, m7):
+    # each density at its own least denominator, from the stack or from the
+    # Fraction matrices; with the tensor unscaled the Yamagutians break the table
+    gen, c = {"quaternion": (quat_gen, su2_doubled),
+              "quaternion-swapped": (swapped(quat_gen), su2_doubled),
+              "octonion-line": quaternionic_line(oct_gen, m7), "octonion": (oct_gen, m7)}[case]
+    gen, c = scaled_generators(gen, q), c.scaled(q) if scale_tensor else c
+    f = fields(gen.dim, sites)
+    ours, theirs = etc_module.charge_densities(f, gen, c), oracles.charge_densities(f, gen, c)
+    assert list(ours.Y) == list(theirs.Y)
+    for a, b in zip(density_ops(ours), density_ops(theirs), strict=True):
+        assert set(a.factors) == set(b.factors)
+        assert all(a.factors[x] == b.factors[x] and a.factors[x].den == b.factors[x].den
+                   for x in a.factors)
+
+
+@FORM_SETTINGS
+@given(family=st.sampled_from("ST"), j=st.integers(0, 2), row=st.integers(0, 3),
+       col=st.integers(0, 3), value=st.integers(3 << 62, 1 << 70), sign=st.sampled_from([-1, 1]),
+       den=st.integers(1, 3))
+def test_generator_entry_past_the_bound_raises_at_both_paths(family, j, row, col, value, sign,
+                                                            den, quat_fields, quat_gen,
+                                                            su2_doubled):
+    mats = {"S": [[list(r) for r in m] for m in quat_gen.S],
+            "T": [[list(r) for r in m] for m in quat_gen.T]}
+    mats[family][j][row][col] = Fraction(sign * value, den)    # |entry| >= 2^62
+    gen = GeneratorSet(3, 4, mats["S"], mats["T"])
+    for build in (etc_module.charge_densities, oracles.charge_densities):
+        with pytest.raises(BoundError):
+            build(quat_fields, gen, su2_doubled)
+
+
+@FORM_SETTINGS
+@given(sites=st.integers(1, 3), swap=st.booleans(),
+       form=st.sampled_from(["factored", "overlap", "full-space"]))
+def test_charges_equal_the_summed_charges(sites, swap, form, quat_gen, su2_doubled):
+    # -i F per distinct factor against -i times the summed densities; a row
+    # whose densities meet at one site, and plain operators, are summed
+    dens = charge_densities(fields(quat_gen.dim, sites), swapped(quat_gen) if swap else quat_gen,
+                            su2_doubled)
+    if form == "overlap":
+        dens.s[0] = [dens.s[0][0] + dens.s[1][-1], *dens.s[0][1:]]
+    if form == "full-space" and sites < 3:    # 2^12 at three sites: the factored set instead
+        dens = full_space(dens)
+    q = charges(dens)
+    sigma, tau, upsilon = oracles.charges_by_sum(dens)
+    assert q.ledger is dens.ledger and list(q.upsilon) == list(upsilon)
+    for a, b in zip([*q.sigma, *q.tau, *q.upsilon.values()], [*sigma, *tau, *upsilon.values()],
+                    strict=True):
+        if isinstance(a, GQSparse):
+            assert a == b
+        else:
+            assert set(a.factors) == set(b.factors)
+            assert all(a.factors[x] == b.factors[x] for x in a.factors)
 
 
 # --- 16 modes per site, on the sector of at most two particles ----------

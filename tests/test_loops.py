@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from mnl import loops
@@ -26,6 +27,38 @@ def test_quasigroup_repeated_entry_witness():
 def test_malformed_table_rejected():
     with pytest.raises(InputError):
         CayleyTable(2, ((0, 3), (1, 0)))
+
+
+def latin3(**changes):
+    """The order-3 cyclic table with the entries at (row, column) changed."""
+    rows = [[(g + h) % 3 for h in range(3)] for g in range(3)]
+    for at, v in changes.items():
+        rows[int(at[1])][int(at[2])] = v
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("entry,message", [
+    (True, "table entry True must be an integer"),
+    (1.0, "table entry 1.0 must be an integer"),
+    (np.int64(1), f"table entry {np.int64(1)!r} must be an integer"),
+    (3, "table entry 3 out of range"),
+    (-1, "table entry -1 out of range")])
+def test_table_names_a_late_bad_entry(entry, message):
+    # the entries are checked at once; the message names the bad one
+    with pytest.raises(InputError) as exc:
+        CayleyTable(3, latin3(e22=entry))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"e10": 5, "e22": True}, "table entry 5 out of range"),
+    ({"e10": 2.0, "e22": 7}, "table entry 2.0 must be an integer"),
+    ({"e01": False, "e12": -4}, "table entry False must be an integer")])
+def test_table_names_the_first_of_two_bad_entries(changes, message):
+    with pytest.raises(InputError) as exc:
+        CayleyTable(3, latin3(**changes))
+    assert str(exc.value) == message
+    assert CayleyTable(3, latin3()).array.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
 def test_octonion_loop_profile(oct_loop):

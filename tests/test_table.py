@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from mnl.algebra import catalog_algebra
-from mnl.birep import bracket_rows, cyclic_rows, labels, row_vecs
+from mnl.birep import bracket_rows, cyclic_rows, labels
 from mnl.envelope import EnvelopeAlgebra, build_envelope, check_jacobi
 from test_kernels import SETTINGS, SIZES, check_path, int64_decisions, tensors
 
@@ -28,10 +28,10 @@ def assert_table_matches_oracle(c):
     d = oracles.contract_yamaguti(c)
     lbls = labels(c.dim)
     a, b = np.divmod(np.arange(len(lbls) ** 2), len(lbls))
-    assert row_vecs(*bracket_rows(c, a, b), lbls) == [
+    assert oracles.row_vecs(*bracket_rows(c, a, b), lbls) == [
         oracles.glc_bracket(c, d, lbls[i], lbls[j]) for i, j in zip(a, b)]
     triples = list(itertools.product(range(c.dim), repeat=3))
-    assert row_vecs(*cyclic_rows(c, *np.array(triples).T), lbls) == [
+    assert oracles.row_vecs(*cyclic_rows(c, *np.array(triples).T), lbls) == [
         oracles.y_cyclic(c, *t) for t in triples]
 
 
