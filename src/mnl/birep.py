@@ -7,9 +7,11 @@ contraction over their common denominator (`matrices`).
 The generalized Lie-Cartan table is written once, in `bracket_rows`, with
 its cyclic relations in `cyclic_rows`: integer rows over the label index
 (`labels`: S_j, T_j, then every ordered Y_jk) at one denominator, gathered
-for a chunk of label pairs from the tensor's integer c and d
+for a block of label pairs from the tensor's integer c and d
 (`algebra.integer_constants`).  `check_glc`, the envelope and the density
-and charge checks all read their right sides from these rows.
+and charge checks all read their right sides from these rows, and
+`check_glc` and `realize_check` decide each commutator family as block
+products of the label operators (`commutator_scan`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .algebra import OCTONIONS, QUATERNIONS, StructureTensor, cayley_dickson, in
 from .loops import CayleyTable, is_moufang
 from .matrices import (commutator, first_failure_chunked, lincomb, magnitude, mat_mul,
                        rows_times, stacked)
-from .report import CheckReport, InputError, fail, is_int, read_json
+from .report import CheckReport, InputError, fail, is_int, ok, read_json
 
 
 @dataclass(frozen=True)
@@ -277,21 +279,34 @@ def extract_yamagutians(gen: GeneratorSet, c: StructureTensor) -> Dict[tuple, li
             for w, lbl in enumerate(labels(gen.r)) if lbl[0] == "Y"}
 
 
-def matrix_fails(gen: GeneratorSet, c: StructureTensor):
-    """fails(rows): the `first_failure_chunked` decision of a chunk of cases
-    on the generators and extracted Y_jk, X over the label index, for
-    rows(*case columns) = (a, b, R, K), R integer rows at K: case n fails
-    unless K [X_a, X_b] = R[n] X, at K E over E X (`_labelled_operators`).
-    A relation R[n] X = 0 is the pair (0, 0), whose commutator is zero."""
-    ops, scale = _labelled_operators(gen, c)
-
-    def fails(rows):
-        def decide(cases):
-            a, b, R, K = rows(*np.array(cases).T)
-            lhs = lincomb([(K, commutator(ops[a], ops[b]))])
-            return (lhs != lincomb([(scale, rows_times(R, ops))])).any(axis=(1, 2))
-        return decide
-    return fails
+def commutator_scan(prop, ops, scale, A, B, rows, witness):
+    """Decide K [X_a, X_b] = R X for a in A and b in B, A-major: X the integer
+    operator stack `ops` over `scale` (`_labelled_operators`), A and B index
+    arrays into it, and (R, K) = rows(i, j) the integer rows over `ops` of the
+    pairs (A[i], B[j]) at K.  Fail with witness(i, j) of the first pair that
+    does not hold.  A block of A rows forms X_a X_b against all of B as one
+    2-D product, (|block| n x n) by (n x |B| n), and X_b X_a likewise, with as
+    many A rows (one at least) as keep every array of the block, R included,
+    within `matrices._BLOCK` entries."""
+    n, p = ops.shape[1], len(B)
+    right = ops[B]
+    after, before = right.transpose(1, 0, 2).reshape(n, p * n), right.reshape(p * n, n)
+    step = max(1, matrices._BLOCK // max(p * max(n * n, len(ops)), 1))    # B may be empty
+    for lo in range(0, len(A), step):
+        left = ops[A[lo:lo + step]]
+        m = len(left)
+        i, j = np.divmod(np.arange(lo * p, (lo + m) * p), p)
+        # [X_a, X_b] at [a, b], in place: both products have one bound, so one
+        # dtype, and in int64 (the bound below 2^62) their difference fits
+        comm = mat_mul(left.reshape(m * n, n), after).reshape(m, n, p, n).transpose(0, 2, 1, 3)
+        comm -= mat_mul(before, left.transpose(1, 0, 2).reshape(n, m * n)).reshape(
+            p, n, m, n).transpose(2, 0, 1, 3)
+        R, K = rows(i, j)
+        rhs = lincomb([(scale, rows_times(R, ops))]).reshape(m, p, n, n)
+        bad = np.flatnonzero((lincomb([(K, comm)]) != rhs).any(axis=(2, 3)))
+        if bad.size:
+            return fail(prop, witness=witness(int(i[bad[0]]), int(j[bad[0]])))
+    return ok(prop)
 
 
 @dataclass(frozen=True)
@@ -309,34 +324,40 @@ class GLCReport:
 def check_glc(gen: GeneratorSet, c: StructureTensor) -> GLCReport:
     """Exact verification of the generalized Lie-Cartan relations for a
     generator set against a structure tensor, with Y_jk extracted from the
-    [S_j, T_k] relation.  A pair's right side is its `bracket_rows` row."""
-    fails = matrix_fails(gen, c)
+    [S_j, T_k] relation.  A pair's right side is its `bracket_rows` row; each
+    commutator family is a product of label sets (`commutator_scan`), and the
+    two relations without a commutator, R X = 0, are decided CHUNK cases at a
+    time."""
+    ops, scale = _labelled_operators(gen, c)
     n = gen.r
-    r, width = range(n), np.arange(2 * n + n * n)
+    r, eye = range(n), np.eye(len(ops), dtype=np.int64)
+    S, T, Y = np.arange(n), n + np.arange(n), 2 * n + np.arange(n * n)
+    upper = [(j, k) for j in r for k in r if j < k]
+    Yu = Y[[j * n + k for j, k in upper]]
 
-    def Y(j, k):
-        return 2 * n + j * n + k
+    def table(prop, A, B, witness):
+        return commutator_scan(prop, ops, scale, A, B,
+                               lambda i, j: bracket_rows(c, A[i], B[j]), witness)
+
+    def zero(prop, cases, rows):
+        return first_failure_chunked(prop, cases, lambda chunk: rows_times(
+            rows(*np.array(chunk).T), ops).any(axis=(1, 2)))
 
     def units(j, k):    # the rows Y_jk + Y_kj
-        return (width == Y(j, k)[:, None]).astype(np.int64) + (width == Y(k, j)[:, None])
+        return eye[Y[j * n + k]] + eye[Y[k * n + j]]
 
-    pairs = fails(lambda a, b: (a, b, *bracket_rows(c, a, b)))
-    cases = {
-        "ss": (pairs, (((j, k), j, k) for j in r for k in r)),
-        "tt": (pairs, (((j, k), n + j, n + k) for j in r for k in r)),
-        "y_antisymmetry": (fails(lambda j, k: (0, 0, units(j, k), 1)),
-                           (((j, k), j, k) for j in r for k in r if j <= k)),
-        "y_cyclic": (fails(lambda j, k, l: (0, 0, *cyclic_rows(c, j, k, l))),
-                     (((j, k, l), j, k, l) for j in r for k in r for l in r if j < k < l)),
-        "reductivity_s": (pairs, ((("S", j, k, m), Y(j, k), m)
-                                  for j in r for k in r for m in r)),
-        "reductivity_t": (pairs, ((("T", j, k, m), Y(j, k), n + m)
-                                  for j in r for k in r for m in r)),
-        "yy": (pairs, (((j, k, l, m), Y(j, k), Y(l, m))
-                       for j in r for k in r for l in r for m in r if j < k and l < m)),
-    }
-    return GLCReport({name: first_failure_chunked(name, scan, decide)
-                      for name, (decide, scan) in cases.items()})
+    return GLCReport({
+        "ss": table("ss", S, S, lambda j, k: (j, k)),
+        "tt": table("tt", T, T, lambda j, k: (j, k)),
+        "y_antisymmetry": zero("y_antisymmetry",
+                               (((j, k), j, k) for j in r for k in r if j <= k), units),
+        "y_cyclic": zero("y_cyclic", (((j, k, l), j, k, l)
+                                      for j in r for k in r for l in r if j < k < l),
+                         lambda j, k, l: cyclic_rows(c, j, k, l)[0]),
+        "reductivity_s": table("reductivity_s", Y, S, lambda y, m: ("S", *divmod(y, n), m)),
+        "reductivity_t": table("reductivity_t", Y, T, lambda y, m: ("T", *divmod(y, n), m)),
+        "yy": table("yy", Yu, Yu, lambda u, v: upper[u] + upper[v]),
+    })
 
 
 def load_generators(path) -> GeneratorSet:

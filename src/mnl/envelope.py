@@ -27,8 +27,9 @@ import numpy as np
 
 from .algebra import (StructureTensor, YamagutiTensor, is_maltsev, jacobi_check,
                       yamaguti_constants)
-from .birep import (GeneratorSet, Label, Vec, _signed, bracket_rows, cyclic_rows, labels,
-                    matrix_fails)
+from . import matrices
+from .birep import (GeneratorSet, Label, Vec, _labelled_operators, _signed, bracket_rows,
+                    commutator_scan, cyclic_rows, labels)
 from .matrices import (Echelon, commutator, first_failure_chunked, lincomb, rows_times, scaled,
                        stacked)
 from .report import CheckReport, InputError
@@ -160,9 +161,11 @@ def _label_indices(r, lbls):
 
 def build_envelope(c: StructureTensor) -> EnvelopeAlgebra:
     """Quotient the free span of {S_j, T_j, Y_jk} by the cyclic Y-relations
-    and write all theorem brackets in the reduced basis, every basis pair's row
-    in one `bracket_rows` and `rows_times`.  Consistency of the table with the
-    quotient is verified, not assumed; the tensor keeps the Mal'tsev report."""
+    and write all theorem brackets in the reduced basis: the basis pairs' rows
+    through `bracket_rows` and `rows_times`, as many first labels at a time
+    as keep their label rows within `matrices._BLOCK` entries.  Consistency
+    of the table with the quotient is verified, not assumed; the tensor keeps
+    the Mal'tsev report."""
     rep = is_maltsev(c)
     if not rep.passed:
         raise NotMaltsevError(rep)
@@ -175,11 +178,17 @@ def build_envelope(c: StructureTensor) -> EnvelopeAlgebra:
     env = EnvelopeAlgebra(r, tuple(basis), expand, {}, rank)
     M, E = env.reduction
     cols = _label_indices(r, basis)
-    B, D = bracket_rows(c, np.repeat(cols, len(cols)), np.tile(cols, len(cols)))
-    B = rows_times(B, M)    # rebinding B frees the label rows once their product exists
-    for (a, b), row in zip(itertools.product(basis, basis), B):
-        env.brackets[(a, b)] = {basis[t]: Fraction(int(row[t]), D * E)
-                                for t in np.flatnonzero(row)}
+    pairs = list(itertools.product(basis, basis))
+    step = max(1, matrices._BLOCK // (len(cols) * len(M)))
+    for lo in range(0, len(cols), step):
+        a = cols[lo:lo + step]
+        R, D = bracket_rows(c, np.repeat(a, len(cols)), np.tile(cols, len(a)))
+        B = rows_times(R, M)
+        n, t = np.nonzero(B)
+        table = [{} for _ in B]    # the block's pairs, each filled in basis order
+        for i, k, v in zip(n.tolist(), t.tolist(), B[n, t].tolist()):
+            table[i][basis[k]] = Fraction(v, D * E)
+        env.brackets.update(zip(pairs[lo * len(cols):], table))
     _check_quotient_consistency(c, env)
     return env
 
@@ -251,25 +260,23 @@ def realize_check(env: EnvelopeAlgebra, gen: GeneratorSet, c: StructureTensor) -
     if gen.r != c.dim or c.dim != env.r:
         raise InputError("generator count, tensor dim, and envelope rank must agree")
 
-    fails = matrix_fails(gen, c)
+    ops, scale = _labelled_operators(gen, c)
     F, K = env.structure
     M, E = env.reduction
     cols = _label_indices(env.r, env.basis)
     ys = _label_indices(env.r, [("Y", *key) for key in env.expand])
     # E Y_jk - (its expansion at E) over the label index, as Python ints
-    X = np.zeros((len(ys), 2 * env.r + env.r * env.r), dtype=object)
+    X = np.zeros((len(ys), len(ops)), dtype=object)
     X[:, cols] = -M[ys]
     X[np.arange(len(ys)), ys] += E
-
-    def pairs(u, v):
-        R = np.zeros((len(u), X.shape[1]), dtype=F.dtype)
-        R[:, cols] = F[:, u, v].T
-        return cols[u], cols[v], R, K
-
     rep = first_failure_chunked("realize", ((("expand", *key), n)
                                             for n, key in enumerate(env.expand)),
-                                fails(lambda n: (0, 0, X[n], E)))
+                                lambda chunk: rows_times(X[[n for n, in chunk]],
+                                                         ops).any(axis=(1, 2)))
     if not rep.passed:
         return rep
-    return first_failure_chunked("realize", (((a, b), u, v) for u, a in enumerate(env.basis)
-                                             for v, b in enumerate(env.basis)), fails(pairs))
+    # over the basis operators, the right side of [basis[u], basis[v]] is F[:, u, v]
+    every = np.arange(env.dim)
+    return commutator_scan("realize", ops[cols], scale, every, every,
+                           lambda u, v: (F[:, u, v].T, K),
+                           lambda u, v: (env.basis[u], env.basis[v]))

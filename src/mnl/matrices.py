@@ -3,15 +3,28 @@ an integer array over its common denominator (`scaled`).  Every contraction
 and linear combination bounds its result before it computes (`fits_int64`,
 the bound the sparse Fock operators apply too, raising instead): below 2^62
 it runs in int64, otherwise over Python ints (object dtype), so no value can
-wrap and nothing is floating point.  A product with rows of label
-coefficients, which are mostly zero, runs over their nonzeros (`rows_times`),
-and one fraction-free echelon (`Echelon`) reduces integer rows exactly.
-Identities are decided CHUNK cases at a time, in their walk order, so a
-failing input stops early and the temporaries stay small."""
+wrap.  A product with rows of label coefficients, which are mostly zero, runs
+over their nonzeros (`rows_times`), and one fraction-free echelon (`Echelon`)
+reduces integer rows exactly.  Identities are decided CHUNK cases at a time,
+in their walk order, or in blocks of at most _BLOCK entries an array
+(`birep.commutator_scan`), so a failing input stops early and the
+temporaries stay small.
+
+One tier runs in floating point, and it is exact: `mat_mul` multiplies in
+float64 (BLAS) when its bound K max|a| max|b| is below 2^53, and casts the
+product back to int64.  Every input, every product of two entries and every
+partial sum of at most K of them is an integer of magnitude at most that
+bound, and every such integer is a float64, so no order of summation,
+blocking or fused multiply-add can round any of them.  A product of fewer
+than _GEMM multiply-adds stays in int64: it is as fast there, and a process
+whose products are all that small never faults in OpenBLAS's kernels (about
+0.3 MB of resident memory)."""
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +33,9 @@ from .report import fail, ok
 
 BOUND = 1 << 62    # no intermediate int64 value may reach this
 CHUNK = 64         # cases decided per contraction
+_FLOAT = 1 << 53   # every integer below this in magnitude is a float64
+_GEMM = 1 << 13    # multiply-adds from which float64 matmul beats int64
+_BLOCK = 1 << 14   # entries in any one array of a block product (128 KB in int64)
 
 
 def fits_int64(*bounds):
@@ -97,12 +113,16 @@ def lincomb(terms):
     terms = list(terms)
     bound = sum(abs(q) * max(magnitude(a), 1) for q, a in terms)
     dtype = np.int64 if fits_int64(bound) else object
-    return sum(q * a.astype(dtype, copy=False) for q, a in terms)
+    return functools.reduce(operator.add, (q * a.astype(dtype, copy=False) for q, a in terms))
 
 
 def mat_mul(a, b):
-    """The product of (stacks of) integer matrices by np.matmul, under `contract`'s bound."""
+    """The product of (stacks of) integer matrices by np.matmul, under `contract`'s
+    bound: in float64 below 2^53 from _GEMM multiply-adds, cast back to int64
+    (exact, see above)."""
     bound = a.shape[-1] * max(magnitude(a), 1) * max(magnitude(b), 1)
+    if bound < _FLOAT and max(a.size * b.shape[-1], b.size * a.shape[-2]) >= _GEMM:
+        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
     dtype = np.int64 if fits_int64(bound) else object
     return np.matmul(a.astype(dtype, copy=False), b.astype(dtype, copy=False))
 

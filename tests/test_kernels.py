@@ -2,18 +2,21 @@
 same report, witness included, on random tensors and generator sets.
 
 Entries come at three sizes: small rationals with denominators, integers
-near 2^20 and integers near 2^31.  Small entries stay on the int64 path; near
+near 2^20 and integers near 2^31.  Small entries never leave int64 (or the
+exact float64 tier of matrix products); near
 2^31 every identity's bound passes 2^62, so the kernels must take the
 object-dtype fallback over Python ints, and the tests check that they did.
 Near 2^20 the quadratic Yamaguti and Jacobi contractions of a tensor must stay
 in int64, while the cubic Mal'tsev and quartic Lie-Cartan residuals fall back.
 
-The sparse label-row product (`matrices.rows_times`) is held to the dense
-contraction, the matrix product (`matrices.mat_mul`) to `np.einsum` over
-Python ints, and the integer echelon (`matrices.Echelon`) to the `Fraction`
-one (`oracles.echelon_add`): the same rows admitted and the same reduced
-form, with entries past the int64 guard too, and through them the closure
-oracle's dimension and the Y-quotient."""
+`check_glc` and `realize_check` are held to their oracles in blocks of one
+label row too, so every family crosses blocks.  The sparse label-row
+product (`matrices.rows_times`) is held to the dense contraction, the matrix
+product (`matrices.mat_mul`) to `np.einsum` over Python ints on both sides of
+its float64 tier's 2^53 edge, and the integer echelon (`matrices.Echelon`)
+to the `Fraction` one (`oracles.echelon_add`): the same rows admitted and
+the same reduced form, with entries past the int64 guard too, and through
+them the closure oracle's dimension and the Y-quotient."""
 
 import contextlib
 import math
@@ -26,7 +29,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import oracles
 from mnl import algebra, matrices
 from mnl.algebra import StructureTensor, catalog_algebra, is_lie, is_maltsev
-from mnl.birep import GeneratorSet, check_glc, quaternion_lr_generators
+from mnl.birep import (GeneratorSet, check_glc, octonion_lr_generators,
+                       quaternion_lr_generators)
 from mnl.envelope import (EnvelopeAlgebra, build_envelope, check_jacobi, matrix_closure_dim,
                           realize_check)
 
@@ -161,6 +165,44 @@ def test_realize_check_matches_oracle(size, data, bump):
 
 
 @pytest.mark.parametrize("size", SIZES)
+@settings(SETTINGS, suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_row_blocks_keep_the_witness(size, data, monkeypatch):
+    """With one label row of A per block, every pair family crosses blocks,
+    and the witness is still the first failing pair in A-major order."""
+    monkeypatch.setattr(matrices, "_BLOCK", 1)
+    gen, c = data.draw(generator_sets(size))
+    assert check_glc(gen, c).to_dict() == oracles.check_glc(gen, c).to_dict()
+    env = build_envelope(c)
+    assert realize_check(env, gen, c).to_dict() == oracles.realize_check(env, gen, c).to_dict()
+
+
+def test_empty_family_passes():
+    """At r = 1 no Y_jk has j < k, so the yy family is empty and passes."""
+    gen = GeneratorSet(1, 2, [[[1, 0], [0, 1]]], [[[0, 1], [1, 0]]])
+    c = StructureTensor(1, {})
+    report = check_glc(gen, c)
+    assert report.to_dict() == oracles.check_glc(gen, c).to_dict()
+    assert report.families["yy"].passed
+
+
+def test_one_row_blocks_on_swapped_octonions(monkeypatch):
+    """The octonion generators with S_0 and S_1 exchanged fail, in blocks of
+    one label row as in the default blocks."""
+    monkeypatch.setattr(matrices, "_BLOCK", 1)
+    gen, c = octonion_lr_generators(), catalog_algebra("m7")
+    S = list(gen.S)
+    S[0], S[1] = S[1], S[0]
+    gen = GeneratorSet(gen.r, gen.dim, S, list(gen.T))
+    report = check_glc(gen, c)
+    assert not report.passed
+    assert report.to_dict() == oracles.check_glc(gen, c).to_dict()
+    env = build_envelope(c)
+    assert realize_check(env, gen, c).to_dict() == oracles.realize_check(env, gen, c).to_dict()
+
+
+@pytest.mark.parametrize("size", SIZES)
 @SETTINGS
 @given(data=st.data())
 def test_check_jacobi_matches_oracle(size, data):
@@ -205,19 +247,70 @@ def test_guarded_contraction_is_exact_past_int64():
     assert out.dtype == object and out[0, 0] == 1 << 81
 
 
+@contextlib.contextmanager
+def matmul_dtypes():
+    """The dtype of the operands of every np.matmul while the block runs."""
+    seen = []
+    original = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        seen.append(a.dtype)
+        return original(a, b, *args, **kwargs)
+    np.matmul = spy
+    try:
+        yield seen
+    finally:
+        np.matmul = original
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[(1 << 53) - 1]], [[1]]),               # the bound 2^53 - 1: float64
+    ([[1 << 26]], [[1 << 27]]),               # the bound 2^53: int64
+    ([[1 << 27, 1]], [[1 << 26], [1]]),       # 2^53 + 1, which float64 would round
+])
+def test_mat_mul_float_tier_at_its_edge(a, b, monkeypatch):
+    monkeypatch.setattr(matrices, "_GEMM", 1)
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    with matmul_dtypes() as seen:
+        out = matrices.mat_mul(a, b)
+    bound = a.shape[-1] * int(np.abs(a).max()) * int(np.abs(b).max())
+    assert seen == [np.float64 if bound < 1 << 53 else np.int64]
+    assert out.dtype == np.int64 and (out == a.astype(object) @ b.astype(object)).all()
+
+
+@pytest.mark.parametrize("a_shape, b_shape, tier", [
+    ((9, 8, 8), (9, 8, 8), np.int64),    # 4,608 multiply-adds
+    ((56, 8), (8, 56), np.float64),      # 25,088
+    ((8, 8), (60, 8, 8), np.float64),    # 30,720: a broadcast against b's stack
+])
+def test_small_products_stay_in_int64(a_shape, b_shape, tier):
+    """Below `matrices._GEMM` multiply-adds a product runs in int64."""
+    a = np.arange(math.prod(a_shape), dtype=np.int64).reshape(a_shape) % 7 - 3
+    b = np.arange(math.prod(b_shape), dtype=np.int64).reshape(b_shape) % 5 - 2
+    with matmul_dtypes() as seen:
+        out = matrices.mat_mul(a, b)
+    assert seen == [tier]
+    assert out.dtype == np.int64 and (out == np.matmul(a.astype(object), b.astype(object))).all()
+
+
 def sparse_ints(magnitude):
     """Mostly zero integers, the others small or near 2^magnitude."""
     return st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
                      near(magnitude) if magnitude else st.integers(-3, 3))
 
 
-@SETTINGS
-@given(data=st.data(), magnitude=st.sampled_from([0, 31, 40]))
-def test_mat_mul_matches_einsum(data, magnitude):
-    """A stack of products, one factor shared or stacked: near 2^31 the
-    bound passes 2^62, and near 2^40 the products themselves pass int64
-    (the factors held as Python ints), so mat_mul must take the object
-    path there and stay exact."""
+@settings(SETTINGS, suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.function_scoped_fixture])
+@given(data=st.data(), magnitude=st.sampled_from([0, 26, 31, 40]))
+def test_mat_mul_matches_einsum(data, magnitude, monkeypatch):
+    """A stack of products, one factor shared or stacked, with the float64
+    tier open to products of any size: near 2^26 the bound k max|a| max|b|
+    falls on both sides of 2^53, so the product runs in float64 strictly
+    below it and in int64 at or above it; near 2^31 the bound passes 2^62,
+    and near 2^40 the products themselves pass int64 (the factors held as
+    Python ints), so mat_mul must take the object path there.  Every path
+    stays exact."""
+    monkeypatch.setattr(matrices, "_GEMM", 1)
     s, m, k, p = (data.draw(st.integers(1, 4)) for _ in range(4))
     entries = sparse_ints(magnitude)
 
@@ -227,12 +320,13 @@ def test_mat_mul_matches_einsum(data, magnitude):
     a, b = array(s, m, k), array(*data.draw(st.sampled_from([(s, k, p), (k, p)])))
     if magnitude < 40:
         a, b = a.astype(np.int64), b.astype(np.int64)
-    with int64_decisions() as seen:
+    with int64_decisions() as seen, matmul_dtypes() as tier:
         out = matrices.mat_mul(a, b)
     expected = np.einsum("...ik,...kj->...ij", a.astype(object), b.astype(object))
     assert out.shape == expected.shape and (out == expected).all()
     bound = k * max(int(np.abs(a).max()), 1) * max(int(np.abs(b).max()), 1)
     assert (out.dtype == object) == (bound >= 1 << 62) == (False in seen)
+    assert tier == [np.float64 if bound < 1 << 53 else np.int64 if bound < 1 << 62 else object]
 
 
 @SETTINGS
