@@ -209,14 +209,17 @@ def yamaguti_constants(c: StructureTensor) -> YamagutiTensor:
 def integer_constants(c: StructureTensor):
     """(D c, D d, D): the structure constants c[i, j, k] and the Yamaguti
     constants d[p, j, k, l] as integer arrays at one denominator, D = 6 den^2
-    with den that of c; made once per tensor and kept on it.  D d is the
-    defining contraction over den c."""
+    with den that of c, at the table's dtype (`birep.bracket_rows`); made once
+    per tensor and kept on it.  D d is the defining contraction over den c."""
     if c._integer is None:
         C, den = scaled((c.dim,) * 3, c.entries.items())
         T = contract("pjs,skl->pjkl", C, C)                     # c^p_js c^s_kl
         total = lincomb([(1, T), (-1, T.transpose(0, 2, 1, 3)),
                          (1, contract("psl,sjk->pjkl", C, C))])
-        object.__setattr__(c, "_integer", (lincomb([(6 * den, C)]), total, 6 * den * den))
+        C, D = lincomb([(6 * den, C)]), 6 * den * den
+        if not matrices.fits_int64(6 * D, 6 * magnitude(C), 6 * magnitude(total)):
+            C, total = C.astype(object), total.astype(object)
+        object.__setattr__(c, "_integer", (C, total, D))
     return c._integer
 
 

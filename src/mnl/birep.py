@@ -6,16 +6,17 @@ contraction over their common denominator (`matrices`).
 
 The generalized Lie-Cartan table is written once, in `bracket_rows`, with
 its cyclic relations in `cyclic_rows`: integer rows over the label index
-(`labels`: S_j, T_j, then every ordered Y_jk) at one denominator, gathered
-for a block of label pairs from the tensor's integer c and d
-(`algebra.integer_constants`).  `check_glc`, the envelope and the density
-and charge checks all read their right sides from these rows, and
+(`labels`: S_j, T_j, then every ordered Y_jk) at one denominator, as
+(row, label, value) triples (`matrices.Rows`) gathered from the nonzeros of
+the tensor's integer c and d (`algebra.integer_constants`).  `check_glc`,
+the envelope and the density and charge checks read each family's rows once;
 `check_glc` and `realize_check` decide each commutator family as block
 products of the label operators (`commutator_scan`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -25,7 +26,7 @@ import numpy as np
 from . import matrices
 from .algebra import OCTONIONS, QUATERNIONS, StructureTensor, cayley_dickson, integer_constants
 from .loops import CayleyTable, is_moufang
-from .matrices import (commutator, first_failure_chunked, lincomb, magnitude, mat_mul,
+from .matrices import (Rows, _times, commutator, first_failure_chunked, lincomb, mat_mul,
                        rows_times, stacked)
 from .report import CheckReport, InputError, fail, is_int, ok, read_json
 
@@ -54,6 +55,11 @@ class GeneratorSet:
         for m in list(self.S) + list(self.T):
             if len(m) != self.dim or any(len(row) != self.dim for row in m):
                 raise InputError("generator matrix has wrong shape")
+
+    @functools.cached_property
+    def integer(self):
+        """(D [S; T], D) over their denominator D (`matrices.stacked`), made once."""
+        return stacked(list(self.S) + list(self.T), self.dim)
 
     def to_json_dict(self):
         def enc(m):
@@ -190,10 +196,19 @@ def labels(r) -> List[Label]:
 _ST_THIRDS = np.array([[(6, 1, 2), (-3, 1, -1)], [(0, 0, 0), (6, -2, -1)]])
 
 
+def _gather(T, *idx):
+    """(i, p, T[p, idx_i]) at the nonzeros of T[:, idx_i], i in order, in slices of _BLOCK."""
+    step, out = max(1, matrices._BLOCK // len(T)), []
+    for lo in range(0, max(len(idx[0]), 1), step):
+        i, p = np.nonzero(V := T[(slice(None), *(x[lo:lo + step] for x in idx))].T)
+        out.append((lo + i, p, V[i, p]))
+    return (np.concatenate(x) for x in zip(*out))
+
+
 def bracket_rows(c: StructureTensor, a, b):
-    """(R, 3D): the table rows [a_n, b_n] for label index arrays a and b,
-    R[n, w] / 3D the coefficient of label w, D that of the tensor's D c and
-    D d (`algebra.integer_constants`):
+    """(R, 3D): the table rows [a_n, b_n] for label index arrays a and b as
+    `matrices.Rows` over the label index, R[n, w] / 3D the coefficient of
+    label w, D that of the tensor's D c and D d (`algebra.integer_constants`):
 
         [S_j, S_k] = 2 Y_jk + c^p_jk ((1/3) S_p + (2/3) T_p)
         [T_j, T_k] = 2 Y_jk - c^p_jk ((2/3) S_p + (1/3) T_p)
@@ -201,50 +216,44 @@ def bracket_rows(c: StructureTensor, a, b):
         [Y_jk, S_n] = d^p_jkn S_p,  [Y_jk, T_n] = d^p_jkn T_p
         [Y_jk, Y_ln] = d^p_jkl Y_pn + d^p_jkn Y_lp
 
-    and the rest by antisymmetry.  Every Y_jk keeps the (j, k) order written
-    here, j == k included; each realization decides what Y_kj and Y_jj mean
-    (`_signed`).  6 max(D, |D c|, |D d|) bounds an entry: int64 below 2^62,
-    else Python ints."""
+    and the rest by antisymmetry (at Y_ln both terms sum).  Every Y_jk keeps
+    the (j, k) order written here, j == k included; each realization decides
+    what Y_kj and Y_jj mean (`_signed`).  6 max(D, |D c|, |D d|) bounds an
+    entry: int64 below 2^62, as D c and D d are, else Python ints."""
     C, Dd, D = integer_constants(c)
     r = c.dim
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     ka, kb = np.minimum(a // r, 2), np.minimum(b // r, 2)
     swap = ((ka == 1) & (kb == 0)) | ((ka < 2) & (kb == 2))
     a, b, ka, kb = (np.where(swap, v, u) for u, v in ((a, b), (b, a), (ka, kb), (kb, ka)))
-    dtype = (np.int64 if matrices.fits_int64(6 * D, 6 * magnitude(C), 6 * magnitude(Dd))
-             else object)
-    sign = np.where(swap, -1, 1).astype(dtype)
-    C, Dd = C.astype(dtype, copy=False), Dd.astype(dtype, copy=False)
-    R = np.zeros((len(a), 2 * r + r * r), dtype=dtype)
-    p = np.arange(r)
+    sign = np.where(swap, -1, 1).astype(C.dtype)
     st = np.flatnonzero(kb < 2)
     yx = st[ka[st] == 2]            # [Y_jk, S_n or T_n]
     st = st[ka[st] < 2]             # [S_j or T_j, S_k or T_k]
     j, k = a[st] - r * ka[st], b[st] - r * kb[st]
     y, s, t = (sign[st] * v for v in _ST_THIRDS[ka[st], kb[st]].T)
-    R[st, 2 * r + j * r + k] = y * D
-    R[st[:, None], p] = s[:, None] * C[:, j, k].T
-    R[st[:, None], r + p] = t[:, None] * C[:, j, k].T
+    i, p, v = _gather(C, j, k)
+    terms = [(st, 2 * r + j * r + k, y * D), (st[i], p, s[i] * v), (st[i], r + p, t[i] * v)]
     j, k = divmod(a[yx] - 2 * r, r)
-    R[yx[:, None], r * kb[yx, None] + p] = 3 * sign[yx, None] * Dd[:, j, k, b[yx] - r * kb[yx]].T
+    i, p, v = _gather(Dd, j, k, b[yx] - r * kb[yx])
+    terms.append((yx[i], r * kb[yx[i]] + p, 3 * sign[yx[i]] * v))
     yy = np.flatnonzero(kb == 2)    # [Y_jk, Y_ln]
     (j, k), (l, n) = divmod(a[yy] - 2 * r, r), divmod(b[yy] - 2 * r, r)
-    R[yy[:, None], 2 * r + p * r + n[:, None]] += 3 * Dd[:, j, k, l].T
-    R[yy[:, None], 2 * r + l[:, None] * r + p] += 3 * Dd[:, j, k, n].T
-    return R, 3 * D
+    i, p, v = _gather(Dd, j, k, l)
+    terms.append((yy[i], 2 * r + p * r + n[i], 3 * v))
+    i, p, v = _gather(Dd, j, k, n)
+    terms.append((yy[i], 2 * r + l[i] * r + p, 3 * v))
+    return Rows.summed(len(a), 2 * r + r * r, terms), 3 * D
 
 
 def cyclic_rows(c: StructureTensor, j, k, l):
     """(R, D): the rows c^p_jk Y_pl + c^p_kl Y_pj + c^p_lj Y_pk, which vanish
     in every realization, for index arrays j, k and l (see `bracket_rows`)."""
-    C, _, D = integer_constants(c)
-    r = c.dim
-    dtype = np.int64 if matrices.fits_int64(3 * magnitude(C)) else object
-    R = np.zeros((len(j), 2 * r + r * r), dtype=dtype)
-    n, p = np.arange(len(j))[:, None], np.arange(r)
+    (C, _, D), r, terms = integer_constants(c), c.dim, []
     for u, v, e in ((j, k, l), (k, l, j), (l, j, k)):
-        np.add.at(R, (n, 2 * r + p * r + np.asarray(e)[:, None]), C[:, u, v].T.astype(dtype))
-    return R, D
+        i, p, val = _gather(C, u, v)
+        terms.append((i, 2 * r + p * r + np.asarray(e)[i], val))
+    return Rows.summed(len(j), 2 * r + r * r, terms), D
 
 
 def _signed(lbl):
@@ -262,11 +271,10 @@ def _labelled_operators(gen: GeneratorSet, c: StructureTensor):
     integer, E = den^2 D and E Y_jk = den (R_S, R_T) (den X) - D [den S_j, den T_k]."""
     if gen.r != c.dim:
         raise InputError("generator count must match tensor dim")
-    r = gen.r
-    st, den = stacked(list(gen.S) + list(gen.T), gen.dim)
+    (st, den), r = gen.integer, gen.r
     j, k = np.divmod(np.arange(r * r), r)
     R, D = bracket_rows(c, j, r + k)
-    Y = lincomb([(den, rows_times(R[:, :2 * r], st)),
+    Y = lincomb([(den, rows_times(Rows(*(x[R.t < 2 * r] for x in R[:3]), R.size), st)),
                  (-D, commutator(st[j], st[r + k]))])
     return np.concatenate([lincomb([(den * D, st)]), Y]), den * den * D
 
@@ -279,33 +287,31 @@ def extract_yamagutians(gen: GeneratorSet, c: StructureTensor) -> Dict[tuple, li
             for w, lbl in enumerate(labels(gen.r)) if lbl[0] == "Y"}
 
 
-def commutator_scan(prop, ops, scale, A, B, rows, witness):
+def commutator_scan(prop, ops, scale, A, B, R, K, witness):
     """Decide K [X_a, X_b] = R X for a in A and b in B, A-major: X the integer
     operator stack `ops` over `scale` (`_labelled_operators`), A and B index
-    arrays into it, and (R, K) = rows(i, j) the integer rows over `ops` of the
-    pairs (A[i], B[j]) at K.  Fail with witness(i, j) of the first pair that
-    does not hold.  A block of A rows forms X_a X_b against all of B as one
-    2-D product, (|block| n x n) by (n x |B| n), and X_b X_a likewise, with as
-    many A rows (one at least) as keep every array of the block, R included,
+    arrays into it, R the `matrices.Rows` of all the pairs at K; fail with
+    witness(i, j) of the first failing pair (A[i], B[j]).  A block of A rows
+    forms X_a X_b and X_b X_a against all of B (its side made once) as 2-D
+    products, with as many A rows (one at least) as keep every dense array
     within `matrices._BLOCK` entries."""
-    n, p = ops.shape[1], len(B)
-    right = ops[B]
-    after, before = right.transpose(1, 0, 2).reshape(n, p * n), right.reshape(p * n, n)
-    step = max(1, matrices._BLOCK // max(p * max(n * n, len(ops)), 1))    # B may be empty
+    n, p, right = ops.shape[1], len(B), ops[B]
+    after = _times(right.transpose(1, 0, 2).reshape(n, p * n))       # X_a X_b
+    before = _times(right.reshape(p * n, n), left=True)               # X_b X_a
+    step = max(1, matrices._BLOCK // max(p * n * n, 1))    # B may be empty
     for lo in range(0, len(A), step):
         left = ops[A[lo:lo + step]]
         m = len(left)
-        i, j = np.divmod(np.arange(lo * p, (lo + m) * p), p)
         # [X_a, X_b] at [a, b], in place: both products have one bound, so one
         # dtype, and in int64 (the bound below 2^62) their difference fits
-        comm = mat_mul(left.reshape(m * n, n), after).reshape(m, n, p, n).transpose(0, 2, 1, 3)
-        comm -= mat_mul(before, left.transpose(1, 0, 2).reshape(n, m * n)).reshape(
+        comm = after(left.reshape(m * n, n)).reshape(m, n, p, n).transpose(0, 2, 1, 3)
+        comm -= before(left.transpose(1, 0, 2).reshape(n, m * n)).reshape(
             p, n, m, n).transpose(2, 0, 1, 3)
-        R, K = rows(i, j)
-        rhs = lincomb([(scale, rows_times(R, ops))]).reshape(m, p, n, n)
+        rhs = lincomb([(scale, rows_times(R.block(lo * p, (lo + m) * p), ops))]).reshape(
+            m, p, n, n)
         bad = np.flatnonzero((lincomb([(K, comm)]) != rhs).any(axis=(2, 3)))
         if bad.size:
-            return fail(prop, witness=witness(int(i[bad[0]]), int(j[bad[0]])))
+            return fail(prop, witness=witness(*divmod(lo * p + int(bad[0]), p)))
     return ok(prop)
 
 
@@ -337,7 +343,7 @@ def check_glc(gen: GeneratorSet, c: StructureTensor) -> GLCReport:
 
     def table(prop, A, B, witness):
         return commutator_scan(prop, ops, scale, A, B,
-                               lambda i, j: bracket_rows(c, A[i], B[j]), witness)
+                               *bracket_rows(c, np.repeat(A, len(B)), np.tile(B, len(A))), witness)
 
     def zero(prop, cases, rows):
         return first_failure_chunked(prop, cases, lambda chunk: rows_times(

@@ -30,8 +30,8 @@ from .algebra import (StructureTensor, YamagutiTensor, is_maltsev, jacobi_check,
 from . import matrices
 from .birep import (GeneratorSet, Label, Vec, _labelled_operators, _signed, bracket_rows,
                     commutator_scan, cyclic_rows, labels)
-from .matrices import (Echelon, commutator, first_failure_chunked, lincomb, rows_times, scaled,
-                       stacked)
+from .matrices import (Echelon, Rows, commutator, first_failure_chunked, lincomb, rows_times,
+                       scaled)
 from .report import CheckReport, InputError
 
 __all__ = [
@@ -179,14 +179,12 @@ def build_envelope(c: StructureTensor) -> EnvelopeAlgebra:
     M, E = env.reduction
     cols = _label_indices(r, basis)
     pairs = list(itertools.product(basis, basis))
-    step = max(1, matrices._BLOCK // (len(cols) * len(M)))
+    rows, D = bracket_rows(c, np.repeat(cols, len(cols)), np.tile(cols, len(cols)))
+    step = max(1, matrices._BLOCK // len(cols) ** 2)
     for lo in range(0, len(cols), step):
-        a = cols[lo:lo + step]
-        R, D = bracket_rows(c, np.repeat(a, len(cols)), np.tile(cols, len(a)))
-        B = rows_times(R, M)
-        n, t = np.nonzero(B)
-        table = [{} for _ in B]    # the block's pairs, each filled in basis order
-        for i, k, v in zip(n.tolist(), t.tolist(), B[n, t].tolist()):
+        B = Rows.of(rows_times(rows.block(lo * len(cols), (lo + step) * len(cols)), M))
+        table = [{} for _ in range(B.size)]    # the block's pairs, each filled in basis order
+        for i, k, v in zip(B.n.tolist(), B.t.tolist(), B.v.tolist()):
             table[i][basis[k]] = Fraction(v, D * E)
         env.brackets.update(zip(pairs[lo * len(cols):], table))
     _check_quotient_consistency(c, env)
@@ -212,18 +210,18 @@ def _check_quotient_consistency(c, env: EnvelopeAlgebra):
     x, elim = M[cols], np.arange(env.dim, len(full))
     for first, b in ((elim, np.arange(len(full))), (np.arange(env.dim), elim)):
         step = max(1, PAIRS // len(b))
-        for a in (first[i:i + step] for i in range(0, len(first), step)):
-            pa, pb = np.repeat(a, len(b)), np.tile(b, len(a))
-            R, D = bracket_rows(c, cols[pa], cols[pb])
+        rows, D = bracket_rows(c, cols[np.repeat(first, len(b))], cols[np.tile(b, len(first))])
+        for i in range(0, len(first), step):
+            a, R = first[i:i + step], rows.block(i * len(b), (i + step) * len(b))
             # [x_a, x_b] through the table, xF[a, t, v] = sum_u x_a[u] F[t, u, v]
             xF = rows_times(x[a], F.transpose(1, 0, 2))
-            via = rows_times(x[b], xF.transpose(2, 0, 1)).transpose(1, 0, 2).reshape(len(pa), -1)
+            via = rows_times(x[b], xF.transpose(2, 0, 1)).transpose(1, 0, 2).reshape(R.size, -1)
             bad = np.flatnonzero((lincomb([(E * K, rows_times(R, M))])
                                   != lincomb([(D, via)])).any(axis=1))
             if bad.size:
-                raise EnvelopeInconsistencyError(f"bracket of {full[pa[bad[0]]]} and "
-                                                 f"{full[pb[bad[0]]]} inconsistent with the "
-                                                 "Y-quotient")
+                u, v = divmod(int(bad[0]), len(b))
+                raise EnvelopeInconsistencyError(f"bracket of {full[a[u]]} and {full[b[v]]} "
+                                                 "inconsistent with the Y-quotient")
 
 
 def check_jacobi(env: EnvelopeAlgebra) -> CheckReport:
@@ -241,8 +239,7 @@ def matrix_closure_dim(gen: GeneratorSet) -> int:
     def grown(ms):
         return list(ms[span.add(ms.reshape(len(ms), -1))])
 
-    st, _ = stacked(list(gen.S) + list(gen.T), gen.dim)
-    mats = grown(st)
+    mats = grown(gen.integer[0])
     queue = list(mats)
     while queue:
         m = queue.pop()
@@ -276,7 +273,6 @@ def realize_check(env: EnvelopeAlgebra, gen: GeneratorSet, c: StructureTensor) -
     if not rep.passed:
         return rep
     # over the basis operators, the right side of [basis[u], basis[v]] is F[:, u, v]
-    every = np.arange(env.dim)
-    return commutator_scan("realize", ops[cols], scale, every, every,
-                           lambda u, v: (F[:, u, v].T, K),
+    return commutator_scan("realize", ops[cols], scale, *[np.arange(env.dim)] * 2,
+                           Rows.of(F.reshape(env.dim, -1).T), K,
                            lambda u, v: (env.basis[u], env.basis[v]))

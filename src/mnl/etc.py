@@ -27,7 +27,7 @@ sum_x E_x(D_x) is zero exactly when every D_x is c_x * I with sum_x c_x = 0.
 
 Relations.  Every right side is a table row, which each check reads off
 `birep.bracket_rows` and `birep.cyclic_rows` in one pass over their
-nonzeros (`_table`).  Densities realize the table at site labels (label, x)
+entries (`_table`).  Densities realize the table at site labels (label, x)
 with the Kronecker delta, [A(x), B(y)] = i delta_xy (row at x), and charges
 realize it as it stands; both read Y_kj as -Y_jk and Y_jj as zero
 (`birep._signed`).  Every density is rho(M) = -i a† M^T a of its matrix,
@@ -151,7 +151,7 @@ def _table(c: StructureTensor):
     j < k and l < n; {(j, k, l): cyclic relation} for j < k < l): the rows
     the density and charge relations read (`birep.bracket_rows`,
     `birep.cyclic_rows`), each as its (sign * coefficient, stored label)
-    pairs in label order (`_signed`), from one pass over their nonzeros."""
+    pairs in label order (`_signed`), from one pass over their entries."""
     r, lbls = range(c.dim), labels(c.dim)
     index = {lbl: w for w, lbl in enumerate(lbls)}
     signed = [_signed(lbl) for lbl in lbls]
@@ -162,8 +162,7 @@ def _table(c: StructureTensor):
 
     def stored(keys, R, den):
         out = {key: [] for key in keys}
-        rows, cols = np.nonzero(R)
-        for n, w, v in zip(rows.tolist(), cols.tolist(), R[rows, cols].tolist()):
+        for n, w, v in zip(R.n.tolist(), R.t.tolist(), R.v.tolist()):
             if signed[w]:
                 out[keys[n]].append((Fraction(signed[w][0] * v, den), signed[w][1]))
         return out

@@ -3,12 +3,12 @@ an integer array over its common denominator (`scaled`).  Every contraction
 and linear combination bounds its result before it computes (`fits_int64`,
 the bound the sparse Fock operators apply too, raising instead): below 2^62
 it runs in int64, otherwise over Python ints (object dtype), so no value can
-wrap.  A product with rows of label coefficients, which are mostly zero, runs
-over their nonzeros (`rows_times`), and one fraction-free echelon (`Echelon`)
-reduces integer rows exactly.  Identities are decided CHUNK cases at a time,
-in their walk order, or in blocks of at most _BLOCK entries an array
-(`birep.commutator_scan`), so a failing input stops early and the
-temporaries stay small.
+wrap.  Rows of label coefficients, mostly zero, are held as (row, column,
+value) triples (`Rows`), a product with them runs over those (`rows_times`),
+and one fraction-free echelon (`Echelon`) reduces integer rows exactly.
+Identities are decided CHUNK cases at a time, in their walk order, or in
+blocks of at most _BLOCK entries an array (`birep.commutator_scan`), so a
+failing input stops early and the temporaries stay small.
 
 One tier runs in floating point, and it is exact: `mat_mul` multiplies in
 float64 (BLAS) when its bound K max|a| max|b| is below 2^53, and casts the
@@ -26,6 +26,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,21 +84,46 @@ def contract(spec, *operands):
                      optimize=len(operands) > 2)
 
 
+class Rows(NamedTuple):
+    """`size` integer rows held sparse, v[i] at (n[i], t[i]) in row order; repeats sum."""
+    n: np.ndarray
+    t: np.ndarray
+    v: np.ndarray
+    size: int
+
+    @classmethod
+    def of(cls, R):    # a dense integer matrix
+        n, t = np.nonzero(R)
+        return cls(n, t, R[n, t], len(R))
+
+    @classmethod
+    def summed(cls, size, width, terms):    # terms' (n, t, v) summed, one nonzero a position
+        key = np.concatenate([n * width + t for n, t, _ in terms])
+        # Python's sort: np.argsort's kernel is 0.19 MB more code where nothing else loads it
+        order = np.array(sorted(range(len(key)), key=key.tolist().__getitem__), dtype=np.int64)
+        key, v = key[order], np.concatenate([v for _, _, v in terms])[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        key, v = key[first], np.add.reduceat(v, first) if len(v) else v
+        return cls(key[v != 0] // width, key[v != 0] % width, v[v != 0], size)
+
+    def block(self, lo, hi):    # rows lo to hi - 1, numbered from 0
+        i, j = np.count_nonzero(self.n < lo), np.count_nonzero(self.n < hi)
+        return Rows(self.n[i:j] - lo, self.t[i:j], self.v[i:j], min(hi, self.size) - lo)
+
+
 def rows_times(R, X):
-    """sum_t R[n, t] X[t] for an integer matrix R and array X, over R's
-    nonzeros only, CHUNK rows of R at a time: (the most nonzeros in a row of
-    R) max|R| max|X| bounds it, max|X| taken over the X[t] that a nonzero of
-    R reads."""
-    n, t = np.nonzero(R)
-    counts = np.bincount(n, minlength=len(R))
-    coeff = R[n, t]
-    met = magnitude(X[np.flatnonzero(R.any(axis=0))])
+    """sum_t R[n, t] X[t] for integer rows R (`Rows` or dense) and an array X, over
+    R's entries, CHUNK rows at a time: (the most entries in a row of R) max|R|
+    max|X| bounds it, max|X| taken over the X[t] that an entry of R reads."""
+    n, t, coeff, size = R if isinstance(R, Rows) else Rows.of(R)
+    counts = np.bincount(n, minlength=size)
+    met = magnitude(X[np.bincount(t, minlength=len(X)) > 0])
     bound = int(counts.max(initial=0)) * max(magnitude(coeff), 1) * max(met, 1)
     dtype = np.int64 if fits_int64(bound) else object
     coeff = coeff.astype(dtype, copy=False).reshape((-1,) + (1,) * (X.ndim - 1))
-    out = np.zeros((len(R),) + X.shape[1:], dtype=dtype)
+    out = np.zeros((size,) + X.shape[1:], dtype=dtype)
     start = np.cumsum(counts) - counts
-    for lo in range(0, len(R), CHUNK):
+    for lo in range(0, size, CHUNK):
         used = lo + np.flatnonzero(counts[lo:lo + CHUNK])
         if used.size:
             nz = slice(start[used[0]], start[used[-1]] + counts[used[-1]])
@@ -120,11 +146,21 @@ def mat_mul(a, b):
     """The product of (stacks of) integer matrices by np.matmul, under `contract`'s
     bound: in float64 below 2^53 from _GEMM multiply-adds, cast back to int64
     (exact, see above)."""
-    bound = a.shape[-1] * max(magnitude(a), 1) * max(magnitude(b), 1)
-    if bound < _FLOAT and max(a.size * b.shape[-1], b.size * a.shape[-2]) >= _GEMM:
-        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
-    dtype = np.int64 if fits_int64(bound) else object
-    return np.matmul(a.astype(dtype, copy=False), b.astype(dtype, copy=False))
+    return _times(b)(a)
+
+
+def _times(b, left=False):
+    """x -> mat_mul(x, b), or mat_mul(b, x) if left, b's magnitude and float64 copy once."""
+    mb, fb = max(magnitude(b), 1), []
+    def times(x):
+        a, c = (b, x) if left else (x, b)
+        bound = a.shape[-1] * max(magnitude(x), 1) * mb
+        if bound < _FLOAT and max(a.size * c.shape[-1], c.size * a.shape[-2]) >= _GEMM:
+            fb[:] = fb or [b.astype(np.float64)]
+            return np.matmul(*(fb[0], x.astype(np.float64))[::1 if left else -1]).astype(np.int64)
+        dtype = np.int64 if fits_int64(bound) else object
+        return np.matmul(a.astype(dtype, copy=False), c.astype(dtype, copy=False))
+    return times
 
 
 def commutator(a, b):

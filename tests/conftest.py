@@ -47,10 +47,22 @@ def oct_fields():
 
 
 @pytest.fixture(scope="session")
-def bench_r10(tmp_path_factory):
-    """The benchmark's r=10 block sum: m7 plus doubled su2, basis signs of seed 0."""
+def exact_algebra(tmp_path_factory):
+    """The benchmark's exact-algebra inputs for seed 0."""
     root = str(Path(__file__).resolve().parents[1])
     if root not in sys.path:
         sys.path.insert(0, root)
     from mnlbench import workloads
-    return workloads.ExactAlgebra(0, str(tmp_path_factory.mktemp("r10"))).r10
+    return workloads.ExactAlgebra(0, str(tmp_path_factory.mktemp("r10")))
+
+
+@pytest.fixture(scope="session")
+def bench_r10(exact_algebra):
+    """The benchmark's r=10 block sum: m7 plus doubled su2, basis signs of seed 0."""
+    return exact_algebra.r10
+
+
+@pytest.fixture(scope="session")
+def bench_r10_gen(exact_algebra):
+    """Its generators: the octonion plus the quaternion ones, same signs."""
+    return exact_algebra.r10_gen

@@ -254,10 +254,11 @@ def st_row(c: StructureTensor, j, k) -> Vec:
 
 
 def row_vecs(R, den, lbls):
-    """Integer rows R at den over the labels lbls as {label: coefficient}."""
-    out = [{} for _ in range(len(R))]
-    for n, w in zip(*np.nonzero(R)):
-        out[n][lbls[w]] = Fraction(int(R[n, w]), den)
+    """Integer rows R (`matrices.Rows`) at den over the labels lbls as
+    {label: coefficient}, the entries at one position summed."""
+    out = [{} for _ in range(R.size)]
+    for n, w, v in zip(R.n, R.t, R.v):
+        vec_add(out[n], lbls[w], Fraction(int(v), den))
     return out
 
 

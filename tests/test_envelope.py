@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mnl import algebra
+from mnl import algebra, birep, envelope, matrices
 from mnl.algebra import StructureTensor, catalog_algebra, is_maltsev
 from mnl.birep import GeneratorSet
 from mnl.envelope import (EnvelopeInconsistencyError, _check_quotient_consistency,
@@ -199,3 +200,52 @@ def test_quotient_consistency_catches_a_wrong_table_entry(env_m7, m7):
     perturbed = type(env_m7)(env_m7.r, env_m7.basis, env_m7.expand, bad, env_m7.relation_rank)
     with pytest.raises(EnvelopeInconsistencyError):
         _check_quotient_consistency(m7, perturbed)
+
+
+def fresh(c, gen):
+    """A copy of a tensor and of a generator set, with nothing kept on them."""
+    return (StructureTensor(c.dim, dict(c.entries)),
+            GeneratorSet(gen.r, gen.dim, [[list(row) for row in m] for m in gen.S],
+                         [[list(row) for row in m] for m in gen.T]))
+
+
+def test_one_integer_stack_per_generator_set(monkeypatch, m7, oct_gen):
+    """`check_glc`, `realize_check` and `matrix_closure_dim` read one stack of a set."""
+    stacks, stack = [], matrices.stacked
+    for mod in (matrices, birep, envelope):
+        if hasattr(mod, "stacked"):
+            monkeypatch.setattr(mod, "stacked",
+                                lambda mats, dim: stacks.append(dim) or stack(mats, dim))
+    env = build_envelope(m7)
+    for _ in range(2):
+        c, gen = fresh(m7, oct_gen)
+        assert birep.check_glc(gen, c).passed and realize_check(env, gen, c).passed
+        assert matrix_closure_dim(gen) == 28
+    assert stacks == [8, 8]
+
+
+# tracemalloc peaks, in MB, of the r=10 checks when they still read the table
+# as dense label rows, measured as below (fresh inputs, after a warm-up): the
+# sparse rows of a whole family must not hold more than the dense blocks did
+PEAK_MB = {"check_glc": 1.081, "build_envelope": 1.341, "realize_check": 1.081}
+
+
+def test_r10_checks_stay_within_their_memory(bench_r10, bench_r10_gen):
+    def peak(call, *args):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            call(*args)
+            return (tracemalloc.get_traced_memory()[1] - entry) / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    def peaks():
+        env = build_envelope(fresh(bench_r10, bench_r10_gen)[0])
+        return {"check_glc": peak(birep.check_glc, *fresh(bench_r10, bench_r10_gen)[::-1]),
+                "build_envelope": peak(build_envelope, fresh(bench_r10, bench_r10_gen)[0]),
+                "realize_check": peak(realize_check, env, *fresh(bench_r10, bench_r10_gen)[::-1])}
+    peaks()
+    got = peaks()
+    assert all(got[name] <= PEAK_MB[name] for name in PEAK_MB), got

@@ -11,7 +11,8 @@ in int64, while the cubic Mal'tsev and quartic Lie-Cartan residuals fall back.
 
 `check_glc` and `realize_check` are held to their oracles in blocks of one
 label row too, so every family crosses blocks.  The sparse label-row
-product (`matrices.rows_times`) is held to the dense contraction, the matrix
+product (`matrices.rows_times`), on dense rows and on (row, column, value)
+triples (`matrices.Rows`), is held to the dense contraction, the matrix
 product (`matrices.mat_mul`) to `np.einsum` over Python ints on both sides of
 its float64 tier's 2^53 edge, and the integer echelon (`matrices.Echelon`)
 to the `Fraction` one (`oracles.echelon_add`): the same rows admitted and
@@ -350,6 +351,30 @@ def test_rows_times_matches_contract(data, magnitude):
     bound = max([0] + [int(np.count_nonzero(row)) for row in R]) * max(
         int(np.abs(R.astype(object)).max(initial=0)), 1) * max(int(np.abs(met).max(initial=0)), 1)
     assert (out.dtype == object) == (bound >= 1 << 62) == (False in seen)
+
+
+@SETTINGS
+@given(data=st.data(), magnitude=st.sampled_from([0, 31]))
+def test_rows_times_of_triples_matches_the_dense_product(data, magnitude):
+    """(row, column, value) triples in row order, with empty rows (the
+    trailing ones too) and positions met more than once, contract as the
+    dense matrix of their sums; `Rows.summed` gives that matrix's `Rows.of`."""
+    size, t = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 6))
+    triples = sorted(data.draw(st.lists(st.tuples(
+        st.integers(0, max(size - 1, 0)), st.integers(0, t - 1), sparse_ints(magnitude)),
+        max_size=12 if size else 0)), key=lambda e: e[0])
+    n, w, v = (np.array([e[i] for e in triples], dtype=np.int64) for i in range(3))
+    R = np.zeros((size, t), dtype=object)
+    for i, k, x in triples:
+        R[i, k] += x
+    X = np.array(data.draw(st.lists(sparse_ints(magnitude), min_size=t * 6, max_size=t * 6)),
+                 dtype=np.int64).reshape(t, 2, 3)
+    out = matrices.rows_times(matrices.Rows(n, w, v, size), X)
+    expected = matrices.contract("nt,tij->nij", R, X.astype(object))
+    assert out.shape == (size, 2, 3) and (out == expected).all()
+    summed, dense = matrices.Rows.summed(size, t, [(n, w, v)]), matrices.Rows.of(R)
+    for a, b in zip(summed, dense):
+        assert np.array_equal(a, b)
 
 
 def test_rows_times_of_zero_and_empty_rows():
