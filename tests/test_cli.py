@@ -252,8 +252,11 @@ def test_out_file_unwritable(capsys, tmp_path):
 
 # Whole reports, pinned: (argv, exit code, sha256 of the --format json
 # report).  "swapped.json" is the octonion generator set with S_0 and S_1
-# swapped, written to the working directory so that its name in the report
-# does not depend on a temporary path.
+# swapped, "m7-big.json" m7 scaled by BIG and "octonion-big.json" the
+# octonion set scaled by BIG, whose products pass 2^62 and take the
+# Python-int path; all are written to the working directory so that their
+# names in the report do not depend on a temporary path.
+BIG = 2 ** 31 + 3
 REPORT_DIGESTS = {
     "loop-octonion": (["loop-check", "builtin:octonion-loop"], 0,
         "f9ded0ef6b841e0b2d0aca372fee5a40ac0218162e6f5835bb708e9c6d411432"),
@@ -271,7 +274,27 @@ REPORT_DIGESTS = {
         "105291e8eba47dae468f8a4d3412303c2e6a890f16ad2c6522d21ba5bf0cc22d"),
     "etc-swapped-1": (["etc", "swapped.json", "--tensor", "builtin:m7", "--trials", "2"], 1,
         "988163b943e3daa5cf4cb45c69568c5ddaf9b6e16ffd345a5b8fb8902eb3ba90"),
+    "envelope-su2-doubled-quaternion": (
+        ["envelope", "builtin:su2-doubled", "--oracle", "builtin:quaternion"], 0,
+        "c53dcc78a410c329ee903d1dd366fb4c20f29dfc08b80ad31561e371dd0d736a"),
+    "envelope-m7-big-octonion": (["envelope", "m7-big.json", "--oracle", "builtin:octonion"], 1,
+        "346f4c272c7cb672eb3385b9cc5f8c22f2a3faf19d9997ff61e4efa32e72bd25"),
+    "envelope-m7-big-octonion-big": (
+        ["envelope", "m7-big.json", "--oracle", "octonion-big.json"], 0,
+        "6b8fcab88777d027eac726106e07ce6d20e80f69a4c7583d56adfd67f7207b8f"),
 }
+
+
+def write_report_inputs(path):
+    """The input files that REPORT_DIGESTS names, in the directory `path`."""
+    gen = birep.octonion_lr_generators()
+    swapped = gen.to_json_dict()
+    swapped["S"][0], swapped["S"][1] = swapped["S"][1], swapped["S"][0]
+    (path / "swapped.json").write_text(json.dumps(swapped))
+    big = birep.GeneratorSet(gen.r, gen.dim, *([[[BIG * v for v in row] for row in m] for m in ms]
+                                               for ms in (gen.S, gen.T)))
+    (path / "octonion-big.json").write_text(json.dumps(big.to_json_dict()))
+    (path / "m7-big.json").write_text(json.dumps(catalog_algebra("m7").scaled(BIG).to_json_dict()))
 
 
 @pytest.mark.parametrize("argv,code,digest", list(REPORT_DIGESTS.values()),
@@ -279,9 +302,7 @@ REPORT_DIGESTS = {
 def test_report_digest(capsys, monkeypatch, tmp_path, argv, code, digest):
     monkeypatch.delenv("MNL_SEED", raising=False)
     monkeypatch.chdir(tmp_path)
-    gen = birep.octonion_lr_generators().to_json_dict()
-    gen["S"][0], gen["S"][1] = gen["S"][1], gen["S"][0]
-    (tmp_path / "swapped.json").write_text(json.dumps(gen))
+    write_report_inputs(tmp_path)
     got, out = run(capsys, *argv, "--format", "json")
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
