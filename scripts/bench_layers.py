@@ -19,7 +19,8 @@ package's own constructors.
   `mnlbench.workloads.ExactAlgebra`.  Besides the public checks, two inner
   stages of them: `envelope._check_quotient_consistency` and
   `birep._labelled_operators`, each on a tensor that `build_envelope` has
-  already read, so what the tensor keeps is made outside the timed call.
+  already read, so what the tensor keeps is made outside the timed call;
+  and the envelope's JSON table, `EnvelopeAlgebra.to_json_dict`.
 - `etc`: `etc_verify` and `charge_algebra_check` on the octonion
   generators at one site (m7, dimension 2^8), on the quaternionic line of
   `mnlbench.workloads.OctonionN2` at two sites (r=3, two sites of
@@ -130,6 +131,7 @@ def dense_cases(m):
                                         m.envelope._check_quotient_consistency),
         "_labelled_operators": (lambda c, g: (fresh_generators(g), built(m, c)[0]),
                                 m.birep._labelled_operators),
+        "to_json_dict": (lambda c, g: built(m, c)[1:], m.envelope.EnvelopeAlgebra.to_json_dict),
     }
 
 

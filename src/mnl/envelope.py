@@ -9,6 +9,9 @@ the Y-quotient writes each in the basis.  One integer matrix takes the label
 index to the basis (`_reduction`): the bracket table is the basis pairs'
 rows times it, and the quotient is checked with it against the table.
 Every product with label rows runs over their nonzeros (`matrices.rows_times`).
+The table is held once, as integers over their least denominator (K F, K);
+`Fraction`s are made from its nonzeros only where a bracket is read out
+(`EnvelopeAlgebra.bracket`, `to_json_dict`).
 
 One exact integer echelon, `matrices.Echelon`, serves the Y-quotient (columns
 the Y_jk, j < k) and the closure oracle (columns the matrix entries (i, j)).
@@ -17,8 +20,7 @@ The other checks are integer contractions over a denominator (`matrices`).
 
 from __future__ import annotations
 
-import functools
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -30,17 +32,14 @@ from .algebra import (StructureTensor, YamagutiTensor, is_maltsev, jacobi_check,
 from . import matrices
 from .birep import (GeneratorSet, Label, Vec, _labelled_operators, _signed, bracket_rows,
                     commutator_scan, cyclic_rows, labels)
-from .matrices import (Echelon, Rows, commutator, first_failure_chunked, lincomb, rows_times,
-                       scaled)
+from .matrices import (Echelon, Rows, commutator, first_failure_chunked, fits_int64, lincomb,
+                       magnitude, rows_times, scaled)
 from .report import CheckReport, InputError
 
 __all__ = [
     "YamagutiTensor", "yamaguti_constants", "EnvelopeAlgebra", "NotMaltsevError",
     "build_envelope", "check_jacobi", "matrix_closure_dim", "realize_check",
 ]
-
-
-PAIRS = 128    # label pairs checked per product in `_check_quotient_consistency`
 
 
 class EnvelopeInconsistencyError(RuntimeError):
@@ -79,15 +78,19 @@ def _reduce_relations(R, ypairs: List[Tuple[int, int]]):
     return expand, len(span.pivots)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvelopeAlgebra:
     """Bracket table of the Lie algebra spanned by S_j, T_j and the
-    independent Yamaguti generators surviving the cyclic relations."""
+    independent Yamaguti generators surviving the cyclic relations.
+    `reduction` is `_reduction` of the label index to the basis, (M, E);
+    `structure` is (K F, K): F[t, u, v] the basis[t] coefficient of
+    [basis[u], basis[v]], over its least denominator K."""
 
     r: int
     basis: Tuple[Label, ...]
     expand: Dict[Tuple[int, int], Vec]
-    brackets: Dict[Tuple[Label, Label], Vec]
+    reduction: Tuple[np.ndarray, int]
+    structure: Tuple[np.ndarray, int]
     relation_rank: int
 
     @property
@@ -99,21 +102,10 @@ class EnvelopeAlgebra:
         return 2 * self.r + self.r * (self.r - 1) // 2
 
     def bracket(self, a: Label, b: Label) -> Vec:
-        return dict(self.brackets[(a, b)])
-
-    @functools.cached_property
-    def reduction(self):
-        """`_reduction` of the label index to this basis: (M, E)."""
-        return _reduction(self.r, self.basis, self.expand)
-
-    @functools.cached_property
-    def structure(self):
-        """(K F, K): F[t, u, v] the basis[t] coefficient of [basis[u], basis[v]]
-        in the bracket table, over its denominator K."""
-        index = {lbl: i for i, lbl in enumerate(self.basis)}
-        return scaled((self.dim,) * 3, (((index[lbl], index[a], index[b]), v)
-                                        for (a, b), vec in self.brackets.items()
-                                        for lbl, v in vec.items()))
+        """[a, b] as {basis label: Fraction}, in basis order."""
+        F, K = self.structure
+        col = F[:, self.basis.index(a), self.basis.index(b)]
+        return {self.basis[t]: Fraction(int(col[t]), K) for t in np.flatnonzero(col)}
 
     def to_json_dict(self):
         def lbl_str(lbl):
@@ -121,21 +113,22 @@ class EnvelopeAlgebra:
                 return f"Y{lbl[1] + 1},{lbl[2] + 1}"
             return f"{lbl[0]}{lbl[1] + 1}"
 
-        rows = []
-        index = {lbl: i for i, lbl in enumerate(self.basis)}
-        for a in self.basis:
-            for b in self.basis:
-                if index[a] < index[b] and self.brackets[(a, b)]:
-                    terms = sorted(
-                        ([lbl_str(l), v.numerator, v.denominator]
-                         for l, v in self.brackets[(a, b)].items()),
-                        key=lambda t: t[0])
-                    rows.append([lbl_str(a), lbl_str(b), terms])
+        names = [lbl_str(l) for l in self.basis]
+        F, K = self.structure
+        pairs = {}    # (u, v) with u < v -> the nonzero terms of [basis[u], basis[v]]
+        G = F.transpose(1, 2, 0)    # G[u, v, t] = F[t, u, v]: a pair's terms in basis order
+        nz = np.nonzero(G)
+        nz = tuple(i[nz[0] < nz[1]] for i in nz)
+        for u, v, t, x in zip(*(i.tolist() for i in nz), G[nz].tolist()):
+            q = Fraction(x, K)
+            pairs.setdefault((u, v), []).append([names[t], q.numerator, q.denominator])
+        rows = [[names[u], names[v], sorted(terms, key=lambda t: t[0])]
+                for (u, v), terms in pairs.items()]
         return {
             "dimension": self.dim,
             "dimension_bound": self.dimension_bound,
             "relation_rank": self.relation_rank,
-            "basis": [lbl_str(l) for l in self.basis],
+            "basis": names,
             "brackets": rows,
         }
 
@@ -163,30 +156,32 @@ def build_envelope(c: StructureTensor) -> EnvelopeAlgebra:
     """Quotient the free span of {S_j, T_j, Y_jk} by the cyclic Y-relations
     and write all theorem brackets in the reduced basis: the basis pairs' rows
     through `bracket_rows` and `rows_times`, as many first labels at a time
-    as keep their label rows within `matrices._BLOCK` entries.  Consistency
-    of the table with the quotient is verified, not assumed; the tensor keeps
-    the Mal'tsev report."""
+    as keep their label rows within `matrices._BLOCK` entries, into one
+    integer table at D E, then over the gcd of its entries and D E.
+    Consistency of the table with the quotient is verified, not assumed; the
+    tensor keeps the Mal'tsev report."""
     rep = is_maltsev(c)
     if not rep.passed:
         raise NotMaltsevError(rep)
     r = c.dim
     ypairs = [(j, k) for j in range(r) for k in range(j + 1, r)]
     expand, rank = _reduce_relations(_y_relations(c, ypairs), ypairs)
-    basis: List[Label] = [("S", j) for j in range(r)] + [("T", j) for j in range(r)]
-    basis += [("Y", j, k) for (j, k) in ypairs
-              if expand[(j, k)] == {("Y", j, k): Fraction(1)}]
-    env = EnvelopeAlgebra(r, tuple(basis), expand, {}, rank)
-    M, E = env.reduction
-    cols = _label_indices(r, basis)
-    pairs = list(itertools.product(basis, basis))
-    rows, D = bracket_rows(c, np.repeat(cols, len(cols)), np.tile(cols, len(cols)))
-    step = max(1, matrices._BLOCK // len(cols) ** 2)
-    for lo in range(0, len(cols), step):
-        B = Rows.of(rows_times(rows.block(lo * len(cols), (lo + step) * len(cols)), M))
-        table = [{} for _ in range(B.size)]    # the block's pairs, each filled in basis order
-        for i, k, v in zip(B.n.tolist(), B.t.tolist(), B.v.tolist()):
-            table[i][basis[k]] = Fraction(v, D * E)
-        env.brackets.update(zip(pairs[lo * len(cols):], table))
+    basis = tuple([("S", j) for j in range(r)] + [("T", j) for j in range(r)]
+                  + [("Y", j, k) for (j, k) in ypairs if expand[(j, k)] == {("Y", j, k): 1}])
+    M, E = _reduction(r, basis, expand)
+    cols, n = _label_indices(r, basis), len(basis)
+    rows, D = bracket_rows(c, np.repeat(cols, n), np.tile(cols, n))
+    F = np.zeros((n, n * n), dtype=np.int64)    # F[t, u n + v]: [basis[u], basis[v]] at D E
+    step = max(1, matrices._BLOCK // n ** 2)
+    for lo in range(0, n, step):
+        B = rows_times(rows.block(lo * n, (lo + step) * n), M)
+        F = F.astype(np.result_type(F, B), copy=False)    # Python ints once a block needs them
+        F[:, lo * n:(lo + step) * n] = B.T
+    g = math.gcd(D * E, int(np.gcd.reduce(F, axis=None)))
+    F //= g
+    if F.dtype == object and fits_int64(magnitude(F)):
+        F = F.astype(np.int64)
+    env = EnvelopeAlgebra(r, basis, expand, (M, E), (F.reshape(n, n, n), D * E // g), rank)
     _check_quotient_consistency(c, env)
     return env
 
@@ -196,11 +191,11 @@ def _check_quotient_consistency(c, env: EnvelopeAlgebra):
     the reduced table; a mismatch is an implementation bug, so abort.  A pair
     of basis labels needs no check: its table entry is that bracket.  For the
     other pairs (a, b), c's rows times `_reduction` must equal
-    sum_uv x_a[u] x_b[v] env.brackets[u, v], x the expansions: exact integer
+    sum_uv x_a[u] x_b[v] [basis[u], basis[v]], x the expansions: exact integer
     products over the nonzeros at one denominator, for all b of as many a as
-    fit in PAIRS pairs."""
-    eliminated: List[Label] = [("Y", j, k) for (j, k), expr in env.expand.items()
-                               if expr != {("Y", j, k): Fraction(1)}]
+    keep every dense array of a block (x_a F, the two sides) within
+    `matrices._BLOCK` entries."""
+    eliminated = [("Y", *p) for p in env.expand if ("Y", *p) not in env.basis]
     if not eliminated:
         return
     full = list(env.basis) + eliminated
@@ -209,7 +204,7 @@ def _check_quotient_consistency(c, env: EnvelopeAlgebra):
     F, K = env.structure
     x, elim = M[cols], np.arange(env.dim, len(full))
     for first, b in ((elim, np.arange(len(full))), (np.arange(env.dim), elim)):
-        step = max(1, PAIRS // len(b))
+        step = max(1, matrices._BLOCK // (env.dim * max(env.dim, len(b))))
         rows, D = bracket_rows(c, cols[np.repeat(first, len(b))], cols[np.tile(b, len(first))])
         for i in range(0, len(first), step):
             a, R = first[i:i + step], rows.block(i * len(b), (i + step) * len(b))

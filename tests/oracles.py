@@ -4,10 +4,13 @@ The dense ones are loops over `fractions.Fraction` (matrices are dense lists
 of Fractions); the density and charge checks decide one case at a time with
 the `GQSparse`/`SiteOp` operator arithmetic.  Their right sides are the
 generalized Lie-Cartan table written here once more, term by term over
-Fractions (`glc_bracket`, `y_cyclic`), and the envelope's bracket table; the
-property tests compare their reports, witnesses included, with the
-kernels', and `glc_bracket` with the program's integer rows.  The Fock
-layer's oracles build its operators on the full 2^(nN)-dimensional space
+Fractions (`glc_bracket`, `y_cyclic`), and the envelope's bracket table,
+read through `EnvelopeAlgebra.bracket` (`bracket_table`) and written once
+more from `glc_bracket` over the Y-quotient (`envelope_brackets`); a mutant
+table is packed by `matrices.scaled` (`with_brackets`).  The property tests
+compare their reports, witnesses included, with the kernels', and
+`glc_bracket` and `envelope_brackets` with the program's integer tables.
+The Fock layer's oracles build its operators on the full 2^(nN)-dimensional space
 through Kronecker products: the ladder operators, their embeddings and the
 anticommutation and lemma checks there; the one-site anticommutation scan
 decides its relations one anticommutator at a time, the lemma walk
@@ -22,6 +25,7 @@ tangent sweep evaluates one commutator at a time on single points, and
 `octonion_product` is the unit-octonion chart's product of one pair of
 points as one contraction with the signed product tensor."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -36,7 +40,7 @@ from mnl.envelope import EnvelopeAlgebra
 from mnl.etc import CONVENTION, ChargeDensitySet, ETCReport
 from mnl.fock import _CANONICAL, _CAR, GQSparse, QuadraticCache, SiteOp, _parity, _states
 from mnl.loops import CayleyTable, chart_commutator
-from mnl.matrices import stacked
+from mnl.matrices import scaled, stacked
 from mnl.relations import Ledger
 from mnl.report import CheckReport, InputError, fail, ok
 
@@ -340,44 +344,80 @@ def check_glc(gen: GeneratorSet, c: StructureTensor) -> GLCReport:
     return GLCReport({name: first_failure(name, scan, holds) for name, scan in cases.items()})
 
 
+def envelope_brackets(c: StructureTensor, env: EnvelopeAlgebra):
+    """The envelope's bracket table from the generalized Lie-Cartan table,
+    term by term: {(a, b): {basis label: coefficient}} for every basis pair
+    (`glc_bracket`), each Y_kj written as -Y_jk, each Y_jj as 0 and each Y_jk
+    through its expansion env.expand[(j, k)] (itself when it is a basis Y)."""
+    d = contract_yamaguti(c)
+
+    def reduced(vec):
+        out: Vec = {}
+        for lbl, v in vec.items():
+            if lbl[0] != "Y":
+                vec_add(out, lbl, v)
+            elif lbl[1] != lbl[2]:
+                sign, j, k = (1, lbl[1], lbl[2]) if lbl[1] < lbl[2] else (-1, lbl[2], lbl[1])
+                for y, q in env.expand[(j, k)].items():
+                    vec_add(out, y, sign * v * q)
+        return out
+    return {(a, b): reduced(glc_bracket(c, d, a, b)) for a in env.basis for b in env.basis}
+
+
+def bracket_table(env: EnvelopeAlgebra):
+    """{(a, b): env.bracket(a, b)} for every basis pair."""
+    return {(a, b): env.bracket(a, b) for a in env.basis for b in env.basis}
+
+
+def with_brackets(env: EnvelopeAlgebra, brackets) -> EnvelopeAlgebra:
+    """env with the bracket table `brackets`, {(a, b): {basis label:
+    coefficient}}, packed as (K F, K) by `matrices.scaled`."""
+    index = {lbl: i for i, lbl in enumerate(env.basis)}
+    return dataclasses.replace(env, structure=scaled(
+        (env.dim,) * 3, (((index[lbl], index[a], index[b]), v)
+                         for (a, b), vec in brackets.items() for lbl, v in vec.items())))
+
+
 def realize_check(env: EnvelopeAlgebra, gen: GeneratorSet, c: StructureTensor) -> CheckReport:
     def eliminated(j, k, expr):
         rel = {lbl: -v for lbl, v in expr.items()}
         vec_add(rel, ("Y", j, k), 1)
         return rel
 
-    holds = matrix_holds(gen, c, lambda a, b: env.brackets[(a, b)])
+    table = bracket_table(env)
+    holds = matrix_holds(gen, c, lambda a, b: table[(a, b)])
     cases = itertools.chain(
         ((("expand", j, k), eliminated(j, k, expr)) for (j, k), expr in env.expand.items()),
         (((a, b), a, b) for a in env.basis for b in env.basis))
     return first_failure("realize", cases, holds)
 
 
-def bracket_vec(env: EnvelopeAlgebra, u: Vec, v: Vec) -> Vec:
-    """[u, v] for vectors over the envelope's basis, through its bracket table."""
+def bracket_vec(table, u: Vec, v: Vec) -> Vec:
+    """[u, v] for vectors over an envelope's basis, through its bracket table
+    (`bracket_table`)."""
     out: Vec = {}
     for la, ca in u.items():
         for lb, cb in v.items():
-            for lbl, coeff in env.brackets[(la, lb)].items():
+            for lbl, coeff in table[(la, lb)].items():
                 vec_add(out, lbl, ca * cb * coeff)
     return out
 
 
 def check_jacobi(env: EnvelopeAlgebra) -> CheckReport:
-    basis = env.basis
+    basis, table = env.basis, bracket_table(env)
     n = len(basis)
     for ia in range(n):
         va = {basis[ia]: Fraction(1)}
         for ib in range(ia + 1, n):
             vb = {basis[ib]: Fraction(1)}
-            ab = env.bracket(basis[ia], basis[ib])
+            ab = table[(basis[ia], basis[ib])]
             for ic in range(ib + 1, n):
                 vc = {basis[ic]: Fraction(1)}
-                bc = env.bracket(basis[ib], basis[ic])
-                ca = env.bracket(basis[ic], basis[ia])
+                bc = table[(basis[ib], basis[ic])]
+                ca = table[(basis[ic], basis[ia])]
                 total = {}
                 for u, w in ((va, bc), (vb, ca), (vc, ab)):
-                    for lbl, v in bracket_vec(env, u, w).items():
+                    for lbl, v in bracket_vec(table, u, w).items():
                         vec_add(total, lbl, v)
                 if total:
                     return fail("jacobi", witness=(basis[ia], basis[ib], basis[ic]))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from mnl import algebra, birep, envelope, matrices
 from mnl.algebra import StructureTensor, catalog_algebra, is_maltsev
 from mnl.birep import GeneratorSet
@@ -71,13 +72,10 @@ def test_jacobi_m7(env_m7):
 
 
 def test_jacobi_fails_on_perturbed_table(env_su2):
-    bad = dict(env_su2.brackets)
-    a, b = ("S", 0), ("S", 1)
-    row = dict(bad[(a, b)])
+    bad = oracles.bracket_table(env_su2)
+    row = bad[(("S", 0), ("S", 1))]
     row[("T", 2)] = row.get(("T", 2), Fraction(0)) + 1
-    bad[(a, b)] = row
-    perturbed = type(env_su2)(env_su2.r, env_su2.basis, env_su2.expand,
-                              bad, env_su2.relation_rank)
+    perturbed = oracles.with_brackets(env_su2, bad)
     rep = check_jacobi(perturbed)
     assert not rep.passed
     assert rep.witness is not None
@@ -193,11 +191,10 @@ def test_quotient_consistency_catches_a_wrong_table_entry(env_m7, m7):
     # the basis Y's in its expansion; a wrong entry there must be caught
     _check_quotient_consistency(m7, env_m7)
     y = next(lbl for expr in env_m7.expand.values() if len(expr) > 1 for lbl in expr)
-    bad = dict(env_m7.brackets)
-    row = dict(bad[(y, ("S", 0))])
+    bad = oracles.bracket_table(env_m7)
+    row = bad[(y, ("S", 0))]
     row[("T", 0)] = row.get(("T", 0), Fraction(0)) + 1
-    bad[(y, ("S", 0))] = row
-    perturbed = type(env_m7)(env_m7.r, env_m7.basis, env_m7.expand, bad, env_m7.relation_rank)
+    perturbed = oracles.with_brackets(env_m7, bad)
     with pytest.raises(EnvelopeInconsistencyError):
         _check_quotient_consistency(m7, perturbed)
 

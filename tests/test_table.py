@@ -8,8 +8,12 @@ included, and every triple's cyclic row (`birep.cyclic_rows`), its
 nonzero entry a position, in row-major order: on m7,
 su2-doubled, sl2, the benchmark's r=10 block sum, and the random tensors of
 `test_kernels.py` at each entry size, whose entries near 2^31 take the
-Python-int path.  The Jacobi check over the nonzero brackets must give the
-oracle's witness on one-entry mutants of the m7 and r=10 envelope tables."""
+Python-int path.  On the same tensors (the Mal'tsev ones), the envelope's
+table must be the oracle's (`oracles.envelope_brackets`): every basis
+pair's bracket as read out (`EnvelopeAlgebra.bracket`), and the stored
+(K F, K) as `matrices.scaled` packs it, dtype included.  The Jacobi check
+over the nonzero brackets must give the oracle's witness on one-entry
+mutants of the m7 and r=10 envelope tables."""
 
 import itertools
 import random
@@ -17,12 +21,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import oracles
-from mnl.algebra import StructureTensor, catalog_algebra
+from mnl.algebra import StructureTensor, catalog_algebra, is_maltsev
 from mnl.birep import bracket_rows, cyclic_rows, labels
-from mnl.envelope import EnvelopeAlgebra, build_envelope, check_jacobi
+from mnl.envelope import build_envelope, check_jacobi
 from test_kernels import SETTINGS, SIZES, check_path, int64_decisions, tensors
 
 
@@ -46,11 +50,27 @@ def assert_table_matches_oracle(c):
     assert oracles.row_vecs(*rows, lbls) == [oracles.y_cyclic(c, *t) for t in triples]
 
 
+def assert_envelope_matches_oracle(c):
+    env = build_envelope(c)
+    want = oracles.envelope_brackets(c, env)
+    assert oracles.bracket_table(env) == want
+    (F, K), (G, L) = env.structure, oracles.with_brackets(env, want).structure
+    assert (F.dtype, K) == (G.dtype, L) and np.array_equal(F, G)
+
+
+def builtin(name, bench_r10):
+    return {"m7": catalog_algebra("m7"), "su2-doubled": catalog_algebra("su2").scaled(2),
+            "sl2": catalog_algebra("sl2"), "r10": bench_r10}[name]
+
+
 @pytest.mark.parametrize("name", ["m7", "su2-doubled", "sl2", "r10"])
 def test_bracket_rows_match_oracle_on_builtins(name, bench_r10):
-    builtins = {"m7": catalog_algebra("m7"), "su2-doubled": catalog_algebra("su2").scaled(2),
-                "sl2": catalog_algebra("sl2"), "r10": bench_r10}
-    assert_table_matches_oracle(builtins[name])
+    assert_table_matches_oracle(builtin(name, bench_r10))
+
+
+@pytest.mark.parametrize("name", ["m7", "su2-doubled", "sl2", "r10"])
+def test_envelope_table_matches_oracle_on_builtins(name, bench_r10):
+    assert_envelope_matches_oracle(builtin(name, bench_r10))
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -60,6 +80,17 @@ def test_bracket_rows_match_oracle(size, data):
     c = data.draw(tensors(size))
     with int64_decisions() as seen:
         assert_table_matches_oracle(c)
+    check_path(size, seen)
+
+
+@pytest.mark.parametrize("size", SIZES)
+@SETTINGS
+@given(data=st.data())
+def test_envelope_table_matches_oracle(size, data):
+    c = data.draw(tensors(size))
+    assume(is_maltsev(c).passed)
+    with int64_decisions() as seen:
+        assert_envelope_matches_oracle(c)
     check_path(size, seen)
 
 
@@ -90,12 +121,11 @@ def test_sparse_jacobi_matches_oracle_on_mutants(name, bench_r10):
     env = build_envelope(bench_r10 if name == "r10" else catalog_algebra(name))
     rng = random.Random(0)
     for _ in range(20):
-        brackets = dict(env.brackets)
+        brackets = oracles.bracket_table(env)
         key, lbl = rng.choice(sorted(brackets)), rng.choice(env.basis)
-        row = dict(brackets[key])
+        row = brackets[key]
         row[lbl] = row.get(lbl, Fraction(0)) + rng.choice([-1, 1])
-        brackets[key] = row
-        mutant = EnvelopeAlgebra(env.r, env.basis, env.expand, brackets, env.relation_rank)
+        mutant = oracles.with_brackets(env, brackets)
         report = check_jacobi(mutant)
         assert not report.passed
         assert report.to_dict() == oracles.check_jacobi(mutant).to_dict()
