@@ -25,11 +25,13 @@ package's own constructors.
   generators at one site (m7, dimension 2^8), on the quaternionic line of
   `mnlbench.workloads.OctonionN2` at two sites (r=3, two sites of
   dimension 2^8), on the octonion generators at two sites and on the
-  quaternion generators (doubled su2) at three sites of dimension 2^4; the
+  quaternion generators (doubled su2) at two sites (the second `etc`
+  command of `mnlbench`'s cli-session) and three of dimension 2^4; the
   theorem (`charges` and `charge_algebra_check`) on densities that
   `etc_verify` has already checked; and the order of `mnl etc` on one
   density set: `charge_densities`, `etc_verify`, `locality_check` at more
-  than one site, `charges` and the theorem.  And `etc_verify` alone on the
+  than one site, `charges` and the theorem; `canonical_etc_check` on the
+  fields of the octonion generators at two sites.  And `etc_verify` alone on the
   octonion generators doubled on two diagonal blocks (r=7, 16 modes, one
   site of dimension 2^16).
 - `fock`: the octonion fields at two sites (8 modes each, dimension 2^16),
@@ -204,12 +206,15 @@ def diagonal_blocks(gen, blocks):
 
 def etc_inputs(m, paths, steps):
     m7, oct_gen = m.algebra.catalog_algebra("m7"), m.birep.octonion_lr_generators()
+    su2x2, quat_gen = m.algebra.catalog_algebra("su2").scaled(2), m.birep.quaternion_lr_generators()
+    canonical = {"canonical_etc_check": (lambda c, g: (m.fock.build_fields(g.dim, 2),),
+                                         m.fock.canonical_etc_check)}
     return {"octonion-n1": (m7, oct_gen, etc_cases(m, 1)),
             "octonion-line-n2": (m.algebra.load_tensor(paths["line"]),
                                  m.birep.load_generators(paths["line_gen"]), etc_cases(m, 2)),
-            "octonion-n2": (m7, oct_gen, etc_cases(m, 2)),
-            "quaternion-n3": (m.algebra.catalog_algebra("su2").scaled(2),
-                              m.birep.quaternion_lr_generators(), etc_cases(m, 3)),
+            "octonion-n2": (m7, oct_gen, {**etc_cases(m, 2), **canonical}),
+            "quaternion-n2": (su2x2, quat_gen, etc_cases(m, 2)),
+            "quaternion-n3": (su2x2, quat_gen, etc_cases(m, 3)),
             "octonion-doubled-16x1": (m7, diagonal_blocks(oct_gen, 2),
                                       {"etc_verify": etc_cases(m, 1)["etc_verify"]})}
 

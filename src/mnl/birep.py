@@ -264,15 +264,17 @@ def _signed(lbl):
     return (-1, ("Y", lbl[2], lbl[1])) if lbl[1] > lbl[2] else None
 
 
-def _labelled_operators(gen: GeneratorSet, c: StructureTensor):
-    """(E ops, E): S_j, T_j and each ordered Y_jk over the label index, at one
-    integer scale E.  Y_jk is solved from its [S_j, T_k] row, which is
+def _labelled_operators(gen: GeneratorSet, c: StructureTensor, pairs=None):
+    """(E ops, E): S_j, T_j and Y_jk for each (j, k) of `pairs` (by default
+    every ordered pair, so that ops is over the label index), at one integer
+    scale E.  Y_jk is solved from its [S_j, T_k] row, which is
     -Y_jk + (R_S S + R_T T) / D at the table's D (`bracket_rows`); with den X
     integer, E = den^2 D and E Y_jk = den (R_S, R_T) (den X) - D [den S_j, den T_k]."""
     if gen.r != c.dim:
         raise InputError("generator count must match tensor dim")
     (st, den), r = gen.integer, gen.r
-    j, k = np.divmod(np.arange(r * r), r)
+    j, k = (np.divmod(np.arange(r * r), r) if pairs is None
+            else np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
     R, D = bracket_rows(c, j, r + k)
     Y = lincomb([(den, rows_times(Rows(*(x[R.t < 2 * r] for x in R[:3]), R.size), st)),
                  (-D, commutator(st[j], st[r + k]))])

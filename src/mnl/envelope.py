@@ -11,7 +11,7 @@ rows times it, and the quotient is checked with it against the table.
 Every product with label rows runs over their nonzeros (`matrices.rows_times`).
 The table is held once, as integers over their least denominator (K F, K);
 `Fraction`s are made from its nonzeros only where a bracket is read out
-(`EnvelopeAlgebra.bracket`, `to_json_dict`).
+(`EnvelopeAlgebra.bracket`; `to_json_dict` reduces each by a gcd).
 
 One exact integer echelon, `matrices.Echelon`, serves the Y-quotient (columns
 the Y_jk, j < k) and the closure oracle (columns the matrix entries (i, j)).
@@ -120,8 +120,8 @@ class EnvelopeAlgebra:
         nz = np.nonzero(G)
         nz = tuple(i[nz[0] < nz[1]] for i in nz)
         for u, v, t, x in zip(*(i.tolist() for i in nz), G[nz].tolist()):
-            q = Fraction(x, K)
-            pairs.setdefault((u, v), []).append([names[t], q.numerator, q.denominator])
+            g = math.gcd(x, K)    # x / K in lowest terms, K > 0
+            pairs.setdefault((u, v), []).append([names[t], x // g, K // g])
         rows = [[names[u], names[v], sorted(terms, key=lambda t: t[0])]
                 for (u, v), terms in pairs.items()]
         return {

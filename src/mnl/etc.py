@@ -75,7 +75,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -113,18 +112,18 @@ class ChargeDensitySet:
 
 def charge_densities(f: FieldSet, gen: GeneratorSet, c: StructureTensor) -> ChargeDensitySet:
     """The densities rho(M) = -i a†(x) M^T a(x) of M = S_j, T_j and Y_jk,
-    j < k, read transposed off `birep._labelled_operators`' integer stack:
+    j < k, read transposed off `birep._labelled_operators`' integer stack
+    (which solves those Y_jk alone):
     one `QuadraticCache.bilinears` call, each bounded at M's own least
     denominator, one `GQSparse` from its part and shared by every site; the
     set's ledger decides on the states of at most two particles of a site."""
     if gen.dim != f.modes_per_site:
         raise InputError("generator size must equal modes per site")
-    cache, (ops, scale) = QuadraticCache(f.fock.a), _labelled_operators(gen, c)
     r = range(gen.r)
     upper = [(j, k) for j in r for k in r if j < k]
-    mats = ops[[*range(2 * gen.r), *(2 * gen.r + j * gen.r + k for j, k in upper)]]
+    cache, (ops, scale) = QuadraticCache(f.fock.a), _labelled_operators(gen, c, upper)
     zero, rho = sp.csr_matrix((cache.dim, cache.dim), dtype=np.int64), []
-    for P, den in cache.bilinears(mats.transpose(0, 2, 1), scale):
+    for P, den in cache.bilinears(ops.transpose(0, 2, 1), scale):
         op = GQSparse(cache.dim, zero, -P, den)    # -i a† M^T a, one GQSparse each
         rho.append([SiteOp(f.sites, cache.dim, {x: op}) for x in range(f.sites)])
     return ChargeDensitySet(gen.r, f.sites, rho[:gen.r], rho[gen.r:2 * gen.r],
@@ -150,8 +149,9 @@ def _table(c: StructureTensor):
     """({(a, b): table row} for S-S, S-T, T-T and Y_jk with S_n, T_n, Y_ln,
     j < k and l < n; {(j, k, l): cyclic relation} for j < k < l): the rows
     the density and charge relations read (`birep.bracket_rows`,
-    `birep.cyclic_rows`), each as its (sign * coefficient, stored label)
-    pairs in label order (`_signed`), from one pass over their entries."""
+    `birep.cyclic_rows`), each as its ((sign * value, den), stored label)
+    pairs in label order (`_signed`), value / den the coefficient as the
+    integers that a kernel term takes, from one pass over their entries."""
     r, lbls = range(c.dim), labels(c.dim)
     index = {lbl: w for w, lbl in enumerate(lbls)}
     signed = [_signed(lbl) for lbl in lbls]
@@ -161,10 +161,11 @@ def _table(c: StructureTensor):
     triples = [(j, k, l) for j in r for k in r for l in r if j < k < l]
 
     def stored(keys, R, den):
-        out = {key: [] for key in keys}
+        out, pair = {key: [] for key in keys}, {}    # one (value, den) per value
         for n, w, v in zip(R.n.tolist(), R.t.tolist(), R.v.tolist()):
             if signed[w]:
-                out[keys[n]].append((Fraction(signed[w][0] * v, den), signed[w][1]))
+                v *= signed[w][0]
+                out[keys[n]].append((pair.setdefault(v, (v, den)), signed[w][1]))
         return out
     a, b = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.int64).T
     return (stored(pairs, *bracket_rows(c, a, b)),
@@ -202,7 +203,7 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
         return "c", q * sa * sb, index[a, x], index[b, y]
 
     def at(x, vec, kind, sign=1):
-        return [(kind, v if sign > 0 else -v, index[lbl, x]) for v, lbl in vec]
+        return [(kind, (sign * v, den), index[lbl, x]) for (v, den), lbl in vec]
 
     def pair(la, x, lb, y, vec=None):
         # [A(x), B(y)] - i delta_xy (vec at x), vec the table row of [A, B]
@@ -221,7 +222,8 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
 
     def assoc(kind, sign, j, k, x, y):
         # [a_j(x), a_k(y)] = i delta_xy sign c^p_jk a_p(x) - 2 [s_j(x), t_k(y)]
-        vec = [(sign * v, (kind, p)) for p in r if (v := c.c(p, j, k))]
+        vec = [((sign * v.numerator, v.denominator), (kind, p)) for p in r
+               if (v := c.c(p, j, k))]
         return (comm((kind, j), x, (kind, k), y), comm(("S", j), x, ("T", k), y, 2),
                 *(at(x, vec, "i", -1) if x == y else ()))
 
@@ -327,7 +329,7 @@ def charge_algebra_check(q: ChargeSet, c: StructureTensor) -> CheckReport:
     kernel = RelationKernel(q.sigma + q.tau + list(q.upsilon.values()), q.ledger)
 
     def realize(vec, sign=1):
-        return [("o", v if sign > 0 else -v, index[lbl]) for v, lbl in vec]
+        return [("o", (sign * v, den), index[lbl]) for (v, den), lbl in vec]
 
     def pair(a, b):
         # [a, b] - (table row of [a, b])

@@ -19,9 +19,9 @@ factors by value up to a unit phase, so the charge -i sum_x F_x shares each
 density's factor at i^3, and keeps every one-site residual decided.  Per
 chunk, one real product L R of the distinct factors' re and im parts,
 stacked once for all sites (R), by the coefficients of each one-site
-residual not yet decided placed against them by phase (L, built by
-`_place`, the one COO assembly, which serves `_sum` too); each is held to
-`SiteOp.is_zero`'s c_x I rule, under the 2^62 bound.
+residual not yet decided placed against them by phase (L, gathered from
+R's own arrays); each is held to `SiteOp.is_zero`'s c_x I rule, under the
+2^62 bound.
 
 Ladder embeddings.  A `FockOps` holds the Jordan-Wigner ladder operators of
 one site and the site count N; `_ladder` builds them, and the full
@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .matrices import fits_int64, stacked
+from .matrices import fits_int64, ragged, stacked
 from .report import BoundError, CheckReport, InputError
 
 def _csr(m):
@@ -529,7 +529,7 @@ class QuadraticCache:
         (d, m), (T, *_), H = (self.dim, len(self.mags)), mats.shape, self.row
         (first, A), (k, i, j) = (self.first, self.column), np.nonzero(mats)
         n = first[j + 1] - first[j]
-        at = np.repeat(first[j] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        at = ragged(first[j], n)
         V = sp.coo_matrix((np.repeat(mats[k, i, j].astype(np.int64), n) * A.data[at],
                            (np.repeat((k * m + i - j) * d, n) + A.row[at],
                             np.repeat(k * d, n) + A.col[at])), shape=(T * m * d, T * d)).tocsr()

@@ -39,6 +39,14 @@ _GEMM = 1 << 13    # multiply-adds from which float64 matmul beats int64
 _BLOCK = 1 << 14   # entries in any one array of a block product (128 KB in int64)
 
 
+def ragged(starts, counts):
+    """The positions starts[k] + j for j < counts[k], for each k in order."""
+    ends = np.cumsum(counts)
+    out = np.repeat(starts - ends + counts, counts)
+    out += np.arange(len(out))
+    return out
+
+
 def fits_int64(*bounds):
     """True when each bound on an exact integer result (so on its partial
     sums) is below 2^62."""

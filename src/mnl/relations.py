@@ -10,10 +10,11 @@ walk their cases through one `RelationKernel`.  A case is a list of terms:
     ("o", q, a)      q ops[a]
     ("i", q, a)      q i ops[a]
 
-with q an int or Fraction and a, b indices into the kernel's operators.  It
-holds when its sum is zero by `SiteOp.is_zero`'s rule: at every site the
-residual is c_x I, and the c_x sum to zero.  A plain `GQSparse` counts as the
-one factor of a one-site space, so there the residual must be zero.
+with q an int, a Fraction or a pair (p, r) of ints for p / r (r > 0), and
+a, b indices into the kernel's operators.  It holds when its sum is zero by
+`SiteOp.is_zero`'s rule: at every site the residual is c_x I, and the c_x
+sum to zero.  A plain `GQSparse` counts as the one factor of a one-site
+space, so there the residual must be zero.
 
 Ledger.  The kernels over one set of operators share a `Ledger`: the density
 ETC, locality and charge-algebra kernels of `etc` read one, held by the
@@ -50,26 +51,31 @@ d x d slices (d = 37 at 8 modes, 137 at 16); interning, the digests, keys,
 counts, mag and the 2^62 bound read the whole factors, which bound their
 slices.
 
-Keys.  At each site a case reaches, its residual has a key: the sorted
-tuple of its terms there as (kind, interned factors, |p|, r, phase) for
-q = p / r, where phase t means i^t and sums the sign of p, the phases of the
-term's factors, one for an "i" term (which becomes an "o" term) and two for a
-commutator oriented to u <= v.  The key is then rotated by i^-t so that its
-first term has phase 0 (of the first terms that agree but for their phase,
-the rotation giving the least key), and the case reads it rotated back by
-i^t.  The ledger's `memo` keeps (c_re, c_im, ok) of each key decided, c_x as
-an exact Fraction.  A memo hit is exact: the residual is linear in the q and
-a function of the key's kinds and factors alone, which the ledger holds.  A
-case holds when all its keys are ok and its rotated c_x sum to zero.
+Keys.  `first_failure` plans a window of `matrices.CHUNK` rows at once, as
+integer arrays: the terms are flattened once, each operator's (class,
+phase) at each site is read off dense [op, site] tables, and a live term
+gives a row at each site both its operands reach: (kind, u, v, n), v = -1
+for an "o" term, n the ledger's number of (|p|, r) for q = p / r, at a
+phase t (i^t) that sums the sign of p, the factors' phases, one for an "i"
+term (then an "o" term) and two for a commutator turned to u <= v.  One
+lexsort orders each (case, site) group, whose rows alike but for their
+phase form a run with a count per phase.  The group is rotated by i^-t so
+that its first run has phase 0 (of the phases there, the one giving the
+least key); the bytes of its runs are its key, which the case reads rotated
+back by i^t.  The ledger's `memo` keeps (c_re, c_im, ok) of each key
+decided, c_x an exact Fraction.  A memo hit is exact: the residual is
+linear in the q and a function of the key's kinds and factors alone, which
+the ledger holds.  A case holds when all its keys are ok and its rotated
+c_x sum to zero.
 
 One product per chunk.  A kernel stacks R when a chunk first has a key to
 compute: the nonempty integer parts of each class of its factors on the
 ledger's sector, once for all sites, at one common denominator D (the lcm
-of the factors' denominators): R = [P_0; P_1; ..], a d x d block per part;
+of the factors' denominators): R = [P_0; P_1; ..; I_d], a d x d block each;
 a factor r + i m gives r with phase 0 and m with phase 1.  Over the lcm K
-of the chunk's coefficients, one COO placement (`fock._place`) builds L, a
-row of d x d blocks for the re or im residual of each key not yet decided.
-A term |p|/r [u, v] at phase t puts K |p|/r u against v's blocks and
+of the chunk's coefficients, L has a row of d x d blocks for the re or im
+residual of each key not yet decided, gathered at once from R's arrays.  A
+term |p|/r [u, v] at phase t puts K |p|/r u against v's blocks and
 -K |p|/r v against u's; |p|/r {u, v} puts +K |p|/r v there instead (not
 skipped when a == b); |p|/r o puts K |p|/r D I_d against each of o's
 blocks.  A part of phase f against a block of phase g lands in the re row
@@ -78,9 +84,11 @@ when f + g + t is even and the im row when it is odd, negated when
 residual at K D^2, and `_scalar_blocks` reads c_x off each block and checks
 that it is c_x I.  The blocks stay d x d: scipy's product keeps an
 accumulator as wide as its result, 2^32 entries for rows of d^2 at the
-full-space dimension 2^16.  `first_failure` takes up to `matrices.CHUNK`
-cases a chunk, in walk order, and ends a chunk early once the weights of
-the keys its cases newly compute (`RelationKernel.weight`) reach `BUDGET`.
+full-space dimension 2^16.  A window's chunks follow in walk order, each
+ending at CHUNK cases or once its cases' weights reach `BUDGET`, a case
+weighing the keys it first meets in the window that the memo lacks
+(`RelationKernel.weight`); a chunk cut short by the window's end is
+planned again with the next.
 
 Int64 bound.  Before anything is computed, every case is bounded, memo hits
 included: an entry of K q [a, b] is at most |K q| (count_a + count_b) mag_a
@@ -91,38 +99,49 @@ partial sum of L's assembly (an entry of L is a sum of |K q| mag_a and
 |K q| D, and count and mag are at least 1 for a nonzero factor), of the
 product and of the c_x.  The cases before the first one whose bound reaches
 2^62 (`matrices.fits_int64`) are decided; BoundError is raised when none of
-them fails.  There is no slower path (scipy has no object dtype), so no
-value can wrap.  A term q {a, b} has the bound of q [a, b].  Mag, count and
-den are the same for every factor of a class.
+them fails.  A chunk's bounds are summed in float64, whose rounding is far
+below a factor of 2, and a case whose float bound lies between 2^61 and
+2^63 is bounded again over Python ints, so the rule is exact.  There is no
+slower path (scipy has no object dtype), so no value can wrap.  A term
+q {a, b} has the bound of q [a, b].  Mag, count and den are the same for
+every factor of a class.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import types
 import zlib
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import SiteOp, _place
-from .matrices import first_failure_chunked, fits_int64
-from .report import BoundError, InputError
+from .fock import SiteOp
+from .matrices import BOUND, CHUNK, fits_int64, ragged
+from .report import BoundError, InputError, fail, ok
 
 BUDGET = 1 << 15   # weight of one chunk of cases
 
 # the (part, sign) pairs of i^-k f, for the canonical phase k of f
 _CANONICAL_PARTS = (((0, 1), (1, 1)), ((1, 1), (0, -1)), ((0, -1), (1, -1)), ((1, -1), (0, 1)))
+_KIND = np.full(256, 3)    # a term's kind letter -> c 0, a 1, o and i 2, else 3
+_KIND[[ord("c"), ord("a"), ord("o"), ord("i")]] = 0, 1, 2, 2
+_M = (1 << 21) - 1         # a row's head packs kind << 42 | (u + 1) << 21 | (v + 1)
+_TURNS = (np.arange(4) + np.arange(4)[:, None]) % 4    # phases read by a rotation
+_PAIRS = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])     # the phases of a pair of parts
+_RUN = np.dtype([("head", "<i8"), ("coefficient", "<i8"), ("count", "<i4", 4)])    # a key's run
+_ZERO = (0, 0, True)       # the memo's value for a key whose residual is zero
 
 
 def _scalar_blocks(M, d, n):
     """(c, ok) for the n stacked d x d blocks of M: ok[k] when block k is
     c[k] I exactly.  c[k] is read at the block's (0, 0) entry; every other
     diagonal entry must equal it and every off-diagonal entry be zero."""
-    coo = M.tocoo()
-    keep = coo.data != 0
-    rows, cols, data = coo.row[keep], coo.col[keep], coo.data[keep]
+    keep = M.data != 0
+    rows = (np.searchsorted(M.indptr, np.arange(M.nnz), side="right") - 1)[keep]
+    cols, data = M.indices[keep], M.data[keep]
     block, i = np.divmod(rows, d)
     diag = i == cols
     c = np.zeros(n, dtype=np.int64)
@@ -147,12 +166,6 @@ def _phase(f):
     return 0 if a > 0 and b >= 0 else 1 if a <= 0 and b > 0 else 2 if a < 0 and b <= 0 else 3
 
 
-def _rotated(terms, t):
-    """The sorted key terms rotated by i^-t."""
-    return tuple(sorted([(kind, fs, p, r, (s - t) % 4) for kind, fs, p, r, s in terms])
-                 if t else terms)
-
-
 def _parts(f, k):
     """The (part, sign) pairs of i^-k f."""
     return [((f.re, f.im)[j], s) for j, s in _CANONICAL_PARTS[k]]
@@ -162,14 +175,17 @@ class Ledger:
     """What the kernels over one set of operators share (see the module
     docstring): `factors`, the first factor met of each class, with `counts`,
     the most entries in a row of its re and im together, `parts`, its re and
-    im on the `sector`, and `entries`, their nnz; and the `memo` of the keys
-    decided.  It holds operators and verdicts only; each check gathers its
-    own right sides.  `sector`, the sorted basis states of one site's n modes
-    that the residuals are decided on, is None for the whole space."""
+    im on the `sector` as CSR arrays (data, indices, indptr), and `entries`,
+    their nnz; the `memo` of the keys decided, and `coefficients`, the
+    number of each (|p|, r) the keys hold.  It holds operators and verdicts
+    only; each check gathers its own right sides.  `sector`, the sorted basis
+    states of one site's n modes that the residuals are decided on, is None
+    for the whole space."""
 
     def __init__(self, sector=None):
         self.factors, self.counts, self.entries, self.memo = [], [], [], {}
         self.parts, self._phases, self._digests = [], [], {}    # per class; digest -> classes
+        self.coefficients = {}    # each (|p|, r) met in a key -> its number
         self.sector = sector = None if sector is None else np.asarray(sector, dtype=np.int64)
         if sector is not None:
             # per state of the 2^n, its particle count and its position in the sector
@@ -179,9 +195,9 @@ class Ledger:
             self._at[sector] = np.arange(len(sector))
 
     def _restrict(self, part):
-        """part's rows and columns at the sector, with one mask over its CSR
-        arrays; InputError when an entry joins states of different particle
-        counts, where no sector is exact."""
+        """part's rows and columns at the sector as CSR arrays, with one mask
+        over its own; InputError when an entry joins states of different
+        particle counts, where no sector is exact."""
         rows = np.repeat(np.arange(self.site_dim), np.diff(part.indptr))
         if (self._count[rows] != self._count[part.indices]).any():
             raise InputError("a sector needs operators that conserve particle number")
@@ -190,7 +206,7 @@ class Ledger:
         d = len(self.sector)
         indptr = np.zeros(d + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows[keep], minlength=d), out=indptr[1:])
-        return sp.csr_matrix((part.data[keep], cols[keep], indptr), shape=(d, d))
+        return part.data[keep], cols[keep], indptr
 
     def intern(self, f):
         """(class, j) with f = i^j times the class's first factor."""
@@ -209,9 +225,10 @@ class Ledger:
         classes.append(len(self.factors))
         self.factors.append(f)
         self.counts.append(int((np.diff(f.re.indptr) + np.diff(f.im.indptr)).max()))
-        parts = (f.re, f.im) if self.sector is None else tuple(map(self._restrict, (f.re, f.im)))
+        parts = tuple((p.data, p.indices, p.indptr) if self.sector is None else self._restrict(p)
+                      for p in (f.re, f.im))
         self.parts.append(parts)
-        self.entries.append(parts[0].nnz + parts[1].nnz)
+        self.entries.append(len(parts[0][0]) + len(parts[1][0]))
         self._phases.append(k)
         return len(self.factors) - 1, 0
 
@@ -234,159 +251,246 @@ class RelationKernel:
         self.d = self.site_dim if ledger.sector is None else len(ledger.sector)
         factors = [op.factors if isinstance(op, SiteOp) else {0: op} for op in ops]
         interned = {}    # id -> (class, phase), for the factors `factors` holds
-
-        def intern(f):
-            if id(f) not in interned:
-                interned[id(f)] = ledger.intern(f)
-            return interned[id(f)]
-        self.at = [{x: intern(f) for x, f in fs.items() if f.nnz} for fs in factors]
+        # the class and phase of each operator's factor at each site (class -1: none)
+        self.cls = np.full((len(ops), self.site_count), -1, dtype=np.int32)
+        self.ph = np.zeros_like(self.cls)
+        for a, fs in enumerate(factors):
+            for x, f in fs.items():
+                if f.nnz:
+                    if id(f) not in interned:
+                        interned[id(f)] = ledger.intern(f)
+                    self.cls[a, x], self.ph[a, x] = interned[id(f)]
         self.classes = list(dict.fromkeys(u for u, _ in interned.values()))
         self.den = math.lcm(1, *(f.den for fs in factors for f in fs.values()))
         reps = ledger.factors
         self.mag = {u: reps[u].mag * (self.den // reps[u].den) for u in self.classes}    # at D
         if not fits_int64(0, *self.mag.values()):
             raise BoundError()
-        self.R = self.parts = None    # stacked when a chunk first computes
-        self._chunk, self._met = {}, set()    # cases weighed, and keys met, since `fails`
+        # per class, and a last slot for an "o" row's v = -1 (I_d): entries,
+        # count, mag at D, and the number of its re part among R's parts
+        self._ent, self._cnt, self._mag = np.zeros((3, max(self.classes, default=0) + 2))
+        self._base = np.full(len(self._ent), 2 * len(self.classes))
+        for k, u in enumerate(self.classes):
+            self._ent[u], self._cnt[u] = ledger.entries[u], ledger.counts[u]
+            self._mag[u], self._base[u] = self.mag[u], 2 * k
+        self.R = None    # stacked when a chunk first computes
 
     memo = property(lambda self: self.ledger.memo)
 
     def _stack(self):
-        """R, and per class [(block of R, phase, part)], its parts at D."""
-        stack, self.parts = [], {}
-        for u in self.classes:
-            m = self.den // self.ledger.factors[u].den
-            parts = [(phase, p if m == 1 else p * m)
-                     for phase, p in enumerate(self.ledger.parts[u]) if p.nnz]
-            self.parts[u] = [(len(stack) + j, *part) for j, part in enumerate(parts)]
-            stack.extend(p for _, p in parts)
+        """R: the nonempty re and im parts of each class on the sector at D,
+        then I_d, each a d x d block; the block of each part (-1 if empty)
+        and per entry of R its row in its block, which L's gather reads."""
         d = self.d
-        self.R = _place((len(stack) * d, d), d, [(j, 0, 1, p) for j, p in enumerate(stack)])
-        self.ident = sp.identity(d, dtype=np.int64, format="csr")
+        parts = [(x * (self.den // self.ledger.factors[u].den), i, p)
+                 for u in self.classes for x, i, p in self.ledger.parts[u]]
+        parts += [(np.ones(d, dtype=np.int64), np.arange(d), np.arange(d + 1)), ((),)]
+        full = np.array([len(p[0]) > 0 for p in parts])
+        self._at = np.where(full, np.cumsum(full) - 1, -1)
+        data, indices, indptr = zip(*(p for p, f in zip(parts, full) if f))
+        ends = np.cumsum([0] + [len(x) for x in data]).tolist()
+        index = np.int32 if ends[-1] < 1 << 31 else np.int64
+        self.R = sp.csr_matrix((np.concatenate(data), np.concatenate(indices), np.concatenate(
+            [(p[:-1] + e).astype(index) for p, e in zip(indptr, ends)]
+            + [np.array(ends[-1:], dtype=index)])), shape=(len(data) * d, d))
+        self._row = np.concatenate([np.repeat(np.arange(d, dtype=np.int32), np.diff(p))
+                                    for p in indptr])
 
-    def _plan(self, case):
-        """(the lcm of the case's denominators, [(t, key)] over the sites it
-        reaches): the residual there is i^t times the key's; a key's terms are
-        (kind, classes, |p|, r, phase); terms with q = 0, and [a, a], take no
-        arithmetic."""
-        den, at = 1, {}
-        for kind, q, *ops in case:
-            if not q or (kind == "c" and ops[0] == ops[1]):
-                continue
-            p, r, t = q.numerator, q.denominator, 0
-            den = math.lcm(den, r)
-            if kind == "a" and self.site_count > 1:
-                raise InputError("an anticommutator of site sums is not site-local")
-            if p < 0:
-                p, t = -p, 2
-            if kind == "i":
-                kind, t = "o", t + 1
-            if len(ops) == 1:
-                for x, (u, j) in self.at[ops[0]].items():
-                    at.setdefault(x, []).append((kind, (u,), p, r, (t + j) % 4))
-                continue
-            other, turn = self.at[ops[1]], 2 if kind == "c" else 0
-            for x, (u, j) in self.at[ops[0]].items():
-                if (w := other.get(x)) is not None:
-                    v, k = w
-                    at.setdefault(x, []).append((kind, (u, v), p, r, (t + j + k) % 4) if u <= v
-                                                else (kind, (v, u), p, r, (t + j + k + turn) % 4))
-        keys = []
-        for terms in at.values():
-            terms.sort()
-            head, t = terms[0][:4], terms[0][4]
-            if len(terms) == 1 or terms[1][:4] != head:
-                keys.append((t, _rotated(terms, t)))
-                continue
-            # first terms that differ in their phase alone: the least key
-            turns = {term[4] for term in terms if term[:4] == head}
-            keys.append(min(((t, _rotated(terms, t)) for t in turns), key=lambda tk: tk[1]))
-        return den, keys
+    def _plan(self, cases):
+        """The window of `cases` as arrays (see "Keys"): its live terms and
+        their rows, the key of each (case, site) group with its rotation and
+        runs, the groups that first meet a key the memo lacks, and each
+        case's weight."""
+        n, S, ledger = len(cases), self.site_count, self.ledger
+        terms = [t for case in cases for t in case]
+        kinds, qs, a = list(zip(*terms))[:3] if terms else ((), (), ())
+        code = np.frombuffer("".join(kinds).encode(), dtype=np.uint8)
+        kind, tcase = _KIND[code], np.repeat(np.arange(n), [len(case) for case in cases])
+        if len(code) != len(terms) or (kind == 3).any():
+            raise InputError("a term's kind is one of c, a, o and i")
+        a, b = np.array(a, dtype=np.int64), np.array([t[-1] for t in terms], dtype=np.int64)
+        # the distinct coefficients: (p, r) in lowest terms, and the ledger's
+        # number of (|p|, r)
+        index = {q: i for i, q in enumerate(dict.fromkeys(qs))}
+        qid = np.fromiter(map(index.__getitem__, qs), dtype=np.int64, count=len(qs))
+        pr = [(p // g, r // g) for p, r in (q if type(q) is tuple else (q.numerator, q.denominator)
+                                            for q in index) for g in [math.gcd(p, r)]]
+        number, sign, nonzero = np.array(
+            [(ledger.coefficients.setdefault((abs(p), r), len(ledger.coefficients)),
+              2 * (p < 0), p != 0) for p, r in pr], dtype=np.int64).reshape(-1, 3).T
+        # q = 0 and [a, a] take no arithmetic
+        live = (nonzero[qid] != 0) & ((kind != 0) | (a != b))
+        tcase, code, kind, a, b, qid = (v[live] for v in (tcase, code, kind, a, b, qid))
+        if S > 1 and (kind == 1).any():
+            raise InputError("an anticommutator of site sums is not site-local")
+        # the rows: each live term at each site both operands reach, ordered
+        # by case, site, kind, classes and coefficient
+        ca, cb = self.cls[a], self.cls[b]
+        tr, x = np.nonzero((ca >= 0) & (cb >= 0))
+        kind, q, u, v, pv = kind[tr], qid[tr], ca[tr, x], cb[tr, x], self.ph[b[tr], x]
+        one = kind == 2
+        v[one], pv[one] = -1, 0
+        phase = sign[q] + (code[tr] == ord("i")) + self.ph[a[tr], x] + pv
+        swap = ~one & (u > v)
+        u, v = np.where(swap, v, u), np.where(swap, u, v)
+        phase += 2 * (swap & (kind == 0))
+        head = (kind << 21 | (u + 1)) << 21 | (v + 1)
+        o = np.lexsort((number[q], head, x, tcase[tr]))
+        rcase, x, head, q, phase = tcase[tr][o], x[o], head[o], q[o], phase[o] % 4
+        del ca, cb, tr, kind, u, v, pv, one, swap, o
+        # the (case, site) groups, and their runs of rows alike but for their
+        # phase, with a count per phase
+        group = np.ones(len(q), dtype=bool)
+        group[1:] = (rcase[1:] != rcase[:-1]) | (x[1:] != x[:-1])
+        run = group.copy()
+        run[1:] |= (head[1:] != head[:-1]) | (number[q[1:]] != number[q[:-1]])
+        first, grp = np.flatnonzero(run), np.cumsum(group) - 1
+        counts = np.bincount((np.cumsum(run) - 1) * 4 + phase, minlength=4 * len(first))
+        start, gcase = np.flatnonzero(group[first]), rcase[group]
+        G, counts = len(gcase), counts.reshape(-1, 4)
+        runs = np.bincount(grp[first], minlength=G)
+        # the rotations that give a group's first run phase 0, each rotated
+        cg, turn = np.nonzero(counts[start] > 0)
+        csize = runs[cg]
+        at = ragged(start[cg], csize)
+        rot = counts.ravel()[4 * at[:, None] + _TURNS[np.repeat(turn, csize)]]
+        at, cstart = first[at], np.cumsum(csize) - csize
+        words = np.empty(len(at), dtype=_RUN)
+        words["head"], words["coefficient"], words["count"] = head[at], number[q[at]], rot
+        buf, size = words.tobytes(), _RUN.itemsize
+        ckey = [buf[size * i:size * (i + k)] for i, k in zip(cstart.tolist(), csize.tolist())]
+        del buf, words, counts, group, run
+        best = {}    # per group, its candidate with the least key
+        for c, g in enumerate(cg.tolist()):
+            best[g] = c if g not in best or ckey[c] < ckey[best[g]] else best[g]
+        chosen = np.fromiter(best.values(), dtype=np.int64, count=G)
+        keys, ids, memo = [ckey[c] for c in chosen.tolist()], {}, ledger.memo
+        # a case weighs the keys it first meets in the window that the memo lacks
+        new = np.array([g for g, k in enumerate(keys) if ids.setdefault(k, g) == g
+                        and k not in memo], dtype=np.int64)
+        kind, u, v = head >> 42, (head >> 21 & _M) - 1, (head & _M) - 1
+        mag, cnt = self._mag, self._cnt    # F: a row's bound but for its K |p| / r
+        gweight = np.bincount(grp, self.d + self._ent[u] + self._ent[v], minlength=G)
+        return types.SimpleNamespace(
+            pr=pr, tcase=tcase, qid=qid, rcase=rcase, q=q, head=head,
+            F=np.where(kind == 2, self.den * mag[u], (cnt[u] + cnt[v]) * mag[u] * mag[v]),
+            gcase=gcase, keys=keys, new=new, turn=turn[chosen], cstart=cstart[chosen],
+            csize=csize[chosen], at=at, counts=rot,
+            weight=np.bincount(gcase[new], gweight[new], minlength=n).astype(np.int64))
 
     def weight(self, case):
-        """Per term of each key the case newly computes, d plus its factors'
-        entries (a key decided, or met earlier in the chunk, weighs 0)."""
-        seen = self._chunk.get(id(case))
-        if not seen or seen[0] is not case:
-            plan = self._plan(case)
-            new = {key for _, key in plan[1] if key not in self.memo and key not in self._met}
-            self._met |= new
-            entries = self.ledger.entries
-            seen = self._chunk[id(case)] = case, plan, sum(
-                self.d + sum(entries[u] for u in fs) for key in new for _, fs, *_ in key)
-        return seen[2]
+        """Per term of each key the case computes, d plus its factors' entries
+        (a key decided, or met at another of its sites, weighs 0)."""
+        return int(self._plan([case]).weight[0])
 
     def first_failure(self, prop, cases):
-        """`first_failure_chunked` over (witness, *terms) in walk order."""
-        self._chunk, self._met = {}, set()
-        return first_failure_chunked(prop, cases, self.fails, self.weight, BUDGET)
+        """The first of the (witness, *terms) rows, in walk order, whose case
+        fails: a window of up to CHUNK rows is planned at once and its chunks
+        decided in turn (see the module docstring)."""
+        cases, rows = iter(cases), []
+        while rows := rows + list(itertools.islice(cases, CHUNK - len(rows))):
+            plan, n, lo = self._plan([row[1:] for row in rows]), len(rows), 0
+            ends = np.cumsum(plan.weight)
+            while lo < n:
+                hi = min(lo + CHUNK, int(np.searchsorted(
+                    ends, (ends[lo - 1] if lo else 0) + BUDGET)) + 1)
+                if hi > n == CHUNK:    # cut short by the window's end
+                    break
+                bad = np.flatnonzero(self._fails(plan, lo, min(hi, n)))
+                if bad.size:
+                    return fail(prop, witness=rows[lo + bad[0]][0])
+                lo = hi
+            rows = rows[lo:]
+        return ok(prop)
 
     def fails(self, cases):
-        """True for each case whose residual breaks the c_x I rule.  The cases
-        before the first one whose bound reaches 2^62 are decided, and
-        BoundError is raised when none of them fails."""
-        n, D, memo = len(cases), self.den, self.memo
-        chunk, self._chunk, self._met = self._chunk, {}, set()
-        plans = [seen[1] if (seen := chunk.get(id(case))) and seen[0] is case
-                 else self._plan(case) for case in cases]
-        K = math.lcm(1, *(den for den, _ in plans))
-        mag, count = self.mag, self.ledger.counts
+        """True for each case whose residual breaks the c_x I rule, the cases
+        decided as one chunk.  The cases before the first one whose bound
+        reaches 2^62 are decided, and BoundError is raised when none of them
+        fails."""
+        return self._fails(self._plan(cases), 0, len(cases))
 
-        def bound(kind, fs, p, r, _):
-            a, b = fs[0], fs[-1]
-            return p * (K // r) * ((count[a] + count[b]) * mag[a] * mag[b]
-                                   if kind in ("c", "a") else D * mag[a])
-        limit = next((k for k, (_, keys) in enumerate(plans)
-                      if not fits_int64(sum(bound(*term) for _, key in keys for term in key))), n)
-        # the keys this chunk decides, in the order the cases meet them
-        new = list(dict.fromkeys(key for _, keys in plans[:limit] for _, key in keys
-                                 if key not in memo))
-        if new:
-            self._decide(new, K)
-        bad = np.zeros(n, dtype=bool)
-        for k, (_, keys) in enumerate(plans[:limit]):
-            re = im = 0
-            holds = True
-            for t, key in keys:
-                c_re, c_im, ok = memo[key]
-                # plus i^t (c_re + i c_im)
-                if t & 1:
-                    c_re, c_im = -c_im, c_re
-                if t & 2:
-                    c_re, c_im = -c_re, -c_im
-                re, im, holds = re + c_re, im + c_im, holds and ok
-            bad[k] = not holds or re != 0 or im != 0
-        if limit < n and not bad.any():
+    def _fails(self, plan, lo, hi):
+        """`fails` for the cases lo to hi of a planned window, one chunk."""
+        (t0, t1), (r0, r1), (g0, _) = (np.searchsorted(c, [lo, hi])
+                                       for c in (plan.tcase, plan.rcase, plan.gcase))
+        K = math.lcm(1, *(plan.pr[i][1] for i in set(plan.qid[t0:t1].tolist())))
+        mult = [abs(p) * (K // r) for p, r in plan.pr]
+        rq, rcase = plan.q[r0:r1], plan.rcase[r0:r1] - lo
+        bound = np.bincount(rcase, np.array([float(min(m, BOUND)) for m in mult])[rq]
+                            * plan.F[r0:r1], minlength=hi - lo)
+        out = bound >= BOUND
+        for k in np.flatnonzero((bound > BOUND / 2) & (bound < 2 * BOUND)).tolist():
+            # near the edge, the exact bound
+            mag, count = self.mag, self.ledger.counts
+            out[k] = not fits_int64(sum(
+                mult[plan.q[i]] * (self.den * mag[u] if kind == 2 else
+                                   (count[u] + count[v]) * mag[u] * mag[v])
+                for i in r0 + np.flatnonzero(rcase == k) for h in [int(plan.head[i])]
+                for kind, u, v in [(h >> 42, (h >> 21 & _M) - 1, (h & _M) - 1)]))
+        limit = lo + int(np.argmax(out)) if out.any() else hi
+        gl, memo = int(np.searchsorted(plan.gcase, limit)), self.memo
+        fresh = [g for g in plan.new[np.searchsorted(plan.new, g0):np.searchsorted(
+            plan.new, gl)].tolist() if plan.keys[g] not in memo]
+        if fresh:
+            self._decide(plan, fresh, mult, K)
+        bad, sums = np.zeros(hi - lo, dtype=bool), {}
+        for g in [g for g, key in enumerate(plan.keys[g0:gl], g0) if memo[key] is not _ZERO]:
+            (re, im, holds), k = memo[plan.keys[g]], int(plan.gcase[g]) - lo
+            for _ in range(plan.turn[g]):    # i^t (re + i im)
+                re, im = -im, re
+            total = sums.setdefault(k, [0, 0])
+            total[0], total[1], bad[k] = total[0] + re, total[1] + im, bad[k] or not holds
+        for k, (re, im) in sums.items():
+            bad[k] |= bool(re or im)
+        if limit < hi and not bad.any():
             raise BoundError()
         return bad
 
-    def _decide(self, keys, K):
-        """Each key's (c_re, c_im, ok) into the memo, from one product L R over
-        the lcm K of the chunk's coefficients."""
+    def _decide(self, plan, groups, mult, K):
+        """The key of each of `groups` (a group that first meets it) into the
+        memo, from one product L R over the lcm K of the chunk's coefficients,
+        `mult` the K |p| / r of each coefficient."""
         if self.R is None:
             self._stack()
-        d, D = self.d, self.den
-        blocks = []    # (key, phase, block of R, coefficient, part)
-        for i, key in enumerate(keys):
-            for kind, fs, p, r, t in key:
-                v = p * (K // r)
-                if kind == "o":
-                    # K q D I against each of o's blocks, so at D^2
-                    blocks += [(i, f + t, j, v * D, self.ident) for j, f, _ in self.parts[fs[0]]]
-                    continue
-                # K q [u, v]: K q u against v's blocks of R, -K q v against
-                # u's, each pair of parts at the sum of their phases and the
-                # term's; K q {u, v} the same with +K q v
-                w = -v if kind == "c" else v
-                for (ja, fa, ra), (jb, fb, rb) in itertools.product(self.parts[fs[0]],
-                                                                    self.parts[fs[1]]):
-                    blocks += [(i, fa + fb + t, jb, v, ra), (i, fa + fb + t, ja, w, rb)]
-        c, ok = np.zeros(2 * len(keys), dtype=np.int64), np.ones(2 * len(keys), dtype=bool)
-        # L's rows of blocks: the re (2i) and im (2i + 1) residuals some block reaches
-        used, row = np.unique([2 * i + f % 2 for i, f, *_ in blocks], return_inverse=True)
-        L = [(r, j, -v if f & 2 else v, p) for r, (_, f, j, v, p) in zip(row, blocks)]
-        c[used], ok[used] = _scalar_blocks(_place((len(used) * d, self.R.shape[0]), d, L)
-                                           @ self.R, d, len(used))
-        for i, key in enumerate(keys):
-            re, im = (Fraction(int(v), K * D * D) if v else 0 for v in c[2 * i:2 * i + 2])
-            self.memo[key] = re, im, bool(ok[2 * i] and ok[2 * i + 1])
+        d, D, groups = self.d, self.den, np.array(groups)
+        # the (run, phase) pairs of each key's runs that hold a term
+        at = ragged(plan.cstart[groups], plan.csize[groups])
+        e, t = np.nonzero(plan.counts[at] > 0)
+        key, at = np.repeat(np.arange(len(groups)), plan.csize[groups])[e], at[e]
+        head, q = plan.head[plan.at[at]], plan.q[plan.at[at]]
+        kind, u, v = head >> 42, (head >> 21 & _M) - 1, (head & _M) - 1
+        coef = np.array([min(m, BOUND) for m in mult], dtype=np.int64)[q] * plan.counts[at, t]
+        # each pair of nonempty parts, one of u's and one of v's (I_d for an
+        # "o" term): a [u, v] or {u, v} term puts each against the other, an
+        # "o" term only K q D I_d against u's
+        row, (fa, fb) = np.repeat(np.arange(len(u)), 4), np.tile(_PAIRS, len(u))
+        ja, jb = self._at[self._base[u][row] + fa], self._at[self._base[v][row] + fb]
+        live = (ja >= 0) & (jb >= 0)
+        row, ja, jb, f = row[live], ja[live], jb[live], (fa + fb)[live] + t[row[live]]
+        Lrow, sign, two = 2 * key[row] + f % 2, 1 - (f & 2), kind[row] != 2
+        w = np.where(kind == 2, coef * D, np.where(kind == 0, -coef, coef))[row] * sign
+        Lrow, col, src = (np.concatenate([x[two], y]) for x, y in
+                          ((Lrow, Lrow), (jb, ja), (ja, jb)))
+        val = np.concatenate([(coef[row] * sign)[two], w])
+        # L: each block's source entries, gathered once and ordered by row
+        start, n = self.R.indptr[::d], 2 * len(groups) * d
+        size = start[src + 1] - start[src]
+        blk = np.repeat(np.arange(len(src), dtype=np.int32), size)
+        e = ragged(start[src], size)
+        rows = (Lrow * d).astype(np.int32)[blk] + self._row[e]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        order = np.argsort(rows.astype(np.uint16) if n <= 1 << 16 else rows, kind="stable")
+        del rows
+        blk, e = blk[order], e[order]
+        del order
+        L = sp.csr_matrix((val[blk] * self.R.data[e],
+                           (col * d).astype(np.int32)[blk] + self.R.indices[e], indptr),
+                          shape=(n, self.R.shape[0]))
+        c, ok = _scalar_blocks(L @ self.R, d, 2 * len(groups))
+        c, ok = c.tolist(), ok.tolist()
+        for i, g in enumerate(groups.tolist()):
+            re, im = (Fraction(v, K * D * D) if v else 0 for v in c[2 * i:2 * i + 2])
+            holds = ok[2 * i] and ok[2 * i + 1]
+            self.memo[plan.keys[g]] = _ZERO if holds and not (re or im) else (re, im, holds)

@@ -27,6 +27,7 @@ points as one contraction with the signed product tensor."""
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -40,9 +41,9 @@ from mnl.envelope import EnvelopeAlgebra
 from mnl.etc import CONVENTION, ChargeDensitySet, ETCReport
 from mnl.fock import _CANONICAL, _CAR, GQSparse, QuadraticCache, SiteOp, _parity, _states
 from mnl.loops import CayleyTable, chart_commutator
-from mnl.matrices import scaled, stacked
+from mnl.matrices import CHUNK, fits_int64, scaled, stacked
 from mnl.relations import Ledger
-from mnl.report import CheckReport, InputError, fail, ok
+from mnl.report import BoundError, CheckReport, InputError, fail, ok
 
 
 def vec_add(acc: Vec, label, coeff):
@@ -64,6 +65,73 @@ def first_failure(prop, cases, holds):
             return fail(prop, witness=witness)
     return ok(prop)
 
+
+
+def kernel_walk(ops, prop, rows):
+    """`relations.RelationKernel.first_failure` case by case, for rows whose
+    weights stay below `relations.BUDGET`: CHUNK rows a chunk, each case
+    bounded at the chunk's lcm K of its coefficients as the kernel bounds it
+    (term by term over the sites both operands reach, from the factors
+    themselves), and each case before the first one out of bound decided by
+    Fraction arithmetic on its dense factors, site by site, held to the c_x I
+    rule; BoundError when none of those fails.  q is an int, a Fraction or a
+    pair (p, r); q = 0 and [a, a] take no arithmetic."""
+    factors = [{x: f for x, f in (op.factors if isinstance(op, SiteOp) else {0: op}).items()
+                if f.nnz} for op in ops]
+    D = math.lcm(1, *(f.den for fs in factors for f in fs.values()))
+    mag = [{x: f.mag * (D // f.den) for x, f in fs.items()} for fs in factors]
+    count = [{x: int((np.diff(f.re.indptr) + np.diff(f.im.indptr)).max()) for x, f in fs.items()}
+             for fs in factors]
+    dense = [{x: tuple(np.array([[Fraction(int(v), f.den) for v in row] for row in p.toarray()],
+                                dtype=object) for p in (f.re, f.im)) for x, f in fs.items()}
+             for fs in factors]
+
+    def live(case):
+        out = [(kind, Fraction(*q) if isinstance(q, tuple) else Fraction(q), idx[0], idx[-1])
+               for kind, q, *idx in case]
+        return [t for t in out if t[1] and not (t[0] == "c" and t[2] == t[3])]
+
+    def bound(case, K):
+        return sum(abs(q * K) * (D * mag[a][x] if kind in "oi" else
+                                 (count[a][x] + count[b][x]) * mag[a][x] * mag[b][x])
+                   for kind, q, a, b in case for x in factors[a] if x in factors[b])
+
+    def mul(A, B):
+        return A[0] @ B[0] - A[1] @ B[1], A[0] @ B[1] + A[1] @ B[0]
+
+    def holds(case):
+        total, sites = [0, 0], {x for _, _, a, b in case for x in [*factors[a], *factors[b]]}
+        for x in sites:
+            re = im = 0
+            for kind, q, a, b in case:
+                if x not in factors[a] or x not in factors[b]:
+                    continue
+                A, B = dense[a][x], dense[b][x]
+                if kind in "ca":
+                    AB, BA = mul(A, B), mul(B, A)
+                    A = tuple(u - v if kind == "c" else u + v for u, v in zip(AB, BA))
+                A = (-A[1], A[0]) if kind == "i" else A
+                re, im = re + q * A[0], im + q * A[1]
+            for k, part in enumerate((re, im)):
+                if not isinstance(part, int):
+                    c = part[0, 0]
+                    if (part != c * np.eye(len(part), dtype=object)).any():
+                        return False
+                    total[k] += c
+        return total == [0, 0]
+
+    rows = list(rows)
+    for lo in range(0, len(rows), CHUNK):
+        chunk = [(witness, live(case)) for witness, *case in rows[lo:lo + CHUNK]]
+        K = math.lcm(1, *(q.denominator for _, case in chunk for _, q, _, _ in case))
+        limit = next((k for k, (_, case) in enumerate(chunk) if not fits_int64(bound(case, K))),
+                     len(chunk))
+        for witness, case in chunk[:limit]:
+            if not holds(case):
+                return fail(prop, witness=witness)
+        if limit < len(chunk):
+            raise BoundError()
+    return ok(prop)
 
 # --- dense Fraction matrices -----------------------------------------------
 

@@ -783,12 +783,13 @@ def test_scan_rows_are_decided_a_chunk_at_a_time(monkeypatch):
     # compute nothing (a commutator of operators on different sites) weigh
     # 0, so they fill a chunk up to CHUNK
     chunks = []
-    fails = RelationKernel.fails
+    fails = RelationKernel._fails
 
-    def spy(kernel, cases):
-        chunks.append([kernel.weight(case) for case in cases])
-        return fails(kernel, cases)
-    monkeypatch.setattr(RelationKernel, "fails", spy)
+    def spy(kernel, plan, lo, hi):
+        # the weights the window's chunks were cut by
+        chunks.append(plan.weight[lo:hi].tolist())
+        return fails(kernel, plan, lo, hi)
+    monkeypatch.setattr(RelationKernel, "_fails", spy)
     assert car_check(build_fock(16, 1)).passed
     assert chunks and all(len(chunk) == 1 and chunk[0] >= BUDGET for chunk in chunks)
     chunks.clear()

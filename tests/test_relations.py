@@ -24,7 +24,7 @@ from mnl.etc import (ChargeDensitySet, charge_algebra_check, charge_densities, c
                      etc_verify, locality_check)
 from mnl.fock import GQSparse, SiteOp, _states, build_fields, build_fock
 from mnl.relations import Ledger, RelationKernel
-from mnl.report import InputError
+from mnl.report import BoundError, InputError
 
 BOTH_FAIL = "as printed [t,s]: fail; as [t,t]: fail"
 
@@ -176,6 +176,89 @@ def test_kernel_anticommutator_needs_one_site():
     assert list(RelationKernel(ops).fails([[("c", 1, 0, 1)]])) == [True]
 
 
+
+def test_kernel_bound_is_exact_at_the_edge():
+    # 2 (2^61 - 1) = 2^62 - 2 is below the bound and 2 * 2^61 is not, though
+    # both round to 2^62 in float64
+    one = RelationKernel([GQSparse.identity(2)])
+    assert list(one.fails([[("o", (1 << 61) - 1, 0), ("o", 1 - (1 << 61), 0)]])) == [False]
+    assert list(one.fails([[("o", (1 << 62) - 1, 0)]])) == [True]
+    for case in ([("o", 1 << 61, 0), ("o", -(1 << 61), 0)], [("o", 1 << 62, 0)],
+                 [("o", (1 << 64, 3), 0)]):
+        with pytest.raises(BoundError):
+            one.fails([case])
+
+
+KERNEL_SITE_DIM = 4
+
+
+@st.composite
+def straddling_rows(draw):
+    """Operators and rows whose bounds straddle 2^62: two factors with
+    entries up to 3 * 2^20, and their products by i^k, either as plain
+    operators (every term kind) or as SiteOps on 2 or 3 sites that hold one
+    factor object at every site (commutators, o and i terms); coefficients
+    up to 2^22 over denominators up to 4, written as ints, Fractions or
+    unreduced (p, r) pairs, zero at times; [a, a] terms; rows whose first
+    terms tie but for their phase; and most rows with their negation, so
+    that they hold."""
+    def big():
+        parts = [np.array(draw(st.lists(st.integers(-3, 3), min_size=16, max_size=16)),
+                          dtype=np.int64).reshape(4, 4) << draw(st.integers(0, 20))
+                 for _ in range(2)]
+        return GQSparse(KERNEL_SITE_DIM, *map(sp.csr_matrix, parts), draw(st.integers(1, 3)))
+    X, Y = (draw(st.builds(big).filter(lambda f: f.nnz)) for _ in range(2))
+    sites = draw(st.sampled_from([1, 2, 3]))
+    base = [X, X.times_i(), Y, Y.scale(-1), GQSparse.identity(KERNEL_SITE_DIM)]
+    if sites == 1:
+        ops, kinds = base, "caoi"
+    else:
+        ops = [SiteOp(sites, KERNEL_SITE_DIM, dict.fromkeys(range(sites), f)) for f in base]
+        ops.append(SiteOp(sites, KERNEL_SITE_DIM, {0: Y}))
+        kinds = "coi"
+
+    def coefficient():
+        p = draw(st.integers(-(1 << 22), 1 << 22) if draw(st.booleans())
+                 else st.integers(-8, 8))
+        r, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        return draw(st.sampled_from([p, Fraction(p, r), (p * m, r * m)]))
+    index = st.integers(0, len(ops) - 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind, a = draw(st.sampled_from(kinds)), draw(index)
+            row.append((kind, coefficient(), a, draw(index)) if kind in "ca" else
+                       (kind, coefficient(), a))
+        rows.append(row)
+    q = coefficient()
+    rows += [[("o", q, 0), ("o", q, 1)], [("c", q, 0, 2), ("c", q, 1, 2)], [("c", q, 3, 3)]]
+    # most rows cancel, as their terms and their negations (q [b, a] for
+    # q [a, b]), so that they hold
+    rows = [row + [("c", q, *idx[::-1]) if kind == "c" else
+                   (kind, -Fraction(*q) if isinstance(q, tuple) else -q, *idx)
+                   for kind, q, *idx in row]
+            if draw(st.integers(0, 4)) else row for row in rows]
+    return ops, draw(st.permutations(rows))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(straddling_rows())
+def test_array_kernel_equals_the_case_by_case_walk(drawn):
+    # verdicts, witnesses and BoundError, including a failure before the
+    # first case out of bound
+    ops, rows = drawn
+    walk = [((k,), *row) for k, row in enumerate(rows)]
+
+    def run(check):
+        try:
+            return check().to_dict()
+        except BoundError:
+            return "BoundError"
+    kernel = RelationKernel(ops)
+    assert run(lambda: kernel.first_failure("rows", walk)) == \
+        run(lambda: oracles.kernel_walk(ops, "rows", walk))
+
 # --- the ledger: factors up to a unit phase ------------------------------
 
 def times_i(op, k):
@@ -302,7 +385,7 @@ def test_sector_takes_only_number_conserving_factors():
     f = build_fock(3, 1)
     hop, number = f.adag[0] @ f.a[1], f.adag[0] @ f.a[0]
     ledger = Ledger(_states(3, 2))
-    assert ledger.intern(number) == (0, 0) and ledger.parts[0][0].shape == (7, 7)
+    assert ledger.intern(number) == (0, 0) and len(ledger.parts[0][0][2]) == 7 + 1
     # 4 entries on the whole space, at 100, 101, 110 and 111; 3 on the sector
     assert number.nnz == 4 and ledger.entries == [3] and ledger.counts == [1]
     assert ledger.intern(hop) == (1, 0)
