@@ -29,7 +29,8 @@ class StructureTensor:
     """Structure constants c^i_jk of an anticommutative algebra, c[i][j][k]
     antisymmetric in (j, k).  Only nonzero entries are stored; the tensor is
     not changed after construction, so it keeps what `is_maltsev`,
-    `yamaguti_constants` and `integer_constants` compute from it."""
+    `yamaguti_constants`, `integer_constants` and `etc._table` compute from
+    it."""
 
     dim: int
     entries: Dict[Key, Fraction] = field(default_factory=dict)
@@ -37,6 +38,7 @@ class StructureTensor:
     _yamaguti: Optional["YamagutiTensor"] = field(default=None, init=False, repr=False,
                                                   compare=False)
     _integer: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _table: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim <= 0:

@@ -39,21 +39,24 @@ rho([M, N]), so rho(Y_jk) is the convention's i[s_j, t_k] + (1/3) c^p_jk
 One kernel, one ledger.  `etc_verify`, `locality_check` and
 `charge_algebra_check` write each case, in the order they walk them, as one
 row of terms: its commutators and the operators, or i times them, of its
-right side.  `relations.RelationKernel` decides a chunk of rows at a time:
-one exact sparse product L R, with R the distinct site factors stacked once
-at one common denominator and L the coefficients of each one-site residual
-not yet decided, and the c_x I rule above on every residual.  The kernels of
-one density set share its `relations.Ledger`, which `charges` hands on to
-the charges: it names each factor up to a unit phase and keeps every
-residual decided.  The charges are -i sum_x of the densities, each factor
--i F of a density's factor F, so at each site every residual of the theorem
-is one of the density ETC times -1 or +-i, and after `etc_verify` the
-theorem computes none.  Every chunk is
-bounded below 2^62 before it computes (`BoundError` past it), and the first
-failing row in walk order is the witness.  Plain full-space `GQSparse`
-operators are one factor of a one-site space there, so the same checks give
-the same reports on them.  The lemma decides its trials a chunk at a time,
-on block diagonals of their bilinears (`fock.QuadraticCache.blocks`).  The
+right side.  `etc_verify` hands all its walks, the eleven equations with
+both readings of equation 3, to one `relations.RelationKernel` call, and
+the other two one walk each.  The kernel plans windows of rows across walks
+and decides the chunks of each walk in exact sparse products L R, with R
+the distinct site factors stacked once at one common denominator and L the
+coefficients of each one-site residual not yet decided, and the c_x I rule
+above on every residual.  The kernels of one density set share its
+`relations.Ledger`, which `charges` hands on to the charges: it names each
+factor up to a unit phase and keeps every residual decided.  The charges
+are -i sum_x of the densities, each factor -i F of a density's factor F,
+so at each site every residual of the theorem is one of the density ETC
+times -1 or +-i, and after `etc_verify` the theorem computes none.  Every
+chunk is bounded below 2^62 before it computes (`BoundError` past it), and
+the first failing row of each walk is its witness.  The table is gathered
+once per tensor (`_table`).  Plain full-space `GQSparse` operators are one
+factor of a one-site space there, so the same checks give the same reports
+on them.  The lemma decides its trials a chunk at a time, on block
+diagonals of their bilinears (`fock.QuadraticCache.blocks`).  The
 case-by-case walks, the per-trial lemma and the per-pair Yamagutian solve
 are the test oracles (`tests/oracles.py`).
 
@@ -151,25 +154,31 @@ def _table(c: StructureTensor):
     the density and charge relations read (`birep.bracket_rows`,
     `birep.cyclic_rows`), each as its ((sign * value, den), stored label)
     pairs in label order (`_signed`), value / den the coefficient as the
-    integers that a kernel term takes, from one pass over their entries."""
+    integers that a kernel term takes, from one pass over their entries;
+    made once per tensor and kept on it."""
+    if c._table is not None:
+        return c._table
     r, lbls = range(c.dim), labels(c.dim)
     index = {lbl: w for w, lbl in enumerate(lbls)}
     signed = [_signed(lbl) for lbl in lbls]
-    upper = [("Y", j, k) for j in r for k in r if j < k]
-    pairs = ([((A, j), (B, k)) for A, B in ("SS", "ST", "TT") for j in r for k in r]
-             + [(y, b) for y in upper for b in [(X, n) for X in "ST" for n in r] + upper])
+    S, T, upper = lbls[:c.dim], lbls[c.dim:2 * c.dim], [y for y in lbls[2 * c.dim:] if y[1] < y[2]]
+    pairs = ([(a, b) for A, B in ((S, S), (S, T), (T, T)) for a in A for b in B]
+             + [(y, b) for y in upper for b in S + T + upper])
     triples = [(j, k, l) for j in r for k in r for l in r if j < k < l]
 
     def stored(keys, R, den):
-        out, pair = {key: [] for key in keys}, {}    # one (value, den) per value
+        # each row a tuple of entries, one ((value, den), label) per pair met
+        out, entry = {key: [] for key in keys}, {}
         for n, w, v in zip(R.n.tolist(), R.t.tolist(), R.v.tolist()):
             if signed[w]:
                 v *= signed[w][0]
-                out[keys[n]].append((pair.setdefault(v, (v, den)), signed[w][1]))
-        return out
+                out[keys[n]].append(entry.setdefault((v, w), ((v, den), signed[w][1])))
+        return {key: tuple(row) for key, row in out.items()}
     a, b = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.int64).T
-    return (stored(pairs, *bracket_rows(c, a, b)),
-            stored(triples, *cyclic_rows(c, *np.array(triples, dtype=np.int64).reshape(-1, 3).T)))
+    object.__setattr__(c, "_table", (
+        stored(pairs, *bracket_rows(c, a, b)),
+        stored(triples, *cyclic_rows(c, *np.array(triples, dtype=np.int64).reshape(-1, 3).T))))
+    return c._table
 
 
 def _density_kernel(d: ChargeDensitySet):
@@ -232,15 +241,16 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
         return (((*key, x, y), *pair((ka, *key[:-1]), x, (kb, key[-1]), y))
                 for key in keys for x in N for y in N)
 
-    def eq3():
+    def reading(kind):
         # the printed equation pairs [t_j, s_k] with the [T_j, T_k]-shaped
         # right side; both readings are tried and the verdict recorded
-        ts_ok, tt_ok = (kernel.first_failure("3", (
-            ((j, k, x, y), *pair(("T", j), x, (kind, k), y, rows[("T", j), ("T", k)]))
-            for j in r for k in r for x in N for y in N)).passed for kind in "ST")
-        detail = (f"as printed [t,s]: {'pass' if ts_ok else 'fail'}; "
-                  f"as [t,t]: {'pass' if tt_ok else 'fail'}")
-        if ts_ok or tt_ok:
+        return (((j, k, x, y), *pair(("T", j), x, (kind, k), y, rows[("T", j), ("T", k)]))
+                for j in r for k in r for x in N for y in N)
+
+    def eq3(ts, tt):
+        detail = (f"as printed [t,s]: {'pass' if ts.passed else 'fail'}; "
+                  f"as [t,t]: {'pass' if tt.passed else 'fail'}")
+        if ts.passed or tt.passed:
             return CheckReport(True, "3", None, detail)
         return CheckReport(False, "3", ("both readings fail",), detail)
 
@@ -250,7 +260,7 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
     checks = {
         "1": site_pairs("S", "S", jk),
         "2": site_pairs("S", "T", jk),
-        "3": None,
+        "3": (reading("S"), reading("T")),
         "4": (((j, k, x), *yamagutian_sum(j, k, x)) for (j, k) in jk for x in N),
         "5": (((j, k, l, x), *at(x, cyclic[j, k, l], "o"))
               for (j, k) in upper for l in r if k < l for x in N),
@@ -263,8 +273,10 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
         "symmetry": (((j, k, x, y), comm(("S", j), x, ("T", k), y),
                       comm(("T", j), y, ("S", k), x, -1)) for (j, k, x, y) in jkxy),
     }
-    for name, cases in checks.items():
-        rep.equations[name] = eq3() if cases is None else kernel.first_failure(name, cases)
+    reports = iter(kernel.first_failure([(name, rows) for name, cases in checks.items()
+                                         for rows in (cases if name == "3" else (cases,))]))
+    for name in checks:
+        rep.equations[name] = eq3(next(reports), next(reports)) if name == "3" else next(reports)
     return rep
 
 

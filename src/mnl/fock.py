@@ -247,8 +247,15 @@ class GQSparse:
 
 
 def _minus_i(op):
-    """-i op, one GQSparse: (re + i im) / den times -i is (im - i re) / den."""
-    return GQSparse(op.dim, op.im, -op.re, op.den)
+    """-i op, one GQSparse: (re + i im) / den times -i is (im - i re) / den.
+    Its parts are op's canonical parts, re negated (an empty one kept as it
+    is), and its den, mag and gcd 1 are op's, so its slots are filled
+    without `__init__`'s re-check and renormalisation; its re is op's im
+    itself, as no operation changes a part in place."""
+    out = object.__new__(GQSparse)
+    out.dim, out.den, out.mag, out.re = op.dim, op.den, op.mag, op.im
+    out.im = -op.re if op.re.nnz else op.re
+    return out
 
 
 def _exact_div(part, g):

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -292,9 +293,9 @@ def test_etc_verify_decides_the_same_rows_at_every_site_count(monkeypatch, quat_
     # at one site, in order, are all that two and three sites compute
     computed, fails = [], RelationKernel._fails
 
-    def spy(kernel, plan, lo, hi):
+    def spy(kernel, plan, chunk, ahead):
         known = len(kernel.memo)
-        out = fails(kernel, plan, lo, hi)
+        out = fails(kernel, plan, chunk, ahead)
         computed[-1] += list(kernel.memo)[known:]
         return out
     monkeypatch.setattr(RelationKernel, "_fails", spy)
@@ -332,6 +333,55 @@ def test_theorem_after_etc_verify_computes_no_new_key(monkeypatch, case, sites, 
     monkeypatch.setattr(RelationKernel, "_decide", decide)
     cold = charges(charge_densities(build_fields(gen.dim, sites), gen, c))
     assert rep.to_dict() == charge_algebra_check(cold, c).to_dict()
+
+
+def test_one_table_gather_per_tensor(monkeypatch, quat_gen, su2_doubled):
+    # etc_verify, locality_check and the theorem on one tensor read its table
+    # off one bracket_rows and one cyclic_rows gather, kept on the tensor;
+    # their reports are those of checks that each gather their own
+    calls = []
+    for name in ("bracket_rows", "cyclic_rows"):
+        monkeypatch.setattr(etc_module, name, functools.partial(
+            lambda name, real, *args: calls.append(name) or real(*args),
+            name, getattr(etc_module, name)))
+    c = su2_doubled.scaled(1)
+    dens = charge_densities(build_fields(quat_gen.dim, 2), quat_gen, c)
+    reports = [etc_verify(dens, c).to_dict(), locality_check(dens).to_dict(),
+               charge_algebra_check(charges(dens), c).to_dict()]
+    assert sorted(calls) == ["bracket_rows", "cyclic_rows"]
+    monkeypatch.undo()
+
+    def cold():
+        c = su2_doubled.scaled(1)
+        return c, charge_densities(build_fields(quat_gen.dim, 2), quat_gen, c)
+    assert reports == [etc_verify(*cold()[::-1]).to_dict(), locality_check(cold()[1]).to_dict(),
+                       charge_algebra_check(charges(cold()[1]), cold()[0]).to_dict()]
+
+
+# the tracemalloc peak, in MB, of the checks of `mnl etc` after the canonical
+# ETC on the octonions at one site, when each window of 64 rows was decided
+# alone (fresh inputs, after a warm-up, measured as below): deciding the
+# walks together must not hold more
+ETC_ORDER_PEAK_MB = 1.194
+
+
+def test_mnl_etc_order_stays_within_its_memory(oct_gen, m7):
+    def peak():
+        fields, c = build_fields(oct_gen.dim, 1), m7.scaled(1)
+        gen = GeneratorSet(oct_gen.r, oct_gen.dim, list(oct_gen.S), list(oct_gen.T))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            dens = charge_densities(fields, gen, c)
+            assert etc_verify(dens, c).passed
+            assert charge_algebra_check(charges(dens), c).passed
+            return (tracemalloc.get_traced_memory()[1] - entry) / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    peak()
+    got = peak()
+    assert got <= ETC_ORDER_PEAK_MB, got
 
 
 @pytest.mark.parametrize("swap", [False, True])

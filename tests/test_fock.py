@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from mnl import etc
 from mnl.etc import _lemma
-from mnl.fock import (FieldSet, FockOps, GQSparse, QuadraticCache, SiteOp, _ladder, _place,
-                      _states, build_fields, build_fock, canonical_etc_check, car_check)
+from mnl.fock import (FieldSet, FockOps, GQSparse, QuadraticCache, SiteOp, _ladder, _minus_i,
+                      _place, _states, build_fields, build_fock, canonical_etc_check, car_check)
 from mnl.matrices import CHUNK
 from mnl.relations import BUDGET, RelationKernel
 from mnl.report import InputError
@@ -94,6 +94,29 @@ def test_gq_dimension_mismatch():
 def test_gq_unhashable():
     with pytest.raises(TypeError):
         hash(GQSparse.identity(2))
+
+
+GUARD = (1 << 62) - 1    # the largest entry magnitude a GQSparse holds
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_minus_i_equals_the_constructed_operator(dim, data):
+    # -i op filled from op's slots equals the one the constructor checks and
+    # normalizes: den > 1, empty re or im parts, entries up to the guard
+    def part():
+        values = st.sampled_from([0, 1, -1, 6, -9, GUARD, -GUARD, GUARD - 1, 1 << 61])
+        if not data.draw(st.booleans()):
+            values = st.just(0)
+        return np.array(data.draw(st.lists(values, min_size=dim * dim, max_size=dim * dim)),
+                        dtype=np.int64).reshape(dim, dim)
+    op = GQSparse(dim, sp.csr_matrix(part()), sp.csr_matrix(part()),
+                  data.draw(st.sampled_from([1, 2, 3, 6, 1 << 40])))
+    got, want = _minus_i(op), GQSparse(op.dim, op.im, -op.re, op.den)
+    assert got == want and (got.dim, got.den, got.mag) == (want.dim, want.den, want.mag)
+    for mine, theirs in ((got.re, want.re), (got.im, want.im)):
+        assert mine.has_canonical_format and mine.dtype == theirs.dtype == np.int64
+        assert np.array_equal(mine.toarray(), theirs.toarray())
 
 
 def test_gq_square_of_2_40_does_not_wrap():
@@ -778,20 +801,26 @@ def test_random_mutants_equal_the_one_site_oracle(shape, kind, x, A, y, B):
 
 def test_scan_rows_are_decided_a_chunk_at_a_time(monkeypatch):
     # at 16 modes one case row outweighs the budget: every chunk is one row,
-    # so L never holds more than one row of blocks; at 8 modes on two sites
-    # the rows fill several chunks, each within the budget; rows that
-    # compute nothing (a commutator of operators on different sites) weigh
-    # 0, so they fill a chunk up to CHUNK
-    chunks = []
-    fails = RelationKernel._fails
+    # and its own product, so L never holds more than one row of blocks; at
+    # 8 modes on two sites the rows fill several chunks, each within the
+    # budget; rows that compute nothing (a commutator of operators on
+    # different sites) weigh 0, so they fill a chunk up to CHUNK
+    chunks, products = [], []
+    fails, decide = RelationKernel._fails, RelationKernel._decide
 
-    def spy(kernel, plan, lo, hi):
+    def spy(kernel, plan, chunk, ahead):
         # the weights the window's chunks were cut by
-        chunks.append(plan.weight[lo:hi].tolist())
-        return fails(kernel, plan, lo, hi)
+        chunks.append(np.diff(plan.total[chunk.lo:chunk.hi + 1]).tolist())
+        return fails(kernel, plan, chunk, ahead)
+
+    def decide_spy(kernel, plan, parts):
+        products.append([chunk.hi - chunk.lo for chunk in parts])
+        return decide(kernel, plan, parts)
     monkeypatch.setattr(RelationKernel, "_fails", spy)
+    monkeypatch.setattr(RelationKernel, "_decide", decide_spy)
     assert car_check(build_fock(16, 1)).passed
     assert chunks and all(len(chunk) == 1 and chunk[0] >= BUDGET for chunk in chunks)
+    assert products and all(product == [1] for product in products)
     chunks.clear()
     assert canonical_etc_check(build_fields(8, 2)).passed
     assert len(chunks) > 1

@@ -259,6 +259,48 @@ def test_array_kernel_equals_the_case_by_case_walk(drawn):
     assert run(lambda: kernel.first_failure("rows", walk)) == \
         run(lambda: oracles.kernel_walk(ops, "rows", walk))
 
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(straddling_rows(), st.data())
+def test_a_walk_set_equals_its_walks_one_by_one(drawn, data):
+    # the drawn rows cut into walks, the failing ones (or those out of
+    # bound) before the passing ones: one call gives each walk's report,
+    # BoundError at the same walk, and leaves the memo holding the keys
+    # that the walks made one after another leave, though keys past a
+    # failing chunk may be decided ahead of it in one product
+    ops, rows = drawn
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    walks = [[((w, k), *row) for k, row in enumerate(rows[lo:hi])]
+             for w, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(rows)]))]
+
+    def passes(walk):
+        try:
+            return RelationKernel(ops).first_failure("w", walk).passed
+        except BoundError:
+            return False
+    walks = sorted(walks, key=passes)
+
+    def kernel():
+        # the coefficients numbered alike on both ledgers, as keys hold
+        # those numbers
+        out = RelationKernel(ops)
+        for walk in walks:
+            for _, *case in walk:
+                out.weight(case)
+        return out
+
+    def run(check, kernel):
+        try:
+            return [rep.to_dict() for rep in check(kernel)], dict(kernel.memo)
+        except BoundError:
+            return "BoundError", dict(kernel.memo)
+
+    def one_by_one(kernel):
+        return [kernel.first_failure(str(w), walk) for w, walk in enumerate(walks)]
+    together = run(lambda k: k.first_failure([(str(w), walk) for w, walk in enumerate(walks)]),
+                   kernel())
+    assert together == run(one_by_one, kernel())
+
 # --- the ledger: factors up to a unit phase ------------------------------
 
 def times_i(op, k):
