@@ -29,8 +29,7 @@ class StructureTensor:
     """Structure constants c^i_jk of an anticommutative algebra, c[i][j][k]
     antisymmetric in (j, k).  Only nonzero entries are stored; the tensor is
     not changed after construction, so it keeps what `is_maltsev`,
-    `yamaguti_constants`, `integer_constants` and `etc._table` compute from
-    it."""
+    `yamaguti_constants`, `integer_constants` and `etc._table` compute."""
 
     dim: int
     entries: Dict[Key, Fraction] = field(default_factory=dict)

@@ -39,21 +39,19 @@ rho([M, N]), so rho(Y_jk) is the convention's i[s_j, t_k] + (1/3) c^p_jk
 One kernel, one ledger.  `etc_verify`, `locality_check` and
 `charge_algebra_check` write each case, in the order they walk them, as one
 row of terms: its commutators and the operators, or i times them, of its
-right side.  `etc_verify` hands all its walks, the eleven equations with
-both readings of equation 3, to one `relations.RelationKernel` call, and
-the other two one walk each.  The kernel plans windows of rows across walks
-and decides the chunks of each walk in exact sparse products L R, with R
-the distinct site factors stacked once at one common denominator and L the
-coefficients of each one-site residual not yet decided, and the c_x I rule
-above on every residual.  The kernels of one density set share its
-`relations.Ledger`, which `charges` hands on to the charges: it names each
-factor up to a unit phase and keeps every residual decided.  The charges
-are -i sum_x of the densities, each factor -i F of a density's factor F,
-so at each site every residual of the theorem is one of the density ETC
-times -1 or +-i, and after `etc_verify` the theorem computes none.  Every
-chunk is bounded below 2^62 before it computes (`BoundError` past it), and
-the first failing row of each walk is its witness.  The table is gathered
-once per tensor (`_table`).  Plain full-space `GQSparse` operators are one
+right side.  `relations.RelationKernel` takes all of a check's walks in one
+call (`etc_verify` its eleven equations) and decides each a chunk of rows
+at a time: one exact sparse product L R, with R the distinct site factors
+stacked once at one common denominator and L the coefficients of each
+one-site residual not yet decided, and the c_x I rule above on every
+residual.  The kernels of one density set share its `relations.Ledger`,
+which `charges` hands on to the charges: it names each factor up to a unit
+phase and keeps every residual decided.  The charges are -i sum_x of the
+densities, each factor -i F of a density's factor F, so at each site every
+residual of the theorem is one of the density ETC times -1 or +-i, and
+after `etc_verify` the theorem computes none.  Every chunk is bounded below
+2^62 before it computes (`BoundError` past it), and each walk's first
+failing row is its witness.  Plain full-space `GQSparse` operators are one
 factor of a one-site space there, so the same checks give the same reports
 on them.  The lemma decides its trials a chunk at a time, on block
 diagonals of their bilinears (`fock.QuadraticCache.blocks`).  The
@@ -167,8 +165,7 @@ def _table(c: StructureTensor):
     triples = [(j, k, l) for j in r for k in r for l in r if j < k < l]
 
     def stored(keys, R, den):
-        # each row a tuple of entries, one ((value, den), label) per pair met
-        out, entry = {key: [] for key in keys}, {}
+        out, entry = {key: [] for key in keys}, {}    # one ((value, den), label) per pair met
         for n, w, v in zip(R.n.tolist(), R.t.tolist(), R.v.tolist()):
             if signed[w]:
                 v *= signed[w][0]
@@ -273,8 +270,8 @@ def etc_verify(d: ChargeDensitySet, c: StructureTensor = None) -> ETCReport:
         "symmetry": (((j, k, x, y), comm(("S", j), x, ("T", k), y),
                       comm(("T", j), y, ("S", k), x, -1)) for (j, k, x, y) in jkxy),
     }
-    reports = iter(kernel.first_failure([(name, rows) for name, cases in checks.items()
-                                         for rows in (cases if name == "3" else (cases,))]))
+    reports = iter(kernel.first_failures([(name, rows) for name, cases in checks.items()
+                                          for rows in (cases if name == "3" else (cases,))]))
     for name in checks:
         rep.equations[name] = eq3(next(reports), next(reports)) if name == "3" else next(reports)
     return rep

@@ -247,14 +247,11 @@ class GQSparse:
 
 
 def _minus_i(op):
-    """-i op, one GQSparse: (re + i im) / den times -i is (im - i re) / den.
-    Its parts are op's canonical parts, re negated (an empty one kept as it
-    is), and its den, mag and gcd 1 are op's, so its slots are filled
-    without `__init__`'s re-check and renormalisation; its re is op's im
-    itself, as no operation changes a part in place."""
+    """-i op, one GQSparse: (re + i im) / den times -i is (im - i re) / den,
+    filled from op's canonical parts, den and mag without `__init__`'s
+    re-check; the parts are shared, as no operation changes one in place."""
     out = object.__new__(GQSparse)
-    out.dim, out.den, out.mag, out.re = op.dim, op.den, op.mag, op.im
-    out.im = -op.re if op.re.nnz else op.re
+    out.dim, out.den, out.mag, out.re, out.im = op.dim, op.den, op.mag, op.im, -op.re
     return out
 
 

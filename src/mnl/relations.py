@@ -51,50 +51,48 @@ d x d slices (d = 37 at 8 modes, 137 at 16); interning, the digests, keys,
 counts, mag and the 2^62 bound read the whole factors, which bound their
 slices.
 
-Walks.  `first_failure` reads the rows of one walk, or of a list of them,
-lazily into windows of about `matrices._BLOCK // CHUNK` terms, which keep
-only the flattened terms and the witnesses, and plans each window once,
-across walks.  Its chunks are cut per walk as one walk alone cuts them, at
-CHUNK cases or once their cases' weights reach `BUDGET`, a case weighing
-the keys it first meets since its chunk began that the memo lacks; one
-that the window's end cuts short is planned again with the next.  The
-fresh keys of consecutive chunks, within CHUNK cases and BUDGET weight,
-are decided in one product, each at its own chunk's K, and enter the memo
-in their chunk's turn: each walk's K, bounds, memo and witness are those
-of the walks made one by one.
+Keys.  `first_failures` reads the rows of its walks lazily, in walk order,
+into windows of about `matrices._BLOCK // CHUNK` (256) terms that may span
+walks, and plans each window at once, as integer arrays.  (Larger windows
+plan faster but raised the tracemalloc peaks of `mnl etc`'s checks past
+those of CHUNK-row windows per walk.)  The terms are flattened once, each
+operator's (class, phase) at each site is read off dense [op, site] tables,
+and a live term gives a row at each site both its operands reach:
+(kind, u, v, n), v = -1 for an "o" term, n the ledger's number of (|p|, r)
+for q = p / r, at a phase t (i^t) that sums the sign of p, the factors'
+phases, one for an "i" term (then an "o" term) and two for a commutator
+turned to u <= v.  One lexsort orders each (case, site) group, whose rows
+alike but for their phase form a run with a count per phase.  The group is
+rotated by i^-t so that its first run has phase 0 (of the phases there, the
+one giving the least key); the bytes of its runs are its key, which the
+case reads rotated back by i^t.  The ledger's `memo` keeps (c_re, c_im, ok)
+of each key decided, c_x an exact Fraction.  A memo hit is exact: the
+residual is linear in the q and a function of the key's kinds and factors
+alone, which the ledger holds.  A case holds when all its keys are ok and
+its rotated c_x sum to zero.
 
-Keys.  A window's terms are flattened once; each operator's (class, phase)
-at each site is read off dense [op, site] tables, and a live term gives a
-row at each site both its operands reach: (kind, u, v, n), v = -1 for an
-"o" term, n the ledger's number of (|p|, r) for q = p / r, at a phase t
-(i^t) that sums the sign of p, the factors' phases, one for an "i" term
-(then an "o" term) and two for a commutator turned to u <= v.  One lexsort
-orders each (case, site) group, whose rows alike but for their phase form a
-run with a count per phase.  The group is rotated by i^-t so that its first
-run has phase 0 (of the phases there, the one giving the least key); the
-bytes of its runs are its key, which the case reads rotated back by i^t.
-The ledger's `memo` keeps (c_re, c_im, ok) of each key decided, c_x an
-exact Fraction.  A memo hit is exact: the residual is linear in the q and
-a function of the key's kinds and factors alone, which the ledger holds.
-A case holds when all its keys are ok and its rotated c_x sum to zero.
-
-One product per group of chunks.  A kernel stacks R when it first has a
-key to compute: the nonempty integer parts of each class of its factors on
-the ledger's sector, once for all sites, at one common denominator D (the
-lcm of the factors' denominators): R = [P_0; P_1; ..; I_d], a d x d block
-each; a factor r + i m gives r with phase 0 and m with phase 1.  L has a
-row of d x d blocks for the re or im residual of each key to decide,
-gathered at once from R's arrays, over the lcm K of its chunk's
-coefficients.  A term |p|/r [u, v] at phase t puts K |p|/r u against v's
-blocks and -K |p|/r v against u's; |p|/r {u, v} puts +K |p|/r v there
-instead (not skipped when a == b); |p|/r o puts K |p|/r D I_d against each
-of o's blocks.  A part of phase f against a block of phase g lands in the
-re row when f + g + t is even and the im row when it is odd, negated when
-(f + g + t) mod 4 is 2 or 3.  One real product L R holds each residual at
-K D^2, and `_scalar_blocks` reads c_x off each block and checks that it is
-c_x I.  The blocks stay d x d: scipy's product keeps an accumulator as wide
-as its result, 2^32 entries for rows of d^2 at the full-space dimension
-2^16.
+One product per chunk.  A kernel stacks R when a chunk first has a key to
+compute: the nonempty integer parts of each class of its factors on the
+ledger's sector, once for all sites, at one common denominator D (the lcm
+of the factors' denominators): R = [P_0; P_1; ..; I_d], a d x d block each;
+a factor r + i m gives r with phase 0 and m with phase 1.  Over the lcm K
+of the chunk's coefficients, L has a row of d x d blocks for the re or im
+residual of each key not yet decided, gathered at once from R's arrays.  A
+term |p|/r [u, v] at phase t puts K |p|/r u against v's blocks and
+-K |p|/r v against u's; |p|/r {u, v} puts +K |p|/r v there instead (not
+skipped when a == b); |p|/r o puts K |p|/r D I_d against each of o's
+blocks.  A part of phase f against a block of phase g lands in the re row
+when f + g + t is even and the im row when it is odd, negated when
+(f + g + t) mod 4 is 2 or 3.  One real product L R holds every new
+residual at K D^2, and `_scalar_blocks` reads c_x off each block and checks
+that it is c_x I.  The blocks stay d x d: scipy's product keeps an
+accumulator as wide as its result, 2^32 entries for rows of d^2 at the
+full-space dimension 2^16.  A walk's chunks end at CHUNK cases, at the
+walk's end or once their cases' weights reach `BUDGET`, a case weighing the
+keys it first meets in the window that the memo lacks (`weight`).  A chunk
+the window's end cuts short is planned again with the next, as are the rows
+past a failing case's walk, whose rest is not read: each walk's chunks, K,
+bounds and witness, and the memo, are those of the walks made one by one.
 
 Int64 bound.  Before anything is computed, every case is bounded, memo hits
 included: an entry of K q [a, b] is at most |K q| (count_a + count_b) mag_a
@@ -136,7 +134,7 @@ _KIND = np.full(256, 3, dtype=np.int8)    # a term's kind letter -> c 0, a 1, o 
 _KIND[[ord("c"), ord("a"), ord("o"), ord("i")]] = 0, 1, 2, 2
 _M = (1 << 21) - 1         # a row's head packs kind << 42 | (u + 1) << 21 | (v + 1)
 _TURNS = (np.arange(4) + np.arange(4)[:, None]) % 4    # phases read by a rotation
-_PAIRS = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])    # the phases of a pair of parts
+_PAIRS = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])     # the phases of a pair of parts
 _RUN = np.dtype([("head", "<i8"), ("coefficient", "<i8"), ("count", "<i4", 4)])    # a key's run
 _ZERO = (0, 0, True)       # the memo's value for a key whose residual is zero
 
@@ -280,7 +278,6 @@ class RelationKernel:
             self._ent[u], self._cnt[u] = ledger.entries[u], ledger.counts[u]
             self._mag[u], self._base[u] = self.mag[u], 2 * k
         self.R = None    # stacked when a chunk first computes
-        self._ids, self._pr, self._qs = {}, [], []    # the coefficients read (`_read`)
 
     memo = property(lambda self: self.ledger.memo)
 
@@ -303,44 +300,32 @@ class RelationKernel:
         self._row = np.concatenate([np.repeat(np.arange(d, dtype=np.int32), np.diff(p))
                                     for p in indptr])
 
-    def _read(self, cases, window=None):
-        """`window` (a new one by default) with the terms of `cases` added as
-        kind letters, coefficient numbers (`_pr` (p, r) in lowest terms,
-        `_qs` ledger number, sign and nonzero), a and b, and term counts."""
-        window = window or types.SimpleNamespace(kinds=[], q=[], a=[], b=[], size=[],
-                                                 witness=[], walk=[])
+    def _plan(self, cases):
+        """The window of `cases` as arrays (see "Keys"): its live terms and
+        their rows, the key of each (case, site) group with its rotation and
+        runs, the groups that first meet a key the memo lacks, and each
+        case's weight."""
+        n, S, ledger = len(cases), self.site_count, self.ledger
         terms = [t for case in cases for t in case]
         kinds, qs, a = list(zip(*terms))[:3] if terms else ((), (), ())
-        ids, number = self._ids, self.ledger.coefficients    # (|p|, r) -> its number
-        for q in dict.fromkeys(qs):
-            if q not in ids:
-                p, r = q if type(q) is tuple else (q.numerator, q.denominator)
-                g = math.gcd(p, r)
-                ids[q], p, r = len(self._pr), p // g, r // g
-                self._pr.append((p, r))
-                self._qs.append((number.setdefault((abs(p), r), len(number)), 2 * (p < 0), p != 0))
-        window.kinds.append("".join(kinds))
-        window.q += map(ids.__getitem__, qs)
-        window.a += a
-        window.b += [t[-1] for t in terms]
-        window.size += map(len, cases)
-        return window
-
-    def _plan(self, window):
-        """The window's cases as arrays (see "Keys"): its live terms and their
-        rows, and each (case, site) group's key (a number into the window's
-        distinct `keys`), rotation, runs and weight."""
-        n, S = len(window.size), self.site_count
-        code = np.frombuffer("".join(window.kinds).encode(), dtype=np.uint8)
-        kind = _KIND[code]
-        if len(code) != len(window.q) or (kind == 3).any():
+        code = np.frombuffer("".join(kinds).encode(), dtype=np.uint8)
+        kind, tcase = _KIND[code], np.repeat(np.arange(n), [len(case) for case in cases])
+        if len(code) != len(terms) or (kind == 3).any():
             raise InputError("a term's kind is one of c, a, o and i")
-        a, b, qid = (np.array(x, dtype=np.int32) for x in (window.a, window.b, window.q))
-        number, sign, nonzero = np.array(self._qs, dtype=np.int64).reshape(-1, 3).T
+        a, b = np.array(a, dtype=np.int32), np.array([t[-1] for t in terms], dtype=np.int32)
+        # the distinct coefficients: (p, r) in lowest terms, and the ledger's
+        # number of (|p|, r)
+        index = {q: i for i, q in enumerate(dict.fromkeys(qs))}
+        qid = np.fromiter(map(index.__getitem__, qs), dtype=np.int32, count=len(qs))
+        pr = [(p // g, r // g) for p, r in (q if type(q) is tuple else (q.numerator, q.denominator)
+                                            for q in index) for g in [math.gcd(p, r)]]
+        number, sign, nonzero = np.array(
+            [(ledger.coefficients.setdefault((abs(p), r), len(ledger.coefficients)),
+              2 * (p < 0), p != 0) for p, r in pr], dtype=np.int64).reshape(-1, 3).T
+        del terms, kinds, qs
         # q = 0 and [a, a] take no arithmetic
         live = (nonzero[qid] != 0) & ((kind != 0) | (a != b))
-        tcase = np.repeat(np.arange(n, dtype=np.int32), window.size)[live]
-        code, kind, a, b, qid = (v[live] for v in (code, kind, a, b, qid))
+        tcase, code, kind, a, b, qid = (v[live] for v in (tcase, code, kind, a, b, qid))
         del live
         if S > 1 and (kind == 1).any():
             raise InputError("an anticommutator of site sums is not site-local")
@@ -388,118 +373,75 @@ class RelationKernel:
         best = {}    # per group, its candidate with the least key
         for c, g in enumerate(cg.tolist()):
             best[g] = c if g not in best or ckey[c] < ckey[best[g]] else best[g]
-        chosen, ids = np.fromiter(best.values(), dtype=np.int64, count=G), {}
-        kid = np.fromiter((ids.setdefault(ckey[c], len(ids)) for c in chosen.tolist()),
-                          dtype=np.int64, count=G)    # a number per distinct key
+        chosen = np.fromiter(best.values(), dtype=np.int64, count=G)
+        keys, ids, memo = [ckey[c] for c in chosen.tolist()], {}, self.memo
         del ckey, best
+        # a case weighs the keys it first meets in the window that the memo lacks
+        new = np.array([g for g, k in enumerate(keys) if ids.setdefault(k, g) == g
+                        and k not in memo], dtype=np.int64)
+        keys = [keys[ids[k]] for k in keys]    # one bytes object per distinct key
         kind, u, v = head >> 42, (head >> 21 & _M) - 1, (head & _M) - 1
         mag, cnt = self._mag, self._cnt    # F: a row's bound but for its K |p| / r
+        gweight = np.bincount(grp, self.d + self._ent[u] + self._ent[v], minlength=G)
         return types.SimpleNamespace(
-            n=n, tcase=tcase, qid=qid, rcase=rcase, q=q, head=head,
+            pr=pr, tcase=tcase, qid=qid, rcase=rcase, q=q, head=head,
             F=np.where(kind == 2, self.den * mag[u], (cnt[u] + cnt[v]) * mag[u] * mag[v]),
-            gcase=gcase, keys=list(ids), kid=kid, turn=turn[chosen], cstart=cstart[chosen],
+            gcase=gcase, keys=keys, new=new, turn=turn[chosen], cstart=cstart[chosen],
             csize=csize[chosen], at=at, counts=rot,
-            gweight=np.bincount(grp, self.d + self._ent[u] + self._ent[v], minlength=G))
-
-    def _fresh(self, plan, pos):
-        """plan.new, the groups from case pos on that first meet a key the memo
-        lacks, and plan.total, the cumulative weight of their cases."""
-        g0, memo = int(np.searchsorted(plan.gcase, pos)), self.memo
-        known = np.array([key in memo for key in plan.keys], dtype=bool)
-        kid = plan.kid[g0:]
-        first = np.unique(kid, return_index=True)[1]
-        plan.new = g0 + np.sort(first[~known[kid[first]]])
-        plan.total = np.append(0, np.cumsum(np.bincount(
-            plan.gcase[plan.new], plan.gweight[plan.new], minlength=plan.n))).astype(np.int64)
+            weight=np.bincount(gcase[new], gweight[new], minlength=n).astype(np.int64))
 
     def weight(self, case):
         """Per term of each key the case computes, d plus its factors' entries
         (a key decided, or met at another of its sites, weighs 0)."""
-        plan = self._plan(self._read([case]))
-        self._fresh(plan, 0)
-        return int(plan.total[1])
+        return int(self._plan([case]).weight[0])
 
-    def first_failure(self, prop, cases=None):
+    def first_failure(self, prop, cases):
         """The report of the walk `prop` over the (witness, *terms) rows
-        `cases`: its first row whose case fails.  Given a list of (prop,
-        cases) walks alone, their reports, as if walked one by one."""
-        if cases is not None:
-            return self.first_failure([(prop, cases)])[0]
-        walks, reports = [iter(rows) for _, rows in prop], [ok(name) for name, _ in prop]
-        w, window = 0, self._read([])
-        while True:
-            read = len(window.q)
-            while w < len(walks) and len(window.q) - read < _BLOCK // CHUNK:
-                rows = list(itertools.islice(walks[w], CHUNK))
-                self._read([row[1:] for row in rows], window)
-                window.witness += [row[0] for row in rows]
-                window.walk += [w] * len(rows)
-                w += not rows
-            if not window.size:
-                return reports
-            plan, walk, pos = self._plan(window), np.array(window.walk), 0
-            ends = np.searchsorted(walk, walk, side="right")    # each row's walk's end
-            while True:
-                bad, stop = self._walk(plan, pos, ends, w < len(walks) and walk[-1] == w)
-                if bad is None:
-                    break
-                v = window.walk[bad]
-                reports[v] = fail(prop[v][0], witness=window.witness[bad])
-                pos, w = int(ends[bad]), w + (v == w)    # the rest of the walk is not read
-            t0 = sum(window.size[:stop])    # the rows of a chunk cut short, kept
-            window = types.SimpleNamespace(
-                kinds=["".join(window.kinds)[t0:]], q=window.q[t0:], a=window.a[t0:],
-                b=window.b[t0:], size=window.size[stop:], witness=window.witness[stop:],
-                walk=window.walk[stop:])
+        `cases`: its first row, in walk order, whose case fails."""
+        return self.first_failures([(prop, cases)])[0]
 
-    def _walk(self, plan, pos, ends, open_end):
-        """(the first failing case from pos on, or None; the case the chunks
-        stop at, one that the window's end cuts short while its walk is
-        `open_end`, still being read), deciding chunks as "Walks" says."""
-        self._fresh(plan, pos)
-        total, chunks, stop = plan.total, [], pos
-        while stop < plan.n:
-            end = int(ends[stop])
-            hi = min(stop + CHUNK, int(np.searchsorted(total, total[stop] + BUDGET)))
-            if hi > end == plan.n and open_end:
-                break
-            chunks.append((stop, min(hi, end)))
-            stop = chunks[-1][1]
-        i = 0
-        while i < len(chunks):
-            j = i + 1
-            while j < len(chunks) and chunks[j][1] - chunks[i][0] <= CHUNK \
-                    and total[chunks[j][1]] - total[chunks[i][0]] <= BUDGET:
-                j += 1
-            parts = [self._chunk(plan, lo, hi) for lo, hi in chunks[i:j]]
-            todo = [chunk for chunk in parts if len(chunk.fresh)]
-            ahead = self._decide(plan, todo) if todo else {}
-            for chunk in parts:
-                bad = np.flatnonzero(self._fails(plan, chunk, ahead))
-                if bad.size:
-                    return chunk.lo + int(bad[0]), stop
-            i = j
-        return None, stop
+    def first_failures(self, walks):
+        """The report of each (prop, rows) walk, as if the walks were made one
+        by one: windows of rows, read across walks, are planned at once and
+        each walk's chunks decided in turn (see "Walks")."""
+        reports, todo = [ok(prop) for prop, _ in walks], [iter(rows) for _, rows in walks]
+        rows, w = [], 0    # the window's (walk, row) pairs; the walk being read
+        while rows or w < len(todo):
+            terms = 0    # read into this window; a short read ends its walk
+            while w < len(todo) and terms < _BLOCK // CHUNK:
+                more = list(itertools.islice(todo[w], CHUNK))
+                rows, w = rows + [(w, row) for row in more], w + (len(more) < CHUNK)
+                terms += sum(map(len, more)) - len(more)
+            plan, n, lo = self._plan([row[1:] for _, row in rows]), len(rows), 0
+            ends, walk = np.cumsum(plan.weight), [v for v, _ in rows]
+            last = np.searchsorted(walk, walk, side="right").tolist()    # each case's walk's end
+            while lo < n:
+                hi = min(lo + CHUNK, int(np.searchsorted(
+                    ends, (ends[lo - 1] if lo else 0) + BUDGET)) + 1)
+                if hi > last[lo] == n and walk[-1] == w < len(todo):
+                    break    # cut short by the window's end
+                bad = np.flatnonzero(self._fails(plan, lo, min(hi, last[lo])))
+                if bad.size:    # the rest of the walk is not read
+                    v, row = rows[lo + bad[0]]
+                    reports[v], w, lo = fail(walks[v][0], witness=row[0]), w + (v == w), last[lo]
+                    break
+                lo = min(hi, last[lo])
+            rows = rows[lo:]    # planned again with the next window
+        return reports
 
     def fails(self, cases):
         """True for each case whose residual breaks the c_x I rule, the cases
         decided as one chunk.  The cases before the first one whose bound
         reaches 2^62 are decided, and BoundError is raised when none of them
         fails."""
-        plan = self._plan(self._read(cases))
-        self._fresh(plan, 0)
-        chunk = self._chunk(plan, 0, plan.n)
-        ahead = self._decide(plan, [chunk]) if len(chunk.fresh) else {}
-        return self._fails(plan, chunk, ahead)
+        return self._fails(self._plan(cases), 0, len(cases))
 
-    def _chunk(self, plan, lo, hi):
-        """The chunk of the planned cases lo to hi: the lcm K of its
-        coefficients' denominators, each coefficient's K |p| / r (`mult`), its
-        first case whose bound reaches 2^62 (`limit`, hi if none) and the
-        groups before that case that first meet a key the memo lacks."""
-        (t0, t1), (r0, r1) = (np.searchsorted(c, [lo, hi]) for c in (plan.tcase, plan.rcase))
-        K = math.lcm(1, *(self._pr[i][1] for i in set(plan.qid[t0:t1].tolist())))
-        mult = [abs(p) * (K // r) for p, r in self._pr]
+    def _fails(self, plan, lo, hi):
+        """`fails` for the cases lo to hi of a planned window, one chunk."""
+        (t0, t1), (r0, r1), (g0, _) = (np.searchsorted(c, [lo, hi])
+                                       for c in (plan.tcase, plan.rcase, plan.gcase))
+        K = math.lcm(1, *(plan.pr[i][1] for i in set(plan.qid[t0:t1].tolist())))
+        mult = [abs(p) * (K // r) for p, r in plan.pr]
         rq, rcase = plan.q[r0:r1], plan.rcase[r0:r1] - lo
         bound = np.bincount(rcase, np.array([float(min(m, BOUND)) for m in mult])[rq]
                             * plan.F[r0:r1], minlength=hi - lo)
@@ -513,50 +455,38 @@ class RelationKernel:
                 for i in r0 + np.flatnonzero(rcase == k) for h in [int(plan.head[i])]
                 for kind, u, v in [(h >> 42, (h >> 21 & _M) - 1, (h & _M) - 1)]))
         limit = lo + int(np.argmax(out)) if out.any() else hi
-        g0, gl = np.searchsorted(plan.new, np.searchsorted(plan.gcase, [lo, limit]))
-        return types.SimpleNamespace(lo=lo, hi=hi, K=K, mult=mult, limit=limit,
-                                     fresh=plan.new[g0:gl])
-
-    def _fails(self, plan, chunk, ahead):
-        """`fails` for one planned chunk whose fresh keys `ahead` holds: they
-        enter the memo, then each case before the chunk's limit is judged."""
-        memo, keys, kid = self.memo, plan.keys, plan.kid
-        for k in kid[chunk.fresh].tolist():
-            memo[keys[k]] = ahead[keys[k]]
-        lo, hi, limit = chunk.lo, chunk.hi, chunk.limit
-        g0, gl = np.searchsorted(plan.gcase, [lo, limit])
+        gl, memo = int(np.searchsorted(plan.gcase, limit)), self.memo
+        fresh = [g for g in plan.new[np.searchsorted(plan.new, g0):np.searchsorted(
+            plan.new, gl)].tolist() if plan.keys[g] not in memo]
+        if fresh:
+            self._decide(plan, fresh, mult, K)
         bad, sums = np.zeros(hi - lo, dtype=bool), {}
-        for g, k in enumerate(kid[g0:gl].tolist(), g0):
-            if memo[keys[k]] is _ZERO:
-                continue
-            (re, im, holds), c = memo[keys[k]], int(plan.gcase[g]) - lo
+        for g in [g for g, key in enumerate(plan.keys[g0:gl], g0) if memo[key] is not _ZERO]:
+            (re, im, holds), k = memo[plan.keys[g]], int(plan.gcase[g]) - lo
             for _ in range(plan.turn[g]):    # i^t (re + i im)
                 re, im = -im, re
-            total = sums.setdefault(c, [0, 0])
-            total[0], total[1], bad[c] = total[0] + re, total[1] + im, bad[c] or not holds
-        for c, (re, im) in sums.items():
-            bad[c] |= bool(re or im)
+            total = sums.setdefault(k, [0, 0])
+            total[0], total[1], bad[k] = total[0] + re, total[1] + im, bad[k] or not holds
+        for k, (re, im) in sums.items():
+            bad[k] |= bool(re or im)
         if limit < hi and not bad.any():
             raise BoundError()
         return bad
 
-    def _decide(self, plan, chunks):
-        """The memo values of the keys of the chunks' fresh groups, from one
-        product L R: each key's rows of L over its own chunk's lcm K, with its
-        chunk's K |p| / r of each coefficient."""
+    def _decide(self, plan, groups, mult, K):
+        """The key of each of `groups` (a group that first meets it) into the
+        memo, from one product L R over the lcm K of the chunk's coefficients,
+        `mult` the K |p| / r of each coefficient."""
         if self.R is None:
             self._stack()
-        d, D = self.d, self.den
-        groups = np.concatenate([chunk.fresh for chunk in chunks])
-        part = np.repeat(np.arange(len(chunks)), [len(chunk.fresh) for chunk in chunks])
-        mult = np.array([[min(m, BOUND) for m in chunk.mult] for chunk in chunks], dtype=np.int64)
+        d, D, groups = self.d, self.den, np.array(groups)
         # the (run, phase) pairs of each key's runs that hold a term
         at = ragged(plan.cstart[groups], plan.csize[groups])
         e, t = np.nonzero(plan.counts[at] > 0)
         key, at = np.repeat(np.arange(len(groups)), plan.csize[groups])[e], at[e]
         head, q = plan.head[plan.at[at]], plan.q[plan.at[at]]
         kind, u, v = head >> 42, (head >> 21 & _M) - 1, (head & _M) - 1
-        coef = mult[part[key], q] * plan.counts[at, t]
+        coef = np.array([min(m, BOUND) for m in mult], dtype=np.int64)[q] * plan.counts[at, t]
         # each pair of nonempty parts, one of u's and one of v's (I_d for an
         # "o" term): a [u, v] or {u, v} term puts each against the other, an
         # "o" term only K q D I_d against u's
@@ -585,9 +515,8 @@ class RelationKernel:
                            (col * d).astype(np.int32)[blk] + self.R.indices[e], indptr),
                           shape=(n, self.R.shape[0]))
         c, ok = _scalar_blocks(L @ self.R, d, 2 * len(groups))
-        c, ok, Ks, out = c.tolist(), ok.tolist(), [chunk.K for chunk in chunks], {}
-        for i, (g, p) in enumerate(zip(plan.kid[groups].tolist(), part.tolist())):
-            re, im = (Fraction(v, Ks[p] * D * D) if v else 0 for v in c[2 * i:2 * i + 2])
+        c, ok = c.tolist(), ok.tolist()
+        for i, g in enumerate(groups.tolist()):
+            re, im = (Fraction(v, K * D * D) if v else 0 for v in c[2 * i:2 * i + 2])
             holds = ok[2 * i] and ok[2 * i + 1]
-            out[plan.keys[g]] = _ZERO if holds and not (re or im) else (re, im, holds)
-        return out
+            self.memo[plan.keys[g]] = _ZERO if holds and not (re or im) else (re, im, holds)

@@ -293,9 +293,9 @@ def test_etc_verify_decides_the_same_rows_at_every_site_count(monkeypatch, quat_
     # at one site, in order, are all that two and three sites compute
     computed, fails = [], RelationKernel._fails
 
-    def spy(kernel, plan, chunk, ahead):
+    def spy(kernel, plan, lo, hi):
         known = len(kernel.memo)
-        out = fails(kernel, plan, chunk, ahead)
+        out = fails(kernel, plan, lo, hi)
         computed[-1] += list(kernel.memo)[known:]
         return out
     monkeypatch.setattr(RelationKernel, "_fails", spy)

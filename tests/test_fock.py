@@ -808,19 +808,20 @@ def test_scan_rows_are_decided_a_chunk_at_a_time(monkeypatch):
     chunks, products = [], []
     fails, decide = RelationKernel._fails, RelationKernel._decide
 
-    def spy(kernel, plan, chunk, ahead):
+    def spy(kernel, plan, lo, hi):
         # the weights the window's chunks were cut by
-        chunks.append(np.diff(plan.total[chunk.lo:chunk.hi + 1]).tolist())
-        return fails(kernel, plan, chunk, ahead)
+        chunks.append(plan.weight[lo:hi].tolist())
+        return fails(kernel, plan, lo, hi)
 
-    def decide_spy(kernel, plan, parts):
-        products.append([chunk.hi - chunk.lo for chunk in parts])
-        return decide(kernel, plan, parts)
+    def decide_spy(kernel, plan, groups, mult, K):
+        # the cases whose keys one product decides
+        products.append(sorted(set(plan.gcase[groups].tolist())))
+        return decide(kernel, plan, groups, mult, K)
     monkeypatch.setattr(RelationKernel, "_fails", spy)
     monkeypatch.setattr(RelationKernel, "_decide", decide_spy)
     assert car_check(build_fock(16, 1)).passed
     assert chunks and all(len(chunk) == 1 and chunk[0] >= BUDGET for chunk in chunks)
-    assert products and all(product == [1] for product in products)
+    assert products and all(len(product) == 1 for product in products)
     chunks.clear()
     assert canonical_etc_check(build_fields(8, 2)).passed
     assert len(chunks) > 1

@@ -22,6 +22,7 @@ from mnl.birep import GeneratorSet, check_glc
 from mnl.envelope import build_envelope, realize_check
 from mnl.etc import (ChargeDensitySet, charge_algebra_check, charge_densities, charges,
                      etc_verify, locality_check)
+from mnl import relations
 from mnl.fock import GQSparse, SiteOp, _states, build_fields, build_fock
 from mnl.relations import Ledger, RelationKernel
 from mnl.report import BoundError, InputError
@@ -260,46 +261,70 @@ def test_array_kernel_equals_the_case_by_case_walk(drawn):
         run(lambda: oracles.kernel_walk(ops, "rows", walk))
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(straddling_rows(), st.data())
 def test_a_walk_set_equals_its_walks_one_by_one(drawn, data):
-    # the drawn rows cut into walks, the failing ones (or those out of
-    # bound) before the passing ones: one call gives each walk's report,
-    # BoundError at the same walk, and leaves the memo holding the keys
-    # that the walks made one after another leave, though keys past a
-    # failing chunk may be decided ahead of it in one product
+    # walks of the drawn rows, a row at times in several walks or twice in
+    # one, the failing walks (or those out of bound) before the passing
+    # ones: one call gives each walk's report, BoundError at the same walk,
+    # and leaves the memo holding the keys that the walks made one after
+    # another leave.  A small CHUNK, BUDGET and window (_BLOCK // CHUNK
+    # terms) split the windows and chunks inside walks and between them, a
+    # failing walk at times still open at a window's end.  The chunks are
+    # those of the walks made one by one, each in one window, and at the
+    # default BUDGET the reports are those of the case-by-case walk
     ops, rows = drawn
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=4)))
-    walks = [[((w, k), *row) for k, row in enumerate(rows[lo:hi])]
-             for w, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(rows)]))]
+    picks = st.lists(st.integers(0, len(rows) - 1), max_size=8)
+    walks = [[((w, k), *rows[i]) for k, i in enumerate(walk)]
+             for w, walk in enumerate(data.draw(st.lists(picks, min_size=1, max_size=5)))]
+    with pytest.MonkeyPatch.context() as mp:
+        chunk = data.draw(st.sampled_from([1, 2, 3, 64]))
+        budget = data.draw(st.sampled_from([1, 40, 150, relations.BUDGET]))
+        oracle = budget == relations.BUDGET
+        for module in (relations, oracles):
+            mp.setattr(module, "CHUNK", chunk)
+        mp.setattr(relations, "BUDGET", budget)
+        mp.setattr(relations, "_BLOCK", chunk << 20)    # each walk in one window
 
-    def passes(walk):
-        try:
-            return RelationKernel(ops).first_failure("w", walk).passed
-        except BoundError:
-            return False
-    walks = sorted(walks, key=passes)
+        def passes(walk):
+            try:
+                return RelationKernel(ops).first_failure("w", walk).passed
+            except BoundError:
+                return False
+        walks = sorted(walks, key=passes)
 
-    def kernel():
-        # the coefficients numbered alike on both ledgers, as keys hold
-        # those numbers
-        out = RelationKernel(ops)
-        for walk in walks:
-            for _, *case in walk:
-                out.weight(case)
-        return out
+        def kernel():
+            # the coefficients numbered alike on both ledgers, as keys hold
+            # those numbers
+            out = RelationKernel(ops)
+            for walk in walks:
+                for _, *case in walk:
+                    out.weight(case)
+            return out
 
-    def run(check, kernel):
-        try:
-            return [rep.to_dict() for rep in check(kernel)], dict(kernel.memo)
-        except BoundError:
-            return "BoundError", dict(kernel.memo)
+        sizes, fails = [], RelationKernel._fails    # the cases of each chunk decided
+        mp.setattr(RelationKernel, "_fails",
+                   lambda k, plan, lo, hi: sizes.append(hi - lo) or fails(k, plan, lo, hi))
 
-    def one_by_one(kernel):
-        return [kernel.first_failure(str(w), walk) for w, walk in enumerate(walks)]
-    together = run(lambda k: k.first_failure([(str(w), walk) for w, walk in enumerate(walks)]),
-                   kernel())
-    assert together == run(one_by_one, kernel())
+        def run(check, kernel=None):
+            sizes.clear()
+            try:
+                out = [rep.to_dict() for rep in check(kernel)]
+            except BoundError:
+                out = "BoundError"
+            return out, kernel and dict(kernel.memo), list(sizes)
+
+        def one_by_one(kernel):
+            return [kernel.first_failure(str(w), walk) for w, walk in enumerate(walks)]
+        whole = run(one_by_one, kernel())
+        mp.setattr(relations, "_BLOCK", chunk * data.draw(st.sampled_from([1, 3, 8, 256])))
+        together = run(lambda k: k.first_failures([(str(w), walk)
+                                                   for w, walk in enumerate(walks)]), kernel())
+        assert together == run(one_by_one, kernel()) == whole
+        if oracle:
+            assert together[0] == run(lambda _: [oracles.kernel_walk(ops, str(w), walk)
+                                                 for w, walk in enumerate(walks)])[0]
+
 
 # --- the ledger: factors up to a unit phase ------------------------------
 
