@@ -403,7 +403,7 @@ class RelationKernel:
     def first_failures(self, walks):
         """The report of each (prop, rows) walk, as if the walks were made one
         by one: windows of rows, read across walks, are planned at once and
-        each walk's chunks decided in turn (see "Walks")."""
+        each walk's chunks decided in turn (see the module docstring)."""
         reports, todo = [ok(prop) for prop, _ in walks], [iter(rows) for _, rows in walks]
         rows, w = [], 0    # the window's (walk, row) pairs; the walk being read
         while rows or w < len(todo):
