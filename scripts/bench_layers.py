@@ -57,9 +57,10 @@ Each function runs five times, every run on fresh copies of its inputs
 on an input from an earlier run hides the work (Cayley tables and charts
 keep no such value, and are built once); the copies are made outside
 the timed call, which is timed by the process's CPU time
-(`time.process_time`), steadier than the wall clock on a shared host.  One
-more run, untimed, records the peak of the memory that `tracemalloc` sees
-allocated during the call.  Writes BENCH_<TAG>.json at the checkout's root
+(`time.process_time`), steadier than the wall clock on a shared host.  Four
+more runs, untimed, record the peak of the memory that `tracemalloc` sees
+allocated during the call: the first, which can differ (a module's first
+use, a cache filled), is dropped, and the median of the other three kept.  Writes BENCH_<TAG>.json at the checkout's root
 with the lowest, median and highest of the runs of each function, in
 seconds, and that peak in MB; the lowest is the figure to compare.
 
@@ -95,6 +96,7 @@ from mnlbench import workloads  # noqa: E402
 
 RUNS = 5
 PAIRS = 15
+PEAKS = 3
 SEED = 0
 SUBMODULES = ("algebra", "birep", "envelope", "etc", "fock", "loops")
 
@@ -297,14 +299,19 @@ def run_once(c, gen, case):
 
 
 def peak_mb(c, gen, case):
-    """The tracemalloc peak of one call on fresh inputs, in MB."""
+    """The tracemalloc peak of a call on fresh inputs, in MB: the median of
+    PEAKS calls after one more, whose reading is dropped."""
     inputs, call = case
-    args = inputs(c, gen)
-    tracemalloc.start()
-    call(*args)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    return peak / 2**20
+    peaks = []
+    for _ in range(PEAKS + 1):
+        args = inputs(c, gen)
+        tracemalloc.start()
+        try:
+            call(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    return statistics.median(peaks[1:])
 
 
 def stats(times, peak):

@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import matrices
-from .matrices import CHUNK, contract, lincomb, magnitude, mat_mul, scaled
+from .matrices import CHUNK, lincomb, magnitude, mat_mul, scaled
 from .report import CheckReport, InputError, fail, is_int, ok, read_json
 
 Key = Tuple[int, int, int]
@@ -153,26 +153,29 @@ def is_maltsev(c: StructureTensor) -> CheckReport:
 
 
 def _maltsev_scan(c: StructureTensor) -> CheckReport:
-    """Both sides of the Mal'tsev identity at D^3 over D c, for about CHUNK
-    pairs (x, y) with every z."""
+    """Both sides of the Mal'tsev identity at D^3 over D c, for all y = e_b,
+    z = e_d and as many probes x as keep each array within `matrices._BLOCK`
+    entries (CHUNK // dim at least), as stacked products (`mat_mul`).  For
+    [x, u] = A u, (M C)[i, b, d] = M[i, m] C[m, b, d], (C M)[i, b, d] =
+    C[i, b, m] M[m, d] and T(X)[i, b, d] = A[k, b] X[i, k, d], antisymmetry
+    gives J(x, e_b, e_d) = A C - C A - T(C) and J(x, e_b, A e_d) = A (C A) -
+    C A^2 - T(C A), so the sides differ by A J(x, e_b, e_d) + J(x, e_b, A e_d)
+    = A^2 C - C A^2 - T(A C + C A), as A T(C) = T(A C)."""
     r = c.dim
     C, _ = scaled((r,) * 3, c.entries.items())
 
-    def jac(A, V):
-        """J(x, e_b, v) = [x, [e_b, v]] - [e_b, [x, v]] + [v, [x, e_b]] for
-        [x, u] = A[p] u and the columns v = V[p, :, d], as J[p, i, b, d]."""
-        return lincomb([(1, contract("pik,pkbd->pibd", A, contract("ibk,pkd->pibd", C, V))),
-                        (-1, contract("ibk,pkd->pibd", C, mat_mul(A, V))),
-                        (1, contract("ijk,pjd,pkb->pibd", C, V, A))])
+    def plus(M, sign):    # M C + sign C M, for a stack of matrices M
+        return lincomb([(1, mat_mul(M, C.reshape(r, r * r)).reshape(-1, r, r, r)),
+                        (sign, mat_mul(C.reshape(r * r, r), M).reshape(-1, r, r, r))])
 
+    ad = C.transpose(1, 0, 2).reshape(r, r * r)    # row j: the matrix of [e_j, .]
     eye = np.eye(r, dtype=np.int64)
     probes = np.array([*eye] + [eye[a] + eye[b] for a in range(r) for b in range(a + 1, r)])
-    rows = max(1, CHUNK // r)
+    rows = max(1, CHUNK // r, matrices._BLOCK // r ** 3)
     for start in range(0, len(probes), rows):
-        A = contract("pj,ijk->pik", probes[start:start + rows], C)
-        # [J(x, y, z), x] = -A J(x, y, z) and J(x, y, [x, z]) = J(x, y, A z)
-        J = jac(A, np.broadcast_to(eye, A.shape))
-        bad = np.argwhere((contract("pik,pkbd->pibd", A, J) != -jac(A, A)).any(axis=1))
+        A = mat_mul(probes[start:start + rows], ad).reshape(-1, r, r)
+        T = mat_mul(A.transpose(0, 2, 1)[:, None], plus(A, 1))
+        bad = np.argwhere(lincomb([(1, plus(mat_mul(A, A), -1)), (-1, T)]).any(axis=1))
         if bad.size:
             p, b, d = (int(v) for v in bad[0])
             return fail("maltsev", witness=(start + p, b, d),
@@ -214,9 +217,9 @@ def integer_constants(c: StructureTensor):
     per tensor and kept on it.  D d is the defining contraction over den c."""
     if c._integer is None:
         C, den = scaled((c.dim,) * 3, c.entries.items())
-        T = contract("pjs,skl->pjkl", C, C)                     # c^p_js c^s_kl
-        total = lincomb([(1, T), (-1, T.transpose(0, 2, 1, 3)),
-                         (1, contract("psl,sjk->pjkl", C, C))])
+        # T[p, j, k, l] = c^p_js c^s_kl, and c^p_sl c^s_jk = -T[p, l, j, k] by antisymmetry
+        T = mat_mul(C.reshape(-1, c.dim), C.reshape(c.dim, -1)).reshape((c.dim,) * 4)
+        total = lincomb([(1, T), (-1, T.transpose(0, 2, 1, 3)), (-1, T.transpose(0, 2, 3, 1))])
         C, D = lincomb([(6 * den, C)]), 6 * den * den
         if not matrices.fits_int64(6 * D, 6 * magnitude(C), 6 * magnitude(total)):
             C, total = C.astype(object), total.astype(object)

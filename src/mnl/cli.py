@@ -11,6 +11,7 @@ pins the randomized checks, default 0).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -263,7 +264,10 @@ def cmd_tangent(args):
     return EXIT_PASS if passed else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built once per process: parsing does
+    not change it.  `main` runs `cmd_<command>`, looked up at each call."""
     parser = argparse.ArgumentParser(
         prog="mnl",
         description="Verification workbench for Moufang loops, Mal'tsev "
@@ -277,19 +281,16 @@ def build_parser():
     p = sub.add_parser("loop-check", help="quasigroup/unit/Moufang/associativity suite")
     p.add_argument("cayley", help="Cayley table JSON path or builtin:NAME")
     common(p)
-    p.set_defaults(func=cmd_loop_check)
 
     p = sub.add_parser("maltsev", help="Lie and Mal'tsev identity checks")
     p.add_argument("tensor", help="structure tensor JSON path or builtin:NAME")
     common(p)
-    p.set_defaults(func=cmd_maltsev)
 
     p = sub.add_parser("envelope", help="enveloping Lie algebra construction and certification")
     p.add_argument("tensor", help="structure tensor JSON path or builtin:NAME")
     p.add_argument("--oracle", default=None,
                    help="generator set (path or builtin:NAME) for the closure oracle")
     common(p)
-    p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("etc", help="lattice charge-density ETC verification")
     p.add_argument("generators", help="generator set JSON path or builtin:NAME")
@@ -299,13 +300,11 @@ def build_parser():
     p.add_argument("--tensor", default=None,
                    help="structure tensor (inferred for builtin generators)")
     common(p)
-    p.set_defaults(func=cmd_etc)
 
     p = sub.add_parser("tangent", help="numeric tangent constants vs the exact catalog")
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-5)
     common(p)
-    p.set_defaults(func=cmd_tangent)
 
     return parser
 
@@ -318,7 +317,7 @@ def main(argv=None):
         # argparse exits with 2 on usage errors already
         return exc.code
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (InputError, BoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -227,22 +227,23 @@ def check_jacobi(env: EnvelopeAlgebra) -> CheckReport:
 
 def matrix_closure_dim(gen: GeneratorSet) -> int:
     """Dimension of the smallest matrix space containing all S_j, T_j and
-    closed under commutators (iterated bracketing, each matrix a row of its
-    entries, over the generators' denominator, which spans the same lines)."""
+    closed under commutators (each matrix a row of its entries, over the
+    generators' denominator, which spans the same lines), level by level: the
+    newest matrices meet every kept one, each pair once, in stacked products
+    of at most `matrices._BLOCK` entries an array; brackets that grow it are next."""
     span = Echelon(gen.dim * gen.dim)
 
     def grown(ms):
-        return list(ms[span.add(ms.reshape(len(ms), -1))])
+        return ms[span.add(ms.reshape(-1, gen.dim * gen.dim))]
 
-    mats = grown(gen.integer[0])
-    queue = list(mats)
-    while queue:
-        m = queue.pop()
-        # [other, m] = -[m, other] never grows the span after [m, other]
-        new = grown(commutator(m, np.stack(mats)))
-        mats += new
-        queue += new
-    return len(span.pivots)
+    kept, old = grown(gen.integer[0]), 0    # kept[old:] grew the span last
+    step = max(1, matrices._BLOCK // gen.dim ** 2)
+    while old < len(kept):
+        a, b = np.nonzero(np.arange(len(kept)) < np.arange(old, len(kept))[:, None])
+        level = [grown(commutator(kept[old + a[i:i + step]], kept[b[i:i + step]]))
+                 for i in range(0, len(a), step)]
+        old, kept = len(kept), np.concatenate([kept, *level])
+    return len(kept)
 
 
 def realize_check(env: EnvelopeAlgebra, gen: GeneratorSet, c: StructureTensor) -> CheckReport:

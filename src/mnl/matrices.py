@@ -1,5 +1,6 @@
 """Exact dense integer kernels.  A rational tensor or matrix stack is held as
-an integer array over its common denominator (`scaled`).  Every contraction
+an integer array over its common denominator (`scaled`), and a contraction of
+such arrays is a matrix product (`mat_mul`) of their reshapes.  Every product
 and linear combination bounds its result before it computes (`fits_int64`,
 the bound the sparse Fock operators apply too, raising instead): below 2^62
 it runs in int64, otherwise over Python ints (object dtype), so no value can
@@ -7,8 +8,8 @@ wrap.  Rows of label coefficients, mostly zero, are held as (row, column,
 value) triples (`Rows`), a product with them runs over those (`rows_times`),
 and one fraction-free echelon (`Echelon`) reduces integer rows exactly.
 Identities are decided CHUNK cases at a time, in their walk order, or in
-blocks of at most _BLOCK entries an array (`birep.commutator_scan`), so a
-failing input stops early and the temporaries stay small.
+blocks of at most _BLOCK entries an array (`birep.commutator_scan`, the
+Mal'tsev scan), so a failing input stops early and the temporaries stay small.
 
 One tier runs in floating point, and it is exact: `mat_mul` multiplies in
 float64 (BLAS) when its bound K max|a| max|b| is below 2^53, and casts the
@@ -22,9 +23,7 @@ whose products are all that small never faults in OpenBLAS's kernels (about
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -74,22 +73,6 @@ def stacked(mats, dim):
     return scaled((len(mats), dim, dim), (((t, i, j), v) for t, m in enumerate(mats)
                                           for i, row in enumerate(m)
                                           for j, v in enumerate(row) if v))
-
-
-def contract(spec, *operands):
-    """np.einsum(spec, *operands), spec with '->', for integer arrays: an entry
-    sums K products, K the summed index sizes' product, so K prod max(max|op|, 1)
-    bounds it and every pairwise step of a longer contraction."""
-    inputs, output = spec.split("->")
-    sizes = {}
-    for sub, op in zip(inputs.split(","), operands):
-        letters = sub.replace("...", "")
-        sizes.update(zip(letters, op.shape[op.ndim - len(letters):]))
-    bound = math.prod(n for letter, n in sizes.items() if letter not in output)
-    bound *= math.prod(max(magnitude(op), 1) for op in operands)
-    dtype = np.int64 if fits_int64(bound) else object
-    return np.einsum(spec, *(op.astype(dtype, copy=False) for op in operands),
-                     optimize=len(operands) > 2)
 
 
 class Rows(NamedTuple):
@@ -142,18 +125,22 @@ def rows_times(R, X):
 
 
 def lincomb(terms):
-    """sum q*A over the (q, A) pairs, q integers and A broadcastable integer
-    arrays; sum |q| max(max|A|, 1) bounds it."""
+    """sum q*A over the (q, A) pairs, q integers and A integer arrays of one
+    shape, summed into a new array; sum |q| max(max|A|, 1) bounds it."""
     terms = list(terms)
     bound = sum(abs(q) * max(magnitude(a), 1) for q, a in terms)
     dtype = np.int64 if fits_int64(bound) else object
-    return functools.reduce(operator.add, (q * a.astype(dtype, copy=False) for q, a in terms))
+    (q, a), *rest = terms
+    out = q * a.astype(dtype, copy=False)
+    for q, a in rest:
+        out += q * a.astype(dtype, copy=False)
+    return out
 
 
 def mat_mul(a, b):
-    """The product of (stacks of) integer matrices by np.matmul, under `contract`'s
-    bound: in float64 below 2^53 from _GEMM multiply-adds, cast back to int64
-    (exact, see above)."""
+    """The product of (broadcast stacks of) integer matrices by np.matmul, K
+    max|a| max|b| bounding it for K = a.shape[-1]: in float64 below 2^53 from
+    _GEMM multiply-adds, cast back to int64 (exact, see above)."""
     return _times(b)(a)
 
 
@@ -200,10 +187,19 @@ class Echelon:
 
     def add(self, block):
         """Reduce the integer rows of `block` against the form in one product,
-        then admit them in order; True for each row that grew the span."""
+        then admit them in order; True for each row that grew the span.  A zero
+        row cannot, nor can one that repeats an earlier reduced (so primitive)
+        row up to sign: neither enters the admission loop."""
         X = _clear(np.asarray(block), self.rows, self.pivots)
         grew = np.zeros(len(X), dtype=bool)
-        for k in np.flatnonzero(X.any(axis=1)):
+        if not X.any():
+            return grew
+        lead = np.sign(X[np.arange(len(X)), np.argmax(X != 0, axis=1)])    # 0 on a zero row
+        signed = (X * lead[:, None]).tolist()
+        # the first row on each line, in order: the dict keeps the last k written
+        keep = sorted({tuple(signed[k]): k for k in np.flatnonzero(lead)[::-1]}.values())
+        X = X[keep]
+        for k in range(len(X)):
             nonzero = np.flatnonzero(X[k])    # an admitted row may have cleared it
             if nonzero.size:
                 p = int(nonzero[0])
@@ -213,7 +209,7 @@ class Echelon:
                 self.rows = np.concatenate([rest[:len(self.rows)], v])
                 self.pivots.append(p)
                 X = np.concatenate([X[:k + 1], rest[len(self.rows) - 1:]])
-                grew[k] = True
+                grew[keep[k]] = True
         return grew
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -315,6 +316,26 @@ def test_text_format(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert cli.main(["no-such-command"]) == 2
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    # calls share the parser, and a usage error between them leaves it as it was
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    try:
+        first = run(capsys, "maltsev", "builtin:m7", "--format", "json")
+        assert cli.main(["maltsev"]) == 2
+        second = run(capsys, "maltsev", "builtin:m7", "--format", "json")
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("mnl") == 1
+    assert first == second and first[0] == 0
 
 
 @pytest.mark.parametrize("argv", [

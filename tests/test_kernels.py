@@ -17,7 +17,9 @@ product (`matrices.mat_mul`) to `np.einsum` over Python ints on both sides of
 its float64 tier's 2^53 edge, and the integer echelon (`matrices.Echelon`)
 to the `Fraction` one (`oracles.echelon_add`): the same rows admitted and
 the same reduced form, with entries past the int64 guard too, and through
-them the closure oracle's dimension and the Y-quotient."""
+them the closure oracle's dimension and the Y-quotient.  The Mal'tsev scan
+is held to its oracle on m7 scaled so that its products take each tier of
+`mat_mul`, and on an r = 14 tensor that fails past the scan's first chunk."""
 
 import contextlib
 import math
@@ -113,6 +115,44 @@ def test_lie_maltsev_and_yamaguti_match_oracles(size, data):
     check_path(size, quadratic + cubic)
     if size == "2^20":
         assert False not in quadratic, "a quadratic contraction near 2^20 left int64"
+
+
+def m7_block_sum():
+    """m7 plus m7 with c[1][0][2] (and c[1][2][0]) doubled, r = 14: the second
+    block fails the identity, at probe e_7, past the scan's first chunk."""
+    m7 = catalog_algebra("m7")
+    ent = dict(m7.entries)
+    for (i, j, k), v in m7.entries.items():
+        ent[(i + 7, j + 7, k + 7)] = v * (2 if (i, j, k) in ((1, 0, 2), (1, 2, 0)) else 1)
+    return StructureTensor(14, ent)
+
+
+F64, I64, OBJ = "float64", "int64", "object"
+# each case's factor on m7 (None: the block sum) and the tier of each product
+# of its scan, in the order A = [x, .], A C, C A, T(A C + C A), A^2, A^2 C,
+# C A^2, chunk by chunk
+MALTSEV_SCANS = {
+    "m7": (1, [F64] * 7),
+    "m7 near 2^16": ((1 << 16) + 1, [F64, F64, F64, I64, F64, I64, I64]),
+    "m7 near 2^20": ((1 << 20) + 3, [F64, F64, F64, OBJ, F64, OBJ, OBJ]),
+    "m7 near 2^31": (5 - (1 << 31), [F64] + [OBJ] * 6),
+    "r=14 block sum": (None, [F64] * 14),
+}
+
+
+@pytest.mark.parametrize("case", MALTSEV_SCANS)
+def test_maltsev_scan_in_every_tier_and_past_its_first_chunk(case):
+    """A passing m7 scaled so that the scan's products take each tier of
+    `mat_mul`, and a failing r = 14 tensor whose witness lies in the second
+    chunk: the oracle's report each time."""
+    scale, tiers = MALTSEV_SCANS[case]
+    c = m7_block_sum() if scale is None else catalog_algebra("m7").scaled(scale)
+    with matmul_dtypes() as seen:
+        report = is_maltsev(c)
+    assert report.to_dict() == oracles.is_maltsev(c).to_dict()
+    assert [dtype.name for dtype in seen] == tiers
+    if c.dim == 14:    # seven products a chunk: two chunks ran
+        assert report.witness == (7, 10, 8)
 
 
 def scaled_quaternion(lam, bump):
@@ -342,7 +382,7 @@ def test_rows_times_matches_contract(data, magnitude):
     R, X = (a.astype(np.int64) for a in (R, X))
     with int64_decisions() as seen:
         out = matrices.rows_times(R, X)
-    expected = matrices.contract("nt,tij->nij", R.astype(object), X.astype(object))
+    expected = np.einsum("nt,tij->nij", R.astype(object), X.astype(object))
     assert out.shape == (n, 2, 3) and (out == expected).all()
     # the bound reads X's rows that meet a nonzero of R
     met = X[R.any(axis=0)].astype(object)
@@ -368,7 +408,7 @@ def test_rows_times_of_triples_matches_the_dense_product(data, magnitude):
     X = np.array(data.draw(st.lists(sparse_ints(magnitude), min_size=t * 6, max_size=t * 6)),
                  dtype=np.int64).reshape(t, 2, 3)
     out = matrices.rows_times(matrices.Rows(n, w, v, size), X)
-    expected = matrices.contract("nt,tij->nij", R, X.astype(object))
+    expected = np.einsum("nt,tij->nij", R, X.astype(object))
     assert out.shape == (size, 2, 3) and (out == expected).all()
     summed, dense = matrices.Rows.summed(size, t, [(n, w, v)]), matrices.Rows.of(R)
     for a, b in zip(summed, dense):
@@ -419,6 +459,17 @@ def test_echelon_matches_fraction_oracle(data, magnitude):
             for row, p in zip(span.rows, span.pivots)} == pivots
     if any(abs(v) >= 1 << 62 for block in blocks for row in block for v in row):
         assert False in seen, "entries past 2^62 did not take the object fallback"
+
+
+def test_echelon_admits_rows_off_the_earlier_lines():
+    """A zero row and rows on an earlier row's line (its negation or a
+    multiple) cannot grow the span; rows that differ from it in one entry can."""
+    block = [[1, 1, 0], [2, 1, 0], [0, 0, 0], [-2, -2, 0], [0, 0, 5], [4, 2, 0], [0, 0, -1]]
+    pivots = {}
+    expected = [oracles.echelon_add(pivots, {t: Fraction(v) for t, v in enumerate(row) if v})
+                for row in block]
+    grew = matrices.Echelon(3).add(np.array(block, dtype=np.int64))
+    assert list(grew) == expected == [True, True, False, False, True, False, False]
 
 
 @SETTINGS
