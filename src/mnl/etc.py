@@ -45,18 +45,19 @@ at a time: one exact sparse product L R, with R the distinct site factors
 stacked once at one common denominator and L the coefficients of each
 one-site residual not yet decided, and the c_x I rule above on every
 residual.  The kernels of one density set share its `relations.Ledger`,
-which `charges` hands on to the charges: it names each factor up to a unit
-phase and keeps every residual decided.  The charges are -i sum_x of the
-densities, each factor -i F of a density's factor F, so at each site every
-residual of the theorem is one of the density ETC times -1 or +-i, and
-after `etc_verify` the theorem computes none.  Every chunk is bounded below
-2^62 before it computes (`BoundError` past it), and each walk's first
-failing row is its witness.  Plain full-space `GQSparse` operators are one
-factor of a one-site space there, so the same checks give the same reports
-on them.  The lemma decides its trials a chunk at a time, on block
-diagonals of their bilinears (`fock.QuadraticCache.blocks`).  The
-case-by-case walks, the per-trial lemma and the per-pair Yamagutian solve
-are the test oracles (`tests/oracles.py`).
+which `charges` hands on to the charges: it names each factor object and
+keeps every residual decided.  The charges are -i sum_x of the densities,
+each factor the -i F that the ledger makes of a density's factor F and
+enters in F's class at i^3, so at each site every residual of the theorem
+is one of the density ETC times -1 or +-i, and after `etc_verify` the
+theorem computes none.  Every chunk is bounded below 2^62 before it
+computes (`BoundError` past it), and each walk's first failing row is its
+witness.  Plain full-space `GQSparse` operators are one factor of a
+one-site space there, so the same checks give the same reports on them.
+The lemma decides its trials a chunk at a time, on block diagonals of their
+bilinears (`fock.QuadraticCache.blocks`).  The case-by-case walks, the
+per-trial lemma and the per-pair Yamagutian solve are the test oracles
+(`tests/oracles.py`).
 
 The states of at most two particles.  The ledger that `charge_densities`
 gives its set decides every residual on the 1 + n + n(n-1)/2 states of at
@@ -84,8 +85,8 @@ import scipy.sparse as sp
 from .algebra import StructureTensor
 from .birep import (GeneratorSet, _labelled_operators, _signed, bracket_rows, cyclic_rows,
                     labels)
-from .fock import FieldSet, GQSparse, QuadraticCache, SiteOp, _ladder, _minus_i, _states
-from .matrices import commutator, first_failure_chunked, fits_int64
+from .fock import FieldSet, GQSparse, QuadraticCache, SiteOp, _ladder, _states
+from .matrices import CHUNK, commutator, first_failure_chunked, fits_int64
 from .relations import Ledger, RelationKernel
 from .report import BoundError, CheckReport, InputError
 
@@ -94,7 +95,7 @@ CONVENTION = ("s0_j(x) = -i a†(x) S_j^T a(x); t0_j(x) = -i a†(x) T_j^T a(x);
               "charges are -i times plain site sums; delta(x-y) is the Kronecker "
               "delta at unit lattice spacing")
 
-LEMMA_BUDGET = 1 << 18    # weight of one chunk of lemma trials, d^2 each
+LEMMA_BUDGET = 1 << 18    # a chunk of lemma trials ends once their d^2 each reach this
 
 
 @dataclass
@@ -302,15 +303,11 @@ class ChargeSet:
 
 
 def charges(d: ChargeDensitySet) -> ChargeSet:
-    """The charges of d, -i sum_x of its densities, sharing its ledger: -i F
-    (`fock._minus_i`) once for each distinct factor F of the sums, shared by
-    the sites that hold it.  A site that one density reaches holds its F."""
-    turned = {}    # id(F) -> (F, -i F); F is kept, so its id stays its own
-
-    def minus_i(F):
-        if id(F) not in turned:
-            turned[id(F)] = F, _minus_i(F)
-        return turned[id(F)][1]
+    """The charges of d, -i sum_x of its densities, sharing its ledger, which
+    makes -i F once for each distinct factor F of the sums
+    (`relations.Ledger.minus_i`), shared by the sites that hold it.  A site
+    that one density reaches holds its F."""
+    minus_i = d.ledger.minus_i
 
     def charge(row):
         total = row[0].zero_like().plus([(1, op) for op in row])
@@ -387,8 +384,8 @@ def _lemma(a, trials: int, seed: int) -> CheckReport:
             raise BoundError()
         return bad
 
-    return first_failure_chunked("bilinear-lemma", draws(), fails, lambda case: d * d,
-                                 LEMMA_BUDGET)
+    return first_failure_chunked("bilinear-lemma", draws(), fails,
+                                 min(CHUNK, -(-LEMMA_BUDGET // (d * d))))
 
 
 def bilinear_lemma_check(f: FieldSet, trials: int = 100, seed: int = 0) -> CheckReport:

@@ -15,8 +15,8 @@ A `SiteOp` holds a sum of site-local operators sum_x I x .. x F_x x .. x I as
 its factors F_x on the 2^n-dimensional space of one site; see `SiteOp`.  The
 density and charge relations are decided on those factors, many cases at a
 time, by `relations.RelationKernel`.  Its `relations.Ledger` interns the
-factors by value up to a unit phase, so the charge -i sum_x F_x shares each
-density's factor at i^3, and keeps every one-site residual decided.  Per
+factors by identity, makes the -i F of the charge -i sum_x F_x (`_minus_i`)
+in F's class, at i^3, and keeps every one-site residual decided.  Per
 chunk, one real product L R of the distinct factors' re and im parts,
 stacked once for all sites (R), by the coefficients of each one-site
 residual not yet decided placed against them by phase (L, gathered from
@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .matrices import fits_int64, ragged, stacked
+from .matrices import _BLOCK, fits_int64, ragged, stacked
 from .report import BoundError, CheckReport, InputError
 
 def _csr(m):
@@ -71,36 +71,30 @@ def _sum(dim, terms):
     enters as m_k*A_k with m_k = q_k.num*L/(q_k.den*A_k.den).  Every partial
     sum of integer parts is at most sum_k |m_k|*mag_k, which is at least each
     |m_k| (a nonzero A_k has mag_k >= 1); bounding it and L below 2^62 once
-    bounds every value computed."""
+    bounds every value computed.  Each of re and im is one COO assembly of
+    the scaled parts, whose conversion to CSR adds up the entries that meet;
+    their row counts are read off one diff of the joined indptr arrays."""
     terms = [(Fraction(q), A) for q, A in terms if q and A.nnz]
     den = math.lcm(1, *(q.denominator * A.den for q, A in terms))
     mults = [q.numerator * (den // (q.denominator * A.den)) for q, A in terms]
     if not fits_int64(den, sum(abs(m) * A.mag for m, (_, A) in zip(mults, terms))):
         raise BoundError()
-    re, im = (_place((dim, dim), dim, [(0, 0, m, getattr(A, part))
-                                       for m, (_, A) in zip(mults, terms)])
-              for part in ("re", "im"))
-    return GQSparse(dim, re, im, den)
 
-
-def _place(shape, d, blocks):
-    """The matrix of `shape` that sums m*P with P's (0, 0) entry at (k*d, j*d),
-    over the (k, j, m, P) of `blocks`, P int64 CSR with d rows: one COO
-    assembly whose conversion to CSR adds up the entries that meet.  Each
-    block's row counts are read off one diff of the joined indptr arrays."""
-    blocks = [block for block in blocks if block[3].nnz]
-    if not blocks:
-        return sp.csr_matrix(shape, dtype=np.int64)
-    if len(blocks) == 1 and blocks[0][3].shape == shape:    # one part needs no assembly
-        return blocks[0][3] * blocks[0][2]
-    k, j, m, P = zip(*blocks)
-    nnz = [p.nnz for p in P]
-    # the diff across a block boundary lands in the dropped last column
-    counts = np.diff(np.concatenate([p.indptr for p in P]), append=0).reshape(len(P), d + 1)
-    rows = np.repeat((np.array(k)[:, None] * d + np.arange(d)).ravel(), counts[:, :d].ravel())
-    cols = np.concatenate([p.indices for p in P]) + np.repeat(np.array(j) * d, nnz)
-    data = np.concatenate([p.data for p in P]) * np.repeat(np.array(m, dtype=np.int64), nnz)
-    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+    def part(name):
+        scaled = [(m, P) for m, (_, A) in zip(mults, terms) if (P := getattr(A, name)).nnz]
+        if not scaled:
+            return sp.csr_matrix((dim, dim), dtype=np.int64)
+        if len(scaled) == 1:    # one part needs no assembly
+            return scaled[0][1] * scaled[0][0]
+        m, P = zip(*scaled)
+        nnz = [p.nnz for p in P]
+        # the diff across a part's boundary lands in the dropped last column
+        counts = np.diff(np.concatenate([p.indptr for p in P]), append=0).reshape(len(P), dim + 1)
+        rows = np.repeat(np.tile(np.arange(dim), len(P)), counts[:, :dim].ravel())
+        data = np.concatenate([p.data for p in P]) * np.repeat(np.array(m, dtype=np.int64), nnz)
+        return sp.coo_matrix((data, (rows, np.concatenate([p.indices for p in P]))),
+                             shape=(dim, dim)).tocsr()
+    return GQSparse(dim, part("re"), part("im"), den)
 
 
 class GQSparse:
@@ -499,9 +493,6 @@ def canonical_etc_check(f: FieldSet) -> CheckReport:
                                  f.fock, lambda *w: w)
 
 
-BILINEAR_ROWS = 1 << 14    # rows of b's in one `QuadraticCache.bilinears` product
-
-
 class QuadraticCache:
     """The mode bilinears a† M a of integer ladder operators a[A], each one
     sparse product of their stack [a_0; ..; a_{m-1}], built once: its transpose
@@ -543,7 +534,7 @@ class QuadraticCache:
         """(P, den_M) with a† M a = P / den_M for each M of the integer stack
         `mats` over all modes at `den`, P int64 CSR in canonical form, each
         bounded at M's own least denominator den_M (`den` over the gcd of it
-        and M's entries): `blocks` products of up to `BILINEAR_ROWS` rows of
+        and M's entries): `blocks` products of up to `matrices._BLOCK` rows of
         b's, canonicalized once, each P sliced from the CSR arrays of its
         block diagonal."""
         d, m = self.dim, len(self.mags)
@@ -552,7 +543,7 @@ class QuadraticCache:
         if not fits_int64(*dens, *self.bounds(ints)):
             raise BoundError()
         ints = ints.astype(np.int64)
-        out, step = [], max(1, BILINEAR_ROWS // (m * d))
+        out, step = [], max(1, _BLOCK // (m * d))
         for lo in range(0, len(ints), step):
             P = _csr(self.blocks(ints[lo:lo + step]))
             for k, den in enumerate(dens[lo:lo + step]):

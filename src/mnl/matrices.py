@@ -23,6 +23,7 @@ whose products are all that small never faults in OpenBLAS's kernels (about
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -213,21 +214,15 @@ class Echelon:
         return grew
 
 
-def first_failure_chunked(prop, cases, fails, weight=None, budget=None):
+def first_failure_chunked(prop, cases, fails, chunk=CHUNK):
     """Walk (witness, *case) in order and fail with the witness of the first
-    case that fails, deciding up to CHUNK cases at a time: fails(cases), for
-    the chunk's cases, is True where one fails.  With `weight`, which sees the
-    same case objects, a chunk also ends once their weights reach `budget`."""
+    case that fails, deciding up to `chunk` cases at a time: fails(cases),
+    for the chunk's cases, is True where one fails."""
     cases = iter(cases)
     while True:
-        chunk, total = [], 0
-        for witness, *case in cases:
-            chunk.append((witness, case))
-            total += weight(case) if weight else 0
-            if len(chunk) == CHUNK or (weight and total >= budget):
-                break
-        if not chunk:
+        block = [(witness, case) for witness, *case in itertools.islice(cases, chunk)]
+        if not block:
             return ok(prop)
-        bad = np.flatnonzero(fails([case for _, case in chunk]))
+        bad = np.flatnonzero(fails([case for _, case in block]))
         if bad.size:
-            return fail(prop, witness=chunk[bad[0]][0])
+            return fail(prop, witness=block[bad[0]][0])

@@ -19,13 +19,14 @@ space, so there the residual must be zero.
 Ledger.  The kernels over one set of operators share a `Ledger`: the density
 ETC, locality and charge-algebra kernels of `etc` read one, held by the
 density set and handed on to its charges, and any other kernel makes its own.
-It interns the operators' nonzero factors by value up to a unit phase: a
-factor is i^k times a canonical factor whose first stored entry (row-major,
-re and im together) has re > 0 and im >= 0; the first factor met of each
-class stands for it, and every other is i^j times that one.  Factors are
-found by a CRC of their canonical parts' column indices and entries and then
-compared with the interned arrays, so a class is exact and no copy of a
-factor is kept.  A ledger holds no right sides: each check gathers its own.
+It interns the operators' nonzero factors by identity: a factor object not
+met before is a class of its own and stands for it, but for the -i F that
+`Ledger.minus_i` makes of a factor F, once per F, and enters in F's class at
+F's phase plus 3.  So every member of a class is i^j times its first factor
+by construction, and an operator equal to another but built apart is a
+class of its own, which costs keys but changes no verdict.  The ledger
+holds each factor it met, so no id is reused, and copies none.  It holds
+no right sides: each check gathers its own.
 
 Sector.  A ledger may hold a sector, the sorted basis states of one site's
 n modes that every residual is decided on; `etc.charge_densities` gives its
@@ -47,9 +48,8 @@ one mask over their CSR arrays, and raises InputError when a stored entry
 joins two states of different particle counts, for which no sector is
 exact; the kernel raises it when its site is not of the sector's 2^n
 states.  R, L, the identity block, `_scalar_blocks` and the weights see the
-d x d slices (d = 37 at 8 modes, 137 at 16); interning, the digests, keys,
-counts, mag and the 2^62 bound read the whole factors, which bound their
-slices.
+d x d slices (d = 37 at 8 modes, 137 at 16); keys, counts, mag and the 2^62
+bound read the whole factors, which bound their slices.
 
 Keys.  `first_failures` reads the rows of its walks lazily, in walk order,
 into windows of about `matrices._BLOCK // CHUNK` (256) terms that may span
@@ -116,20 +116,17 @@ from __future__ import annotations
 import itertools
 import math
 import types
-import zlib
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import SiteOp
+from .fock import SiteOp, _minus_i
 from .matrices import _BLOCK, BOUND, CHUNK, fits_int64, ragged
 from .report import BoundError, InputError, fail, ok
 
 BUDGET = 1 << 15   # weight of one chunk of cases
 
-# the (part, sign) pairs of i^-k f, for the canonical phase k of f
-_CANONICAL_PARTS = (((0, 1), (1, 1)), ((1, 1), (0, -1)), ((0, -1), (1, -1)), ((1, -1), (0, 1)))
 _KIND = np.full(256, 3, dtype=np.int8)    # a term's kind letter -> c 0, a 1, o and i 2, else 3
 _KIND[[ord("c"), ord("a"), ord("o"), ord("i")]] = 0, 1, 2, 2
 _M = (1 << 21) - 1         # a row's head packs kind << 42 | (u + 1) << 21 | (v + 1)
@@ -156,25 +153,6 @@ def _scalar_blocks(M, d, n):
     return c, ok & ((c == 0) | (np.bincount(block[diag], minlength=n) == d))
 
 
-def _phase(f):
-    """The k of f = i^k g for which g's first stored entry, in row-major
-    order over re and im together, has re > 0 and im >= 0 (f nonzero)."""
-    def first(part):
-        # (flat position, entry) of the part's first stored entry; past the end if empty
-        if not part.nnz:
-            return f.dim * f.dim, 0
-        row = int(np.searchsorted(part.indptr, 1)) - 1
-        return row * f.dim + int(part.indices[0]), int(part.data[0])
-    (at_re, re), (at_im, im) = first(f.re), first(f.im)
-    a, b = re if at_re <= at_im else 0, im if at_im <= at_re else 0
-    return 0 if a > 0 and b >= 0 else 1 if a <= 0 and b > 0 else 2 if a < 0 and b <= 0 else 3
-
-
-def _parts(f, k):
-    """The (part, sign) pairs of i^-k f."""
-    return [((f.re, f.im)[j], s) for j, s in _CANONICAL_PARTS[k]]
-
-
 class Ledger:
     """What the kernels over one set of operators share (see the module
     docstring): `factors`, the first factor met of each class, with `counts`,
@@ -187,8 +165,10 @@ class Ledger:
     for the whole space."""
 
     def __init__(self, sector=None):
-        self.factors, self.counts, self.entries, self.memo = [], [], [], {}
-        self.parts, self._phases, self._digests = [], [], {}    # per class; digest -> classes
+        self.factors, self.counts, self.entries, self.parts, self.memo = [], [], [], [], {}
+        # id -> (class, phase) of each factor met, and id(F) -> -i F; each
+        # is held (`factors`, `_turned`), so its id stays its own
+        self._ids, self._turned = {}, {}
         self.coefficients = {}    # each (|p|, r) met in a key -> its number
         self.sector = sector = None if sector is None else np.asarray(sector, dtype=np.int64)
         if sector is not None:
@@ -213,28 +193,27 @@ class Ledger:
         return part.data[keep], cols[keep], indptr
 
     def intern(self, f):
-        """(class, j) with f = i^j times the class's first factor."""
-        k = _phase(f)
-        parts, crc = _parts(f, k), 0    # crc of their column indices and entries
-        for part, sign in parts:
-            crc = zlib.crc32(part.indices.astype(np.int64, copy=False), crc)
-            crc = zlib.crc32(part.data if sign > 0 else -part.data, crc)
-        classes = self._digests.setdefault((f.den, *(p.nnz for p, _ in parts), crc), [])
-        for u in classes:
-            F, kF = self.factors[u], self._phases[u]
-            if all(np.array_equal(p.indptr, P.indptr) and np.array_equal(p.indices, P.indices)
-                   and np.array_equal(p.data, P.data if s == S else -P.data)
-                   for (p, s), (P, S) in zip(parts, _parts(F, kF))):
-                return u, (k - kF) % 4
-        classes.append(len(self.factors))
-        self.factors.append(f)
-        self.counts.append(int((np.diff(f.re.indptr) + np.diff(f.im.indptr)).max()))
-        parts = tuple((p.data, p.indices, p.indptr) if self.sector is None else self._restrict(p)
-                      for p in (f.re, f.im))
-        self.parts.append(parts)
-        self.entries.append(len(parts[0][0]) + len(parts[1][0]))
-        self._phases.append(k)
-        return len(self.factors) - 1, 0
+        """(class, j) with f = i^j times the class's first factor: f's own
+        class when f was not met before and is no -i F that `minus_i` made."""
+        if id(f) not in self._ids:
+            # the parts first, so that a factor the sector refuses is not entered
+            parts = tuple((p.data, p.indices, p.indptr) if self.sector is None
+                          else self._restrict(p) for p in (f.re, f.im))
+            self._ids[id(f)] = len(self.factors), 0
+            self.factors.append(f)
+            self.counts.append(int((np.diff(f.re.indptr) + np.diff(f.im.indptr)).max()))
+            self.parts.append(parts)
+            self.entries.append(len(parts[0][0]) + len(parts[1][0]))
+        return self._ids[id(f)]
+
+    def minus_i(self, F):
+        """-i F (`fock._minus_i`), made once per F and entered in F's class:
+        F at phase j gives -i F at j + 3 (mod 4)."""
+        if id(F) not in self._turned:
+            u, j = self.intern(F)
+            self._turned[id(F)] = G = _minus_i(F)
+            self._ids[id(G)] = u, (j + 3) % 4
+        return self._turned[id(F)]
 
 
 class RelationKernel:
@@ -254,17 +233,14 @@ class RelationKernel:
         # the side of a block of R and L: the sector's size, or the site's dimension
         self.d = self.site_dim if ledger.sector is None else len(ledger.sector)
         factors = [op.factors if isinstance(op, SiteOp) else {0: op} for op in ops]
-        interned = {}    # id -> (class, phase), for the factors `factors` holds
         # the class and phase of each operator's factor at each site (class -1: none)
         self.cls = np.full((len(ops), self.site_count), -1, dtype=np.int32)
         self.ph = np.zeros_like(self.cls)
         for a, fs in enumerate(factors):
             for x, f in fs.items():
                 if f.nnz:
-                    if id(f) not in interned:
-                        interned[id(f)] = ledger.intern(f)
-                    self.cls[a, x], self.ph[a, x] = interned[id(f)]
-        self.classes = list(dict.fromkeys(u for u, _ in interned.values()))
+                    self.cls[a, x], self.ph[a, x] = ledger.intern(f)
+        self.classes = list(dict.fromkeys(self.cls[self.cls >= 0].tolist()))
         self.den = math.lcm(1, *(f.den for fs in factors for f in fs.values()))
         reps = ledger.factors
         self.mag = {u: reps[u].mag * (self.den // reps[u].den) for u in self.classes}    # at D

@@ -335,6 +335,18 @@ def test_theorem_after_etc_verify_computes_no_new_key(monkeypatch, case, sites, 
     assert rep.to_dict() == charge_algebra_check(cold, c).to_dict()
 
 
+@pytest.mark.parametrize("case", ["octonion-line", "quaternion"])
+def test_charges_after_etc_verify_add_no_class(case, quat_gen, su2_doubled, oct_gen, m7):
+    # at two sites every charge factor is -i F of a density factor F, which
+    # the ledger makes and enters in F's class
+    gen, c = quaternionic_line(oct_gen, m7) if case == "octonion-line" else (quat_gen, su2_doubled)
+    dens = charge_densities(build_fields(gen.dim, 2), gen, c)
+    assert etc_verify(dens, c).passed
+    classes = len(dens.ledger.factors)
+    assert charge_algebra_check(charges(dens), c).passed
+    assert len(dens.ledger.factors) == classes
+
+
 def test_one_table_gather_per_tensor(monkeypatch, quat_gen, su2_doubled):
     # etc_verify, locality_check and the theorem on one tensor read its table
     # off one bracket_rows and one cyclic_rows gather, kept on the tensor;

@@ -9,7 +9,7 @@ import oracles
 from mnl import etc
 from mnl.etc import _lemma
 from mnl.fock import (FieldSet, FockOps, GQSparse, QuadraticCache, SiteOp, _ladder, _minus_i,
-                      _place, _states, build_fields, build_fock, canonical_etc_check, car_check)
+                      _states, _sum, build_fields, build_fock, canonical_etc_check, car_check)
 from mnl.matrices import CHUNK
 from mnl.relations import BUDGET, RelationKernel
 from mnl.report import InputError
@@ -156,40 +156,44 @@ def test_gq_guard_limits():
         big @ big
 
 
-# --- the one COO placement ----------------------------------------------
+# --- the one COO assembly of a sum ---------------------------------------
 
-def place_example(blocks, grid=(1, 1), d=2):
-    return grid, d, [(k, j, m, sp.csr_matrix(np.array(P, dtype=np.int64)))
-                     for k, j, m, P in blocks]
+def place_example(parts, d=2):
+    return d, [(m, np.array(re, dtype=np.int64), np.array(im, dtype=np.int64))
+               for m, re, im in parts]
 
 
 @st.composite
 def placements(draw):
-    """A grid of d x d blocks and (k, j, m, P) parts placed on it; parts may
-    meet, be empty or sit anywhere on the grid."""
+    """(m, re, im) parts of d x d operators summed as m (re + i im) on one
+    block; parts may meet, be empty or cancel."""
     d = draw(st.integers(1, 3))
-    grid = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
     entries = st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
                        min_size=d, max_size=d)
-    blocks = draw(st.lists(st.tuples(st.integers(0, grid[0] - 1), st.integers(0, grid[1] - 1),
-                                     st.integers(-4, 4), entries), max_size=5))
-    return place_example(blocks, grid, d)
+    return place_example(draw(st.lists(st.tuples(st.integers(-4, 4), entries, entries),
+                                       max_size=5)), d)
+
+
+ZERO = [[0, 0], [0, 0]]
 
 
 @settings(max_examples=100, deadline=None)
 @given(placements())
-@example(place_example([(0, 0, 3, [[1, 0], [2, -1]])]))          # one part, no assembly
-@example(place_example([(0, 0, 2, [[0, 0], [0, 0]]), (0, 0, -1, [[5, 1], [0, 0]])]))
-@example(place_example([(1, 2, 1, [[1, 2], [3, 4]]), (1, 2, -2, [[1, 0], [0, 1]]),
-                        (0, 1, 5, [[0, 0], [0, 0]]), (2, 0, 1, [[0, 7], [0, 0]])], (3, 3)))
+@example(place_example([(3, [[1, 0], [2, -1]], ZERO)]))       # one part, no assembly
+@example(place_example([(2, ZERO, ZERO), (-1, [[5, 1], [0, 0]], [[0, 2], [0, 0]])]))
+@example(place_example([(1, [[1, 2], [3, 4]], [[1, 0], [0, 0]]), (-2, [[1, 0], [0, 1]], ZERO),
+                        (5, ZERO, ZERO), (1, [[0, 7], [0, 0]], [[-1, 0], [0, 0]])]))
+@example(place_example([(2, [[1, -1], [0, 3]], [[0, 1], [1, 0]]),
+                        (-1, [[2, -2], [0, 6]], [[0, 2], [2, 0]])]))    # the parts cancel
 def test_place_sums_the_blocks_like_dense(drawn):
-    (rows, cols), d, blocks = drawn
-    want = np.zeros((rows * d, cols * d), dtype=np.int64)
-    for k, j, m, P in blocks:
-        want[k * d:(k + 1) * d, j * d:(j + 1) * d] += m * P.toarray()
-    got = _place((rows * d, cols * d), d, blocks)
-    assert got.shape == want.shape and got.dtype == np.int64
-    assert np.array_equal(got.toarray(), want)
+    # `_sum` on one block, against the dense sum of each part
+    d, parts = drawn
+    got = _sum(d, [(m, GQSparse(d, sp.csr_matrix(re), sp.csr_matrix(im))) for m, re, im in parts])
+    for part, k in ((got.re, 1), (got.im, 2)):
+        want = sum((p[0] * p[k] for p in parts), np.zeros((d, d), dtype=np.int64))
+        assert part.shape == want.shape and part.dtype == np.int64
+        assert np.array_equal(part.toarray(), want)
+    assert got.den == 1
 
 
 # --- GQSparse against a dense Fraction reference ------------------------
@@ -922,11 +926,11 @@ def spans_chunks(monkeypatch, a, trials, seed, per_chunk):
     sizes = []
     first_failure_chunked = etc.first_failure_chunked
 
-    def spy(prop, cases, fails, weight, budget):
+    def spy(prop, cases, fails, size):
         def counted(chunk):
             sizes.append(len(chunk))
             return fails(chunk)
-        return first_failure_chunked(prop, cases, counted, weight, budget)
+        return first_failure_chunked(prop, cases, counted, size)
     monkeypatch.setattr(etc, "first_failure_chunked", spy)
     return _lemma(a, trials, seed), sizes
 

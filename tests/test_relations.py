@@ -209,14 +209,24 @@ def straddling_rows(draw):
                  for _ in range(2)]
         return GQSparse(KERNEL_SITE_DIM, *map(sp.csr_matrix, parts), draw(st.integers(1, 3)))
     X, Y = (draw(st.builds(big).filter(lambda f: f.nnz)) for _ in range(2))
-    sites = draw(st.sampled_from([1, 2, 3]))
-    base = [X, X.times_i(), Y, Y.scale(-1), GQSparse.identity(KERNEL_SITE_DIM)]
-    if sites == 1:
-        ops, kinds = base, "caoi"
-    else:
-        ops = [SiteOp(sites, KERNEL_SITE_DIM, dict.fromkeys(range(sites), f)) for f in base]
-        ops.append(SiteOp(sites, KERNEL_SITE_DIM, {0: Y}))
-        kinds = "coi"
+    sites, chained = draw(st.sampled_from([1, 2, 3])), draw(st.booleans())
+
+    def build():
+        # the operators and the ledger to hand their kernel, made anew on
+        # each call: i X and -Y built apart, or i X, -Y and -i X by chains
+        # of minus_i on that ledger, so that X's class is met at phases 1
+        # and 3 and Y's at 2
+        ledger, identity = Ledger(), GQSparse.identity(KERNEL_SITE_DIM)
+        if chained:
+            iX, minus_Y = minus_i_chain(ledger, X)[3], minus_i_chain(ledger, Y)[2]
+            base = [X, iX, Y, minus_Y, identity, ledger.minus_i(X)]
+        else:
+            base = [X, X.times_i(), Y, Y.scale(-1), identity]
+        if sites == 1:
+            return base, ledger
+        return ([SiteOp(sites, KERNEL_SITE_DIM, dict.fromkeys(range(sites), f)) for f in base]
+                + [SiteOp(sites, KERNEL_SITE_DIM, {0: Y})]), ledger
+    ops, kinds = build()[0], "caoi" if sites == 1 else "coi"
 
     def coefficient():
         p = draw(st.integers(-(1 << 22), 1 << 22) if draw(st.booleans())
@@ -240,7 +250,7 @@ def straddling_rows(draw):
                    (kind, -Fraction(*q) if isinstance(q, tuple) else -q, *idx)
                    for kind, q, *idx in row]
             if draw(st.integers(0, 4)) else row for row in rows]
-    return ops, draw(st.permutations(rows))
+    return build, draw(st.permutations(rows))
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -248,7 +258,8 @@ def straddling_rows(draw):
 def test_array_kernel_equals_the_case_by_case_walk(drawn):
     # verdicts, witnesses and BoundError, including a failure before the
     # first case out of bound
-    ops, rows = drawn
+    build, rows = drawn
+    ops, ledger = build()
     walk = [((k,), *row) for k, row in enumerate(rows)]
 
     def run(check):
@@ -256,7 +267,7 @@ def test_array_kernel_equals_the_case_by_case_walk(drawn):
             return check().to_dict()
         except BoundError:
             return "BoundError"
-    kernel = RelationKernel(ops)
+    kernel = RelationKernel(ops, ledger)
     assert run(lambda: kernel.first_failure("rows", walk)) == \
         run(lambda: oracles.kernel_walk(ops, "rows", walk))
 
@@ -273,7 +284,8 @@ def test_a_walk_set_equals_its_walks_one_by_one(drawn, data):
     # failing walk at times still open at a window's end.  The chunks are
     # those of the walks made one by one, each in one window, and at the
     # default BUDGET the reports are those of the case-by-case walk
-    ops, rows = drawn
+    build, rows = drawn
+    ops = build()[0]
     picks = st.lists(st.integers(0, len(rows) - 1), max_size=8)
     walks = [[((w, k), *rows[i]) for k, i in enumerate(walk)]
              for w, walk in enumerate(data.draw(st.lists(picks, min_size=1, max_size=5)))]
@@ -288,7 +300,7 @@ def test_a_walk_set_equals_its_walks_one_by_one(drawn, data):
 
         def passes(walk):
             try:
-                return RelationKernel(ops).first_failure("w", walk).passed
+                return RelationKernel(*build()).first_failure("w", walk).passed
             except BoundError:
                 return False
         walks = sorted(walks, key=passes)
@@ -296,7 +308,7 @@ def test_a_walk_set_equals_its_walks_one_by_one(drawn, data):
         def kernel():
             # the coefficients numbered alike on both ledgers, as keys hold
             # those numbers
-            out = RelationKernel(ops)
+            out = RelationKernel(*build())
             for walk in walks:
                 for _, *case in walk:
                     out.weight(case)
@@ -334,43 +346,62 @@ def times_i(op, k):
     return op
 
 
+def minus_i_chain(ledger, op):
+    """op, -i op, -op and i op, each from the one before by `ledger.minus_i`."""
+    chain = [op]
+    for _ in range(3):
+        chain.append(ledger.minus_i(chain[-1]))
+    return chain
+
+
 def test_ledger_interns_each_factor_up_to_a_unit_phase():
-    # i^k a and i^j a are one class at phase k - j from the first one met;
-    # a and a^dag, or a and a^dag with their entries negated, are not
+    # a and the -i a, -a and i a that minus_i makes from it are one class at
+    # phases 0, 3, 2 and 1; an operator equal to -i a but built apart, and
+    # a^dag, are classes of their own
     f = build_fock(2, 1)
     ledger = Ledger()
-    assert [ledger.intern(times_i(f.a[0], k)) for k in (1, 0, 3, 2)] == \
-        [(0, 0), (0, 3), (0, 2), (0, 1)]
+    chain = minus_i_chain(ledger, f.a[0])
+    assert [ledger.intern(op) for op in chain] == [(0, 0), (0, 3), (0, 2), (0, 1)]
+    assert ledger.minus_i(f.a[0]) is chain[1] and ledger.intern(ledger.minus_i(chain[3])) == (0, 0)
     assert ledger.intern(f.adag[0]) == (1, 0)
-    assert ledger.intern(f.adag[0].scale(Fraction(-1, 2))) == (2, 0)
-    assert ledger.intern(f.adag[0].scale(Fraction(1, 2)).times_i()) == (2, 3)
+    assert ledger.intern(ledger.minus_i(f.adag[0])) == (1, 3)
+    apart = times_i(f.a[0], 3)
+    assert apart == chain[1] and ledger.intern(apart) == (2, 0)
     assert len(ledger.factors) == 3
 
 
 def test_kernel_anticommutators_at_every_phase():
-    # {i^k a_0, i^j a_0^dag} = i^(k+j) I, and {i^k a_0, i^j a_0} = 0
+    # {i^k a_0, i^j a_0^dag} = i^(k+j) I, and {i^k a_0, i^j a_0} = 0, with
+    # i^k op from minus_i chains; i a_0 built apart is a class of its own
     f = build_fock(2, 1)
-    ops = [times_i(op, k) for op in (f.a[0], f.adag[0], GQSparse.identity(4)) for k in range(4)]
+    ledger = Ledger()
+    ops = [chain[-k] for op in (f.a[0], f.adag[0], GQSparse.identity(4))
+           for chain in [minus_i_chain(ledger, op)] for k in range(4)]
     cases, want = [], []
     for k in range(4):
         for j in range(4):
             cases += [[("a", 1, k, 4 + j), ("o", -1, 8 + (k + j) % 4)],
                       [("a", 1, k, 4 + j), ("o", 1, 8 + (k + j) % 4)], [("a", 1, k, j)]]
             want += [False, True, False]
-    kernel = RelationKernel(ops)
+    kernel = RelationKernel(ops, ledger)
     assert list(kernel.fails(cases)) == want
     assert len(kernel.ledger.factors) == 3
+    apart = RelationKernel([times_i(f.a[0], 1), ops[4], ops[9]], ledger)
+    assert list(apart.fails([[("a", 1, 0, 1), ("o", -1, 2)], [("a", 1, 0, 1), ("o", 1, 2)]])) \
+        == [False, True]
+    assert apart.classes == [3, 1, 2] and len(ledger.factors) == 4
 
 
 def turns(draw, sites):
-    """Drawn powers of i, per density label and site, and at times one
-    density drawn to stand, times i^k, in place of another."""
+    """Drawn powers of i, per density label and site, at times one density
+    drawn to stand, times i^k, in place of another, and whether the powers
+    are chains of the ledger's minus_i."""
     powers = st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=sites, max_size=sites)
     labels = [("s", j) for j in range(3)] + [("t", j) for j in range(3)] + \
         [("Y", j) for j in range(3)]
     return {label: draw(powers) for label in labels}, \
         draw(st.none() | st.tuples(st.sampled_from(labels), st.sampled_from(labels),
-                                   st.integers(0, 3)))
+                                   st.integers(0, 3))), draw(st.booleans())
 
 
 @st.composite
@@ -393,23 +424,29 @@ def sector_densities(draw):
 def turned(drawn, quat_gen, su2_doubled, oct_gen, m7, sector=False):
     """The densities of a drawn case, turned, as a hand-built set on a fresh
     ledger: of the sector `charge_densities` gives them, or of the whole
-    space."""
-    case, sites, swap, powers, copy = drawn
+    space.  i^k F is built apart, or by a chain of the ledger's minus_i, so
+    that F's class is met at phase k; a density in place of another is
+    built apart."""
+    case, sites, swap, powers, copy, chained = drawn
     gen, c = (quat_gen, su2_doubled) if case == "quaternion" else \
         oracles.quaternionic_line(oct_gen, m7)
     gen = swapped_s01(gen) if swap else gen
     dens = charge_densities(build_fields(gen.dim, sites), gen, c)
+    ledger = Ledger(dens.ledger.sector if sector else None)
     rows = {"s": [list(row) for row in dens.s], "t": [list(row) for row in dens.t],
             "Y": [list(row) for row in dens.Y.values()]}
     if copy:
         (fa, ja), (fb, jb), k = copy
         rows[fa][ja] = [times_i(op, k) for op in rows[fb][jb]]
+
+    def turn(f, k):
+        return minus_i_chain(ledger, f)[-k] if chained and k else times_i(f, k)
     for (family, j), power in powers.items():
-        rows[family][j] = [SiteOp(sites, op.site_dim, {x: times_i(f, power[x])
+        rows[family][j] = [SiteOp(sites, op.site_dim, {x: turn(f, power[x])
                                                        for x, f in op.factors.items()})
                            for op in rows[family][j]]
     return ChargeDensitySet(3, sites, rows["s"], rows["t"], dict(zip(dens.Y, rows["Y"])), c,
-                            Ledger(dens.ledger.sector if sector else None)), c
+                            ledger), c
 
 
 def reports_and_walk(dens, c):
