@@ -1,5 +1,5 @@
 """Exact anticommutative algebras: structure tensors, Lie and Mal'tsev
-identity checks, and the Cayley-Dickson unit tables they come from.
+identity checks, and the Cayley-Dickson multiplication tensors they come from.
 
 All arithmetic is exact, with no floating point: tensors are stored sparsely
 over `fractions.Fraction`, 0-based, antisymmetric in the last two indices, and
@@ -239,48 +239,43 @@ QUATERNIONS = (-1, -1)
 OCTONIONS = (-1, -1, -1)
 
 
-def cayley_dickson(signs) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """Signed unit table of the algebra doubled from the reals once per sign
-    gamma, (a, b)(c, d) = (ac + gamma d*b, da + b c*) with x* the conjugate:
-    table[a][b] = (index, sign) means e_a e_b = sign e_index.
+def cayley_dickson(signs) -> np.ndarray:
+    """Multiplication tensor of the algebra doubled from the reals once per
+    sign gamma, (a, b)(c, d) = (ac + gamma d*b, da + b c*) with x* the
+    conjugate: an int64 array A of shape (2^k, 2^k, 2^k) for k signs, with
+    e_a e_b = sum_c A[a, b, c] e_c.
 
     Doubling a k-dimensional algebra gives the basis
     (e_0, .., e_{k-1}, (0, e_0), .., (0, e_{k-1})), so e_0 is the unit and
-    e_a* = -e_a for every a > 0."""
-    table = [[(0, 1)]]
+    e_b* = bar[b] e_b, bar = (1, -1, .., -1); the four products of the halves
+    are four blocks of the doubled tensor."""
+    A = np.ones((1, 1, 1), dtype=np.int64)
     for gamma in signs:
-        k = len(table)
-        bar = [1] + [-1] * (k - 1)
-        new = [[None] * (2 * k) for _ in range(2 * k)]
-        for a in range(k):
-            for b in range(k):
-                p, s = table[a][b]
-                q, t = table[b][a]
-                new[a][b] = (p, s)                             # (e_a e_b, 0)
-                new[a][k + b] = (k + q, t)                     # (0, e_b e_a)
-                new[k + a][b] = (k + p, bar[b] * s)            # (0, e_a e_b*)
-                new[k + a][k + b] = (q, gamma * bar[b] * t)    # (gamma e_b* e_a, 0)
-        table = new
-    return tuple(tuple(row) for row in table)
+        k = len(A)
+        bar = np.where(np.arange(k) == 0, 1, -1)[:, None]    # on axis 1 of A
+        new = np.zeros((2 * k,) * 3, dtype=np.int64)
+        new[:k, :k, :k] = A                                   # (e_a e_b, 0)
+        new[:k, k:, k:] = A.transpose(1, 0, 2)                # (0, e_b e_a)
+        new[k:, :k, k:] = A * bar                             # (0, e_a e_b*)
+        new[k:, k:, :k] = gamma * bar * A.transpose(1, 0, 2)  # (gamma e_b* e_a, 0)
+        A = new
+    return A
 
 
-def commutator_tensor(table) -> StructureTensor:
+def commutator_tensor(A) -> StructureTensor:
     """c^i_jk = the e_i coefficient of e_j e_k - e_k e_j, over the units
-    e_1..e_{n-1} of a signed unit table (tensor index i is e_{i+1})."""
-    def coeff(i, product):
-        return product[1] if product[0] == i else 0
-
-    r = range(1, len(table))
-    return StructureTensor(len(table) - 1, {
-        (i - 1, j - 1, k - 1): coeff(i, table[j][k]) - coeff(i, table[k][j])
-        for i in r for j in r for k in r})
+    e_1..e_{n-1} of a multiplication tensor A (tensor index i is e_{i+1})."""
+    C = (A - A.transpose(1, 0, 2))[1:, 1:, 1:].transpose(2, 0, 1)
+    return StructureTensor(len(A) - 1, {(int(i), int(j), int(k)): Fraction(int(C[i, j, k]))
+                                        for i, j, k in np.argwhere(C)})
 
 
 _ABELIAN_RE = re.compile(r"^abelian\((\d+)\)$")
 
 
 def catalog_algebra(name: str) -> StructureTensor:
-    """Built-in exact tensors: abelian(r), su2, sl2, m7."""
+    """Built-in exact tensors: abelian(r), su2, sl2, su2-doubled (the
+    quaternions' commutators, 2 su2) and m7 (the octonions')."""
     m = _ABELIAN_RE.match(name)
     if m:
         r = int(m.group(1))
@@ -305,6 +300,8 @@ def catalog_algebra(name: str) -> StructureTensor:
         put(2, 0, 2, -2)
         put(0, 1, 2, 1)
         return StructureTensor(3, ent)
+    if name == "su2-doubled":
+        return commutator_tensor(cayley_dickson(QUATERNIONS))
     if name == "m7":
         return commutator_tensor(cayley_dickson(OCTONIONS))
     raise InputError(f"unknown catalog algebra {name!r}")

@@ -154,21 +154,19 @@ def regular_birep(t: CayleyTable) -> LoopBirep:
                      {g: permutation(lambda x: t.mul(x, g)) for g in range(n)})
 
 
-def lr_generators(table) -> GeneratorSet:
+def lr_generators(A) -> GeneratorSet:
     """S_j = left and T_j = right multiplication by e_j, j = 1..k-1, on the
-    span of the k units of a signed unit table (see `algebra.cayley_dickson`);
-    column B holds the coordinates of e_j e_B (of e_B e_j for T_j)."""
-    k = len(table)
+    span of the k units of a multiplication tensor A (see
+    `algebra.cayley_dickson`): column B holds the coordinates of e_j e_B
+    (of e_B e_j for T_j), so S_j = A[j]^T and T_j = A[:, j]^T."""
+    value = {v: Fraction(v) for v in np.unique(A).tolist()}
 
-    def mult(j, left):
-        M = [[Fraction(0)] * k for _ in range(k)]
-        for B in range(k):
-            idx, sign = table[j][B] if left else table[B][j]
-            M[idx][B] = Fraction(sign)
-        return M
+    def fractions(M):
+        return [[value[v] for v in row] for row in M.tolist()]
 
-    units = range(1, k)
-    return GeneratorSet(k - 1, k, [mult(j, True) for j in units], [mult(j, False) for j in units])
+    units = range(1, len(A))
+    return GeneratorSet(len(A) - 1, len(A), [fractions(A[j].T) for j in units],
+                        [fractions(A[:, j].T) for j in units])
 
 
 def octonion_lr_generators() -> GeneratorSet:

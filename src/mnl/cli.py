@@ -20,7 +20,7 @@ import traceback
 
 import numpy as np
 
-from . import algebra, birep, envelope, etc, fock, loops
+from . import algebra, birep, envelope, loops
 from .report import BoundError, InputError, read_json
 
 SCHEMA = 1
@@ -51,10 +51,7 @@ def _resolve_loop(ref: str) -> loops.CayleyTable:
 
 def _resolve_tensor(ref: str) -> algebra.StructureTensor:
     if ref.startswith("builtin:"):
-        name = ref[len("builtin:"):]
-        if name == "su2-doubled":
-            return algebra.catalog_algebra("su2").scaled(2)
-        return algebra.catalog_algebra(name)
+        return algebra.catalog_algebra(ref[len("builtin:"):])
     return algebra.load_tensor(ref)
 
 
@@ -189,6 +186,8 @@ def cmd_envelope(args):
 
 
 def cmd_etc(args):
+    from . import etc, fock    # scipy: loaded by this command alone
+
     if args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
     gen = _resolve_generators(args.generators)

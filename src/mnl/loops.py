@@ -169,20 +169,22 @@ def chein_double(g: CayleyTable) -> CayleyTable:
     return CayleyTable(2 * n, tuple(map(tuple, table.tolist())), names)
 
 
-def signed_unit_loop(table) -> CayleyTable:
-    """The loop of the signed units +-e_a of a signed unit table (see
+def signed_unit_loop(A) -> CayleyTable:
+    """The loop of the signed units +-e_a of a multiplication tensor A (see
     `algebra.cayley_dickson`): +e_a is element a and -e_a element k + a, for
-    k units, named "1", "e1", .., "-1", "-e1", .."""
-    k = len(table)
-    n = 2 * k
-
-    def mul(g, h):
-        idx, sign = table[g % k][h % k]
-        return idx if sign * (-1) ** (g // k + h // k) > 0 else k + idx
-
+    k units, named "1", "e1", .., "-1", "-e1", ..  InputError unless every
+    product of two units is plus or minus one unit."""
+    k = len(A)
+    bad = np.argwhere(np.abs(A).sum(axis=2) != 1)
+    if bad.size:
+        a, b = (int(v) for v in bad[0])
+        raise InputError(f"e{a} e{b} is not plus or minus one unit")
+    sign, unit = np.repeat([1, -1], k), np.tile(np.arange(k), 2)    # g is sign[g] e_unit[g]
+    gh = (sign[:, None] * sign)[:, :, None] * A[unit[:, None], unit]    # g h, as +-1 e_c
+    table = np.abs(gh).argmax(axis=2) + k * (gh.sum(axis=2) < 0)
     labels = ["1"] + [f"e{a}" for a in range(1, k)]
-    rows = tuple(tuple(mul(g, h) for h in range(n)) for g in range(n))
-    return CayleyTable(n, rows, tuple(labels) + tuple("-" + l for l in labels))
+    return CayleyTable(2 * k, tuple(map(tuple, table.tolist())),
+                       tuple(labels) + tuple("-" + l for l in labels))
 
 
 def octonion_unit_loop() -> CayleyTable:
@@ -201,18 +203,10 @@ def cyclic_group(n: int) -> CayleyTable:
 
 
 def direct_product(s: CayleyTable, t: CayleyTable) -> CayleyTable:
+    """S x T with (a, b) as element a m + b, for m = |T|."""
     n, m = s.order, t.order
-
-    def idx(a, b):
-        return a * m + b
-
-    table = [[0] * (n * m) for _ in range(n * m)]
-    for a in range(n):
-        for b in range(m):
-            for c in range(n):
-                for d in range(m):
-                    table[idx(a, b)][idx(c, d)] = idx(s.table[a][c], t.table[b][d])
-    return CayleyTable(n * m, tuple(tuple(r) for r in table))
+    table = (s.array[:, None, :, None] * m + t.array[None, :, None, :]).reshape(n * m, n * m)
+    return CayleyTable(n * m, tuple(map(tuple, table.tolist())))
 
 
 def symmetric_group_s3() -> CayleyTable:
@@ -277,23 +271,13 @@ class ParamLoopChart:
     invert: Callable[[np.ndarray], np.ndarray]
 
 
-def _by_product(table):
-    """(cols, signs): cols[a, i] = b and signs[a, i] = sign where
-    table[a][b] = (i, sign), for a signed unit table whose rows are
-    permutations of the units."""
-    cols, signs = np.zeros((len(table),) * 2, dtype=np.intp), np.zeros((len(table),) * 2)
-    for a, row in enumerate(table):
-        for b, (idx, sign) in enumerate(row):
-            cols[a, idx], signs[a, idx] = b, sign
-    return cols, signs
-
-
-_OCT_COLS, _OCT_SIGNS = _by_product(cayley_dickson(OCTONIONS))
-
-
 def unit_octonion_chart() -> ParamLoopChart:
     """Chart v in R^7 (|v| < 1) -> unit octonion (sqrt(1-|v|^2), v);
     products projected back to the imaginary part."""
+    A = cayley_dickson(OCTONIONS)
+    a, b, c = np.nonzero(A)    # e_a e_b = signs[a, c] e_c with b = cols[a, c]
+    cols, signs = np.zeros((8, 8), dtype=np.intp), np.zeros((8, 8))
+    cols[a, c], signs[a, c] = b, A[a, b, c]
 
     def embed(v):
         v = np.ascontiguousarray(v, dtype=float)    # BLAS picks its dot kernel by the stride
@@ -306,7 +290,7 @@ def unit_octonion_chart() -> ParamLoopChart:
         x, y = embed(v), embed(w)
         q = 0.0    # sum over (a, b) of x_a y_b e_a e_b, term by term in lexicographic order
         for a in range(8):
-            q = q + x[..., a, None] * (_OCT_SIGNS[a] * y[..., _OCT_COLS[a]])
+            q = q + x[..., a, None] * (signs[a] * y[..., cols[a]])
         return q[..., 1:]
 
     def invert(v):

@@ -20,10 +20,12 @@ former `Fraction` routes here: the table rows as {label: Fraction} dicts
 (`row_vecs`, `density_table`), the densities from Fraction matrices, each
 scaled on its own (`charge_densities`), and the charges as one sum per row
 times -i (`charges_by_sum`).  The loop scans are the triple loops over
-a Cayley table's rows, and the Chein double is built entry by entry; the
-tangent sweep evaluates one commutator at a time on single points, and
+a Cayley table's rows, and the Chein double, the Cayley-Dickson doubling
+(`unit_table`) and its unit loop are built entry by entry; the tangent
+sweep evaluates one commutator at a time on single points, and
 `octonion_product` is the unit-octonion chart's product of one pair of
-points as one contraction with the signed product tensor."""
+points as one contraction with the signed product tensor of the Fano
+table."""
 
 import dataclasses
 import itertools
@@ -33,8 +35,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from mnl.algebra import (OCTONIONS, StructureTensor, YamagutiTensor, cayley_dickson,
-                         yamaguti_constants)
+from fano import FANO_TABLE
+from mnl.algebra import StructureTensor, YamagutiTensor, yamaguti_constants
 from mnl.birep import (GeneratorSet, GLCReport, Label, Vec, bracket_rows, cyclic_rows, labels,
                        _signed)
 from mnl.envelope import EnvelopeAlgebra
@@ -994,6 +996,47 @@ def chein_double_table(g: CayleyTable):
     return tuple(tuple(r) for r in table)
 
 
+def direct_product_table(s: CayleyTable, t: CayleyTable):
+    """The rows of S x T, (a, b) as element a |T| + b."""
+    m = t.order
+    return tuple(tuple(s.table[a][c] * m + t.table[b][d] for c in range(s.order) for d in range(m))
+                 for a in range(s.order) for b in range(m))
+
+
+def unit_table(signs):
+    """Signed unit table of the algebra doubled from the reals once per sign
+    gamma, (a, b)(c, d) = (ac + gamma d*b, da + b c*), entry by entry:
+    table[a][b] = (index, sign) means e_a e_b = sign e_index, e_0 the unit
+    and e_a* = -e_a for every a > 0."""
+    table = [[(0, 1)]]
+    for gamma in signs:
+        k = len(table)
+        bar = [1] + [-1] * (k - 1)
+        new = [[None] * (2 * k) for _ in range(2 * k)]
+        for a in range(k):
+            for b in range(k):
+                p, s = table[a][b]
+                q, t = table[b][a]
+                new[a][b] = (p, s)                             # (e_a e_b, 0)
+                new[a][k + b] = (k + q, t)                     # (0, e_b e_a)
+                new[k + a][b] = (k + p, bar[b] * s)            # (0, e_a e_b*)
+                new[k + a][k + b] = (q, gamma * bar[b] * t)    # (gamma e_b* e_a, 0)
+        table = new
+    return tuple(tuple(row) for row in table)
+
+
+def unit_loop_table(table):
+    """The rows of the loop of the signed units of a signed unit table: +e_a
+    is element a and -e_a element k + a, for k units."""
+    k = len(table)
+
+    def mul(g, h):
+        idx, sign = table[g % k][h % k]
+        return idx if sign * (-1) ** (g // k + h // k) > 0 else k + idx
+
+    return tuple(tuple(mul(g, h) for h in range(2 * k)) for g in range(2 * k))
+
+
 def sign_tensor(table):
     """T[a, b, i] = sign where table[a][b] = (i, sign), zero elsewhere."""
     T = np.zeros((len(table),) * 3)
@@ -1003,7 +1046,7 @@ def sign_tensor(table):
     return T
 
 
-_OCT_T = sign_tensor(cayley_dickson(OCTONIONS))
+_OCT_T = sign_tensor(FANO_TABLE)
 
 
 def octonion_product(v, w):

@@ -172,12 +172,12 @@ def test_8_meta_consistency(quat_fields, quat_gen, su2_doubled, oct_fields2):
 
 
 # The Cayley-Dickson family beyond the two compact builtins.  Each algebra is
-# one sign tuple; its unit loop, commutator tensor and L/R generators come
-# from its table.
+# one sign tuple; its unit loop, commutator tensor and L/R generators are
+# read off its multiplication tensor.
 
 def _cayley_dickson_chain(signs):
-    table = cayley_dickson(signs)
-    return signed_unit_loop(table), commutator_tensor(table), lr_generators(table)
+    A = cayley_dickson(signs)
+    return signed_unit_loop(A), commutator_tensor(A), lr_generators(A)
 
 
 def _theorem_at_one_site(c, gen):

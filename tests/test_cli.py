@@ -3,10 +3,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mnl
 from mnl import algebra, birep, cli, envelope
 from mnl.algebra import StructureTensor, catalog_algebra
 from mnl.birep import quaternion_lr_generators
@@ -316,6 +320,20 @@ def test_text_format(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert cli.main(["no-such-command"]) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # only `mnl etc` needs the Fock layer; the package still exports its names
+    code = ("import sys, mnl.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "from mnl import etc\n"
+            "from mnl import GQSparse, charge_densities\n"
+            "print(charge_densities is etc.charge_densities, GQSparse.__module__)\n"
+            "print(hasattr(mnl, 'no_such_name'))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mnl.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.splitlines() == ["[]", "True mnl.fock", "False"]
 
 
 def test_main_builds_one_parser(capsys, monkeypatch):

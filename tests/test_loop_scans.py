@@ -1,15 +1,21 @@
 """The array scans of `mnl.loops` against the triple loops of `oracles`:
 equal reports, witnesses included, on relabelled cyclic groups and Chein
-doubles and on their corruptions, and bounded memory at order 128."""
+doubles and on their corruptions, and bounded memory at order 128.  The
+array constructions (Chein doubles, direct products, the Cayley-Dickson
+tensor and its unit loop) against the entry-by-entry ones."""
 
+import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from mnl.loops import (CayleyTable, chein_double, cyclic_group, group_catalog, has_unit,
-                       is_associative, is_moufang, is_quasigroup, octonion_unit_loop)
+from mnl.algebra import QUATERNIONS, cayley_dickson
+from mnl.loops import (GROUPS, CayleyTable, chein_double, cyclic_group, direct_product,
+                       group_catalog, has_unit, is_associative, is_moufang, is_quasigroup,
+                       octonion_unit_loop, signed_unit_loop)
 from mnl.report import InputError, fail
 
 BASES = ([cyclic_group(n) for n in range(1, 11)]
@@ -88,6 +94,33 @@ def test_catalog_scans_and_doubles_equal_the_oracles():
         assert_scans_equal(t)
     for g in group_catalog().values():
         assert chein_double(g).table == oracles.chein_double_table(g)
+
+
+def test_direct_products_equal_the_entrywise_tables():
+    z2, z4, klein4 = cyclic_group(2), cyclic_group(4), GROUPS["klein4"]()
+    for name, s, t in (("klein4", z2, z2), ("z2xz4", z2, z4), ("z2xz2xz2", z2, klein4)):
+        assert GROUPS[name]().table == oracles.direct_product_table(s, t)
+    s, t = cyclic_group(3), chein_double(cyclic_group(3))
+    assert direct_product(s, t).table == oracles.direct_product_table(s, t)
+
+
+@pytest.mark.parametrize("signs", [s for n in range(1, 5)
+                                   for s in itertools.product((-1, 1), repeat=n)])
+def test_cayley_dickson_equals_the_unit_table(signs):
+    table = oracles.unit_table(signs)
+    A = cayley_dickson(signs)
+    assert A.dtype == np.int64 and np.array_equal(A, oracles.sign_tensor(table))
+    assert signed_unit_loop(A).table == oracles.unit_loop_table(table)
+
+
+@pytest.mark.parametrize("at,value,product", [((1, 2, 3), 0, "e1 e2"), ((1, 2, 1), 1, "e1 e2"),
+                                              ((2, 1, 3), -2, "e2 e1")])
+def test_unit_loop_needs_plus_or_minus_one_unit(at, value, product):
+    # e1 e2 = e3 in the quaternions: make it 0 or e3 + e1, or make e2 e1 = -2 e3
+    A = cayley_dickson(QUATERNIONS)
+    A[at] = value
+    with pytest.raises(InputError, match=f"{product} is not plus or minus one unit"):
+        signed_unit_loop(A)
 
 
 def test_order_128_double_in_bounded_memory():

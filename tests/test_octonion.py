@@ -1,49 +1,45 @@
 """The Cayley-Dickson doubling with signs (-1, -1, -1) against the published
-Fano triples, and the octonion laws of the exact product its table defines."""
+Fano triples, and the octonion laws of the exact product its tensor defines."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from fano import FANO_TABLE, FANO_TRIPLES, basis_octonion, oct_conj, product
+from fano import FANO_TABLE, FANO_TRIPLES, basis_octonion, oct_conj
 from mnl.algebra import OCTONIONS, QUATERNIONS, cayley_dickson
+from oracles import sign_tensor
 
-TABLE = cayley_dickson(OCTONIONS)
+A = cayley_dickson(OCTONIONS)
 
 
 def mul(x, y):
-    return product(TABLE, x, y)
-
-
-def f_constant(a, b, c):
-    """Structure constant f_abc (a, b, c in 1..7) of the doubled table."""
-    idx, sign = TABLE[a][b]
-    return sign if idx == c else 0
+    """sum_abc x_a y_b A[a, b, c] e_c, exactly."""
+    return [sum(x[a] * y[b] * int(A[a, b, c]) for a in range(8) for b in range(8) if x[a] and y[b])
+            for c in range(8)]
 
 
 def test_positive_triples():
     for (a, b, c) in FANO_TRIPLES:
-        assert TABLE[a][b] == (c, 1)
-        assert TABLE[b][a] == (c, -1)
-    assert TABLE == FANO_TABLE
+        assert A[a, b].tolist() == np.eye(8, dtype=int)[c].tolist()
+        assert A[b, a].tolist() == (-np.eye(8, dtype=int)[c]).tolist()
+    assert A.dtype == np.int64 and np.array_equal(A, sign_tensor(FANO_TABLE))
 
 
 def test_quaternions_are_the_first_block():
-    assert cayley_dickson(QUATERNIONS) == tuple(row[:4] for row in FANO_TABLE[:4])
+    assert np.array_equal(cayley_dickson(QUATERNIONS), sign_tensor(FANO_TABLE)[:4, :4, :4])
 
 
 def test_f_totally_antisymmetric():
-    for a in range(1, 8):
-        for b in range(1, 8):
-            for c in range(1, 8):
-                f = f_constant(a, b, c)
-                assert f_constant(b, a, c) == -f
-                assert f_constant(a, c, b) == -f
+    # f_abc = A[a, b, c] for a, b, c in 1..7
+    f = A[1:, 1:, 1:]
+    assert np.array_equal(f.transpose(1, 0, 2), -f)
+    assert np.array_equal(f.transpose(0, 2, 1), -f)
 
 
 def test_imaginary_squares():
     for a in range(1, 8):
-        assert TABLE[a][a] == (0, -1)
+        assert A[a, a].tolist() == [-1] + [0] * 7
 
 
 def test_unit_element():
@@ -83,14 +79,15 @@ def test_alternative_but_not_associative(a, b, c):
 @pytest.mark.parametrize("signs,dim", [((), 1), ((-1,), 2), (QUATERNIONS, 4),
                                        (OCTONIONS, 8), ((-1, -1, -1, -1), 16)])
 def test_doubling_unit_and_dimension(signs, dim):
-    table = cayley_dickson(signs)
-    assert len(table) == dim and all(len(row) == dim for row in table)
+    T = cayley_dickson(signs)
+    assert T.shape == (dim, dim, dim) and T.dtype == np.int64
+    one = np.eye(dim, dtype=np.int64)
+    assert np.array_equal(T[0], one) and np.array_equal(T[:, 0], one)
     for a in range(dim):
-        assert table[0][a] == table[a][0] == (a, 1)
-        assert table[a][a] == (0, 1 if a == 0 else -1)
+        assert T[a, a].tolist() == [1 if a == 0 else -1] + [0] * (dim - 1)
 
 
 def test_split_signs_change_the_squares():
     # in the split octonions (-1, -1, +1) the units of the last doubling square to +1
-    table = cayley_dickson((-1, -1, 1))
-    assert [table[a][a] for a in range(1, 8)] == [(0, -1)] * 3 + [(0, 1)] * 4
+    T = cayley_dickson((-1, -1, 1))
+    assert [T[a, a].tolist() for a in range(1, 8)] == [[-1] + [0] * 7] * 3 + [[1] + [0] * 7] * 4
