@@ -20,7 +20,11 @@ package's own constructors.
   stages of them: `envelope._check_quotient_consistency` and
   `birep._labelled_operators`, each on a tensor that `build_envelope` has
   already read, so what the tensor keeps is made outside the timed call;
-  and the envelope's JSON table, `EnvelopeAlgebra.to_json_dict`.
+  and the envelope's JSON table, `EnvelopeAlgebra.to_json_dict`.  And
+  `build_envelope` and `matrix_closure_dim` alone on the r=21 member of
+  Im(O) x Q[t]/(p), p = t^3 + 3t - 2, with the L/R generators of
+  O x Q[t]/(p) on 24 dimensions, built here from `algebra.cayley_dickson`
+  (`imaginary_octonions_over`) and written to JSON like the others.
 - `etc`: `etc_verify` and `charge_algebra_check` on the octonion
   generators at one site (m7, dimension 2^8), on the quaternionic line of
   `mnlbench.workloads.OctonionN2` at two sites (r=3, two sites of
@@ -87,6 +91,8 @@ import tempfile
 import time
 import tracemalloc
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
@@ -99,6 +105,7 @@ PAIRS = 15
 PEAKS = 3
 SEED = 0
 SUBMODULES = ("algebra", "birep", "envelope", "etc", "fock", "loops")
+R21 = (1, 0, 3, -2)    # p = t^3 + 3t - 2
 
 
 def fresh_tensor(c):
@@ -187,13 +194,49 @@ def written(workdir):
              "line": line.tensor_path, "line_gen": line.gen_path}
     workloads.write_tensor(paths["m7"], work.m7)
     workloads.write_generators(paths["m7_gen"], work.oct_gen)
+    paths["r21"], paths["r21_gen"] = (os.path.join(workdir, f"r21_{part}.json")
+                                      for part in ("tensor", "generators"))
+    r21, r21_gen = imaginary_octonions_over(R21)
+    workloads.write_tensor(paths["r21"], r21)
+    workloads.write_generators(paths["r21_gen"], r21_gen)
     return paths, work.steps
+
+
+def quotient_ring(p):
+    """The multiplication tensor of Q[t]/(p) on 1, t, .., t^(d-1), p a monic
+    integer polynomial given by its coefficients, highest first."""
+    d = len(p) - 1
+    powers = [np.eye(d, dtype=np.int64)[0]]    # t^k by degree, k < 2d - 1
+    for _ in range(2 * d - 2):    # times t, with t^d = -(p_1 t^(d-1) + .. + p_d)
+        power = powers[-1]
+        powers.append(np.concatenate([[0], power[:-1]]) - power[-1] * np.array(p[:0:-1]))
+    return np.array([[powers[a + b] for b in range(d)] for a in range(d)])
+
+
+def imaginary_octonions_over(p):
+    """Im(O) x Q[t]/(p) under the commutator, r = 7 deg p, and the L/R
+    generators of O x Q[t]/(p) for its units e_i x t^a, i >= 1 (dimension
+    8 deg p): slices of the product's multiplication tensor P, as in
+    `birep.lr_generators`."""
+    A, C = mnl.algebra.cayley_dickson(mnl.algebra.OCTONIONS), quotient_ring(p)
+    n = len(A) * len(C)
+    P = np.einsum("ijk,abc->iajbkc", A, C).reshape(n, n, n)
+    units = np.arange(len(C), n)    # e_i x t^a with i >= 1
+    comm = (P - P.transpose(1, 0, 2))[np.ix_(units, units, units)].transpose(2, 0, 1)
+    c = mnl.algebra.StructureTensor(len(units), {(int(i), int(j), int(k)): int(comm[i, j, k])
+                                                 for i, j, k in np.argwhere(comm)})
+    S, T = ([M.T.tolist() for M in slices]
+            for slices in (P[units], P[:, units].transpose(1, 0, 2)))
+    return c, mnl.birep.GeneratorSet(len(units), n, S, T)
 
 
 def dense_inputs(m, paths, steps):
     def read(name):
         return m.algebra.load_tensor(paths[name]), m.birep.load_generators(paths[name + "_gen"])
-    return {"m7": (*read("m7"), dense_cases(m)), "r10": (*read("r10"), dense_cases(m))}
+    cases = dense_cases(m)
+    return {"m7": (*read("m7"), cases), "r10": (*read("r10"), cases),
+            "r21": (*read("r21"), {name: cases[name]
+                                   for name in ("build_envelope", "matrix_closure_dim")})}
 
 
 def diagonal_blocks(gen, blocks):

@@ -1,8 +1,8 @@
 """Birepresentations of finite Moufang loops and generator sets satisfying
 the generalized Lie-Cartan commutation relations.
 
-Matrices are dense lists of Fractions; every check is exact, an integer
-contraction over their common denominator (`matrices`).
+Matrices are dense lists of exact rationals; every check is exact, an
+integer contraction over their common denominator (`matrices`).
 
 The generalized Lie-Cartan table is written once, in `bracket_rows`, with
 its cyclic relations in `cyclic_rows`: integer rows over the label index
@@ -81,12 +81,12 @@ class GeneratorSet:
                 raise InputError("a generator matrix must be a list of rows")
             out = []
             for row in m:
-                for entry in row:
-                    if not (isinstance(entry, list) and len(entry) == 2
-                            and all(is_int(v) for v in entry) and entry[1] > 0):
-                        raise InputError(f"bad generator entry {entry!r}: need "
-                                         "[num, den] integers with den > 0")
-                out.append([Fraction(num, den) for num, den in row])
+                bad = [e for e in row if type(e) is not list or len(e) != 2    # type(True) is bool
+                       or type(e[0]) is not int or type(e[1]) is not int or e[1] <= 0]
+                if bad:
+                    raise InputError(f"bad generator entry {bad[0]!r}: need "
+                                     "[num, den] integers with den > 0")
+                out.append([num if den == 1 else Fraction(num, den) for num, den in row])
             return out
 
         return GeneratorSet(data["r"], data["dim"],

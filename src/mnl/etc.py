@@ -362,14 +362,9 @@ def _lemma(a, trials: int, seed: int) -> CheckReport:
     of products, bounded per trial by 2 d b_M b_N + b_Z (`QuadraticCache.bounds`):
     the trials before the first one whose bound reaches 2^62 are decided,
     and BoundError is raised when none of them fails."""
-    rng = random.Random(seed)
     cache = QuadraticCache(a)
     d, m = cache.dim, len(a)
-
-    def draws():
-        for trial in range(trials):
-            yield (trial,), *([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
-                              for _ in "MN")
+    chunk = min(CHUNK, -(-LEMMA_BUDGET // (d * d)))
 
     def fails(cases):
         M, N = (np.array(mats, dtype=np.int64) for mats in zip(*cases))
@@ -384,8 +379,21 @@ def _lemma(a, trials: int, seed: int) -> CheckReport:
             raise BoundError()
         return bad
 
-    return first_failure_chunked("bilinear-lemma", draws(), fails,
-                                 min(CHUNK, -(-LEMMA_BUDGET // (d * d))))
+    return first_failure_chunked("bilinear-lemma", _draws(seed, m, trials, chunk), fails, chunk)
+
+
+def _draws(seed, m, trials, chunk):
+    """((trial,), M, N): random.Random(seed)'s randint(-3, 3), M's then N's row by row.
+    A draw keeps the top three bits of the first 32-bit word below 7, so they are
+    read from getrandbits(32 k) by chunks of trials, its first word lowest."""
+    rng, size, values = random.Random(seed), 2 * m * m, np.zeros(0, dtype=np.int64)
+    for trial in range(trials):
+        while len(values) < size:
+            k = size * min(chunk, trials - trial) * 8 // 7 + 64
+            words = np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"), "<u4") >> 29
+            values = np.concatenate([values, words[words < 7].astype(np.int64) - 3])
+        yield (trial,), *values[:size].reshape(2, m, m)
+        values = values[size:]
 
 
 def bilinear_lemma_check(f: FieldSet, trials: int = 100, seed: int = 0) -> CheckReport:

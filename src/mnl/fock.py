@@ -380,13 +380,15 @@ def _states(modes, particles):
                     for bits in itertools.combinations(range(modes), k)])
 
 
-def _ladder(modes, states) -> List[GQSparse]:
+def _ladder(modes, states, dagger=False) -> List[GQSparse]:
     """The Jordan-Wigner lowering operators a_0 .. a_{modes-1},
     Z x .. x Z x sigma x I x .. x I, restricted to the span of `states`:
     sorted basis bitmasks, mode 0 the most significant bit, closed under
-    lowering.  a_m takes a state with mode m occupied to the one without,
-    with the sign (-1)^(occupied modes before m).  ValueError when an image
-    falls outside `states`."""
+    lowering; their adjoints if `dagger`.  a_m takes a state with mode m
+    occupied to the one without, with the sign (-1)^(occupied modes before
+    m).  Dropping a bit keeps the order of the states that hold it, so rows
+    and columns rise together, one entry a row: canonical CSR arrays, used
+    without `__init__`'s re-check.  ValueError when an image leaves `states`."""
     states = np.asarray(states, dtype=np.int64)
     d = len(states)
     ops = []
@@ -398,7 +400,12 @@ def _ladder(modes, states) -> List[GQSparse]:
         if not np.array_equal(states[np.minimum(rows, d - 1)], images):
             raise ValueError("the states are not closed under lowering")
         sign = 1 - 2 * _odd(states[cols] >> (shift + 1))
-        ops.append(GQSparse.from_int(sp.csr_matrix((sign, (rows, cols)), shape=(d, d))))
+        rows, cols = (cols, rows) if dagger else (rows, cols)
+        op = object.__new__(GQSparse)
+        op.dim, op.den, op.mag = d, 1, int(sign.size > 0)
+        op.re = sp.csr_matrix((sign, cols, np.searchsorted(rows, np.arange(d + 1))), shape=(d, d))
+        op.im = sp.csr_matrix((d, d), dtype=np.int64)
+        ops.append(op)
     return ops
 
 
@@ -409,8 +416,7 @@ def build_fock(n: int, N: int) -> FockOps:
     if n > 16 or n * N > 32:
         raise InputError(f"{n} modes on each of {N} sites exceed the caps of 16 modes "
                          "per site and 32 in all")
-    a = _ladder(n, range(1 << n))
-    return FockOps(n, N, a, [op.dagger() for op in a])
+    return FockOps(n, N, *(_ladder(n, range(1 << n), dagger) for dagger in (False, True)))
 
 
 # An anticommutation relation (name, X, Y, c) asks {X_A(x), Y_B(y)} = c I d_xy d_AB
@@ -428,15 +434,16 @@ def _anticommutation_scan(prop, relations, families, fock, witness):
     mirror came first.  Each step is one case row of a `RelationKernel` over
     the distinct operators (held in `families`, so their ids stay theirs),
     the parity Pi and I: {P, Q} - c I at one site, {P, Pi} across sites.  The
-    kernel decides a chunk at a time, and a row that repeats an earlier one
-    reads that row's verdict from the kernel's memo."""
+    kernel decides a chunk at a time.  A case row that repeats an earlier one
+    (at N >= 2 every site's row holds the same operators) has that row's
+    verdict and is skipped; the first keeps its place in the walk."""
     from .relations import RelationKernel    # relations imports this module
     n, N = fock.modes_per_site, fock.sites
     distinct = {id(op): op for ops in families.values() for row in ops for op in row}
     kernel = RelationKernel([*distinct.values(), GQSparse.from_int(_parity(n)),
                              GQSparse.identity(1 << n)])
     index = {key: k for k, key in enumerate(distinct)}
-    parity, one = len(index), len(index) + 1
+    parity, one, seen = len(index), len(index) + 1, set()
 
     def rows():
         for x, A, y, B, (name, X, Y, c) in itertools.product(range(N), range(n), range(N),
@@ -449,11 +456,13 @@ def _anticommutation_scan(prop, relations, families, fock, witness):
                 P, Q = (P, Q) if x < y else (Q, P)
                 if Q.is_zero():
                     continue
-                case = [("a", 1, index[id(P)], parity)]
+                case = (("a", 1, index[id(P)], parity),)
             else:
-                case = [("a", 1, index[id(P)], index[id(Q)])]
-                case += [("o", -c[0], one), ("i", -c[1], one)] if c and A == B else []
-            yield (witness(name, x, A, y, B), *case)
+                case = (("a", 1, index[id(P)], index[id(Q)]),)
+                case += (("o", -c[0], one), ("i", -c[1], one)) if c and A == B else ()
+            if case not in seen:
+                seen.add(case)
+                yield (witness(name, x, A, y, B), *case)
 
     return kernel.first_failure(prop, rows())
 

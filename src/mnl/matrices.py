@@ -6,7 +6,8 @@ the bound the sparse Fock operators apply too, raising instead): below 2^62
 it runs in int64, otherwise over Python ints (object dtype), so no value can
 wrap.  Rows of label coefficients, mostly zero, are held as (row, column,
 value) triples (`Rows`), a product with them runs over those (`rows_times`),
-and one fraction-free echelon (`Echelon`) reduces integer rows exactly.
+and one fraction-free echelon (`Echelon`) reduces integer rows exactly, a
+block in two products and bounded Gauss-Jordan steps within the block.
 Identities are decided CHUNK cases at a time, in their walk order, or in
 blocks of at most _BLOCK entries an array (`birep.commutator_scan`, the
 Mal'tsev scan), so a failing input stops early and the temporaries stay small.
@@ -187,10 +188,15 @@ class Echelon:
         self.pivots = []
 
     def add(self, block):
-        """Reduce the integer rows of `block` against the form in one product,
-        then admit them in order; True for each row that grew the span.  A zero
-        row cannot, nor can one that repeats an earlier reduced (so primitive)
-        row up to sign: neither enters the admission loop."""
+        """Reduce the integer rows of `block` against the form in one `_clear`,
+        admit them in order by Gauss-Jordan within the block, then clear the new
+        pivots from the form's rows in one more.  An admitted row X_k clears its
+        pivot p from each block row X_r that holds it as `_clear` would, |h| X_r
+        - sgn(h) X_r[p] X_k over its gcd (h = X_k[p]), bounded by |h| max|X_r| +
+        max|X_r[p]| max|X_k|; as every step keeps the sign of a row's pivot
+        entry, the rows are those of adding the block's rows one at a time.
+        True for each row that grew the span: a zero row cannot, nor can one
+        that repeats an earlier reduced (so primitive) row up to sign."""
         X = _clear(np.asarray(block), self.rows, self.pivots)
         grew = np.zeros(len(X), dtype=bool)
         if not X.any():
@@ -199,18 +205,25 @@ class Echelon:
         signed = (X * lead[:, None]).tolist()
         # the first row on each line, in order: the dict keeps the last k written
         keep = sorted({tuple(signed[k]): k for k in np.flatnonzero(lead)[::-1]}.values())
-        X = X[keep]
+        X, pivots = X[keep], []
         for k in range(len(X)):
             nonzero = np.flatnonzero(X[k])    # an admitted row may have cleared it
             if nonzero.size:
-                p = int(nonzero[0])
-                v = X[k:k + 1]
-                # clear p from the form's rows and from the later candidates
-                rest = _clear(np.concatenate([self.rows, X[k + 1:]]), v, [p])
-                self.rows = np.concatenate([rest[:len(self.rows)], v])
-                self.pivots.append(p)
-                X = np.concatenate([X[:k + 1], rest[len(self.rows) - 1:]])
+                p, h = int(nonzero[0]), int(X[k, nonzero[0]])
+                held = np.flatnonzero((X[:, p] != 0) & (np.arange(len(X)) != k))
+                if held.size:
+                    Y, c = X[held], X[held, p:p + 1] * (1 if h > 0 else -1)
+                    bound = abs(h) * magnitude(Y) + magnitude(c) * magnitude(X[k])
+                    dtype = np.int64 if fits_int64(bound) else object
+                    X = X.astype(np.result_type(X, dtype), copy=False)
+                    Y = abs(h) * Y.astype(dtype) - c.astype(dtype) * X[k].astype(dtype)
+                    g = np.gcd.reduce(Y, axis=1)
+                    X[held] = Y // np.where(g == 0, 1, g)[:, None]
+                pivots.append(p)
                 grew[keep[k]] = True
+        new = X[grew[keep]]
+        self.rows = np.concatenate([_clear(self.rows, new, pivots), new])
+        self.pivots += pivots
         return grew
 
 

@@ -25,7 +25,8 @@ a Cayley table's rows, and the Chein double, the Cayley-Dickson doubling
 sweep evaluates one commutator at a time on single points, and
 `octonion_product` is the unit-octonion chart's product of one pair of
 points as one contraction with the signed product tensor of the Fano
-table."""
+table.  `RowEchelon` admits an echelon block's rows one at a time, one
+`matrices._clear` of the whole form a row."""
 
 import dataclasses
 import itertools
@@ -43,7 +44,7 @@ from mnl.envelope import EnvelopeAlgebra
 from mnl.etc import CONVENTION, ChargeDensitySet, ETCReport
 from mnl.fock import _CANONICAL, _CAR, GQSparse, QuadraticCache, SiteOp, _parity, _states
 from mnl.loops import CayleyTable, chart_commutator
-from mnl.matrices import CHUNK, fits_int64, scaled, stacked
+from mnl.matrices import CHUNK, Echelon, _clear, fits_int64, scaled, stacked
 from mnl.relations import Ledger
 from mnl.report import BoundError, CheckReport, InputError, fail, ok
 
@@ -518,6 +519,34 @@ def echelon_add(pivots, row) -> bool:
     return True
 
 
+class RowEchelon(Echelon):
+    """`matrices.Echelon` admitting a block's reduced rows one at a time: each
+    admitted row clears its pivot from every kept row and every later
+    candidate, one `matrices._clear` a row.  The row-at-a-time reference for
+    `Echelon.add`'s block admission."""
+
+    def add(self, block):
+        X = _clear(np.asarray(block), self.rows, self.pivots)
+        grew = np.zeros(len(X), dtype=bool)
+        if not X.any():
+            return grew
+        lead = np.sign(X[np.arange(len(X)), np.argmax(X != 0, axis=1)])    # 0 on a zero row
+        signed = (X * lead[:, None]).tolist()
+        keep = sorted({tuple(signed[k]): k for k in np.flatnonzero(lead)[::-1]}.values())
+        X = X[keep]
+        for k in range(len(X)):
+            nonzero = np.flatnonzero(X[k])
+            if nonzero.size:
+                p = int(nonzero[0])
+                v = X[k:k + 1]
+                rest = _clear(np.concatenate([self.rows, X[k + 1:]]), v, [p])
+                self.rows = np.concatenate([rest[:len(self.rows)], v])
+                self.pivots.append(p)
+                X = np.concatenate([X[:k + 1], rest[len(self.rows) - 1:]])
+                grew[keep[k]] = True
+        return grew
+
+
 def y_quotient(c: StructureTensor):
     """The Y-quotient's expand map and rank: every y_cyclic row j < k < l,
     each Y_kj read as -Y_jk and Y_jj as zero, through `echelon_add`."""
@@ -766,6 +795,22 @@ def full_ladder(n, N):
             acc = sp.kron(acc, f, format="csr")
         ladder.append(GQSparse.from_int(acc))
     return [ladder[x * n:(x + 1) * n] for x in range(N)]
+
+
+def coo_ladder(modes, states):
+    """`fock._ladder` through a COO assembly and `GQSparse.from_int`: a_m's
+    entries (-1)^(occupied modes before m) at (the state without m, the
+    state with m), over the sorted bitmasks `states`."""
+    states = np.asarray(states, dtype=np.int64)
+    d = len(states)
+    ops = []
+    for m in range(modes):
+        shift = modes - 1 - m
+        cols = np.flatnonzero((states >> shift) & 1)
+        rows = np.searchsorted(states, states[cols] ^ (1 << shift))
+        sign = 1 - 2 * (np.bitwise_count(states[cols] >> (shift + 1)).astype(np.int64) & 1)
+        ops.append(GQSparse.from_int(sp.csr_matrix((sign, (rows, cols)), shape=(d, d))))
+    return ops
 
 
 def embed(op, n, N, x):

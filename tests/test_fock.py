@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -556,6 +557,23 @@ def test_ladder_equals_the_kron_ladder(n, N):
     assert _ladder(n * N, states) == restricted
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("particles", [None, 2])
+def test_ladder_arrays_equal_the_coo_assembly(n, particles):
+    """The ladder and its adjoints, written as canonical CSR arrays, equal the
+    COO-assembled operators and their daggers: parts, mag and den, per mode."""
+    states = range(1 << n) if particles is None else _states(n, particles)
+    coo = oracles.coo_ladder(n, states)
+    for ops, expected in ((_ladder(n, states), coo),
+                          (_ladder(n, states, dagger=True), [op.dagger() for op in coo])):
+        for op, ref in zip(ops, expected, strict=True):
+            assert op == ref and (op.mag, op.den) == (ref.mag, ref.den)
+            assert op.re.has_canonical_format and op.re.dtype == np.int64
+    if particles is None:
+        f = build_fock(n, 1)
+        assert f.a == coo and f.adag == [op.dagger() for op in coo]
+
+
 def test_ladder_needs_states_closed_under_lowering():
     with pytest.raises(ValueError):
         _ladder(3, [0, 3])
@@ -955,6 +973,18 @@ def test_lemma_witness_after_passing_chunks(monkeypatch):
     rep, sizes = spans_chunks(monkeypatch, a, 12, 76, 2)
     assert rep.witness == (3,) == oracles.lemma_walk(a, 12, 76).witness
     assert sizes == [2, 2]
+
+
+@pytest.mark.parametrize("trials,m,chunk", [(15, 8, 64), (3, 4, 1), (9, 3, 2), (40, 32, 4)])
+def test_lemma_draws_equal_the_per_draw_stream(trials, m, chunk):
+    """The bulk draws give each trial the M and N of randint(-3, 3) drawn one
+    at a time, M's then N's row by row, across chunks of any size."""
+    for seed in range(5):
+        rng = random.Random(seed)
+        for (trial,), M, N in etc._draws(seed, m, trials, chunk):
+            for X in (M, N):
+                assert X.tolist() == [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        assert trial == trials - 1
 
 
 def test_lemma_on_fock_ladders_equals_the_oracle():

@@ -17,13 +17,16 @@ product (`matrices.mat_mul`) to `np.einsum` over Python ints on both sides of
 its float64 tier's 2^53 edge, and the integer echelon (`matrices.Echelon`)
 to the `Fraction` one (`oracles.echelon_add`): the same rows admitted and
 the same reduced form, with entries past the int64 guard too, and through
-them the closure oracle's dimension and the Y-quotient.  The Mal'tsev scan
-is held to its oracle on m7 scaled so that its products take each tier of
-`mat_mul`, and on an r = 14 tensor that fails past the scan's first chunk."""
+them the closure oracle's dimension and the Y-quotient; its block admission
+leaves the rows of admitting one row at a time (`oracles.RowEchelon`).  The
+Mal'tsev scan is held to its oracle on m7 scaled so that its products take
+each tier of `mat_mul`, and on an r = 14 tensor that fails past the scan's
+first chunk."""
 
 import contextlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -470,6 +473,35 @@ def test_echelon_admits_rows_off_the_earlier_lines():
                 for row in block]
     grew = matrices.Echelon(3).add(np.array(block, dtype=np.int64))
     assert list(grew) == expected == [True, True, False, False, True, False, False]
+
+
+@SETTINGS
+@given(data=st.data(), magnitude=st.sampled_from([0, 40, 62]))
+def test_echelon_block_admission_equals_row_at_a_time(data, magnitude):
+    """`Echelon.add` leaves the rows, pivots and verdicts of admitting a
+    block's rows one at a time (`oracles.RowEchelon`), row for row, over
+    blocks with zero rows and repeats up to sign; near 2^40 and 2^62 the
+    in-block steps take the object fallback.  Each block costs at most two
+    `_clear` calls whatever its rank."""
+    width = data.draw(st.integers(1, 6))
+    blocks = echelon_blocks(data.draw, width, sparse_ints(magnitude))
+    for block in blocks:
+        for _ in range(data.draw(st.integers(0, 2))):    # a zero row, or a row again up to sign
+            sign = data.draw(st.sampled_from([-1, 1]))
+            row = ([sign * v for v in data.draw(st.sampled_from(block))]
+                   if block and data.draw(st.booleans()) else [0] * width)
+            block.insert(data.draw(st.integers(0, len(block))), row)
+    span, reference = matrices.Echelon(width), oracles.RowEchelon(width)
+    for block in blocks:
+        X = np.array(block, dtype=object).reshape(len(block), width)
+        if all(abs(v) < 1 << 62 for v in X.flat):
+            X = X.astype(np.int64)
+        with mock.patch.object(matrices, "_clear", wraps=matrices._clear) as clear:
+            grew = span.add(X)
+        assert clear.call_count <= 2
+        assert grew.tolist() == reference.add(X).tolist()
+        assert span.rows.tolist() == reference.rows.tolist()
+        assert span.pivots == reference.pivots
 
 
 @SETTINGS
